@@ -19,26 +19,17 @@ import sys
 
 import numpy as np
 
+from .analysis import ABLATION_STACKS, Analyzer, load_archive
 from .config import ConfigError, PipelineConfig, derive_seed, load_config
 from .conventions import interleaved_spins, sz_of
 from .fermion import FermionOperator
 from .integrals import (
     freeze_orbitals, load_fcidump, spin_orbital_hamiltonian,
 )
-from .mitigation import (
-    AssignmentCalibration, apply_qrem, assemble_rdm, check_representability,
-    clip_to_physical, mixed_state_value, rescale_rdm, symmetry_postselect,
-)
 from .planner import build_measurement_circuit, build_plan, \
     enumerate_elements, MeasurementPlan
-from .qcm import (
-    CumulantSet, EnergyEstimate, bootstrap, cumulants, hamiltonian_powers,
-    lanczos_energy, moments_from_rdm,
-)
-from .rdm import rdm_from_determinant
-from .simulator import (
-    CountsTable, NoiseSpec, Statevector, exact_diagonalize, run, sample,
-)
+from .qcm import EnergyEstimate, bootstrap, hamiltonian_powers
+from .simulator import NoiseSpec, Statevector, exact_diagonalize, run, sample
 from .trial import Ansatz, Excitation, build_uccd, exact_trial_state, \
     spsa_minimize
 
@@ -242,203 +233,28 @@ def cmd_run(args) -> int:
 # analyze
 
 
-def _calibration_from_counts(zeros: CountsTable, ones: CountsTable,
-                             n_qubits: int) -> AssignmentCalibration:
-    p01 = np.zeros(n_qubits)
-    p10 = np.zeros(n_qubits)
-    for table, rates, flipped in ((zeros, p01, "1"), (ones, p10, "0")):
-        for bits, c in table.counts.items():
-            for q in range(n_qubits):
-                if bits[-1 - q] == flipped:
-                    rates[q] += c
-        rates /= table.shots
-    return AssignmentCalibration.from_flip_rates(p01, p10)
-
-
-def _position_spins(mc, spins, n_qubits):
-    """Spin label of each measured bit position after routing."""
-    pos_spins = [None] * n_qubits
-    for mode, pos in mc.mode_positions.items():
-        pos_spins[pos] = spins[mode]
-    for lo, hi, mode_lo in mc.site_positions.values():
-        pos_spins[lo] = pos_spins[hi] = spins[mode_lo]  # same-spin pairs
-    return pos_spins
-
-
-def _mitigated_table(table: CountsTable, mc, mit, cal, n_electrons, sz,
-                     spins, n_qubits):
-    """Counts -> (probability dict, acceptance rate) per the toggles."""
-    if mit.get("qrem"):
-        probs = apply_qrem(table, cal)
-        if mit.get("clip"):
-            probs = clip_to_physical(probs)
-    else:
-        probs = table.probabilities()
-    rate = 1.0
-    if mit.get("postselect"):
-        probs, rate = symmetry_postselect(
-            probs, n_electrons, sz, _position_spins(mc, spins, n_qubits))
-    return probs, rate
-
-
-def _fit_white_noise_rate(noisy_rdm, ideal_rdm, mixed_values):
-    """Least-squares fit of noisy = (1-q) ideal + q mixed over all elements."""
-    num = den = 0.0
-    for (sub, sup), mixed in mixed_values.items():
-        ideal = ideal_rdm.get(sub, sup).real
-        noisy = noisy_rdm.get(sub, sup).real
-        num += (noisy - ideal) * (mixed - ideal)
-        den += (mixed - ideal) ** 2
-    if den <= 1e-12:
-        raise ValueError("reference elements equal the mixed-state values; "
-                         "white-noise rate is unresolvable")
-    q_hat = num / den
-    if q_hat >= 1.0:
-        raise ValueError(f"estimated white-noise rate {q_hat} >= 1")
-    return max(q_hat, 0.0)
-
-
-class _Analyzer:
-    """Counts -> energies pipeline, reusable for bootstrap resamples.
-
-    The expected table order is [calibration zeros, calibration ones,
-    trial basis 0..B-1, reference basis 0..B-1].
-    """
-
-    def __init__(self, cfg: PipelineConfig, plan: MeasurementPlan,
-                 circuits, n_electrons: int, h_powers):
-        self.cfg = cfg
-        self.plan = plan
-        self.circuits = circuits
-        self.n_electrons = n_electrons
-        self.h_powers = h_powers
-        self.n_qubits = plan.n_modes
-        self.spins = plan.spins
-        occ = tuple(range(n_electrons))
-        self.sz = sz_of(occ, self.spins)
-        order = next(iter(plan.coverage)).order
-        self.ideal_ref = rdm_from_determinant(occ, self.n_qubits, order)
-        self.mixed_values = None
-
-    def _mixed_element_values(self):
-        if self.mixed_values is not None:
-            return self.mixed_values
-        vals = {}
-        for e in self.plan.coverage:
-            sub, sup = e.creations, e.annihilations
-            ops = [(s, True) for s in sub] + \
-                [(t, False) for t in reversed(sup)]
-            op = FermionOperator.from_ops(self.n_qubits, ops)
-            vals[(sub, sup)] = mixed_state_value(
-                op, self.n_electrons, sz=self.sz, spins=self.spins)
-        self.mixed_values = vals
-        return vals
-
-    def analyze(self, tables, mitigation=None, diagnostics=False):
-        mit = dict(self.cfg.mitigation if mitigation is None else mitigation)
-        cal = None
-        if mit.get("qrem"):
-            cal = _calibration_from_counts(tables[0], tables[1],
-                                           self.n_qubits)
-        n_bases = len(self.plan.bases)
-        rdms = {}
-        rates = {}
-        for which, offset in (("trial", 2), ("reference", 2 + n_bases)):
-            prob_tables = []
-            acc = []
-            for i in range(n_bases):
-                probs, rate = _mitigated_table(
-                    tables[offset + i], self.circuits[i], mit, cal,
-                    self.n_electrons, self.sz, self.spins, self.n_qubits)
-                prob_tables.append(probs)
-                acc.append(rate)
-            rdm = assemble_rdm(self.plan, self.circuits, prob_tables,
-                               self.n_electrons)
-            if mit.get("rescale"):
-                rdm = rescale_rdm(rdm)
-            rdms[which] = rdm
-            rates[which] = float(np.mean(acc))
-        q_hat = 0.0
-        rdm = rdms["trial"]
-        if mit.get("calibrate"):
-            mixed = self._mixed_element_values()
-            q_hat = _fit_white_noise_rate(rdms["reference"], self.ideal_ref,
-                                          mixed)
-            if q_hat > 0.0:
-                corrected = rdm.copy()
-                for e in self.plan.coverage:
-                    sub, sup = e.creations, e.annihilations
-                    v = (rdm.get(sub, sup).real
-                         - q_hat * mixed[(sub, sup)]) / (1.0 - q_hat)
-                    corrected.set(sub, sup, v)
-                rdm = corrected
-                if mit.get("rescale"):
-                    rdm = rescale_rdm(rdm)
-        m = moments_from_rdm(self.h_powers, rdm, self.n_electrons)
-        c = cumulants(m)
-        # a slightly negative variance is consistent with shot noise around
-        # an (almost) exact trial state; clamp it and report E_L = <H>,
-        # which is the correct zero-variance limit
-        noise_floor = 3.0 / np.sqrt(self.cfg.shots)
-        if -noise_floor < c.c2 < 0.0:
-            c = CumulantSet(c.c1, 0.0, c.c3, c.c4)
-        e_l = lanczos_energy(c)
-        result = {"h": m.m1, "e_l": e_l}
-        if diagnostics:
-            report = check_representability(rdm)
-            result.update(q_hat=q_hat, acceptance=rates,
-                          representability=report.to_json())
-        return result
-
-
-def _load_archive(archive_dir):
-    with open(os.path.join(archive_dir, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    with open(os.path.join(archive_dir, "plan.json")) as fh:
-        plan = MeasurementPlan.loads(fh.read())
-
-    def table(name):
-        with open(os.path.join(archive_dir, name)) as fh:
-            return CountsTable.from_json(json.load(fh))
-
-    files = manifest["files"]
-    n_bases = manifest["n_bases"]
-    tables = [table(files["calibration_zeros"]),
-              table(files["calibration_ones"])]
-    tables += [table(files[f"trial_{i}"]) for i in range(n_bases)]
-    tables += [table(files[f"reference_{i}"]) for i in range(n_bases)]
-    return manifest, plan, tables
-
-
-ABLATION_STACKS = [
-    ("raw", {}),
-    ("qrem", {"qrem": True, "clip": True}),
-    ("postselect", {"qrem": True, "clip": True, "postselect": True}),
-    ("rescale", {"qrem": True, "clip": True, "postselect": True,
-                 "rescale": True}),
-    ("calibrated", {"qrem": True, "clip": True, "postselect": True,
-                    "rescale": True, "calibrate": True}),
-]
-
-
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     ints, h, _ = _load_system(cfg)
-    manifest, plan, tables = _load_archive(args.archive)
+    manifest, plan, counts = load_archive(args.archive)
     if plan.n_modes != ints.n_spin_orbitals:
         raise ConfigError("archive and config disagree on the mode count")
     layout = tuple(manifest["layout"])
-    circuits = [build_measurement_circuit(b, layout) for b in plan.bases]
-    h_powers = hamiltonian_powers(h)
-    analyzer = _Analyzer(cfg, plan, circuits, ints.n_electrons, h_powers)
+    try:
+        circuits = [build_measurement_circuit(b, layout) for b in plan.bases]
+    except ValueError as exc:
+        raise ConfigError(f"archive plan does not fit its layout: {exc}") \
+            from exc
+    analyzer = Analyzer(cfg, plan, circuits, ints.n_electrons,
+                        hamiltonian_powers(h))
 
     e_fci, _ = exact_diagonalize(h, ints.n_electrons, sz=analyzer.sz)
-    main = analyzer.analyze(tables, diagnostics=True)
+    main = analyzer.analyze(counts, diagnostics=True)
 
     ablation = []
     for name, stack in ABLATION_STACKS:
         try:
-            res = analyzer.analyze(tables, mitigation=stack)
+            res = analyzer.analyze(counts, mitigation=stack)
             ablation.append({
                 "technique": name,
                 "h": res["h"], "e_l": res["e_l"],
@@ -452,7 +268,7 @@ def cmd_analyze(args) -> int:
     boot = None
     if cfg.bootstrap["enabled"]:
         boot = bootstrap(
-            tables, lambda t: analyzer.analyze(t),
+            counts, analyzer.analyze,
             resamples=int(cfg.bootstrap["resamples"]),
             seed=derive_seed(cfg.master_seed, "bootstrap"))
         std_h, std_el = boot.stds["h"], boot.stds["e_l"]
@@ -473,6 +289,7 @@ def cmd_analyze(args) -> int:
         "h_error": main["h"] - e_fci,
         "e_l_error": main["e_l"] - e_fci,
         "representability": main["representability"],
+        "diagnostics": main["diagnostics"],
         "ablation": ablation,
         "bootstrap": boot.to_json() if boot else None,
         "config": cfg.to_json(),

@@ -416,6 +416,8 @@ def expectation_from_rdm(op: FermionOperator, rdm, n_electrons: int) -> float:
     Terms of order q < p are read from successively contracted RDMs
     (prefactor 1/(N_e - q) per contraction step). Terms of order q > p are
     exactly zero when q > N_e; otherwise the RDM order is insufficient.
+    Reference for the linear moment map of
+    :class:`qcmoments.analysis.Analyzer`.
     """
     p = rdm.order
     ladder = {p: rdm}

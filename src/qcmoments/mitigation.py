@@ -1,10 +1,17 @@
 """Counts post-processing and error mitigation.
 
 Pipeline order: readout-error inversion (per-qubit assignment-matrix
-inverses applied sparsely), clipping of negative quasi-probabilities,
-symmetry post-selection on electron number and S_z, RDM assembly from the
-measurement plan, trace rescaling, N-representability reporting, and a
-global white-noise calibration against a reference state.
+inverses), clipping of negative quasi-probabilities, symmetry post-selection
+on electron number and S_z, RDM assembly from the measurement plan, trace
+rescaling, N-representability reporting, and a global white-noise
+calibration against a reference state.
+
+Each table step exists twice. The ``*_rows`` functions act on a matrix with
+one table per row over integer outcomes and make up the compiled analysis
+(:mod:`qcmoments.analysis`). The bitstring-dict functions (``apply_qrem``,
+``clip_to_physical``, ``symmetry_postselect``, ``assemble_rdm``,
+``rescale_rdm``) are the references that the tests check the compiled path
+against.
 """
 from __future__ import annotations
 
@@ -71,23 +78,46 @@ class AssignmentCalibration:
         return cls(mats, invs)
 
 
+def outcome_bits(n_qubits: int) -> np.ndarray:
+    """(2^n, n) 0/1 matrix: entry (i, q) is bit q of outcome i."""
+    return np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits) & 1
+
+
+def calibration_from_counts(zeros, ones) -> AssignmentCalibration:
+    """Per-qubit flip rates from the count vectors (over integer outcomes)
+    of an all-zeros and an all-ones preparation."""
+    zeros, ones = np.asarray(zeros), np.asarray(ones)
+    bits = outcome_bits(zeros.size.bit_length() - 1)
+    p01 = zeros @ bits / zeros.sum()
+    p10 = ones @ (1 - bits) / ones.sum()
+    return AssignmentCalibration.from_flip_rates(p01, p10)
+
+
 def calibrate_readout(noise: NoiseSpec, n_qubits: int, shots: int,
                       seed: int = 0) -> AssignmentCalibration:
     """Estimate per-qubit flip rates from all-zeros and all-ones preparations."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    p01 = np.zeros(n_qubits)
-    p10 = np.zeros(n_qubits)
-    for prep, rates, flipped in ((0, p01, "1"), ((1 << n_qubits) - 1,
-                                                 p10, "0")):
-        state = Statevector.basis_state(prep, n_qubits)
-        counts = sample(state, shots, noise, seed=seed + prep)
-        for bits, c in counts.counts.items():
-            for q in range(n_qubits):
-                if bits[-1 - q] == flipped:
-                    rates[q] += c
-        rates /= shots
-    return AssignmentCalibration.from_flip_rates(p01, p10)
+    zeros, ones = (
+        sample(Statevector.basis_state(prep, n_qubits), shots, noise,
+               seed=seed + prep).vector(n_qubits)
+        for prep in (0, (1 << n_qubits) - 1))
+    return calibration_from_counts(zeros, ones)
+
+
+def qrem_rows(probs: np.ndarray, cal: AssignmentCalibration) -> np.ndarray:
+    """Readout inversion of each row (a distribution over integer outcomes)
+    by the tensor product of the per-qubit inverses, one qubit at a time."""
+    rows, dim = probs.shape
+    if dim != 1 << cal.n_qubits:
+        raise ValueError("calibration does not cover all qubits")
+    out = probs
+    for q, inv in enumerate(cal.inverses):
+        a = out.reshape(rows * (dim >> q + 1), 2, 1 << q)
+        out = np.empty_like(a)
+        out[:, 0] = inv[0, 0] * a[:, 0] + inv[0, 1] * a[:, 1]
+        out[:, 1] = inv[1, 0] * a[:, 0] + inv[1, 1] * a[:, 1]
+    return out.reshape(rows, dim)
 
 
 def _flip_bit(bits: str, q: int) -> str:
@@ -99,6 +129,7 @@ def apply_qrem(counts: CountsTable, cal: AssignmentCalibration) -> dict:
     """Per-qubit inverse applied tensor-wise on the observed sparse support.
 
     Returns a bitstring -> quasi-probability dict (entries may be negative).
+    Reference for :func:`qrem_rows`.
     """
     probs = counts.probabilities()
     n = len(next(iter(probs)))
@@ -121,7 +152,10 @@ def apply_qrem(counts: CountsTable, cal: AssignmentCalibration) -> dict:
 
 def clip_to_physical(quasi: dict, tol: float = 1e-6) -> dict:
     """Zero negative entries, redistributing their mass evenly over the
-    remaining positive entries, iterated to a fixed point."""
+    remaining positive entries, iterated to a fixed point.
+
+    Reference for :func:`clip_rows`.
+    """
     total = sum(quasi.values())
     if abs(total - 1.0) > tol:
         raise ValueError(f"quasi-probabilities sum to {total}, not 1")
@@ -146,11 +180,41 @@ def clip_to_physical(quasi: dict, tol: float = 1e-6) -> dict:
     return {b: v / norm for b, v in entries.items()}
 
 
+def clip_rows(quasi: np.ndarray, tol: float = 1e-6):
+    """:func:`clip_to_physical` on every row at once.
+
+    Returns the clipped rows and, per row, the negative mass zeroed over
+    all iterations.
+    """
+    totals = quasi.sum(axis=1)
+    bad = np.flatnonzero(np.abs(totals - 1.0) > tol)
+    if bad.size:
+        raise ValueError(f"quasi-probabilities sum to {totals[bad[0]]}, not 1")
+    out = quasi.copy()
+    clipped = np.zeros(len(out))
+    rows = np.flatnonzero((out < 0.0).any(axis=1))
+    while rows.size:
+        sub = out[rows]
+        negative = sub < 0.0
+        mass = np.where(negative, sub, 0.0).sum(axis=1)
+        sub[negative] = 0.0
+        positive = sub > 0.0
+        n_positive = positive.sum(axis=1)
+        if not n_positive.all():
+            raise ValueError("no positive probability mass to redistribute to")
+        sub = np.where(positive, sub + (mass / n_positive)[:, None], sub)
+        out[rows] = sub
+        clipped[rows] -= mass
+        rows = rows[(sub < 0.0).any(axis=1)]
+    return out / out.sum(axis=1, keepdims=True), clipped
+
+
 def symmetry_postselect(probs: dict, n_electrons: int, s_z: float,
                         spins) -> tuple[dict, float]:
     """Keep outcomes with the right electron number and S_z; renormalize.
 
     `spins` labels each bit position ("u"/"d") in the measured register.
+    Reference for :func:`postselect_mask` with :func:`postselect_rows`.
     """
     accepted = {}
     total = 0.0
@@ -170,6 +234,25 @@ def symmetry_postselect(probs: dict, n_electrons: int, s_z: float,
     return {b: p / mass for b, p in accepted.items()}, rate
 
 
+def postselect_mask(n_electrons: int, s_z: float, spins) -> np.ndarray:
+    """Outcomes (integer indices) with the right electron number and S_z;
+    `spins` labels each bit position as in :func:`symmetry_postselect`."""
+    bits = outcome_bits(len(spins))
+    n_occ = bits.sum(axis=1)
+    up = bits @ np.array([s == "u" for s in spins], dtype=int)
+    return (n_occ == n_electrons) & (np.abs(up - 0.5 * n_occ - s_z) <= 1e-12)
+
+
+def postselect_rows(probs: np.ndarray, masks: np.ndarray):
+    """Post-select row i on ``masks[i]`` and renormalize; returns the rows
+    and their acceptance rates."""
+    accepted = np.where(masks, probs, 0.0)
+    mass = accepted.sum(axis=1)
+    if (mass <= 0.0).any():
+        raise ValueError("post-selection removed all probability mass")
+    return accepted / mass[:, None], mass / probs.sum(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # RDM assembly
 
@@ -179,7 +262,8 @@ def assemble_rdm(plan: MeasurementPlan, circuits, tables,
     """Average decoded eigenvalue products into the canonical RDM storage.
 
     `circuits[i]` is the MeasurementCircuit and `tables[i]` the (possibly
-    mitigated) bitstring -> probability dict for plan basis i.
+    mitigated) bitstring -> probability dict for plan basis i. Reference for
+    the assembly map of :class:`qcmoments.analysis.Analyzer`.
     """
     if len(circuits) != len(plan.bases) or len(tables) != len(plan.bases):
         raise ValueError("per-basis circuits/tables do not match the plan")
@@ -202,7 +286,10 @@ def assemble_rdm(plan: MeasurementPlan, circuits, tables,
 
 
 def rescale_rdm(rdm: RDM) -> RDM:
-    """Scale so the trace matches C(N_e, p) exactly."""
+    """Scale so the trace matches C(N_e, p) exactly.
+
+    Reference for the rescale step of :class:`qcmoments.analysis.Analyzer`.
+    """
     ideal = rdm.ideal_trace()
     actual = rdm.trace()
     if abs(actual) < 1e-6 * ideal:
@@ -239,8 +326,14 @@ def check_representability(rdm: RDM) -> RepresentabilityReport:
                 anti = max(anti, abs(rdm.get(perm, sup) - swaps * base))
     trace_residual = abs(rdm.trace() - rdm.ideal_trace())
     if rdm.order >= 1 and rdm.n_electrons > rdm.order - 1:
-        lower = rdm.contract()
-        contraction_residual = abs(lower.trace() - lower.ideal_trace())
+        # trace of rdm.contract(), read off the diagonal directly
+        q = rdm.order - 1
+        lower_trace = sum(
+            sum(rdm.get(j + (l,), j + (l,)).real
+                for l in range(rdm.n_modes) if l not in j)
+            / (rdm.n_electrons - q)
+            for j in combinations(range(rdm.n_modes), q))
+        contraction_residual = abs(lower_trace - comb(rdm.n_electrons, q))
     else:
         contraction_residual = 0.0
     mat, _ = rdm.matricize()
@@ -264,21 +357,36 @@ def _parity(perm, base) -> float:
 # global white-noise calibration
 
 
-def reference_calibrate(noisy_trial: float, noisy_ref: float,
-                        ideal_ref: float, mixed_value: float,
-                        tolerance: float = 1e-9) -> tuple[float, float]:
-    """Estimate the white-noise rate from a reference state and invert it.
+def fit_white_noise_rate(noisy_ref, ideal_ref, mixed_value,
+                         tolerance: float = 1e-9) -> float:
+    """Least-squares white-noise rate q of noisy = (1 − q)·ideal + q·mixed.
 
-    q̂ = (noisy_ref − ideal_ref)/(mixed_value − ideal_ref);
-    corrected = (noisy_trial − q̂·mixed_value)/(1 − q̂).
+    Arguments are scalars or arrays of matching shape (one entry per
+    observable). With d = mixed_value − ideal_ref,
+    q̂ = Σ (noisy_ref − ideal_ref)·d / Σ d², which for scalars is
+    (noisy_ref − ideal_ref)/d. Unresolvable when |d| <= tolerance (the
+    Euclidean norm for arrays); q̂ >= 1 is an error. Not clamped.
     """
-    denom = mixed_value - ideal_ref
-    if abs(denom) <= tolerance:
-        raise ValueError("reference value equals the mixed-state value; "
+    d = np.asarray(mixed_value, dtype=float) - ideal_ref
+    if np.linalg.norm(d) <= tolerance:
+        raise ValueError("reference elements equal the mixed-state values; "
                          "white-noise rate is unresolvable")
-    q_hat = (noisy_ref - ideal_ref) / denom
+    q_hat = float(np.vdot(np.asarray(noisy_ref) - ideal_ref, d)
+                  / np.vdot(d, d))
     if q_hat >= 1.0:
         raise ValueError(f"estimated white-noise rate {q_hat} >= 1")
+    return q_hat
+
+
+def reference_calibrate(noisy_trial, noisy_ref, ideal_ref, mixed_value,
+                        tolerance: float = 1e-9):
+    """Estimate the white-noise rate from a reference state and invert it.
+
+    q̂ is :func:`fit_white_noise_rate`, clamped to 0 with a warning when
+    negative; corrected = (noisy_trial − q̂·mixed_value)/(1 − q̂), elementwise
+    for arrays. Returns (q̂, corrected).
+    """
+    q_hat = fit_white_noise_rate(noisy_ref, ideal_ref, mixed_value, tolerance)
     if q_hat < 0.0:
         warnings.warn(f"estimated white-noise rate {q_hat} clamped to 0")
         q_hat = 0.0

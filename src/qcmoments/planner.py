@@ -532,6 +532,7 @@ def _verify_diagonalizers():
         assert np.max(np.abs(d - np.diag(np.diag(d)))) < 1e-10
         for (b_lo, b_hi), ev in PAIR_EIGENVALUE.items():
             assert abs(d[b_lo + 2 * b_hi, b_lo + 2 * b_hi].real - ev) < 1e-10
+            assert 0.5 * (b_hi - b_lo) == ev     # MeasurementCircuit.pair_value
     return True
 
 
@@ -546,26 +547,31 @@ class MeasurementCircuit:
     site_positions: dict
     assignments: dict
 
-    def pair_value(self, site, bits: int) -> float:
-        """Re/Im eigenvalue of a pair site decoded from an outcome."""
-        lo, hi, mode_lo = self.site_positions[tuple(site)]
-        return PAIR_EIGENVALUE[(bits >> lo & 1, bits >> hi & 1)]
+    # The decoders take an outcome index or an integer array of them.
 
-    def number_value(self, mode: int, bits: int) -> float:
-        return float(bits >> self.mode_positions[mode] & 1)
+    def pair_value(self, site, bits):
+        """Re/Im eigenvalue of a pair site decoded from an outcome:
+        PAIR_EIGENVALUE written as (bit_hi - bit_lo) / 2."""
+        lo, hi, _ = self.site_positions[tuple(site)]
+        return 0.5 * ((bits >> hi & 1) - (bits >> lo & 1))
 
-    def pair_occupation(self, site, bits: int) -> float:
+    def number_value(self, mode: int, bits):
+        return 1.0 * (bits >> self.mode_positions[mode] & 1)
+
+    def pair_occupation(self, site, bits):
         """Product n_i n_j for the two modes absorbed into a pair site."""
         lo, hi, _ = self.site_positions[tuple(site)]
-        return float((bits >> lo & 1) and (bits >> hi & 1))
+        return 1.0 * (bits >> lo & bits >> hi & 1)
 
 
-def product_value(mc: MeasurementCircuit, factors, bits: int) -> float:
+def product_value(mc: MeasurementCircuit, factors, bits):
     """Decode one signed-product component from a computational outcome.
 
-    Number factors absorbed into a shared pair site are decoded once as the
-    joint occupation of that site; Im factors flip sign when the lower mode
-    of the canonical factor sat on the high qubit at interaction time.
+    `bits` is an outcome index, or an integer array of them to decode all at
+    once. Number factors absorbed into a shared pair site are decoded once
+    as the joint occupation of that site; Im factors flip sign when the
+    lower mode of the canonical factor sat on the high qubit at interaction
+    time.
     """
     val = 1.0
     handled = set()

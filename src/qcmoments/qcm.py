@@ -21,7 +21,7 @@ import numpy as np
 
 from .fermion import FermionOperator, expectation_from_rdm, multiply
 from .rdm import RDM
-from .simulator import CountsTable, Statevector, operator_matrix_in_sector
+from .simulator import Statevector, operator_matrix_in_sector
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -171,7 +171,8 @@ def moments_from_rdm(h_powers, rdm: RDM, n_electrons: int) -> MomentSet:
     """Moments by contracting each normal-ordered power against the RDM.
 
     Terms of order above the electron number are exact zeros and are dropped
-    inside the contraction.
+    inside the contraction. Reference for the linear moment map of
+    :class:`qcmoments.analysis.Analyzer`.
     """
     if len(h_powers) != 4:
         raise ValueError("expected the four powers [H, H^2, H^3, H^4]")
@@ -205,51 +206,57 @@ class BootstrapResult:
     stds: dict
     resamples: int
     failures: int
+    #: message of each distinct failure -> number of resamples that hit it
+    failure_reasons: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {"means": {k: float(v) for k, v in sorted(self.means.items())},
                 "stds": {k: float(v) for k, v in sorted(self.stds.items())},
-                "resamples": self.resamples, "failures": self.failures}
+                "resamples": self.resamples, "failures": self.failures,
+                "failure_reasons": dict(sorted(self.failure_reasons.items()))}
 
 
-def bootstrap(tables, pipeline, resamples: int = 500,
+def bootstrap(counts, pipeline, resamples: int = 500,
               seed: int = 0) -> BootstrapResult:
     """Multinomial resampling of per-basis counts through a full pipeline.
 
-    Each resample independently redraws every table at its original shot
-    count (bases are measured in separate runs, so there are no cross-basis
-    correlations to preserve) and calls ``pipeline(tables)``, which must
-    return a mapping of estimator name to value. Failed resamples are
-    recorded and excluded; more than 10% failures aborts. Deterministic for
-    a fixed seed.
+    ``counts`` is an integer matrix with one table per row, indexed by
+    integer outcome. Each resample independently redraws every row at its
+    own shot count over the row's observed support, in ascending outcome
+    order (bases are measured in separate runs, so there are no cross-basis
+    correlations to preserve), and calls ``pipeline`` on the redrawn matrix,
+    which must return a mapping of estimator name to value. Failed resamples
+    are recorded by message and excluded; more than 10% failures aborts.
+    Deterministic for a fixed seed.
     """
     if resamples < 2:
         raise ValueError("resamples must be >= 2")
-    tables = list(tables)
+    counts = np.asarray(counts)
     children = np.random.SeedSequence(seed).spawn(resamples)
-    keys_per_table = [sorted(t.counts) for t in tables]
-    probs_per_table = []
-    for t, keys in zip(tables, keys_per_table):
-        p = np.array([t.counts[k] for k in keys], dtype=float)
-        probs_per_table.append(p / p.sum())
+    supports = [np.flatnonzero(row) for row in counts]
+    shots = counts.sum(axis=1)
+    probs = []
+    for row, support in zip(counts, supports):
+        p = row[support].astype(float)
+        probs.append(p / p.sum())
+    flat = np.concatenate([i * counts.shape[1] + s
+                           for i, s in enumerate(supports)])
     samples = []
-    failures = 0
+    reasons: dict = {}
     for child in children:
         rng = np.random.default_rng(child)
-        redrawn = []
-        for t, keys, p in zip(tables, keys_per_table, probs_per_table):
-            draw = rng.multinomial(t.shots, p)
-            redrawn.append(CountsTable(
-                counts={k: int(n) for k, n in zip(keys, draw) if n},
-                shots=t.shots))
+        redrawn = np.zeros_like(counts)
+        redrawn.flat[flat] = np.concatenate(
+            [rng.multinomial(n, p) for n, p in zip(shots, probs)])
         try:
             samples.append(dict(pipeline(redrawn)))
-        except (ValueError, ArithmeticError, np.linalg.LinAlgError):
-            failures += 1
+        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+            reasons[str(exc)] = reasons.get(str(exc), 0) + 1
+    failures = sum(reasons.values())
     if failures > 0.1 * resamples:
         raise ValueError(
             f"bootstrap failure fraction {failures}/{resamples} exceeds 10%")
     names = sorted(samples[0])
     means = {k: float(np.mean([s[k] for s in samples])) for k in names}
     stds = {k: float(np.std([s[k] for s in samples], ddof=1)) for k in names}
-    return BootstrapResult(means, stds, resamples, failures)
+    return BootstrapResult(means, stds, resamples, failures, reasons)

@@ -89,7 +89,11 @@ class RDM:
         return float(comb(self.n_electrons, self.order))
 
     def contract(self) -> "RDM":
-        """Order p-1 RDM via sum over a repeated index, prefactor 1/(N_e-(p-1))."""
+        """Order p-1 RDM via sum over a repeated index, prefactor 1/(N_e-(p-1)).
+
+        Reference for the contraction ladder that
+        :class:`qcmoments.analysis.Analyzer` folds into its moment weights.
+        """
         q = self.order - 1
         if q < 0:
             raise ValueError("cannot contract an order-0 RDM")

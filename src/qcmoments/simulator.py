@@ -263,6 +263,23 @@ class CountsTable:
     def probabilities(self) -> dict:
         return {b: c / self.shots for b, c in self.counts.items()}
 
+    def vector(self, n_qubits: int) -> np.ndarray:
+        """Counts indexed by integer outcome, length 2^n_qubits.
+
+        Raises ValueError on a key that is not an n_qubits-wide 0/1 string
+        or a count that is not a nonnegative integer.
+        """
+        out = np.zeros(1 << n_qubits, dtype=np.int64)
+        for bits, c in self.counts.items():
+            if len(bits) != n_qubits or bits.strip("01"):
+                raise ValueError(f"outcome {bits!r} is not a {n_qubits}-bit "
+                                 "string")
+            if not isinstance(c, int) or c < 0:
+                raise ValueError(f"count {c!r} of outcome {bits} is not a "
+                                 "nonnegative integer")
+            out[int(bits, 2)] = c
+        return out
+
     def to_json(self) -> dict:
         return {"shots": self.shots, "counts": dict(sorted(self.counts.items()))}
 

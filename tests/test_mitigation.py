@@ -298,6 +298,29 @@ def test_reference_calibrate_exact_white_noise(q):
     assert corrected == pytest.approx(ideal_trial, abs=1e-9)
 
 
+def test_reference_calibrate_fits_arrays_by_least_squares():
+    rng = np.random.default_rng(41)
+    ideal_trial, ideal_ref, mixed = rng.normal(size=(3, 20))
+    q = 0.15
+    noisy_trial = (1 - q) * ideal_trial + q * mixed
+    noisy_ref = (1 - q) * ideal_ref + q * mixed
+    q_hat, corrected = reference_calibrate(noisy_trial, noisy_ref,
+                                           ideal_ref, mixed)
+    assert q_hat == pytest.approx(q, abs=1e-12)
+    assert corrected == pytest.approx(ideal_trial, abs=1e-12)
+    # off the model, q̂ is the least-squares rate over all elements
+    perturbed = noisy_ref + 0.01 * rng.normal(size=20)
+    q_hat, _ = reference_calibrate(noisy_trial, perturbed, ideal_ref, mixed)
+    d = mixed - ideal_ref
+    assert q_hat == pytest.approx(
+        np.dot(perturbed - ideal_ref, d) / np.dot(d, d), abs=1e-12)
+    with pytest.warns(UserWarning, match="clamped"):
+        q_hat, corrected = reference_calibrate(
+            noisy_trial, ideal_ref - 0.1 * (mixed - ideal_ref), ideal_ref,
+            mixed)
+    assert q_hat == 0.0 and (corrected == noisy_trial).all()
+
+
 def test_reference_calibrate_errors_and_clamp():
     with pytest.raises(ValueError, match="unresolvable"):
         reference_calibrate(0.0, 0.1, 0.5, 0.5)

@@ -16,7 +16,7 @@ from qcmoments.qcm import (
 )
 from qcmoments.rdm import rdm_from_determinant
 from qcmoments.simulator import (
-    CountsTable, Statevector, exact_diagonalize, rdm_from_statevector,
+    Statevector, exact_diagonalize, rdm_from_statevector,
     sector_basis,
 )
 from qcmoments.trial import exact_trial_state
@@ -282,16 +282,15 @@ def test_white_noise_robustness(which, n_electrons):
 # bootstrap
 
 
-def _mean_z(tables):
-    """Toy estimator: <Z> of a one-qubit counts table."""
-    t = tables[0]
-    return {"z": sum((1.0 if b == "0" else -1.0) * c
-                     for b, c in t.counts.items()) / t.shots}
+def _mean_z(counts):
+    """Toy estimator: <Z> of a one-qubit counts table (a count-matrix row)."""
+    c = counts[0]
+    return {"z": (c[0] - c[1]) / c.sum()}
 
 
 def test_bootstrap_deterministic_outcomes_have_zero_std():
-    table = CountsTable(counts={"0": 1000}, shots=1000)
-    res = bootstrap([table], _mean_z, resamples=50, seed=3)
+    table = np.array([[1000, 0]])
+    res = bootstrap(table, _mean_z, resamples=50, seed=3)
     assert res.stds["z"] == 0.0
     assert res.means["z"] == 1.0
     assert res.failures == 0
@@ -300,9 +299,8 @@ def test_bootstrap_deterministic_outcomes_have_zero_std():
 def test_bootstrap_std_scales_as_inverse_sqrt_shots():
     stds = []
     for shots in (10 ** 3, 10 ** 4, 10 ** 5):
-        counts = {"0": shots // 2, "1": shots - shots // 2}
-        table = CountsTable(counts=counts, shots=shots)
-        res = bootstrap([table], _mean_z, resamples=300, seed=7)
+        table = np.array([[shots // 2, shots - shots // 2]])
+        res = bootstrap(table, _mean_z, resamples=300, seed=7)
         stds.append(res.stds["z"])
     for s_small, s_large in zip(stds, stds[1:]):
         ratio = s_small / s_large
@@ -310,24 +308,24 @@ def test_bootstrap_std_scales_as_inverse_sqrt_shots():
 
 
 def test_bootstrap_deterministic_given_seed():
-    table = CountsTable(counts={"0": 600, "1": 400}, shots=1000)
-    r1 = bootstrap([table], _mean_z, resamples=40, seed=9)
-    r2 = bootstrap([table], _mean_z, resamples=40, seed=9)
+    table = np.array([[600, 400]])
+    r1 = bootstrap(table, _mean_z, resamples=40, seed=9)
+    r2 = bootstrap(table, _mean_z, resamples=40, seed=9)
     assert r1.means == r2.means and r1.stds == r2.stds
 
 
 def test_bootstrap_failure_fraction_aborts():
-    table = CountsTable(counts={"0": 500, "1": 500}, shots=1000)
+    table = np.array([[500, 500]])
 
     def flaky(tables):
         raise ValueError("always fails")
 
     with pytest.raises(ValueError, match="failure fraction"):
-        bootstrap([table], flaky, resamples=20, seed=1)
+        bootstrap(table, flaky, resamples=20, seed=1)
 
 
 def test_bootstrap_partial_failures_reported():
-    table = CountsTable(counts={"0": 500, "1": 500}, shots=1000)
+    table = np.array([[500, 500]])
     calls = {"n": 0}
 
     def sometimes(tables):
@@ -336,15 +334,16 @@ def test_bootstrap_partial_failures_reported():
             raise ValueError("one bad resample")
         return _mean_z(tables)
 
-    res = bootstrap([table], sometimes, resamples=30, seed=2)
+    res = bootstrap(table, sometimes, resamples=30, seed=2)
     assert res.failures == 1
     assert res.resamples == 30
+    assert res.failure_reasons == {"one bad resample": 1}
 
 
 def test_bootstrap_requires_two_resamples():
-    table = CountsTable(counts={"0": 10}, shots=10)
+    table = np.array([[10, 0]])
     with pytest.raises(ValueError, match="resamples"):
-        bootstrap([table], _mean_z, resamples=1, seed=0)
+        bootstrap(table, _mean_z, resamples=1, seed=0)
 
 
 # ---------------------------------------------------------------------------
