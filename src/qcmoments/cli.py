@@ -22,14 +22,14 @@ import numpy as np
 from .analysis import ABLATION_STACKS, Analyzer, load_archive
 from .config import ConfigError, PipelineConfig, derive_seed, load_config
 from .conventions import interleaved_spins, sz_of
-from .fermion import FermionOperator
 from .integrals import (
     freeze_orbitals, load_fcidump, spin_orbital_hamiltonian,
 )
 from .planner import build_measurement_circuit, build_plan, \
     enumerate_elements, MeasurementPlan
 from .qcm import EnergyEstimate, bootstrap, hamiltonian_powers
-from .simulator import NoiseSpec, Statevector, exact_diagonalize, run, sample
+from .simulator import NoiseSpec, Statevector, exact_diagonalize, \
+    operator_matrix_in_sector, run, sample
 from .trial import Ansatz, Excitation, build_uccd, exact_trial_state, \
     spsa_minimize
 
@@ -122,17 +122,12 @@ def cmd_plan(args) -> int:
 # optimize
 
 
-def _dense_hamiltonian(h: FermionOperator) -> np.ndarray:
-    from .simulator import operator_matrix_in_sector
-    return operator_matrix_in_sector(h, list(range(1 << h.n_modes)))
-
-
 def cmd_optimize(args) -> int:
     cfg = load_config(args.config)
     _, h, ansatz = _load_system(cfg)
     if not ansatz.excitations:
         raise ConfigError("optimize requires at least one excitation")
-    hmat = _dense_hamiltonian(h)
+    hmat = operator_matrix_in_sector(h, range(1 << h.n_modes))
 
     def objective(thetas):
         state = exact_trial_state(ansatz.with_thetas(thetas))
@@ -168,7 +163,8 @@ def cmd_run(args) -> int:
     ints, _, ansatz = _load_system(cfg)
     n, ne = ints.n_spin_orbitals, ints.n_electrons
     with open(args.plan) as fh:
-        plan = MeasurementPlan.loads(fh.read())
+        plan_text = fh.read()
+    plan = MeasurementPlan.loads(plan_text)
     if plan.n_modes != n:
         raise ConfigError(
             f"plan covers {plan.n_modes} modes but the ansatz uses {n}")
@@ -209,8 +205,9 @@ def cmd_run(args) -> int:
             _write_json(os.path.join(args.output_dir, name), counts.to_json())
             total += cfg.shots
 
+    # the plan file as given, not re-serialized
     with open(os.path.join(args.output_dir, "plan.json"), "w") as fh:
-        fh.write(plan.dumps())
+        fh.write(plan_text)
     _write_json(os.path.join(args.output_dir, "manifest.json"), {
         "schema": 1,
         "n_qubits": n,

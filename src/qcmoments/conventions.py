@@ -16,20 +16,6 @@ def interleaved_spins(n_modes: int) -> tuple[str, ...]:
     return tuple(UP if m % 2 == 0 else DOWN for m in range(n_modes))
 
 
-def block_spins(n_modes: int) -> tuple[str, ...]:
-    """First half up, second half down (used by some worked examples)."""
-    half = n_modes // 2
-    return tuple(UP if m < half else DOWN for m in range(n_modes))
-
-
-def spin_counts(occupied, spins) -> tuple[int, int]:
-    n_up = sum(1 for m in occupied if spins[m] == UP)
-    n_down = len(list(occupied)) - n_up if hasattr(occupied, "__len__") else None
-    if n_down is None:
-        n_down = sum(1 for m in occupied if spins[m] == DOWN)
-    return n_up, n_down
-
-
 def sz_of(occupied, spins) -> float:
     up = sum(1 for m in occupied if spins[m] == UP)
     down = sum(1 for m in occupied if spins[m] == DOWN)
@@ -38,7 +24,3 @@ def sz_of(occupied, spins) -> float:
 
 def bits_to_string(bits: int, n_qubits: int) -> str:
     return format(bits, f"0{n_qubits}b")
-
-
-def string_to_bits(s: str) -> int:
-    return int(s, 2)

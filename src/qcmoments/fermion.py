@@ -221,17 +221,6 @@ def multiply(a: FermionOperator, b: FermionOperator,
     return out
 
 
-def operator_power(h: FermionOperator, p: int,
-                   tol: float = DROP_TOL) -> FermionOperator:
-    """Normal-ordered H^p for p in 1..4."""
-    if p not in (1, 2, 3, 4):
-        raise ValueError(f"power {p} out of range (expected 1..4)")
-    out = h
-    for _ in range(p - 1):
-        out = multiply(out, h, tol=tol)
-    return out
-
-
 def number_operator(n_modes: int) -> FermionOperator:
     return FermionOperator(
         n_modes, {(((m,), (m,))): 1.0 for m in range(n_modes)})

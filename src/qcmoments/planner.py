@@ -34,9 +34,9 @@ from math import comb
 
 import numpy as np
 
-from .fermion import FermionOperator, jordan_wigner, multiply
+from .fermion import FermionOperator, multiply
 from .routing import Schedule, route_pairs
-from .simulator import Circuit
+from .simulator import Circuit, operator_matrix_in_sector
 
 # ---------------------------------------------------------------------------
 # elements
@@ -523,7 +523,8 @@ def _verify_diagonalizers():
 
     number = np.diag([0.0, 1.0, 1.0, 2.0]).astype(complex)
     for kind, build in (("Re", _re_diagonalizer), ("Im", _im_diagonalizer)):
-        op = jordan_wigner(factor_operator((kind, (0, 1)), 2)).to_matrix()
+        op = operator_matrix_in_sector(factor_operator((kind, (0, 1)), 2),
+                                       range(4))
         circ = Circuit(2)
         build(circ, 0)
         u = unitary(circ)

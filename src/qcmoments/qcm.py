@@ -158,12 +158,11 @@ def lanczos_energy(c: CumulantSet, tol: float = 1e-9) -> float:
 # moments
 
 
-def hamiltonian_powers(h: FermionOperator, max_power: int = 4,
-                       tol: float = 1e-12) -> list:
-    """Normal-ordered [H, H^2, ..., H^max_power]."""
+def hamiltonian_powers(h: FermionOperator) -> list:
+    """Normal-ordered [H, H^2, H^3, H^4]."""
     powers = [h]
-    for _ in range(max_power - 1):
-        powers.append(multiply(powers[-1], h, tol=tol))
+    for _ in range(3):
+        powers.append(multiply(powers[-1], h))
     return powers
 
 

@@ -68,19 +68,22 @@ def _pair_lower_bound(a, b):
     return 1 if gap == 1 else (gap - 1 + 1) // 2 + 1
 
 
-def route_pairs(pairs, n_qubits: int, max_depth: int = 8,
-                exhaustive_limit: int = 4) -> Schedule:
+#: largest pair count routed by the exact search; more pairs go greedy
+EXHAUSTIVE_LIMIT = 4
+
+
+def route_pairs(pairs, n_qubits: int, max_depth: int = 8) -> Schedule:
     """Minimum-depth swap/interaction schedule for disjoint position pairs.
 
     Raises ValueError if no schedule exists within max_depth. Instances with
-    more than ``exhaustive_limit`` pairs fall back to greedy sequential
+    more than ``EXHAUSTIVE_LIMIT`` pairs fall back to greedy sequential
     routing (``certified=False``).
     """
     pairs = [tuple(p) for p in pairs]
     _validate_pairs(pairs, n_qubits)
     if not pairs:
         return Schedule(n_qubits, [])
-    if len(pairs) > exhaustive_limit:
+    if len(pairs) > EXHAUSTIVE_LIMIT:
         return _greedy_route(pairs, n_qubits)
 
     lb = max(_pair_lower_bound(a, b) for a, b in pairs)

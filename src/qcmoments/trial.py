@@ -19,7 +19,7 @@ import numpy as np
 
 from .conventions import interleaved_spins
 from .fermion import FermionOperator, jordan_wigner
-from .simulator import Circuit, Statevector, run
+from .simulator import Circuit, Statevector, operator_matrix_in_sector, run
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +109,28 @@ class Ansatz:
                       self.initial_layout, self.spins)
 
 
-def exact_trial_state(ansatz: Ansatz) -> Statevector:
-    """Matrix-exponential oracle: product of exact excitation exponentials
-    applied to the initial determinant (identity layout)."""
-    import scipy.linalg
+def excitation_exponential(gen: FermionOperator, theta: float,
+                           x: np.ndarray | None = None) -> np.ndarray:
+    """exp(theta*gen) applied to x (the identity if None), on all 2^n states.
 
+    Every ``Excitation.generator`` G satisfies G^3 = -G, so the exponential
+    is 1 + sin(theta) G + (1 - cos(theta)) G^2.
+    """
+    g = operator_matrix_in_sector(gen, range(1 << gen.n_modes))
+    if x is None:
+        x = np.eye(len(g), dtype=complex)
+    gx = g @ x
+    return x + np.sin(theta) * gx + (1.0 - np.cos(theta)) * (g @ gx)
+
+
+def exact_trial_state(ansatz: Ansatz) -> Statevector:
+    """Product of the exact excitation exponentials applied to the initial
+    determinant (identity layout)."""
     n = ansatz.n_qubits
     amps = np.zeros(1 << n, dtype=complex)
     amps[ansatz.initial_occupation] = 1.0
     for exc in ansatz.excitations:
-        gen = jordan_wigner(exc.generator(n)).to_matrix()
-        amps = scipy.linalg.expm(exc.theta * gen) @ amps
+        amps = excitation_exponential(exc.generator(n), exc.theta, amps)
     return Statevector(amps, n)
 
 
@@ -156,11 +167,17 @@ def fswap_network(targets, n_qubits: int, layout=None):
         if best is None or inv < best[0]:
             best = (inv, start, final)
     _, start, final = best
+    circ, new_layout = _fswap_sort(layout, {m: i for i, m in enumerate(final)})
+    return circ, new_layout, start
 
+
+def _fswap_sort(layout, final_pos) -> tuple:
+    """Bubble sort of ``layout`` by ``final_pos[mode]`` with adjacent FSWAPs.
+
+    Returns (circuit, sorted_layout)."""
+    n_qubits = len(layout)
     circ = Circuit(n_qubits)
     cur = list(layout)
-    final_pos = {m: i for i, m in enumerate(final)}
-    # bubble toward the final arrangement with adjacent FSWAPs
     changed = True
     while changed:
         changed = False
@@ -169,7 +186,7 @@ def fswap_network(targets, n_qubits: int, layout=None):
                 circ.fswap(i, i + 1)
                 cur[i], cur[i + 1] = cur[i + 1], cur[i]
                 changed = True
-    return circ, tuple(cur), start
+    return circ, tuple(cur)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +280,6 @@ def local_double_excitation(theta: float) -> Circuit:
 # initial-state-aware simplified blocks
 
 
-def _local_generator_matrix(gen: FermionOperator) -> np.ndarray:
-    return jordan_wigner(gen).to_matrix()
-
-
 def _template_candidates(theta: float):
     """Local 4-qubit circuit builders in increasing cost order."""
 
@@ -309,18 +322,19 @@ def _verify_on_support(circ: Circuit, target: np.ndarray, support) -> bool:
     return True
 
 
-def simplified_block(gen: FermionOperator, theta: float, support,
-                     probe_theta: float = 0.6180339887) -> Circuit | None:
+#: generic second angle every template must also match at: agreement at the
+#: requested angle alone can be accidental
+PROBE_THETA = 0.6180339887
+
+
+def simplified_block(gen: FermionOperator, theta: float,
+                     support) -> Circuit | None:
     """Cheapest verified local block agreeing with exp(theta*gen) on the
     reachable local basis states, or None if only the general block works."""
-    import scipy.linalg
-
-    gen_mat = _local_generator_matrix(gen)
-    target = scipy.linalg.expm(theta * gen_mat)
-    probe = scipy.linalg.expm(probe_theta * gen_mat)
-    for builder_pair in zip(_template_candidates(theta),
-                            _template_candidates(probe_theta)):
-        cand, cand_probe = builder_pair
+    target = excitation_exponential(gen, theta)
+    probe = excitation_exponential(gen, PROBE_THETA)
+    for cand, cand_probe in zip(_template_candidates(theta),
+                                _template_candidates(PROBE_THETA)):
         if (_verify_on_support(cand, target, support)
                 and _verify_on_support(cand_probe, probe, support)):
             return cand
@@ -344,13 +358,11 @@ def build_uccd(ansatz: Ansatz, simplify: bool = True) -> BuiltTrial:
     """Initial-determinant preparation followed by routed excitation blocks."""
     n = ansatz.n_qubits
     layout = tuple(ansatz.initial_layout)
-    circ = Circuit(n)
     # determinant preparation in physical positions; the reordering parity of
     # the occupied modes keeps the state consistent with the mode-order frame
     occ_positions = [pos for pos, mode in enumerate(layout)
                      if ansatz.initial_occupation >> mode & 1]
-    for pos in occ_positions:
-        circ.x(pos)
+    circ = hartree_fock_circuit(n, sum(1 << pos for pos in occ_positions))
     occ_modes = [layout[pos] for pos in occ_positions]
     inversions = sum(1 for i in range(len(occ_modes))
                      for j in range(i + 1, len(occ_modes))
@@ -409,17 +421,7 @@ def trial_state_in_mode_order(built: BuiltTrial, n_qubits: int) -> Statevector:
         return state
     # position i holds mode perm[i]; fermionic reordering signs are produced
     # by conjugating with an FSWAP network back to identity layout
-    net = Circuit(n_qubits)
-    final_pos = {m: m for m in range(n_qubits)}
-    cur = list(perm)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n_qubits - 1):
-            if final_pos[cur[i]] > final_pos[cur[i + 1]]:
-                net.fswap(i, i + 1)
-                cur[i], cur[i + 1] = cur[i + 1], cur[i]
-                changed = True
+    net, _ = _fswap_sort(perm, {m: m for m in range(n_qubits)})
     return run(net, state)
 
 

@@ -4,8 +4,10 @@ import pytest
 
 from qcmoments.fermion import (
     FermionOperator, PauliOperator, dumps, expectation_from_rdm, freeze_operator,
-    jordan_wigner, loads, multiply, number_operator, operator_power,
+    jordan_wigner, loads, multiply, number_operator,
 )
+from qcmoments.qcm import hamiltonian_powers
+from qcmoments.simulator import operator_matrix_in_sector
 
 
 def ladder_matrix(mode, dag, n_modes):
@@ -70,17 +72,28 @@ def test_multiply_matches_matrix_product():
         assert np.allclose(dense(multiply(a, b)), dense(a) @ dense(b), atol=1e-9)
 
 
-def test_operator_power_matches_matrix_power():
+def test_hamiltonian_powers_match_matrix_power():
     rng = np.random.default_rng(3)
     n = 4
     h = random_operator(n, rng, hermitian=True)
     m = dense(h)
     acc = np.eye(16, dtype=complex)
-    for p in range(1, 5):
+    powers = hamiltonian_powers(h)
+    assert len(powers) == 4
+    for hp in powers:
         acc = acc @ m
-        assert np.allclose(dense(operator_power(h, p)), acc, atol=1e-8)
-    with pytest.raises(ValueError):
-        operator_power(h, 5)
+        assert np.allclose(dense(hp), acc, atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_bitmask_matrix_matches_jordan_wigner(n):
+    # the bitmask builder is the only Fock-matrix builder in the package;
+    # the Kronecker-product Jordan-Wigner matrix is its independent oracle
+    rng = np.random.default_rng(20 + n)
+    for _ in range(10):
+        op = random_operator(n, rng, n_strings=8, max_len=4)
+        mat = operator_matrix_in_sector(op, range(1 << n))
+        assert np.max(np.abs(mat - dense(op))) < 1e-12
 
 
 def test_dagger_and_hermiticity():

@@ -3,8 +3,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fixtures_util import h2_system, h4_system
 from qcmoments.fermion import jordan_wigner
-from qcmoments.simulator import Circuit, Statevector, run
+from qcmoments.simulator import (
+    Circuit, Statevector, operator_matrix_in_sector, run,
+)
 from qcmoments.trial import (
     Ansatz, Excitation, build_uccd, exact_trial_state, fswap_network,
     hartree_fock_circuit, local_double_excitation, simplified_block,
@@ -23,6 +26,43 @@ def circuit_unitary(circ):
 def exact_block(exc, n_modes):
     gen = jordan_wigner(exc.generator(n_modes)).to_matrix()
     return scipy.linalg.expm(exc.theta * gen)
+
+
+def expm_trial_state(ansatz):
+    """Product of scipy matrix exponentials of the Jordan-Wigner generators."""
+    amps = np.zeros(1 << ansatz.n_qubits, dtype=complex)
+    amps[ansatz.initial_occupation] = 1.0
+    for exc in ansatz.excitations:
+        amps = exact_block(exc, ansatz.n_qubits) @ amps
+    return amps
+
+
+@pytest.mark.parametrize("n_modes, excitations", [
+    (4, [((2, 3), (0, 1)), ((0, 3), (1, 2)), ((1, 2), (0, 3))]),
+    (8, [((4, 5), (0, 1)), ((6, 7), (2, 3)), ((4, 7), (0, 3)),
+         ((1, 6), (2, 5))]),
+])
+def test_generator_cubes_to_minus_itself(n_modes, excitations):
+    # G^3 = -G is what makes the closed-form exponential exact
+    for creations, annihilations in excitations:
+        gen = Excitation(creations, annihilations).generator(n_modes)
+        g = operator_matrix_in_sector(gen, range(1 << n_modes))
+        assert np.max(np.abs(g)) == 1.0
+        assert np.max(np.abs(g @ g @ g + g)) < 1e-15
+
+
+@pytest.mark.parametrize("ansatz, thetas", [
+    (h2_system()[2], [0.43]),
+    (h4_system()[2], [0.31, -0.52, 0.18, -1.07]),
+    # non-adjacent excitations on an interleaved 6-mode determinant
+    (Ansatz(6, 0b001111, [Excitation((4, 5), (0, 3)),
+                          Excitation((1, 4), (2, 3))]), [0.45, -2.3]),
+])
+def test_exact_trial_state_matches_expm(ansatz, thetas):
+    ansatz = ansatz.with_thetas(thetas)
+    state = exact_trial_state(ansatz)
+    assert np.max(np.abs(state.amplitudes - expm_trial_state(ansatz))) \
+        < 1e-12
 
 
 def test_hartree_fock_circuit():
