@@ -10,9 +10,11 @@ an analysis needs:
 - post-selection: one boolean outcome mask per basis;
 - RDM assembly: (element, flat outcome index, eigenvalue) triplets, so one
   ``np.bincount`` assembles every element of a group of bases;
-- moments: each <H^p> as a constant plus a weight vector over the element
-  values, found by pushing every term of H^p down the contraction ladder
-  once; the trace and the white-noise fit are linear in the same values.
+- moments: each <H^k> as the constant c0^k plus a weight vector over the
+  element values, read off the k-th power of H's matrix on the N_e-electron
+  occupations (the RDM order must equal N_e, so each element is an entry
+  of the N_e-electron density matrix); the trace and the white-noise fit
+  are linear in the same values.
 
 Each analysis then applies QREM qubit by qubit, clips, post-selects,
 assembles and contracts with array operations. The dict-path functions
@@ -40,8 +42,10 @@ from .mitigation import (
 )
 from .planner import MeasurementPlan, product_value
 from .qcm import CumulantSet, MomentSet, cumulants, lanczos_energy
-from .rdm import RDM, _sort_signed, rdm_from_determinant
-from .simulator import CountsTable
+from .rdm import RDM, rdm_from_determinant
+from .simulator import (
+    CountsTable, apply_term_to_mask, operator_matrix_in_sector, sector_basis,
+)
 
 ABLATION_STACKS = [
     ("raw", {}),
@@ -157,59 +161,43 @@ def _assembly_map(plan, circuits, elements, order):
     return np.concatenate(elem), np.concatenate(flat), np.concatenate(weight)
 
 
-def _moment_map(h_powers, elements, order, n_modes, n_electrons):
-    """(weights, constants, errors) with <H^k> = constants[k] +
-    weights[k] . v for element values v (RDM entries in `elements` order).
+def _moment_map(h, elements, n_modes, n_electrons):
+    """(weights, constants) with <H^(k+1)> = constants[k] + weights[k] . v
+    for the element values v (RDM entries in `elements` order) of an
+    order-N_e RDM.
 
-    Follows fermion.expectation_from_rdm term by term: a term of order
-    q < p is read from the RDM contracted p - q times, so its coefficient is
-    pushed up the contraction ladder (over the repeated index, with the
-    sorting sign and the 1/(N_e - q) prefactor of RDM.contract) until it
-    lands on order-p elements. errors[k] is the ValueError message that
-    evaluating power k raises on any RDM, or None.
+    At order N_e an element is a density-matrix entry between two
+    N_e-electron occupations, so <H^k> is the trace of that density matrix
+    against the sector matrix H_N^k. The constant c0^k of the normal-ordered
+    H^k is split off as P_k = H_N^k - c0^k, so the map is the one that
+    qcm.moments_from_rdm applies, also to element values whose trace is
+    not 1.
     """
-    index = {}
-    for k, e in enumerate(elements):
-        index[e.creations, e.annihilations] = k
-        index[e.annihilations, e.creations] = k
-    weights = np.zeros((len(h_powers), len(elements)), dtype=complex)
-    constants = np.zeros(len(h_powers), dtype=complex)
-    errors = [None] * len(h_powers)
-    if n_electrons < order:
-        return weights, constants, [
-            "contraction undefined: N_e <= target order"] * len(h_powers)
-    for k, hp in enumerate(h_powers):
-        levels = [{} for _ in range(order + 1)]
-        for (dags, anns), c in hp.terms.items():
-            if len(dags) != len(anns):
-                continue  # zero on fixed-particle-number states
-            q = len(dags)
-            if q > order:
-                if q > n_electrons:
-                    continue
-                errors[k] = (f"order-{q} term needs an order-{q} RDM "
-                             f"(have {order}, N_e = {n_electrons})")
-                break
-            if q == 0:
-                constants[k] += c
-                continue
-            sign = -1 if (q * (q - 1) // 2) % 2 else 1
-            levels[q][dags, anns] = levels[q].get((dags, anns), 0) + c * sign
-        for q in range(1, order):
-            upper = levels[q + 1]
-            for (sub, sup), w in levels[q].items():
-                for l in range(n_modes):
-                    if l in sub or l in sup:
-                        continue
-                    sub2, s1 = _sort_signed(sub + (l,))
-                    sup2, s2 = _sort_signed(sup + (l,))
-                    upper[sub2, sup2] = upper.get((sub2, sup2), 0) + \
-                        w * (s1 * s2) / (n_electrons - q)
-        for key, w in levels[order].items():
-            j = index.get(key)
-            if j is not None:
-                weights[k, j] += w
-    return weights, constants, errors
+    basis = sector_basis(n_modes, n_electrons)
+    index = {mask: i for i, mask in enumerate(basis)}
+    # RDM storage applies annihilations in descending order
+    reversal = -1 if (n_electrons * (n_electrons - 1) // 2) % 2 else 1
+    cols, rows, signs = [], [], []
+    for e in elements:
+        mask = sum(1 << m for m in e.annihilations)
+        new_mask, sign = apply_term_to_mask(e.creations, e.annihilations,
+                                            mask)
+        cols.append(index[mask])
+        rows.append(index[new_mask])
+        signs.append(reversal * sign)
+    cols, rows, signs = np.array(cols), np.array(rows), np.array(signs)
+    off_diagonal = rows != cols
+    h_n = operator_matrix_in_sector(h, basis)
+    c0 = h.constant()
+    power = identity = np.eye(len(basis))
+    weights, constants = [], []
+    for k in range(1, 5):
+        power = power @ h_n
+        p_k = power - c0 ** k * identity
+        weights.append(signs * (p_k[cols, rows]
+                                + np.where(off_diagonal, p_k[rows, cols], 0)))
+        constants.append(c0 ** k)
+    return np.array(weights), np.array(constants)
 
 
 class Analyzer:
@@ -221,9 +209,7 @@ class Analyzer:
     """
 
     def __init__(self, cfg: PipelineConfig, plan: MeasurementPlan,
-                 circuits, n_electrons: int, h_powers):
-        if len(h_powers) != 4:
-            raise ValueError("expected the four powers [H, H^2, H^3, H^4]")
+                 circuits, n_electrons: int, h: FermionOperator):
         self.cfg = cfg
         self.n_qubits = n = plan.n_modes
         self.n_bases = len(plan.bases)
@@ -233,6 +219,9 @@ class Analyzer:
         self.sz = sz_of(occ, self.spins)
         self.elements = sorted(plan.coverage)
         self.order = self.elements[0].order
+        if self.order != n_electrons:
+            raise ValueError(f"exact moments need an order-{n_electrons} "
+                             f"RDM, not order {self.order}")
         self.masks = np.array([
             postselect_mask(n_electrons, self.sz,
                             position_spins(mc, self.spins, n))
@@ -241,8 +230,8 @@ class Analyzer:
             plan, circuits, self.elements, self.order)
         self._diagonal = np.array([e.creations == e.annihilations
                                    for e in self.elements])
-        self._moment_weights, self._moment_constants, self._moment_errors = \
-            _moment_map(h_powers, self.elements, self.order, n, n_electrons)
+        self._moment_weights, self._moment_constants = _moment_map(
+            h, self.elements, n, n_electrons)
         ideal = rdm_from_determinant(occ, n, self.order)
         self.ideal_ref = np.array([ideal.get(e.creations, e.annihilations).real
                                    for e in self.elements])
@@ -277,11 +266,10 @@ class Analyzer:
         return values * (ideal / actual)
 
     def moments(self, values: np.ndarray) -> MomentSet:
-        """The four moments, as qcm.moments_from_rdm on the same RDM."""
+        """The four moments <H^k> = c0^k + weights[k] . values, the map
+        that qcm.moments_from_rdm applies to the same RDM."""
         totals = self._moment_weights @ values + self._moment_constants
-        for total, error in zip(totals, self._moment_errors):
-            if error is not None:
-                raise ValueError(error)
+        for total in totals:
             if abs(total.imag) > 1e-8 * max(1.0, abs(total.real)):
                 raise ValueError(f"non-negligible imaginary expectation "
                                  f"{total}")

@@ -27,7 +27,7 @@ from .integrals import (
 )
 from .planner import build_measurement_circuit, build_plan, \
     enumerate_elements, MeasurementPlan
-from .qcm import EnergyEstimate, bootstrap, hamiltonian_powers
+from .qcm import EnergyEstimate, bootstrap
 from .simulator import NoiseSpec, Statevector, exact_diagonalize, \
     operator_matrix_in_sector, run, sample
 from .trial import Ansatz, Excitation, build_uccd, exact_trial_state, \
@@ -42,9 +42,12 @@ def _load_system(cfg: PipelineConfig):
     """Integrals (frozen), Hamiltonian, ansatz, and spin labels."""
     ints = freeze_orbitals(load_fcidump(cfg.integrals),
                            cfg.frozen_occupied, cfg.frozen_virtual)
-    h = spin_orbital_hamiltonian(ints)
     n = ints.n_spin_orbitals
     ne = ints.n_electrons
+    if cfg.order != ne:
+        raise ConfigError(f"order {cfg.order} cannot give exact moments: "
+                          f"the {ne}-electron system needs order {ne}")
+    h = spin_orbital_hamiltonian(ints)
     spins = interleaved_spins(n)
     excitations = [Excitation(tuple(e["creations"]),
                               tuple(e["annihilations"]),
@@ -242,8 +245,7 @@ def cmd_analyze(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"archive plan does not fit its layout: {exc}") \
             from exc
-    analyzer = Analyzer(cfg, plan, circuits, ints.n_electrons,
-                        hamiltonian_powers(h))
+    analyzer = Analyzer(cfg, plan, circuits, ints.n_electrons, h)
 
     e_fci, _ = exact_diagonalize(h, ints.n_electrons, sz=analyzer.sz)
     main = analyzer.analyze(counts, diagnostics=True)

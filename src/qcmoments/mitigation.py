@@ -26,7 +26,7 @@ from .fermion import FermionOperator
 from .planner import MeasurementPlan, product_value
 from .rdm import RDM
 from .simulator import (
-    CountsTable, NoiseSpec, Statevector, operator_matrix_in_sector, sample,
+    CountsTable, NoiseSpec, Statevector, apply_term_to_mask, sample,
     sector_basis,
 )
 
@@ -400,5 +400,12 @@ def mixed_state_value(op: FermionOperator, n_electrons: int, sz=None,
     basis = sector_basis(op.n_modes, n_electrons, sz=sz, spins=spins)
     if not basis:
         raise ValueError("empty symmetry sector")
-    mat = operator_matrix_in_sector(op, basis)
-    return float(np.trace(mat).real / len(basis))
+    trace = 0.0
+    for (dags, anns), c in op.terms.items():
+        if sorted(dags) != sorted(anns):
+            continue  # no diagonal entries
+        for mask in basis:
+            res = apply_term_to_mask(dags, anns, mask)
+            if res is not None:
+                trace += res[1] * c
+    return float(trace.real / len(basis))

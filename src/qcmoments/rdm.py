@@ -91,8 +91,8 @@ class RDM:
     def contract(self) -> "RDM":
         """Order p-1 RDM via sum over a repeated index, prefactor 1/(N_e-(p-1)).
 
-        Reference for the contraction ladder that
-        :class:`qcmoments.analysis.Analyzer` folds into its moment weights.
+        fermion.expectation_from_rdm reads terms below the RDM order from
+        these contractions.
         """
         q = self.order - 1
         if q < 0:

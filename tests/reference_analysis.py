@@ -18,7 +18,8 @@ from qcmoments.mitigation import (
     reference_calibrate, rescale_rdm, symmetry_postselect,
 )
 from qcmoments.qcm import (
-    CumulantSet, cumulants, lanczos_energy, moments_from_rdm,
+    CumulantSet, cumulants, hamiltonian_powers, lanczos_energy,
+    moments_from_rdm,
 )
 from qcmoments.rdm import rdm_from_determinant
 from qcmoments.simulator import CountsTable
@@ -34,15 +35,18 @@ def counts_tables(counts, n_qubits):
 class DictAnalyzer:
     """Counts -> energies through the dict-path reference functions.
 
-    ``analyze`` takes the same count matrix as the compiled Analyzer.
+    It takes the same arguments as the compiled Analyzer, builds the
+    normal-ordered powers of ``h`` with ``qcm.hamiltonian_powers`` and
+    contracts them against the RDM; ``analyze`` takes the same count
+    matrix.
     """
 
-    def __init__(self, cfg, plan, circuits, n_electrons, h_powers):
+    def __init__(self, cfg, plan, circuits, n_electrons, h):
         self.cfg = cfg
         self.plan = plan
         self.circuits = circuits
         self.n_electrons = n_electrons
-        self.h_powers = h_powers
+        self.h_powers = hamiltonian_powers(h)
         self.n_qubits = plan.n_modes
         self.spins = plan.spins
         occ = tuple(range(n_electrons))

@@ -26,7 +26,7 @@ from qcmoments.mitigation import (
     AssignmentCalibration, clip_rows, clip_to_physical, qrem_rows,
 )
 from qcmoments.planner import build_measurement_circuit
-from qcmoments.qcm import bootstrap, hamiltonian_powers
+from qcmoments.qcm import bootstrap, hamiltonian_powers, moments_from_rdm
 
 TOL = 1e-10
 NOISE = {"global_q": 0.1, "p01": 0.03, "p10": 0.05}
@@ -34,13 +34,13 @@ PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None)
 
 
-def _archive(tmp_path, integrals, order, excitations, shots):
+def _archive(tmp_path, integrals, order, excitations, shots, **extra):
     cfg = {
         "schema": 1, "integrals": str(integrals), "order": order,
         "excitations": excitations, "shots": shots, "noise": NOISE,
         "spsa": {"iterations": 0, "seeds": 1},
         "bootstrap": {"enabled": False}, "master_seed": 5,
-        "output_dir": str(tmp_path / "out"),
+        "output_dir": str(tmp_path / "out"), **extra,
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -60,7 +60,7 @@ def _analyzers(config_path, archive):
     manifest, plan, counts = load_archive(archive)
     circuits = [build_measurement_circuit(b, manifest["layout"])
                 for b in plan.bases]
-    args = (cfg, plan, circuits, ints.n_electrons, hamiltonian_powers(h))
+    args = (cfg, plan, circuits, ints.n_electrons, h)
     return Analyzer(*args), DictAnalyzer(*args), counts
 
 
@@ -83,6 +83,18 @@ def h4(tmp_path_factory):
         tmp, H4_PATH, 4,
         [{"creations": list(c), "annihilations": list(a), "theta": t}
          for (c, a), t in zip(excitations, thetas)], 1000)
+    return path, archive, _analyzers(path, archive)
+
+
+@pytest.fixture(scope="module")
+def h4_frozen(tmp_path_factory):
+    # one orbital frozen at each end: 4 modes, 2 electrons, and a nonzero
+    # constant c0 in H from the frozen core
+    tmp = tmp_path_factory.mktemp("h4_frozen")
+    path, archive = _archive(
+        tmp, H4_PATH, 2,
+        [{"creations": [2, 3], "annihilations": [0, 1], "theta": 0.2}], 1000,
+        frozen_occupied=[0], frozen_virtual=[3])
     return path, archive, _analyzers(path, archive)
 
 
@@ -129,6 +141,38 @@ def test_compiled_analysis_matches_dict_path(fixture, request):
     for stat in ("means", "stds"):
         got, want = getattr(boots[0], stat), getattr(boots[1], stat)
         assert got == pytest.approx(want, abs=TOL)
+
+
+@pytest.mark.parametrize("fixture", ["h2", "h4", "h4_frozen"])
+def test_moment_map_matches_contraction_on_untraced_values(fixture,
+                                                           request):
+    # random element values whose trace is not 1, as in the unrescaled
+    # ablation stacks: the constants c0^k must stay c0^k, not scale with
+    # the trace
+    _, _, (compiled, reference, _) = request.getfixturevalue(fixture)
+    h = reference.h_powers[0]
+    if fixture == "h4_frozen":
+        assert abs(h.constant()) > 0.1
+    powers = hamiltonian_powers(h)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        values = rng.normal(size=len(compiled.elements))
+        assert abs(values[compiled._diagonal].sum() - 1.0) > 1e-3
+        got = compiled.moments(values).as_tuple()
+        want = moments_from_rdm(powers, compiled.rdm(values),
+                                compiled.n_electrons).as_tuple()
+        assert got == pytest.approx(want, rel=TOL, abs=TOL)
+
+
+def test_analyzer_rejects_order_other_than_electron_count(h2):
+    path, archive, _ = h2
+    cfg = load_config(path)
+    _, h, _ = _load_system(cfg)
+    manifest, plan, _ = load_archive(archive)
+    circuits = [build_measurement_circuit(b, manifest["layout"])
+                for b in plan.bases]
+    with pytest.raises(ValueError, match="order-3 RDM"):
+        Analyzer(cfg, plan, circuits, 3, h)
 
 
 @pytest.mark.filterwarnings("ignore:estimated white-noise rate")

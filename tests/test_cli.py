@@ -75,6 +75,16 @@ def test_calibrate_requires_postselect(tmp_path):
     assert main(["fci", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("order", [1, 3])
+def test_order_other_than_electron_count_rejected(tmp_path, order):
+    # only an order-N_e RDM gives exact moments; the two-electron fixture
+    # is refused before plan writes anything
+    cfg = write_config(tmp_path, order=order,
+                       output_dir=str(tmp_path / "out"))
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    assert not (tmp_path / "out" / "plan.json").exists()
+
+
 def test_config_not_json(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("not json {")

@@ -13,8 +13,8 @@ from qcmoments.planner import build_measurement_circuit, build_plan, \
     enumerate_elements
 from qcmoments.rdm import RDM, rdm_from_determinant
 from qcmoments.simulator import (
-    CountsTable, NoiseSpec, Statevector, rdm_from_statevector, run, sample,
-    sector_basis,
+    CountsTable, NoiseSpec, Statevector, operator_matrix_in_sector,
+    rdm_from_statevector, run, sample, sector_basis,
 )
 from qcmoments.conventions import bits_to_string
 
@@ -356,6 +356,24 @@ def test_mixed_state_matches_dense_sector_average():
     dense = jordan_wigner(op).to_matrix()
     expected = float(np.mean([dense[m, m].real for m in masks]))
     assert mixed_state_value(op, 3, sz=0.5, spins=spins) == \
+        pytest.approx(expected, abs=1e-12)
+
+
+def test_mixed_state_matches_sector_matrix_trace():
+    rng = np.random.default_rng(7)
+    op = FermionOperator(6)
+    for _ in range(40):
+        q = int(rng.integers(1, 3))
+        dags = rng.choice(6, q, replace=False)
+        anns = dags if rng.random() < 0.4 else rng.choice(6, q, replace=False)
+        op.add_string([(int(m), True) for m in dags]
+                      + [(int(m), False) for m in anns], rng.normal())
+    spins = interleaved_spins(6)
+    basis = sector_basis(6, 3, sz=-0.5, spins=spins)
+    assert any(set(d) != set(a) for d, a in op.terms)  # off-diagonal terms
+    expected = np.trace(operator_matrix_in_sector(op, basis)).real / \
+        len(basis)
+    assert mixed_state_value(op, 3, sz=-0.5, spins=spins) == \
         pytest.approx(expected, abs=1e-12)
 
 
