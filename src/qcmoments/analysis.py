@@ -37,7 +37,7 @@ from .conventions import sz_of
 from .fermion import FermionOperator
 from .mitigation import (
     calibration_from_counts, check_representability, clip_rows,
-    fit_white_noise_rate, mixed_state_value, postselect_mask,
+    fit_white_noise_rate, mixed_element_values, postselect_mask,
     postselect_rows, qrem_rows, reference_calibrate,
 )
 from .planner import MeasurementPlan, product_value
@@ -240,14 +240,9 @@ class Analyzer:
     def mixed_values(self) -> np.ndarray:
         """Each element's value in the maximally mixed post-selected state."""
         if self._mixed is None:
-            self._mixed = np.array([
-                mixed_state_value(
-                    FermionOperator.from_ops(
-                        self.n_qubits,
-                        [(s, True) for s in e.creations]
-                        + [(t, False) for t in reversed(e.annihilations)]),
-                    self.n_electrons, sz=self.sz, spins=self.spins)
-                for e in self.elements])
+            self._mixed = mixed_element_values(
+                self.elements, self.n_qubits, self.n_electrons, sz=self.sz,
+                spins=self.spins)
         return self._mixed
 
     def assemble(self, probs: np.ndarray) -> np.ndarray:

@@ -195,13 +195,16 @@ def cmd_run(args) -> int:
     total = 2 * cfg.shots
     for which, built, tag in (("trial", built_trial, "sample-trial"),
                               ("reference", built_ref, "sample-reference")):
+        # the state stays pure until sampling, so the preparation runs once
+        # and each basis applies only its measurement circuit to it; the
+        # noise still counts the CNOTs of the whole circuit
+        prepared = run(built.circuit, zero)
+        prep_cnots = built.circuit.cnot_count()
         for i, basis in enumerate(plan.bases):
             mc = build_measurement_circuit(basis, built.layout)
-            circ = built.circuit.__class__(n)
-            circ.extend(built.circuit).extend(mc.circuit)
-            state = run(circ, Statevector.basis_state(0, n))
+            state = run(mc.circuit, prepared)
             counts = sample(state, cfg.shots, noise,
-                            n_cnots=circ.cnot_count(),
+                            n_cnots=prep_cnots + mc.circuit.cnot_count(),
                             seed=derive_seed(cfg.master_seed, tag, i))
             name = f"basis_{i:04d}_{which}.json"
             files[f"{which}_{i}"] = name

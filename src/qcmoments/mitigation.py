@@ -409,3 +409,23 @@ def mixed_state_value(op: FermionOperator, n_electrons: int, sz=None,
             if res is not None:
                 trace += res[1] * c
     return float(trace.real / len(basis))
+
+
+def mixed_element_values(elements, n_modes: int, n_electrons: int, sz,
+                         spins) -> np.ndarray:
+    """:func:`mixed_state_value` of every RDM element a†_C a_A (annihilations
+    applied in reverse, as the RDM stores them), on one sector build.
+
+    Only an element with C = A has diagonal entries, and it equals the
+    product of the number operators on C, so its value is the fraction of
+    sector occupations that fill C; every other element is 0.
+    """
+    basis = np.array(sector_basis(n_modes, n_electrons, sz=sz, spins=spins))
+    if not len(basis):
+        raise ValueError("empty symmetry sector")
+    values = np.zeros(len(elements))
+    for j, e in enumerate(elements):
+        if e.creations == e.annihilations:
+            filled = sum(1 << m for m in e.creations)
+            values[j] = np.count_nonzero(basis & filled == filled) / len(basis)
+    return values

@@ -11,7 +11,11 @@ products of single-pair components
 after factoring repeated indices out as number operators. Mixed products
 with an odd number of Im factors are anti-Hermitian and vanish for real
 wavefunctions; the surviving even-Im products reconstruct the Hermitian
-part (e + e†)/2 exactly, with signs fixed by normal ordering.
+part (e + e†)/2 exactly, with signs fixed by normal ordering. The signs
+are solved once per index pattern: relabeling an element's modes to their
+ranks 0..k-1 changes no sign, because normal ordering and the sign solve
+compare mode indices only with < and ==, so elements with the same rank
+pattern and matching share one solve within a plan.
 
 Grouping is greedy and two-level. Level 1 packs elements into pairing
 bases: disjoint interactions (q1, q2) between equal-spin modes, with
@@ -165,12 +169,20 @@ def _cross_matchings(cres, anns, spins):
     return sorted(set(matchings))
 
 
-def decompose_element(e: RdmElement, spins, matching=None):
+def decompose_element(e: RdmElement, spins, matching=None, memo=None):
     """Signed even-Im products reconstructing (e + e†)/2 exactly.
 
     Returns a list of (sign, factors) with sign ∈ {+1, -1}; the sum of
     sign · Π(factors) equals the Hermitian part of the element as an
     operator identity. Raises ValueError if no same-spin pairing exists.
+
+    Signs are solved once per index pattern: the element's modes
+    (creations, annihilations and matching sites alike) are relabeled to
+    their ranks 0..k-1, that pattern is solved on k modes, and the factors
+    are mapped back. This is exact because normal ordering and
+    :func:`_solve_signs`, which sorts its keys, compare mode indices only
+    with < and ==. ``memo`` (pattern -> rank-labeled products) shares the
+    solves between the calls of one caller.
     """
     numbers, cres, anns = _split_element(e)
     if matching is None:
@@ -179,7 +191,26 @@ def decompose_element(e: RdmElement, spins, matching=None):
             raise ValueError(f"no same-spin pairing for {e} "
                              "(spin-nonconserving element reached planning)")
         matching = options[0]
-    n_modes = len(spins)
+    modes = sorted(set(e.creations) | set(e.annihilations))
+    rank = {m: r for r, m in enumerate(modes)}
+    pattern = (tuple(rank[m] for m in e.creations),
+               tuple(rank[m] for m in e.annihilations),
+               tuple((rank[c], rank[a]) for c, a in matching))
+    products = None if memo is None else memo.get(pattern)
+    if products is None:
+        products = _pattern_products(*pattern)
+        if memo is not None:
+            memo[pattern] = products
+    return [(sign, tuple((kind, tuple(modes[r] for r in idx))
+                         for kind, idx in factors))
+            for sign, factors in products]
+
+
+def _pattern_products(creations, annihilations, matching):
+    """decompose_element on modes 0..k-1, the element's own k modes."""
+    e = RdmElement(creations, annihilations)
+    n_modes = len(set(creations) | set(annihilations))
+    numbers, _, _ = _split_element(e)
     num_factors = tuple(("N", (i,)) for i in numbers)
     sites = [tuple(sorted(p)) for p in matching]
     candidates = []
@@ -191,7 +222,7 @@ def decompose_element(e: RdmElement, spins, matching=None):
     target = e.operator(n_modes) + e.operator(n_modes).dagger()
     target = target.scale(0.5)
     signs = _solve_signs(candidates, target, n_modes)
-    return [(s, f) for s, f in zip(signs, candidates)]
+    return list(zip(signs, candidates))
 
 
 def _solve_signs(candidates, target: FermionOperator, n_modes: int):
@@ -238,9 +269,6 @@ class PairingBasis:
 
     def interaction_set(self):
         return frozenset(tuple(s) for s in self.interactions)
-
-    def used_qubits(self):
-        return {q for s in self.interactions for q in s}
 
     def pair_sites(self):
         return [tuple(s) for s in self.interactions if s[0] != s[1]]
@@ -301,12 +329,11 @@ def _requirement_options(e: RdmElement, spins):
     return options
 
 
-def _fit_option(basis: PairingBasis, required):
-    """Interactions to add, or None if the option conflicts with the basis."""
-    have = basis.interaction_set()
-    used = basis.used_qubits()
+def _fit_option(have, used, required):
+    """Interactions to add, or None if the option conflicts with a basis
+    holding the interactions `have` on the busy qubits `used`."""
     additions, add_used = [], set()
-    for site in sorted(required):
+    for site in required:
         if site in have:
             continue
         qs = set(site)
@@ -321,32 +348,34 @@ def group_level1(elements, spins):
     """Greedy first-found partition of elements into pairing bases.
 
     Returns (bases, assignments) with assignments[i] = (basis index,
-    matching, required interaction set) for elements[i].
+    matching, required interaction set) for elements[i]. Each basis is
+    kept as its interaction set and its busy qubits while elements are
+    placed.
     """
-    bases: list[PairingBasis] = []
+    haves, useds = [], []
     assignments = []
     for e in elements:
-        options = _requirement_options(e, spins)
-        placed = False
-        for b_idx, basis in enumerate(bases):
+        options = [(matching, required, sorted(required))
+                   for matching, required in _requirement_options(e, spins)]
+        for b_idx, (have, used) in enumerate(zip(haves, useds)):
             best = None
-            for matching, required in options:
-                additions = _fit_option(basis, required)
+            for matching, required, ordered in options:
+                additions = _fit_option(have, used, ordered)
                 if additions is not None and (
                         best is None or len(additions) < len(best[2])):
                     best = (matching, required, additions)
             if best is not None:
                 matching, required, additions = best
-                basis.interactions = sorted(
-                    basis.interaction_set() | set(additions))
+                have.update(additions)
+                used.update(q for site in additions for q in site)
                 assignments.append((b_idx, matching, required))
-                placed = True
                 break
-        if not placed:
-            matching, required = options[0]
-            bases.append(PairingBasis(sorted(required)))
-            assignments.append((len(bases) - 1, matching, required))
-    return bases, assignments
+        else:
+            matching, required, _ = options[0]
+            haves.append(set(required))
+            useds.append({q for site in required for q in site})
+            assignments.append((len(haves) - 1, matching, required))
+    return [PairingBasis(sorted(have)) for have in haves], assignments
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +477,7 @@ class MeasurementPlan:
                    coverage)
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=1)
+        return json.dumps(self.to_json())
 
     @classmethod
     def loads(cls, text: str) -> "MeasurementPlan":
@@ -469,8 +498,9 @@ def build_plan(elements, spins, route: bool = True, max_depth: int = 8,
             basis.schedule_pairs = pairs
             basis.schedule = route_pairs(pairs, n_modes, max_depth=max_depth)
     per_basis = {i: [] for i in range(len(level1))}
+    memo = {}
     for e, (b_idx, matching, _req) in zip(elements, assignments):
-        products = decompose_element(e, spins, matching=matching)
+        products = decompose_element(e, spins, matching=matching, memo=memo)
         per_basis[b_idx].append((e, products))
     bases, coverage = [], {}
     for b_idx, basis in enumerate(level1):

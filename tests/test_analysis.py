@@ -164,6 +164,17 @@ def test_moment_map_matches_contraction_on_untraced_values(fixture,
         assert got == pytest.approx(want, rel=TOL, abs=TOL)
 
 
+@pytest.mark.parametrize("fixture", ["h4", "h4_frozen"])
+def test_mixed_values_match_per_element_traces(fixture, request):
+    # one sector build for every element against mitigation.mixed_state_value
+    # run on each element's own operator (the reference analyzer's values)
+    _, _, (compiled, reference, _) = request.getfixturevalue(fixture)
+    want = [reference.mixed[e] for e in compiled.elements]
+    assert any(want) and not all(want)
+    np.testing.assert_allclose(compiled.mixed_values(), want, rtol=0,
+                               atol=1e-15)
+
+
 def test_analyzer_rejects_order_other_than_electron_count(h2):
     path, archive, _ = h2
     cfg = load_config(path)

@@ -7,10 +7,14 @@ exact-diagonalization values of the committed fixtures.
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
-from qcmoments.cli import main
-from qcmoments.planner import MeasurementPlan
+from qcmoments.cli import _load_system, main
+from qcmoments.config import load_config
+from qcmoments.planner import MeasurementPlan, build_measurement_circuit
+from qcmoments.simulator import Circuit, Statevector, run
+from qcmoments.trial import build_uccd
 
 from fixtures_util import H2_PATH
 
@@ -230,6 +234,29 @@ def test_run_archive_manifest(tmp_path):
     assert manifest["total_shots"] == 1000 * (2 * n_bases + 2)
     for name in manifest["files"].values():
         assert (out / name).exists()
+
+
+def test_measurement_circuit_on_prepared_state_is_exact(tmp_path):
+    # run prepares each state once and applies every basis's measurement
+    # circuit to it; that must give the same amplitudes, bit for bit, as
+    # running the whole circuit from |0>
+    cfg = write_config(tmp_path)
+    plan, _ = _plan_and_thetas(tmp_path, cfg)
+    plan = MeasurementPlan.loads(plan.read_text())
+    _, _, ansatz = _load_system(load_config(cfg))
+    n = ansatz.n_qubits
+    zero = Statevector.basis_state(0, n)
+    for thetas in ([0.3], [0.0]):
+        built = build_uccd(ansatz.with_thetas(thetas))
+        prepared = run(built.circuit, zero)
+        assert plan.bases
+        for basis in plan.bases:
+            mc = build_measurement_circuit(basis, built.layout).circuit
+            whole = Circuit(n).extend(built.circuit).extend(mc)
+            assert np.array_equal(run(mc, prepared).amplitudes,
+                                  run(whole, zero).amplitudes)
+            assert whole.cnot_count() == \
+                built.circuit.cnot_count() + mc.cnot_count()
 
 
 # ---------------------------------------------------------------------------

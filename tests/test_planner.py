@@ -10,7 +10,7 @@ from qcmoments.fermion import jordan_wigner
 from qcmoments.planner import (
     MeasurementPlan, RdmElement, build_measurement_circuit, build_plan,
     decompose_element, element_count_formula, enumerate_elements,
-    factor_operator, group_level1, group_level2, product_value,
+    _solve_signs, factor_operator, group_level1, group_level2, product_value,
 )
 from qcmoments.simulator import Statevector, run
 
@@ -128,6 +128,52 @@ def test_decompose_random_elements_against_dense_oracle():
 def test_decompose_rejects_spin_nonconserving():
     with pytest.raises(ValueError, match="pairing"):
         decompose_element(RdmElement((0, 1), (2, 3)), SPINS4)
+
+
+# -- one sign solve per index pattern
+
+def unrelabeled_products(e, spins, matching):
+    """The even-Im candidates of `matching` with signs solved directly on
+    the element's own modes, without the relabeling to ranks."""
+    n = len(spins)
+    numbers = sorted(set(e.creations) & set(e.annihilations))
+    sites = [tuple(sorted(p)) for p in matching]
+    candidates = [
+        tuple(("N", (i,)) for i in numbers) + tuple(zip(kinds, sites))
+        for kinds in itertools.product(("Re", "Im"), repeat=len(sites))
+        if kinds.count("Im") % 2 == 0]
+    target = (e.operator(n) + e.operator(n).dagger()).scale(0.5)
+    return list(zip(_solve_signs(candidates, target, n), candidates))
+
+
+def test_plan_signs_match_direct_solves_for_940_elements():
+    spins = interleaved_spins(8)
+    elements = enumerate_elements(8, 4, spins)
+    plan = build_plan(elements, spins, route=False)
+    _, assignments = group_level1(elements, spins)
+    for e, (_, matching, _) in zip(elements, assignments):
+        got = [(sign, factors) for _, sign, factors in plan.coverage[e]]
+        assert got == unrelabeled_products(e, spins, matching)
+
+
+def test_pattern_memo_on_noncontiguous_modes():
+    spins = interleaved_spins(8)
+    memo = {}
+    cases = [
+        # modes (1, 4, 6, 7) have ranks 0..3; the second element has the
+        # same rank pattern, so it is answered from the memo
+        (RdmElement((1, 4), (6, 7)), ((1, 7), (4, 6))),
+        (RdmElement((1, 2), (4, 5)), ((1, 5), (2, 4))),
+        (RdmElement((4, 7), (1, 6)), ((4, 6), (7, 1))),
+        (RdmElement((1, 4, 7), (1, 6, 7)), ((4, 6),)),
+        # same rank pattern as the first two, other matching: its own solve
+        (RdmElement((0, 2), (4, 6)), ((0, 4), (2, 6))),
+    ]
+    for e, matching in cases:
+        assert decompose_element(e, spins, matching=matching, memo=memo) \
+            == unrelabeled_products(e, spins, matching)
+    assert len(memo) == 4
+    assert_decomposition_exact(cases[0][0], spins)
 
 
 # -- level-1 grouping
