@@ -1,7 +1,7 @@
 """Compiled analysis of a counts archive: mitigation, RDM assembly, moments
 and energies as array maps over integer outcomes.
 
-An archive is loaded into one (tables x 2^n) integer count matrix with rows
+An archive holds one (tables x 2^n) integer count matrix with rows
 [calibration zeros, calibration ones, trial basis 0..B-1, reference basis
 0..B-1]; column i counts the outcome whose bit q is qubit q's reading.
 :class:`Analyzer` compiles, once per plan and Hamiltonian, every map that
@@ -25,6 +25,8 @@ the tests check this path against.
 """
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 import warnings
@@ -44,7 +46,7 @@ from .planner import MeasurementPlan, product_value
 from .qcm import CumulantSet, MomentSet, cumulants, lanczos_energy
 from .rdm import RDM, rdm_from_determinant
 from .simulator import (
-    CountsTable, apply_term_to_mask, operator_matrix_in_sector, sector_basis,
+    apply_term_to_mask, operator_matrix_in_sector, sector_basis,
 )
 
 ABLATION_STACKS = [
@@ -58,43 +60,83 @@ ABLATION_STACKS = [
 ]
 
 # ---------------------------------------------------------------------------
-# archive loading
+# archive files
 
 
-def _read_json(path):
+#: version of the archive layout that ``write_archive`` writes and
+#: ``load_archive`` reads
+ARCHIVE_SCHEMA = 2
+
+
+def write_archive(archive_dir, plan_text: str, counts, manifest: dict):
+    """Write ``plan.json`` (the plan text as given, not re-serialized),
+    ``counts.npy`` (the count matrix as little-endian int64) and
+    ``manifest.json``: the given fields plus the schema and the SHA-256 of
+    the other two files. Same inputs give byte-identical files."""
+    buffer = io.BytesIO()
+    np.save(buffer, np.asarray(counts, dtype="<i8"), allow_pickle=False)
+    blobs = {"plan.json": plan_text.encode(), "counts.npy": buffer.getvalue()}
+    os.makedirs(archive_dir, exist_ok=True)
+    for name, data in blobs.items():
+        with open(os.path.join(archive_dir, name), "wb") as fh:
+            fh.write(data)
+    manifest = {**manifest, "schema": ARCHIVE_SCHEMA,
+                "sha256": {name: hashlib.sha256(data).hexdigest()
+                           for name, data in blobs.items()}}
+    with open(os.path.join(archive_dir, "manifest.json"), "w") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _read_bytes(path):
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read archive file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"archive file {path} is not valid JSON: {exc}") \
-            from exc
 
 
 def load_archive(archive_dir):
     """(manifest, plan, count matrix) of a ``run`` archive.
 
-    Every fault in the archive (a missing file or manifest key, bad JSON, a
-    malformed outcome or count, a shot total other than the manifest's, a
-    plan that disagrees with the manifest) raises ConfigError.
+    The archive holds ``manifest.json``, ``plan.json`` and ``counts.npy``;
+    the manifest records the SHA-256 of the other two. Every fault (a
+    missing file or manifest key, another schema, a hash mismatch, bad
+    JSON, a count matrix of another dtype or shape, a negative count, a
+    row that does not sum to ``shots_per_basis``, a plan that disagrees
+    with the manifest) raises ConfigError.
     """
-    manifest = _read_json(os.path.join(archive_dir, "manifest.json"))
-    plan_path = os.path.join(archive_dir, "plan.json")
+    path = os.path.join(archive_dir, "manifest.json")
     try:
-        plan = MeasurementPlan.from_json(_read_json(plan_path))
-    except (ValueError, KeyError, IndexError, TypeError,
-            AttributeError) as exc:
-        raise ConfigError(f"archive plan {plan_path} is malformed: {exc!r}") \
+        manifest = json.loads(_read_bytes(path))
+    except ValueError as exc:
+        raise ConfigError(f"archive file {path} is not valid JSON: {exc}") \
             from exc
+    schema = manifest.get("schema") if isinstance(manifest, dict) else None
+    if schema != ARCHIVE_SCHEMA:
+        raise ConfigError(
+            f"archive {archive_dir} has schema {schema!r}, but this version "
+            f"reads schema {ARCHIVE_SCHEMA} only; re-run `run` to rewrite it")
     try:
-        files = manifest["files"]
+        digests = dict(manifest["sha256"])
         n_bases = manifest["n_bases"]
         shots = manifest["shots_per_basis"]
         n_qubits = manifest["n_qubits"]
         layout = list(manifest["layout"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"archive manifest lacks {exc}") from exc
+    blobs = {}
+    for name in ("plan.json", "counts.npy"):
+        path = os.path.join(archive_dir, name)
+        blobs[name] = _read_bytes(path)
+        if hashlib.sha256(blobs[name]).hexdigest() != digests.get(name):
+            raise ConfigError(f"archive file {path} does not match the "
+                              "SHA-256 its manifest records")
+    try:
+        plan = MeasurementPlan.loads(blobs["plan.json"].decode())
+    except (ValueError, KeyError, IndexError, TypeError,
+            AttributeError) as exc:
+        raise ConfigError(f"archive plan in {archive_dir} is malformed: "
+                          f"{exc!r}") from exc
     if n_bases != len(plan.bases) or n_qubits != plan.n_modes:
         raise ConfigError(
             f"archive manifest ({n_bases} bases, {n_qubits} qubits) "
@@ -107,25 +149,36 @@ def load_archive(archive_dir):
     if not isinstance(shots, int) or shots < 1:
         raise ConfigError(f"archive shots_per_basis {shots!r} is not a "
                           "positive integer")
+    path = os.path.join(archive_dir, "counts.npy")
     try:
-        names = [files["calibration_zeros"], files["calibration_ones"]]
-        names += [files[f"{which}_{i}"] for which in ("trial", "reference")
-                  for i in range(n_bases)]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"archive manifest lacks file {exc}") from exc
-    counts = np.zeros((len(names), 1 << plan.n_modes), dtype=np.int64)
-    for row, name in zip(counts, names):
-        path = os.path.join(archive_dir, name)
-        obj = _read_json(path)
-        try:
-            table = CountsTable.from_json(obj)
-            row[:] = table.vector(plan.n_modes)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ConfigError(f"archive file {path}: {exc!r}") from exc
-        if table.shots != shots:
-            raise ConfigError(f"archive file {path} holds {table.shots} "
-                              f"shots, not {shots}")
+        counts = np.load(io.BytesIO(blobs["counts.npy"]), allow_pickle=False)
+    except (ValueError, EOFError, OSError) as exc:
+        raise ConfigError(f"archive file {path} is not a readable .npy "
+                          f"array: {exc}") from exc
+    shape = (2 * n_bases + 2, 1 << plan.n_modes)
+    if counts.dtype != np.dtype("<i8") or counts.shape != shape:
+        raise ConfigError(f"archive file {path} holds a {counts.dtype} "
+                          f"array of shape {counts.shape}, not int64 of "
+                          f"shape {shape}")
+    if np.any(counts < 0):
+        raise ConfigError(f"archive file {path} holds a negative count")
+    off = np.flatnonzero(counts.sum(axis=1) != shots)
+    if off.size:
+        raise ConfigError(f"archive file {path}: rows {off.tolist()} do "
+                          f"not sum to shots_per_basis {shots}")
     return manifest, plan, counts
+
+
+def check_archive_config(manifest, cfg: PipelineConfig, n_electrons: int):
+    """ConfigError naming the first manifest field that disagrees with
+    the config analysing the archive."""
+    for field, want in (("shots_per_basis", cfg.shots), ("noise", cfg.noise),
+                        ("master_seed", cfg.master_seed),
+                        ("n_electrons", n_electrons)):
+        if manifest.get(field) != want:
+            raise ConfigError(
+                f"archive {field} {manifest.get(field)!r} differs from the "
+                f"config's {want!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,10 @@ import sys
 
 import numpy as np
 
-from .analysis import ABLATION_STACKS, Analyzer, load_archive
+from .analysis import (
+    ABLATION_STACKS, Analyzer, check_archive_config, load_archive,
+    write_archive,
+)
 from .config import ConfigError, PipelineConfig, derive_seed, load_config
 from .conventions import interleaved_spins, sz_of
 from .integrals import (
@@ -177,24 +180,20 @@ def cmd_run(args) -> int:
     built_ref = build_uccd(ansatz.with_thetas([0.0] * len(thetas)))
     noise = _noise_spec(cfg, n)
 
-    os.makedirs(args.output_dir, exist_ok=True)
-    files = {}
+    # one row per table, in the order Analyzer reads them: calibration
+    # zeros and ones, then the trial and the reference state in every basis
+    n_bases = len(plan.bases)
+    counts = np.zeros((2 * n_bases + 2, 1 << n), dtype=np.int64)
     zero = Statevector.basis_state(0, n)
     ones = Statevector.basis_state((1 << n) - 1, n)
     # calibration preparations are gate-free, so they see readout noise only
     cal_noise = NoiseSpec(readout_flip=noise.readout_flip)
-    for name, state in (("calibration_zeros", zero),
-                        ("calibration_ones", ones)):
-        counts = sample(state, cfg.shots, cal_noise,
-                        seed=derive_seed(cfg.master_seed, "calibration",
-                                         0 if name.endswith("zeros") else 1))
-        files[name] = f"{name}.json"
-        _write_json(os.path.join(args.output_dir, files[name]),
-                    counts.to_json())
-
-    total = 2 * cfg.shots
-    for which, built, tag in (("trial", built_trial, "sample-trial"),
-                              ("reference", built_ref, "sample-reference")):
+    for row, state in enumerate((zero, ones)):
+        counts[row] = sample(
+            state, cfg.shots, cal_noise,
+            seed=derive_seed(cfg.master_seed, "calibration", row)).vector(n)
+    for block, (built, tag) in enumerate(((built_trial, "sample-trial"),
+                                          (built_ref, "sample-reference"))):
         # the state stays pure until sampling, so the preparation runs once
         # and each basis applies only its measurement circuit to it; the
         # noise still counts the CNOTs of the whole circuit
@@ -203,31 +202,24 @@ def cmd_run(args) -> int:
         for i, basis in enumerate(plan.bases):
             mc = build_measurement_circuit(basis, built.layout)
             state = run(mc.circuit, prepared)
-            counts = sample(state, cfg.shots, noise,
-                            n_cnots=prep_cnots + mc.circuit.cnot_count(),
-                            seed=derive_seed(cfg.master_seed, tag, i))
-            name = f"basis_{i:04d}_{which}.json"
-            files[f"{which}_{i}"] = name
-            _write_json(os.path.join(args.output_dir, name), counts.to_json())
-            total += cfg.shots
+            counts[2 + block * n_bases + i] = sample(
+                state, cfg.shots, noise,
+                n_cnots=prep_cnots + mc.circuit.cnot_count(),
+                seed=derive_seed(cfg.master_seed, tag, i)).vector(n)
 
-    # the plan file as given, not re-serialized
-    with open(os.path.join(args.output_dir, "plan.json"), "w") as fh:
-        fh.write(plan_text)
-    _write_json(os.path.join(args.output_dir, "manifest.json"), {
-        "schema": 1,
+    total = int(counts.sum())
+    write_archive(args.output_dir, plan_text, counts, {
         "n_qubits": n,
         "n_electrons": ne,
-        "n_bases": len(plan.bases),
+        "n_bases": n_bases,
         "shots_per_basis": cfg.shots,
         "total_shots": total,
         "layout": list(built_trial.layout),
         "thetas": [float(t) for t in thetas],
         "noise": cfg.noise,
         "master_seed": cfg.master_seed,
-        "files": files,
     })
-    print(f"archived {total} shots over {2 * len(plan.bases) + 2} circuits "
+    print(f"archived {total} shots over {counts.shape[0]} circuits "
           f"in {args.output_dir}")
     return 0
 
@@ -242,6 +234,7 @@ def cmd_analyze(args) -> int:
     manifest, plan, counts = load_archive(args.archive)
     if plan.n_modes != ints.n_spin_orbitals:
         raise ConfigError("archive and config disagree on the mode count")
+    check_archive_config(manifest, cfg, ints.n_electrons)
     layout = tuple(manifest["layout"])
     try:
         circuits = [build_measurement_circuit(b, layout) for b in plan.bases]

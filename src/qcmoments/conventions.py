@@ -2,8 +2,7 @@
 
 Spatial orbital p maps to spin-orbitals 2p (spin up) and 2p+1 (spin down).
 Qubit j carries spin-orbital j under the Jordan-Wigner encoding; bit j of a
-statevector index is the occupation of mode j. Bitstrings are printed
-most-significant qubit first.
+statevector index is the occupation of mode j.
 """
 from __future__ import annotations
 
@@ -20,7 +19,3 @@ def sz_of(occupied, spins) -> float:
     up = sum(1 for m in occupied if spins[m] == UP)
     down = sum(1 for m in occupied if spins[m] == DOWN)
     return 0.5 * (up - down)
-
-
-def bits_to_string(bits: int, n_qubits: int) -> str:
-    return format(bits, f"0{n_qubits}b")

@@ -128,13 +128,15 @@ def _flip_bit(bits: str, q: int) -> str:
 def apply_qrem(counts: CountsTable, cal: AssignmentCalibration) -> dict:
     """Per-qubit inverse applied tensor-wise on the observed sparse support.
 
-    Returns a bitstring -> quasi-probability dict (entries may be negative).
-    Reference for :func:`qrem_rows`.
+    Returns a bitstring -> quasi-probability dict (entries may be negative),
+    its strings printed most-significant qubit first. Reference for
+    :func:`qrem_rows`.
     """
-    probs = counts.probabilities()
-    n = len(next(iter(probs)))
-    if cal.n_qubits != n:
+    n = cal.n_qubits
+    if counts.outcomes[-1] >> n:
         raise ValueError("calibration does not cover all qubits")
+    probs = {format(o, f"0{n}b"): c / counts.shots
+             for o, c in zip(counts.outcomes.tolist(), counts.counts.tolist())}
     for q in range(n):
         inv = cal.inverses[q]
         out: dict = {}

@@ -11,11 +11,10 @@ products of single-pair components
 after factoring repeated indices out as number operators. Mixed products
 with an odd number of Im factors are anti-Hermitian and vanish for real
 wavefunctions; the surviving even-Im products reconstruct the Hermitian
-part (e + e†)/2 exactly, with signs fixed by normal ordering. The signs
-are solved once per index pattern: relabeling an element's modes to their
-ranks 0..k-1 changes no sign, because normal ordering and the sign solve
-compare mode indices only with < and ==, so elements with the same rank
-pattern and matching share one solve within a plan.
+part (e + e†)/2 exactly. Their signs follow in closed form from the
+anticommutation relations: the parity of the permutation that brings the
+element into pair form, times (-1)^(m/2) for m Im factors, times the
+orientation of each Im pair (see :func:`decompose_element`).
 
 Grouping is greedy and two-level. Level 1 packs elements into pairing
 bases: disjoint interactions (q1, q2) between equal-spin modes, with
@@ -34,11 +33,11 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
-from .fermion import FermionOperator, multiply
+from .fermion import FermionOperator
 from .routing import Schedule, route_pairs
 from .simulator import Circuit, operator_matrix_in_sector
 
@@ -119,25 +118,7 @@ def element_count_formula(n_modes: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 # decomposition into Re/Im/number products
 
-Factor = tuple  # ("N", (i,)) | ("Re", (j, k)) | ("Im", (j, k)) with j < k
-
-
-def factor_operator(factor: Factor, n_modes: int) -> FermionOperator:
-    kind, idx = factor
-    op = FermionOperator(n_modes)
-    if kind == "N":
-        op.add_string([(idx[0], True), (idx[0], False)], 1.0)
-    elif kind == "Re":
-        j, k = idx
-        op.add_string([(j, True), (k, False)], 0.5)
-        op.add_string([(k, True), (j, False)], 0.5)
-    elif kind == "Im":
-        j, k = idx
-        op.add_string([(j, True), (k, False)], -0.5j)
-        op.add_string([(k, True), (j, False)], 0.5j)
-    else:
-        raise ValueError(f"unknown factor kind {kind!r}")
-    return op
+# a factor is ("N", (i,)), ("Re", (j, k)) or ("Im", (j, k)) with j < k
 
 
 def _split_element(e: RdmElement):
@@ -169,20 +150,22 @@ def _cross_matchings(cres, anns, spins):
     return sorted(set(matchings))
 
 
-def decompose_element(e: RdmElement, spins, matching=None, memo=None):
+def decompose_element(e: RdmElement, spins, matching=None):
     """Signed even-Im products reconstructing (e + e†)/2 exactly.
 
     Returns a list of (sign, factors) with sign ∈ {+1, -1}; the sum of
     sign · Π(factors) equals the Hermitian part of the element as an
     operator identity. Raises ValueError if no same-spin pairing exists.
 
-    Signs are solved once per index pattern: the element's modes
-    (creations, annihilations and matching sites alike) are relabeled to
-    their ranks 0..k-1, that pattern is solved on k modes, and the factors
-    are mapped back. This is exact because normal ordering and
-    :func:`_solve_signs`, which sorts its keys, compare mode indices only
-    with < and ==. ``memo`` (pattern -> rank-labeled products) shares the
-    solves between the calls of one caller.
+    The signs follow in closed form from the anticommutation relations
+    (Helgaker, Jørgensen and Olsen, *Molecular Electronic-Structure
+    Theory*, ch. 1). Reordering the element into pair form
+    σ · Π n_i · Π a†_c a_a, over its number modes i and the matching's
+    pairs (c, a), never moves a†_x past a_x, so it only picks up the parity
+    σ of the permutation. With a†_c a_a = Re + i·s·Im, where s = +1 if
+    c < a and -1 otherwise, the commuting Hermitian factors leave the
+    product with m Im factors the sign σ · (-1)^(m/2) · Π s over its Im
+    factors in the Hermitian part, and nothing when m is odd.
     """
     numbers, cres, anns = _split_element(e)
     if matching is None:
@@ -191,66 +174,31 @@ def decompose_element(e: RdmElement, spins, matching=None, memo=None):
             raise ValueError(f"no same-spin pairing for {e} "
                              "(spin-nonconserving element reached planning)")
         matching = options[0]
-    modes = sorted(set(e.creations) | set(e.annihilations))
-    rank = {m: r for r, m in enumerate(modes)}
-    pattern = (tuple(rank[m] for m in e.creations),
-               tuple(rank[m] for m in e.annihilations),
-               tuple((rank[c], rank[a]) for c, a in matching))
-    products = None if memo is None else memo.get(pattern)
-    if products is None:
-        products = _pattern_products(*pattern)
-        if memo is not None:
-            memo[pattern] = products
-    return [(sign, tuple((kind, tuple(modes[r] for r in idx))
-                         for kind, idx in factors))
-            for sign, factors in products]
-
-
-def _pattern_products(creations, annihilations, matching):
-    """decompose_element on modes 0..k-1, the element's own k modes."""
-    e = RdmElement(creations, annihilations)
-    n_modes = len(set(creations) | set(annihilations))
-    numbers, _, _ = _split_element(e)
+    sigma = _permutation_parity(
+        [(True, m) for m in e.creations] + [(False, m) for m in e.annihilations],
+        [op for i in numbers for op in ((True, i), (False, i))]
+        + [op for c, a in matching for op in ((True, c), (False, a))])
     num_factors = tuple(("N", (i,)) for i in numbers)
     sites = [tuple(sorted(p)) for p in matching]
-    candidates = []
+    orient = [1 if c < a else -1 for c, a in matching]
+    products = []
     for kinds in itertools.product(("Re", "Im"), repeat=len(sites)):
-        if sum(1 for k in kinds if k == "Im") % 2:
+        ims = [s for k, s in zip(kinds, orient) if k == "Im"]
+        if len(ims) % 2:
             continue
-        candidates.append(num_factors + tuple(
-            (k, s) for k, s in zip(kinds, sites)))
-    target = e.operator(n_modes) + e.operator(n_modes).dagger()
-    target = target.scale(0.5)
-    signs = _solve_signs(candidates, target, n_modes)
-    return list(zip(signs, candidates))
+        sign = sigma * (-1) ** (len(ims) // 2) * prod(ims)
+        products.append((sign, num_factors + tuple(zip(kinds, sites))))
+    return products
 
 
-def _solve_signs(candidates, target: FermionOperator, n_modes: int):
-    """Coefficients (each ±1) of the candidate products in normal order."""
-    prods = []
-    keys = set(target.terms)
-    for factors in candidates:
-        op = FermionOperator.identity(n_modes)
-        for f in factors:
-            op = multiply(op, factor_operator(f, n_modes))
-        prods.append(op)
-        keys.update(op.terms)
-    keys = sorted(keys)
-    a = np.zeros((len(keys), len(prods)), dtype=complex)
-    b = np.array([target.terms.get(k, 0.0) for k in keys], dtype=complex)
-    for m, op in enumerate(prods):
-        for i, k in enumerate(keys):
-            a[i, m] = op.terms.get(k, 0.0)
-    coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
-    if np.max(np.abs(a @ coeffs - b)) > 1e-9:
-        raise AssertionError("decomposition does not span the element")
-    signs = []
-    for c in coeffs:
-        s = int(round(c.real))
-        if abs(c - s) > 1e-9 or s not in (-1, 0, 1):
-            raise AssertionError(f"non-unit decomposition coefficient {c}")
-        signs.append(s)
-    return signs
+def _permutation_parity(before, after):
+    """+1 or -1: the parity of the permutation taking the sequence
+    `before` to `after` (the same distinct items)."""
+    position = {item: i for i, item in enumerate(before)}
+    order = [position[item] for item in after]
+    inversions = sum(1 for i in range(len(order))
+                     for j in range(i + 1, len(order)) if order[i] > order[j])
+    return -1 if inversions % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +446,8 @@ def build_plan(elements, spins, route: bool = True, max_depth: int = 8,
             basis.schedule_pairs = pairs
             basis.schedule = route_pairs(pairs, n_modes, max_depth=max_depth)
     per_basis = {i: [] for i in range(len(level1))}
-    memo = {}
     for e, (b_idx, matching, _req) in zip(elements, assignments):
-        products = decompose_element(e, spins, matching=matching, memo=memo)
+        products = decompose_element(e, spins, matching=matching)
         per_basis[b_idx].append((e, products))
     bases, coverage = [], {}
     for b_idx, basis in enumerate(level1):
@@ -552,9 +499,10 @@ def _verify_diagonalizers():
         return u
 
     number = np.diag([0.0, 1.0, 1.0, 2.0]).astype(complex)
-    for kind, build in (("Re", _re_diagonalizer), ("Im", _im_diagonalizer)):
-        op = operator_matrix_in_sector(factor_operator((kind, (0, 1)), 2),
-                                       range(4))
+    hop = operator_matrix_in_sector(RdmElement((0,), (1,)).operator(2),
+                                    range(4))
+    for build, op in ((_re_diagonalizer, (hop + hop.conj().T) / 2),
+                      (_im_diagonalizer, (hop - hop.conj().T) / 2j)):
         circ = Circuit(2)
         build(circ, 0)
         u = unitary(circ)

@@ -7,7 +7,7 @@ by independent per-qubit readout flips.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import cos, sin, sqrt
 
@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .conventions import bits_to_string, interleaved_spins, sz_of
+from .conventions import interleaved_spins, sz_of
 from .fermion import FermionOperator, PauliOperator
 from .rdm import RDM
 
@@ -251,41 +251,27 @@ class NoiseSpec:
 
 @dataclass
 class CountsTable:
-    """Bitstring -> count map with a fixed total shot number."""
+    """Sampled outcomes: the distinct outcome indices in increasing order,
+    their counts, and the total shot number they sum to."""
 
-    counts: dict = field(default_factory=dict)
-    shots: int = 0
+    outcomes: np.ndarray
+    counts: np.ndarray
+    shots: int
 
     def __post_init__(self):
-        if sum(self.counts.values()) != self.shots:
+        self.outcomes = np.asarray(self.outcomes, dtype=np.int64)
+        self.counts = np.asarray(self.counts, dtype=np.int64)
+        if self.outcomes.shape != self.counts.shape or \
+                np.any(np.diff(self.outcomes) <= 0):
+            raise ValueError("outcomes must be increasing, one per count")
+        if np.any(self.counts < 0) or self.counts.sum() != self.shots:
             raise ValueError("counts do not sum to the declared shot total")
 
-    def probabilities(self) -> dict:
-        return {b: c / self.shots for b, c in self.counts.items()}
-
     def vector(self, n_qubits: int) -> np.ndarray:
-        """Counts indexed by integer outcome, length 2^n_qubits.
-
-        Raises ValueError on a key that is not an n_qubits-wide 0/1 string
-        or a count that is not a nonnegative integer.
-        """
+        """Counts indexed by integer outcome, length 2^n_qubits."""
         out = np.zeros(1 << n_qubits, dtype=np.int64)
-        for bits, c in self.counts.items():
-            if len(bits) != n_qubits or bits.strip("01"):
-                raise ValueError(f"outcome {bits!r} is not a {n_qubits}-bit "
-                                 "string")
-            if not isinstance(c, int) or c < 0:
-                raise ValueError(f"count {c!r} of outcome {bits} is not a "
-                                 "nonnegative integer")
-            out[int(bits, 2)] = c
+        out[self.outcomes] = self.counts
         return out
-
-    def to_json(self) -> dict:
-        return {"shots": self.shots, "counts": dict(sorted(self.counts.items()))}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CountsTable":
-        return cls(counts=dict(obj["counts"]), shots=int(obj["shots"]))
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +339,8 @@ def sample(state: Statevector, shots: int, noise: NoiseSpec,
     p = p / p.sum()
     rng = np.random.default_rng(noise.rng_seed if seed is None else seed)
     draw = rng.multinomial(shots, p)
-    n = state.n_qubits
-    counts = {bits_to_string(i, n): int(c) for i, c in enumerate(draw) if c}
-    return CountsTable(counts=counts, shots=shots)
+    outcomes = np.flatnonzero(draw)
+    return CountsTable(outcomes, draw[outcomes], shots)
 
 
 def expectation(state: Statevector, op: PauliOperator) -> float:

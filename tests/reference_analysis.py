@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 
 from qcmoments.analysis import position_spins
-from qcmoments.conventions import bits_to_string, sz_of
+from qcmoments.conventions import sz_of
 from qcmoments.fermion import FermionOperator
 from qcmoments.mitigation import (
     apply_qrem, assemble_rdm, calibration_from_counts,
@@ -25,10 +25,20 @@ from qcmoments.rdm import rdm_from_determinant
 from qcmoments.simulator import CountsTable
 
 
-def counts_tables(counts, n_qubits):
-    """Count-matrix rows as bitstring-keyed CountsTables."""
-    return [CountsTable({bits_to_string(int(i), n_qubits): int(row[i])
-                         for i in np.flatnonzero(row)}, int(row.sum()))
+def bits_to_string(bits: int, n_qubits: int) -> str:
+    """Outcome index as a bitstring, most-significant qubit first."""
+    return format(bits, f"0{n_qubits}b")
+
+
+def bitstring_probabilities(table: CountsTable, n_qubits: int) -> dict:
+    """A CountsTable as the bitstring -> probability dict of the dict path."""
+    return {bits_to_string(o, n_qubits): c / table.shots
+            for o, c in zip(table.outcomes.tolist(), table.counts.tolist())}
+
+
+def counts_tables(counts):
+    """Count-matrix rows as CountsTables."""
+    return [CountsTable(np.flatnonzero(row), row[row > 0], int(row.sum()))
             for row in counts]
 
 
@@ -68,7 +78,7 @@ class DictAnalyzer:
             if mit.get("clip"):
                 probs = clip_to_physical(probs)
         else:
-            probs = table.probabilities()
+            probs = bitstring_probabilities(table, self.n_qubits)
         rate = 1.0
         if mit.get("postselect"):
             probs, rate = symmetry_postselect(
@@ -78,7 +88,7 @@ class DictAnalyzer:
 
     def analyze(self, counts, mitigation=None, diagnostics=False):
         mit = dict(self.cfg.mitigation if mitigation is None else mitigation)
-        tables = counts_tables(counts, self.n_qubits)
+        tables = counts_tables(counts)
         cal = calibration_from_counts(counts[0], counts[1]) \
             if mit.get("qrem") else None
         n_bases = len(self.plan.bases)

@@ -1,0 +1,75 @@
+"""Direct sign solves: the oracle that the closed-form signs of
+:func:`qcmoments.planner.decompose_element` are checked against.
+
+Each candidate product of Re/Im/number factors is normal-ordered with
+``fermion.multiply``, and a least-squares solve finds the coefficients that
+rebuild the Hermitian part (e + e†)/2 of the element, as the planner did
+before the sign rule replaced it.
+"""
+import itertools
+
+import numpy as np
+
+from qcmoments.fermion import FermionOperator, multiply
+
+
+def factor_operator(factor, n_modes: int) -> FermionOperator:
+    """("N", (i,)), ("Re", (j, k)) or ("Im", (j, k)) with j < k as an
+    operator on n_modes modes."""
+    kind, idx = factor
+    op = FermionOperator(n_modes)
+    if kind == "N":
+        op.add_string([(idx[0], True), (idx[0], False)], 1.0)
+    elif kind == "Re":
+        j, k = idx
+        op.add_string([(j, True), (k, False)], 0.5)
+        op.add_string([(k, True), (j, False)], 0.5)
+    elif kind == "Im":
+        j, k = idx
+        op.add_string([(j, True), (k, False)], -0.5j)
+        op.add_string([(k, True), (j, False)], 0.5j)
+    else:
+        raise ValueError(f"unknown factor kind {kind!r}")
+    return op
+
+
+def solve_signs(candidates, target: FermionOperator, n_modes: int):
+    """Coefficients (each ±1 or 0) of the candidate products in normal
+    order; AssertionError if they do not rebuild the target exactly."""
+    prods = []
+    keys = set(target.terms)
+    for factors in candidates:
+        op = FermionOperator.identity(n_modes)
+        for f in factors:
+            op = multiply(op, factor_operator(f, n_modes))
+        prods.append(op)
+        keys.update(op.terms)
+    keys = sorted(keys)
+    a = np.zeros((len(keys), len(prods)), dtype=complex)
+    b = np.array([target.terms.get(k, 0.0) for k in keys], dtype=complex)
+    for m, op in enumerate(prods):
+        for i, k in enumerate(keys):
+            a[i, m] = op.terms.get(k, 0.0)
+    coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
+    if np.max(np.abs(a @ coeffs - b)) > 1e-9:
+        raise AssertionError("decomposition does not span the element")
+    signs = []
+    for c in coeffs:
+        s = int(round(c.real))
+        if abs(c - s) > 1e-9 or s not in (-1, 0, 1):
+            raise AssertionError(f"non-unit decomposition coefficient {c}")
+        signs.append(s)
+    return signs
+
+
+def solved_products(e, n_modes: int, matching):
+    """The even-Im candidates of `matching`, in the planner's order, with
+    signs solved on the element's own modes."""
+    numbers = sorted(set(e.creations) & set(e.annihilations))
+    sites = [tuple(sorted(p)) for p in matching]
+    candidates = [
+        tuple(("N", (i,)) for i in numbers) + tuple(zip(kinds, sites))
+        for kinds in itertools.product(("Re", "Im"), repeat=len(sites))
+        if kinds.count("Im") % 2 == 0]
+    target = (e.operator(n_modes) + e.operator(n_modes).dagger()).scale(0.5)
+    return list(zip(solve_signs(candidates, target, n_modes), candidates))

@@ -5,6 +5,7 @@ The fixture archives come from the real ``plan``/``optimize``/``run``
 commands. Every comparison of the compiled path (qcmoments.analysis) with
 the dict path (tests/reference_analysis.py) holds to 1e-10.
 """
+import hashlib
 import json
 import re
 import shutil
@@ -282,68 +283,90 @@ def test_report_records_diagnostics(h2, tmp_path):
 # archive faults exit 2
 
 
-def _drop_manifest_key(archive):
-    manifest = json.loads((archive / "manifest.json").read_text())
-    del manifest["shots_per_basis"]
-    (archive / "manifest.json").write_text(json.dumps(manifest))
+def _edit_manifest(edit):
+    def corrupt(archive):
+        manifest = json.loads((archive / "manifest.json").read_text())
+        edit(manifest)
+        (archive / "manifest.json").write_text(json.dumps(manifest))
+    return corrupt
 
 
-def _drop_file(archive):
-    (archive / "basis_0003_trial.json").unlink()
-
-
-def _drop_manifest(archive):
-    (archive / "manifest.json").unlink()
-
-
-def _truncate(archive):
-    path = archive / "basis_0001_reference.json"
-    path.write_text(path.read_text()[:40])
+def _rehash_counts(archive):
+    """Record the current SHA-256 of counts.npy, so that a corrupted matrix
+    passes the hash check and reaches its own check."""
+    digest = hashlib.sha256((archive / "counts.npy").read_bytes()).hexdigest()
+    _edit_manifest(lambda m: m["sha256"].update({"counts.npy": digest}))(
+        archive)
 
 
 def _edit_counts(edit):
     def corrupt(archive):
-        path = archive / "basis_0002_trial.json"
-        obj = json.loads(path.read_text())
-        obj["counts"] = edit(obj["counts"])
-        path.write_text(json.dumps(obj))
+        np.save(archive / "counts.npy", edit(np.load(archive / "counts.npy")))
+        _rehash_counts(archive)
     return corrupt
 
 
-def _rekey(counts, change):
-    (bits, c), *rest = counts.items()
-    return {change(bits): c, **dict(rest)}
+def _truncate(archive):
+    path = archive / "counts.npy"
+    path.write_bytes(path.read_bytes()[:200])
+    _rehash_counts(archive)
 
 
-def _shots_mismatch(archive):
-    path = archive / "calibration_ones.json"
-    obj = json.loads(path.read_text())
-    bits = next(iter(obj["counts"]))
-    obj["counts"][bits] += 1
-    obj["shots"] += 1
-    path.write_text(json.dumps(obj))
+def _add_count(counts):
+    counts[3, 5] += 1       # row 3 is trial basis 1
+    return counts
 
 
-def _wrong_n_bases(archive):
-    manifest = json.loads((archive / "manifest.json").read_text())
-    manifest["n_bases"] -= 1
-    (archive / "manifest.json").write_text(json.dumps(manifest))
+def _negate_count(counts):
+    moved = counts[4, 0] + 1    # keeps the row total
+    counts[4, 0] -= moved
+    counts[4, 1] += moved
+    return counts
 
 
+def _stale_hash(archive):
+    # a valid matrix that holds other counts than the run drew
+    counts = np.load(archive / "counts.npy")
+    counts[2, :2] = counts[2, 1::-1]
+    np.save(archive / "counts.npy", counts)
+
+
+# fault -> (corruption, the part of the error message its own check gives)
 ARCHIVE_FAULTS = {
-    "missing manifest key": _drop_manifest_key,
-    "missing basis file": _drop_file,
-    "missing manifest": _drop_manifest,
-    "truncated JSON": _truncate,
-    "bitstring too wide": _edit_counts(
-        lambda c: _rekey(c, lambda bits: "0" + bits)),
-    "bitstring not 0/1": _edit_counts(
-        lambda c: _rekey(c, lambda bits: "2" + bits[1:])),
-    "counts off the shot total": _edit_counts(
-        lambda c: {bits: n + 1 for bits, n in c.items()}),
-    "shots off the manifest": _shots_mismatch,
-    "n_bases disagrees with the plan": _wrong_n_bases,
+    "missing manifest key": (_edit_manifest(
+        lambda m: m.pop("shots_per_basis")), "lacks 'shots_per_basis'"),
+    "missing counts file": (
+        lambda archive: (archive / "counts.npy").unlink(), "cannot read"),
+    "missing manifest": (
+        lambda archive: (archive / "manifest.json").unlink(), "cannot read"),
+    "truncated counts": (_truncate, "not a readable .npy array"),
+    "wrong column count": (_edit_counts(
+        lambda c: np.hstack([c, np.zeros((len(c), 1), dtype=c.dtype)])),
+        "shape (12, 17)"),
+    "negative count": (_edit_counts(_negate_count), "negative count"),
+    "non-integer dtype": (_edit_counts(lambda c: c.astype(float)),
+                          "float64 array"),
+    "counts off the shot total": (_edit_counts(_add_count),
+                                  "rows [3] do not sum"),
+    "shots off the manifest": (_edit_manifest(
+        lambda m: m.__setitem__("shots_per_basis", m["shots_per_basis"] + 1)),
+        "do not sum to shots_per_basis 2001"),
+    "n_bases disagrees with the plan": (_edit_manifest(
+        lambda m: m.__setitem__("n_bases", m["n_bases"] - 1)),
+        "disagrees with its plan"),
+    "stale hash": (_stale_hash, "does not match the SHA-256"),
+    "schema-1 archive": (_edit_manifest(
+        lambda m: m.__setitem__("schema", 1)), "has schema 1"),
+    # a valid permutation of the modes that the plan was not routed for
+    "layout the routing does not fit": (_edit_manifest(
+        lambda m: m.__setitem__("layout", m["layout"][::-1])),
+        "does not fit its layout"),
 }
+
+
+def _analyze(config, archive, tmp_path):
+    return main(["analyze", "--config", str(config), "--archive",
+                 str(archive), "--output", str(tmp_path / "r.json")])
 
 
 @pytest.mark.parametrize("fault", ARCHIVE_FAULTS)
@@ -351,7 +374,36 @@ def test_archive_faults_exit_2(h2, tmp_path, fault, capsys):
     config, archive, _ = h2
     broken = tmp_path / "counts"
     shutil.copytree(archive, broken)
-    ARCHIVE_FAULTS[fault](broken)
-    assert main(["analyze", "--config", str(config), "--archive",
-                 str(broken), "--output", str(tmp_path / "r.json")]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    corrupt, message = ARCHIVE_FAULTS[fault]
+    corrupt(broken)
+    assert _analyze(config, broken, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert "Traceback" not in err
+
+
+# each edit makes the config disagree with the archive in one field
+CONFIG_MISMATCHES = {
+    "shots_per_basis": lambda cfg, manifest: cfg.update(
+        shots=cfg["shots"] + 1),
+    "noise": lambda cfg, manifest: cfg.update(
+        noise={**cfg["noise"], "p10": 0.04}),
+    "master_seed": lambda cfg, manifest: cfg.update(
+        master_seed=cfg["master_seed"] + 1),
+    "n_electrons": lambda cfg, manifest: manifest.update(n_electrons=1),
+}
+
+
+@pytest.mark.parametrize("field", CONFIG_MISMATCHES)
+def test_archive_config_mismatch_exits_2(h2, tmp_path, field, capsys):
+    config, archive, _ = h2
+    broken = tmp_path / "counts"
+    shutil.copytree(archive, broken)
+    cfg = json.loads(config.read_text())
+    _edit_manifest(lambda m: CONFIG_MISMATCHES[field](cfg, m))(broken)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert _analyze(path, broken, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: archive {field} " in err
+    assert "Traceback" not in err

@@ -4,6 +4,7 @@ Every test drives the real entry point (``qcmoments.cli.main``) in-process
 and checks exit codes, file artifacts, and numerical results against the
 exact-diagonalization values of the committed fixtures.
 """
+import hashlib
 import json
 import pathlib
 
@@ -208,7 +209,9 @@ def test_run_is_seed_reproducible(tmp_path, capsys):
                      "--thetas", str(thetas), "--output-dir",
                      str(out)]) == 0
         dirs.append(out)
-    for f in sorted(p.name for p in dirs[0].iterdir()):
+    names = sorted(p.name for p in dirs[0].iterdir())
+    assert names == ["counts.npy", "manifest.json", "plan.json"]
+    for f in names:
         assert (dirs[0] / f).read_bytes() == (dirs[1] / f).read_bytes()
 
 
@@ -230,10 +233,18 @@ def test_run_archive_manifest(tmp_path):
     assert main(["run", "--config", str(cfg), "--plan", str(plan),
                  "--thetas", str(thetas), "--output-dir", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["schema"] == 2
+    assert "files" not in manifest
+    assert sorted(manifest["sha256"]) == ["counts.npy", "plan.json"]
+    for name, digest in manifest["sha256"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    assert (out / "plan.json").read_bytes() == plan.read_bytes()
     n_bases = manifest["n_bases"]
-    assert manifest["total_shots"] == 1000 * (2 * n_bases + 2)
-    for name in manifest["files"].values():
-        assert (out / name).exists()
+    counts = np.load(out / "counts.npy", allow_pickle=False)
+    assert counts.dtype == np.dtype("<i8")
+    assert counts.shape == (2 * n_bases + 2, 1 << manifest["n_qubits"])
+    assert (counts >= 0).all() and (counts.sum(axis=1) == 1000).all()
+    assert manifest["total_shots"] == counts.sum() == 1000 * (2 * n_bases + 2)
 
 
 def test_measurement_circuit_on_prepared_state_is_exact(tmp_path):

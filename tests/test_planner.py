@@ -1,6 +1,5 @@
 """Element enumeration, Re/Im decomposition, grouping, and measurement
 circuits."""
-import itertools
 
 import numpy as np
 import pytest
@@ -8,11 +7,14 @@ import pytest
 from qcmoments.conventions import interleaved_spins
 from qcmoments.fermion import jordan_wigner
 from qcmoments.planner import (
-    MeasurementPlan, RdmElement, build_measurement_circuit, build_plan,
-    decompose_element, element_count_formula, enumerate_elements,
-    _solve_signs, factor_operator, group_level1, group_level2, product_value,
+    MeasurementPlan, RdmElement, _cross_matchings, _split_element,
+    build_measurement_circuit, build_plan, decompose_element,
+    element_count_formula, enumerate_elements, group_level1, group_level2,
+    product_value,
 )
 from qcmoments.simulator import Statevector, run
+
+from reference_planner import factor_operator, solved_products
 
 SPINS4 = ("u", "u", "d", "d")
 
@@ -130,21 +132,7 @@ def test_decompose_rejects_spin_nonconserving():
         decompose_element(RdmElement((0, 1), (2, 3)), SPINS4)
 
 
-# -- one sign solve per index pattern
-
-def unrelabeled_products(e, spins, matching):
-    """The even-Im candidates of `matching` with signs solved directly on
-    the element's own modes, without the relabeling to ranks."""
-    n = len(spins)
-    numbers = sorted(set(e.creations) & set(e.annihilations))
-    sites = [tuple(sorted(p)) for p in matching]
-    candidates = [
-        tuple(("N", (i,)) for i in numbers) + tuple(zip(kinds, sites))
-        for kinds in itertools.product(("Re", "Im"), repeat=len(sites))
-        if kinds.count("Im") % 2 == 0]
-    target = (e.operator(n) + e.operator(n).dagger()).scale(0.5)
-    return list(zip(_solve_signs(candidates, target, n), candidates))
-
+# -- closed-form signs against direct solves
 
 def test_plan_signs_match_direct_solves_for_940_elements():
     spins = interleaved_spins(8)
@@ -153,26 +141,51 @@ def test_plan_signs_match_direct_solves_for_940_elements():
     _, assignments = group_level1(elements, spins)
     for e, (_, matching, _) in zip(elements, assignments):
         got = [(sign, factors) for _, sign, factors in plan.coverage[e]]
-        assert got == unrelabeled_products(e, spins, matching)
+        assert got == solved_products(e, len(spins), matching)
 
 
-def test_pattern_memo_on_noncontiguous_modes():
+@pytest.mark.parametrize("n_modes, order", [(6, 3), (9, 4)])
+def test_sign_rule_matches_direct_solves_on_every_matching(n_modes, order):
+    # every element with every same-spin matching; the direct solve runs
+    # once per pattern on the element's modes relabeled to their ranks,
+    # which normal ordering cannot tell apart, because it compares modes
+    # only with < and ==
+    spins = interleaved_spins(n_modes)
+    oracle = {}
+    checked = 0
+    for e in enumerate_elements(n_modes, order, spins):
+        _, cres, anns = _split_element(e)
+        modes = sorted(set(e.creations) | set(e.annihilations))
+        rank = {m: r for r, m in enumerate(modes)}
+        ranked = RdmElement(tuple(rank[m] for m in e.creations),
+                            tuple(rank[m] for m in e.annihilations))
+        for matching in _cross_matchings(cres, anns, spins):
+            ranked_matching = tuple((rank[c], rank[a]) for c, a in matching)
+            key = (ranked, ranked_matching)
+            if key not in oracle:
+                oracle[key] = solved_products(ranked, len(modes),
+                                              ranked_matching)
+            got = [(sign, tuple((k, tuple(rank[m] for m in idx))
+                                for k, idx in factors))
+                   for sign, factors in decompose_element(e, spins, matching)]
+            assert got == oracle[key]
+            checked += 1
+    assert all(sign for products in oracle.values() for sign, _ in products)
+    assert checked > len(oracle)
+
+
+def test_sign_rule_on_noncontiguous_modes():
     spins = interleaved_spins(8)
-    memo = {}
     cases = [
-        # modes (1, 4, 6, 7) have ranks 0..3; the second element has the
-        # same rank pattern, so it is answered from the memo
         (RdmElement((1, 4), (6, 7)), ((1, 7), (4, 6))),
         (RdmElement((1, 2), (4, 5)), ((1, 5), (2, 4))),
         (RdmElement((4, 7), (1, 6)), ((4, 6), (7, 1))),
         (RdmElement((1, 4, 7), (1, 6, 7)), ((4, 6),)),
-        # same rank pattern as the first two, other matching: its own solve
         (RdmElement((0, 2), (4, 6)), ((0, 4), (2, 6))),
     ]
     for e, matching in cases:
-        assert decompose_element(e, spins, matching=matching, memo=memo) \
-            == unrelabeled_products(e, spins, matching)
-    assert len(memo) == 4
+        assert decompose_element(e, spins, matching=matching) \
+            == solved_products(e, len(spins), matching)
     assert_decomposition_exact(cases[0][0], spins)
 
 

@@ -169,19 +169,27 @@ def test_sampling_deterministic_and_calibrated():
     noise = NoiseSpec(rng_seed=5)
     t1 = sample(state, 4000, noise)
     t2 = sample(state, 4000, noise)
-    assert t1.counts == t2.counts
+    assert np.array_equal(t1.outcomes, t2.outcomes)
+    assert np.array_equal(t1.counts, t2.counts)
     assert t1.shots == 4000
     # ~50/50 within 5 sigma of binomial
-    p0 = t1.counts.get("00", 0) / 4000
+    p0 = t1.vector(2)[0] / 4000
     assert abs(p0 - 0.5) < 5 * np.sqrt(0.25 / 4000)
-    assert set(t1.counts) <= {"00", "01"}  # qubit 1 never set; MSB-first strings
+    assert t1.outcomes.tolist() == [0, 1]  # qubit 1 (bit 1) never set
 
 
 def test_counts_table_roundtrip():
-    t = CountsTable(counts={"01": 3, "10": 7}, shots=10)
-    assert CountsTable.from_json(t.to_json()).counts == t.counts
-    with pytest.raises(ValueError):
-        CountsTable(counts={"0": 1}, shots=2)
+    t = CountsTable(np.array([1, 2]), np.array([3, 7]), shots=10)
+    v = t.vector(2)
+    assert v.dtype == np.int64 and v.tolist() == [0, 3, 7, 0]
+    back = CountsTable(np.flatnonzero(v), v[v > 0], shots=10)
+    assert back.outcomes.tolist() == [1, 2] and back.counts.tolist() == [3, 7]
+    with pytest.raises(ValueError, match="shot total"):
+        CountsTable(np.array([0]), np.array([1]), shots=2)
+    with pytest.raises(ValueError, match="shot total"):
+        CountsTable(np.array([0, 1]), np.array([3, -1]), shots=2)
+    with pytest.raises(ValueError, match="increasing"):
+        CountsTable(np.array([2, 1]), np.array([1, 1]), shots=2)
 
 
 def test_sector_basis_counts():
