@@ -68,14 +68,14 @@ ABLATION_STACKS = [
 ARCHIVE_SCHEMA = 2
 
 
-def write_archive(archive_dir, plan_text: str, counts, manifest: dict):
-    """Write ``plan.json`` (the plan text as given, not re-serialized),
+def write_archive(archive_dir, plan_bytes: bytes, counts, manifest: dict):
+    """Write ``plan.json`` (the plan bytes as given, not re-serialized),
     ``counts.npy`` (the count matrix as little-endian int64) and
     ``manifest.json``: the given fields plus the schema and the SHA-256 of
     the other two files. Same inputs give byte-identical files."""
     buffer = io.BytesIO()
     np.save(buffer, np.asarray(counts, dtype="<i8"), allow_pickle=False)
-    blobs = {"plan.json": plan_text.encode(), "counts.npy": buffer.getvalue()}
+    blobs = {"plan.json": plan_bytes, "counts.npy": buffer.getvalue()}
     os.makedirs(archive_dir, exist_ok=True)
     for name, data in blobs.items():
         with open(os.path.join(archive_dir, name), "wb") as fh:
@@ -87,12 +87,23 @@ def write_archive(archive_dir, plan_text: str, counts, manifest: dict):
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _read_bytes(path):
+def read_bytes(path, what: str = "archive file") -> bytes:
+    """The bytes of an input file; ConfigError if it cannot be read."""
     try:
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read archive file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def parse_plan(data: bytes, source: str) -> MeasurementPlan:
+    """The plan held in `data`; ConfigError naming `source` if it is not
+    a well-formed plan."""
+    try:
+        return MeasurementPlan.loads(data.decode())
+    except (ValueError, KeyError, IndexError, TypeError,
+            AttributeError) as exc:
+        raise ConfigError(f"{source} is malformed: {exc!r}") from exc
 
 
 def load_archive(archive_dir):
@@ -107,7 +118,7 @@ def load_archive(archive_dir):
     """
     path = os.path.join(archive_dir, "manifest.json")
     try:
-        manifest = json.loads(_read_bytes(path))
+        manifest = json.loads(read_bytes(path))
     except ValueError as exc:
         raise ConfigError(f"archive file {path} is not valid JSON: {exc}") \
             from exc
@@ -127,16 +138,11 @@ def load_archive(archive_dir):
     blobs = {}
     for name in ("plan.json", "counts.npy"):
         path = os.path.join(archive_dir, name)
-        blobs[name] = _read_bytes(path)
+        blobs[name] = read_bytes(path)
         if hashlib.sha256(blobs[name]).hexdigest() != digests.get(name):
             raise ConfigError(f"archive file {path} does not match the "
                               "SHA-256 its manifest records")
-    try:
-        plan = MeasurementPlan.loads(blobs["plan.json"].decode())
-    except (ValueError, KeyError, IndexError, TypeError,
-            AttributeError) as exc:
-        raise ConfigError(f"archive plan in {archive_dir} is malformed: "
-                          f"{exc!r}") from exc
+    plan = parse_plan(blobs["plan.json"], f"archive plan in {archive_dir}")
     if n_bases != len(plan.bases) or n_qubits != plan.n_modes:
         raise ConfigError(
             f"archive manifest ({n_bases} bases, {n_qubits} qubits) "

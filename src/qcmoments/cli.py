@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .analysis import (
     ABLATION_STACKS, Analyzer, check_archive_config, load_archive,
-    write_archive,
+    parse_plan, read_bytes, write_archive,
 )
 from .config import ConfigError, PipelineConfig, derive_seed, load_config
 from .conventions import interleaved_spins, sz_of
@@ -29,7 +30,7 @@ from .integrals import (
     freeze_orbitals, load_fcidump, spin_orbital_hamiltonian,
 )
 from .planner import build_measurement_circuit, build_plan, \
-    enumerate_elements, MeasurementPlan
+    enumerate_elements
 from .qcm import EnergyEstimate, bootstrap
 from .simulator import NoiseSpec, Statevector, exact_diagonalize, \
     operator_matrix_in_sector, run, sample
@@ -164,18 +165,42 @@ def cmd_optimize(args) -> int:
 # run
 
 
+def _measurement_circuits(plan, layout, source: str) -> list:
+    """One measurement circuit per concrete basis of the plan; ConfigError
+    naming `source` if the plan's routing does not fit `layout`."""
+    try:
+        return [build_measurement_circuit(b, layout) for b in plan.bases]
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        raise ConfigError(f"{source} does not fit its layout "
+                          f"{list(layout)}: {exc!r}") from exc
+
+
+def _read_thetas(path, n_excitations: int) -> list:
+    """The finite amplitudes of a thetas file, one per excitation;
+    ConfigError on any fault."""
+    data = read_bytes(path, "thetas file")
+    try:
+        thetas = [float(t) for t in json.loads(data)["thetas"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"thetas file {path} is malformed: {exc!r}") \
+            from exc
+    if len(thetas) != n_excitations or not all(map(math.isfinite, thetas)):
+        raise ConfigError(
+            f"thetas file {path} must hold {n_excitations} finite thetas, "
+            f"one per excitation, not {thetas}")
+    return thetas
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     ints, _, ansatz = _load_system(cfg)
     n, ne = ints.n_spin_orbitals, ints.n_electrons
-    with open(args.plan) as fh:
-        plan_text = fh.read()
-    plan = MeasurementPlan.loads(plan_text)
+    plan_bytes = read_bytes(args.plan, "plan file")
+    plan = parse_plan(plan_bytes, f"plan file {args.plan}")
     if plan.n_modes != n:
         raise ConfigError(
             f"plan covers {plan.n_modes} modes but the ansatz uses {n}")
-    with open(args.thetas) as fh:
-        thetas = json.load(fh)["thetas"]
+    thetas = _read_thetas(args.thetas, len(ansatz.excitations))
     built_trial = build_uccd(ansatz.with_thetas(thetas))
     built_ref = build_uccd(ansatz.with_thetas([0.0] * len(thetas)))
     noise = _noise_spec(cfg, n)
@@ -192,6 +217,10 @@ def cmd_run(args) -> int:
         counts[row] = sample(
             state, cfg.shots, cal_noise,
             seed=derive_seed(cfg.master_seed, "calibration", row)).vector(n)
+    # the amplitudes do not move the qubits, so both states end in the
+    # trial layout and share the measurement circuits
+    circuits = _measurement_circuits(plan, built_trial.layout,
+                                     f"plan file {args.plan}")
     for block, (built, tag) in enumerate(((built_trial, "sample-trial"),
                                           (built_ref, "sample-reference"))):
         # the state stays pure until sampling, so the preparation runs once
@@ -199,8 +228,7 @@ def cmd_run(args) -> int:
         # noise still counts the CNOTs of the whole circuit
         prepared = run(built.circuit, zero)
         prep_cnots = built.circuit.cnot_count()
-        for i, basis in enumerate(plan.bases):
-            mc = build_measurement_circuit(basis, built.layout)
+        for i, mc in enumerate(circuits):
             state = run(mc.circuit, prepared)
             counts[2 + block * n_bases + i] = sample(
                 state, cfg.shots, noise,
@@ -208,14 +236,14 @@ def cmd_run(args) -> int:
                 seed=derive_seed(cfg.master_seed, tag, i)).vector(n)
 
     total = int(counts.sum())
-    write_archive(args.output_dir, plan_text, counts, {
+    write_archive(args.output_dir, plan_bytes, counts, {
         "n_qubits": n,
         "n_electrons": ne,
         "n_bases": n_bases,
         "shots_per_basis": cfg.shots,
         "total_shots": total,
         "layout": list(built_trial.layout),
-        "thetas": [float(t) for t in thetas],
+        "thetas": thetas,
         "noise": cfg.noise,
         "master_seed": cfg.master_seed,
     })
@@ -235,12 +263,8 @@ def cmd_analyze(args) -> int:
     if plan.n_modes != ints.n_spin_orbitals:
         raise ConfigError("archive and config disagree on the mode count")
     check_archive_config(manifest, cfg, ints.n_electrons)
-    layout = tuple(manifest["layout"])
-    try:
-        circuits = [build_measurement_circuit(b, layout) for b in plan.bases]
-    except ValueError as exc:
-        raise ConfigError(f"archive plan does not fit its layout: {exc}") \
-            from exc
+    circuits = _measurement_circuits(plan, tuple(manifest["layout"]),
+                                     f"archive plan in {args.archive}")
     analyzer = Analyzer(cfg, plan, circuits, ints.n_electrons, h)
 
     e_fci, _ = exact_diagonalize(h, ints.n_electrons, sz=analyzer.sz)

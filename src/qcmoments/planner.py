@@ -225,7 +225,7 @@ class PairingBasis:
         return {
             "interactions": [list(s) for s in self.interactions],
             "assignments": None if self.assignments is None else
-            {json.dumps(list(k)): v for k, v in self.assignments.items()},
+            {f"[{a}, {b}]": v for (a, b), v in self.assignments.items()},
             "schedule": None if self.schedule is None
             else self.schedule.to_json(),
             "schedule_pairs": [list(p) for p in self.schedule_pairs],
@@ -236,14 +236,26 @@ class PairingBasis:
     def from_json(cls, obj: dict) -> "PairingBasis":
         assignments = obj["assignments"]
         if assignments is not None:
-            assignments = {tuple(json.loads(k)): v
-                           for k, v in assignments.items()}
+            assignments = {_site_key(k): v for k, v in assignments.items()}
         schedule = obj["schedule"]
         if schedule is not None:
             schedule = Schedule.from_json(schedule)
         return cls([tuple(s) for s in obj["interactions"]], assignments,
                    schedule, [tuple(p) for p in obj["schedule_pairs"]],
                    obj["parent"])
+
+
+def _site_key(key: str) -> tuple:
+    """(a, b) from an assignment key written as "[a, b]"; ValueError if
+    the key is written any other way."""
+    a, _, b = key[1:-1].partition(", ")
+    try:
+        site = (int(a), int(b))
+    except ValueError:
+        site = None
+    if site is None or key != f"[{site[0]}, {site[1]}]":
+        raise ValueError(f"malformed assignment key {key!r}")
+    return site
 
 
 def _number_covers(numbers, spins):
@@ -277,52 +289,57 @@ def _requirement_options(e: RdmElement, spins):
     return options
 
 
-def _fit_option(have, used, required):
-    """Interactions to add, or None if the option conflicts with a basis
-    holding the interactions `have` on the busy qubits `used`."""
-    additions, add_used = [], set()
-    for site in required:
-        if site in have:
-            continue
-        qs = set(site)
-        if qs & used or qs & add_used:
-            return None
-        additions.append(site)
-        add_used |= qs
-    return additions
-
-
 def group_level1(elements, spins):
-    """Greedy first-found partition of elements into pairing bases.
+    """Greedy first-fit partition of elements into pairing bases.
 
     Returns (bases, assignments) with assignments[i] = (basis index,
-    matching, required interaction set) for elements[i]. Each basis is
-    kept as its interaction set and its busy qubits while elements are
-    placed.
+    matching, required interaction set) for elements[i]. An element goes to
+    the first basis that one of its options fits, with the option that adds
+    the fewest interactions there (the first on ties), or else opens a basis
+    with its smallest option.
+
+    The bases are tracked as bit sets over basis indices: ``holds[site]``
+    marks the bases that hold an interaction and ``busy[q]`` those in which
+    qubit q is taken. A required site fits a basis that holds it or in
+    which both its qubits are free, so the AND over an option's sites of
+    ``holds[site] | ~(busy[q1] | busy[q2])`` is every basis the option fits,
+    and the lowest set bit over all options is the first-fit basis. The
+    sites of one option are pairwise disjoint, so they cannot clash with
+    each other.
     """
-    haves, useds = [], []
-    assignments = []
+    holds, busy = {}, [0] * len(spins)
+    haves, assignments = [], []
     for e in elements:
-        options = [(matching, required, sorted(required))
-                   for matching, required in _requirement_options(e, spins)]
-        for b_idx, (have, used) in enumerate(zip(haves, useds)):
+        options = _requirement_options(e, spins)
+        fits = []
+        for _, required in options:
+            fit = (1 << len(haves)) - 1
+            for site in required:
+                fit &= holds.get(site, 0) | ~(busy[site[0]] | busy[site[1]])
+            fits.append(fit)
+        union = 0
+        for fit in fits:
+            union |= fit
+        if union:
+            bit = union & -union
             best = None
-            for matching, required, ordered in options:
-                additions = _fit_option(have, used, ordered)
-                if additions is not None and (
-                        best is None or len(additions) < len(best[2])):
-                    best = (matching, required, additions)
-            if best is not None:
-                matching, required, additions = best
-                have.update(additions)
-                used.update(q for site in additions for q in site)
-                assignments.append((b_idx, matching, required))
-                break
+            for option, fit in zip(options, fits):
+                if fit & bit:
+                    additions = [site for site in option[1]
+                                 if not holds.get(site, 0) & bit]
+                    if best is None or len(additions) < len(added):
+                        best, added = option, additions
         else:
-            matching, required, _ = options[0]
-            haves.append(set(required))
-            useds.append({q for site in required for q in site})
-            assignments.append((len(haves) - 1, matching, required))
+            bit = 1 << len(haves)
+            best, added = options[0], list(options[0][1])
+            haves.append(set())
+        b_idx = bit.bit_length() - 1
+        haves[b_idx].update(added)
+        for site in added:
+            holds[site] = holds.get(site, 0) | bit
+            busy[site[0]] |= bit
+            busy[site[1]] |= bit
+        assignments.append((b_idx, best[0], best[1]))
     return [PairingBasis(sorted(have)) for have in haves], assignments
 
 
@@ -405,11 +422,9 @@ class MeasurementPlan:
             "spins": "".join(self.spins),
             "level1": [b.to_json() for b in self.level1],
             "bases": [b.to_json() for b in self.bases],
+            # json writes each (index, sign, factors) tuple as a list
             "coverage": [
-                [e.to_json(),
-                 [[idx, sign, [[k, list(i)] for k, i in factors]]
-                  for idx, sign, factors in prods]]
-                for e, prods in self.coverage.items()],
+                [e.to_json(), prods] for e, prods in self.coverage.items()],
         }
 
     @classmethod

@@ -1,16 +1,21 @@
-"""Direct sign solves: the oracle that the closed-form signs of
-:func:`qcmoments.planner.decompose_element` are checked against.
+"""Planner oracles: direct sign solves and the first-fit scan.
 
-Each candidate product of Re/Im/number factors is normal-ordered with
-``fermion.multiply``, and a least-squares solve finds the coefficients that
-rebuild the Hermitian part (e + e†)/2 of the element, as the planner did
-before the sign rule replaced it.
+The closed-form signs of :func:`qcmoments.planner.decompose_element` are
+checked against direct solves: each candidate product of Re/Im/number
+factors is normal-ordered with ``fermion.multiply``, and a least-squares
+solve finds the coefficients that rebuild the Hermitian part (e + e†)/2 of
+the element, as the planner did before the sign rule replaced it.
+
+The bit-set grouping of :func:`qcmoments.planner.group_level1` is checked
+against ``group_level1_scan``, which tries every earlier basis in order
+against every option of the element.
 """
 import itertools
 
 import numpy as np
 
 from qcmoments.fermion import FermionOperator, multiply
+from qcmoments.planner import PairingBasis, _requirement_options
 
 
 def factor_operator(factor, n_modes: int) -> FermionOperator:
@@ -73,3 +78,47 @@ def solved_products(e, n_modes: int, matching):
         if kinds.count("Im") % 2 == 0]
     target = (e.operator(n_modes) + e.operator(n_modes).dagger()).scale(0.5)
     return list(zip(solve_signs(candidates, target, n_modes), candidates))
+
+
+def _fit_option(have, used, required):
+    """Interactions to add, or None if the option conflicts with a basis
+    holding the interactions `have` on the busy qubits `used`."""
+    additions, add_used = [], set()
+    for site in required:
+        if site in have:
+            continue
+        qs = set(site)
+        if qs & used or qs & add_used:
+            return None
+        additions.append(site)
+        add_used |= qs
+    return additions
+
+
+def group_level1_scan(elements, spins):
+    """Greedy first-fit partition of elements into pairing bases, by a scan
+    over the bases in order; same return value as ``group_level1``."""
+    haves, useds = [], []
+    assignments = []
+    for e in elements:
+        options = [(matching, required, sorted(required))
+                   for matching, required in _requirement_options(e, spins)]
+        for b_idx, (have, used) in enumerate(zip(haves, useds)):
+            best = None
+            for matching, required, ordered in options:
+                additions = _fit_option(have, used, ordered)
+                if additions is not None and (
+                        best is None or len(additions) < len(best[2])):
+                    best = (matching, required, additions)
+            if best is not None:
+                matching, required, additions = best
+                have.update(additions)
+                used.update(q for site in additions for q in site)
+                assignments.append((b_idx, matching, required))
+                break
+        else:
+            matching, required, _ = options[0]
+            haves.append(set(required))
+            useds.append({q for site in required for q in site})
+            assignments.append((len(haves) - 1, matching, required))
+    return [PairingBasis(sorted(have)) for have in haves], assignments

@@ -13,6 +13,7 @@ import pytest
 from fixtures_util import (
     H2_PATH, dense_fock_matrix, h2_system, h4_system, optimized_thetas,
 )
+from reference_routing import check_constraints, exhaustive_min_depth
 from test_qcm import (
     cumulants_recursive, lanczos_mp, matrix_moments,
     random_state_and_hamiltonian,
@@ -32,9 +33,7 @@ from qcmoments.qcm import (
     MomentSet, cumulants, hamiltonian_powers, lanczos_energy,
     moments_from_rdm, moments_from_statevector,
 )
-from qcmoments.routing import (
-    check_constraints, exhaustive_min_depth, route_pairs,
-)
+from qcmoments.routing import route_pairs
 from qcmoments.simulator import Statevector, run, sector_basis
 from qcmoments.trial import (
     Ansatz, Excitation, build_uccd, exact_trial_state,

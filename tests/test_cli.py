@@ -7,6 +7,7 @@ exact-diagonalization values of the committed fixtures.
 import hashlib
 import json
 import pathlib
+import shutil
 
 import numpy as np
 import pytest
@@ -245,6 +246,81 @@ def test_run_archive_manifest(tmp_path):
     assert counts.shape == (2 * n_bases + 2, 1 << manifest["n_qubits"])
     assert (counts >= 0).all() and (counts.sum(axis=1) == 1000).all()
     assert manifest["total_shots"] == counts.sum() == 1000 * (2 * n_bases + 2)
+
+
+@pytest.fixture(scope="module")
+def run_inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("run_inputs")
+    cfg = write_config(tmp, shots=500, spsa={"iterations": 0, "seeds": 1})
+    plan, thetas = _plan_and_thetas(tmp, cfg)
+    return cfg, plan, thetas
+
+
+def _edit_json(edit):
+    def corrupt(path):
+        obj = json.loads(path.read_text())
+        path.write_text(json.dumps(edit(obj)))
+    return corrupt
+
+
+def _edit_pair_basis(edit):
+    def apply(plan):
+        basis = next(b for b in plan["bases"] if b["schedule_pairs"])
+        edit(basis)
+        return plan
+    return _edit_json(apply)
+
+
+def _truncate(path):
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+
+
+# input faults of `run`: name -> (file, corruption, message fragment)
+RUN_FAULTS = {
+    "missing plan file": ("plan", pathlib.Path.unlink,
+                          "cannot read plan file"),
+    "missing thetas file": ("thetas", pathlib.Path.unlink,
+                            "cannot read thetas file"),
+    "plan without bases": ("plan", _edit_json(
+        lambda p: {k: v for k, v in p.items() if k != "bases"}),
+        "is malformed: KeyError('bases')"),
+    "plan is a list": ("plan", _edit_json(lambda p: []), "is malformed"),
+    "truncated plan": ("plan", _truncate, "is malformed"),
+    "malformed assignment key": ("plan", _edit_pair_basis(
+        lambda b: b.update(assignments={
+            k.replace(", ", ","): v for k, v in b["assignments"].items()})),
+        "malformed assignment key"),
+    "plan routed for another layout": ("plan", _edit_pair_basis(
+        lambda b: b.update(schedule_pairs=[[0, 3]])),
+        "does not fit its layout"),
+    "thetas without the key": ("thetas", _edit_json(
+        lambda t: {"energy": t["energy"]}),
+        "is malformed: KeyError('thetas')"),
+    "thetas of the wrong length": ("thetas", _edit_json(
+        lambda t: {"thetas": t["thetas"] * 2}), "must hold 1 finite thetas"),
+    "thetas not finite": ("thetas", _edit_json(
+        lambda t: {"thetas": [float("nan")]}), "must hold 1 finite thetas"),
+}
+
+
+@pytest.mark.parametrize("fault", RUN_FAULTS)
+def test_run_input_faults_exit_2(run_inputs, tmp_path, fault, capsys):
+    cfg, plan, thetas = run_inputs
+    inputs = {"plan": tmp_path / "plan.json",
+              "thetas": tmp_path / "thetas.json"}
+    shutil.copy(plan, inputs["plan"])
+    shutil.copy(thetas, inputs["thetas"])
+    which, corrupt, message = RUN_FAULTS[fault]
+    corrupt(inputs[which])
+    out = tmp_path / "counts"
+    assert main(["run", "--config", str(cfg), "--plan", str(inputs["plan"]),
+                 "--thetas", str(inputs["thetas"]),
+                 "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_measurement_circuit_on_prepared_state_is_exact(tmp_path):

@@ -1,6 +1,8 @@
 """Element enumeration, Re/Im decomposition, grouping, and measurement
 circuits."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from qcmoments.planner import (
 )
 from qcmoments.simulator import Statevector, run
 
-from reference_planner import factor_operator, solved_products
+from reference_planner import (
+    factor_operator, group_level1_scan, solved_products,
+)
 
 SPINS4 = ("u", "u", "d", "d")
 
@@ -384,6 +388,58 @@ def test_plan_json_roundtrip():
     back = MeasurementPlan.loads(plan.dumps())
     assert back.to_json() == plan.to_json()
     assert back.coverage == plan.coverage
+
+
+# -- the bit-set grouping against the first-fit scan, and pinned plan bytes
+
+@pytest.mark.parametrize("n_modes, order, pattern", [
+    (9, 4, "interleaved"), (9, 4, "uuuuudddd"),
+    (8, 3, "interleaved"), (8, 3, "uuuudddd"),
+])
+def test_group_level1_matches_first_fit_scan(n_modes, order, pattern):
+    spins = interleaved_spins(n_modes) if pattern == "interleaved" \
+        else tuple(pattern)
+    elements = enumerate_elements(n_modes, order, spins)
+    bases, assignments = group_level1(elements, spins)
+    ref_bases, ref_assignments = group_level1_scan(elements, spins)
+    assert [b.interactions for b in bases] == \
+        [b.interactions for b in ref_bases]
+    assert assignments == ref_assignments
+
+
+# SHA-256 of plan.dumps() as the planner wrote it before the bit-set
+# grouping, the routing failure memo and the direct key formatting
+PLAN_DIGESTS = {
+    (8, 4, "interleaved", False):
+        "9ff386fe28731c888cc63013474b5aa8f97bbc18807ad91e0c5db6a172d682f4",
+    (8, 4, "interleaved", True):
+        "3a1b871d649e94867265a4dde458f589a7b32569975923d249ffdc3b1d369d72",
+    (9, 4, "interleaved", False):
+        "56cb26a6d4a4ed1eb85a5387374deee0cb42bf0204238e78e8af436378498395",
+    (9, 4, "uuuuudddd", False):
+        "38b256520fa1d957a79c4b163be882ba9b4001f82237a0c0811c7d9d689ac238",
+}
+
+
+@pytest.mark.parametrize("n_modes, order, pattern, reversed_layout",
+                         PLAN_DIGESTS)
+def test_plan_bytes_are_pinned(n_modes, order, pattern, reversed_layout):
+    spins = interleaved_spins(n_modes) if pattern == "interleaved" \
+        else tuple(pattern)
+    layout = range(n_modes)[::-1] if reversed_layout else range(n_modes)
+    plan = build_plan(enumerate_elements(n_modes, order, spins), spins,
+                      layout=layout)
+    digest = hashlib.sha256(plan.dumps().encode()).hexdigest()
+    assert digest == PLAN_DIGESTS[n_modes, order, pattern, reversed_layout]
+
+
+def test_malformed_assignment_key_is_rejected():
+    obj = build_plan(TWELVE, SPINS4).to_json()
+    basis = next(b for b in obj["bases"] if len(b["assignments"]) > 1)
+    for key in ("[0,1]", "[0, 1, 2]", "[0, x]", "0, 1", "[ 0, 1]", "[]"):
+        basis["assignments"] = {key: "Re"}
+        with pytest.raises(ValueError, match="assignment key"):
+            MeasurementPlan.from_json(obj)
 
 
 def test_layout_mismatch_is_an_error():

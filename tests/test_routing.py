@@ -1,8 +1,12 @@
 """Exact pair routing on a line and its binary-program constraints."""
+import itertools
+
 import pytest
 
-from qcmoments.routing import (
-    Schedule, check_constraints, exhaustive_min_depth, route_pairs,
+from qcmoments.routing import Schedule, route_pairs
+
+from reference_routing import (
+    check_constraints, exhaustive_min_depth, route_pairs_without_memo,
 )
 
 
@@ -102,3 +106,20 @@ def test_schedule_json_roundtrip():
     assert [s.swaps for s in back.steps] == [s.swaps for s in sched.steps]
     assert [s.interactions for s in back.steps] == \
         [s.interactions for s in sched.steps]
+
+
+def _disjoint_pair_sets(n_qubits, max_pairs):
+    """Every set of 1..max_pairs disjoint position pairs, pairs sorted."""
+    pairs = list(itertools.combinations(range(n_qubits), 2))
+    for k in range(1, max_pairs + 1):
+        for chosen in itertools.combinations(pairs, k):
+            if len({q for p in chosen for q in p}) == 2 * k:
+                yield list(chosen)
+
+
+def test_memo_search_matches_memo_free_search():
+    sets = list(_disjoint_pair_sets(8, 4))
+    assert len(sets) == 763
+    for pairs in sets:
+        assert route_pairs(pairs, 8).to_json() == \
+            route_pairs_without_memo(pairs, 8).to_json(), pairs
