@@ -4,7 +4,6 @@ from .config import PipelineConfig, derive_seed, load_config
 from .qcm import (
     CumulantSet, EnergyEstimate, MomentSet, bootstrap, cumulants,
     hamiltonian_powers, lanczos_energy, moments_from_rdm,
-    moments_from_statevector,
 )
 
 __version__ = "0.1.0"
@@ -12,6 +11,5 @@ __version__ = "0.1.0"
 __all__ = [
     "CumulantSet", "EnergyEstimate", "MomentSet", "PipelineConfig",
     "bootstrap", "cumulants", "derive_seed", "hamiltonian_powers",
-    "lanczos_energy", "load_config", "moments_from_rdm",
-    "moments_from_statevector", "__version__",
+    "lanczos_energy", "load_config", "moments_from_rdm", "__version__",
 ]

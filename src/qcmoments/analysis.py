@@ -369,7 +369,7 @@ class Analyzer:
                     warnings.simplefilter("ignore")
                 q_hat, corrected = reference_calibrate(
                     v, values["reference"], self.ideal_ref,
-                    self.mixed_values(), tolerance=1e-6)
+                    self.mixed_values())
             if q_hat > 0.0:
                 v = corrected
                 if mit.get("rescale"):
@@ -377,8 +377,8 @@ class Analyzer:
         if not diagnostics:
             return v, q_hat, None
         q_fit = fit_white_noise_rate(
-            values["reference"], self.ideal_ref, self.mixed_values(),
-            tolerance=1e-6) if mit.get("calibrate") else None
+            values["reference"], self.ideal_ref, self.mixed_values()) \
+            if mit.get("calibrate") else None
         return v, q_hat, {
             "acceptance": {k: [float(x) for x in r]
                            for k, r in acceptance.items()},
@@ -390,7 +390,8 @@ class Analyzer:
 
     def analyze(self, counts, mitigation=None, diagnostics=False):
         """<H> and E_L; with ``diagnostics`` also q̂, the mean acceptance,
-        the representability report and the per-basis diagnostics."""
+        the representability report and the per-basis diagnostics, which
+        then hold the unclamped c2 and whether it was clamped to 0."""
         v, q_hat, diag = self.element_values(counts, mitigation, diagnostics)
         m = self.moments(v)
         c = cumulants(m)
@@ -398,7 +399,10 @@ class Analyzer:
         # an (almost) exact trial state; clamp it and report E_L = <H>,
         # which is the correct zero-variance limit
         noise_floor = 3.0 / np.sqrt(self.cfg.shots)
-        if -noise_floor < c.c2 < 0.0:
+        clamped = bool(-noise_floor < c.c2 < 0.0)
+        if diagnostics:
+            diag.update(c2=float(c.c2), c2_clamped=clamped)
+        if clamped:
             c = CumulantSet(c.c1, 0.0, c.c3, c.c4)
         result = {"h": m.m1, "e_l": lanczos_energy(c)}
         if diagnostics:

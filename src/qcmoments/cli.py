@@ -29,12 +29,13 @@ from .conventions import interleaved_spins, sz_of
 from .integrals import (
     freeze_orbitals, load_fcidump, spin_orbital_hamiltonian,
 )
+from .mitigation import sample_calibration
 from .planner import build_measurement_circuit, build_plan, \
     enumerate_elements
 from .qcm import EnergyEstimate, bootstrap
-from .simulator import NoiseSpec, Statevector, exact_diagonalize, \
-    operator_matrix_in_sector, run, sample
-from .trial import Ansatz, Excitation, build_uccd, exact_trial_state, \
+from .simulator import NoiseSpec, Statevector, exact_diagonalize, run, \
+    sample
+from .trial import Ansatz, Excitation, build_uccd, energy_objective, \
     spsa_minimize
 
 
@@ -53,11 +54,15 @@ def _load_system(cfg: PipelineConfig):
                           f"the {ne}-electron system needs order {ne}")
     h = spin_orbital_hamiltonian(ints)
     spins = interleaved_spins(n)
-    excitations = [Excitation(tuple(e["creations"]),
-                              tuple(e["annihilations"]),
-                              float(e.get("theta", 0.0)))
-                   for e in cfg.excitations]
-    ansatz = Ansatz(n, (1 << ne) - 1, excitations, spins=spins)
+    try:
+        excitations = [Excitation(tuple(e["creations"]),
+                                  tuple(e["annihilations"]),
+                                  float(e["theta"]))
+                       for e in cfg.excitations]
+        ansatz = Ansatz(n, (1 << ne) - 1, excitations, spins=spins)
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"invalid excitation for {n} modes: {exc}") \
+            from exc
     return ints, h, ansatz
 
 
@@ -88,6 +93,12 @@ def _plan_for(cfg_or_args) -> tuple:
         max_depth = cfg.routing_max_depth
     else:
         n, order = cfg_or_args.modes, cfg_or_args.order
+        if n < 1 or not 1 <= order <= min(4, n) or \
+                cfg_or_args.ilp_max_depth < 1:
+            raise ConfigError(
+                f"plan needs --modes >= 1, --order in 1..min(4, modes) and "
+                f"--ilp-max-depth >= 1, not {n}, {order} and "
+                f"{cfg_or_args.ilp_max_depth}")
         pattern = cfg_or_args.spin_pattern
         if pattern == "interleaved":
             spins = interleaved_spins(n)
@@ -100,8 +111,7 @@ def _plan_for(cfg_or_args) -> tuple:
         layout = tuple(range(n))
         max_depth = cfg_or_args.ilp_max_depth
     elements = enumerate_elements(n, order, spins=spins)
-    plan = build_plan(elements, spins, route=True, max_depth=max_depth,
-                      layout=layout)
+    plan = build_plan(elements, spins, max_depth=max_depth, layout=layout)
     max_sched = max((b.schedule.depth for b in plan.level1 if b.schedule),
                     default=0)
     summary = {
@@ -134,30 +144,24 @@ def cmd_optimize(args) -> int:
     _, h, ansatz = _load_system(cfg)
     if not ansatz.excitations:
         raise ConfigError("optimize requires at least one excitation")
-    hmat = operator_matrix_in_sector(h, range(1 << h.n_modes))
-
-    def objective(thetas):
-        state = exact_trial_state(ansatz.with_thetas(thetas))
-        return float(np.real(np.vdot(state.amplitudes,
-                                     hmat @ state.amplitudes)))
-
+    objective = energy_objective(ansatz, h)
     theta0 = ansatz.thetas
-    n_seeds = int(cfg.spsa["seeds"])
-    iters = int(cfg.spsa["iterations"])
+    n_seeds, iters = cfg.spsa["seeds"], cfg.spsa["iterations"]
     if iters == 0:
-        best, info = theta0, {"traces": [[objective(theta0)]] * n_seeds,
-                              "best_value": objective(theta0)}
+        best, traces = theta0, [[objective(theta0)]] * n_seeds
     else:
         seeds = [derive_seed(cfg.master_seed, "optimize", i)
                  for i in range(n_seeds)]
         best, info = spsa_minimize(objective, len(theta0), seeds,
                                    max_iter=iters, theta0=theta0)
+        traces = info["traces"]
+    energy = objective(best)
     _write_json(args.output, {
         "thetas": [float(t) for t in best],
-        "energy": float(objective(best)),
-        "traces": [[float(v) for v in tr] for tr in info["traces"]],
+        "energy": energy,
+        "traces": [[float(v) for v in tr] for tr in traces],
     })
-    print(f"optimized energy {objective(best):.10f}")
+    print(f"optimized energy {energy:.10f}")
     return 0
 
 
@@ -209,14 +213,10 @@ def cmd_run(args) -> int:
     # zeros and ones, then the trial and the reference state in every basis
     n_bases = len(plan.bases)
     counts = np.zeros((2 * n_bases + 2, 1 << n), dtype=np.int64)
+    counts[:2] = sample_calibration(
+        noise, n, cfg.shots,
+        [derive_seed(cfg.master_seed, "calibration", row) for row in (0, 1)])
     zero = Statevector.basis_state(0, n)
-    ones = Statevector.basis_state((1 << n) - 1, n)
-    # calibration preparations are gate-free, so they see readout noise only
-    cal_noise = NoiseSpec(readout_flip=noise.readout_flip)
-    for row, state in enumerate((zero, ones)):
-        counts[row] = sample(
-            state, cfg.shots, cal_noise,
-            seed=derive_seed(cfg.master_seed, "calibration", row)).vector(n)
     # the amplitudes do not move the qubits, so both states end in the
     # trial layout and share the measurement circuits
     circuits = _measurement_circuits(plan, built_trial.layout,

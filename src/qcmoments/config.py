@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -43,52 +43,37 @@ def derive_seed(master_seed: int, component: str, index: int = 0) -> int:
 class PipelineConfig:
     integrals: str
     excitations: list                      # [{creations, annihilations, theta}]
-    shots: int = 100_000
-    order: int = 2
-    frozen_occupied: list = field(default_factory=list)
-    frozen_virtual: list = field(default_factory=list)
-    noise: dict = field(default_factory=lambda: {
-        "global_q": 0.0, "p01": 0.0, "p10": 0.0, "cnot_q": None})
-    mitigation: dict = field(default_factory=lambda: {
-        "qrem": True, "clip": True, "postselect": True, "rescale": True,
-        "calibrate": True})
-    bootstrap: dict = field(default_factory=lambda: {
-        "enabled": True, "resamples": 500})
-    spsa: dict = field(default_factory=lambda: {
-        "iterations": 150, "seeds": 5})
-    routing_max_depth: int = 8
-    output_dir: str = "out"
-    master_seed: int = 0
-    schema: int = SCHEMA_VERSION
+    shots: int
+    order: int
+    frozen_occupied: list
+    frozen_virtual: list
+    noise: dict
+    mitigation: dict
+    bootstrap: dict
+    spsa: dict
+    routing_max_depth: int
+    output_dir: str
+    master_seed: int
 
     def to_json(self) -> dict:
-        return {
-            "schema": self.schema,
-            "integrals": self.integrals,
-            "frozen_occupied": list(self.frozen_occupied),
-            "frozen_virtual": list(self.frozen_virtual),
-            "order": self.order,
-            "excitations": [dict(e) for e in self.excitations],
-            "shots": self.shots,
-            "noise": dict(self.noise),
-            "mitigation": dict(self.mitigation),
-            "bootstrap": dict(self.bootstrap),
-            "spsa": dict(self.spsa),
-            "routing_max_depth": self.routing_max_depth,
-            "output_dir": self.output_dir,
-            "master_seed": self.master_seed,
-        }
+        return {"schema": SCHEMA_VERSION, **asdict(self)}
 
 
-_TOP_KEYS = {
-    "schema", "integrals", "frozen_occupied", "frozen_virtual", "order",
-    "excitations", "shots", "noise", "mitigation", "bootstrap", "spsa",
-    "routing_max_depth", "output_dir", "master_seed",
+_TOP_KEYS = {f.name for f in fields(PipelineConfig)} | {"schema"}
+# defaults of the nested config objects; their keys are the allowed keys
+_DEFAULTS = {
+    "noise": {"global_q": 0.0, "p01": 0.0, "p10": 0.0, "cnot_q": None},
+    "mitigation": dict.fromkeys(
+        ("qrem", "clip", "postselect", "rescale", "calibrate"), True),
+    "bootstrap": {"enabled": True, "resamples": 500},
+    "spsa": {"iterations": 150, "seeds": 5},
 }
-_NOISE_KEYS = {"global_q", "p01", "p10", "cnot_q"}
-_MITIGATION_KEYS = {"qrem", "clip", "postselect", "rescale", "calibrate"}
-_BOOTSTRAP_KEYS = {"enabled", "resamples"}
-_SPSA_KEYS = {"iterations", "seeds"}
+
+
+# JSON kinds of config values -> the Python types json.load gives them; a
+# bool is an int to Python, so it is refused apart for the other kinds
+_KINDS = {"integer": int, "number": (int, float), "boolean": bool,
+          "string": str}
 
 
 def _require(cond, message):
@@ -96,16 +81,27 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+def _typed(value, kind: str, name: str, low=None):
+    """`value` if it is a JSON `kind` and at least `low`; else ConfigError."""
+    _require(isinstance(value, _KINDS[kind])
+             and (kind == "boolean") == isinstance(value, bool),
+             f"{name} must be a JSON {kind}, not {value!r}")
+    _require(low is None or value >= low, f"{name} must be >= {low}")
+    return value
+
+
 def validate_config(obj: dict, base_dir: str = ".") -> PipelineConfig:
     """Schema-check a parsed config document and resolve its file paths."""
     _require(isinstance(obj, dict), "config must be a JSON object")
     unknown = set(obj) - _TOP_KEYS
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-    _require(obj.get("schema") == SCHEMA_VERSION,
-             f"config schema must be {SCHEMA_VERSION}, got {obj.get('schema')}")
+    schema = obj.get("schema")
+    _require(type(schema) is int and schema == SCHEMA_VERSION,
+             f"config schema must be {SCHEMA_VERSION}, got {schema!r}")
     _require("integrals" in obj, "config requires an 'integrals' path")
-    integrals = os.path.join(base_dir, obj["integrals"]) \
-        if not os.path.isabs(obj["integrals"]) else obj["integrals"]
+    integrals = _typed(obj["integrals"], "string", "integrals")
+    if not os.path.isabs(integrals):
+        integrals = os.path.join(base_dir, integrals)
     _require(os.path.exists(integrals),
              f"integrals file does not exist: {integrals}")
 
@@ -114,61 +110,70 @@ def validate_config(obj: dict, base_dir: str = ".") -> PipelineConfig:
     for i, exc in enumerate(excitations):
         _require(isinstance(exc, dict)
                  and set(exc) <= {"creations", "annihilations", "theta"}
-                 and len(exc.get("creations", ())) == 2
-                 and len(exc.get("annihilations", ())) == 2,
+                 and all(isinstance(exc.get(k), list) and len(exc[k]) == 2
+                         for k in ("creations", "annihilations")),
                  f"excitation {i} must give two creations and two "
                  "annihilations")
-        exc.setdefault("theta", 0.0)
+        for m in exc["creations"] + exc["annihilations"]:
+            _typed(m, "integer", f"excitation {i} mode index", 0)
+        _typed(exc.setdefault("theta", 0.0), "number", f"excitation {i} theta")
 
-    def merged(key, defaults, allowed):
-        sub = dict(defaults)
+    def merged(key, kinds):
+        sub = dict(_DEFAULTS[key])
         given = obj.get(key, {})
         _require(isinstance(given, dict), f"'{key}' must be an object")
-        bad = set(given) - allowed
+        bad = set(given) - set(sub)
         _require(not bad, f"unknown keys in '{key}': {sorted(bad)}")
         sub.update(given)
+        for k, (kind, low) in kinds.items():
+            _typed(sub[k], kind, f"{key} {k}", low)
         return sub
 
-    noise = merged("noise", {"global_q": 0.0, "p01": 0.0, "p10": 0.0,
-                             "cnot_q": None}, _NOISE_KEYS)
+    # (JSON kind, lower bound) of the checked keys of each nested object
+    number, flag = ("number", None), ("boolean", None)
+    noise = merged("noise", dict.fromkeys(("global_q", "p01", "p10"), number))
     _require(0.0 <= noise["global_q"] <= 1.0, "global_q outside [0, 1]")
     _require(0.0 <= noise["p01"] < 0.5 and 0.0 <= noise["p10"] < 0.5,
              "readout flip rates must lie in [0, 0.5)")
-    mitigation = merged("mitigation", {"qrem": True, "clip": True,
-                                       "postselect": True, "rescale": True,
-                                       "calibrate": True}, _MITIGATION_KEYS)
+    _require(noise["cnot_q"] is None or 0.0 <= _typed(
+        noise["cnot_q"], "number", "noise cnot_q") <= 1.0,
+        "cnot_q outside [0, 1]")
+    mitigation = merged("mitigation",
+                        dict.fromkeys(_DEFAULTS["mitigation"], flag))
     _require(not (mitigation["calibrate"] and not mitigation["postselect"]),
              "reference calibration requires symmetry post-selection (the "
              "white-noise model is fitted within the post-selected sector)")
-    bootstrap = merged("bootstrap", {"enabled": True, "resamples": 500},
-                       _BOOTSTRAP_KEYS)
-    _require(int(bootstrap["resamples"]) >= 2, "bootstrap resamples must "
-             "be >= 2")
-    spsa = merged("spsa", {"iterations": 150, "seeds": 5}, _SPSA_KEYS)
-    _require(int(spsa["seeds"]) >= 1, "spsa seeds must be >= 1")
-    _require(int(spsa["iterations"]) >= 0, "spsa iterations must be >= 0")
+    bootstrap = merged("bootstrap",
+                       {"enabled": flag, "resamples": ("integer", 2)})
+    spsa = merged("spsa",
+                  {"iterations": ("integer", 0), "seeds": ("integer", 1)})
 
-    shots = int(obj.get("shots", 100_000))
-    _require(shots >= 1, "shots must be >= 1")
-    order = int(obj.get("order", 2))
+    shots = _typed(obj.get("shots", 100_000), "integer", "shots", 1)
+    order = _typed(obj.get("order", 2), "integer", "order")
     _require(order in (1, 2, 3, 4), "order must be 1..4")
+    frozen = {}
+    for key in ("frozen_occupied", "frozen_virtual"):
+        orbitals = obj.get(key, [])
+        _require(isinstance(orbitals, list), f"'{key}' must be a list")
+        frozen[key] = [_typed(p, "integer", f"{key} entry", 0)
+                       for p in orbitals]
+    output_dir = _typed(obj.get("output_dir", "out"), "string", "output_dir")
 
     return PipelineConfig(
         integrals=integrals,
         excitations=excitations,
         shots=shots,
         order=order,
-        frozen_occupied=[int(p) for p in obj.get("frozen_occupied", [])],
-        frozen_virtual=[int(p) for p in obj.get("frozen_virtual", [])],
         noise=noise,
         mitigation=mitigation,
         bootstrap=bootstrap,
         spsa=spsa,
-        routing_max_depth=int(obj.get("routing_max_depth", 8)),
-        output_dir=os.path.join(base_dir, obj["output_dir"])
-        if "output_dir" in obj and not os.path.isabs(obj["output_dir"])
-        else obj.get("output_dir", os.path.join(base_dir, "out")),
-        master_seed=int(obj.get("master_seed", 0)),
+        routing_max_depth=_typed(obj.get("routing_max_depth", 8), "integer",
+                                 "routing_max_depth", 1),
+        output_dir=os.path.join(base_dir, output_dir),
+        master_seed=_typed(obj.get("master_seed", 0), "integer",
+                           "master_seed", 0),
+        **frozen,
     )
 
 

@@ -10,7 +10,6 @@ accumulation is deterministic regardless of input order.
 """
 from __future__ import annotations
 
-import cmath
 from typing import Iterable
 
 DROP_TOL = 1e-12
@@ -127,8 +126,8 @@ class FermionOperator:
     # -- construction helpers
 
     @classmethod
-    def identity(cls, n_modes: int, coeff: complex = 1.0) -> "FermionOperator":
-        return cls(n_modes, {((), ()): coeff})
+    def identity(cls, n_modes: int) -> "FermionOperator":
+        return cls(n_modes, {((), ()): 1.0})
 
     @classmethod
     def from_ops(cls, n_modes: int, ops: Iterable[tuple[int, bool]],
@@ -161,8 +160,9 @@ class FermionOperator:
         elif key in self.terms:
             del self.terms[key]
 
-    def compress(self, tol: float = DROP_TOL):
-        self.terms = {k: c for k, c in self.terms.items() if abs(c) > tol}
+    def compress(self):
+        self.terms = {k: c for k, c in self.terms.items()
+                      if abs(c) > DROP_TOL}
         return self
 
     # -- arithmetic
@@ -192,12 +192,6 @@ class FermionOperator:
             out._add_raw((anns, dags), sign * c.conjugate())
         return out.compress()
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        dag = self.dagger()
-        keys = set(self.terms) | set(dag.terms)
-        return all(abs(self.terms.get(k, 0) - dag.terms.get(k, 0)) <= tol
-                   for k in keys)
-
     def __len__(self):
         return len(self.terms)
 
@@ -205,8 +199,7 @@ class FermionOperator:
         return self.terms.get(((), ()), 0.0)
 
 
-def multiply(a: FermionOperator, b: FermionOperator,
-             tol: float = DROP_TOL) -> FermionOperator:
+def multiply(a: FermionOperator, b: FermionOperator) -> FermionOperator:
     """Normal-ordered product of two operators."""
     if a.n_modes != b.n_modes:
         raise ValueError("mode-count mismatch")
@@ -217,77 +210,7 @@ def multiply(a: FermionOperator, b: FermionOperator,
             for k, s in _string_product(k1, k2).items():
                 acc[k] = acc.get(k, 0) + c * s
     out = FermionOperator(a.n_modes)
-    out.terms = {k: c for k, c in acc.items() if abs(c) > tol}
-    return out
-
-
-def number_operator(n_modes: int) -> FermionOperator:
-    return FermionOperator(
-        n_modes, {(((m,), (m,))): 1.0 for m in range(n_modes)})
-
-
-# ---------------------------------------------------------------------------
-# operator freezing
-
-
-def freeze_operator(op: FermionOperator, frozen_occ: set[int],
-                    frozen_virt: set[int]) -> FermionOperator:
-    """Project onto frozen_occ occupied / frozen_virt empty and re-index.
-
-    Strings touching a frozen-virtual mode vanish. Frozen-occupied modes must
-    appear in the creation and annihilation blocks symmetrically (their number
-    substring gives factor 1); anything else changes a frozen occupation and
-    vanishes. Surviving strings pick up interleaving parities and are
-    re-indexed onto the active modes.
-    """
-    frozen_occ = set(frozen_occ)
-    frozen_virt = set(frozen_virt)
-    if frozen_occ & frozen_virt:
-        raise ValueError("frozen_occ and frozen_virt overlap")
-    frozen = frozen_occ | frozen_virt
-    active = [m for m in range(op.n_modes) if m not in frozen]
-    remap = {m: i for i, m in enumerate(active)}
-    occ_sorted = sorted(frozen_occ)
-
-    def below(m):
-        # frozen-occupied modes with index < m
-        import bisect
-        return bisect.bisect_left(occ_sorted, m)
-
-    out = FermionOperator(len(active))
-    for (dags, anns), c in op.terms.items():
-        if any(m in frozen_virt for m in dags) or any(m in frozen_virt for m in anns):
-            continue
-        cd = frozenset(m for m in dags if m in frozen_occ)
-        ca = frozenset(m for m in anns if m in frozen_occ)
-        if cd != ca:
-            # term changes a frozen occupation: non-particle-conserving on the
-            # frozen modes, projects to zero
-            continue
-        common = sorted(cd)
-        d_act = tuple(m for m in dags if m not in cd)
-        u_act = tuple(m for m in anns if m not in ca)
-        sign = 1
-        # bring frozen daggers to the front of the dagger block
-        for m in d_act:
-            if sum(1 for f in common if f > m) % 2:
-                sign = -sign
-        # bring frozen annihilations to the back of the annihilation block
-        for m in u_act:
-            if sum(1 for f in common if f < m) % 2:
-                sign = -sign
-        # reversed frozen annihilation block (C down-sorted)
-        if (len(common) * (len(common) - 1) // 2) % 2:
-            sign = -sign
-        # frozen pair a^dag_C .. a_C moved around the active ops
-        if (len(common) * (len(d_act) + len(u_act))) % 2:
-            sign = -sign
-        # interleaving parity of active ops against frozen-occupied creations
-        par = sum(below(m) for m in d_act) + sum(below(m) for m in u_act)
-        if par % 2:
-            sign = -sign
-        key = (tuple(remap[m] for m in d_act), tuple(remap[m] for m in u_act))
-        out._add_raw(key, sign * c)
+    out.terms = acc
     return out.compress()
 
 
@@ -314,8 +237,9 @@ class PauliOperator:
         self.n_qubits = n_qubits
         self.terms = dict(terms) if terms else {}
 
-    def compress(self, tol: float = DROP_TOL):
-        self.terms = {k: c for k, c in self.terms.items() if abs(c) > tol}
+    def compress(self):
+        self.terms = {k: c for k, c in self.terms.items()
+                      if abs(c) > DROP_TOL}
         return self
 
     def _add(self, string, coeff):
@@ -343,9 +267,6 @@ class PauliOperator:
                     string.append(p)
                 out._add(tuple(string), phase)
         return out.compress()
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return all(abs(c.imag) <= tol for c in self.terms.values())
 
     def to_matrix(self):
         """Dense 2^n x 2^n matrix; qubit j is bit j of the index."""
@@ -433,35 +354,3 @@ def expectation_from_rdm(op: FermionOperator, rdm, n_electrons: int) -> float:
     if abs(total.imag) > 1e-8 * max(1.0, abs(total.real)):
         raise ValueError(f"non-negligible imaginary expectation {total}")
     return float(total.real)
-
-
-# ---------------------------------------------------------------------------
-# text serialization: lines like "(-0.5+0j)  [3^ 2^ 1 0]"
-
-
-def dumps(op: FermionOperator) -> str:
-    lines = [f"modes {op.n_modes}"]
-    for (dags, anns) in sorted(op.terms):
-        c = op.terms[(dags, anns)]
-        body = " ".join([f"{m}^" for m in dags] + [str(m) for m in anns])
-        lines.append(f"{c!r}  [{body}]")
-    return "\n".join(lines) + "\n"
-
-
-def loads(text: str) -> FermionOperator:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("modes "):
-        raise ValueError("operator dump must start with a 'modes N' line")
-    op = FermionOperator(int(lines[0].split()[1]))
-    for ln in lines[1:]:
-        coeff_part, _, body = ln.partition("[")
-        body = body.rstrip("]").strip()
-        coeff = complex(coeff_part.strip().strip("()"))
-        dags, anns = [], []
-        for tok in body.split():
-            if tok.endswith("^"):
-                dags.append(int(tok[:-1]))
-            else:
-                anns.append(int(tok))
-        op._add_raw((tuple(dags), tuple(anns)), coeff)
-    return op.compress()

@@ -14,7 +14,7 @@ Spatial orbital p carries spin-orbitals 2p (up) and 2p+1 (down).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class MolecularIntegrals:
     e_const: float
     h1: np.ndarray            # (n, n), symmetric
     h2: np.ndarray            # (n, n, n, n), physicists' <pq|rs>
-    spin_convention: str = "interleaved"  # spatial p -> spin-orbitals 2p, 2p+1
 
     def __post_init__(self):
         self.h1 = np.asarray(self.h1, dtype=float)
@@ -214,19 +213,3 @@ def spin_orbital_hamiltonian(ints: MolecularIntegrals) -> FermionOperator:
                                  (2 * s + tp, False), (2 * r + sp, False)],
                                 0.5 * v)
     return op.compress()
-
-
-def determinant_energy(ints: MolecularIntegrals, occupied_spin_orbitals) -> float:
-    """Energy of a single Slater determinant, directly from the integrals."""
-    occ = sorted(occupied_spin_orbitals)
-    e = ints.e_const
-    for a in occ:
-        e += ints.h1[a // 2, a // 2]
-    for a in occ:
-        for b in occ:
-            pa, sa = a // 2, a % 2
-            pb, sb = b // 2, b % 2
-            e += 0.5 * ints.h2[pa, pb, pa, pb]
-            if sa == sb:
-                e -= 0.5 * ints.h2[pa, pb, pb, pa]
-    return float(e)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -57,11 +57,6 @@ class AssignmentCalibration:
         return self.matrices.shape[0]
 
     @classmethod
-    def identity(cls, n_qubits: int) -> "AssignmentCalibration":
-        eye = np.broadcast_to(np.eye(2), (n_qubits, 2, 2)).copy()
-        return cls(eye, eye.copy())
-
-    @classmethod
     def from_flip_rates(cls, p01, p10) -> "AssignmentCalibration":
         p01, p10 = np.atleast_1d(p01).astype(float), \
             np.atleast_1d(p10).astype(float)
@@ -93,16 +88,17 @@ def calibration_from_counts(zeros, ones) -> AssignmentCalibration:
     return AssignmentCalibration.from_flip_rates(p01, p10)
 
 
-def calibrate_readout(noise: NoiseSpec, n_qubits: int, shots: int,
-                      seed: int = 0) -> AssignmentCalibration:
-    """Estimate per-qubit flip rates from all-zeros and all-ones preparations."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    zeros, ones = (
-        sample(Statevector.basis_state(prep, n_qubits), shots, noise,
-               seed=seed + prep).vector(n_qubits)
-        for prep in (0, (1 << n_qubits) - 1))
-    return calibration_from_counts(zeros, ones)
+def sample_calibration(noise: NoiseSpec, n_qubits: int, shots: int,
+                       seeds) -> np.ndarray:
+    """Count vectors (rows, over integer outcomes) of an all-zeros and an
+    all-ones preparation, sampled with ``seeds[0]`` and ``seeds[1]``. The
+    preparations are gate-free, so they see the readout flips of ``noise``
+    only."""
+    readout = NoiseSpec(readout_flip=noise.readout_flip)
+    return np.array([
+        sample(Statevector.basis_state(prep, n_qubits), shots, readout,
+               seed=seed).vector(n_qubits)
+        for prep, seed in zip((0, (1 << n_qubits) - 1), seeds)])
 
 
 def qrem_rows(probs: np.ndarray, cal: AssignmentCalibration) -> np.ndarray:
@@ -152,14 +148,18 @@ def apply_qrem(counts: CountsTable, cal: AssignmentCalibration) -> dict:
     return probs
 
 
-def clip_to_physical(quasi: dict, tol: float = 1e-6) -> dict:
+#: largest deviation from 1 allowed of a quasi-distribution's total
+CLIP_TOL = 1e-6
+
+
+def clip_to_physical(quasi: dict) -> dict:
     """Zero negative entries, redistributing their mass evenly over the
     remaining positive entries, iterated to a fixed point.
 
     Reference for :func:`clip_rows`.
     """
     total = sum(quasi.values())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > CLIP_TOL:
         raise ValueError(f"quasi-probabilities sum to {total}, not 1")
     entries = dict(sorted(quasi.items()))
     removed = set()
@@ -182,14 +182,14 @@ def clip_to_physical(quasi: dict, tol: float = 1e-6) -> dict:
     return {b: v / norm for b, v in entries.items()}
 
 
-def clip_rows(quasi: np.ndarray, tol: float = 1e-6):
+def clip_rows(quasi: np.ndarray):
     """:func:`clip_to_physical` on every row at once.
 
     Returns the clipped rows and, per row, the negative mass zeroed over
     all iterations.
     """
     totals = quasi.sum(axis=1)
-    bad = np.flatnonzero(np.abs(totals - 1.0) > tol)
+    bad = np.flatnonzero(np.abs(totals - 1.0) > CLIP_TOL)
     if bad.size:
         raise ValueError(f"quasi-probabilities sum to {totals[bad[0]]}, not 1")
     out = quasi.copy()
@@ -302,7 +302,6 @@ def rescale_rdm(rdm: RDM) -> RDM:
 @dataclass
 class RepresentabilityReport:
     hermiticity: float
-    antisymmetry: float
     trace_residual: float
     contraction_residual: float
     min_eigenvalue: float
@@ -312,20 +311,16 @@ class RepresentabilityReport:
 
 
 def check_representability(rdm: RDM) -> RepresentabilityReport:
-    """Necessary p-RDM validity conditions; reporting only, never mutates."""
+    """Necessary p-RDM validity conditions; reporting only, never mutates.
+
+    Antisymmetry under index permutations is not checked: ``RDM.get``
+    applies the permutation parity itself, so it holds by construction.
+    """
     herm = 0.0
     for (sub, sup), v in rdm.data.items():
         mirror = rdm.data.get((sup, sub))
         herm = max(herm, abs(v - (mirror.conjugate() if mirror is not None
                                   else 0.0)))
-    anti = 0.0
-    keys = list(combinations(range(rdm.n_modes), rdm.order))
-    for sub in keys[:6]:
-        for sup in keys[:6]:
-            base = rdm.get(sub, sup)
-            for perm in list(permutations(sub))[:4]:
-                swaps = _parity(perm, sub)
-                anti = max(anti, abs(rdm.get(perm, sup) - swaps * base))
     trace_residual = abs(rdm.trace() - rdm.ideal_trace())
     if rdm.order >= 1 and rdm.n_electrons > rdm.order - 1:
         # trace of rdm.contract(), read off the diagonal directly
@@ -340,37 +335,31 @@ def check_representability(rdm: RDM) -> RepresentabilityReport:
         contraction_residual = 0.0
     mat, _ = rdm.matricize()
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))))
-    return RepresentabilityReport(herm, anti, trace_residual,
-                                  contraction_residual, min_eig)
-
-
-def _parity(perm, base) -> float:
-    seen = list(perm)
-    sign = 1.0
-    for i in range(len(seen)):
-        while seen[i] != base[i]:
-            j = seen.index(base[i])
-            seen[i], seen[j] = seen[j], seen[i]
-            sign = -sign
-    return sign
+    return RepresentabilityReport(herm, trace_residual, contraction_residual,
+                                  min_eig)
 
 
 # ---------------------------------------------------------------------------
 # global white-noise calibration
 
 
-def fit_white_noise_rate(noisy_ref, ideal_ref, mixed_value,
-                         tolerance: float = 1e-9) -> float:
+#: norm of mixed_value - ideal_ref at or below which the white-noise rate
+#: counts as unresolvable
+WHITE_NOISE_RESOLUTION = 1e-6
+
+
+def fit_white_noise_rate(noisy_ref, ideal_ref, mixed_value) -> float:
     """Least-squares white-noise rate q of noisy = (1 − q)·ideal + q·mixed.
 
     Arguments are scalars or arrays of matching shape (one entry per
     observable). With d = mixed_value − ideal_ref,
     q̂ = Σ (noisy_ref − ideal_ref)·d / Σ d², which for scalars is
-    (noisy_ref − ideal_ref)/d. Unresolvable when |d| <= tolerance (the
-    Euclidean norm for arrays); q̂ >= 1 is an error. Not clamped.
+    (noisy_ref − ideal_ref)/d. Unresolvable when |d| <=
+    ``WHITE_NOISE_RESOLUTION`` (the Euclidean norm for arrays); q̂ >= 1 is
+    an error. Not clamped.
     """
     d = np.asarray(mixed_value, dtype=float) - ideal_ref
-    if np.linalg.norm(d) <= tolerance:
+    if np.linalg.norm(d) <= WHITE_NOISE_RESOLUTION:
         raise ValueError("reference elements equal the mixed-state values; "
                          "white-noise rate is unresolvable")
     q_hat = float(np.vdot(np.asarray(noisy_ref) - ideal_ref, d)
@@ -380,15 +369,14 @@ def fit_white_noise_rate(noisy_ref, ideal_ref, mixed_value,
     return q_hat
 
 
-def reference_calibrate(noisy_trial, noisy_ref, ideal_ref, mixed_value,
-                        tolerance: float = 1e-9):
+def reference_calibrate(noisy_trial, noisy_ref, ideal_ref, mixed_value):
     """Estimate the white-noise rate from a reference state and invert it.
 
     q̂ is :func:`fit_white_noise_rate`, clamped to 0 with a warning when
     negative; corrected = (noisy_trial − q̂·mixed_value)/(1 − q̂), elementwise
     for arrays. Returns (q̂, corrected).
     """
-    q_hat = fit_white_noise_rate(noisy_ref, ideal_ref, mixed_value, tolerance)
+    q_hat = fit_white_noise_rate(noisy_ref, ideal_ref, mixed_value)
     if q_hat < 0.0:
         warnings.warn(f"estimated white-noise rate {q_hat} clamped to 0")
         q_hat = 0.0

@@ -33,7 +33,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, prod
+from math import prod
 
 import numpy as np
 
@@ -66,17 +66,6 @@ class RdmElement:
     def order(self) -> int:
         return len(self.creations)
 
-    def conjugate(self) -> "RdmElement":
-        return RdmElement(self.annihilations, self.creations)
-
-    def canonical(self) -> "RdmElement":
-        """Representative with (annihilations, creations) lexicographically
-        minimal over the conjugate pair."""
-        if (self.annihilations, self.creations) <= \
-                (self.creations, self.annihilations):
-            return self
-        return self.conjugate()
-
     def is_spin_conserving(self, spins) -> bool:
         return sorted(spins[m] for m in self.creations) == \
             sorted(spins[m] for m in self.annihilations)
@@ -108,11 +97,6 @@ def enumerate_elements(n_modes: int, p: int, spins=None):
                 out.append(e)
     out.sort(key=lambda e: (e.annihilations, e.creations))
     return out
-
-
-def element_count_formula(n_modes: int, p: int) -> int:
-    c = comb(n_modes, p)
-    return (c * c + c) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +198,6 @@ class PairingBasis:
     schedule: Schedule | None = None
     schedule_pairs: list = field(default_factory=list)  # routed position pairs
     parent: int | None = None         # level-1 index for concrete bases
-
-    def interaction_set(self):
-        return frozenset(tuple(s) for s in self.interactions)
 
     def pair_sites(self):
         return [tuple(s) for s in self.interactions if s[0] != s[1]]
@@ -447,19 +428,18 @@ class MeasurementPlan:
         return cls.from_json(json.loads(text))
 
 
-def build_plan(elements, spins, route: bool = True, max_depth: int = 8,
+def build_plan(elements, spins, max_depth: int = 8,
                layout=None) -> MeasurementPlan:
     """Decompose, group (both levels), and route a set of RDM elements."""
     n_modes = len(spins)
     layout = tuple(layout) if layout is not None else tuple(range(n_modes))
     level1, assignments = group_level1(elements, spins)
-    if route:
-        position = {m: i for i, m in enumerate(layout)}
-        for basis in level1:
-            pairs = [tuple(sorted((position[a], position[b])))
-                     for a, b in basis.pair_sites()]
-            basis.schedule_pairs = pairs
-            basis.schedule = route_pairs(pairs, n_modes, max_depth=max_depth)
+    position = {m: i for i, m in enumerate(layout)}
+    for basis in level1:
+        pairs = [tuple(sorted((position[a], position[b])))
+                 for a, b in basis.pair_sites()]
+        basis.schedule_pairs = pairs
+        basis.schedule = route_pairs(pairs, n_modes, max_depth=max_depth)
     per_basis = {i: [] for i in range(len(level1))}
     for e, (b_idx, matching, _req) in zip(elements, assignments):
         products = decompose_element(e, spins, matching=matching)

@@ -7,10 +7,9 @@ connected-moment recursion, and the analytic second-order Lanczos expansion
     E_L = c1 - c2^2/(c3^2 - c2 c4) (sqrt(3 c3^2 - 2 c2 c4) - c3)
 
 gives an energy below <H> = c1 that is exact for eigenstates and for any
-state over a two-eigenvalue Hamiltonian. Moments come either from an
-assembled reduced density matrix or from a statevector oracle. Bootstrap
-resampling of the per-basis count tables propagates shot noise through the
-full analysis pipeline.
+state over a two-eigenvalue Hamiltonian. Moments come from an assembled
+reduced density matrix. Bootstrap resampling of the per-basis count tables
+propagates shot noise through the full analysis pipeline.
 """
 from __future__ import annotations
 
@@ -21,7 +20,6 @@ import numpy as np
 
 from .fermion import FermionOperator, expectation_from_rdm, multiply
 from .rdm import RDM
-from .simulator import Statevector, operator_matrix_in_sector
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -38,14 +36,6 @@ class MomentSet:
 
     def as_tuple(self) -> tuple:
         return (self.m1, self.m2, self.m3, self.m4)
-
-    def validate(self, tol: float = 1e-9):
-        """Variance nonnegativity; holds for moments of any valid state."""
-        if self.m2 < self.m1 ** 2 - tol:
-            raise ValueError(
-                f"moment set has negative variance: m2 - m1^2 = "
-                f"{self.m2 - self.m1 ** 2}")
-        return self
 
 
 @dataclass
@@ -86,11 +76,6 @@ class EnergyEstimate:
             "metadata": self.metadata,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "EnergyEstimate":
-        return cls(obj["h_expect"], obj["e_l"], obj["std_h"], obj["std_el"],
-                   obj["q_hat"], dict(obj.get("metadata", {})))
-
 
 # ---------------------------------------------------------------------------
 # cumulants and the Lanczos energy
@@ -114,7 +99,12 @@ def _cumulant_scale(c: CumulantSet) -> float:
                abs(c.c4) ** 0.25)
 
 
-def lanczos_energy(c: CumulantSet, tol: float = 1e-9) -> float:
+#: relative tolerance, in units of the cumulant scale, below which c2, the
+#: discriminant and the denominators of :func:`lanczos_energy` count as zero
+LANCZOS_TOL = 1e-9
+
+
+def lanczos_energy(c: CumulantSet) -> float:
     """Second-order Lanczos ground-state estimate from four cumulants.
 
     The closed form is an indeterminate 0/0 at c3^2 = c2 c4 (every eigenstate
@@ -127,27 +117,27 @@ def lanczos_energy(c: CumulantSet, tol: float = 1e-9) -> float:
     u = _cumulant_scale(c)
     c2 = c.c2
     if c2 < 0.0:
-        if c2 < -tol * u * u:
+        if c2 < -LANCZOS_TOL * u * u:
             raise ValueError(f"negative second cumulant {c2}: "
                              "inconsistent or excessively noisy moments")
         c2 = 0.0
-    if c2 < tol * u * u:
+    if c2 < LANCZOS_TOL * u * u:
         return c.c1  # zero-variance state: already an eigenstate
     disc = 3.0 * c.c3 ** 2 - 2.0 * c2 * c.c4
     if disc < 0.0:
-        if disc < -tol * u ** 6:
+        if disc < -LANCZOS_TOL * u ** 6:
             raise ValueError(f"negative discriminant {disc}: "
                              "inconsistent or excessively noisy moments")
         disc = 0.0
     if c.c3 >= 0.0:
         denom = sqrt(disc) + c.c3
-        if denom <= tol * u ** 3:
+        if denom <= LANCZOS_TOL * u ** 3:
             raise ValueError(
                 "degenerate cumulants with vanishing c3: the Lanczos "
                 "correction diverges (inconsistent moments)")
         return c.c1 - 2.0 * c2 ** 2 / denom
     denom = c.c3 ** 2 - c2 * c.c4
-    if abs(denom) <= tol * (c.c3 ** 2 + abs(c2 * c.c4)):
+    if abs(denom) <= LANCZOS_TOL * (c.c3 ** 2 + abs(c2 * c.c4)):
         raise ValueError(
             "degenerate cumulants with negative c3: the Lanczos "
             "correction diverges (inconsistent moments)")
@@ -176,22 +166,6 @@ def moments_from_rdm(h_powers, rdm: RDM, n_electrons: int) -> MomentSet:
     if len(h_powers) != 4:
         raise ValueError("expected the four powers [H, H^2, H^3, H^4]")
     vals = [expectation_from_rdm(hp, rdm, n_electrons) for hp in h_powers]
-    return MomentSet(*vals)
-
-
-def moments_from_statevector(h: FermionOperator,
-                             state: Statevector) -> MomentSet:
-    """Oracle moments via the dense Fock-space matrix of H."""
-    if h.n_modes != state.n_qubits:
-        raise ValueError("mode-count mismatch")
-    basis = list(range(1 << h.n_modes))
-    mat = operator_matrix_in_sector(h, basis)
-    vec = state.amplitudes
-    vals = []
-    cur = vec
-    for _ in range(4):
-        cur = mat @ cur
-        vals.append(float(np.real(np.vdot(vec, cur))))
     return MomentSet(*vals)
 
 

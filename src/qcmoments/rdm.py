@@ -58,10 +58,6 @@ class RDM:
         if sub_s != sup_s:
             self.data[(sup_s, sub_s)] = v.conjugate()
 
-    def set_raw(self, sub, sup, value):
-        """Overwrite a single stored entry without mirroring (fault injection)."""
-        self.data[(tuple(sub), tuple(sup))] = complex(value)
-
     def get(self, sub, sup) -> complex:
         """V for index tuples in any order; 0 for repeated or unmeasured indices."""
         sub_s, s1 = _sort_signed(sub)
@@ -73,11 +69,6 @@ class RDM:
             v = self.data.get((sup_s, sub_s))
             v = v.conjugate() if v is not None else 0.0
         return s1 * s2 * v
-
-    def copy(self) -> "RDM":
-        out = RDM(self.order, self.n_modes, self.n_electrons)
-        out.data = dict(self.data)
-        return out
 
     # -- derived quantities
 

@@ -12,12 +12,9 @@ from itertools import combinations
 from math import cos, sin, sqrt
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .conventions import interleaved_spins, sz_of
-from .fermion import FermionOperator, PauliOperator
-from .rdm import RDM
+from .fermion import FermionOperator
 
 SINGLE_QUBIT_GATES = {"H", "S", "SDG", "X", "RY", "RZ"}
 TWO_QUBIT_GATES = {"CNOT", "FSWAP"}
@@ -120,28 +117,12 @@ class Circuit:
         self.gates.extend(other.gates)
         return self
 
-    def inverse(self) -> "Circuit":
-        inv = Circuit(self.n_qubits)
-        for name, qubits, param in reversed(self.gates):
-            if name == "S":
-                inv.gates.append(("SDG", qubits, None))
-            elif name == "SDG":
-                inv.gates.append(("S", qubits, None))
-            elif name in ("RY", "RZ"):
-                inv.gates.append((name, qubits, -param))
-            else:  # H, X, CNOT, FSWAP are involutions
-                inv.gates.append((name, qubits, param))
-        return inv
-
     # -- metrics
 
     def cnot_count(self) -> int:
         """CNOT count with FSWAP counted at its 3-CNOT decomposition."""
         return sum(3 if name == "FSWAP" else 1
                    for name, _, _ in self.gates if name in TWO_QUBIT_GATES)
-
-    def single_qubit_count(self) -> int:
-        return sum(1 for name, _, _ in self.gates if name in SINGLE_QUBIT_GATES)
 
     def depth(self) -> int:
         """Minimal dependency layering after decomposing FSWAP into 3 CNOTs."""
@@ -152,36 +133,6 @@ class Circuit:
             for q in qubits:
                 avail[q] = start + slots
         return max(avail) if avail else 0
-
-    # -- text format: one gate per line
-
-    def dumps(self) -> str:
-        lines = [f"qubits {self.n_qubits}"]
-        for name, qubits, param in self.gates:
-            parts = [name] + [str(q) for q in qubits]
-            if param is not None:
-                parts.append(repr(param))
-            lines.append(" ".join(parts))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def loads(cls, text: str) -> "Circuit":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("qubits "):
-            raise ValueError("circuit dump must start with a 'qubits N' line")
-        circ = cls(int(lines[0].split()[1]))
-        for ln in lines[1:]:
-            toks = ln.split()
-            name = toks[0]
-            if name in SINGLE_QUBIT_GATES:
-                q = int(toks[1])
-                param = float(toks[2]) if len(toks) > 2 else None
-                circ.gates.append((name, (q,), param))
-            elif name in TWO_QUBIT_GATES:
-                circ.gates.append((name, (int(toks[1]), int(toks[2])), None))
-            else:
-                raise ValueError(f"unknown gate {name!r}")
-        return circ
 
 
 class Statevector:
@@ -216,7 +167,6 @@ class NoiseSpec:
     global_depolarizing_q: float = 0.0
     readout_flip: np.ndarray | None = None  # shape (n, 2, 2), columns sum to 1
     gate_depolarizing_cnot: float | None = None
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.global_depolarizing_q <= 1.0:
@@ -234,13 +184,13 @@ class NoiseSpec:
 
     @classmethod
     def uniform_readout(cls, n_qubits: int, p01: float, p10: float,
-                        q: float = 0.0, seed: int = 0,
+                        q: float = 0.0,
                         cnot_q: float | None = None) -> "NoiseSpec":
         """Same flip rates on every qubit: p01 = p(0->1), p10 = p(1->0)."""
         a = np.array([[1 - p01, p10], [p01, 1 - p10]], dtype=float)
         mats = np.broadcast_to(a, (n_qubits, 2, 2)).copy()
         return cls(global_depolarizing_q=q, readout_flip=mats,
-                   gate_depolarizing_cnot=cnot_q, rng_seed=seed)
+                   gate_depolarizing_cnot=cnot_q)
 
     def effective_q(self, n_cnots: int = 0) -> float:
         q = self.global_depolarizing_q
@@ -330,54 +280,17 @@ def noisy_distribution(state: Statevector, noise: NoiseSpec,
 
 
 def sample(state: Statevector, shots: int, noise: NoiseSpec,
-           n_cnots: int = 0, seed: int | None = None) -> CountsTable:
+           n_cnots: int = 0, *, seed: int) -> CountsTable:
     """Multinomial sampling from the noisy outcome distribution; seeded."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     p = noisy_distribution(state, noise, n_cnots)
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
-    rng = np.random.default_rng(noise.rng_seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     draw = rng.multinomial(shots, p)
     outcomes = np.flatnonzero(draw)
     return CountsTable(outcomes, draw[outcomes], shots)
-
-
-def expectation(state: Statevector, op: PauliOperator) -> float:
-    """Exact <psi|op|psi> for a Hermitian Pauli operator."""
-    n = state.n_qubits
-    if op.n_qubits != n:
-        raise ValueError("qubit-count mismatch")
-    amps = state.amplitudes
-    idx = np.arange(1 << n, dtype=np.int64)
-    total = 0.0 + 0.0j
-    for string, coeff in op.terms.items():
-        xmask = zmask = 0
-        n_y = 0
-        for j, p in enumerate(string):
-            if p == "X":
-                xmask |= 1 << j
-            elif p == "Y":
-                xmask |= 1 << j
-                zmask |= 1 << j
-                n_y += 1
-            elif p == "Z":
-                zmask |= 1 << j
-        signs = 1 - 2 * (_popcount(idx & zmask) & 1)
-        phase = 1j ** n_y
-        total += coeff * phase * np.sum(np.conj(amps[idx ^ xmask]) * signs * amps)
-    if abs(total.imag) > 1e-10 * max(1.0, abs(total.real)):
-        raise ValueError(f"non-negligible imaginary expectation {total}")
-    return float(total.real)
-
-
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(arr)
-    a = arr.copy()
-    while np.any(a):
-        out += a & 1
-        a >>= 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -413,35 +326,6 @@ def _parity_below(mask: int, m: int) -> bool:
     return bool(bin(mask & ((1 << m) - 1)).count("1") & 1)
 
 
-def rdm_from_statevector(state: Statevector, order: int,
-                         n_electrons: int) -> RDM:
-    """Exact p-body RDM of a statevector (descending-annihilation convention)."""
-    n = state.n_qubits
-    amps = state.amplitudes
-    nz = [m for m in range(1 << n) if abs(amps[m]) > 1e-14]
-    out = RDM(order, n, n_electrons)
-    # V(sub, sup) applies annihilations descending: reverse of the ascending
-    # normal-order string, sign (-1)^{p(p-1)/2}
-    sgn_p = -1 if (order * (order - 1) // 2) % 2 else 1
-    for sub in combinations(range(n), order):
-        for sup in combinations(range(n), order):
-            if sub > sup:
-                continue
-            acc = 0.0 + 0.0j
-            for mask in nz:
-                res = apply_term_to_mask(sub, sup, mask)
-                if res is None:
-                    continue
-                new_mask, s = res
-                acc += s * np.conj(amps[new_mask]) * amps[mask]
-            if abs(acc) > 1e-14:
-                v = sgn_p * acc
-                out.data[(sub, sup)] = v
-                if sub != sup:
-                    out.data[(sup, sub)] = v.conjugate()
-    return out
-
-
 def sector_basis(n_modes: int, n_electrons: int, sz=None, spins=None) -> list[int]:
     """Occupation bitmasks with fixed particle number and optional S_z."""
     if spins is None:
@@ -470,10 +354,10 @@ def operator_matrix_in_sector(op: FermionOperator, basis: list[int]) -> np.ndarr
     return mat
 
 
-def exact_diagonalize(op: FermionOperator, n_electrons: int, sz=None,
-                      spins=None):
-    """Lowest eigenvalue and ground vector in the (N, S_z) Fock-space sector."""
-    basis = sector_basis(op.n_modes, n_electrons, sz, spins)
+def exact_diagonalize(op: FermionOperator, n_electrons: int, sz=None):
+    """Lowest eigenvalue and ground vector in the (N, S_z) Fock-space sector
+    of interleaved spins."""
+    basis = sector_basis(op.n_modes, n_electrons, sz)
     if not basis:
         raise ValueError("empty symmetry sector")
     mat = operator_matrix_in_sector(op, basis)
@@ -481,13 +365,8 @@ def exact_diagonalize(op: FermionOperator, n_electrons: int, sz=None,
     if herm_err > 1e-9:
         raise ValueError(f"operator not particle-conserving/Hermitian in sector "
                          f"(residual {herm_err:.2e})")
-    if len(basis) <= 600:
-        vals, vecs = np.linalg.eigh(mat)
-        energy, vec = vals[0], vecs[:, 0]
-    else:
-        sp = scipy.sparse.csr_matrix(mat)
-        vals, vecs = scipy.sparse.linalg.eigsh(sp, k=1, which="SA")
-        energy, vec = vals[0], vecs[:, 0]
+    vals, vecs = np.linalg.eigh(mat)
+    energy, vec = vals[0], vecs[:, 0]
     amps = np.zeros(1 << op.n_modes, dtype=complex)
     for i, mask in enumerate(basis):
         amps[mask] = vec[i]

@@ -134,6 +134,18 @@ def exact_trial_state(ansatz: Ansatz) -> Statevector:
     return Statevector(amps, n)
 
 
+def energy_objective(ansatz: Ansatz, h: FermionOperator):
+    """thetas -> <H> in the exact trial state of ``ansatz`` at those
+    amplitudes, with H's Fock-space matrix built once."""
+    hmat = operator_matrix_in_sector(h, range(1 << h.n_modes))
+
+    def objective(thetas):
+        amps = exact_trial_state(ansatz.with_thetas(thetas)).amplitudes
+        return float(np.real(np.vdot(amps, hmat @ amps)))
+
+    return objective
+
+
 # ---------------------------------------------------------------------------
 # fermionic swap routing
 
@@ -268,12 +280,6 @@ def _pauli_gadget_block(gen: FermionOperator, theta: float,
     for j in range(4):
         basis_close(j, j in last)
     return circ
-
-
-def local_double_excitation(theta: float) -> Circuit:
-    """Four-qubit block for exp(theta (a+_3 a+_2 a_1 a_0 - h.c.))."""
-    exc = Excitation((2, 3), (0, 1), theta)
-    return _pauli_gadget_block(exc.generator(4), theta)
 
 
 # ---------------------------------------------------------------------------
@@ -412,33 +418,25 @@ def build_uccd(ansatz: Ansatz, simplify: bool = True) -> BuiltTrial:
     return BuiltTrial(circ, layout, circ.cnot_count(), circ.depth(), kinds)
 
 
-def trial_state_in_mode_order(built: BuiltTrial, n_qubits: int) -> Statevector:
-    """Run the built circuit and permute amplitudes back to logical mode
-    order (undoing the final layout) for comparison with oracles."""
-    state = run(built.circuit, Statevector.basis_state(0, n_qubits))
-    perm = built.layout
-    if perm == tuple(range(n_qubits)):
-        return state
-    # position i holds mode perm[i]; fermionic reordering signs are produced
-    # by conjugating with an FSWAP network back to identity layout
-    net, _ = _fswap_sort(perm, {m: m for m in range(n_qubits)})
-    return run(net, state)
-
-
 # ---------------------------------------------------------------------------
 # SPSA optimization
 
 
+#: SPSA gains a_k = a / (k + 1 + A)^0.602 and c_k = c / (k + 1)^0.101
+SPSA_A, SPSA_C, SPSA_BIG_A = 0.1, 0.1, 10.0
+#: number of final iterates averaged into each seed's result
+SPSA_AVERAGE_LAST = 10
+
+
 def spsa_minimize(objective, dim: int, seeds, max_iter: int = 200,
-                  a: float = 0.1, c: float = 0.1, big_a: float = 10.0,
-                  theta0=None, average_last: int = 10, polish: bool = True):
+                  theta0=None):
     """Simultaneous-perturbation minimization over several seeds.
 
     Uses the standard gain schedule a_k = a/(k+1+A)^0.602 and
-    c_k = c/(k+1)^0.101 with two-sided +/-1 perturbations; the returned
-    iterate of each seed is the average of the last ``average_last``
-    iterates. The best seed's result is optionally refined with a
-    deterministic derivative-free polish.
+    c_k = c/(k+1)^0.101 (``SPSA_A``, ``SPSA_C``, ``SPSA_BIG_A``) with
+    two-sided +/-1 perturbations; the returned iterate of each seed is the
+    average of the last ``SPSA_AVERAGE_LAST`` iterates. The best seed's
+    result is refined with a deterministic derivative-free (Powell) polish.
 
     Returns (best_theta, info) where info contains per-seed traces.
     """
@@ -460,14 +458,14 @@ def spsa_minimize(objective, dim: int, seeds, max_iter: int = 200,
         recent = []
         trace = [check(objective(theta))]
         for k in range(max_iter):
-            a_k = a / (k + 1 + big_a) ** 0.602
-            c_k = c / (k + 1) ** 0.101
+            a_k = SPSA_A / (k + 1 + SPSA_BIG_A) ** 0.602
+            c_k = SPSA_C / (k + 1) ** 0.101
             delta = rng.integers(0, 2, size=dim) * 2.0 - 1.0
             f_plus = check(objective(theta + c_k * delta))
             f_minus = check(objective(theta - c_k * delta))
             theta = theta - a_k * (f_plus - f_minus) / (2.0 * c_k) * delta
             recent.append(theta.copy())
-            if len(recent) > average_last:
+            if len(recent) > SPSA_AVERAGE_LAST:
                 recent.pop(0)
             trace.append(check(objective(theta)))
         theta_avg = np.mean(recent, axis=0) if recent else theta
@@ -475,13 +473,12 @@ def spsa_minimize(objective, dim: int, seeds, max_iter: int = 200,
         traces.append(trace)
     best_idx = min(range(len(results)), key=lambda i: results[i][0])
     best_val, best_theta = results[best_idx]
-    if polish:
-        import scipy.optimize
-        res = scipy.optimize.minimize(
-            lambda t: check(objective(t)), best_theta, method="Powell",
-            options={"xtol": 1e-10, "ftol": 1e-12, "maxiter": 2000})
-        if res.fun <= best_val:
-            best_theta, best_val = np.asarray(res.x, dtype=float), float(res.fun)
+    import scipy.optimize
+    res = scipy.optimize.minimize(
+        lambda t: check(objective(t)), best_theta, method="Powell",
+        options={"xtol": 1e-10, "ftol": 1e-12, "maxiter": 2000})
+    if res.fun <= best_val:
+        best_theta, best_val = np.asarray(res.x, dtype=float), float(res.fun)
     info = {
         "traces": traces,
         "per_seed_values": [v for v, _ in results],

@@ -13,7 +13,7 @@ from qcmoments.analysis import position_spins
 from qcmoments.conventions import sz_of
 from qcmoments.fermion import FermionOperator
 from qcmoments.mitigation import (
-    apply_qrem, assemble_rdm, calibration_from_counts,
+    AssignmentCalibration, apply_qrem, assemble_rdm, calibration_from_counts,
     check_representability, clip_to_physical, mixed_state_value,
     reference_calibrate, rescale_rdm, symmetry_postselect,
 )
@@ -34,6 +34,12 @@ def bitstring_probabilities(table: CountsTable, n_qubits: int) -> dict:
     """A CountsTable as the bitstring -> probability dict of the dict path."""
     return {bits_to_string(o, n_qubits): c / table.shots
             for o, c in zip(table.outcomes.tolist(), table.counts.tolist())}
+
+
+def identity_calibration(n_qubits: int) -> AssignmentCalibration:
+    """Readout calibration of a register without readout errors."""
+    eye = np.broadcast_to(np.eye(2), (n_qubits, 2, 2)).copy()
+    return AssignmentCalibration(eye, eye.copy())
 
 
 def counts_tables(counts):
@@ -120,9 +126,9 @@ class DictAnalyzer:
                 warnings.simplefilter("ignore")
                 q_hat, corrected = reference_calibrate(
                     values(rdm), values(rdms["reference"]),
-                    values(self.ideal_ref), mixed, tolerance=1e-6)
+                    values(self.ideal_ref), mixed)
             if q_hat > 0.0:
-                rdm = rdm.copy()
+                # the trial RDM was assembled for this call alone
                 for e, v in zip(elements, corrected):
                     rdm.set(e.creations, e.annihilations, v)
                 if mit.get("rescale"):

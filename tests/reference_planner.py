@@ -1,4 +1,5 @@
-"""Planner oracles: direct sign solves and the first-fit scan.
+"""Planner oracles: direct sign solves, the first-fit scan and the element
+count.
 
 The closed-form signs of :func:`qcmoments.planner.decompose_element` are
 checked against direct solves: each candidate product of Re/Im/number
@@ -11,6 +12,7 @@ against ``group_level1_scan``, which tries every earlier basis in order
 against every option of the element.
 """
 import itertools
+from math import comb
 
 import numpy as np
 
@@ -122,3 +124,9 @@ def group_level1_scan(elements, spins):
             useds.append({q for site in required for q in site})
             assignments.append((len(haves) - 1, matching, required))
     return [PairingBasis(sorted(have)) for have in haves], assignments
+
+
+def element_count_formula(n_modes: int, p: int) -> int:
+    """Spin-agnostic p-RDM element count up to conjugation: C(C(n, p) + 1, 2)."""
+    c = comb(n_modes, p)
+    return (c * c + c) // 2

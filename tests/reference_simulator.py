@@ -1,0 +1,78 @@
+"""Statevector oracles: Pauli expectations and exact p-RDMs.
+
+Both act on the full 2^n amplitude vector with no use of the measurement
+plan, so they check the sampled and assembled estimates independently.
+"""
+from itertools import combinations
+
+import numpy as np
+
+from qcmoments.fermion import PauliOperator
+from qcmoments.rdm import RDM
+from qcmoments.simulator import Statevector, apply_term_to_mask
+
+
+def expectation(state: Statevector, op: PauliOperator) -> float:
+    """Exact <psi|op|psi> for a Hermitian Pauli operator."""
+    n = state.n_qubits
+    if op.n_qubits != n:
+        raise ValueError("qubit-count mismatch")
+    amps = state.amplitudes
+    idx = np.arange(1 << n, dtype=np.int64)
+    total = 0.0 + 0.0j
+    for string, coeff in op.terms.items():
+        xmask = zmask = 0
+        n_y = 0
+        for j, p in enumerate(string):
+            if p == "X":
+                xmask |= 1 << j
+            elif p == "Y":
+                xmask |= 1 << j
+                zmask |= 1 << j
+                n_y += 1
+            elif p == "Z":
+                zmask |= 1 << j
+        signs = 1 - 2 * (_popcount(idx & zmask) & 1)
+        phase = 1j ** n_y
+        total += coeff * phase * np.sum(np.conj(amps[idx ^ xmask]) * signs * amps)
+    if abs(total.imag) > 1e-10 * max(1.0, abs(total.real)):
+        raise ValueError(f"non-negligible imaginary expectation {total}")
+    return float(total.real)
+
+
+def _popcount(arr: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(arr)
+    a = arr.copy()
+    while np.any(a):
+        out += a & 1
+        a >>= 1
+    return out
+
+
+def rdm_from_statevector(state: Statevector, order: int,
+                         n_electrons: int) -> RDM:
+    """Exact p-body RDM of a statevector (descending-annihilation convention)."""
+    n = state.n_qubits
+    amps = state.amplitudes
+    nz = [m for m in range(1 << n) if abs(amps[m]) > 1e-14]
+    out = RDM(order, n, n_electrons)
+    # V(sub, sup) applies annihilations descending: reverse of the ascending
+    # normal-order string, sign (-1)^{p(p-1)/2}
+    sgn_p = -1 if (order * (order - 1) // 2) % 2 else 1
+    for sub in combinations(range(n), order):
+        for sup in combinations(range(n), order):
+            if sub > sup:
+                continue
+            acc = 0.0 + 0.0j
+            for mask in nz:
+                res = apply_term_to_mask(sub, sup, mask)
+                if res is None:
+                    continue
+                new_mask, s = res
+                acc += s * np.conj(amps[new_mask]) * amps[mask]
+            if abs(acc) > 1e-14:
+                v = sgn_p * acc
+                out.data[(sub, sup)] = v
+                if sub != sup:
+                    out.data[(sup, sub)] = v.conjugate()
+    return out

@@ -27,7 +27,9 @@ from qcmoments.mitigation import (
     AssignmentCalibration, clip_rows, clip_to_physical, qrem_rows,
 )
 from qcmoments.planner import build_measurement_circuit
-from qcmoments.qcm import bootstrap, hamiltonian_powers, moments_from_rdm
+from qcmoments.qcm import (
+    MomentSet, bootstrap, hamiltonian_powers, moments_from_rdm,
+)
 
 TOL = 1e-10
 NOISE = {"global_q": 0.1, "p01": 0.03, "p10": 0.05}
@@ -252,6 +254,26 @@ def test_clip_rows_is_identity_on_distributions(weights):
     out, clipped = clip_rows(probs)
     assert out == pytest.approx(probs, rel=1e-14, abs=0.0)
     assert (clipped == 0.0).all()
+
+
+def test_report_records_c2_clamp(h2, tmp_path, monkeypatch):
+    config, archive, (compiled, _, _) = h2
+    report = tmp_path / "report.json"
+    args = ["analyze", "--config", str(config), "--archive", str(archive),
+            "--output", str(report)]
+    assert main(args) == 0
+    diag = json.loads(report.read_text())["diagnostics"]
+    assert diag["c2"] > 0.0 and diag["c2_clamped"] is False
+    # moments whose variance lies just below zero, inside the shot-noise
+    # floor 3/sqrt(shots): the clamp fires and E_L falls back to <H>
+    c2 = -0.1 * 3.0 / np.sqrt(compiled.cfg.shots)
+    monkeypatch.setattr(Analyzer, "moments",
+                        lambda self, v: MomentSet(-1.0, 1.0 + c2, -1.0, 1.0))
+    assert main(args) == 0
+    doc = json.loads(report.read_text())
+    assert doc["diagnostics"]["c2"] == pytest.approx(c2, rel=1e-12)
+    assert doc["diagnostics"]["c2_clamped"] is True
+    assert doc["estimate"]["e_l"] == doc["estimate"]["h_expect"] == -1.0
 
 
 def test_report_records_diagnostics(h2, tmp_path):

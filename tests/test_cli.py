@@ -97,6 +97,35 @@ def test_config_not_json(tmp_path):
     assert main(["fci", "--config", str(path)]) == 2
 
 
+# a config value of the wrong JSON type or out of range: fault -> overrides
+VALUE_FAULTS = {
+    "null shots": {"shots": None},
+    "null order": {"order": None},
+    "null routing_max_depth": {"routing_max_depth": None},
+    "null bootstrap resamples": {"bootstrap": {"resamples": None}},
+    "string global_q": {"noise": {"global_q": "x"}},
+    "string excitation index": {"excitations": [
+        {"creations": ["a", 3], "annihilations": [0, 1]}]},
+    "string shots": {"shots": "abc"},
+    "string frozen orbital": {"frozen_occupied": ["a"]},
+    "fractional master_seed": {"master_seed": 1.5},
+    "boolean schema": {"schema": True},
+    "excitation index beyond the modes": {"excitations": [
+        {"creations": [2, 9], "annihilations": [0, 1]}]},
+    "repeated excitation index": {"excitations": [
+        {"creations": [2, 2], "annihilations": [0, 1]}]},
+}
+
+
+@pytest.mark.parametrize("fault", VALUE_FAULTS)
+def test_config_value_faults_exit_2(tmp_path, fault, capsys):
+    cfg = write_config(tmp_path, **VALUE_FAULTS[fault])
+    assert main(["fci", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # plan
 
@@ -135,6 +164,19 @@ def test_plan_bad_spin_pattern(tmp_path):
     out = str(tmp_path / "plan.json")
     assert main(["plan", "--modes", "4", "--spin-pattern", "uxdd",
                  "--output", out]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--modes", "3", "--order", "4"],
+    ["--modes", "0"],
+    ["--modes", "4", "--order", "0"],
+    ["--modes", "4", "--ilp-max-depth", "0"],
+], ids=["order above modes", "no modes", "order 0", "depth 0"])
+def test_plan_bad_arguments_exit_2(tmp_path, flags, capsys):
+    out = tmp_path / "plan.json"
+    assert main(["plan", *flags, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()
 
 
 def test_plan_from_config_uses_ansatz_layout(tmp_path, capsys):

@@ -2,13 +2,17 @@
 import numpy as np
 import pytest
 
-from qcmoments.fermion import freeze_operator, jordan_wigner
+from qcmoments.fermion import jordan_wigner
 from qcmoments.integrals import (
-    MolecularIntegrals, determinant_energy, freeze_orbitals, load_fcidump,
+    MolecularIntegrals, freeze_orbitals, load_fcidump,
     spin_orbital_hamiltonian, write_fcidump,
 )
-from qcmoments.simulator import Statevector, expectation, run
+from qcmoments.simulator import Statevector, run
 from qcmoments.trial import hartree_fock_circuit
+
+from reference_fermion import freeze_operator
+from reference_integrals import determinant_energy
+from reference_simulator import expectation
 
 
 def random_integrals(n, seed, nelec=None):

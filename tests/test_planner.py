@@ -11,13 +11,13 @@ from qcmoments.fermion import jordan_wigner
 from qcmoments.planner import (
     MeasurementPlan, RdmElement, _cross_matchings, _split_element,
     build_measurement_circuit, build_plan, decompose_element,
-    element_count_formula, enumerate_elements, group_level1, group_level2,
-    product_value,
+    enumerate_elements, group_level1, group_level2, product_value,
 )
 from qcmoments.simulator import Statevector, run
 
 from reference_planner import (
-    factor_operator, group_level1_scan, solved_products,
+    element_count_formula, factor_operator, group_level1_scan,
+    solved_products,
 )
 
 SPINS4 = ("u", "u", "d", "d")
@@ -41,21 +41,21 @@ def test_element_validation_and_canonical_form():
         RdmElement((1, 0), (0, 1))
     with pytest.raises(ValueError):
         RdmElement((0,), (0, 1))
-    e = RdmElement((0, 3), (1, 2))
-    assert e.conjugate() == RdmElement((1, 2), (0, 3))
-    # canonical representative has the lexicographically smaller
-    # annihilation list
-    assert e.canonical() == RdmElement((1, 2), (0, 3))
-    assert e.canonical().canonical() == e.canonical()
-    assert e.conjugate().canonical() == e.conjugate()
+    # of each conjugate pair, enumeration keeps the canonical representative:
+    # the one with the lexicographically smaller annihilation list
+    elements = enumerate_elements(4, 2)
+    assert RdmElement((1, 2), (0, 3)) in elements
+    assert RdmElement((0, 3), (1, 2)) not in elements
+    assert all(e.annihilations <= e.creations for e in elements)
 
 
 def test_enumeration_counts():
     assert len(enumerate_elements(8, 4)) == 2485
     assert len(enumerate_elements(8, 4, interleaved_spins(8))) == 940
     assert len(enumerate_elements(4, 2, SPINS4)) == 12
-    assert set(enumerate_elements(4, 2, SPINS4)) == \
-        {e.canonical() for e in TWELVE}
+    assert set(enumerate_elements(4, 2, SPINS4)) == {
+        e if e.annihilations <= e.creations
+        else RdmElement(e.annihilations, e.creations) for e in TWELVE}
 
 
 def test_enumeration_count_formula_exhaustive():
@@ -141,7 +141,7 @@ def test_decompose_rejects_spin_nonconserving():
 def test_plan_signs_match_direct_solves_for_940_elements():
     spins = interleaved_spins(8)
     elements = enumerate_elements(8, 4, spins)
-    plan = build_plan(elements, spins, route=False)
+    plan = build_plan(elements, spins)
     _, assignments = group_level1(elements, spins)
     for e, (_, matching, _) in zip(elements, assignments):
         got = [(sign, factors) for _, sign, factors in plan.coverage[e]]
@@ -220,7 +220,7 @@ def test_group_level1_partition_invariants():
     assert len(assignments) == len(elements)
     for e, (b_idx, matching, required) in zip(elements, assignments):
         basis = bases[b_idx]
-        assert required <= basis.interaction_set()
+        assert required <= set(map(tuple, basis.interactions))
     for basis in bases:
         used = [q for s in basis.interactions for q in s if s[0] != s[1]]
         used += [s[0] for s in basis.interactions if s[0] == s[1]]
@@ -268,7 +268,7 @@ def test_group_level2_single_site():
 
 def test_full_plan_basis_count_for_940_elements():
     spins = interleaved_spins(8)
-    plan = build_plan(enumerate_elements(8, 4, spins), spins, route=False)
+    plan = build_plan(enumerate_elements(8, 4, spins), spins)
     assert 190 <= len(plan.bases) <= 215
     assert len(plan.coverage) == 940
 

@@ -10,9 +10,11 @@ from qcmoments.simulator import (
 )
 from qcmoments.trial import (
     Ansatz, Excitation, build_uccd, exact_trial_state, fswap_network,
-    hartree_fock_circuit, local_double_excitation, simplified_block,
-    spsa_minimize, trial_state_in_mode_order, _pauli_gadget_block,
+    hartree_fock_circuit, simplified_block, spsa_minimize,
+    _pauli_gadget_block,
 )
+
+from reference_trial import local_double_excitation, trial_state_in_mode_order
 
 
 def circuit_unitary(circ):
