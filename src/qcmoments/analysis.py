@@ -10,16 +10,19 @@ an analysis needs:
 - post-selection: one boolean outcome mask per basis;
 - RDM assembly: (element, flat outcome index, eigenvalue) triplets, so one
   ``np.bincount`` assembles every element of a group of bases;
-- moments: each <H^k> as the constant c0^k plus a weight vector over the
-  element values, read off the k-th power of H's matrix on the N_e-electron
-  occupations (the RDM order must equal N_e, so each element is an entry
-  of the N_e-electron density matrix); the trace and the white-noise fit
-  are linear in the same values.
+- the sector map: the RDM order must equal N_e, so each element is one
+  entry of the density matrix D over the N_e-electron occupations, at a
+  (row, column, sign). Read off it are each <H^k> as the constant c0^k plus
+  a weight vector over the element values (from the k-th power of H's
+  sector matrix), the diagonal that the trace sums, the Hartree-Fock and
+  maximally mixed values of the white-noise fit, and D itself for the
+  representability check.
 
 Each analysis then applies QREM qubit by qubit, clips, post-selects,
-assembles and contracts with array operations. The dict-path functions
-(``mitigation.apply_qrem``, ``clip_to_physical``, ``symmetry_postselect``,
-``assemble_rdm``, ``rescale_rdm``, ``qcm.moments_from_rdm``,
+assembles and contracts with array operations; no dict RDM is built. The
+dict-path functions (``mitigation.apply_qrem``, ``clip_to_physical``,
+``symmetry_postselect``, ``assemble_rdm``, ``rescale_rdm``,
+``mixed_state_value``, ``qcm.moments_from_rdm``,
 ``fermion.expectation_from_rdm``, ``RDM.contract``) are the references that
 the tests check this path against.
 """
@@ -39,12 +42,11 @@ from .conventions import sz_of
 from .fermion import FermionOperator
 from .mitigation import (
     calibration_from_counts, check_representability, clip_rows,
-    fit_white_noise_rate, mixed_element_values, postselect_mask,
-    postselect_rows, qrem_rows, reference_calibrate,
+    fit_white_noise_rate, postselect_mask, postselect_rows, qrem_rows,
+    reference_calibrate,
 )
 from .planner import MeasurementPlan, product_value
 from .qcm import CumulantSet, MomentSet, cumulants, lanczos_energy
-from .rdm import RDM, rdm_from_determinant
 from .simulator import (
     apply_term_to_mask, operator_matrix_in_sector, sector_basis,
 )
@@ -220,31 +222,37 @@ def _assembly_map(plan, circuits, elements, order):
     return np.concatenate(elem), np.concatenate(flat), np.concatenate(weight)
 
 
-def _moment_map(h, elements, n_modes, n_electrons):
-    """(weights, constants) with <H^(k+1)> = constants[k] + weights[k] . v
-    for the element values v (RDM entries in `elements` order) of an
-    order-N_e RDM.
-
-    At order N_e an element is a density-matrix entry between two
-    N_e-electron occupations, so <H^k> is the trace of that density matrix
-    against the sector matrix H_N^k. The constant c0^k of the normal-ordered
-    H^k is split off as P_k = H_N^k - c0^k, so the map is the one that
-    qcm.moments_from_rdm applies, also to element values whose trace is
-    not 1.
-    """
-    basis = sector_basis(n_modes, n_electrons)
+def _sector_map(elements, basis):
+    """(rows, cols, signs) of each element in the density matrix D over the
+    N_e-electron occupations `basis`: at order N_e, element a†_C a_A
+    (annihilations applied in descending order, as RDM entries are stored)
+    takes occupation A to ±C, so its value v sits at D[rows, cols] =
+    D[cols, rows] = signs * v."""
     index = {mask: i for i, mask in enumerate(basis)}
     # RDM storage applies annihilations in descending order
-    reversal = -1 if (n_electrons * (n_electrons - 1) // 2) % 2 else 1
-    cols, rows, signs = [], [], []
+    order = elements[0].order
+    reversal = -1 if (order * (order - 1) // 2) % 2 else 1
+    rows, cols, signs = [], [], []
     for e in elements:
         mask = sum(1 << m for m in e.annihilations)
         new_mask, sign = apply_term_to_mask(e.creations, e.annihilations,
                                             mask)
-        cols.append(index[mask])
         rows.append(index[new_mask])
+        cols.append(index[mask])
         signs.append(reversal * sign)
-    cols, rows, signs = np.array(cols), np.array(rows), np.array(signs)
+    return np.array(rows), np.array(cols), np.array(signs)
+
+
+def _moment_map(h, basis, rows, cols, signs):
+    """(weights, constants) with <H^(k+1)> = constants[k] + weights[k] . v
+    for the element values v at the (rows, cols, signs) of
+    :func:`_sector_map`.
+
+    <H^k> is the trace of D against the sector matrix H_N^k. The constant
+    c0^k of the normal-ordered H^k is split off as P_k = H_N^k - c0^k, so
+    the map is the one that qcm.moments_from_rdm applies, also to element
+    values whose trace is not 1.
+    """
     off_diagonal = rows != cols
     h_n = operator_matrix_in_sector(h, basis)
     c0 = h.constant()
@@ -287,22 +295,27 @@ class Analyzer:
             for mc in circuits])
         self._elem, self._flat, self._weight = _assembly_map(
             plan, circuits, self.elements, self.order)
-        self._diagonal = np.array([e.creations == e.annihilations
-                                   for e in self.elements])
+        # every quantity below is read off one map of the elements into the
+        # density matrix D over the N_e-electron occupations
+        basis = sector_basis(n, n_electrons)
+        self._rows, self._cols, self._signs = _sector_map(self.elements,
+                                                          basis)
         self._moment_weights, self._moment_constants = _moment_map(
-            h, self.elements, n, n_electrons)
-        ideal = rdm_from_determinant(occ, n, self.order)
-        self.ideal_ref = np.array([ideal.get(e.creations, e.annihilations).real
-                                   for e in self.elements])
-        self._mixed = None
-
-    def mixed_values(self) -> np.ndarray:
-        """Each element's value in the maximally mixed post-selected state."""
-        if self._mixed is None:
-            self._mixed = mixed_element_values(
-                self.elements, self.n_qubits, self.n_electrons, sz=self.sz,
-                spins=self.spins)
-        return self._mixed
+            h, basis, self._rows, self._cols, self._signs)
+        self._diagonal = self._rows == self._cols
+        # Hartree-Fock reference: D = |HF><HF|
+        hf = (1 << n_electrons) - 1
+        self.ideal_ref = (self._diagonal
+                          & (self._rows == basis.index(hf))).astype(float)
+        # maximally mixed state of the post-selected sector: the
+        # occupations with the reference's spin-up count
+        up = sum(1 << m for m, s in enumerate(self.spins) if s == "u")
+        n_up = bin(hf & up).count("1")
+        in_sector = np.array([bin(mask & up).count("1") == n_up
+                              for mask in basis])
+        self.mixed = np.where(self._diagonal & in_sector[self._rows],
+                              1 / np.count_nonzero(in_sector), 0.0)
+        self._dim = len(basis)
 
     def assemble(self, probs: np.ndarray) -> np.ndarray:
         """Element values from the (bases x 2^n) mitigated distributions."""
@@ -329,10 +342,12 @@ class Analyzer:
                                  f"{total}")
         return MomentSet(*(float(t.real) for t in totals))
 
-    def rdm(self, values: np.ndarray) -> RDM:
-        out = RDM(self.order, self.n_qubits, self.n_electrons)
-        for e, v in zip(self.elements, values):
-            out.set(e.creations, e.annihilations, v)
+    def density_matrix(self, values: np.ndarray) -> np.ndarray:
+        """The density matrix D over the N_e-electron occupations that the
+        element values fill."""
+        out = np.zeros((self._dim, self._dim))
+        out[self._rows, self._cols] = out[self._cols, self._rows] = \
+            self._signs * values
         return out
 
     def element_values(self, counts, mitigation=None, diagnostics=False):
@@ -360,25 +375,22 @@ class Analyzer:
             if mit.get("rescale"):
                 values[which] = self.rescale(values[which])
         v = values["trial"]
-        q_hat = 0.0
+        q_hat, q_fit = 0.0, None
         if mit.get("calibrate"):
+            q_fit = fit_white_noise_rate(values["reference"], self.ideal_ref,
+                                         self.mixed)
             # the main analysis warns when q̂ is clamped; the ablation
             # stacks and bootstrap resamples stay quiet
             with warnings.catch_warnings():
                 if not diagnostics:
                     warnings.simplefilter("ignore")
-                q_hat, corrected = reference_calibrate(
-                    v, values["reference"], self.ideal_ref,
-                    self.mixed_values())
+                q_hat, corrected = reference_calibrate(v, q_fit, self.mixed)
             if q_hat > 0.0:
                 v = corrected
                 if mit.get("rescale"):
                     v = self.rescale(v)
         if not diagnostics:
             return v, q_hat, None
-        q_fit = fit_white_noise_rate(
-            values["reference"], self.ideal_ref, self.mixed_values()) \
-            if mit.get("calibrate") else None
         return v, q_hat, {
             "acceptance": {k: [float(x) for x in r]
                            for k, r in acceptance.items()},
@@ -410,7 +422,8 @@ class Analyzer:
                 q_hat=q_hat,
                 acceptance={k: float(np.mean(r))
                             for k, r in diag["acceptance"].items()},
+                # at order N_e, D has trace C(N_e, N_e) = 1
                 representability=check_representability(
-                    self.rdm(v)).to_json(),
+                    self.density_matrix(v), 1.0),
                 diagnostics=diag)
         return result

@@ -45,8 +45,12 @@ from .trial import Ansatz, Excitation, build_uccd, energy_objective, \
 
 def _load_system(cfg: PipelineConfig):
     """Integrals (frozen), Hamiltonian, ansatz, and spin labels."""
-    ints = freeze_orbitals(load_fcidump(cfg.integrals),
-                           cfg.frozen_occupied, cfg.frozen_virtual)
+    try:
+        ints = freeze_orbitals(load_fcidump(cfg.integrals),
+                               cfg.frozen_occupied, cfg.frozen_virtual)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"cannot use integrals {cfg.integrals}: {exc}") \
+            from exc
     n = ints.n_spin_orbitals
     ne = ints.n_electrons
     if cfg.order != ne:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -82,9 +83,11 @@ def _require(cond, message):
 
 
 def _typed(value, kind: str, name: str, low=None):
-    """`value` if it is a JSON `kind` and at least `low`; else ConfigError."""
+    """`value` if it is a JSON `kind` and at least `low`; else ConfigError.
+    JSON has no NaN or infinity, so a number must be a finite float."""
     _require(isinstance(value, _KINDS[kind])
-             and (kind == "boolean") == isinstance(value, bool),
+             and (kind == "boolean") == isinstance(value, bool)
+             and (kind != "number" or abs(value) <= sys.float_info.max),
              f"{name} must be a JSON {kind}, not {value!r}")
     _require(low is None or value >= low, f"{name} must be >= {low}")
     return value

@@ -104,7 +104,9 @@ def load_fcidump(path) -> MolecularIntegrals:
                                  f"for NORB={norb}")
         if i == j == k == l == 0:
             e_const = val
-        elif k == l == 0:
+        elif j == k == l == 0:
+            continue        # orbital energy e_i, not a Hamiltonian term
+        elif k == l == 0 and i and j:
             h1[i - 1, j - 1] = h1[j - 1, i - 1] = val
         elif i == 0 or j == 0 or k == 0 or l == 0:
             raise ValueError(f"line {lineno}: partial zero indices")

@@ -3,22 +3,20 @@
 Pipeline order: readout-error inversion (per-qubit assignment-matrix
 inverses), clipping of negative quasi-probabilities, symmetry post-selection
 on electron number and S_z, RDM assembly from the measurement plan, trace
-rescaling, N-representability reporting, and a global white-noise
-calibration against a reference state.
+rescaling, N-representability reporting on a density matrix, and a global
+white-noise calibration against a reference state.
 
 Each table step exists twice. The ``*_rows`` functions act on a matrix with
 one table per row over integer outcomes and make up the compiled analysis
 (:mod:`qcmoments.analysis`). The bitstring-dict functions (``apply_qrem``,
 ``clip_to_physical``, ``symmetry_postselect``, ``assemble_rdm``,
-``rescale_rdm``) are the references that the tests check the compiled path
-against.
+``rescale_rdm``) and ``mixed_state_value`` are the references that the tests
+check the compiled path against.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -299,44 +297,13 @@ def rescale_rdm(rdm: RDM) -> RDM:
     return rdm.scaled(ideal / actual)
 
 
-@dataclass
-class RepresentabilityReport:
-    hermiticity: float
-    trace_residual: float
-    contraction_residual: float
-    min_eigenvalue: float
-
-    def to_json(self) -> dict:
-        return {k: float(v) for k, v in self.__dict__.items()}
-
-
-def check_representability(rdm: RDM) -> RepresentabilityReport:
-    """Necessary p-RDM validity conditions; reporting only, never mutates.
-
-    Antisymmetry under index permutations is not checked: ``RDM.get``
-    applies the permutation parity itself, so it holds by construction.
-    """
-    herm = 0.0
-    for (sub, sup), v in rdm.data.items():
-        mirror = rdm.data.get((sup, sub))
-        herm = max(herm, abs(v - (mirror.conjugate() if mirror is not None
-                                  else 0.0)))
-    trace_residual = abs(rdm.trace() - rdm.ideal_trace())
-    if rdm.order >= 1 and rdm.n_electrons > rdm.order - 1:
-        # trace of rdm.contract(), read off the diagonal directly
-        q = rdm.order - 1
-        lower_trace = sum(
-            sum(rdm.get(j + (l,), j + (l,)).real
-                for l in range(rdm.n_modes) if l not in j)
-            / (rdm.n_electrons - q)
-            for j in combinations(range(rdm.n_modes), q))
-        contraction_residual = abs(lower_trace - comb(rdm.n_electrons, q))
-    else:
-        contraction_residual = 0.0
-    mat, _ = rdm.matricize()
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))))
-    return RepresentabilityReport(herm, trace_residual, contraction_residual,
-                                  min_eig)
+def check_representability(density: np.ndarray, ideal_trace: float) -> dict:
+    """Necessary N-representability conditions of a Hermitian density
+    matrix: the deviation of its trace from `ideal_trace` and its smallest
+    eigenvalue. Reporting only, never mutates."""
+    return {"trace_residual": float(abs(np.trace(density).real
+                                        - ideal_trace)),
+            "min_eigenvalue": float(np.linalg.eigvalsh(density)[0])}
 
 
 # ---------------------------------------------------------------------------
@@ -369,19 +336,17 @@ def fit_white_noise_rate(noisy_ref, ideal_ref, mixed_value) -> float:
     return q_hat
 
 
-def reference_calibrate(noisy_trial, noisy_ref, ideal_ref, mixed_value):
-    """Estimate the white-noise rate from a reference state and invert it.
+def reference_calibrate(noisy_trial, q_fit, mixed_value):
+    """Invert a white-noise rate fitted on a reference state.
 
-    q̂ is :func:`fit_white_noise_rate`, clamped to 0 with a warning when
-    negative; corrected = (noisy_trial − q̂·mixed_value)/(1 − q̂), elementwise
-    for arrays. Returns (q̂, corrected).
+    q̂ is `q_fit` (from :func:`fit_white_noise_rate`), clamped to 0 with a
+    warning when negative; corrected = (noisy_trial − q̂·mixed_value)/(1 − q̂),
+    elementwise for arrays. Returns (q̂, corrected).
     """
-    q_hat = fit_white_noise_rate(noisy_ref, ideal_ref, mixed_value)
-    if q_hat < 0.0:
-        warnings.warn(f"estimated white-noise rate {q_hat} clamped to 0")
-        q_hat = 0.0
-    corrected = (noisy_trial - q_hat * mixed_value) / (1.0 - q_hat)
-    return q_hat, corrected
+    if q_fit < 0.0:
+        warnings.warn(f"estimated white-noise rate {q_fit} clamped to 0")
+        q_fit = 0.0
+    return q_fit, (noisy_trial - q_fit * mixed_value) / (1.0 - q_fit)
 
 
 def mixed_state_value(op: FermionOperator, n_electrons: int, sz=None,
@@ -400,22 +365,3 @@ def mixed_state_value(op: FermionOperator, n_electrons: int, sz=None,
                 trace += res[1] * c
     return float(trace.real / len(basis))
 
-
-def mixed_element_values(elements, n_modes: int, n_electrons: int, sz,
-                         spins) -> np.ndarray:
-    """:func:`mixed_state_value` of every RDM element a†_C a_A (annihilations
-    applied in reverse, as the RDM stores them), on one sector build.
-
-    Only an element with C = A has diagonal entries, and it equals the
-    product of the number operators on C, so its value is the fraction of
-    sector occupations that fill C; every other element is 0.
-    """
-    basis = np.array(sector_basis(n_modes, n_electrons, sz=sz, spins=spins))
-    if not len(basis):
-        raise ValueError("empty symmetry sector")
-    values = np.zeros(len(elements))
-    for j, e in enumerate(elements):
-        if e.creations == e.annihilations:
-            filled = sum(1 << m for m in e.creations)
-            values[j] = np.count_nonzero(basis & filled == filled) / len(basis)
-    return values

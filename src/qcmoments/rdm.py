@@ -16,8 +16,6 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-import numpy as np
-
 
 def _sort_signed(indices):
     """Sort an index tuple, returning (sorted_tuple, parity_sign) or (None, 0)
@@ -104,26 +102,8 @@ class RDM:
                 out.data[(sub, sup)] = acc / denom
         return out
 
-    def matricize(self) -> tuple[np.ndarray, list]:
-        """Dense matrix over sorted index tuples plus the tuple index list."""
-        keys = list(combinations(range(self.n_modes), self.order))
-        dim = len(keys)
-        mat = np.zeros((dim, dim), dtype=complex)
-        for i, sub in enumerate(keys):
-            for j, sup in enumerate(keys):
-                mat[i, j] = self.get(sub, sup)
-        return mat, keys
-
     def scaled(self, factor: float) -> "RDM":
         out = RDM(self.order, self.n_modes, self.n_electrons)
         out.data = {k: v * factor for k, v in self.data.items()}
         return out
 
-
-def rdm_from_determinant(occupied, n_modes: int, order: int) -> RDM:
-    """Exact p-RDM of a single Slater determinant."""
-    occ = set(occupied)
-    out = RDM(order, n_modes, len(occ))
-    for sub in combinations(sorted(occ), order):
-        out.data[(sub, sub)] = 1.0 + 0.0j
-    return out

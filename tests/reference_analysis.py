@@ -14,15 +14,17 @@ from qcmoments.conventions import sz_of
 from qcmoments.fermion import FermionOperator
 from qcmoments.mitigation import (
     AssignmentCalibration, apply_qrem, assemble_rdm, calibration_from_counts,
-    check_representability, clip_to_physical, mixed_state_value,
+    clip_to_physical, fit_white_noise_rate, mixed_state_value,
     reference_calibrate, rescale_rdm, symmetry_postselect,
 )
 from qcmoments.qcm import (
     CumulantSet, cumulants, hamiltonian_powers, lanczos_energy,
     moments_from_rdm,
 )
-from qcmoments.rdm import rdm_from_determinant
+from qcmoments.rdm import RDM
 from qcmoments.simulator import CountsTable
+
+from reference_rdm import rdm_from_determinant, rdm_representability
 
 
 def bits_to_string(bits: int, n_qubits: int) -> str:
@@ -46,6 +48,15 @@ def counts_tables(counts):
     """Count-matrix rows as CountsTables."""
     return [CountsTable(np.flatnonzero(row), row[row > 0], int(row.sum()))
             for row in counts]
+
+
+def element_rdm(analyzer, values) -> RDM:
+    """The dict RDM that holds element values given in the order of an
+    Analyzer's ``elements``."""
+    out = RDM(analyzer.order, analyzer.n_qubits, analyzer.n_electrons)
+    for e, v in zip(analyzer.elements, values):
+        out.set(e.creations, e.annihilations, v)
+    return out
 
 
 class DictAnalyzer:
@@ -122,11 +133,12 @@ class DictAnalyzer:
                                  for e in elements])
 
             mixed = np.array([self.mixed[e] for e in elements])
+            q_fit = fit_white_noise_rate(values(rdms["reference"]),
+                                         values(self.ideal_ref), mixed)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                q_hat, corrected = reference_calibrate(
-                    values(rdm), values(rdms["reference"]),
-                    values(self.ideal_ref), mixed)
+                q_hat, corrected = reference_calibrate(values(rdm), q_fit,
+                                                       mixed)
             if q_hat > 0.0:
                 # the trial RDM was assembled for this call alone
                 for e, v in zip(elements, corrected):
@@ -141,6 +153,5 @@ class DictAnalyzer:
         result = {"h": m.m1, "e_l": lanczos_energy(c)}
         if diagnostics:
             result.update(q_hat=q_hat, acceptance=rates, rdm=rdm,
-                          representability=check_representability(
-                              rdm).to_json())
+                          representability=rdm_representability(rdm))
         return result

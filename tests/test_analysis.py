@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fixtures_util import H2_PATH, H4_PATH
-from reference_analysis import DictAnalyzer
+from reference_analysis import DictAnalyzer, element_rdm
 
 from qcmoments.analysis import ABLATION_STACKS, Analyzer, load_archive
 from qcmoments.cli import _load_system, main
@@ -162,19 +162,20 @@ def test_moment_map_matches_contraction_on_untraced_values(fixture,
         values = rng.normal(size=len(compiled.elements))
         assert abs(values[compiled._diagonal].sum() - 1.0) > 1e-3
         got = compiled.moments(values).as_tuple()
-        want = moments_from_rdm(powers, compiled.rdm(values),
+        want = moments_from_rdm(powers, element_rdm(compiled, values),
                                 compiled.n_electrons).as_tuple()
         assert got == pytest.approx(want, rel=TOL, abs=TOL)
 
 
 @pytest.mark.parametrize("fixture", ["h4", "h4_frozen"])
 def test_mixed_values_match_per_element_traces(fixture, request):
-    # one sector build for every element against mitigation.mixed_state_value
-    # run on each element's own operator (the reference analyzer's values)
+    # the mixed values read off the sector map against
+    # mitigation.mixed_state_value run on each element's own operator (the
+    # reference analyzer's values)
     _, _, (compiled, reference, _) = request.getfixturevalue(fixture)
     want = [reference.mixed[e] for e in compiled.elements]
     assert any(want) and not all(want)
-    np.testing.assert_allclose(compiled.mixed_values(), want, rtol=0,
+    np.testing.assert_allclose(compiled.mixed, want, rtol=0,
                                atol=1e-15)
 
 
@@ -296,6 +297,8 @@ def test_report_records_diagnostics(h2, tmp_path):
         assert len(diag["clipped_mass"][which]) == compiled.n_bases
         assert all(m >= 0.0 for m in diag["clipped_mass"][which])
     assert diag["q_hat_clamped"] == (diag["q_hat_fit"] < 0.0)
+    assert set(doc["representability"]) == {"trace_residual",
+                                            "min_eigenvalue"}
     assert doc["estimate"]["q_hat"] == max(diag["q_hat_fit"], 0.0)
     boot = doc["bootstrap"]
     assert sum(boot["failure_reasons"].values()) == boot["failures"]

@@ -114,6 +114,10 @@ VALUE_FAULTS = {
         {"creations": [2, 9], "annihilations": [0, 1]}]},
     "repeated excitation index": {"excitations": [
         {"creations": [2, 2], "annihilations": [0, 1]}]},
+    "NaN theta": {"excitations": [
+        {"creations": [2, 3], "annihilations": [0, 1], "theta": float("nan")}]},
+    "theta beyond the float range": {"excitations": [
+        {"creations": [2, 3], "annihilations": [0, 1], "theta": 10 ** 400}]},
 }
 
 
@@ -124,6 +128,61 @@ def test_config_value_faults_exit_2(tmp_path, fault, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert "Traceback" not in err
+
+
+H2_TEXT = H2_PATH.read_text()
+
+
+def integrals_file(tmp_path, data):
+    """Config overrides that point at an integrals file holding `data`."""
+    path = tmp_path / "integrals.fcidump"
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data)
+    return {"integrals": str(path)}
+
+
+# a fault in the integrals or in their freezing: fault -> overrides
+INTEGRALS_FAULTS = {
+    "frozen orbital beyond the orbitals": lambda tmp: {"frozen_occupied": [9]},
+    "orbital frozen both ways": lambda tmp: {"frozen_occupied": [0],
+                                             "frozen_virtual": [0]},
+    "more frozen electrons than the molecule has": lambda tmp: {
+        "frozen_occupied": [0, 1]},
+    "header without its end": lambda tmp: integrals_file(
+        tmp, H2_TEXT.replace("/", "")),
+    "line of six tokens": lambda tmp: integrals_file(
+        tmp, H2_TEXT + "0.1 1 1 1 1 1\n"),
+    "bytes that are not UTF-8": lambda tmp: integrals_file(
+        tmp, H2_TEXT.encode() + b"\xff\xfe\n"),
+    "more electrons than spin-orbitals": lambda tmp: integrals_file(
+        tmp, H2_TEXT.replace("NELEC=2", "NELEC=5")),
+    "integrals naming a directory": lambda tmp: {"integrals": str(tmp)},
+}
+
+
+@pytest.mark.parametrize("fault", INTEGRALS_FAULTS)
+def test_integrals_faults_exit_2(tmp_path, fault, capsys):
+    cfg = write_config(tmp_path, **INTEGRALS_FAULTS[fault](tmp_path))
+    assert main(["fci", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "Traceback" not in err
+
+
+def test_fci_ignores_orbital_energy_lines(tmp_path):
+    # "e i 0 0 0" lines give orbital energies, which are not Hamiltonian
+    # terms; they once overwrote h1 entries of the last orbital
+    energies = {}
+    for name, text in (("fixture", H2_TEXT), ("with orbital energies",
+                       H2_TEXT + " 0.5 1 0 0 0\n -0.25 2 0 0 0\n")):
+        out = tmp_path / "fci.json"
+        cfg = write_config(tmp_path, **integrals_file(tmp_path, text))
+        assert main(["fci", "--config", str(cfg), "--output", str(out)]) == 0
+        energies[name] = json.loads(out.read_text())["fci"]
+    assert energies["with orbital energies"] == pytest.approx(
+        energies["fixture"], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,18 @@ def test_fcidump_errors(tmp_path):
         load_fcidump(path)
 
 
+
+@pytest.mark.parametrize("line", ["1.0 0 1 0 0", "1.0 0 0 1 0",
+                                  "1.0 1 1 1 0", "1.0 1 0 1 1",
+                                  "1.0 0 0 1 1"])
+def test_fcidump_partial_zero_indices_are_rejected(tmp_path, line):
+    # only "e 0 0 0 0" (core energy), "e i 0 0 0" (orbital energy) and
+    # "h i j 0 0" (one-body) leave indices zero
+    path = tmp_path / "dump"
+    path.write_text(f"&FCI NORB=2,NELEC=2,\n/\n{line}\n")
+    with pytest.raises(ValueError, match="partial zero"):
+        load_fcidump(path)
+
 def test_freeze_nothing_is_identity():
     ints = random_integrals(3, seed=7)
     out = freeze_orbitals(ints, set(), set())

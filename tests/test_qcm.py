@@ -13,11 +13,11 @@ from qcmoments.qcm import (
     BootstrapResult, CumulantSet, EnergyEstimate, MomentSet, bootstrap,
     cumulants, hamiltonian_powers, lanczos_energy, moments_from_rdm,
 )
-from qcmoments.rdm import rdm_from_determinant
 from qcmoments.simulator import Statevector, exact_diagonalize, sector_basis
 from qcmoments.trial import exact_trial_state
 
 from reference_qcm import moments_from_statevector, validate_moments
+from reference_rdm import rdm_from_determinant
 from reference_simulator import rdm_from_statevector
 
 

@@ -9,9 +9,10 @@ import pytest
 from qcmoments.fermion import (
     FermionOperator, expectation_from_rdm, jordan_wigner,
 )
-from qcmoments.rdm import RDM, _sort_signed, rdm_from_determinant
+from qcmoments.rdm import RDM, _sort_signed
 from qcmoments.simulator import Statevector, sector_basis
 
+from reference_rdm import matricize, rdm_from_determinant
 from reference_simulator import rdm_from_statevector
 
 
@@ -49,7 +50,7 @@ def test_determinant_rdm_trace_and_psd():
     for p in (1, 2, 3):
         r = rdm_from_determinant(occ, 6, p)
         assert r.trace() == pytest.approx(comb(3, p))
-        mat, _ = r.matricize()
+        mat = matricize(r)
         assert np.allclose(mat, mat.conj().T)
         assert np.linalg.eigvalsh(mat).min() > -1e-12
 
@@ -59,7 +60,7 @@ def test_statevector_rdm_is_hermitian_psd_with_ideal_trace():
     for p in (1, 2, 3):
         r = rdm_from_statevector(state, p, 3)
         assert r.trace() == pytest.approx(comb(3, p), abs=1e-10)
-        mat, _ = r.matricize()
+        mat = matricize(r)
         assert np.allclose(mat, mat.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(mat).min() > -1e-10
 
