@@ -8,8 +8,9 @@ An archive holds one (tables x 2^n) integer count matrix with rows
 an analysis needs:
 
 - post-selection: one boolean outcome mask per basis;
-- RDM assembly: (element, flat outcome index, eigenvalue) triplets, so one
-  ``np.bincount`` assembles every element of a group of bases;
+- RDM assembly: (element, flat outcome index, eigenvalue) triplets decoded
+  from one outcome-feature table, so one ``np.bincount`` assembles every
+  element of a group of bases;
 - the sector map: the RDM order must equal N_e, so each element is one
   entry of the density matrix D over the N_e-electron occupations, at a
   (row, column, sign). Read off it are each <H^k> as the constant c0^k plus
@@ -23,8 +24,8 @@ assembles and contracts with array operations; no dict RDM is built. The
 dict-path functions (``mitigation.apply_qrem``, ``clip_to_physical``,
 ``symmetry_postselect``, ``assemble_rdm``, ``rescale_rdm``,
 ``mixed_state_value``, ``qcm.moments_from_rdm``,
-``fermion.expectation_from_rdm``, ``RDM.contract``) are the references that
-the tests check this path against.
+``fermion.expectation_from_rdm``, ``RDM.contract``) and, for the decode,
+``planner.product_value`` are the references the tests check it against.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from .mitigation import (
     fit_white_noise_rate, postselect_mask, postselect_rows, qrem_rows,
     reference_calibrate,
 )
-from .planner import MeasurementPlan, product_value
+from .planner import MeasurementPlan
 from .qcm import CumulantSet, MomentSet, cumulants, lanczos_energy
 from .simulator import (
     apply_term_to_mask, operator_matrix_in_sector, sector_basis,
@@ -203,23 +204,61 @@ def position_spins(mc, spins, n_qubits):
     return pos_spins
 
 
+#: coverage products decoded per array pass of :func:`_assembly_map`
+_CHUNK = 128
+
+
 def _assembly_map(plan, circuits, elements, order):
-    """(element, flat outcome index, weight) triplets: element k's value is
-    the sum of weight * probs.flat[index] over its triplets, where probs is
-    the (bases x 2^n) matrix of mitigated distributions."""
-    outcomes = np.arange(1 << plan.n_modes)
+    """(element, flat outcome index, weight) triplets in element, product,
+    outcome order: element k's value is the sum of weight * probs.flat[index]
+    over its triplets, for the (bases x 2^n) mitigated distributions probs.
+
+    Each coverage product is decoded as ``planner.product_value`` does: a
+    coefficient times rows of one table over the outcomes, which holds all
+    ones (padding), each bit q (row 1 + q), and for positions lo, hi the
+    pair value (bit_hi - bit_lo) / 2 (row 1 + n + lo n + hi) and, n^2 rows
+    further on, the joint occupation."""
+    n = plan.n_modes
+    bits = (np.arange(1 << n) >> np.arange(n)[:, None] & 1).astype(float)
+    table = np.concatenate([
+        np.ones((1, 1 << n)), bits,
+        (0.5 * (bits[None] - bits[:, None])).reshape(n * n, -1),
+        (bits[:, None] * bits[None]).reshape(n * n, -1)])
     # measured elements use ascending annihilation order; canonical RDM
     # storage applies annihilations in descending order
     reversal = -1.0 if (order * (order - 1) // 2) % 2 else 1.0
-    elem, flat, weight = [], [], []
+    products, rows = [], []     # (element, basis, coefficient), table rows
     for k, e in enumerate(elements):
         for b_idx, sign, factors in plan.coverage[e]:
-            values = product_value(circuits[b_idx], factors, outcomes)
-            nonzero = np.flatnonzero(values)
-            elem.append(np.full(nonzero.size, k))
-            flat.append(b_idx * outcomes.size + nonzero)
-            weight.append(reversal * sign * values[nonzero])
-    return np.concatenate(elem), np.concatenate(flat), np.concatenate(weight)
+            mc, coef, r, handled = circuits[b_idx], reversal * sign, [], set()
+            for kind, idx in factors:
+                if kind != "N":
+                    lo, hi, mode_lo = mc.site_positions[tuple(idx)]
+                    r.append(1 + n + lo * n + hi)
+                    if kind == "Im" and mode_lo != idx[0]:
+                        coef = -coef    # the lower mode sat on the high qubit
+                elif idx[0] in mc.mode_positions:
+                    r.append(1 + mc.mode_positions[idx[0]])
+                elif idx[0] not in handled:     # joint occupation of a site
+                    site = next(s for s in mc.site_positions if idx[0] in s)
+                    lo, hi, _ = mc.site_positions[site]
+                    r.append(1 + n + n * n + lo * n + hi)
+                    handled.update(site)
+            products.append((k, b_idx, coef))
+            rows.append(r)
+    width = max(map(len, rows))
+    index = np.array([r + [0] * (width - len(r)) for r in rows])
+    elem, basis, coef = (np.array(c) for c in zip(*products))
+    triplets = []
+    for start in range(0, len(rows), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        values = coef[part, None] * table[index[part, 0]]
+        for column in index[part, 1:].T:
+            values *= table[column]
+        p, outcome = np.nonzero(values)
+        triplets.append((elem[start + p], basis[start + p] << n | outcome,
+                         values[p, outcome]))
+    return tuple(np.concatenate(t) for t in zip(*triplets))
 
 
 def _sector_map(elements, basis):

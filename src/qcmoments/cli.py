@@ -33,8 +33,8 @@ from .mitigation import sample_calibration
 from .planner import build_measurement_circuit, build_plan, \
     enumerate_elements
 from .qcm import EnergyEstimate, bootstrap
-from .simulator import NoiseSpec, Statevector, exact_diagonalize, run, \
-    sample
+from .simulator import NoiseSpec, Statevector, exact_diagonalize, \
+    noisy_distribution, run, sample
 from .trial import Ansatz, Excitation, build_uccd, energy_objective, \
     spsa_minimize
 
@@ -173,6 +173,18 @@ def cmd_optimize(args) -> int:
 # run
 
 
+def _check_plan(plan, cfg: PipelineConfig, n: int, source: str):
+    """ConfigError naming `source` unless `plan` measures the config's RDM
+    order over the interleaved spins of its n modes."""
+    orders = sorted({e.order for e in plan.coverage})
+    if (plan.n_modes, orders, plan.spins) != \
+            (n, [cfg.order], interleaved_spins(n)):
+        raise ConfigError(
+            f"{source} measures order {orders} over {plan.n_modes} modes "
+            f"with spins {''.join(plan.spins)!r}, but the config needs order "
+            f"{cfg.order} over {n} interleaved modes")
+
+
 def _measurement_circuits(plan, layout, source: str) -> list:
     """One measurement circuit per concrete basis of the plan; ConfigError
     naming `source` if the plan's routing does not fit `layout`."""
@@ -205,12 +217,10 @@ def cmd_run(args) -> int:
     n, ne = ints.n_spin_orbitals, ints.n_electrons
     plan_bytes = read_bytes(args.plan, "plan file")
     plan = parse_plan(plan_bytes, f"plan file {args.plan}")
-    if plan.n_modes != n:
-        raise ConfigError(
-            f"plan covers {plan.n_modes} modes but the ansatz uses {n}")
+    _check_plan(plan, cfg, n, f"plan file {args.plan}")
     thetas = _read_thetas(args.thetas, len(ansatz.excitations))
-    built_trial = build_uccd(ansatz.with_thetas(thetas))
-    built_ref = build_uccd(ansatz.with_thetas([0.0] * len(thetas)))
+    built = [build_uccd(ansatz.with_thetas(thetas)),
+             build_uccd(ansatz.with_thetas([0.0] * len(thetas)))]
     noise = _noise_spec(cfg, n)
 
     # one row per table, in the order Analyzer reads them: calibration
@@ -220,24 +230,26 @@ def cmd_run(args) -> int:
     counts[:2] = sample_calibration(
         noise, n, cfg.shots,
         [derive_seed(cfg.master_seed, "calibration", row) for row in (0, 1)])
-    zero = Statevector.basis_state(0, n)
     # the amplitudes do not move the qubits, so both states end in the
     # trial layout and share the measurement circuits
-    circuits = _measurement_circuits(plan, built_trial.layout,
+    circuits = _measurement_circuits(plan, built[0].layout,
                                      f"plan file {args.plan}")
-    for block, (built, tag) in enumerate(((built_trial, "sample-trial"),
-                                          (built_ref, "sample-reference"))):
-        # the state stays pure until sampling, so the preparation runs once
-        # and each basis applies only its measurement circuit to it; the
-        # noise still counts the CNOTs of the whole circuit
-        prepared = run(built.circuit, zero)
-        prep_cnots = built.circuit.cnot_count()
-        for i, mc in enumerate(circuits):
-            state = run(mc.circuit, prepared)
-            counts[2 + block * n_bases + i] = sample(
-                state, cfg.shots, noise,
-                n_cnots=prep_cnots + mc.circuit.cnot_count(),
-                seed=derive_seed(cfg.master_seed, tag, i)).vector(n)
+    # the states stay pure until sampling, so each is prepared once and each
+    # basis applies only its measurement circuit to the stack of both; the
+    # noise still counts the CNOTs of the whole circuit
+    zero = Statevector.basis_state(0, n)
+    prepared = np.array([run(b.circuit, zero).amplitudes for b in built])
+    ideal = np.empty((2 * n_bases, 1 << n))
+    for i, mc in enumerate(circuits):
+        ideal[i::n_bases] = np.abs(run(mc.circuit, prepared)) ** 2
+    n_cnots = np.add.outer([b.circuit.cnot_count() for b in built],
+                           [mc.circuit.cnot_count() for mc in circuits])
+    seeds = [derive_seed(cfg.master_seed, tag, i)
+             for tag in ("sample-trial", "sample-reference")
+             for i in range(n_bases)]
+    for row, (p, seed) in enumerate(
+            zip(noisy_distribution(ideal, noise, n_cnots.ravel()), seeds)):
+        counts[2 + row] = sample(p, cfg.shots, seed=seed).vector(n)
 
     total = int(counts.sum())
     write_archive(args.output_dir, plan_bytes, counts, {
@@ -246,7 +258,7 @@ def cmd_run(args) -> int:
         "n_bases": n_bases,
         "shots_per_basis": cfg.shots,
         "total_shots": total,
-        "layout": list(built_trial.layout),
+        "layout": list(built[0].layout),
         "thetas": thetas,
         "noise": cfg.noise,
         "master_seed": cfg.master_seed,
@@ -264,8 +276,8 @@ def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     ints, h, _ = _load_system(cfg)
     manifest, plan, counts = load_archive(args.archive)
-    if plan.n_modes != ints.n_spin_orbitals:
-        raise ConfigError("archive and config disagree on the mode count")
+    _check_plan(plan, cfg, ints.n_spin_orbitals,
+                f"archive plan in {args.archive}")
     check_archive_config(manifest, cfg, ints.n_electrons)
     circuits = _measurement_circuits(plan, tuple(manifest["layout"]),
                                      f"archive plan in {args.archive}")

@@ -24,8 +24,8 @@ from .fermion import FermionOperator
 from .planner import MeasurementPlan, product_value
 from .rdm import RDM
 from .simulator import (
-    CountsTable, NoiseSpec, Statevector, apply_term_to_mask, sample,
-    sector_basis,
+    CountsTable, NoiseSpec, apply_1q, apply_term_to_mask,
+    noisy_distribution, sample, sector_basis,
 )
 
 # ---------------------------------------------------------------------------
@@ -93,25 +93,21 @@ def sample_calibration(noise: NoiseSpec, n_qubits: int, shots: int,
     preparations are gate-free, so they see the readout flips of ``noise``
     only."""
     readout = NoiseSpec(readout_flip=noise.readout_flip)
-    return np.array([
-        sample(Statevector.basis_state(prep, n_qubits), shots, readout,
-               seed=seed).vector(n_qubits)
-        for prep, seed in zip((0, (1 << n_qubits) - 1), seeds)])
+    ideal = np.zeros((2, 1 << n_qubits))
+    ideal[0, 0] = ideal[1, -1] = 1.0
+    rows = noisy_distribution(ideal, readout, (0, 0))
+    return np.array([sample(p, shots, seed=seed).vector(n_qubits)
+                     for p, seed in zip(rows, seeds)])
 
 
 def qrem_rows(probs: np.ndarray, cal: AssignmentCalibration) -> np.ndarray:
     """Readout inversion of each row (a distribution over integer outcomes)
     by the tensor product of the per-qubit inverses, one qubit at a time."""
-    rows, dim = probs.shape
-    if dim != 1 << cal.n_qubits:
+    if probs.shape[1] != 1 << cal.n_qubits:
         raise ValueError("calibration does not cover all qubits")
-    out = probs
     for q, inv in enumerate(cal.inverses):
-        a = out.reshape(rows * (dim >> q + 1), 2, 1 << q)
-        out = np.empty_like(a)
-        out[:, 0] = inv[0, 0] * a[:, 0] + inv[0, 1] * a[:, 1]
-        out[:, 1] = inv[1, 0] * a[:, 0] + inv[1, 1] * a[:, 1]
-    return out.reshape(rows, dim)
+        probs = apply_1q(probs, inv, q)
+    return probs
 
 
 def _flip_bit(bits: str, q: int) -> str:

@@ -1,9 +1,10 @@
 """Statevector simulation: circuits, noise channels, sampling, sector
 diagonalization.
 
-Two-qubit gates are restricted to adjacent qubits of a linear array. Noise is
-applied at sampling time: a global white-noise (depolarizing) mixture followed
-by independent per-qubit readout flips.
+Two-qubit gates are restricted to adjacent qubits of a linear array; gate
+kernels act on the last axis, so :func:`run` evolves a stack of states at
+once. Noise is applied at sampling time, to a matrix of distributions at
+once: a global white-noise mixture, then per-qubit readout flips.
 """
 from __future__ import annotations
 
@@ -38,19 +39,11 @@ def _mat_1q(name: str, param):
     return _MAT_1Q[name]
 
 
-# basis order |b_hi b_lo> = 00, 01, 10, 11 (lo = lower qubit index)
-_FSWAP = np.array([[1, 0, 0, 0],
-                   [0, 0, 1, 0],
-                   [0, 1, 0, 0],
-                   [0, 0, 0, -1]], dtype=complex)
-_CNOT_CTRL_LO = np.array([[1, 0, 0, 0],
-                          [0, 0, 0, 1],
-                          [0, 0, 1, 0],
-                          [0, 1, 0, 0]], dtype=complex)
-_CNOT_CTRL_HI = np.array([[1, 0, 0, 0],
-                          [0, 1, 0, 0],
-                          [0, 0, 0, 1],
-                          [0, 0, 1, 0]], dtype=complex)
+# basis order |b_hi b_lo> = 00, 01, 10, 11 (lo = lower qubit index): each
+# two-qubit gate permutes these four entries, and FSWAP also negates |11>
+_FSWAP = [0, 2, 1, 3]
+_CNOT_CTRL_LO = [0, 3, 2, 1]
+_CNOT_CTRL_HI = [0, 1, 3, 2]
 
 
 class Circuit:
@@ -155,9 +148,6 @@ class Statevector:
         amps[bits] = 1.0
         return cls(amps, n_qubits)
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 @dataclass
 class NoiseSpec:
@@ -228,64 +218,66 @@ class CountsTable:
 # execution
 
 
-def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    a = amps.reshape(1 << (n - 1 - q), 2, 1 << q)
+def apply_1q(amps: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
+    """`mat` (2x2) applied to qubit q of each row (last axis) of `amps`."""
+    a = amps.reshape(-1, 2, 1 << q)
     out = np.empty_like(a)
-    out[:, 0, :] = mat[0, 0] * a[:, 0, :] + mat[0, 1] * a[:, 1, :]
-    out[:, 1, :] = mat[1, 0] * a[:, 0, :] + mat[1, 1] * a[:, 1, :]
-    return out.reshape(-1)
+    out[:, 0] = mat[0, 0] * a[:, 0] + mat[0, 1] * a[:, 1]
+    out[:, 1] = mat[1, 0] * a[:, 0] + mat[1, 1] * a[:, 1]
+    return out.reshape(amps.shape)
 
 
-def _apply_2q_adjacent(amps: np.ndarray, mat: np.ndarray, lo: int, n: int) -> np.ndarray:
+def _permute_pair(amps: np.ndarray, perm, lo: int, negate_11: bool):
     # acts on qubits (lo, lo+1); basis order |b_{lo+1} b_lo>
-    a = amps.reshape(1 << (n - 2 - lo), 4, 1 << lo)
-    out = np.einsum("ij,ajb->aib", mat, a)
-    return out.reshape(-1)
+    out = amps.reshape(-1, 4, 1 << lo)[:, perm]
+    if negate_11:
+        out[:, 3] = -out[:, 3]
+    return out.reshape(amps.shape)
 
 
-def run(circuit: Circuit, initial: Statevector) -> Statevector:
-    """Exact unitary application, gate by gate."""
-    if circuit.n_qubits != initial.n_qubits:
-        raise ValueError("qubit-count mismatch")
+def run(circuit: Circuit, initial):
+    """Exact gate-by-gate evolution of a Statevector or a (k x 2^n) stack."""
+    stacked = not isinstance(initial, Statevector)
+    amps = np.array(initial if stacked else initial.amplitudes, dtype=complex)
     n = circuit.n_qubits
-    amps = initial.amplitudes.copy()
+    if amps.shape[-1] != 1 << n:
+        raise ValueError("qubit-count mismatch")
     for name, qubits, param in circuit.gates:
         if name in SINGLE_QUBIT_GATES:
-            amps = _apply_1q(amps, _mat_1q(name, param), qubits[0], n)
+            amps = apply_1q(amps, _mat_1q(name, param), qubits[0])
         elif name == "FSWAP":
-            amps = _apply_2q_adjacent(amps, _FSWAP, min(qubits), n)
+            amps = _permute_pair(amps, _FSWAP, min(qubits), True)
         elif name == "CNOT":
             control, target = qubits
             if abs(control - target) != 1:
                 raise ValueError("CNOT on non-adjacent qubits")
-            mat = _CNOT_CTRL_LO if control < target else _CNOT_CTRL_HI
-            amps = _apply_2q_adjacent(amps, mat, min(qubits), n)
+            perm = _CNOT_CTRL_LO if control < target else _CNOT_CTRL_HI
+            amps = _permute_pair(amps, perm, min(qubits), False)
         else:
             raise ValueError(f"unknown gate {name!r}")
-    return Statevector(amps, n)
+    return amps if stacked else Statevector(amps, n)
 
 
-def noisy_distribution(state: Statevector, noise: NoiseSpec,
-                       n_cnots: int = 0) -> np.ndarray:
-    """Outcome distribution after the white-noise mixture and readout flips."""
-    n = state.n_qubits
-    q = noise.effective_q(n_cnots)
-    p = (1.0 - q) * state.probabilities() + q / (1 << n)
+def noisy_distribution(probs: np.ndarray, noise: NoiseSpec,
+                       n_cnots) -> np.ndarray:
+    """Each row of the (rows x 2^n) ideal distributions `probs` after the
+    white-noise mixture at its circuit's CNOT count and the readout flips."""
+    dim = np.shape(probs)[1]
+    q = np.array([noise.effective_q(int(c)) for c in n_cnots])[:, None]
+    p = (1.0 - q) * probs + q / dim
     if noise.readout_flip is not None:
-        if noise.readout_flip.shape[0] != n:
+        if 1 << noise.readout_flip.shape[0] != dim:
             raise ValueError("readout calibration does not cover all qubits")
-        for qq in range(n):
-            p = _apply_1q(p.astype(float), noise.readout_flip[qq], qq, n).real
-    return np.real(p)
+        for qq, flip in enumerate(noise.readout_flip):
+            p = apply_1q(p, flip, qq)
+    return p
 
 
-def sample(state: Statevector, shots: int, noise: NoiseSpec,
-           n_cnots: int = 0, *, seed: int) -> CountsTable:
-    """Multinomial sampling from the noisy outcome distribution; seeded."""
+def sample(distribution: np.ndarray, shots: int, *, seed: int) -> CountsTable:
+    """Seeded draw from a noisy_distribution row, clipped and renormalized."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    p = noisy_distribution(state, noise, n_cnots)
-    p = np.clip(p, 0.0, None)
+    p = np.clip(distribution, 0.0, None)
     p = p / p.sum()
     rng = np.random.default_rng(seed)
     draw = rng.multinomial(shots, p)

@@ -3,7 +3,9 @@
 
 It chains the bitstring-dict mitigation functions, ``assemble_rdm`` and
 ``moments_from_rdm`` table by table, as the command line did before the
-analysis was compiled into array maps.
+analysis was compiled into array maps. ``product_assembly_map`` builds the
+assembly triplets one product at a time, as before they were decoded from
+an outcome-feature table.
 """
 import warnings
 
@@ -17,6 +19,7 @@ from qcmoments.mitigation import (
     clip_to_physical, fit_white_noise_rate, mixed_state_value,
     reference_calibrate, rescale_rdm, symmetry_postselect,
 )
+from qcmoments.planner import product_value
 from qcmoments.qcm import (
     CumulantSet, cumulants, hamiltonian_powers, lanczos_energy,
     moments_from_rdm,
@@ -25,6 +28,23 @@ from qcmoments.rdm import RDM
 from qcmoments.simulator import CountsTable
 
 from reference_rdm import rdm_from_determinant, rdm_representability
+
+
+def product_assembly_map(plan, circuits, elements, order):
+    """The (element, flat outcome index, weight) triplets of
+    ``analysis._assembly_map``, decoded one coverage product at a time by
+    ``planner.product_value``."""
+    outcomes = np.arange(1 << plan.n_modes)
+    reversal = -1.0 if (order * (order - 1) // 2) % 2 else 1.0
+    elem, flat, weight = [], [], []
+    for k, e in enumerate(elements):
+        for b_idx, sign, factors in plan.coverage[e]:
+            values = product_value(circuits[b_idx], factors, outcomes)
+            nonzero = np.flatnonzero(values)
+            elem.append(np.full(nonzero.size, k))
+            flat.append(b_idx * outcomes.size + nonzero)
+            weight.append(reversal * sign * values[nonzero])
+    return np.concatenate(elem), np.concatenate(flat), np.concatenate(weight)
 
 
 def bits_to_string(bits: int, n_qubits: int) -> str:

@@ -18,15 +18,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fixtures_util import H2_PATH, H4_PATH
-from reference_analysis import DictAnalyzer, element_rdm
+from reference_analysis import DictAnalyzer, element_rdm, \
+    product_assembly_map
 
-from qcmoments.analysis import ABLATION_STACKS, Analyzer, load_archive
+from qcmoments.analysis import (
+    ABLATION_STACKS, Analyzer, _assembly_map, load_archive,
+)
 from qcmoments.cli import _load_system, main
 from qcmoments.config import load_config
 from qcmoments.mitigation import (
     AssignmentCalibration, clip_rows, clip_to_physical, qrem_rows,
 )
-from qcmoments.planner import build_measurement_circuit
+from qcmoments.conventions import interleaved_spins
+from qcmoments.planner import build_measurement_circuit, build_plan, \
+    enumerate_elements
 from qcmoments.qcm import (
     MomentSet, bootstrap, hamiltonian_powers, moments_from_rdm,
 )
@@ -131,6 +136,31 @@ def _assert_paths_agree(compiled, reference, counts):
         for key, value in got["representability"].items():
             assert value == pytest.approx(want["representability"][key],
                                           abs=TOL)
+
+
+def _plan_9x4():
+    spins = interleaved_spins(9)
+    plan = build_plan(enumerate_elements(9, 4, spins), spins)
+    return plan, [build_measurement_circuit(b, range(9)) for b in plan.bases]
+
+
+@pytest.mark.parametrize("which", ["h4", "plan-9x4"])
+def test_table_decode_matches_product_value(which, request):
+    # every coverage product, decoded at all 2^n outcomes from the feature
+    # table, gives the triplets that product_value gives, bit for bit
+    if which == "h4":
+        _, archive, _ = request.getfixturevalue("h4")
+        manifest, plan, _ = load_archive(archive)
+        circuits = [build_measurement_circuit(b, manifest["layout"])
+                    for b in plan.bases]
+    else:
+        plan, circuits = _plan_9x4()
+    elements = sorted(plan.coverage)
+    got = _assembly_map(plan, circuits, elements, 4)
+    want = product_assembly_map(plan, circuits, elements, 4)
+    assert got[0].size > 0
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 @pytest.mark.filterwarnings("ignore:estimated white-noise rate")

@@ -12,13 +12,14 @@ import shutil
 import numpy as np
 import pytest
 
+from qcmoments.analysis import write_archive
 from qcmoments.cli import _load_system, main
 from qcmoments.config import load_config
 from qcmoments.planner import MeasurementPlan, build_measurement_circuit
 from qcmoments.simulator import Circuit, Statevector, run
 from qcmoments.trial import build_uccd
 
-from fixtures_util import H2_PATH
+from fixtures_util import H2_PATH, H4_PATH
 
 # sector FCI / Hartree-Fock energies of the stretched-H2 fixture,
 # from exact diagonalization (see tests/test_integrals.py)
@@ -349,6 +350,65 @@ def test_run_archive_manifest(tmp_path):
     assert manifest["total_shots"] == counts.sum() == 1000 * (2 * n_bases + 2)
 
 
+# plans for the H2 fixture's 4 modes that do not fit its order-2 config
+MISMATCHED_PLANS = {
+    "order 1": (["--order", "1"], "measures order [1] over 4 modes"),
+    "order 3": (["--order", "3"], "measures order [3] over 4 modes"),
+    "spin pattern uudd": (["--order", "2", "--spin-pattern", "uudd"],
+                          "with spins 'uudd'"),
+}
+
+
+def _mismatched_plan(tmp_path, case):
+    plan = tmp_path / "other_plan.json"
+    assert main(["plan", "--modes", "4", *MISMATCHED_PLANS[case][0],
+                 "--output", str(plan)]) == 0
+    return plan
+
+
+@pytest.mark.parametrize("case", MISMATCHED_PLANS)
+def test_run_plan_mismatch_exits_2(tmp_path, case, capsys):
+    cfg = write_config(tmp_path, shots=500)
+    _, thetas = _plan_and_thetas(tmp_path, cfg)
+    plan = _mismatched_plan(tmp_path, case)
+    capsys.readouterr()
+    out = tmp_path / "counts"
+    assert main(["run", "--config", str(cfg), "--plan", str(plan),
+                 "--thetas", str(thetas), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: plan file ")
+    assert MISMATCHED_PLANS[case][1] in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", MISMATCHED_PLANS)
+def test_analyze_plan_mismatch_exits_2(tmp_path, case, capsys):
+    # a well-formed archive, consistent in itself and with the config's
+    # manifest fields, whose plan does not fit the config
+    cfg = write_config(tmp_path, shots=500)
+    plan_bytes = _mismatched_plan(tmp_path, case).read_bytes()
+    n_bases = len(MeasurementPlan.loads(plan_bytes.decode()).bases)
+    # every table reads |0000> but the calibration-ones table reads |1111>
+    counts = np.zeros((2 * n_bases + 2, 16), dtype=np.int64)
+    counts[:, 0] = 500
+    counts[1, [0, 15]] = 0, 500
+    config = load_config(cfg)
+    archive = tmp_path / "counts"
+    write_archive(archive, plan_bytes, counts, {
+        "n_qubits": 4, "n_electrons": 2, "n_bases": n_bases,
+        "shots_per_basis": 500, "total_shots": int(counts.sum()),
+        "layout": [0, 1, 2, 3], "thetas": [0.0], "noise": config.noise,
+        "master_seed": config.master_seed})
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert main(["analyze", "--config", str(cfg), "--archive", str(archive),
+                 "--output", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: archive plan in ")
+    assert MISMATCHED_PLANS[case][1] in err and "Traceback" not in err
+    assert not report.exists()
+
+
 @pytest.fixture(scope="module")
 def run_inputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("run_inputs")
@@ -509,3 +569,44 @@ def test_pipeline_reports_are_bit_identical(tmp_path):
         assert main(["pipeline", "--config", str(cfg)]) == 0
         reports.append((tmp_path / "out" / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+# SHA-256 of counts.npy and ablation.csv at master seed 7, recorded before
+# sampling and assembly became array passes over all bases: the benchmark's
+# H2 pipeline config, and the H4 chain at order 4 with its pinned
+# amplitudes, 2,000 shots and no SPSA
+PINNED_NOISE = {"global_q": 0.1, "p01": 0.03, "p10": 0.05}
+PINNED_H4_EXCITATIONS = [
+    ((4, 5), (2, 3), 0.2078217569360465),
+    ((6, 7), (2, 3), 0.056920425909431686),
+    ((4, 5), (0, 1), 0.056920423100753244),
+    ((6, 7), (0, 1), 0.08537314814180205)]
+PINNED_PIPELINES = {
+    "h2": ({"integrals": str(H2_PATH), "order": 2,
+            "excitations": [{"creations": [2, 3], "annihilations": [0, 1]}],
+            "shots": 100_000, "spsa": {"iterations": 150, "seeds": 1},
+            "bootstrap": {"enabled": True, "resamples": 100}},
+           "cafacdb9014b2b45c49f98e6e09c62bc0d7f5198e938a5246e5e90423a0b300e",
+           "b9e94c80978984e651cbfaaedda9dd585f981c30ac4bd6b9a160ab541f07f1fe"),
+    "h4": ({"integrals": str(H4_PATH), "order": 4,
+            "excitations": [{"creations": list(c), "annihilations": list(a),
+                             "theta": t}
+                            for c, a, t in PINNED_H4_EXCITATIONS],
+            "shots": 2000, "spsa": {"iterations": 0, "seeds": 1},
+            "bootstrap": {"enabled": True, "resamples": 2}},
+           "4a34c723fbab5cabaa4ab3116d8d540aa5302dbe74755a98403e51f367fcb81f",
+           "98162ef965e0220c150051739faabd35df6dcd218f8a5661386f5f6b0775257b"),
+}
+
+
+@pytest.mark.parametrize("system", PINNED_PIPELINES)
+def test_pipeline_outputs_are_pinned(tmp_path, system):
+    overrides, counts_digest, ablation_digest = PINNED_PIPELINES[system]
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, **overrides, noise=PINNED_NOISE,
+                       master_seed=7, output_dir=str(out))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    for name, digest in (("counts/counts.npy", counts_digest),
+                         ("ablation.csv", ablation_digest)):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == \
+            digest, name

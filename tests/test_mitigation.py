@@ -14,8 +14,8 @@ from qcmoments.planner import build_measurement_circuit, build_plan, \
     enumerate_elements
 from qcmoments.rdm import RDM
 from qcmoments.simulator import (
-    CountsTable, NoiseSpec, Statevector, operator_matrix_in_sector, run,
-    sample, sector_basis,
+    CountsTable, NoiseSpec, Statevector, noisy_distribution,
+    operator_matrix_in_sector, run, sample, sector_basis,
 )
 
 from reference_analysis import (
@@ -72,9 +72,10 @@ def test_qrem_reduces_total_variation():
     rng = np.random.default_rng(9)
     amps = rng.normal(size=16)
     state = Statevector((amps / np.linalg.norm(amps)).astype(complex))
-    ideal = state.probabilities()
+    ideal = np.abs(state.amplitudes) ** 2
     noise = NoiseSpec.uniform_readout(4, p01=0.03, p10=0.06)
-    counts = sample(state, 1_000_000, noise, seed=11)
+    counts = sample(noisy_distribution(ideal[None], noise, [0])[0],
+                    1_000_000, seed=11)
     cal = AssignmentCalibration.from_flip_rates([0.03] * 4, [0.06] * 4)
     quasi = apply_qrem(counts, cal)
 
@@ -220,7 +221,7 @@ def test_assemble_rdm_from_sampled_counts():
     for i, basis in enumerate(plan.bases):
         mc = build_measurement_circuit(basis, (0, 1, 2, 3))
         out = run(mc.circuit, state)
-        counts = sample(out, 100_000, NoiseSpec(), seed=100 + i)
+        counts = sample(np.abs(out.amplitudes) ** 2, 100_000, seed=100 + i)
         circuits.append(mc)
         tables.append(bitstring_probabilities(counts, 4))
     rdm = assemble_rdm(plan, circuits, tables, n_electrons=2)

@@ -1,4 +1,6 @@
 """Circuit execution, noise channels, sampling, and sector diagonalization."""
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,23 @@ def test_run_matches_dense_unitary():
             assert np.allclose(out.amplitudes, u[:, bits], atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_stacked_run_matches_single_runs_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    circ = random_circuit(n, rng, n_gates=80)
+    kinds = {(name, qubits[0] < qubits[-1]) for name, qubits, _ in circ.gates}
+    assert {name for name, _ in kinds} == {"H", "S", "SDG", "X", "RY", "RZ",
+                                           "CNOT", "FSWAP"}
+    assert {("CNOT", True), ("CNOT", False)} <= kinds
+    stack = rng.normal(size=(5, 1 << n)) + 1j * rng.normal(size=(5, 1 << n))
+    stack /= np.linalg.norm(stack, axis=1, keepdims=True)
+    out = run(circ, stack)
+    assert out.shape == stack.shape
+    for row, amps in zip(stack, out):
+        assert np.array_equal(amps, run(circ, Statevector(row, n)).amplitudes)
+    assert np.allclose(out, stack @ dense_unitary(circ).T, atol=1e-10)
+
+
 def test_cnot_orientation_and_fswap_sign():
     circ = Circuit(2)
     circ.cnot(0, 1)  # control = qubit 0 (low bit)
@@ -126,18 +145,31 @@ def test_expectation_matches_dense():
 
 
 def test_noisy_distribution_depolarizing_and_readout():
-    state = Statevector.basis_state(0b0, 1)
+    zero, one = np.eye(2)
     noise = NoiseSpec(global_depolarizing_q=0.2)
-    p = noisy_distribution(state, noise)
-    assert np.allclose(p, [0.9, 0.1])
+    assert np.allclose(noisy_distribution([zero], noise, [0]), [[0.9, 0.1]])
     noise = NoiseSpec.uniform_readout(1, p01=0.1, p10=0.3)
-    p = noisy_distribution(state, noise)
-    assert np.allclose(p, [0.9, 0.1])
-    p = noisy_distribution(Statevector.basis_state(0b1, 1), noise)
-    assert np.allclose(p, [0.3, 0.7])
+    p = noisy_distribution([zero, one], noise, [0, 0])
+    assert np.allclose(p, [[0.9, 0.1], [0.3, 0.7]])
     # per-CNOT folding: q_eff = 1 - (1-q)(1-qc)^k
     noise = NoiseSpec(global_depolarizing_q=0.1, gate_depolarizing_cnot=0.01)
     assert noise.effective_q(10) == pytest.approx(1 - 0.9 * 0.99 ** 10)
+
+
+def test_noisy_rows_match_single_rows_bit_for_bit():
+    rng = np.random.default_rng(8)
+    probs = rng.random((6, 16))
+    probs /= probs.sum(axis=1, keepdims=True)
+    noise = NoiseSpec(global_depolarizing_q=0.1, gate_depolarizing_cnot=0.01,
+                      readout_flip=NoiseSpec.uniform_readout(
+                          4, 0.03, 0.05).readout_flip)
+    n_cnots = [0, 3, 7, 12, 0, 40]
+    rows = noisy_distribution(probs, noise, n_cnots)
+    flip = reduce(np.kron, [noise.readout_flip[0]] * 4)
+    for p, c, row in zip(probs, n_cnots, rows):
+        assert np.array_equal(row, noisy_distribution([p], noise, [c])[0])
+        q = noise.effective_q(c)
+        assert np.allclose(row, flip @ ((1 - q) * p + q / 16), atol=1e-14)
 
 
 def test_readout_matrix_validation():
@@ -151,9 +183,8 @@ def test_sampling_deterministic_and_calibrated():
     circ = Circuit(2)
     circ.h(0)
     state = run(circ, Statevector.basis_state(0, 2))
-    noise = NoiseSpec()
-    t1 = sample(state, 4000, noise, seed=5)
-    t2 = sample(state, 4000, noise, seed=5)
+    t1 = sample(np.abs(state.amplitudes) ** 2, 4000, seed=5)
+    t2 = sample(np.abs(state.amplitudes) ** 2, 4000, seed=5)
     assert np.array_equal(t1.outcomes, t2.outcomes)
     assert np.array_equal(t1.counts, t2.counts)
     assert t1.shots == 4000

@@ -1,5 +1,6 @@
-"""Checks on what the benchmark harness relies on: the names its tracer
-wraps, and an import path free of scipy."""
+"""Checks on what the benchmark harness and the test runner rely on: the
+names the tracer wraps, an import path free of scipy, and a test path that
+holds src/."""
 import importlib
 import importlib.util
 import os
@@ -48,3 +49,14 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_bare_pytest_finds_the_package():
+    # pyproject.toml puts src/ on the test path, so `python -m pytest`
+    # needs no PYTHONPATH
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q",
+         "-p", "no:cacheprovider", "tests/test_simulator.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
