@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import pathlib
 import sys
+from math import erf
 
 import numpy as np
-from scipy.special import erf
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 

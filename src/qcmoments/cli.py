@@ -156,9 +156,7 @@ def cmd_optimize(args) -> int:
     else:
         seeds = [derive_seed(cfg.master_seed, "optimize", i)
                  for i in range(n_seeds)]
-        best, info = spsa_minimize(objective, len(theta0), seeds,
-                                   max_iter=iters, theta0=theta0)
-        traces = info["traces"]
+        best, traces = spsa_minimize(objective, theta0, seeds, iters)
     energy = objective(best)
     _write_json(args.output, {
         "thetas": [float(t) for t in best],

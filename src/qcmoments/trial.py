@@ -1,6 +1,6 @@
 """Trial-state construction: Hartree-Fock preparation, fermionic swap
 routing, double-excitation blocks, Trotterized double-excitation products,
-and SPSA optimization.
+and SPSA optimization with an exact coordinate polish.
 
 A double excitation G(theta) = exp(theta (a+_j a+_k a_l a_m - h.c.)) is
 implemented by routing the four modes to adjacent qubits with FSWAPs and
@@ -424,26 +424,32 @@ def build_uccd(ansatz: Ansatz, simplify: bool = True) -> BuiltTrial:
 SPSA_A, SPSA_C, SPSA_BIG_A = 0.1, 0.1, 10.0
 #: number of final iterates averaged into each seed's result
 SPSA_AVERAGE_LAST = 10
+#: a polish sweep that gains less than this ends the polish, and coordinate
+#: minima whose model values differ by less than this are ties
+SWEEP_TOL = 1e-13
 
 
-def spsa_minimize(objective, dim: int, seeds, max_iter: int = 200,
-                  theta0=None):
-    """Simultaneous-perturbation minimization over several seeds.
+def spsa_minimize(objective, theta0, seeds, max_iter: int):
+    """Simultaneous-perturbation minimization from ``theta0`` over several
+    seeds, then an exact coordinate polish of the best seed's result.
 
     Uses the standard gain schedule a_k = a/(k+1+A)^0.602 and
     c_k = c/(k+1)^0.101 (``SPSA_A``, ``SPSA_C``, ``SPSA_BIG_A``) with
-    two-sided +/-1 perturbations; the returned iterate of each seed is the
-    average of the last ``SPSA_AVERAGE_LAST`` iterates. The best seed's
-    result is refined with a deterministic derivative-free (Powell) polish.
+    two-sided +/-1 perturbations; each seed's result is the average of its
+    last ``SPSA_AVERAGE_LAST`` iterates. The polish (``_sweep``) is exact for
+    objectives of degree <= 2 in each coordinate, as every
+    ``energy_objective`` is, and it never raises any other objective.
 
-    Returns (best_theta, info) where info contains per-seed traces.
+    Returns (best_theta, traces), traces[i] holding seed i's objective values
+    at the start and after each iteration. A non-finite value raises
+    ValueError.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    theta_init = np.zeros(dim) if theta0 is None else np.asarray(
-        theta0, dtype=float)
+    theta_init = np.array(theta0, dtype=float)
+    if len(theta_init) < 1:
+        raise ValueError("theta0 must hold at least one amplitude")
 
-    def check(v):
+    def check(theta):
+        v = objective(theta)
         if not np.isfinite(v):
             raise ValueError("objective returned a non-finite value")
         return float(v)
@@ -454,34 +460,52 @@ def spsa_minimize(objective, dim: int, seeds, max_iter: int = 200,
         rng = np.random.default_rng(seed)
         theta = theta_init.copy()
         recent = []
-        trace = [check(objective(theta))]
+        trace = [check(theta)]
         for k in range(max_iter):
             a_k = SPSA_A / (k + 1 + SPSA_BIG_A) ** 0.602
             c_k = SPSA_C / (k + 1) ** 0.101
-            delta = rng.integers(0, 2, size=dim) * 2.0 - 1.0
-            f_plus = check(objective(theta + c_k * delta))
-            f_minus = check(objective(theta - c_k * delta))
+            delta = rng.integers(0, 2, size=len(theta)) * 2.0 - 1.0
+            f_plus = check(theta + c_k * delta)
+            f_minus = check(theta - c_k * delta)
             theta = theta - a_k * (f_plus - f_minus) / (2.0 * c_k) * delta
             recent.append(theta.copy())
             if len(recent) > SPSA_AVERAGE_LAST:
                 recent.pop(0)
-            trace.append(check(objective(theta)))
+            trace.append(check(theta))
         theta_avg = np.mean(recent, axis=0) if recent else theta
-        results.append((check(objective(theta_avg)), theta_avg))
+        results.append((check(theta_avg), theta_avg))
         traces.append(trace)
-    best_idx = min(range(len(results)), key=lambda i: results[i][0])
-    best_val, best_theta = results[best_idx]
-    import scipy.optimize
-    res = scipy.optimize.minimize(
-        lambda t: check(objective(t)), best_theta, method="Powell",
-        options={"xtol": 1e-10, "ftol": 1e-12, "maxiter": 2000})
-    if res.fun <= best_val:
-        best_theta, best_val = np.asarray(res.x, dtype=float), float(res.fun)
-    info = {
-        "traces": traces,
-        "per_seed_values": [v for v, _ in results],
-        "per_seed_thetas": [t for _, t in results],
-        "best_seed_index": best_idx,
-        "best_value": best_val,
-    }
-    return best_theta, info
+    best_val, best_theta = min(results, key=lambda r: r[0])
+    return _sweep(check, best_theta, best_val), traces
+
+
+def _sweep(f, theta, value):
+    """Coordinate sweeps of f from theta, where f is value, until one gains
+    less than ``SWEEP_TOL``; returns the final theta.
+
+    At degree <= 2 in theta_k, f(theta_k + phi) = a0 + Re(c1 e^{i phi}
+    + c2 e^{2i phi}), with c_m = a_m - i b_m read off the DFT of five samples
+    at phi = 2 pi j / 5. Its stationary points are the roots of
+    2 c2 z^4 + c1 z^3 - conj(c1) z - 2 conj(c2) in z = e^{i phi}. Of the
+    lowest ones (ties within ``SWEEP_TOL``), the move nearest phi = 0 is
+    kept if f is lower there; theta is never reduced modulo pi.
+    """
+    unit = np.eye(len(theta))
+    while True:
+        start = value
+        for k in range(len(theta)):
+            c = 0.4 * np.fft.rfft([value] + [
+                f(theta + 0.4 * np.pi * j * unit[k]) for j in range(1, 5)])
+            roots = np.roots([2 * c[2], c[1], 0, -np.conj(c[1]),
+                              -2 * np.conj(c[2])])
+            if not roots.size:      # f is constant along theta_k
+                continue
+            phis = np.angle(roots)
+            model = np.real(c[1] * np.exp(1j * phis)
+                            + c[2] * np.exp(2j * phis))
+            ties = phis[model <= model.min() + SWEEP_TOL]
+            phi = ties[np.argmin(np.abs(ties))]
+            if phi != 0.0 and (v := f(theta + phi * unit[k])) < value:
+                theta, value = theta + phi * unit[k], v
+        if start - value < SWEEP_TOL:
+            return theta

@@ -1,4 +1,8 @@
-"""Integral I/O, frozen-core reduction, and Hamiltonian construction."""
+"""Integral I/O, frozen-core reduction, Hamiltonian construction, and the
+fixture generator."""
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -158,3 +162,18 @@ def test_hartree_fock_circuit_energy():
     state = run(circ, Statevector.basis_state(0, 4))
     assert expectation(state, h) == pytest.approx(
         determinant_energy(ints, (0, 1)), abs=1e-10)
+
+
+def test_make_fixtures_reproduces_the_committed_files(tmp_path):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", root / "scripts" / "make_fixtures.py")
+    fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fixtures)
+    for name, ints in (
+            ("h2_stretched.fcidump",
+             fixtures.h2_sto3g_integrals(fixtures.H2_BOND_LENGTH)),
+            ("h4_chain.fcidump", fixtures.h4_hubbard_integrals())):
+        write_fcidump(ints, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == \
+            (root / "tests" / "data" / name).read_bytes(), name

@@ -1,8 +1,9 @@
 """Checks on what the benchmark harness and the test runner rely on: the
-names the tracer wraps, an import path free of scipy, and a test path that
-holds src/."""
+names the tracer wraps, an import and a pipeline free of scipy, and a test
+path that holds src/."""
 import importlib
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -39,16 +40,47 @@ def test_tracer_targets_resolve():
             assert hasattr(_resolve(name), "__wrapped__"), name
 
 
-def test_cli_import_loads_no_scipy():
+PRINT_SCIPY_MODULES = ("print(sorted(m for m in sys.modules "
+                       "if m == 'scipy' or m.startswith('scipy.')))")
+
+
+def _python_with_src(code, *args):
+    """Stdout of a fresh interpreter that runs `code` with src/ on its
+    path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
                                else []))
-    code = ("import sys, qcmoments.cli; print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+def test_cli_import_loads_no_scipy():
+    out = _python_with_src("import sys, qcmoments.cli; "
+                           + PRINT_SCIPY_MODULES)
     assert out.strip() == "[]"
+
+
+def test_pipeline_with_spsa_loads_no_scipy(tmp_path):
+    # SPSA and its polish run only when the config asks for iterations
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "schema": 1,
+        "integrals": str(ROOT / "tests" / "data" / "h2_stretched.fcidump"),
+        "order": 2,
+        "excitations": [{"creations": [2, 3], "annihilations": [0, 1]}],
+        "shots": 2000,
+        "noise": {"global_q": 0.0, "p01": 0.0, "p10": 0.0},
+        "bootstrap": {"enabled": True, "resamples": 2},
+        "spsa": {"iterations": 2, "seeds": 1},
+        "output_dir": str(tmp_path / "out"),
+        "master_seed": 3,
+    }))
+    out = _python_with_src(
+        "import sys; from qcmoments.cli import main; "
+        "rc = main(['pipeline', '--config', sys.argv[1]]); print(rc); "
+        + PRINT_SCIPY_MODULES, str(cfg))
+    assert out.splitlines()[-2:] == ["0", "[]"]
 
 
 def test_bare_pytest_finds_the_package():

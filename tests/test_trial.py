@@ -3,14 +3,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fixtures_util import h2_system, h4_system
+from fixtures_util import h2_system, h4_system, optimized_thetas
 from qcmoments.fermion import jordan_wigner
 from qcmoments.simulator import (
     Circuit, Statevector, operator_matrix_in_sector, run,
 )
 from qcmoments.trial import (
-    Ansatz, Excitation, build_uccd, exact_trial_state, fswap_network,
-    hartree_fock_circuit, simplified_block, spsa_minimize,
+    Ansatz, Excitation, build_uccd, energy_objective, exact_trial_state,
+    fswap_network, hartree_fock_circuit, simplified_block, spsa_minimize,
     _pauli_gadget_block,
 )
 
@@ -215,20 +215,69 @@ def test_build_uccd_odd_preparation_parity():
     assert_matches_oracle(ansatz, simplify=True)
 
 
-def test_spsa_minimize_quadratic():
+def test_spsa_minimize_trigonometric():
+    # degree <= 2 in each coordinate and coupled, with the unique minimizer
+    # `target` (mod 2 pi): with u = t - target, f >= sum(1 - cos u
+    # + 0.45 sin^2 u) >= 0, with equality only at u = 0
     target = np.array([0.7, -0.4, 1.1])
 
     def objective(t):
-        return float(np.sum((np.asarray(t) - target) ** 2))
+        u = np.asarray(t) - target
+        return float(np.sum(1.0 - np.cos(u) + 0.25 * (1.0 - np.cos(2.0 * u)))
+                     + 0.1 * np.sin(u[0]) * np.sin(u[1]))
 
-    theta, info = spsa_minimize(objective, 3, seeds=[0, 1], max_iter=150)
+    theta, traces = spsa_minimize(objective, np.zeros(3), [0, 1], 150)
     assert np.max(np.abs(theta - target)) < 1e-5
-    assert len(info["traces"]) == 2
-    assert info["traces"][0][-1] < info["traces"][0][0]
-    theta2, _ = spsa_minimize(objective, 3, seeds=[0, 1], max_iter=150)
+    assert len(traces) == 2
+    assert traces[0][-1] < traces[0][0]
+    theta2, _ = spsa_minimize(objective, np.zeros(3), [0, 1], 150)
     assert np.array_equal(theta, theta2)
+
+
+def test_spsa_polish_never_raises_the_objective():
+    # a quadratic is no trigonometric polynomial, so the polish's model
+    # misplaces its minima; each seed's averaged result is the last of its
+    # 3 * max_iter + 2 evaluations, and the polish must not end above the
+    # better of the two
+    target = np.array([0.7, -0.4, 1.1])
+    values = []
+
+    def objective(t):
+        values.append(float(np.sum((np.asarray(t) - target) ** 2)))
+        return values[-1]
+
+    max_iter = 150
+    theta, _ = spsa_minimize(objective, np.zeros(3), [0, 1], max_iter)
+    block = 3 * max_iter + 2
+    assert len(values) > 2 * block          # the polish evaluated
+    assert objective(theta) <= min(values[block - 1], values[2 * block - 1])
+
+
+@pytest.mark.parametrize("which", ["h2", "h4"])
+def test_spsa_polish_reaches_the_powell_energy(which):
+    # from theta = 0 the sweeps alone reach the Powell oracle's energy
+    _, h, ansatz = h2_system() if which == "h2" else h4_system()
+    objective = energy_objective(ansatz, h)
+    theta0 = np.zeros(len(ansatz.excitations))
+    theta, _ = spsa_minimize(objective, theta0, [0], 0)
+    assert objective(theta) <= \
+        objective(np.array(optimized_thetas(which))) + 1e-12
+
+
+@pytest.mark.parametrize("start", [0.3, 0.3 + np.pi, -2.5, 2.0],
+                         ids=["0.3", "0.3+pi", "-2.5", "2.0"])
+def test_spsa_polish_takes_the_nearest_tied_minimum(start):
+    # the H2 energy has period pi in theta, so its minima 0.355 + k pi tie;
+    # the sweep keeps the one nearest its start and does not reduce theta
+    # modulo pi
+    _, h, ansatz = h2_system()
+    objective = energy_objective(ansatz, h)
+    theta, _ = spsa_minimize(objective, [start], [0], 0)
+    best = optimized_thetas("h2")[0]
+    nearest = best + np.pi * np.round((start - best) / np.pi)
+    assert abs(theta[0] - nearest) < np.pi / 2
 
 
 def test_spsa_rejects_non_finite():
     with pytest.raises(ValueError):
-        spsa_minimize(lambda t: float("nan"), 1, seeds=[0], max_iter=3)
+        spsa_minimize(lambda t: float("nan"), [0.0], [0], 3)
