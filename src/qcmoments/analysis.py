@@ -15,9 +15,9 @@ an analysis needs:
   entry of the density matrix D over the N_e-electron occupations, at a
   (row, column, sign). Read off it are each <H^k> as the constant c0^k plus
   a weight vector over the element values (from the k-th power of H's
-  sector matrix), the diagonal that the trace sums, the Hartree-Fock and
-  maximally mixed values of the white-noise fit, and D itself for the
-  representability check.
+  sector matrix, whose S_z block also gives FCI), the diagonal that the
+  trace sums, the Hartree-Fock and maximally mixed values of the
+  white-noise fit, and D itself for the representability check.
 
 Each analysis then applies QREM qubit by qubit, clips, post-selects,
 assembles and contracts with array operations; no dict RDM is built. The
@@ -49,7 +49,7 @@ from .mitigation import (
 from .planner import MeasurementPlan
 from .qcm import CumulantSet, MomentSet, cumulants, lanczos_energy
 from .simulator import (
-    apply_term_to_mask, operator_matrix_in_sector, sector_basis,
+    apply_terms, locate, operator_matrix_in_sector, sector_basis,
 )
 
 ABLATION_STACKS = [
@@ -267,25 +267,21 @@ def _sector_map(elements, basis):
     (annihilations applied in descending order, as RDM entries are stored)
     takes occupation A to ±C, so its value v sits at D[rows, cols] =
     D[cols, rows] = signs * v."""
-    index = {mask: i for i, mask in enumerate(basis)}
     # RDM storage applies annihilations in descending order
     order = elements[0].order
     reversal = -1 if (order * (order - 1) // 2) % 2 else 1
-    rows, cols, signs = [], [], []
-    for e in elements:
-        mask = sum(1 << m for m in e.annihilations)
-        new_mask, sign = apply_term_to_mask(e.creations, e.annihilations,
-                                            mask)
-        rows.append(index[new_mask])
-        cols.append(index[mask])
-        signs.append(reversal * sign)
-    return np.array(rows), np.array(cols), np.array(signs)
+    masks = np.array([sum(1 << m for m in e.annihilations)
+                      for e in elements])
+    new, signs, _ = apply_terms([(e.creations, e.annihilations)
+                                 for e in elements], masks[:, None])
+    return (locate(basis, new[:, 0])[0], locate(basis, masks)[0],
+            reversal * signs[:, 0])
 
 
-def _moment_map(h, basis, rows, cols, signs):
+def _moment_map(h_n, c0, rows, cols, signs):
     """(weights, constants) with <H^(k+1)> = constants[k] + weights[k] . v
     for the element values v at the (rows, cols, signs) of
-    :func:`_sector_map`.
+    :func:`_sector_map`, from H's sector matrix `h_n` and constant `c0`.
 
     <H^k> is the trace of D against the sector matrix H_N^k. The constant
     c0^k of the normal-ordered H^k is split off as P_k = H_N^k - c0^k, so
@@ -293,9 +289,7 @@ def _moment_map(h, basis, rows, cols, signs):
     values whose trace is not 1.
     """
     off_diagonal = rows != cols
-    h_n = operator_matrix_in_sector(h, basis)
-    c0 = h.constant()
-    power = identity = np.eye(len(basis))
+    power = identity = np.eye(len(h_n))
     weights, constants = [], []
     for k in range(1, 5):
         power = power @ h_n
@@ -336,24 +330,24 @@ class Analyzer:
             plan, circuits, self.elements, self.order)
         # every quantity below is read off one map of the elements into the
         # density matrix D over the N_e-electron occupations
-        basis = sector_basis(n, n_electrons)
+        basis = np.array(sector_basis(n, n_electrons))
         self._rows, self._cols, self._signs = _sector_map(self.elements,
                                                           basis)
+        h_n = operator_matrix_in_sector(h, basis)
         self._moment_weights, self._moment_constants = _moment_map(
-            h, basis, self._rows, self._cols, self._signs)
+            h_n, h.constant(), self._rows, self._cols, self._signs)
         self._diagonal = self._rows == self._cols
         # Hartree-Fock reference: D = |HF><HF|
         hf = (1 << n_electrons) - 1
         self.ideal_ref = (self._diagonal
-                          & (self._rows == basis.index(hf))).astype(float)
-        # maximally mixed state of the post-selected sector: the
-        # occupations with the reference's spin-up count
-        up = sum(1 << m for m, s in enumerate(self.spins) if s == "u")
-        n_up = bin(hf & up).count("1")
-        in_sector = np.array([bin(mask & up).count("1") == n_up
-                              for mask in basis])
+                          & (basis[self._rows] == hf)).astype(float)
+        # the post-selected sector's maximally mixed state, and FCI: the
+        # lowest eigenvalue of H's block there, as exact_diagonalize builds it
+        in_sector = postselect_mask(n_electrons, self.sz, self.spins)[basis]
         self.mixed = np.where(self._diagonal & in_sector[self._rows],
                               1 / np.count_nonzero(in_sector), 0.0)
+        block = np.ix_(in_sector, in_sector)
+        self.e_fci = float(np.linalg.eigh(h_n[block])[0][0])
         self._dim = len(basis)
 
     def assemble(self, probs: np.ndarray) -> np.ndarray:

@@ -281,7 +281,7 @@ def cmd_analyze(args) -> int:
                                      f"archive plan in {args.archive}")
     analyzer = Analyzer(cfg, plan, circuits, ints.n_electrons, h)
 
-    e_fci, _ = exact_diagonalize(h, ints.n_electrons, sz=analyzer.sz)
+    e_fci = analyzer.e_fci
     main = analyzer.analyze(counts, diagnostics=True)
 
     ablation = []

@@ -269,23 +269,17 @@ class PauliOperator:
         return out.compress()
 
     def to_matrix(self):
-        """Dense 2^n x 2^n matrix; qubit j is bit j of the index."""
+        """Dense 2^n x 2^n matrix; qubit j is bit j of the index. A string
+        with X or Y on the qubits of mask x and n_y Ys takes |b> to
+        i^n_y (-1)^(b's bits under its Z and Y) |b ^ x>."""
         import numpy as np
-        n = self.n_qubits
-        dim = 1 << n
-        mats = {
-            "I": np.eye(2, dtype=complex),
-            "X": np.array([[0, 1], [1, 0]], dtype=complex),
-            "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-            "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-        }
-        out = np.zeros((dim, dim), dtype=complex)
+        index = np.arange(1 << self.n_qubits)
+        bits = index[:, None] >> np.arange(self.n_qubits) & 1
+        out = np.zeros((index.size, index.size), dtype=complex)
         for string, c in self.terms.items():
-            m = np.array([[1.0 + 0j]])
-            # qubit 0 is the least significant bit: kron from high to low
-            for j in range(n - 1, -1, -1):
-                m = np.kron(m, mats[string[j]])
-            out += c * m
+            x = sum(1 << j for j, p in enumerate(string) if p in "XY")
+            signs = 1 - 2 * (bits[:, [p in "YZ" for p in string]].sum(1) & 1)
+            out[index ^ x, index] += c * 1j ** string.count("Y") * signs
         return out
 
 

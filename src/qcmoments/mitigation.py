@@ -24,8 +24,8 @@ from .fermion import FermionOperator
 from .planner import MeasurementPlan, product_value
 from .rdm import RDM
 from .simulator import (
-    CountsTable, NoiseSpec, apply_1q, apply_term_to_mask,
-    noisy_distribution, sample, sector_basis,
+    CountsTable, NoiseSpec, apply_1q, apply_terms, noisy_distribution,
+    sample, sector_basis,
 )
 
 # ---------------------------------------------------------------------------
@@ -351,13 +351,7 @@ def mixed_state_value(op: FermionOperator, n_electrons: int, sz=None,
     basis = sector_basis(op.n_modes, n_electrons, sz=sz, spins=spins)
     if not basis:
         raise ValueError("empty symmetry sector")
-    trace = 0.0
-    for (dags, anns), c in op.terms.items():
-        if sorted(dags) != sorted(anns):
-            continue  # no diagonal entries
-        for mask in basis:
-            res = apply_term_to_mask(dags, anns, mask)
-            if res is not None:
-                trace += res[1] * c
+    new, signs, alive = apply_terms(list(op.terms), basis)
+    coeffs = np.array(list(op.terms.values()), dtype=complex)
+    trace = coeffs @ np.sum(signs * (alive & (new == basis)), axis=1)
     return float(trace.real / len(basis))
-

@@ -55,54 +55,40 @@ class Circuit:
 
     # -- builders
 
-    def _check(self, *qubits):
+    def add(self, name, qubits, param):
+        """Append gate `name` on the tuple `qubits`, with angle `param`."""
         for q in qubits:
             if not 0 <= q < self.n_qubits:
                 raise ValueError(f"qubit {q} out of range")
+        if len(qubits) == 2 and abs(qubits[0] - qubits[1]) != 1:
+            raise ValueError(f"{name} on non-adjacent qubits {qubits[0]},"
+                             f"{qubits[1]}")
+        self.gates.append((name, qubits, param))
+        return self
 
     def h(self, q):
-        self._check(q)
-        self.gates.append(("H", (q,), None))
-        return self
+        return self.add("H", (q,), None)
 
     def s(self, q):
-        self._check(q)
-        self.gates.append(("S", (q,), None))
-        return self
+        return self.add("S", (q,), None)
 
     def sdg(self, q):
-        self._check(q)
-        self.gates.append(("SDG", (q,), None))
-        return self
+        return self.add("SDG", (q,), None)
 
     def x(self, q):
-        self._check(q)
-        self.gates.append(("X", (q,), None))
-        return self
+        return self.add("X", (q,), None)
 
     def ry(self, q, theta):
-        self._check(q)
-        self.gates.append(("RY", (q,), float(theta)))
-        return self
+        return self.add("RY", (q,), float(theta))
 
     def rz(self, q, theta):
-        self._check(q)
-        self.gates.append(("RZ", (q,), float(theta)))
-        return self
+        return self.add("RZ", (q,), float(theta))
 
     def cnot(self, control, target):
-        self._check(control, target)
-        if abs(control - target) != 1:
-            raise ValueError(f"CNOT on non-adjacent qubits {control},{target}")
-        self.gates.append(("CNOT", (control, target), None))
-        return self
+        return self.add("CNOT", (control, target), None)
 
     def fswap(self, q1, q2):
-        self._check(q1, q2)
-        if abs(q1 - q2) != 1:
-            raise ValueError(f"FSWAP on non-adjacent qubits {q1},{q2}")
-        self.gates.append(("FSWAP", (min(q1, q2), max(q1, q2)), None))
-        return self
+        return self.add("FSWAP", (min(q1, q2), max(q1, q2)), None)
 
     def extend(self, other: "Circuit"):
         if other.n_qubits != self.n_qubits:
@@ -128,6 +114,13 @@ class Circuit:
         return max(avail) if avail else 0
 
 
+def check_norm(amplitudes: np.ndarray):
+    """Raise ValueError unless the amplitudes have norm 1 within 1e-10."""
+    norm = np.linalg.norm(amplitudes)
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"statevector norm {norm} deviates from 1")
+
+
 class Statevector:
     """Complex amplitude vector; bit j of the index is qubit j."""
 
@@ -138,9 +131,7 @@ class Statevector:
         if self.amplitudes.size != 1 << n_qubits:
             raise ValueError("amplitude length is not a power of two")
         self.n_qubits = n_qubits
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"statevector norm {norm} deviates from 1")
+        check_norm(self.amplitudes)
 
     @classmethod
     def basis_state(cls, bits: int, n_qubits: int) -> "Statevector":
@@ -222,8 +213,10 @@ def apply_1q(amps: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
     """`mat` (2x2) applied to qubit q of each row (last axis) of `amps`."""
     a = amps.reshape(-1, 2, 1 << q)
     out = np.empty_like(a)
-    out[:, 0] = mat[0, 0] * a[:, 0] + mat[0, 1] * a[:, 1]
-    out[:, 1] = mat[1, 0] * a[:, 0] + mat[1, 1] * a[:, 1]
+    term = np.empty_like(a[:, 0])   # the one temporary, half of `amps`
+    for i in (0, 1):
+        np.multiply(mat[i, 0], a[:, 0], out=out[:, i])
+        out[:, i] += np.multiply(mat[i, 1], a[:, 1], out=term)
     return out.reshape(amps.shape)
 
 
@@ -249,8 +242,6 @@ def run(circuit: Circuit, initial):
             amps = _permute_pair(amps, _FSWAP, min(qubits), True)
         elif name == "CNOT":
             control, target = qubits
-            if abs(control - target) != 1:
-                raise ValueError("CNOT on non-adjacent qubits")
             perm = _CNOT_CTRL_LO if control < target else _CNOT_CTRL_HI
             amps = _permute_pair(amps, perm, min(qubits), False)
         else:
@@ -264,7 +255,8 @@ def noisy_distribution(probs: np.ndarray, noise: NoiseSpec,
     white-noise mixture at its circuit's CNOT count and the readout flips."""
     dim = np.shape(probs)[1]
     q = np.array([noise.effective_q(int(c)) for c in n_cnots])[:, None]
-    p = (1.0 - q) * probs + q / dim
+    p = (1.0 - q) * probs
+    p += q / dim
     if noise.readout_flip is not None:
         if 1 << noise.readout_flip.shape[0] != dim:
             raise ValueError("readout calibration does not cover all qubits")
@@ -288,61 +280,80 @@ def sample(distribution: np.ndarray, shots: int, *, seed: int) -> CountsTable:
 # ---------------------------------------------------------------------------
 # fermionic action on occupation bitmasks and sector diagonalization
 
-
-def apply_term_to_mask(dags, anns, mask: int):
-    """Act a^dag_{dags} a_{anns} (normal order) on an occupation bitmask.
-
-    Returns (new_mask, sign) or None if the state is annihilated.
-    """
-    sign = 1
-    # annihilations, rightmost written op first (they are sorted ascending,
-    # rightmost is the largest)
-    for m in reversed(anns):
-        bit = 1 << m
-        if not mask & bit:
-            return None
-        if _parity_below(mask, m):
-            sign = -sign
-        mask ^= bit
-    for m in reversed(dags):
-        bit = 1 << m
-        if mask & bit:
-            return None
-        if _parity_below(mask, m):
-            sign = -sign
-        mask ^= bit
-    return mask, sign
+#: parity of the set bits of each byte value
+_BYTE_PARITY = np.array([bin(b).count("1") & 1 for b in range(256)], np.int8)
+#: most (term, state) pairs that one pass of the matrix builder holds
+_MATRIX_CHUNK = 1 << 18
 
 
-def _parity_below(mask: int, m: int) -> bool:
-    return bool(bin(mask & ((1 << m) - 1)).count("1") & 1)
+def _parity(x: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each non-negative int64, by folding the
+    word onto its low byte."""
+    x = x ^ (x >> 32)
+    x ^= x >> 16
+    x ^= x >> 8
+    return _BYTE_PARITY[x & 0xFF]
+
+
+def apply_terms(keys, masks):
+    """Each normal-ordered term a†_dags a_anns of `keys`, a list of (dags,
+    anns) tuples, applied to the occupation bitmasks `masks`, which broadcast
+    against (terms, 1): a row of states for every term, or a column of one
+    state per term. The rightmost operator acts first, each with sign
+    (-1)^(occupied modes below it). Returns (new_masks, signs, alive); where
+    `alive` is False the state is annihilated."""
+    width = max((len(d) + len(a) for d, a in keys), default=0)
+    # each term's operators in acting order; padding acts on no bit
+    bits = np.zeros((len(keys), width), dtype=np.int64)
+    creates = np.ones((len(keys), width), dtype=bool)
+    for t, (dags, anns) in enumerate(keys):
+        acting = tuple(anns)[::-1] + tuple(dags)[::-1]
+        bits[t, :len(acting)] = [1 << m for m in acting]
+        creates[t, :len(anns)] = False
+    # a fresh array of the broadcast shape
+    new = np.asarray(masks, dtype=np.int64) | np.zeros((len(keys), 1), int)
+    parity = np.zeros(new.shape, dtype=np.int8)
+    alive = np.ones(new.shape, dtype=bool)
+    for bit, create in zip(bits.T[:, :, None], creates.T[:, :, None]):
+        alive &= ((new & bit) != 0) != create
+        parity ^= _parity(new & np.maximum(bit - 1, 0))
+        new ^= bit
+    return new, 1 - 2 * parity, alive
+
+
+def locate(basis: np.ndarray, masks: np.ndarray):
+    """Index in `basis` of each of `masks`, and whether it is there."""
+    order = np.argsort(basis)
+    pos = np.searchsorted(basis, masks, sorter=order)
+    index = order[np.minimum(pos, len(basis) - 1)]
+    return index, basis[index] == masks
 
 
 def sector_basis(n_modes: int, n_electrons: int, sz=None, spins=None) -> list[int]:
     """Occupation bitmasks with fixed particle number and optional S_z."""
-    if spins is None:
-        spins = interleaved_spins(n_modes)
-    masks = []
-    for occ in combinations(range(n_modes), n_electrons):
-        if sz is not None and abs(sz_of(occ, spins) - sz) > 1e-9:
-            continue
-        masks.append(sum(1 << m for m in occ))
-    return masks
+    spins = interleaved_spins(n_modes) if spins is None else spins
+    return [sum(1 << m for m in occ)
+            for occ in combinations(range(n_modes), n_electrons)
+            if sz is None or abs(sz_of(occ, spins) - sz) <= 1e-9]
 
 
-def operator_matrix_in_sector(op: FermionOperator, basis: list[int]) -> np.ndarray:
-    index = {m: i for i, m in enumerate(basis)}
+def operator_matrix_in_sector(op: FermionOperator, basis) -> np.ndarray:
+    """Matrix of `op` on the occupation bitmasks `basis`: column j is op
+    applied to basis[j], with the amplitudes that leave `basis` dropped.
+    Entries accumulate term by term in ``op.terms`` order."""
+    basis = np.asarray(basis, dtype=np.int64)
     dim = len(basis)
     mat = np.zeros((dim, dim), dtype=complex)
-    for (dags, anns), c in op.terms.items():
-        for j, mask in enumerate(basis):
-            res = apply_term_to_mask(dags, anns, mask)
-            if res is None:
-                continue
-            new_mask, sign = res
-            i = index.get(new_mask)
-            if i is not None:
-                mat[i, j] += sign * c
+    keys, coeffs = list(op.terms), np.array(list(op.terms.values()),
+                                            dtype=complex)
+    step = max(1, _MATRIX_CHUNK // max(dim, 1))
+    for start in range(0, len(keys) if dim else 0, step):
+        new, signs, alive = apply_terms(keys[start:start + step], basis)
+        rows, inside = locate(basis, new)
+        hit = alive & inside
+        cols = np.broadcast_to(np.arange(dim), hit.shape)
+        np.add.at(mat, (rows[hit], cols[hit]),
+                  (signs * coeffs[start:start + step, None])[hit])
     return mat
 
 
@@ -358,8 +369,6 @@ def exact_diagonalize(op: FermionOperator, n_electrons: int, sz=None):
         raise ValueError(f"operator not particle-conserving/Hermitian in sector "
                          f"(residual {herm_err:.2e})")
     vals, vecs = np.linalg.eigh(mat)
-    energy, vec = vals[0], vecs[:, 0]
     amps = np.zeros(1 << op.n_modes, dtype=complex)
-    for i, mask in enumerate(basis):
-        amps[mask] = vec[i]
-    return float(energy), Statevector(amps, op.n_modes)
+    amps[basis] = vecs[:, 0]
+    return float(vals[0]), Statevector(amps, op.n_modes)

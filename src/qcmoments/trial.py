@@ -19,7 +19,10 @@ import numpy as np
 
 from .conventions import interleaved_spins
 from .fermion import FermionOperator, jordan_wigner
-from .simulator import Circuit, Statevector, operator_matrix_in_sector, run
+from .simulator import (
+    Circuit, Statevector, apply_terms, check_norm, operator_matrix_in_sector,
+    run, sector_basis,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -109,39 +112,57 @@ class Ansatz:
                       self.initial_layout, self.spins)
 
 
-def excitation_exponential(gen: FermionOperator, theta: float,
-                           x: np.ndarray | None = None) -> np.ndarray:
-    """exp(theta*gen) applied to x (the identity if None), on all 2^n states.
+def excitation_exponential(g: np.ndarray, theta: float,
+                           x: np.ndarray) -> np.ndarray:
+    """exp(theta*G) x for the matrix g of an ``Excitation.generator`` G.
 
-    Every ``Excitation.generator`` G satisfies G^3 = -G, so the exponential
-    is 1 + sin(theta) G + (1 - cos(theta)) G^2.
+    Every such G satisfies G^3 = -G, so the exponential is
+    1 + sin(theta) G + (1 - cos(theta)) G^2.
     """
-    g = operator_matrix_in_sector(gen, range(1 << gen.n_modes))
-    if x is None:
-        x = np.eye(len(g), dtype=complex)
     gx = g @ x
     return x + np.sin(theta) * gx + (1.0 - np.cos(theta)) * (g @ gx)
+
+
+def _sector_trial(ansatz: Ansatz):
+    """(basis, state): the N-electron occupations of the initial determinant,
+    and thetas -> the trial state's amplitudes on them. Excitations conserve
+    N, so each generator's matrix is built once, on these occupations."""
+    n = ansatz.n_qubits
+    basis = sector_basis(n, bin(ansatz.initial_occupation).count("1"))
+    gens = [operator_matrix_in_sector(exc.generator(n), basis)
+            for exc in ansatz.excitations]
+    start = (np.array(basis) == ansatz.initial_occupation).astype(complex)
+
+    def state(thetas):
+        if len(thetas) != len(gens):
+            raise ValueError("parameter count must equal excitation count")
+        x = start
+        for g, theta in zip(gens, thetas):
+            x = excitation_exponential(g, theta, x)
+        check_norm(x)
+        return x
+
+    return basis, state
 
 
 def exact_trial_state(ansatz: Ansatz) -> Statevector:
     """Product of the exact excitation exponentials applied to the initial
     determinant (identity layout)."""
-    n = ansatz.n_qubits
-    amps = np.zeros(1 << n, dtype=complex)
-    amps[ansatz.initial_occupation] = 1.0
-    for exc in ansatz.excitations:
-        amps = excitation_exponential(exc.generator(n), exc.theta, amps)
-    return Statevector(amps, n)
+    basis, state = _sector_trial(ansatz)
+    amps = np.zeros(1 << ansatz.n_qubits, dtype=complex)
+    amps[basis] = state(ansatz.thetas)
+    return Statevector(amps, ansatz.n_qubits)
 
 
 def energy_objective(ansatz: Ansatz, h: FermionOperator):
     """thetas -> <H> in the exact trial state of ``ansatz`` at those
-    amplitudes, with H's Fock-space matrix built once."""
-    hmat = operator_matrix_in_sector(h, range(1 << h.n_modes))
+    amplitudes, with H built once on the trial state's occupations."""
+    basis, state = _sector_trial(ansatz)
+    hmat = operator_matrix_in_sector(h, basis)
 
     def objective(thetas):
-        amps = exact_trial_state(ansatz.with_thetas(thetas)).amplitudes
-        return float(np.real(np.vdot(amps, hmat @ amps)))
+        x = state(thetas)
+        return float(np.real(np.vdot(x, hmat @ x)))
 
     return objective
 
@@ -335,8 +356,9 @@ def simplified_block(gen: FermionOperator, theta: float,
                      support) -> Circuit | None:
     """Cheapest verified local block agreeing with exp(theta*gen) on the
     reachable local basis states, or None if only the general block works."""
-    target = excitation_exponential(gen, theta)
-    probe = excitation_exponential(gen, PROBE_THETA)
+    g = operator_matrix_in_sector(gen, range(16))
+    target = excitation_exponential(g, theta, np.eye(16, dtype=complex))
+    probe = excitation_exponential(g, PROBE_THETA, np.eye(16, dtype=complex))
     for cand, cand_probe in zip(_template_candidates(theta),
                                 _template_candidates(PROBE_THETA)):
         if (_verify_on_support(cand, target, support)
@@ -383,22 +405,12 @@ def build_uccd(ansatz: Ansatz, simplify: bool = True) -> BuiltTrial:
         gen = Excitation(
             tuple(local_of[m] for m in exc.creations),
             tuple(local_of[m] for m in exc.annihilations)).generator(4)
-        # reachable local patterns, and how the excitation grows the support
-        a_mask = sum(1 << local_of[m] for m in exc.annihilations)
-        b_mask = sum(1 << local_of[m] for m in exc.creations)
-        local_patterns = set()
-        new_support = set(support)
-        for mask in support:
-            pat = sum((mask >> m & 1) << local_of[m] for m in window_modes)
-            local_patterns.add(pat)
-            outside = mask & ~sum(1 << m for m in window_modes)
-            if pat == a_mask:
-                new_support.add(outside | sum(
-                    1 << m for m in exc.creations))
-            elif pat == b_mask:
-                new_support.add(outside | sum(
-                    1 << m for m in exc.annihilations))
-        support = new_support
+        # reachable local patterns, then the support that T or T^dag reach
+        local_patterns = {sum((mask >> m & 1) << local_of[m]
+                              for m in window_modes) for mask in support}
+        new, _, alive = apply_terms(list(exc.generator(n).terms),
+                                    sorted(support))
+        support = support | set(new[alive].tolist())
 
         block = simplified_block(gen, exc.theta, local_patterns) \
             if simplify else None
@@ -407,11 +419,8 @@ def build_uccd(ansatz: Ansatz, simplify: bool = True) -> BuiltTrial:
                                             n_qubits=n))
             kinds.append("general")
         else:
-            shifted = Circuit(n)
             for name, qubits, param in block.gates:
-                shifted.gates.append((name, tuple(q + w for q in qubits),
-                                      param))
-            circ.extend(shifted)
+                circ.add(name, tuple(q + w for q in qubits), param)
             kinds.append("identity" if not block.gates else "template")
     return BuiltTrial(circ, layout, circ.cnot_count(), circ.depth(), kinds)
 

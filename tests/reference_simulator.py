@@ -1,7 +1,11 @@
-"""Statevector oracles: Pauli expectations and exact p-RDMs.
+"""Statevector oracles: Pauli expectations, exact p-RDMs, and fermionic
+action on one occupation bitmask at a time.
 
-Both act on the full 2^n amplitude vector with no use of the measurement
-plan, so they check the sampled and assembled estimates independently.
+The first two act on the full 2^n amplitude vector with no use of the
+measurement plan, so they check the sampled and assembled estimates
+independently. ``apply_term_to_mask`` and ``operator_matrix`` are the
+per-term, per-state loops that ``simulator.apply_terms`` and
+``simulator.operator_matrix_in_sector`` replace, kept as their oracle.
 """
 from itertools import combinations
 
@@ -9,7 +13,7 @@ import numpy as np
 
 from qcmoments.fermion import PauliOperator
 from qcmoments.rdm import RDM
-from qcmoments.simulator import Statevector, apply_term_to_mask
+from qcmoments.simulator import Statevector
 
 
 def expectation(state: Statevector, op: PauliOperator) -> float:
@@ -76,3 +80,50 @@ def rdm_from_statevector(state: Statevector, order: int,
                 if sub != sup:
                     out.data[(sup, sub)] = v.conjugate()
     return out
+
+
+def apply_term_to_mask(dags, anns, mask: int):
+    """Act a^dag_{dags} a_{anns} (normal order) on an occupation bitmask.
+
+    Returns (new_mask, sign) or None if the state is annihilated.
+    """
+    sign = 1
+    # annihilations, rightmost written op first (they are sorted ascending,
+    # rightmost is the largest)
+    for m in reversed(anns):
+        bit = 1 << m
+        if not mask & bit:
+            return None
+        if _parity_below(mask, m):
+            sign = -sign
+        mask ^= bit
+    for m in reversed(dags):
+        bit = 1 << m
+        if mask & bit:
+            return None
+        if _parity_below(mask, m):
+            sign = -sign
+        mask ^= bit
+    return mask, sign
+
+
+def _parity_below(mask: int, m: int) -> bool:
+    return bool(bin(mask & ((1 << m) - 1)).count("1") & 1)
+
+
+def operator_matrix(op, basis) -> np.ndarray:
+    """Matrix of `op` on the occupation bitmasks `basis`, one term and one
+    state at a time."""
+    index = {m: i for i, m in enumerate(basis)}
+    dim = len(basis)
+    mat = np.zeros((dim, dim), dtype=complex)
+    for (dags, anns), c in op.terms.items():
+        for j, mask in enumerate(basis):
+            res = apply_term_to_mask(dags, anns, mask)
+            if res is None:
+                continue
+            new_mask, sign = res
+            i = index.get(new_mask)
+            if i is not None:
+                mat[i, j] += sign * c
+    return mat

@@ -30,11 +30,13 @@ from qcmoments.mitigation import (
     AssignmentCalibration, clip_rows, clip_to_physical, qrem_rows,
 )
 from qcmoments.conventions import interleaved_spins
+from qcmoments.fermion import jordan_wigner
 from qcmoments.planner import build_measurement_circuit, build_plan, \
     enumerate_elements
 from qcmoments.qcm import (
     MomentSet, bootstrap, hamiltonian_powers, moments_from_rdm,
 )
+from qcmoments.simulator import exact_diagonalize, sector_basis
 
 TOL = 1e-10
 NOISE = {"global_q": 0.1, "p01": 0.03, "p10": 0.05}
@@ -207,6 +209,26 @@ def test_mixed_values_match_per_element_traces(fixture, request):
     assert any(want) and not all(want)
     np.testing.assert_allclose(compiled.mixed, want, rtol=0,
                                atol=1e-15)
+
+
+# the fixtures' sector FCI energies, as exact_diagonalize has given them
+FCI = {"h2": -1.001125164303071, "h4": -2.875942809005063,
+       "h4_frozen": -2.610063627056374}
+
+
+@pytest.mark.parametrize("fixture", FCI)
+def test_fci_is_the_sz_block_of_the_sector_matrix(fixture, request):
+    # analyze reads FCI off the N-electron H it already holds; it is the
+    # energy that exact_diagonalize builds from scratch, bit for bit, and
+    # the lowest Jordan-Wigner eigenvalue on the same occupations
+    path, _, (compiled, _, _) = request.getfixturevalue(fixture)
+    _, h, _ = _load_system(load_config(path))
+    ne = compiled.n_electrons
+    energy, _ = exact_diagonalize(h, ne, sz=compiled.sz)
+    assert compiled.e_fci == energy == FCI[fixture]
+    masks = sector_basis(h.n_modes, ne, sz=compiled.sz)
+    dense = jordan_wigner(h).to_matrix()[np.ix_(masks, masks)]
+    assert abs(energy - np.linalg.eigvalsh(dense)[0]) < 1e-10
 
 
 def test_analyzer_rejects_order_other_than_electron_count(h2):

@@ -8,10 +8,12 @@ import hashlib
 import json
 import pathlib
 import shutil
+import sys
 
 import numpy as np
 import pytest
 
+from qcmoments import simulator
 from qcmoments.analysis import write_archive
 from qcmoments.cli import _load_system, main
 from qcmoments.config import load_config
@@ -280,6 +282,52 @@ def test_optimize_zero_iterations_returns_initial_point(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["thetas"] == [0.0]
     assert abs(doc["energy"] - H2_HF) < 1e-9
+
+
+def _count_matrix_builds(monkeypatch):
+    """Calls of operator_matrix_in_sector, through every qcmoments binding
+    of it, appended to the returned list."""
+    original = simulator.operator_matrix_in_sector
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qcmoments") and \
+                getattr(module, "operator_matrix_in_sector", None) is original:
+            monkeypatch.setattr(module, "operator_matrix_in_sector", counting)
+    return calls
+
+
+@pytest.mark.parametrize("system, iterations", [
+    ("h2", 0), ("h2", 3), ("h2", 150), ("h4", 2)])
+def test_optimize_builds_each_matrix_once(tmp_path, monkeypatch, system,
+                                          iterations):
+    # H and each excitation generator, however many objective calls
+    overrides = dict(PINNED_PIPELINES[system][0],
+                     spsa={"iterations": iterations, "seeds": 1})
+    cfg = write_config(tmp_path, **overrides)
+    calls = _count_matrix_builds(monkeypatch)
+    assert main(["optimize", "--config", str(cfg), "--output",
+                 str(tmp_path / "thetas.json")]) == 0
+    assert len(calls) == 1 + len(overrides["excitations"])
+
+
+@pytest.mark.parametrize("integrals, extra, printed, energy", [
+    (H2_PATH, {}, "-1.001125164303", -1.001125164303071),
+    (H4_PATH, {"order": 4}, "-2.875942809005", -2.875942809005063),
+    (H4_PATH, {"frozen_occupied": [0], "frozen_virtual": [3]},
+     "-2.610063627056", -2.610063627056374),
+], ids=["h2", "h4", "h4_frozen"])
+def test_fci_output_is_pinned(tmp_path, capsys, integrals, extra, printed,
+                              energy):
+    cfg = write_config(tmp_path, integrals=str(integrals), **extra)
+    out = tmp_path / "fci.json"
+    assert main(["fci", "--config", str(cfg), "--output", str(out)]) == 0
+    assert capsys.readouterr().out == printed + "\n"
+    assert json.loads(out.read_text())["fci"] == energy
 
 
 def test_optimize_requires_excitations(tmp_path):

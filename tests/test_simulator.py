@@ -1,16 +1,25 @@
-"""Circuit execution, noise channels, sampling, and sector diagonalization."""
+"""Circuit execution, noise channels, sampling, fermionic action on
+occupation bitmasks, and sector diagonalization."""
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from fixtures_util import H4_PATH, h2_system, h4_system
+from qcmoments import simulator
 from qcmoments.fermion import FermionOperator, PauliOperator, jordan_wigner
-from qcmoments.simulator import (
-    Circuit, CountsTable, NoiseSpec, Statevector, exact_diagonalize,
-    noisy_distribution, run, sample, sector_basis,
+from qcmoments.integrals import (
+    freeze_orbitals, load_fcidump, spin_orbital_hamiltonian,
 )
+from qcmoments.simulator import (
+    Circuit, CountsTable, NoiseSpec, Statevector, _parity, apply_terms,
+    exact_diagonalize, noisy_distribution, operator_matrix_in_sector, run,
+    sample, sector_basis,
+)
+from qcmoments.trial import Ansatz, Excitation
 
-from reference_simulator import expectation
+from reference_simulator import apply_term_to_mask, expectation, \
+    operator_matrix
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 S = np.diag([1, 1j])
@@ -232,3 +241,97 @@ def test_exact_diagonalize_matches_dense():
     assert energy == pytest.approx(ref, abs=1e-10)
     assert float(np.real(state.amplitudes.conj() @ mat @ state.amplitudes)) == \
         pytest.approx(ref, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# fermionic action on occupation bitmasks, against the per-state oracle
+
+
+def _fixture_operators():
+    """(label, Hamiltonian, ansatz generators) of H2, H4 and H4 with one
+    orbital frozen at each end."""
+    h4_frozen = spin_orbital_hamiltonian(
+        freeze_orbitals(load_fcidump(H4_PATH), [0], [3]))
+    systems = [("h2",) + h2_system()[1:], ("h4",) + h4_system()[1:],
+               ("h4_frozen", h4_frozen,
+                Ansatz(4, 0b0011, [Excitation((2, 3), (0, 1))]))]
+    return [(label, h, [e.generator(h.n_modes) for e in ansatz.excitations])
+            for label, h, ansatz in systems]
+
+
+@pytest.mark.parametrize("label, h, generators", _fixture_operators(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_sector_matrices_are_bit_identical_to_the_oracle(label, h,
+                                                         generators):
+    n = h.n_modes
+    ne = 2 if label != "h4" else 4
+    for basis in (list(range(1 << n)), sector_basis(n, ne),
+                  sector_basis(n, ne, sz=0.0)):
+        for op in [h] + generators:
+            got = operator_matrix_in_sector(op, basis)
+            assert got.tobytes() == operator_matrix(op, basis).tobytes()
+
+
+def _random_terms(rng, n_modes, count):
+    """Normal-ordered keys of 1-4 operators; the creation and annihilation
+    counts differ freely, so many terms change N."""
+    keys = []
+    for _ in range(count):
+        size = int(rng.integers(1, 5))
+        n_dag = int(rng.integers(0, size + 1))
+        dags = tuple(sorted(rng.choice(n_modes, n_dag, replace=False)))
+        anns = tuple(sorted(rng.choice(n_modes, size - n_dag,
+                                       replace=False)))
+        keys.append((tuple(map(int, dags)), tuple(map(int, anns))))
+    return keys
+
+
+def test_apply_terms_matches_the_oracle_on_random_terms():
+    # 12 modes, so parities and flips cross the byte boundary of the table
+    rng = np.random.default_rng(29)
+    n = 12
+    keys = _random_terms(rng, n, 200)
+    masks = rng.integers(0, 1 << n, size=60)
+    new, signs, alive = apply_terms(keys, masks)
+    assert new.shape == signs.shape == alive.shape == (200, 60)
+    assert 0 < alive.sum() < alive.size
+    for t, (dags, anns) in enumerate(keys):
+        for s, mask in enumerate(masks):
+            res = apply_term_to_mask(dags, anns, int(mask))
+            assert alive[t, s] == (res is not None)
+            if res is not None:
+                assert (new[t, s], signs[t, s]) == res
+    # a column of masks pairs one state with each term
+    terms = np.arange(len(keys))
+    paired = apply_terms(keys, masks[terms % len(masks), None])
+    for got, want in zip(paired, (new, signs, alive)):
+        assert np.array_equal(got[:, 0], want[terms, terms % len(masks)])
+
+
+@pytest.mark.parametrize("chunk", [None, 5000])
+def test_random_operator_matrix_is_bit_identical_to_the_oracle(chunk,
+                                                               monkeypatch):
+    # terms that do not conserve N, complex coefficients, and states whose
+    # image leaves the basis; a small chunk splits the terms over passes
+    if chunk:
+        monkeypatch.setattr(simulator, "_MATRIX_CHUNK", chunk)
+    rng = np.random.default_rng(31)
+    n = 10
+    op = FermionOperator(n)
+    for key in _random_terms(rng, n, 120):
+        op.terms[key] = complex(rng.normal(), rng.normal())
+    for basis in (list(range(1 << n)), sector_basis(n, 5),
+                  sorted(rng.choice(1 << n, 300, replace=False).tolist(),
+                         reverse=True)):
+        got = operator_matrix_in_sector(op, basis)
+        assert got.tobytes() == operator_matrix(op, basis).tobytes()
+
+
+def test_parity_reads_every_byte():
+    # one set bit at each position up to 62, and random words: a slip in
+    # the byte folding shows on the high bits
+    rng = np.random.default_rng(5)
+    words = np.concatenate([1 << np.arange(63),
+                            rng.integers(0, 1 << 62, size=500)])
+    want = [bin(int(w)).count("1") & 1 for w in words]
+    assert _parity(words).tolist() == want

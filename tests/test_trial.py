@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fixtures_util import h2_system, h4_system, optimized_thetas
-from qcmoments.fermion import jordan_wigner
+from fixtures_util import h2_system, h4_system, optimized_thetas, \
+    trial_energy
+from qcmoments.fermion import FermionOperator, jordan_wigner
 from qcmoments.simulator import (
     Circuit, Statevector, operator_matrix_in_sector, run,
 )
@@ -14,7 +15,13 @@ from qcmoments.trial import (
     _pauli_gadget_block,
 )
 
+from reference_simulator import operator_matrix
 from reference_trial import local_double_excitation, trial_state_in_mode_order
+
+
+# non-adjacent excitations on an interleaved 6-mode determinant
+NON_ADJACENT = Ansatz(6, 0b001111, [Excitation((4, 5), (0, 3)),
+                                    Excitation((1, 4), (2, 3))])
 
 
 def circuit_unitary(circ):
@@ -56,15 +63,46 @@ def test_generator_cubes_to_minus_itself(n_modes, excitations):
 @pytest.mark.parametrize("ansatz, thetas", [
     (h2_system()[2], [0.43]),
     (h4_system()[2], [0.31, -0.52, 0.18, -1.07]),
-    # non-adjacent excitations on an interleaved 6-mode determinant
-    (Ansatz(6, 0b001111, [Excitation((4, 5), (0, 3)),
-                          Excitation((1, 4), (2, 3))]), [0.45, -2.3]),
+    (NON_ADJACENT, [0.45, -2.3]),
 ])
 def test_exact_trial_state_matches_expm(ansatz, thetas):
     ansatz = ansatz.with_thetas(thetas)
     state = exact_trial_state(ansatz)
     assert np.max(np.abs(state.amplitudes - expm_trial_state(ansatz))) \
         < 1e-12
+
+
+def _random_hamiltonian(n_modes, seed):
+    """Hermitian, N-conserving one- and two-body operator."""
+    rng = np.random.default_rng(seed)
+    op = FermionOperator(n_modes)
+    for size in (1, 2) * 12:
+        modes = rng.choice(n_modes, 2 * size, replace=False)
+        op.add_string([(int(m), True) for m in modes[:size]]
+                      + [(int(m), False) for m in modes[size:]],
+                      complex(rng.normal(), rng.normal()))
+    op.compress()
+    return op + op.dagger()
+
+
+@pytest.mark.parametrize("which", ["h2", "h4", "non-adjacent"])
+def test_sector_objective_matches_dense_energy(which):
+    # the objective works on the N-electron occupations; the oracle takes
+    # <H> of the 2^n-amplitude trial state with H's matrix on all 2^n
+    # states, built one term and one state at a time
+    if which == "non-adjacent":
+        ansatz, h = NON_ADJACENT, _random_hamiltonian(6, 41)
+    else:
+        _, h, ansatz = h2_system() if which == "h2" else h4_system()
+    hmat = operator_matrix(h, range(1 << h.n_modes))
+    objective = energy_objective(ansatz, h)
+    rng = np.random.default_rng(43)
+    for _ in range(4):
+        thetas = rng.uniform(-np.pi, np.pi, len(ansatz.excitations))
+        assert abs(objective(thetas) - trial_energy(ansatz, thetas, hmat)) \
+            < 1e-14
+    with pytest.raises(ValueError, match="parameter count"):
+        objective(np.zeros(len(ansatz.excitations) + 1))
 
 
 def test_hartree_fock_circuit():
