@@ -19,8 +19,8 @@ an analysis needs:
   trace sums, the Hartree-Fock and maximally mixed values of the
   white-noise fit, and D itself for the representability check.
 
-Each analysis then applies QREM qubit by qubit, clips, post-selects,
-assembles and contracts with array operations; no dict RDM is built. The
+A stack of count matrices (one, or bootstrap resamples) is mitigated and
+assembled in array passes; the moments and E_L run per matrix. The
 dict-path functions (``mitigation.apply_qrem``, ``clip_to_physical``,
 ``symmetry_postselect``, ``assemble_rdm``, ``rescale_rdm``,
 ``mixed_state_value``, ``qcm.moments_from_rdm``,
@@ -42,7 +42,7 @@ from .config import ConfigError, PipelineConfig
 from .conventions import sz_of
 from .fermion import FermionOperator
 from .mitigation import (
-    calibration_from_counts, check_representability, clip_rows,
+    calibration_from_counts, check_representability, clip_rows, fail,
     fit_white_noise_rate, postselect_mask, postselect_rows, qrem_rows,
     reference_calibrate,
 )
@@ -351,19 +351,24 @@ class Analyzer:
         self._dim = len(basis)
 
     def assemble(self, probs: np.ndarray) -> np.ndarray:
-        """Element values from the (bases x 2^n) mitigated distributions."""
-        return np.bincount(self._elem,
-                           weights=probs.ravel()[self._flat] * self._weight,
-                           minlength=len(self.elements))
+        """Element values (R x elements) from a stack of (bases x 2^n)
+        mitigated distributions; each bin sums in triplet order."""
+        size = len(self.elements)
+        bins = (np.arange(len(probs))[:, None] * size + self._elem).ravel()
+        weights = probs.reshape(len(probs), -1)[:, self._flat] * self._weight
+        return np.bincount(bins, weights=weights.ravel(),
+                           minlength=len(probs) * size).reshape(-1, size)
 
-    def rescale(self, values: np.ndarray) -> np.ndarray:
-        """Scale so the trace matches C(N_e, p), as mitigation.rescale_rdm."""
+    def rescale(self, values, failures):
+        """Scale each row so the trace matches C(N_e, p), as rescale_rdm;
+        a trace near zero fails its row (see mitigation.fail)."""
         ideal = float(comb(self.n_electrons, self.order))
-        actual = float(values[self._diagonal].sum())
-        if abs(actual) < 1e-6 * ideal:
-            raise ValueError(f"RDM trace {actual} too close to zero to "
-                             "rescale")
-        return values * (ideal / actual)
+        # a C-ordered copy sums each row pairwise, as a single row sums
+        actual = np.ascontiguousarray(values[:, self._diagonal]).sum(axis=-1)
+        fail((np.abs(actual) < 1e-6 * ideal)[:, None],
+             lambda k: f"RDM trace {float(actual[k])} too close to zero "
+             "to rescale", failures)
+        return values * (ideal / actual)[:, None]
 
     def moments(self, values: np.ndarray) -> MomentSet:
         """The four moments <H^k> = c0^k + weights[k] . values, the map
@@ -375,88 +380,103 @@ class Analyzer:
                                  f"{total}")
         return MomentSet(*(float(t.real) for t in totals))
 
-    def density_matrix(self, values: np.ndarray) -> np.ndarray:
-        """The density matrix D over the N_e-electron occupations that the
-        element values fill."""
-        out = np.zeros((self._dim, self._dim))
-        out[self._rows, self._cols] = out[self._cols, self._rows] = \
-            self._signs * values
-        return out
-
-    def element_values(self, counts, mitigation=None, diagnostics=False):
-        """Mitigated trial RDM element values (in ``elements`` order), q̂,
-        and with ``diagnostics`` a dict of per-basis post-selection
-        acceptance and clipped mass, the unclamped fitted q̂ and whether it
-        was clamped (None without diagnostics)."""
+    def element_values(self, stack, mitigation=None, diagnostics=False):
+        """The table stage as one array pass over a stack (R x tables x
+        2^n). Returns the trial element values (R x elements), q̂ (R,), each
+        matrix's failure (the message it raises alone, or None) and, with
+        ``diagnostics``, the first matrix's per-basis acceptance and clipped
+        mass, its unclamped fitted q̂ and whether that was clamped."""
         mit = dict(self.cfg.mitigation if mitigation is None else mitigation)
-        cal = calibration_from_counts(counts[0], counts[1]) \
-            if mit.get("qrem") else None
-        n_bases = self.n_bases
+        failures = [None] * len(stack)
+        n_bases, shape = self.n_bases, (len(stack), self.n_bases)
         values, acceptance, clipped = {}, {}, {}
-        for which, start in (("trial", 2), ("reference", 2 + n_bases)):
-            block = counts[start:start + n_bases]
-            probs = block / block.sum(axis=1, keepdims=True)
-            clipped[which] = np.zeros(n_bases)
-            if cal is not None:
-                probs = qrem_rows(probs, cal)
-                if mit.get("clip"):
-                    probs, clipped[which] = clip_rows(probs)
-            acceptance[which] = np.ones(n_bases)
-            if mit.get("postselect"):
-                probs, acceptance[which] = postselect_rows(probs, self.masks)
-            values[which] = self.assemble(probs)
-            if mit.get("rescale"):
-                values[which] = self.rescale(values[which])
-        v = values["trial"]
-        q_hat, q_fit = 0.0, None
-        if mit.get("calibrate"):
-            q_fit = fit_white_noise_rate(values["reference"], self.ideal_ref,
-                                         self.mixed)
-            # the main analysis warns when q̂ is clamped; the ablation
-            # stacks and bootstrap resamples stay quiet
-            with warnings.catch_warnings():
-                if not diagnostics:
-                    warnings.simplefilter("ignore")
-                q_hat, corrected = reference_calibrate(v, q_fit, self.mixed)
-            if q_hat > 0.0:
-                v = corrected
+        # a failed matrix runs on unread
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cal = calibration_from_counts(stack[:, 0], stack[:, 1], failures) \
+                if mit.get("qrem") else None
+            for which, start in (("trial", 2), ("reference", 2 + n_bases)):
+                block = stack[:, start:start + n_bases]
+                probs = block / block.sum(axis=-1, keepdims=True)
+                clipped[which] = np.zeros(shape)
+                if cal is not None:
+                    probs = qrem_rows(probs, cal)
+                    if mit.get("clip"):
+                        probs, clipped[which] = clip_rows(probs, failures)
+                acceptance[which] = np.ones(shape)
+                if mit.get("postselect"):
+                    probs, acceptance[which] = postselect_rows(
+                        probs, self.masks, failures)
+                values[which] = self.assemble(probs)
                 if mit.get("rescale"):
-                    v = self.rescale(v)
-        if not diagnostics:
-            return v, q_hat, None
-        return v, q_hat, {
-            "acceptance": {k: [float(x) for x in r]
-                           for k, r in acceptance.items()},
-            "clipped_mass": {k: [float(x) for x in r]
-                             for k, r in clipped.items()},
-            "q_hat_fit": q_fit,
-            "q_hat_clamped": q_fit is not None and q_fit != q_hat,
-        }
+                    values[which] = self.rescale(values[which], failures)
+            v = values["trial"]
+            q_hat = q_fit = np.zeros(len(stack))
+            if mit.get("calibrate"):
+                q_fit = fit_white_noise_rate(values["reference"],
+                                             self.ideal_ref, self.mixed,
+                                             failures)
+                q_fit[[f is not None for f in failures]] = np.nan
+                # the main analysis warns when q̂ is clamped; the ablation
+                # stacks and bootstrap resamples stay quiet
+                with warnings.catch_warnings():
+                    if not diagnostics:
+                        warnings.simplefilter("ignore")
+                    q_hat, corrected = reference_calibrate(v, q_fit,
+                                                           self.mixed)
+                # where q̂ = 0, corrected is v, already rescaled
+                if mit.get("rescale"):
+                    corrected = self.rescale(corrected, failures)
+                v = np.where((q_hat > 0.0)[:, None], corrected, v)
+        return v, q_hat, failures, {
+            "acceptance": {k: r[0].tolist() for k, r in acceptance.items()},
+            "clipped_mass": {k: r[0].tolist() for k, r in clipped.items()},
+            "q_hat_fit": float(q_fit[0]) if mit.get("calibrate") else None,
+            "q_hat_clamped": bool(q_fit[0] != q_hat[0]),
+        } if diagnostics else None
+
+    def analyze_stack(self, stack, mitigation=None, diagnostics=False):
+        """<H> and E_L of each count matrix of a stack, or the error it
+        raises alone; only the scalar tail runs per matrix. ``diagnostics``
+        (for a stack of one) adds q̂, the mean acceptance, representability
+        and the per-basis diagnostics with the unclamped c2 and its clamp."""
+        values, q_hat, failures, diag = self.element_values(
+            stack, mitigation, diagnostics)
+        results = []
+        for v, q, failure in zip(values, q_hat, failures):
+            try:
+                if failure is not None:
+                    raise ValueError(failure)
+                m = self.moments(v)
+                c = cumulants(m)
+                # a slightly negative variance is consistent with shot
+                # noise around an (almost) exact trial state; clamp it and
+                # report E_L = <H>, the correct zero-variance limit
+                noise_floor = 3.0 / np.sqrt(self.cfg.shots)
+                clamped = bool(-noise_floor < c.c2 < 0.0)
+                if diagnostics:
+                    diag.update(c2=float(c.c2), c2_clamped=clamped)
+                if clamped:
+                    c = CumulantSet(c.c1, 0.0, c.c3, c.c4)
+                results.append({"h": m.m1, "e_l": lanczos_energy(c)})
+            except (ValueError, ArithmeticError) as exc:
+                results.append(exc)
+            if diagnostics and isinstance(results[-1], dict):
+                # D over the N_e-electron occupations has trace 1
+                density = np.zeros((self._dim, self._dim))
+                density[self._rows, self._cols] = \
+                    density[self._cols, self._rows] = self._signs * v
+                results[-1].update(
+                    q_hat=float(q),
+                    acceptance={k: float(np.mean(r))
+                                for k, r in diag["acceptance"].items()},
+                    representability=check_representability(density, 1.0),
+                    diagnostics=diag)
+        return results
 
     def analyze(self, counts, mitigation=None, diagnostics=False):
-        """<H> and E_L; with ``diagnostics`` also q̂, the mean acceptance,
-        the representability report and the per-basis diagnostics, which
-        then hold the unclamped c2 and whether it was clamped to 0."""
-        v, q_hat, diag = self.element_values(counts, mitigation, diagnostics)
-        m = self.moments(v)
-        c = cumulants(m)
-        # a slightly negative variance is consistent with shot noise around
-        # an (almost) exact trial state; clamp it and report E_L = <H>,
-        # which is the correct zero-variance limit
-        noise_floor = 3.0 / np.sqrt(self.cfg.shots)
-        clamped = bool(-noise_floor < c.c2 < 0.0)
-        if diagnostics:
-            diag.update(c2=float(c.c2), c2_clamped=clamped)
-        if clamped:
-            c = CumulantSet(c.c1, 0.0, c.c3, c.c4)
-        result = {"h": m.m1, "e_l": lanczos_energy(c)}
-        if diagnostics:
-            result.update(
-                q_hat=q_hat,
-                acceptance={k: float(np.mean(r))
-                            for k, r in diag["acceptance"].items()},
-                # at order N_e, D has trace C(N_e, N_e) = 1
-                representability=check_representability(
-                    self.density_matrix(v), 1.0),
-                diagnostics=diag)
+        """:meth:`analyze_stack` on one count matrix; raises its failure."""
+        result, = self.analyze_stack(np.asarray(counts)[None], mitigation,
+                                     diagnostics)
+        if isinstance(result, Exception):
+            raise result
         return result

@@ -301,7 +301,7 @@ def cmd_analyze(args) -> int:
     boot = None
     if cfg.bootstrap["enabled"]:
         boot = bootstrap(
-            counts, analyzer.analyze,
+            counts, analyzer.analyze_stack,
             resamples=int(cfg.bootstrap["resamples"]),
             seed=derive_seed(cfg.master_seed, "bootstrap"))
         std_h, std_el = boot.stds["h"], boot.stds["e_l"]

@@ -6,17 +6,20 @@ on electron number and S_z, RDM assembly from the measurement plan, trace
 rescaling, N-representability reporting on a density matrix, and a global
 white-noise calibration against a reference state.
 
-Each table step exists twice. The ``*_rows`` functions act on a matrix with
-one table per row over integer outcomes and make up the compiled analysis
-(:mod:`qcmoments.analysis`). The bitstring-dict functions (``apply_qrem``,
+Each table step exists twice. The ``*_rows`` functions act on tables over
+integer outcomes, one per row, and make up the compiled analysis
+(:mod:`qcmoments.analysis`). They, ``calibration_from_counts`` and
+``fit_white_noise_rate`` take leading stack axes (one entry per bootstrap
+resample; QREM broadcasts each entry's own inverses) and fail per entry
+(:func:`fail`). The bitstring-dict functions (``apply_qrem``,
 ``clip_to_physical``, ``symmetry_postselect``, ``assemble_rdm``,
-``rescale_rdm``) and ``mixed_state_value`` are the references that the tests
-check the compiled path against.
+``rescale_rdm``) and ``mixed_state_value`` are the references that the
+tests check the compiled path against.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -24,51 +27,61 @@ from .fermion import FermionOperator
 from .planner import MeasurementPlan, product_value
 from .rdm import RDM
 from .simulator import (
-    CountsTable, NoiseSpec, apply_1q, apply_terms, noisy_distribution,
-    sample, sector_basis,
+    CountsTable, NoiseSpec, apply_terms, noisy_distribution, sample,
+    sector_basis,
 )
 
 # ---------------------------------------------------------------------------
 # readout calibration and inversion
 
 
+def fail(bad, message, failures):
+    """Fail each stack entry (all axes of `bad` but the last) with a True in
+    `bad`, by message(k) of its first such flat index k: raise ValueError
+    if `failures` is None, else fill the entry's empty slot in that list."""
+    rows = np.reshape(bad, (-1, np.shape(bad)[-1]))
+    for i in np.flatnonzero(rows.any(axis=1)):
+        k = i * rows.shape[1] + int(rows[i].argmax())
+        if failures is None:
+            raise ValueError(message(k))
+        failures[i] = failures[i] or message(k)
+
+
 @dataclass
 class AssignmentCalibration:
     """Per-qubit 2x2 readout assignment matrices and their inverses."""
 
-    matrices: np.ndarray   # shape (n, 2, 2); column y holds p(read x | true y)
+    matrices: np.ndarray   # (..., n, 2, 2); column y holds p(read x | true y)
     inverses: np.ndarray
+    failures: InitVar[list | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, failures):
         self.matrices = np.asarray(self.matrices, dtype=float)
         self.inverses = np.asarray(self.inverses, dtype=float)
-        n = self.matrices.shape[0]
-        if not np.allclose(self.matrices.sum(axis=1), 1.0, atol=1e-10):
-            raise ValueError("assignment matrix columns must sum to 1")
-        eye = np.einsum("nij,njk->nik", self.inverses, self.matrices)
-        if not np.allclose(eye, np.broadcast_to(np.eye(2), (n, 2, 2)),
-                           atol=1e-10):
-            raise ValueError("inverses do not match the assignment matrices")
+        fail(~np.isclose(self.matrices.sum(axis=-2), 1.0,
+                         atol=1e-10).all(axis=-1),
+             lambda k: "assignment matrix columns must sum to 1", failures)
+        eye = np.einsum("...ij,...jk->...ik", self.inverses, self.matrices)
+        fail(~np.isclose(eye, np.eye(2), atol=1e-10).all(axis=(-2, -1)),
+             lambda k: "inverses do not match the assignment matrices",
+             failures)
 
     @property
     def n_qubits(self) -> int:
-        return self.matrices.shape[0]
+        return self.matrices.shape[-3]
 
     @classmethod
-    def from_flip_rates(cls, p01, p10) -> "AssignmentCalibration":
-        p01, p10 = np.atleast_1d(p01).astype(float), \
-            np.atleast_1d(p10).astype(float)
-        n = p01.size
-        mats = np.empty((n, 2, 2))
-        for q in range(n):
-            det = 1.0 - p01[q] - p10[q]
-            if det <= 1e-9 or p01[q] >= 0.5 or p10[q] >= 0.5:
-                raise ValueError(
-                    f"assignment matrix singular on qubit {q}: "
-                    f"flip rates {p01[q]:.3f}/{p10[q]:.3f}")
-            mats[q] = [[1 - p01[q], p10[q]], [p01[q], 1 - p10[q]]]
-        invs = np.linalg.inv(mats)
-        return cls(mats, invs)
+    def from_flip_rates(cls, p01, p10, failures=None):
+        """From flip rates (..., n); a singular qubit fails its entry."""
+        p01, p10 = (np.atleast_1d(p).astype(float) for p in (p01, p10))
+        singular = (1.0 - p01 - p10 <= 1e-9) | (p01 >= 0.5) | (p10 >= 0.5)
+        fail(singular, lambda k: "assignment matrix singular on qubit "
+             f"{k % p01.shape[-1]}: flip rates {p01.flat[k]:.3f}/"
+             f"{p10.flat[k]:.3f}", failures)
+        mats = np.stack([1 - p01, p10, p01, 1 - p10],
+                        axis=-1).reshape(p01.shape + (2, 2))
+        mats[singular] = np.eye(2)     # a recorded failure; inv stays finite
+        return cls(mats, np.linalg.inv(mats), failures)
 
 
 def outcome_bits(n_qubits: int) -> np.ndarray:
@@ -76,14 +89,14 @@ def outcome_bits(n_qubits: int) -> np.ndarray:
     return np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits) & 1
 
 
-def calibration_from_counts(zeros, ones) -> AssignmentCalibration:
-    """Per-qubit flip rates from the count vectors (over integer outcomes)
-    of an all-zeros and an all-ones preparation."""
+def calibration_from_counts(zeros, ones, failures=None):
+    """Per-qubit flip rates from the count vectors (over integer outcomes,
+    with optional stack axes) of an all-zeros and an all-ones preparation."""
     zeros, ones = np.asarray(zeros), np.asarray(ones)
-    bits = outcome_bits(zeros.size.bit_length() - 1)
-    p01 = zeros @ bits / zeros.sum()
-    p10 = ones @ (1 - bits) / ones.sum()
-    return AssignmentCalibration.from_flip_rates(p01, p10)
+    bits = outcome_bits(zeros.shape[-1].bit_length() - 1)
+    p01 = zeros @ bits / zeros.sum(axis=-1, keepdims=True)
+    p10 = ones @ (1 - bits) / ones.sum(axis=-1, keepdims=True)
+    return AssignmentCalibration.from_flip_rates(p01, p10, failures)
 
 
 def sample_calibration(noise: NoiseSpec, n_qubits: int, shots: int,
@@ -102,11 +115,21 @@ def sample_calibration(noise: NoiseSpec, n_qubits: int, shots: int,
 
 def qrem_rows(probs: np.ndarray, cal: AssignmentCalibration) -> np.ndarray:
     """Readout inversion of each row (a distribution over integer outcomes)
-    by the tensor product of the per-qubit inverses, one qubit at a time."""
-    if probs.shape[1] != 1 << cal.n_qubits:
+    by the tensor product of the per-qubit inverses, one qubit at a time.
+    Each stack entry of `probs` (..., rows, 2^n) gets its own inverses from
+    `cal`, multiplied into a buffer as ``apply_1q`` does."""
+    if probs.shape[-1] != 1 << cal.n_qubits:
         raise ValueError("calibration does not cover all qubits")
-    for q, inv in enumerate(cal.inverses):
-        probs = apply_1q(probs, inv, q)
+    lead = cal.inverses.shape[:-3]
+    # inv[q, i, j] holds element (i, j) of each stack entry's qubit-q inverse
+    inv = np.moveaxis(cal.inverses[..., None, None], (-5, -4, -3), (0, 1, 2))
+    for q in range(cal.n_qubits):
+        a = probs.reshape(lead + (-1, 2, 1 << q))
+        out, term = np.empty_like(a), np.empty_like(a[..., 0, :])
+        for i in (0, 1):
+            np.multiply(inv[q, i, 0], a[..., 0, :], out=out[..., i, :])
+            out[..., i, :] += np.multiply(inv[q, i, 1], a[..., 1, :], out=term)
+        probs = out.reshape(probs.shape)
     return probs
 
 
@@ -176,18 +199,18 @@ def clip_to_physical(quasi: dict) -> dict:
     return {b: v / norm for b, v in entries.items()}
 
 
-def clip_rows(quasi: np.ndarray):
-    """:func:`clip_to_physical` on every row at once.
+def clip_rows(quasi: np.ndarray, failures=None):
+    """:func:`clip_to_physical` on every row of `quasi` (..., rows, 2^n).
 
     Returns the clipped rows and, per row, the negative mass zeroed over
     all iterations.
     """
-    totals = quasi.sum(axis=1)
-    bad = np.flatnonzero(np.abs(totals - 1.0) > CLIP_TOL)
-    if bad.size:
-        raise ValueError(f"quasi-probabilities sum to {totals[bad[0]]}, not 1")
-    out = quasi.copy()
+    totals = quasi.sum(axis=-1)
+    fail(np.abs(totals - 1.0) > CLIP_TOL, lambda k: "quasi-probabilities "
+         f"sum to {totals.flat[k]}, not 1", failures)
+    out = quasi.reshape(-1, quasi.shape[-1]).copy()
     clipped = np.zeros(len(out))
+    stranded = np.zeros(len(out), dtype=bool)
     rows = np.flatnonzero((out < 0.0).any(axis=1))
     while rows.size:
         sub = out[rows]
@@ -196,13 +219,16 @@ def clip_rows(quasi: np.ndarray):
         sub[negative] = 0.0
         positive = sub > 0.0
         n_positive = positive.sum(axis=1)
-        if not n_positive.all():
-            raise ValueError("no positive probability mass to redistribute to")
-        sub = np.where(positive, sub + (mass / n_positive)[:, None], sub)
+        stranded[rows[n_positive == 0]] = True
+        fail(stranded.reshape(totals.shape), lambda k: "no positive "
+             "probability mass to redistribute to", failures)
+        np.add(sub, (mass / np.maximum(n_positive, 1))[:, None], out=sub,
+               where=positive)
         out[rows] = sub
         clipped[rows] -= mass
         rows = rows[(sub < 0.0).any(axis=1)]
-    return out / out.sum(axis=1, keepdims=True), clipped
+    out = out.reshape(quasi.shape)
+    return out / out.sum(axis=-1, keepdims=True), clipped.reshape(totals.shape)
 
 
 def symmetry_postselect(probs: dict, n_electrons: int, s_z: float,
@@ -239,14 +265,14 @@ def postselect_mask(n_electrons: int, s_z: float, spins) -> np.ndarray:
     return (n_occ == n_electrons) & (np.abs(up - 0.5 * n_occ - s_z) <= 1e-12)
 
 
-def postselect_rows(probs: np.ndarray, masks: np.ndarray):
-    """Post-select row i on ``masks[i]`` and renormalize; returns the rows
-    and their acceptance rates."""
+def postselect_rows(probs: np.ndarray, masks: np.ndarray, failures):
+    """Post-select row i of each stack entry of `probs` (..., rows, 2^n) on
+    ``masks[i]`` and renormalize; returns the rows and acceptance rates."""
     accepted = np.where(masks, probs, 0.0)
-    mass = accepted.sum(axis=1)
-    if (mass <= 0.0).any():
-        raise ValueError("post-selection removed all probability mass")
-    return accepted / mass[:, None], mass / probs.sum(axis=1)
+    mass = accepted.sum(axis=-1)
+    fail(mass <= 0.0,
+         lambda k: "post-selection removed all probability mass", failures)
+    return accepted / mass[..., None], mass / probs.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -311,25 +337,27 @@ def check_representability(density: np.ndarray, ideal_trace: float) -> dict:
 WHITE_NOISE_RESOLUTION = 1e-6
 
 
-def fit_white_noise_rate(noisy_ref, ideal_ref, mixed_value) -> float:
+def fit_white_noise_rate(noisy_ref, ideal_ref, mixed_value, failures=None):
     """Least-squares white-noise rate q of noisy = (1 − q)·ideal + q·mixed.
 
     Arguments are scalars or arrays of matching shape (one entry per
-    observable). With d = mixed_value − ideal_ref,
-    q̂ = Σ (noisy_ref − ideal_ref)·d / Σ d², which for scalars is
-    (noisy_ref − ideal_ref)/d. Unresolvable when |d| <=
-    ``WHITE_NOISE_RESOLUTION`` (the Euclidean norm for arrays); q̂ >= 1 is
-    an error. Not clamped.
+    observable), and `noisy_ref` may carry stack axes. With d = mixed_value
+    − ideal_ref, q̂ = Σ (noisy_ref − ideal_ref)·d / Σ d² (one ``np.vdot``
+    per entry), which for scalars is (noisy_ref − ideal_ref)/d.
+    Unresolvable when |d| <= ``WHITE_NOISE_RESOLUTION`` (the Euclidean
+    norm for arrays); q̂ >= 1 is an error. Not clamped.
     """
     d = np.asarray(mixed_value, dtype=float) - ideal_ref
-    if np.linalg.norm(d) <= WHITE_NOISE_RESOLUTION:
-        raise ValueError("reference elements equal the mixed-state values; "
-                         "white-noise rate is unresolvable")
-    q_hat = float(np.vdot(np.asarray(noisy_ref) - ideal_ref, d)
-                  / np.vdot(d, d))
-    if q_hat >= 1.0:
-        raise ValueError(f"estimated white-noise rate {q_hat} >= 1")
-    return q_hat
+    noisy = np.asarray(noisy_ref) - ideal_ref
+    stack = noisy.shape[:noisy.ndim - d.ndim]
+    fail(np.full(stack + (1,), np.linalg.norm(d) <= WHITE_NOISE_RESOLUTION),
+         lambda k: "reference elements equal the mixed-state values; "
+         "white-noise rate is unresolvable", failures)
+    q_hat = np.reshape([np.vdot(x, d) for x in noisy.reshape(-1, d.size)],
+                       stack) / np.vdot(d, d)
+    fail(q_hat[..., None] >= 1.0, lambda k: "estimated white-noise rate "
+         f"{float(q_hat.flat[k])} >= 1", failures)
+    return q_hat if stack else float(q_hat)
 
 
 def reference_calibrate(noisy_trial, q_fit, mixed_value):
@@ -337,12 +365,14 @@ def reference_calibrate(noisy_trial, q_fit, mixed_value):
 
     q̂ is `q_fit` (from :func:`fit_white_noise_rate`), clamped to 0 with a
     warning when negative; corrected = (noisy_trial − q̂·mixed_value)/(1 − q̂),
-    elementwise for arrays. Returns (q̂, corrected).
+    elementwise for arrays, by row for stacked q_fit. Returns (q̂, corrected).
     """
-    if q_fit < 0.0:
-        warnings.warn(f"estimated white-noise rate {q_fit} clamped to 0")
-        q_fit = 0.0
-    return q_fit, (noisy_trial - q_fit * mixed_value) / (1.0 - q_fit)
+    q_fit = np.asarray(q_fit, dtype=float)
+    for q in q_fit[q_fit < 0.0]:
+        warnings.warn(f"estimated white-noise rate {q} clamped to 0")
+    q_hat = np.where(q_fit < 0.0, 0.0, q_fit)
+    scale = q_hat[..., None] if q_hat.ndim else q_hat
+    return q_hat, (noisy_trial - scale * mixed_value) / (1.0 - scale)
 
 
 def mixed_state_value(op: FermionOperator, n_electrons: int, sz=None,

@@ -9,7 +9,7 @@ connected-moment recursion, and the analytic second-order Lanczos expansion
 gives an energy below <H> = c1 that is exact for eigenstates and for any
 state over a two-eigenvalue Hamiltonian. Moments come from an assembled
 reduced density matrix. Bootstrap resampling of the per-basis count tables
-propagates shot noise through the full analysis pipeline.
+propagates shot noise through the full analysis pipeline, in stacks.
 """
 from __future__ import annotations
 
@@ -189,6 +189,10 @@ class BootstrapResult:
                 "failure_reasons": dict(sorted(self.failure_reasons.items()))}
 
 
+#: count-matrix entries in one stack of resamples handed to the pipeline
+STACK_ENTRIES = 1 << 18
+
+
 def bootstrap(counts, pipeline, resamples: int = 500,
               seed: int = 0) -> BootstrapResult:
     """Multinomial resampling of per-basis counts through a full pipeline.
@@ -197,10 +201,12 @@ def bootstrap(counts, pipeline, resamples: int = 500,
     integer outcome. Each resample independently redraws every row at its
     own shot count over the row's observed support, in ascending outcome
     order (bases are measured in separate runs, so there are no cross-basis
-    correlations to preserve), and calls ``pipeline`` on the redrawn matrix,
-    which must return a mapping of estimator name to value. Failed resamples
-    are recorded by message and excluded; more than 10% failures aborts.
-    Deterministic for a fixed seed.
+    correlations to preserve). ``pipeline`` takes the redrawn matrices in
+    stacks (R x rows x outcomes) of at most ``STACK_ENTRIES`` entries (or
+    one matrix) and returns per matrix a mapping of estimator name to value
+    or the exception it fails with. Failed resamples are recorded by
+    message and excluded; more than 10% failures aborts. Deterministic for
+    a fixed seed, whatever the stack size.
     """
     if resamples < 2:
         raise ValueError("resamples must be >= 2")
@@ -214,17 +220,20 @@ def bootstrap(counts, pipeline, resamples: int = 500,
         probs.append(p / p.sum())
     flat = np.concatenate([i * counts.shape[1] + s
                            for i, s in enumerate(supports)])
+    per_stack = max(1, STACK_ENTRIES // counts.size)
     samples = []
     reasons: dict = {}
-    for child in children:
-        rng = np.random.default_rng(child)
-        redrawn = np.zeros_like(counts)
-        redrawn.flat[flat] = np.concatenate(
-            [rng.multinomial(n, p) for n, p in zip(shots, probs)])
-        try:
-            samples.append(dict(pipeline(redrawn)))
-        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-            reasons[str(exc)] = reasons.get(str(exc), 0) + 1
+    for start in range(0, resamples, per_stack):
+        chunk = children[start:start + per_stack]
+        redrawn = np.zeros((len(chunk),) + counts.shape, dtype=counts.dtype)
+        for matrix, rng in zip(redrawn, map(np.random.default_rng, chunk)):
+            matrix.flat[flat] = np.concatenate(
+                [rng.multinomial(n, p) for n, p in zip(shots, probs)])
+        for outcome in pipeline(redrawn):
+            if isinstance(outcome, Exception):
+                reasons[str(outcome)] = reasons.get(str(outcome), 0) + 1
+            else:
+                samples.append(dict(outcome))
     failures = sum(reasons.values())
     if failures > 0.1 * resamples:
         raise ValueError(

@@ -108,12 +108,23 @@ class DictAnalyzer:
             mixed[e] = mixed_state_value(op, n_electrons, sz=self.sz,
                                          spins=self.spins)
         self.mixed = mixed
+        self._memo, self._memo_counts = {}, None
+
+    def _mitigated(self, table, cal, clip):
+        """QREM, then clipping if `clip`, memoised by the table's and the
+        calibration's bytes and the flag: the mitigation stacks that share
+        them share the result, which no later step mutates. The memo holds
+        one count matrix's tables."""
+        key = (table.outcomes.tobytes(), table.counts.tobytes(), table.shots,
+               cal.inverses.tobytes(), bool(clip))
+        if key not in self._memo:
+            probs = apply_qrem(table, cal)
+            self._memo[key] = clip_to_physical(probs) if clip else probs
+        return self._memo[key]
 
     def _table(self, table, mc, mit, cal):
         if mit.get("qrem"):
-            probs = apply_qrem(table, cal)
-            if mit.get("clip"):
-                probs = clip_to_physical(probs)
+            probs = self._mitigated(table, cal, mit.get("clip"))
         else:
             probs = bitstring_probabilities(table, self.n_qubits)
         rate = 1.0
@@ -125,6 +136,8 @@ class DictAnalyzer:
 
     def analyze(self, counts, mitigation=None, diagnostics=False):
         mit = dict(self.cfg.mitigation if mitigation is None else mitigation)
+        if self._memo_counts != counts.tobytes():
+            self._memo, self._memo_counts = {}, counts.tobytes()
         tables = counts_tables(counts)
         cal = calibration_from_counts(counts[0], counts[1]) \
             if mit.get("qrem") else None

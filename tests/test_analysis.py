@@ -20,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 from fixtures_util import H2_PATH, H4_PATH
 from reference_analysis import DictAnalyzer, element_rdm, \
     product_assembly_map
+from reference_qcm import per_resample_bootstrap
 
 from qcmoments.analysis import (
     ABLATION_STACKS, Analyzer, _assembly_map, load_archive,
@@ -33,6 +34,7 @@ from qcmoments.conventions import interleaved_spins
 from qcmoments.fermion import jordan_wigner
 from qcmoments.planner import build_measurement_circuit, build_plan, \
     enumerate_elements
+from qcmoments import qcm
 from qcmoments.qcm import (
     MomentSet, bootstrap, hamiltonian_powers, moments_from_rdm,
 )
@@ -130,7 +132,7 @@ def _assert_paths_agree(compiled, reference, counts):
         for which in ("trial", "reference"):
             assert got["diagnostics"]["acceptance"][which] == \
                 pytest.approx(want["acceptance"][which], abs=TOL)
-        values, _, _ = compiled.element_values(counts, stack)
+        values = compiled.element_values(counts[None], stack)[0][0]
         rdm = want["rdm"]
         assert values == pytest.approx(
             [rdm.get(e.creations, e.annihilations).real
@@ -170,8 +172,9 @@ def test_table_decode_matches_product_value(which, request):
 def test_compiled_analysis_matches_dict_path(fixture, request):
     _, _, (compiled, reference, counts) = request.getfixturevalue(fixture)
     _assert_paths_agree(compiled, reference, counts)
-    boots = [bootstrap(counts, a.analyze, resamples=3, seed=17)
-             for a in (compiled, reference)]
+    boots = [bootstrap(counts, compiled.analyze_stack, resamples=3, seed=17),
+             per_resample_bootstrap(counts, reference.analyze, resamples=3,
+                                    seed=17)]
     assert boots[0].failure_reasons == boots[1].failure_reasons
     for stat in ("means", "stds"):
         got, want = getattr(boots[0], stat), getattr(boots[1], stat)
@@ -248,6 +251,140 @@ def test_analyzer_rejects_order_other_than_electron_count(h2):
 def test_compiled_analysis_matches_dict_path_on_random_tables(h2, extra):
     _, _, (compiled, reference, counts) = h2
     _assert_paths_agree(compiled, reference, counts + extra)
+
+
+# ---------------------------------------------------------------------------
+# stacks of count matrices
+
+
+def _redraws(counts, size, seed):
+    """The `size` count matrices that bootstrap draws around `counts`."""
+    stacks = []
+
+    def keep(stack):
+        stacks.append(stack.copy())
+        return [{"x": 0.0}] * len(stack)
+
+    bootstrap(counts, keep, resamples=size, seed=seed)
+    return np.concatenate(stacks)
+
+
+def _alone(analyzer, counts, mitigation):
+    """One matrix's analysis, or its failure as (type, message)."""
+    try:
+        return analyzer.analyze(counts, mitigation)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _stacked(outcome):
+    return (type(outcome), str(outcome)) \
+        if isinstance(outcome, Exception) else outcome
+
+
+@pytest.mark.filterwarnings("ignore:estimated white-noise rate")
+@pytest.mark.parametrize("fixture", ["h2", "h4", "h4_frozen"])
+def test_stacked_analysis_equals_each_matrix_alone(fixture, request):
+    # each matrix of a stack gets the element values, q̂ and energies it
+    # gets analysed alone, byte for byte, under every mitigation stack
+    _, _, (compiled, _, counts) = request.getfixturevalue(fixture)
+    stack = np.concatenate([counts[None], _redraws(counts, 3, seed=4)])
+    for _, mitigation in [(None, None)] + ABLATION_STACKS:
+        values, q_hat, failures, _ = compiled.element_values(stack,
+                                                             mitigation)
+        assert failures == [None] * len(stack)
+        for r, matrix in enumerate(stack):
+            one = compiled.element_values(matrix[None], mitigation)
+            assert values[r].tobytes() == one[0][0].tobytes()
+            assert q_hat[r].tobytes() == one[1][0].tobytes()
+        got = compiled.analyze_stack(stack, mitigation)
+        assert [_stacked(g) for g in got] == \
+            [_alone(compiled, m, mitigation) for m in stack]
+
+
+def test_bootstrap_stacks_spanning_several_chunks_agree(h2, monkeypatch):
+    _, _, (compiled, _, counts) = h2
+    one = bootstrap(counts, compiled.analyze_stack, resamples=10, seed=8)
+    sizes = []
+
+    def pipeline(stack):
+        sizes.append(len(stack))
+        return compiled.analyze_stack(stack)
+
+    monkeypatch.setattr(qcm, "STACK_ENTRIES", 3 * counts.size + 5)
+    several = bootstrap(counts, pipeline, resamples=10, seed=8)
+    assert sizes == [3, 3, 3, 1]
+    assert several == one
+
+
+@pytest.fixture(scope="module")
+def h2_foreign_rows(tmp_path_factory):
+    # trial rows of the h2 fixture's archive rerun at other amplitudes:
+    # the doubly excited determinant (pi/2) and an even superposition
+    rows = {}
+    for name, theta in (("excited", np.pi / 2), ("even", np.pi / 4)):
+        tmp = tmp_path_factory.mktemp(f"h2_{name}")
+        path, archive = _archive(
+            tmp, H2_PATH, 2, [{"creations": [2, 3], "annihilations": [0, 1],
+                               "theta": theta}], 2000)
+        rows[name] = load_archive(archive)[2][2:]
+    return rows
+
+
+# mitigation stacks of the failure test: the command's own and two that
+# reach the post-selection and trace checks without readout inversion
+FAILURE_STACKS = [None] + [stack for _, stack in ABLATION_STACKS] + [
+    {"postselect": True}, {"rescale": True}]
+# the start of each check's message, in pipeline order
+FAILURE_CHECKS = ("assignment matrix singular", "post-selection removed all",
+                  "RDM trace", "estimated white-noise rate",
+                  "negative second cumulant")
+
+
+@pytest.mark.filterwarnings("ignore:estimated white-noise rate")
+def test_stacked_failures_are_each_matrix_own(h2, h2_foreign_rows):
+    # matrices built to fail at each check, mixed with passing ones: each
+    # fails with the message it raises alone, which the dict path gives too
+    _, _, (compiled, reference, counts) = h2
+    n_bases = compiled.n_bases
+    trial = slice(2, 2 + n_bases)
+    shots = counts[0].sum()
+
+    def edit(**rows):
+        matrix = counts.copy()
+        for name, value in rows.items():
+            matrix[{"zeros": 0, "trial": trial,
+                    "reference": slice(2 + n_bases, None),
+                    "basis3": 5}[name]] = value
+        return matrix
+
+    # outcome 1 reads qubit 0 as 1; outcome 0 holds no electron
+    at = {o: np.eye(16, dtype=counts.dtype)[o] * shots for o in (0, 1)}
+    stack = np.stack([
+        counts,
+        edit(zeros=at[1]),                              # singular flip rates
+        edit(trial=at[0]),                  # no mass kept, trace 0
+        edit(zeros=at[1], trial=at[0]),     # both: the first check wins
+        edit(reference=h2_foreign_rows["excited"][:n_bases]),   # q̂ >= 1
+        edit(basis3=h2_foreign_rows["even"][3]),        # c2 far below 0
+        _redraws(counts, 2, seed=5)[1],
+    ])
+    seen = set()
+    for mitigation in FAILURE_STACKS:
+        got = [_stacked(g) for g in compiled.analyze_stack(stack,
+                                                           mitigation)]
+        assert got == [_alone(compiled, m, mitigation) for m in stack]
+        assert isinstance(got[0], dict) and isinstance(got[-1], dict)
+        for g, matrix in zip(got, stack):
+            want = _outcome(reference, matrix, mitigation, False)
+            if isinstance(want, str):
+                assert re.sub(r"[-+]?\d[\d.e+-]*", "#", g[1]) == want
+                seen.update(c for c in FAILURE_CHECKS if want.startswith(c))
+            else:
+                assert isinstance(g, dict), g
+                for key in ("h", "e_l"):
+                    assert g[key] == pytest.approx(want[key], abs=TOL)
+    assert seen == set(FAILURE_CHECKS)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qcmoments import simulator
-from qcmoments.analysis import write_archive
+from qcmoments.analysis import Analyzer, write_archive
 from qcmoments.cli import _load_system, main
 from qcmoments.config import load_config
 from qcmoments.planner import MeasurementPlan, build_measurement_circuit
@@ -647,6 +647,21 @@ PINNED_PIPELINES = {
 }
 
 
+# the seed-7 report's bootstrap block, recorded while the bootstrap still
+# analysed its resamples one at a time
+PINNED_BOOTSTRAP = {
+    "h2": {"failure_reasons": {}, "failures": 0,
+           "means": {"e_l": -1.0011727846754597, "h": -0.9997732814078678},
+           "resamples": 100,
+           "stds": {"e_l": 0.00016609488006901578,
+                    "h": 0.0008875535380199856}},
+    "h4": {"failure_reasons": {}, "failures": 0,
+           "means": {"e_l": -2.8618438375453037, "h": -2.7866629922788175},
+           "resamples": 2,
+           "stds": {"e_l": 0.000947321837321078, "h": 0.04381986962223419}},
+}
+
+
 @pytest.mark.parametrize("system", PINNED_PIPELINES)
 def test_pipeline_outputs_are_pinned(tmp_path, system):
     overrides, counts_digest, ablation_digest = PINNED_PIPELINES[system]
@@ -658,3 +673,23 @@ def test_pipeline_outputs_are_pinned(tmp_path, system):
                          ("ablation.csv", ablation_digest)):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == \
             digest, name
+    boot = json.loads((out / "report.json").read_text())["bootstrap"]
+    assert boot == PINNED_BOOTSTRAP[system]
+
+
+def test_analyze_runs_one_table_pass_per_stack(tmp_path, monkeypatch):
+    # the main analysis and the five ablation stacks are stacks of one; the
+    # bootstrap's 100 resamples share one pass
+    overrides = PINNED_PIPELINES["h2"][0]
+    cfg = write_config(tmp_path, **overrides, noise=PINNED_NOISE,
+                       master_seed=7, output_dir=str(tmp_path / "out"))
+    sizes = []
+    table_pass = Analyzer.element_values
+
+    def counting(self, stack, *args, **kwargs):
+        sizes.append(len(stack))
+        return table_pass(self, stack, *args, **kwargs)
+
+    monkeypatch.setattr(Analyzer, "element_values", counting)
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    assert sorted(sizes) == [1] * 6 + [100]

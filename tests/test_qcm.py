@@ -8,6 +8,7 @@ import mpmath
 from fixtures_util import (
     dense_fock_matrix, h2_system, h4_system, optimized_thetas, trial_energy,
 )
+from qcmoments import qcm
 from qcmoments.fermion import FermionOperator
 from qcmoments.qcm import (
     BootstrapResult, CumulantSet, EnergyEstimate, MomentSet, bootstrap,
@@ -16,7 +17,9 @@ from qcmoments.qcm import (
 from qcmoments.simulator import Statevector, exact_diagonalize, sector_basis
 from qcmoments.trial import exact_trial_state
 
-from reference_qcm import moments_from_statevector, validate_moments
+from reference_qcm import (
+    moments_from_statevector, per_resample_bootstrap, validate_moments,
+)
 from reference_rdm import rdm_from_determinant
 from reference_simulator import rdm_from_statevector
 
@@ -281,10 +284,10 @@ def test_white_noise_robustness(which, n_electrons):
 # bootstrap
 
 
-def _mean_z(counts):
-    """Toy estimator: <Z> of a one-qubit counts table (a count-matrix row)."""
-    c = counts[0]
-    return {"z": (c[0] - c[1]) / c.sum()}
+def _mean_z(stack):
+    """Toy estimator: <Z> of the one-qubit counts table (a count-matrix
+    row) of each resample in a stack."""
+    return [{"z": (c[0] - c[1]) / c.sum()} for c in stack[:, 0]]
 
 
 def test_bootstrap_deterministic_outcomes_have_zero_std():
@@ -316,8 +319,8 @@ def test_bootstrap_deterministic_given_seed():
 def test_bootstrap_failure_fraction_aborts():
     table = np.array([[500, 500]])
 
-    def flaky(tables):
-        raise ValueError("always fails")
+    def flaky(stack):
+        return [ValueError("always fails") for _ in stack]
 
     with pytest.raises(ValueError, match="failure fraction"):
         bootstrap(table, flaky, resamples=20, seed=1)
@@ -327,16 +330,45 @@ def test_bootstrap_partial_failures_reported():
     table = np.array([[500, 500]])
     calls = {"n": 0}
 
-    def sometimes(tables):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise ValueError("one bad resample")
-        return _mean_z(tables)
+    def sometimes(stack):
+        outcomes = []
+        for outcome in _mean_z(stack):
+            calls["n"] += 1
+            outcomes.append(ValueError("one bad resample")
+                            if calls["n"] == 1 else outcome)
+        return outcomes
 
     res = bootstrap(table, sometimes, resamples=30, seed=2)
     assert res.failures == 1
     assert res.resamples == 30
     assert res.failure_reasons == {"one bad resample": 1}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_bootstrap_draws_match_the_per_resample_loop(seed, monkeypatch):
+    # the stacked draws are the per-resample loop's, byte for byte, when
+    # the resamples (10) do not fill the last stack (4 per stack)
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 40, size=(5, 8)) * (rng.random((5, 8)) < 0.7)
+    counts[:, 0] += 1
+    stacks, matrices = [], []
+
+    def stacked(stack):
+        stacks.append(stack.copy())
+        return [{"z": float(m[0, 0])} for m in stack]
+
+    def one(matrix):
+        matrices.append(matrix.copy())
+        return {"z": float(matrix[0, 0])}
+
+    monkeypatch.setattr(qcm, "STACK_ENTRIES", 4 * counts.size)
+    got = bootstrap(counts, stacked, resamples=10, seed=seed)
+    want = per_resample_bootstrap(counts, one, resamples=10, seed=seed)
+    assert [len(s) for s in stacks] == [4, 4, 2]
+    drawn = np.concatenate(stacks)
+    assert drawn.dtype == np.stack(matrices).dtype
+    assert drawn.tobytes() == np.stack(matrices).tobytes()
+    assert got == want
 
 
 def test_bootstrap_requires_two_resamples():
