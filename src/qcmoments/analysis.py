@@ -380,12 +380,11 @@ class Analyzer:
                                  f"{total}")
         return MomentSet(*(float(t.real) for t in totals))
 
-    def element_values(self, stack, mitigation=None, diagnostics=False):
-        """The table stage as one array pass over a stack (R x tables x
-        2^n). Returns the trial element values (R x elements), q̂ (R,), each
-        matrix's failure (the message it raises alone, or None) and, with
-        ``diagnostics``, the first matrix's per-basis acceptance and clipped
-        mass, its unclamped fitted q̂ and whether that was clamped."""
+    def element_values(self, stack, mitigation=None):
+        """The table stage, one array pass over a stack (R x tables x 2^n):
+        trial element values (R x elements), q̂ (R,), each matrix's failure
+        (its message alone, or None), and the per-basis acceptance and
+        clipped mass (R x bases) with the fitted q̂ (None uncalibrated)."""
         mit = dict(self.cfg.mitigation if mitigation is None else mitigation)
         failures = [None] * len(stack)
         n_bases, shape = self.n_bases, (len(stack), self.n_bases)
@@ -410,73 +409,78 @@ class Analyzer:
                 if mit.get("rescale"):
                     values[which] = self.rescale(values[which], failures)
             v = values["trial"]
-            q_hat = q_fit = np.zeros(len(stack))
+            q_hat, q_fit = np.zeros(len(stack)), None
             if mit.get("calibrate"):
                 q_fit = fit_white_noise_rate(values["reference"],
                                              self.ideal_ref, self.mixed,
                                              failures)
                 q_fit[[f is not None for f in failures]] = np.nan
-                # the main analysis warns when q̂ is clamped; the ablation
-                # stacks and bootstrap resamples stay quiet
-                with warnings.catch_warnings():
-                    if not diagnostics:
-                        warnings.simplefilter("ignore")
-                    q_hat, corrected = reference_calibrate(v, q_fit,
-                                                           self.mixed)
+                q_hat, corrected = reference_calibrate(v, q_fit, self.mixed)
                 # where q̂ = 0, corrected is v, already rescaled
                 if mit.get("rescale"):
                     corrected = self.rescale(corrected, failures)
                 v = np.where((q_hat > 0.0)[:, None], corrected, v)
-        return v, q_hat, failures, {
-            "acceptance": {k: r[0].tolist() for k, r in acceptance.items()},
-            "clipped_mass": {k: r[0].tolist() for k, r in clipped.items()},
-            "q_hat_fit": float(q_fit[0]) if mit.get("calibrate") else None,
-            "q_hat_clamped": bool(q_fit[0] != q_hat[0]),
-        } if diagnostics else None
+        return v, q_hat, failures, dict(
+            acceptance=acceptance, clipped_mass=clipped, q_hat_fit=q_fit)
 
-    def analyze_stack(self, stack, mitigation=None, diagnostics=False):
+    def energies(self, values):
+        """(<H>, E_L), the unclamped c2 and its clamp, from element values."""
+        m = self.moments(values)
+        c = cumulants(m)
+        # a slightly negative variance is shot noise around an (almost)
+        # exact trial state: clamp it, so E_L = <H>, the zero-variance limit
+        noise_floor = 3.0 / np.sqrt(self.cfg.shots)
+        c2, clamped = float(c.c2), bool(-noise_floor < c.c2 < 0.0)
+        if clamped:
+            c = CumulantSet(c.c1, 0.0, c.c3, c.c4)
+        return {"h": m.m1, "e_l": lanczos_energy(c)}, c2, clamped
+
+    def analyze_stack(self, stack, mitigation=None):
         """<H> and E_L of each count matrix of a stack, or the error it
-        raises alone; only the scalar tail runs per matrix. ``diagnostics``
-        (for a stack of one) adds q̂, the mean acceptance, representability
-        and the per-basis diagnostics with the unclamped c2 and its clamp."""
-        values, q_hat, failures, diag = self.element_values(
-            stack, mitigation, diagnostics)
+        raises alone; only :meth:`energies` runs per matrix. A clamped q̂
+        does not warn."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            values, _, failures, _ = self.element_values(stack, mitigation)
         results = []
-        for v, q, failure in zip(values, q_hat, failures):
+        for v, failure in zip(values, failures):
             try:
                 if failure is not None:
                     raise ValueError(failure)
-                m = self.moments(v)
-                c = cumulants(m)
-                # a slightly negative variance is consistent with shot
-                # noise around an (almost) exact trial state; clamp it and
-                # report E_L = <H>, the correct zero-variance limit
-                noise_floor = 3.0 / np.sqrt(self.cfg.shots)
-                clamped = bool(-noise_floor < c.c2 < 0.0)
-                if diagnostics:
-                    diag.update(c2=float(c.c2), c2_clamped=clamped)
-                if clamped:
-                    c = CumulantSet(c.c1, 0.0, c.c3, c.c4)
-                results.append({"h": m.m1, "e_l": lanczos_energy(c)})
+                results.append(self.energies(v)[0])
             except (ValueError, ArithmeticError) as exc:
                 results.append(exc)
-            if diagnostics and isinstance(results[-1], dict):
-                # D over the N_e-electron occupations has trace 1
-                density = np.zeros((self._dim, self._dim))
-                density[self._rows, self._cols] = \
-                    density[self._cols, self._rows] = self._signs * v
-                results[-1].update(
-                    q_hat=float(q),
-                    acceptance={k: float(np.mean(r))
-                                for k, r in diag["acceptance"].items()},
-                    representability=check_representability(density, 1.0),
-                    diagnostics=diag)
         return results
 
     def analyze(self, counts, mitigation=None, diagnostics=False):
-        """:meth:`analyze_stack` on one count matrix; raises its failure."""
-        result, = self.analyze_stack(np.asarray(counts)[None], mitigation,
-                                     diagnostics)
-        if isinstance(result, Exception):
-            raise result
+        """<H> and E_L of one count matrix, a stack of one; raises its failure.
+        ``diagnostics`` (the main analysis) warns of a clamped q̂ and adds
+        q̂, acceptance, representability and the per-basis diagnostics."""
+        with warnings.catch_warnings():
+            if not diagnostics:
+                warnings.simplefilter("ignore")
+            (v,), (q_hat,), (failure,), per_basis = self.element_values(
+                np.asarray(counts)[None], mitigation)
+        if failure is not None:
+            raise ValueError(failure)
+        result, c2, c2_clamped = self.energies(v)
+        if not diagnostics:
+            return result
+        q_fit = per_basis.pop("q_hat_fit")
+        diag = {key: {k: r[0].tolist() for k, r in rows.items()}
+                for key, rows in per_basis.items()}
+        diag.update(
+            q_hat_fit=None if q_fit is None else float(q_fit[0]),
+            q_hat_clamped=q_fit is not None and bool(q_fit[0] != q_hat),
+            c2=c2, c2_clamped=c2_clamped)
+        # D over the N_e-electron occupations has trace 1
+        density = np.zeros((self._dim, self._dim))
+        density[self._rows, self._cols] = density[self._cols, self._rows] = \
+            self._signs * v
+        result.update(
+            q_hat=float(q_hat),
+            acceptance={k: float(np.mean(r))
+                        for k, r in diag["acceptance"].items()},
+            representability=check_representability(density, 1.0),
+            diagnostics=diag)
         return result

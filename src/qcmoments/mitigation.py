@@ -9,9 +9,11 @@ white-noise calibration against a reference state.
 Each table step exists twice. The ``*_rows`` functions act on tables over
 integer outcomes, one per row, and make up the compiled analysis
 (:mod:`qcmoments.analysis`). They, ``calibration_from_counts`` and
-``fit_white_noise_rate`` take leading stack axes (one entry per bootstrap
-resample; QREM broadcasts each entry's own inverses) and fail per entry
-(:func:`fail`). The bitstring-dict functions (``apply_qrem``,
+``fit_white_noise_rate`` take leading stack axes: the bootstrap's resamples,
+in stacks of ``qcm.STACK_ENTRIES`` counts, with each entry's own QREM
+inverses broadcast. A failed check records its message in the entry's slot
+of a ``failures`` list (:func:`fail`); only the scalar tail (moments,
+cumulants, E_L) runs per matrix. The bitstring-dict functions (``apply_qrem``,
 ``clip_to_physical``, ``symmetry_postselect``, ``assemble_rdm``,
 ``rescale_rdm``) and ``mixed_state_value`` are the references that the
 tests check the compiled path against.
@@ -27,8 +29,8 @@ from .fermion import FermionOperator
 from .planner import MeasurementPlan, product_value
 from .rdm import RDM
 from .simulator import (
-    CountsTable, NoiseSpec, apply_terms, noisy_distribution, sample,
-    sector_basis,
+    CountsTable, NoiseSpec, apply_1q, apply_terms, noisy_distribution,
+    sample, sector_basis,
 )
 
 # ---------------------------------------------------------------------------
@@ -37,13 +39,11 @@ from .simulator import (
 
 def fail(bad, message, failures):
     """Fail each stack entry (all axes of `bad` but the last) with a True in
-    `bad`, by message(k) of its first such flat index k: raise ValueError
-    if `failures` is None, else fill the entry's empty slot in that list."""
+    `bad` by message(k) of its first such flat index k, in the entry's slot
+    of `failures` unless an earlier check has filled it."""
     rows = np.reshape(bad, (-1, np.shape(bad)[-1]))
     for i in np.flatnonzero(rows.any(axis=1)):
         k = i * rows.shape[1] + int(rows[i].argmax())
-        if failures is None:
-            raise ValueError(message(k))
         failures[i] = failures[i] or message(k)
 
 
@@ -53,7 +53,7 @@ class AssignmentCalibration:
 
     matrices: np.ndarray   # (..., n, 2, 2); column y holds p(read x | true y)
     inverses: np.ndarray
-    failures: InitVar[list | None] = None
+    failures: InitVar[list]
 
     def __post_init__(self, failures):
         self.matrices = np.asarray(self.matrices, dtype=float)
@@ -71,7 +71,7 @@ class AssignmentCalibration:
         return self.matrices.shape[-3]
 
     @classmethod
-    def from_flip_rates(cls, p01, p10, failures=None):
+    def from_flip_rates(cls, p01, p10, failures):
         """From flip rates (..., n); a singular qubit fails its entry."""
         p01, p10 = (np.atleast_1d(p).astype(float) for p in (p01, p10))
         singular = (1.0 - p01 - p10 <= 1e-9) | (p01 >= 0.5) | (p10 >= 0.5)
@@ -89,7 +89,7 @@ def outcome_bits(n_qubits: int) -> np.ndarray:
     return np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits) & 1
 
 
-def calibration_from_counts(zeros, ones, failures=None):
+def calibration_from_counts(zeros, ones, failures):
     """Per-qubit flip rates from the count vectors (over integer outcomes,
     with optional stack axes) of an all-zeros and an all-ones preparation."""
     zeros, ones = np.asarray(zeros), np.asarray(ones)
@@ -117,19 +117,11 @@ def qrem_rows(probs: np.ndarray, cal: AssignmentCalibration) -> np.ndarray:
     """Readout inversion of each row (a distribution over integer outcomes)
     by the tensor product of the per-qubit inverses, one qubit at a time.
     Each stack entry of `probs` (..., rows, 2^n) gets its own inverses from
-    `cal`, multiplied into a buffer as ``apply_1q`` does."""
+    `cal`."""
     if probs.shape[-1] != 1 << cal.n_qubits:
         raise ValueError("calibration does not cover all qubits")
-    lead = cal.inverses.shape[:-3]
-    # inv[q, i, j] holds element (i, j) of each stack entry's qubit-q inverse
-    inv = np.moveaxis(cal.inverses[..., None, None], (-5, -4, -3), (0, 1, 2))
     for q in range(cal.n_qubits):
-        a = probs.reshape(lead + (-1, 2, 1 << q))
-        out, term = np.empty_like(a), np.empty_like(a[..., 0, :])
-        for i in (0, 1):
-            np.multiply(inv[q, i, 0], a[..., 0, :], out=out[..., i, :])
-            out[..., i, :] += np.multiply(inv[q, i, 1], a[..., 1, :], out=term)
-        probs = out.reshape(probs.shape)
+        probs = apply_1q(probs, cal.inverses[..., q, :, :], q)
     return probs
 
 
@@ -199,7 +191,7 @@ def clip_to_physical(quasi: dict) -> dict:
     return {b: v / norm for b, v in entries.items()}
 
 
-def clip_rows(quasi: np.ndarray, failures=None):
+def clip_rows(quasi: np.ndarray, failures):
     """:func:`clip_to_physical` on every row of `quasi` (..., rows, 2^n).
 
     Returns the clipped rows and, per row, the negative mass zeroed over
@@ -337,7 +329,7 @@ def check_representability(density: np.ndarray, ideal_trace: float) -> dict:
 WHITE_NOISE_RESOLUTION = 1e-6
 
 
-def fit_white_noise_rate(noisy_ref, ideal_ref, mixed_value, failures=None):
+def fit_white_noise_rate(noisy_ref, ideal_ref, mixed_value, failures):
     """Least-squares white-noise rate q of noisy = (1 − q)·ideal + q·mixed.
 
     Arguments are scalars or arrays of matching shape (one entry per
@@ -345,7 +337,7 @@ def fit_white_noise_rate(noisy_ref, ideal_ref, mixed_value, failures=None):
     − ideal_ref, q̂ = Σ (noisy_ref − ideal_ref)·d / Σ d² (one ``np.vdot``
     per entry), which for scalars is (noisy_ref − ideal_ref)/d.
     Unresolvable when |d| <= ``WHITE_NOISE_RESOLUTION`` (the Euclidean
-    norm for arrays); q̂ >= 1 is an error. Not clamped.
+    norm for arrays); q̂ >= 1 fails its entry. Not clamped.
     """
     d = np.asarray(mixed_value, dtype=float) - ideal_ref
     noisy = np.asarray(noisy_ref) - ideal_ref

@@ -189,8 +189,9 @@ class BootstrapResult:
                 "failure_reasons": dict(sorted(self.failure_reasons.items()))}
 
 
-#: count-matrix entries in one stack of resamples handed to the pipeline
-STACK_ENTRIES = 1 << 18
+#: count entries per stack handed to the pipeline: one stack holds 100 H2
+#: resamples (19,200 entries), and an H4 resample (102,912) is alone
+STACK_ENTRIES = 1 << 17
 
 
 def bootstrap(counts, pipeline, resamples: int = 500,
@@ -201,12 +202,13 @@ def bootstrap(counts, pipeline, resamples: int = 500,
     integer outcome. Each resample independently redraws every row at its
     own shot count over the row's observed support, in ascending outcome
     order (bases are measured in separate runs, so there are no cross-basis
-    correlations to preserve). ``pipeline`` takes the redrawn matrices in
-    stacks (R x rows x outcomes) of at most ``STACK_ENTRIES`` entries (or
-    one matrix) and returns per matrix a mapping of estimator name to value
-    or the exception it fails with. Failed resamples are recorded by
-    message and excluded; more than 10% failures aborts. Deterministic for
-    a fixed seed, whatever the stack size.
+    correlations to preserve). ``pipeline`` (``Analyzer.analyze_stack``:
+    one table-stage pass per stack, the scalar tail per matrix) takes the
+    redrawn matrices in stacks (R x rows x outcomes) of at most
+    ``STACK_ENTRIES`` entries (or one matrix) and returns per matrix a
+    mapping of estimator name to value or the exception it fails with.
+    Failed resamples are recorded by message and excluded; more than 10%
+    failures aborts. Deterministic for a fixed seed, whatever the stack.
     """
     if resamples < 2:
         raise ValueError("resamples must be >= 2")

@@ -210,13 +210,16 @@ class CountsTable:
 
 
 def apply_1q(amps: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
-    """`mat` (2x2) applied to qubit q of each row (last axis) of `amps`."""
-    a = amps.reshape(-1, 2, 1 << q)
+    """`mat` (..., 2, 2) applied to qubit q of each row (last axis) of
+    `amps`; leading axes of `mat` pair with the leading axes of `amps`."""
+    a = amps.reshape(mat.shape[:-2] + (-1, 2, 1 << q))
+    m = mat[..., None, None]    # entries broadcast over a's last two axes
     out = np.empty_like(a)
-    term = np.empty_like(a[:, 0])   # the one temporary, half of `amps`
+    term = np.empty_like(a[..., 0, :])  # the one temporary, half of `amps`
     for i in (0, 1):
-        np.multiply(mat[i, 0], a[:, 0], out=out[:, i])
-        out[:, i] += np.multiply(mat[i, 1], a[:, 1], out=term)
+        np.multiply(m[..., i, 0, :, :], a[..., 0, :], out=out[..., i, :])
+        out[..., i, :] += np.multiply(m[..., i, 1, :, :], a[..., 1, :],
+                                      out=term)
     return out.reshape(amps.shape)
 
 

@@ -58,10 +58,22 @@ def bitstring_probabilities(table: CountsTable, n_qubits: int) -> dict:
             for o, c in zip(table.outcomes.tolist(), table.counts.tolist())}
 
 
+def checked(function, *args):
+    """``function(*args, failures)`` with the one failure slot of an
+    unstacked call: raises the ValueError it records, else returns its
+    result. A failed call runs on unread, as in the compiled analysis."""
+    failures = [None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        result = function(*args, failures)
+    if failures[0] is not None:
+        raise ValueError(failures[0])
+    return result
+
+
 def identity_calibration(n_qubits: int) -> AssignmentCalibration:
     """Readout calibration of a register without readout errors."""
     eye = np.broadcast_to(np.eye(2), (n_qubits, 2, 2)).copy()
-    return AssignmentCalibration(eye, eye.copy())
+    return checked(AssignmentCalibration, eye, eye.copy())
 
 
 def counts_tables(counts):
@@ -139,7 +151,7 @@ class DictAnalyzer:
         if self._memo_counts != counts.tobytes():
             self._memo, self._memo_counts = {}, counts.tobytes()
         tables = counts_tables(counts)
-        cal = calibration_from_counts(counts[0], counts[1]) \
+        cal = checked(calibration_from_counts, counts[0], counts[1]) \
             if mit.get("qrem") else None
         n_bases = len(self.plan.bases)
         rdms, rates = {}, {}
@@ -166,8 +178,8 @@ class DictAnalyzer:
                                  for e in elements])
 
             mixed = np.array([self.mixed[e] for e in elements])
-            q_fit = fit_white_noise_rate(values(rdms["reference"]),
-                                         values(self.ideal_ref), mixed)
+            q_fit = checked(fit_white_noise_rate, values(rdms["reference"]),
+                            values(self.ideal_ref), mixed)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 q_hat, corrected = reference_calibrate(values(rdm), q_fit,

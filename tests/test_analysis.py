@@ -9,6 +9,7 @@ import hashlib
 import json
 import re
 import shutil
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fixtures_util import H2_PATH, H4_PATH
-from reference_analysis import DictAnalyzer, element_rdm, \
+from reference_analysis import DictAnalyzer, checked, element_rdm, \
     product_assembly_map
 from reference_qcm import per_resample_bootstrap
 
@@ -34,7 +35,7 @@ from qcmoments.conventions import interleaved_spins
 from qcmoments.fermion import jordan_wigner
 from qcmoments.planner import build_measurement_circuit, build_plan, \
     enumerate_elements
-from qcmoments import qcm
+from qcmoments import analysis, qcm
 from qcmoments.qcm import (
     MomentSet, bootstrap, hamiltonian_powers, moments_from_rdm,
 )
@@ -387,6 +388,23 @@ def test_stacked_failures_are_each_matrix_own(h2, h2_foreign_rows):
     assert seen == set(FAILURE_CHECKS)
 
 
+def test_only_the_main_analysis_warns_of_a_clamped_rate(h2, monkeypatch):
+    # a fitted white-noise rate below 0 is clamped to 0 everywhere, but only
+    # the main analysis (with diagnostics) warns; the ablation stacks and
+    # the bootstrap's stacks stay quiet
+    _, _, (compiled, _, counts) = h2
+    fit = analysis.fit_white_noise_rate
+    monkeypatch.setattr(analysis, "fit_white_noise_rate",
+                        lambda *args: fit(*args) - 1.0)
+    with pytest.warns(UserWarning, match="clamped to 0"):
+        result = compiled.analyze(counts, diagnostics=True)
+    assert result["q_hat"] == 0.0 and result["diagnostics"]["q_hat_clamped"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compiled.analyze(counts)
+        compiled.analyze_stack(np.stack([counts, counts]))
+
+
 # ---------------------------------------------------------------------------
 # array kernels
 
@@ -407,7 +425,7 @@ def test_qrem_rows_inverts_the_tensored_readout_channel(data, n):
                                elements=st.floats(0.0, 1.0)))
     ideal = (weights + 1e-3) / (weights + 1e-3).sum(axis=1, keepdims=True)
     noisy = ideal @ _readout_channel(p01, p10).T
-    cal = AssignmentCalibration.from_flip_rates(p01, p10)
+    cal = checked(AssignmentCalibration.from_flip_rates, p01, p10)
     assert qrem_rows(noisy, cal) == pytest.approx(ideal, abs=1e-12)
 
 
@@ -423,9 +441,9 @@ def test_clip_rows_preserves_normalization_and_matches_reference(raw):
                for row in quasi]
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)[:20]):
-            clip_rows(quasi)
+            checked(clip_rows, quasi)
         return
-    out, clipped = clip_rows(quasi)
+    out, clipped = checked(clip_rows, quasi)
     assert (out >= 0.0).all()
     assert out.sum(axis=1) == pytest.approx(1.0, abs=1e-12)
     # the first pass zeroes the initial negative mass; later passes add more
@@ -441,7 +459,7 @@ def test_clip_rows_preserves_normalization_and_matches_reference(raw):
 @given(weights=arrays(float, (3, 8), elements=st.floats(0.0, 1.0)))
 def test_clip_rows_is_identity_on_distributions(weights):
     probs = (weights + 1e-3) / (weights + 1e-3).sum(axis=1, keepdims=True)
-    out, clipped = clip_rows(probs)
+    out, clipped = checked(clip_rows, probs)
     assert out == pytest.approx(probs, rel=1e-14, abs=0.0)
     assert (clipped == 0.0).all()
 

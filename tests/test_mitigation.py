@@ -19,7 +19,7 @@ from qcmoments.simulator import (
 )
 
 from reference_analysis import (
-    bits_to_string, bitstring_probabilities, identity_calibration,
+    bits_to_string, bitstring_probabilities, checked, identity_calibration,
 )
 from reference_fermion import number_operator
 from reference_rdm import matricize, rdm_from_determinant, \
@@ -30,14 +30,14 @@ from reference_simulator import rdm_from_statevector
 # -- calibration
 
 def test_calibrate_zero_noise_is_identity():
-    cal = calibration_from_counts(
+    cal = checked(calibration_from_counts,
         *sample_calibration(NoiseSpec(), 3, 100, seeds=(0, 7)))
     assert np.allclose(cal.matrices, np.broadcast_to(np.eye(2), (3, 2, 2)))
 
 
 def test_calibrate_estimates_flip_rates():
     noise = NoiseSpec.uniform_readout(4, p01=0.02, p10=0.05)
-    cal = calibration_from_counts(
+    cal = checked(calibration_from_counts,
         *sample_calibration(noise, 4, 100_000, seeds=(5, 20)))
     sigma01 = np.sqrt(0.02 * 0.98 / 100_000)
     sigma10 = np.sqrt(0.05 * 0.95 / 100_000)
@@ -49,14 +49,14 @@ def test_calibrate_estimates_flip_rates():
 def test_calibrate_singular_matrix_is_an_error():
     noise = NoiseSpec.uniform_readout(2, p01=0.0, p10=0.6)
     with pytest.raises(ValueError, match="singular"):
-        calibration_from_counts(
+        checked(calibration_from_counts,
             *sample_calibration(noise, 2, 50_000, seeds=(0, 3)))
 
 
 def test_assignment_calibration_validation():
     bad = np.broadcast_to(np.array([[0.9, 0.2], [0.2, 0.8]]), (1, 2, 2))
     with pytest.raises(ValueError, match="sum to 1"):
-        AssignmentCalibration(bad.copy(), bad.copy())
+        checked(AssignmentCalibration, bad.copy(), bad.copy())
 
 
 # -- QREM
@@ -76,7 +76,8 @@ def test_qrem_reduces_total_variation():
     noise = NoiseSpec.uniform_readout(4, p01=0.03, p10=0.06)
     counts = sample(noisy_distribution(ideal[None], noise, [0])[0],
                     1_000_000, seed=11)
-    cal = AssignmentCalibration.from_flip_rates([0.03] * 4, [0.06] * 4)
+    cal = checked(AssignmentCalibration.from_flip_rates, [0.03] * 4,
+                  [0.06] * 4)
     quasi = apply_qrem(counts, cal)
 
     def tv(dist):
@@ -88,7 +89,8 @@ def test_qrem_reduces_total_variation():
 
 def test_qrem_produces_negative_entries():
     counts = CountsTable(np.array([0]), np.array([100]), shots=100)
-    cal = AssignmentCalibration.from_flip_rates([0.2, 0.2], [0.1, 0.1])
+    cal = checked(AssignmentCalibration.from_flip_rates, [0.2, 0.2],
+                  [0.1, 0.1])
     quasi = apply_qrem(counts, cal)
     assert min(quasi.values()) < 0.0
     assert sum(quasi.values()) == pytest.approx(1.0, abs=1e-12)
@@ -300,7 +302,8 @@ def test_representability_flags_corruption():
 def calibrate(noisy_trial, noisy_ref, ideal_ref, mixed):
     """Fit the white-noise rate on the reference, then invert it."""
     return reference_calibrate(
-        noisy_trial, fit_white_noise_rate(noisy_ref, ideal_ref, mixed), mixed)
+        noisy_trial,
+        checked(fit_white_noise_rate, noisy_ref, ideal_ref, mixed), mixed)
 
 
 def test_reference_calibrate_noiseless():
