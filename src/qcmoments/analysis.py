@@ -1,9 +1,12 @@
-"""Compiled analysis of a counts archive: mitigation, RDM assembly, moments
-and energies as array maps over integer outcomes.
+"""Counts archives and their compiled analysis: sampling, mitigation, RDM
+assembly, moments and energies as array maps over integer outcomes.
 
 An archive holds one (tables x 2^n) integer count matrix with rows
 [calibration zeros, calibration ones, trial basis 0..B-1, reference basis
 0..B-1]; column i counts the outcome whose bit q is qubit q's reading.
+This module alone knows that row layout: :func:`sample_counts` draws every
+row of it in one noisy pass, :func:`write_archive` and
+:func:`load_archive` store and check it, and :class:`Analyzer` reads it.
 :class:`Analyzer` compiles, once per plan and Hamiltonian, every map that
 an analysis needs:
 
@@ -38,7 +41,7 @@ from math import comb
 
 import numpy as np
 
-from .config import ConfigError, PipelineConfig
+from .config import ConfigError, PipelineConfig, derive_seed
 from .conventions import sz_of
 from .fermion import FermionOperator
 from .mitigation import (
@@ -49,7 +52,8 @@ from .mitigation import (
 from .planner import MeasurementPlan
 from .qcm import CumulantSet, MomentSet, cumulants, lanczos_energy
 from .simulator import (
-    apply_terms, locate, operator_matrix_in_sector, sector_basis,
+    NoiseSpec, apply_terms, check_norm, locate, noisy_distribution,
+    operator_matrix_in_sector, run, sample, sector_basis,
 )
 
 ABLATION_STACKS = [
@@ -69,6 +73,40 @@ ABLATION_STACKS = [
 #: version of the archive layout that ``write_archive`` writes and
 #: ``load_archive`` reads
 ARCHIVE_SCHEMA = 2
+
+
+def sample_counts(cfg: PipelineConfig, prepared, circuits) -> np.ndarray:
+    """The archive's count matrix of ``cfg.shots`` draws per row, for the
+    preparation circuits `prepared` (trial, reference) and the B measurement
+    `circuits`. The calibration rows are |0...0> and |1...1> under readout
+    flips alone; a basis row gets white noise at the rate of its CNOTs.
+    Each state is prepared once (norm checked) and each measurement circuit
+    runs on the stack of both; one pass adds all noise, then the rows are
+    drawn in order, each from its own seed."""
+    n = prepared[0].n_qubits
+    n_bases, dim = len(circuits), 1 << n
+    noise = NoiseSpec.uniform_readout(
+        n, cfg.noise["p01"], cfg.noise["p10"], q=cfg.noise["global_q"],
+        cnot_q=cfg.noise["cnot_q"])
+    zero = np.eye(1, dim)[0]
+    states = np.array([run(circuit, zero) for circuit in prepared])
+    for amps in states:
+        check_norm(amps)
+    ideal = np.zeros((2 * n_bases + 2, dim))
+    ideal[0, 0] = ideal[1, -1] = 1.0
+    for i, mc in enumerate(circuits):
+        ideal[2 + i::n_bases] = np.abs(run(mc.circuit, states)) ** 2
+    q = [0.0, 0.0] + [
+        noise.effective_q(c.cnot_count() + mc.circuit.cnot_count())
+        for c in prepared for mc in circuits]
+    seeds = [derive_seed(cfg.master_seed, tag, i) for tag, count in (
+        ("calibration", 2), ("sample-trial", n_bases),
+        ("sample-reference", n_bases)) for i in range(count)]
+    counts = np.empty(ideal.shape, dtype=np.int64)
+    for row, (p, seed) in enumerate(zip(
+            noisy_distribution(ideal, q, noise.readout_flip), seeds)):
+        counts[row] = sample(p, cfg.shots, seed=seed).vector(n)
+    return counts
 
 
 def write_archive(archive_dir, plan_bytes: bytes, counts, manifest: dict):

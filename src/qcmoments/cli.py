@@ -12,9 +12,9 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
-import math
 import os
 import sys
 
@@ -22,19 +22,18 @@ import numpy as np
 
 from .analysis import (
     ABLATION_STACKS, Analyzer, check_archive_config, load_archive,
-    parse_plan, read_bytes, write_archive,
+    parse_plan, read_bytes, sample_counts, write_archive,
 )
-from .config import ConfigError, PipelineConfig, derive_seed, load_config
+from .config import ConfigError, PipelineConfig, _typed, derive_seed, \
+    load_config
 from .conventions import interleaved_spins, sz_of
 from .integrals import (
     freeze_orbitals, load_fcidump, spin_orbital_hamiltonian,
 )
-from .mitigation import sample_calibration
 from .planner import build_measurement_circuit, build_plan, \
     enumerate_elements
 from .qcm import EnergyEstimate, bootstrap
-from .simulator import NoiseSpec, Statevector, exact_diagonalize, \
-    noisy_distribution, run, sample
+from .simulator import exact_diagonalize
 from .trial import Ansatz, Excitation, build_uccd, energy_objective, \
     spsa_minimize
 
@@ -70,14 +69,17 @@ def _load_system(cfg: PipelineConfig):
     return ints, h, ansatz
 
 
-def _noise_spec(cfg: PipelineConfig, n_qubits: int) -> NoiseSpec:
-    return NoiseSpec.uniform_readout(
-        n_qubits, cfg.noise["p01"], cfg.noise["p10"],
-        q=cfg.noise["global_q"], cnot_q=cfg.noise["cnot_q"])
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an OSError raised while writing `path` into a ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(path, obj):
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -133,7 +135,7 @@ def _plan_for(cfg_or_args) -> tuple:
 def cmd_plan(args) -> int:
     source = load_config(args.config) if args.config else args
     plan, summary = _plan_for(source)
-    with open(args.output, "w") as fh:
+    with _writing(args.output), open(args.output, "w") as fh:
         fh.write(plan.dumps())
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -194,19 +196,20 @@ def _measurement_circuits(plan, layout, source: str) -> list:
 
 
 def _read_thetas(path, n_excitations: int) -> list:
-    """The finite amplitudes of a thetas file, one per excitation;
-    ConfigError on any fault."""
+    """The amplitudes of a thetas file, one finite JSON number per
+    excitation; ConfigError on any fault."""
     data = read_bytes(path, "thetas file")
     try:
-        thetas = [float(t) for t in json.loads(data)["thetas"]]
+        thetas = json.loads(data)["thetas"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"thetas file {path} is malformed: {exc!r}") \
             from exc
-    if len(thetas) != n_excitations or not all(map(math.isfinite, thetas)):
+    if not isinstance(thetas, list) or len(thetas) != n_excitations:
         raise ConfigError(
             f"thetas file {path} must hold {n_excitations} finite thetas, "
             f"one per excitation, not {thetas}")
-    return thetas
+    return [float(_typed(t, "number", f"thetas file {path} entry {i}"))
+            for i, t in enumerate(thetas)]
 
 
 def cmd_run(args) -> int:
@@ -219,48 +222,24 @@ def cmd_run(args) -> int:
     thetas = _read_thetas(args.thetas, len(ansatz.excitations))
     built = [build_uccd(ansatz.with_thetas(thetas)),
              build_uccd(ansatz.with_thetas([0.0] * len(thetas)))]
-    noise = _noise_spec(cfg, n)
-
-    # one row per table, in the order Analyzer reads them: calibration
-    # zeros and ones, then the trial and the reference state in every basis
-    n_bases = len(plan.bases)
-    counts = np.zeros((2 * n_bases + 2, 1 << n), dtype=np.int64)
-    counts[:2] = sample_calibration(
-        noise, n, cfg.shots,
-        [derive_seed(cfg.master_seed, "calibration", row) for row in (0, 1)])
     # the amplitudes do not move the qubits, so both states end in the
     # trial layout and share the measurement circuits
     circuits = _measurement_circuits(plan, built[0].layout,
                                      f"plan file {args.plan}")
-    # the states stay pure until sampling, so each is prepared once and each
-    # basis applies only its measurement circuit to the stack of both; the
-    # noise still counts the CNOTs of the whole circuit
-    zero = Statevector.basis_state(0, n)
-    prepared = np.array([run(b.circuit, zero).amplitudes for b in built])
-    ideal = np.empty((2 * n_bases, 1 << n))
-    for i, mc in enumerate(circuits):
-        ideal[i::n_bases] = np.abs(run(mc.circuit, prepared)) ** 2
-    n_cnots = np.add.outer([b.circuit.cnot_count() for b in built],
-                           [mc.circuit.cnot_count() for mc in circuits])
-    seeds = [derive_seed(cfg.master_seed, tag, i)
-             for tag in ("sample-trial", "sample-reference")
-             for i in range(n_bases)]
-    for row, (p, seed) in enumerate(
-            zip(noisy_distribution(ideal, noise, n_cnots.ravel()), seeds)):
-        counts[2 + row] = sample(p, cfg.shots, seed=seed).vector(n)
-
+    counts = sample_counts(cfg, [b.circuit for b in built], circuits)
     total = int(counts.sum())
-    write_archive(args.output_dir, plan_bytes, counts, {
-        "n_qubits": n,
-        "n_electrons": ne,
-        "n_bases": n_bases,
-        "shots_per_basis": cfg.shots,
-        "total_shots": total,
-        "layout": list(built[0].layout),
-        "thetas": thetas,
-        "noise": cfg.noise,
-        "master_seed": cfg.master_seed,
-    })
+    with _writing(args.output_dir):
+        write_archive(args.output_dir, plan_bytes, counts, {
+            "n_qubits": n,
+            "n_electrons": ne,
+            "n_bases": len(plan.bases),
+            "shots_per_basis": cfg.shots,
+            "total_shots": total,
+            "layout": list(built[0].layout),
+            "thetas": thetas,
+            "noise": cfg.noise,
+            "master_seed": cfg.master_seed,
+        })
     print(f"archived {total} shots over {counts.shape[0]} circuits "
           f"in {args.output_dir}")
     return 0
@@ -329,7 +308,7 @@ def cmd_analyze(args) -> int:
     }
     _write_json(args.output, report)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+        with _writing(args.csv), open(args.csv, "w", newline="") as fh:
             writer = csv.DictWriter(
                 fh, fieldnames=["technique", "h", "e_l", "h_error",
                                 "e_l_error", "failed"])
@@ -362,7 +341,8 @@ def cmd_fci(args) -> int:
 def cmd_pipeline(args) -> int:
     cfg = load_config(args.config)
     out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
+    with _writing(out):
+        os.makedirs(out, exist_ok=True)
     ns = argparse.Namespace
     cmd_plan(ns(config=args.config, output=os.path.join(out, "plan.json")))
     cmd_optimize(ns(config=args.config,

@@ -1,10 +1,13 @@
 """Counts post-processing and error mitigation.
 
 Pipeline order: readout-error inversion (per-qubit assignment-matrix
-inverses), clipping of negative quasi-probabilities, symmetry post-selection
-on electron number and S_z, RDM assembly from the measurement plan, trace
-rescaling, N-representability reporting on a density matrix, and a global
-white-noise calibration against a reference state.
+inverses, from ``simulator.assignment_matrices`` of the flip rates on the
+all-zeros and all-ones rows that ``analysis.sample_counts`` draws with the
+basis tables), clipping of negative quasi-probabilities, symmetry
+post-selection on electron number and S_z, RDM assembly from the
+measurement plan, trace rescaling, N-representability reporting on a
+density matrix, and a global white-noise calibration against a reference
+state.
 
 Each table step exists twice. The ``*_rows`` functions act on tables over
 integer outcomes, one per row, and make up the compiled analysis
@@ -29,8 +32,7 @@ from .fermion import FermionOperator
 from .planner import MeasurementPlan, product_value
 from .rdm import RDM
 from .simulator import (
-    CountsTable, NoiseSpec, apply_1q, apply_terms, noisy_distribution,
-    sample, sector_basis,
+    CountsTable, apply_1q, apply_terms, assignment_matrices, sector_basis,
 )
 
 # ---------------------------------------------------------------------------
@@ -78,8 +80,7 @@ class AssignmentCalibration:
         fail(singular, lambda k: "assignment matrix singular on qubit "
              f"{k % p01.shape[-1]}: flip rates {p01.flat[k]:.3f}/"
              f"{p10.flat[k]:.3f}", failures)
-        mats = np.stack([1 - p01, p10, p01, 1 - p10],
-                        axis=-1).reshape(p01.shape + (2, 2))
+        mats = assignment_matrices(p01, p10)
         mats[singular] = np.eye(2)     # a recorded failure; inv stays finite
         return cls(mats, np.linalg.inv(mats), failures)
 
@@ -97,20 +98,6 @@ def calibration_from_counts(zeros, ones, failures):
     p01 = zeros @ bits / zeros.sum(axis=-1, keepdims=True)
     p10 = ones @ (1 - bits) / ones.sum(axis=-1, keepdims=True)
     return AssignmentCalibration.from_flip_rates(p01, p10, failures)
-
-
-def sample_calibration(noise: NoiseSpec, n_qubits: int, shots: int,
-                       seeds) -> np.ndarray:
-    """Count vectors (rows, over integer outcomes) of an all-zeros and an
-    all-ones preparation, sampled with ``seeds[0]`` and ``seeds[1]``. The
-    preparations are gate-free, so they see the readout flips of ``noise``
-    only."""
-    readout = NoiseSpec(readout_flip=noise.readout_flip)
-    ideal = np.zeros((2, 1 << n_qubits))
-    ideal[0, 0] = ideal[1, -1] = 1.0
-    rows = noisy_distribution(ideal, readout, (0, 0))
-    return np.array([sample(p, shots, seed=seed).vector(n_qubits)
-                     for p, seed in zip(rows, seeds)])
 
 
 def qrem_rows(probs: np.ndarray, cal: AssignmentCalibration) -> np.ndarray:
@@ -285,16 +272,20 @@ def assemble_rdm(plan: MeasurementPlan, circuits, tables,
     # measured elements use ascending annihilation order; canonical RDM
     # storage applies annihilations in descending order
     reversal = -1.0 if (order * (order - 1) // 2) % 2 else 1.0
+    # each table as (outcome indices, probabilities), decoded an array at once
+    arrays = [None if t is None else
+              (np.fromiter((int(bits, 2) for bits in t), np.int64, len(t)),
+               np.fromiter(t.values(), float, len(t))) for t in tables]
     rdm = RDM(order, plan.n_modes, n_electrons)
     for e in sorted(plan.coverage):
         value = 0.0
         for b_idx, sign, factors in plan.coverage[e]:
-            mc, table = circuits[b_idx], tables[b_idx]
+            mc, table = circuits[b_idx], arrays[b_idx]
             if mc is None or table is None:
                 raise ValueError(f"basis {b_idx} covering {e} is unavailable")
-            mean = sum(p * product_value(mc, factors, int(bits, 2))
-                       for bits, p in table.items())
-            value += sign * mean
+            outcomes, probs = table
+            value += sign * float(np.sum(
+                probs * product_value(mc, factors, outcomes)))
         rdm.set(e.creations, e.annihilations, reversal * value)
     return rdm
 

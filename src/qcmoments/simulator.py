@@ -1,10 +1,11 @@
-"""Statevector simulation: circuits, noise channels, sampling, sector
-diagonalization.
+"""Circuit simulation on complex amplitude arrays (bit j of the index is
+qubit j): circuits, noise channels, sampling, sector diagonalization.
 
 Two-qubit gates are restricted to adjacent qubits of a linear array; gate
-kernels act on the last axis, so :func:`run` evolves a stack of states at
-once. Noise is applied at sampling time, to a matrix of distributions at
-once: a global white-noise mixture, then per-qubit readout flips.
+kernels act on the last axis, so :func:`run` evolves one state or a stack
+of states alike. Noise is applied at sampling time, to a matrix of
+distributions at once: a global white-noise mixture at each row's own rate,
+then per-qubit readout flips.
 """
 from __future__ import annotations
 
@@ -121,23 +122,13 @@ def check_norm(amplitudes: np.ndarray):
         raise ValueError(f"statevector norm {norm} deviates from 1")
 
 
-class Statevector:
-    """Complex amplitude vector; bit j of the index is qubit j."""
-
-    def __init__(self, amplitudes, n_qubits: int | None = None):
-        self.amplitudes = np.asarray(amplitudes, dtype=complex)
-        if n_qubits is None:
-            n_qubits = int(self.amplitudes.size).bit_length() - 1
-        if self.amplitudes.size != 1 << n_qubits:
-            raise ValueError("amplitude length is not a power of two")
-        self.n_qubits = n_qubits
-        check_norm(self.amplitudes)
-
-    @classmethod
-    def basis_state(cls, bits: int, n_qubits: int) -> "Statevector":
-        amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[bits] = 1.0
-        return cls(amps, n_qubits)
+def assignment_matrices(p01, p10) -> np.ndarray:
+    """Per-qubit readout assignment matrices (..., n, 2, 2) from the flip
+    rates p01 = p(read 1 | true 0) and p10 = p(read 0 | true 1), each of
+    shape (..., n); column y holds p(read x | true y)."""
+    p01, p10 = np.asarray(p01, dtype=float), np.asarray(p10, dtype=float)
+    return np.stack([1 - p01, p10, p01, 1 - p10],
+                    axis=-1).reshape(p01.shape + (2, 2))
 
 
 @dataclass
@@ -152,9 +143,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 <= self.global_depolarizing_q <= 1.0:
             raise ValueError("global depolarizing rate outside [0, 1]")
-        if self.gate_depolarizing_cnot is not None:
-            if not 0.0 <= self.gate_depolarizing_cnot <= 1.0:
-                raise ValueError("CNOT depolarizing rate outside [0, 1]")
+        if not 0.0 <= (self.gate_depolarizing_cnot or 0.0) <= 1.0:
+            raise ValueError("CNOT depolarizing rate outside [0, 1]")
         if self.readout_flip is not None:
             self.readout_flip = np.asarray(self.readout_flip, dtype=float)
             if np.any(self.readout_flip < -1e-12) or np.any(self.readout_flip > 1 + 1e-12):
@@ -168,12 +158,12 @@ class NoiseSpec:
                         q: float = 0.0,
                         cnot_q: float | None = None) -> "NoiseSpec":
         """Same flip rates on every qubit: p01 = p(0->1), p10 = p(1->0)."""
-        a = np.array([[1 - p01, p10], [p01, 1 - p10]], dtype=float)
-        mats = np.broadcast_to(a, (n_qubits, 2, 2)).copy()
-        return cls(global_depolarizing_q=q, readout_flip=mats,
+        return cls(global_depolarizing_q=q,
+                   readout_flip=assignment_matrices(np.full(n_qubits, p01),
+                                                    np.full(n_qubits, p10)),
                    gate_depolarizing_cnot=cnot_q)
 
-    def effective_q(self, n_cnots: int = 0) -> float:
+    def effective_q(self, n_cnots: int) -> float:
         q = self.global_depolarizing_q
         if self.gate_depolarizing_cnot and n_cnots:
             q = 1.0 - (1.0 - q) * (1.0 - self.gate_depolarizing_cnot) ** n_cnots
@@ -231,12 +221,11 @@ def _permute_pair(amps: np.ndarray, perm, lo: int, negate_11: bool):
     return out.reshape(amps.shape)
 
 
-def run(circuit: Circuit, initial):
-    """Exact gate-by-gate evolution of a Statevector or a (k x 2^n) stack."""
-    stacked = not isinstance(initial, Statevector)
-    amps = np.array(initial if stacked else initial.amplitudes, dtype=complex)
-    n = circuit.n_qubits
-    if amps.shape[-1] != 1 << n:
+def run(circuit: Circuit, initial) -> np.ndarray:
+    """Exact gate-by-gate evolution of the amplitudes `initial`, one state
+    (2^n) or a stack (k x 2^n); returns new amplitudes of the same shape."""
+    amps = np.array(initial, dtype=complex)
+    if amps.shape[-1] != 1 << circuit.n_qubits:
         raise ValueError("qubit-count mismatch")
     for name, qubits, param in circuit.gates:
         if name in SINGLE_QUBIT_GATES:
@@ -249,22 +238,21 @@ def run(circuit: Circuit, initial):
             amps = _permute_pair(amps, perm, min(qubits), False)
         else:
             raise ValueError(f"unknown gate {name!r}")
-    return amps if stacked else Statevector(amps, n)
+    return amps
 
 
-def noisy_distribution(probs: np.ndarray, noise: NoiseSpec,
-                       n_cnots) -> np.ndarray:
-    """Each row of the (rows x 2^n) ideal distributions `probs` after the
-    white-noise mixture at its circuit's CNOT count and the readout flips."""
+def noisy_distribution(probs, q, readout_flip) -> np.ndarray:
+    """Each row of the (rows x 2^n) ideal distributions `probs` mixed with
+    white noise at its own rate ``q[row]``, then read through the per-qubit
+    assignment matrices `readout_flip` (n x 2 x 2)."""
     dim = np.shape(probs)[1]
-    q = np.array([noise.effective_q(int(c)) for c in n_cnots])[:, None]
+    if 1 << len(readout_flip) != dim:
+        raise ValueError("readout calibration does not cover all qubits")
+    q = np.asarray(q, dtype=float)[:, None]
     p = (1.0 - q) * probs
     p += q / dim
-    if noise.readout_flip is not None:
-        if 1 << noise.readout_flip.shape[0] != dim:
-            raise ValueError("readout calibration does not cover all qubits")
-        for qq, flip in enumerate(noise.readout_flip):
-            p = apply_1q(p, flip, qq)
+    for qubit, flip in enumerate(readout_flip):
+        p = apply_1q(p, flip, qubit)
     return p
 
 
@@ -361,8 +349,8 @@ def operator_matrix_in_sector(op: FermionOperator, basis) -> np.ndarray:
 
 
 def exact_diagonalize(op: FermionOperator, n_electrons: int, sz=None):
-    """Lowest eigenvalue and ground vector in the (N, S_z) Fock-space sector
-    of interleaved spins."""
+    """Lowest eigenvalue and the amplitudes (2^n) of its ground vector in the
+    (N, S_z) Fock-space sector of interleaved spins."""
     basis = sector_basis(op.n_modes, n_electrons, sz)
     if not basis:
         raise ValueError("empty symmetry sector")
@@ -374,4 +362,4 @@ def exact_diagonalize(op: FermionOperator, n_electrons: int, sz=None):
     vals, vecs = np.linalg.eigh(mat)
     amps = np.zeros(1 << op.n_modes, dtype=complex)
     amps[basis] = vecs[:, 0]
-    return float(vals[0]), Statevector(amps, op.n_modes)
+    return float(vals[0]), amps

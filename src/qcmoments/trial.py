@@ -20,8 +20,8 @@ import numpy as np
 from .conventions import interleaved_spins
 from .fermion import FermionOperator, jordan_wigner
 from .simulator import (
-    Circuit, Statevector, apply_terms, check_norm, operator_matrix_in_sector,
-    run, sector_basis,
+    Circuit, apply_terms, check_norm, operator_matrix_in_sector, run,
+    sector_basis,
 )
 
 
@@ -145,13 +145,13 @@ def _sector_trial(ansatz: Ansatz):
     return basis, state
 
 
-def exact_trial_state(ansatz: Ansatz) -> Statevector:
-    """Product of the exact excitation exponentials applied to the initial
-    determinant (identity layout)."""
+def exact_trial_state(ansatz: Ansatz) -> np.ndarray:
+    """Amplitudes (2^n) of the product of the exact excitation exponentials
+    applied to the initial determinant (identity layout)."""
     basis, state = _sector_trial(ansatz)
     amps = np.zeros(1 << ansatz.n_qubits, dtype=complex)
     amps[basis] = state(ansatz.thetas)
-    return Statevector(amps, ansatz.n_qubits)
+    return amps
 
 
 def energy_objective(ansatz: Ansatz, h: FermionOperator):

@@ -54,7 +54,7 @@ def dense_fock_matrix(which: str) -> np.ndarray:
 
 def trial_energy(ansatz: Ansatz, thetas, hmat: np.ndarray) -> float:
     state = exact_trial_state(ansatz.with_thetas(thetas))
-    return float(np.real(np.vdot(state.amplitudes, hmat @ state.amplitudes)))
+    return float(np.real(np.vdot(state, hmat @ state)))
 
 
 @functools.lru_cache(maxsize=None)

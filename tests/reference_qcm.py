@@ -4,17 +4,17 @@ import numpy as np
 
 from qcmoments.fermion import FermionOperator
 from qcmoments.qcm import BootstrapResult, MomentSet
-from qcmoments.simulator import Statevector, operator_matrix_in_sector
+from qcmoments.simulator import operator_matrix_in_sector
 
 
 def moments_from_statevector(h: FermionOperator,
-                             state: Statevector) -> MomentSet:
-    """Oracle moments via the dense Fock-space matrix of H."""
-    if h.n_modes != state.n_qubits:
+                             vec: np.ndarray) -> MomentSet:
+    """Oracle moments of the amplitudes `vec` via the dense Fock-space
+    matrix of H."""
+    if len(vec) != 1 << h.n_modes:
         raise ValueError("mode-count mismatch")
     basis = list(range(1 << h.n_modes))
     mat = operator_matrix_in_sector(h, basis)
-    vec = state.amplitudes
     vals = []
     cur = vec
     for _ in range(4):

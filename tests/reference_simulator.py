@@ -1,5 +1,5 @@
-"""Statevector oracles: Pauli expectations, exact p-RDMs, and fermionic
-action on one occupation bitmask at a time.
+"""State-vector oracles on amplitude arrays: Pauli expectations, exact
+p-RDMs, and fermionic action on one occupation bitmask at a time.
 
 The first two act on the full 2^n amplitude vector with no use of the
 measurement plan, so they check the sampled and assembled estimates
@@ -13,15 +13,20 @@ import numpy as np
 
 from qcmoments.fermion import PauliOperator
 from qcmoments.rdm import RDM
-from qcmoments.simulator import Statevector
 
 
-def expectation(state: Statevector, op: PauliOperator) -> float:
+def basis_state(bits: int, n_qubits: int) -> np.ndarray:
+    """Amplitudes of the computational basis state |bits> on n qubits."""
+    amps = np.zeros(1 << n_qubits, dtype=complex)
+    amps[bits] = 1.0
+    return amps
+
+
+def expectation(amps: np.ndarray, op: PauliOperator) -> float:
     """Exact <psi|op|psi> for a Hermitian Pauli operator."""
-    n = state.n_qubits
-    if op.n_qubits != n:
+    n = op.n_qubits
+    if len(amps) != 1 << n:
         raise ValueError("qubit-count mismatch")
-    amps = state.amplitudes
     idx = np.arange(1 << n, dtype=np.int64)
     total = 0.0 + 0.0j
     for string, coeff in op.terms.items():
@@ -53,11 +58,11 @@ def _popcount(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def rdm_from_statevector(state: Statevector, order: int,
+def rdm_from_statevector(amps: np.ndarray, order: int,
                          n_electrons: int) -> RDM:
-    """Exact p-body RDM of a statevector (descending-annihilation convention)."""
-    n = state.n_qubits
-    amps = state.amplitudes
+    """Exact p-body RDM of a state's amplitudes (descending-annihilation
+    convention)."""
+    n = len(amps).bit_length() - 1
     nz = [m for m in range(1 << n) if abs(amps[m]) > 1e-14]
     out = RDM(order, n, n_electrons)
     # V(sub, sup) applies annihilations descending: reverse of the ascending

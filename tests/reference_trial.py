@@ -1,8 +1,12 @@
 """Trial-circuit oracles: the general four-qubit excitation block on its
 own, and a built circuit's state in logical mode order."""
-from qcmoments.simulator import Circuit, Statevector, run
+import numpy as np
+
+from qcmoments.simulator import Circuit, run
 from qcmoments.trial import BuiltTrial, Excitation, _fswap_sort, \
     _pauli_gadget_block
+
+from reference_simulator import basis_state
 
 
 def local_double_excitation(theta: float) -> Circuit:
@@ -11,10 +15,12 @@ def local_double_excitation(theta: float) -> Circuit:
     return _pauli_gadget_block(exc.generator(4), theta)
 
 
-def trial_state_in_mode_order(built: BuiltTrial, n_qubits: int) -> Statevector:
-    """Run the built circuit and permute amplitudes back to logical mode
-    order (undoing the final layout) for comparison with oracles."""
-    state = run(built.circuit, Statevector.basis_state(0, n_qubits))
+def trial_state_in_mode_order(built: BuiltTrial,
+                              n_qubits: int) -> np.ndarray:
+    """Run the built circuit from |0...0> and permute the amplitudes back to
+    logical mode order (undoing the final layout) for comparison with
+    oracles."""
+    state = run(built.circuit, basis_state(0, n_qubits))
     perm = built.layout
     if perm == tuple(range(n_qubits)):
         return state

@@ -16,6 +16,7 @@ from fixtures_util import (
 from reference_qcm import moments_from_statevector
 from reference_rdm import rdm_representability
 from reference_routing import check_constraints, exhaustive_min_depth
+from reference_simulator import basis_state
 from reference_trial import local_double_excitation, trial_state_in_mode_order
 from test_qcm import (
     cumulants_recursive, lanczos_mp, matrix_moments,
@@ -37,7 +38,7 @@ from qcmoments.qcm import (
     moments_from_rdm,
 )
 from qcmoments.routing import route_pairs
-from qcmoments.simulator import Statevector, run, sector_basis
+from qcmoments.simulator import run, sector_basis
 from qcmoments.trial import (
     Ansatz, Excitation, build_uccd, exact_trial_state,
 )
@@ -183,10 +184,10 @@ def test_criterion_05_rdm_moment_equivalence():
         amps = np.zeros(256)
         for mask in sector_basis(8, 4, sz=0.0, spins=spins):
             amps[mask] = rng.normal()
-        state = Statevector((amps / np.linalg.norm(amps)).astype(complex))
+        state = (amps / np.linalg.norm(amps)).astype(complex)
         tables = []
         for mc in circuits:
-            probs = np.abs(run(mc.circuit, state).amplitudes) ** 2
+            probs = np.abs(run(mc.circuit, state)) ** 2
             tables.append({format(i, "08b"): float(p)
                            for i, p in enumerate(probs) if p > 1e-15})
         rdm = assemble_rdm(plan, circuits, tables, n_electrons=4)
@@ -342,10 +343,10 @@ def test_criterion_10_rdm_conditions():
     amps = np.zeros(16)
     for mask in sector_basis(4, 2, sz=0.0, spins=spins):
         amps[mask] = rng.normal()
-    state = Statevector((amps / np.linalg.norm(amps)).astype(complex))
+    state = (amps / np.linalg.norm(amps)).astype(complex)
     tables = []
     for mc in circuits:
-        probs = np.abs(run(mc.circuit, state).amplitudes) ** 2
+        probs = np.abs(run(mc.circuit, state)) ** 2
         tables.append({format(i, "04b"): float(p)
                        for i, p in enumerate(probs) if p > 1e-15})
     rdm = assemble_rdm(plan, circuits, tables, n_electrons=2)
@@ -371,7 +372,7 @@ def _circuit_unitary(circ):
     u = np.zeros((dim, dim), dtype=complex)
     for b in range(dim):
         u[:, b] = run(circ,
-                      Statevector.basis_state(b, circ.n_qubits)).amplitudes
+                      basis_state(b, circ.n_qubits))
     return u
 
 
@@ -391,7 +392,7 @@ def test_criterion_11_circuit_fidelity():
         built = build_uccd(ansatz, simplify=True)
         state = trial_state_in_mode_order(built, 8)
         ref = exact_trial_state(ansatz)
-        assert np.max(np.abs(state.amplitudes - ref.amplitudes)) < 1e-9
+        assert np.max(np.abs(state - ref)) < 1e-9
         return built.cnot_count
 
     four = build_and_check([

@@ -4,6 +4,7 @@ Every test drives the real entry point (``qcmoments.cli.main``) in-process
 and checks exit codes, file artifacts, and numerical results against the
 exact-diagonalization values of the committed fixtures.
 """
+import functools
 import hashlib
 import json
 import pathlib
@@ -13,15 +14,16 @@ import sys
 import numpy as np
 import pytest
 
-from qcmoments import simulator
+from qcmoments import analysis, simulator
 from qcmoments.analysis import Analyzer, write_archive
 from qcmoments.cli import _load_system, main
-from qcmoments.config import load_config
+from qcmoments.config import derive_seed, load_config
 from qcmoments.planner import MeasurementPlan, build_measurement_circuit
-from qcmoments.simulator import Circuit, Statevector, run
+from qcmoments.simulator import Circuit, run
 from qcmoments.trial import build_uccd
 
 from fixtures_util import H2_PATH, H4_PATH
+from reference_simulator import basis_state
 
 # sector FCI / Hartree-Fock energies of the stretched-H2 fixture,
 # from exact diagonalization (see tests/test_integrals.py)
@@ -509,7 +511,14 @@ RUN_FAULTS = {
     "thetas of the wrong length": ("thetas", _edit_json(
         lambda t: {"thetas": t["thetas"] * 2}), "must hold 1 finite thetas"),
     "thetas not finite": ("thetas", _edit_json(
-        lambda t: {"thetas": [float("nan")]}), "must hold 1 finite thetas"),
+        lambda t: {"thetas": [float("nan")]}),
+        "entry 0 must be a JSON number, not nan"),
+    "theta as a string": ("thetas", _edit_json(
+        lambda t: {"thetas": ["0.3"]}),
+        "entry 0 must be a JSON number, not '0.3'"),
+    "theta as a boolean": ("thetas", _edit_json(
+        lambda t: {"thetas": [True]}),
+        "entry 0 must be a JSON number, not True"),
 }
 
 
@@ -532,6 +541,56 @@ def test_run_input_faults_exit_2(run_inputs, tmp_path, fault, capsys):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def run_archive(run_inputs, tmp_path_factory):
+    cfg, plan, thetas = run_inputs
+    out = tmp_path_factory.mktemp("run_archive") / "counts"
+    assert main(["run", "--config", str(cfg), "--plan", str(plan),
+                 "--thetas", str(thetas), "--output-dir", str(out)]) == 0
+    return out
+
+
+# every output a command writes: name -> arguments, with {bad} the path that
+# cannot be written; a directory output is made with its parents, so only a
+# regular file in its path blocks it
+WRITE_TARGETS = {
+    "plan --output": ["plan", "--modes", "4", "--order", "2",
+                      "--output", "{bad}"],
+    "optimize --output": ["optimize", "--config", "{cfg}", "--output",
+                          "{bad}"],
+    "run --output-dir": ["run", "--config", "{cfg}", "--plan", "{plan}",
+                         "--thetas", "{thetas}", "--output-dir", "{bad}"],
+    "analyze --output": ["analyze", "--config", "{cfg}", "--archive",
+                         "{archive}", "--output", "{bad}"],
+    "analyze --csv": ["analyze", "--config", "{cfg}", "--archive",
+                      "{archive}", "--output", "{report}", "--csv", "{bad}"],
+    "fci --output": ["fci", "--config", "{cfg}", "--output", "{bad}"],
+    "pipeline output_dir": ["pipeline", "--config", "{pipeline_cfg}"],
+}
+WRITE_FAULTS = [
+    (target, blocker) for target in WRITE_TARGETS
+    for blocker in ("missing directory", "regular file")
+    if blocker == "regular file"
+    or target not in ("run --output-dir", "pipeline output_dir")]
+
+
+@pytest.mark.parametrize("target, blocker", WRITE_FAULTS)
+def test_unwritable_output_exits_2(run_inputs, run_archive, tmp_path, target,
+                                   blocker, capsys):
+    parent = tmp_path / "blocked"
+    if blocker == "regular file":
+        parent.write_text("not a directory")
+    bad = str(parent / "out")
+    cfg, plan, thetas = run_inputs
+    paths = dict(bad=bad, cfg=cfg, plan=plan, thetas=thetas,
+                 archive=run_archive, report=tmp_path / "report.json",
+                 pipeline_cfg=write_config(tmp_path, output_dir=bad))
+    assert main([a.format(**paths) for a in WRITE_TARGETS[target]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot write {bad}: ")
+    assert "Traceback" not in err
+
+
 def test_measurement_circuit_on_prepared_state_is_exact(tmp_path):
     # run prepares each state once and applies every basis's measurement
     # circuit to it; that must give the same amplitudes, bit for bit, as
@@ -541,7 +600,7 @@ def test_measurement_circuit_on_prepared_state_is_exact(tmp_path):
     plan = MeasurementPlan.loads(plan.read_text())
     _, _, ansatz = _load_system(load_config(cfg))
     n = ansatz.n_qubits
-    zero = Statevector.basis_state(0, n)
+    zero = basis_state(0, n)
     for thetas in ([0.3], [0.0]):
         built = build_uccd(ansatz.with_thetas(thetas))
         prepared = run(built.circuit, zero)
@@ -549,10 +608,58 @@ def test_measurement_circuit_on_prepared_state_is_exact(tmp_path):
         for basis in plan.bases:
             mc = build_measurement_circuit(basis, built.layout).circuit
             whole = Circuit(n).extend(built.circuit).extend(mc)
-            assert np.array_equal(run(mc, prepared).amplitudes,
-                                  run(whole, zero).amplitudes)
+            assert np.array_equal(run(mc, prepared), run(whole, zero))
             assert whole.cnot_count() == \
                 built.circuit.cnot_count() + mc.cnot_count()
+
+
+def test_run_noise_reaches_every_row(tmp_path, monkeypatch):
+    # the distribution handed to `sample` for each archive row, rebuilt
+    # from the whole circuit with the readout flips as one dense matrix:
+    # the calibration rows see the readout flips alone; a basis row is the
+    # white-noise mixture at the rate of its circuit's CNOTs, then the flips
+    noise = {"global_q": 0.05, "p01": 0.02, "p10": 0.04, "cnot_q": 0.01}
+    cfg = write_config(tmp_path, shots=500, noise=noise,
+                       spsa={"iterations": 0, "seeds": 1},
+                       excitations=[{"creations": [2, 3],
+                                     "annihilations": [0, 1],
+                                     "theta": 0.3}])
+    plan, thetas = _plan_and_thetas(tmp_path, cfg)
+    drawn = []
+    sample = analysis.sample
+
+    def capturing(distribution, shots, *, seed):
+        drawn.append((np.array(distribution), seed))
+        return sample(distribution, shots, seed=seed)
+
+    monkeypatch.setattr(analysis, "sample", capturing)
+    assert main(["run", "--config", str(cfg), "--plan", str(plan),
+                 "--thetas", str(thetas), "--output-dir",
+                 str(tmp_path / "counts")]) == 0
+
+    config = load_config(cfg)
+    _, _, ansatz = _load_system(config)
+    n = ansatz.n_qubits
+    flip = np.array([[1 - noise["p01"], noise["p10"]],
+                     [noise["p01"], 1 - noise["p10"]]])
+    readout = functools.reduce(np.kron, [flip] * n)
+    bases = MeasurementPlan.loads(plan.read_text()).bases
+    expected = [(readout[:, 0], ("calibration", 0)),
+                (readout[:, -1], ("calibration", 1))]
+    for tag, theta in (("sample-trial", 0.3), ("sample-reference", 0.0)):
+        built = build_uccd(ansatz.with_thetas([theta]))
+        for i, basis in enumerate(bases):
+            whole = Circuit(n).extend(built.circuit).extend(
+                build_measurement_circuit(basis, built.layout).circuit)
+            assert whole.cnot_count() > 0
+            q = 1 - (1 - noise["global_q"]) * \
+                (1 - noise["cnot_q"]) ** whole.cnot_count()
+            p = np.abs(run(whole, basis_state(0, n))) ** 2
+            expected.append((readout @ ((1 - q) * p + q / 2 ** n), (tag, i)))
+    assert len(drawn) == len(expected) == 2 * len(bases) + 2
+    for (got, seed), (want, stream) in zip(drawn, expected):
+        assert np.allclose(got, want, rtol=0, atol=1e-14), stream
+        assert seed == derive_seed(config.master_seed, *stream)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ from qcmoments.integrals import (
     MolecularIntegrals, freeze_orbitals, load_fcidump,
     spin_orbital_hamiltonian, write_fcidump,
 )
-from qcmoments.simulator import Statevector, run
+from qcmoments.simulator import run
 from qcmoments.trial import hartree_fock_circuit
 
 from reference_fermion import freeze_operator
 from reference_integrals import determinant_energy
-from reference_simulator import expectation
+from reference_simulator import basis_state, expectation
 
 
 def random_integrals(n, seed, nelec=None):
@@ -138,7 +138,7 @@ def test_determinant_energy_matches_operator_expectation():
     h = spin_orbital_hamiltonian(ints)
     pauli = jordan_wigner(h)
     occ = (0, 1, 3, 4)
-    state = Statevector.basis_state(sum(1 << m for m in occ), 6)
+    state = basis_state(sum(1 << m for m in occ), 6)
     assert determinant_energy(ints, occ) == pytest.approx(
         expectation(state, pauli), abs=1e-10)
 
@@ -159,7 +159,7 @@ def test_hartree_fock_circuit_energy():
     ints = random_integrals(2, seed=19, nelec=2)
     h = jordan_wigner(spin_orbital_hamiltonian(ints))
     circ = hartree_fock_circuit(4, 0b0011)
-    state = run(circ, Statevector.basis_state(0, 4))
+    state = run(circ, basis_state(0, 4))
     assert expectation(state, h) == pytest.approx(
         determinant_energy(ints, (0, 1)), abs=1e-10)
 

@@ -7,14 +7,13 @@ from qcmoments.fermion import FermionOperator
 from qcmoments.mitigation import (
     AssignmentCalibration, apply_qrem, assemble_rdm, calibration_from_counts,
     check_representability, clip_to_physical, fit_white_noise_rate,
-    mixed_state_value, reference_calibrate, rescale_rdm, sample_calibration,
-    symmetry_postselect,
+    mixed_state_value, reference_calibrate, rescale_rdm, symmetry_postselect,
 )
 from qcmoments.planner import build_measurement_circuit, build_plan, \
     enumerate_elements
 from qcmoments.rdm import RDM
 from qcmoments.simulator import (
-    CountsTable, NoiseSpec, Statevector, noisy_distribution,
+    CountsTable, NoiseSpec, noisy_distribution,
     operator_matrix_in_sector, run, sample, sector_basis,
 )
 
@@ -24,21 +23,31 @@ from reference_analysis import (
 from reference_fermion import number_operator
 from reference_rdm import matricize, rdm_from_determinant, \
     rdm_representability
-from reference_simulator import rdm_from_statevector
+from reference_simulator import basis_state, rdm_from_statevector
 
 
 # -- calibration
 
+def sample_calibration(n_qubits, p01, p10, shots, seeds):
+    """Count vectors of an all-zeros and an all-ones preparation under the
+    readout flips alone, drawn with ``seeds[0]`` and ``seeds[1]``."""
+    ideal = np.zeros((2, 1 << n_qubits))
+    ideal[0, 0] = ideal[1, -1] = 1.0
+    flips = NoiseSpec.uniform_readout(n_qubits, p01, p10).readout_flip
+    rows = noisy_distribution(ideal, [0.0, 0.0], flips)
+    return [sample(p, shots, seed=seed).vector(n_qubits)
+            for p, seed in zip(rows, seeds)]
+
+
 def test_calibrate_zero_noise_is_identity():
     cal = checked(calibration_from_counts,
-        *sample_calibration(NoiseSpec(), 3, 100, seeds=(0, 7)))
+        *sample_calibration(3, 0.0, 0.0, 100, seeds=(0, 7)))
     assert np.allclose(cal.matrices, np.broadcast_to(np.eye(2), (3, 2, 2)))
 
 
 def test_calibrate_estimates_flip_rates():
-    noise = NoiseSpec.uniform_readout(4, p01=0.02, p10=0.05)
     cal = checked(calibration_from_counts,
-        *sample_calibration(noise, 4, 100_000, seeds=(5, 20)))
+        *sample_calibration(4, 0.02, 0.05, 100_000, seeds=(5, 20)))
     sigma01 = np.sqrt(0.02 * 0.98 / 100_000)
     sigma10 = np.sqrt(0.05 * 0.95 / 100_000)
     for q in range(4):
@@ -47,10 +56,9 @@ def test_calibrate_estimates_flip_rates():
 
 
 def test_calibrate_singular_matrix_is_an_error():
-    noise = NoiseSpec.uniform_readout(2, p01=0.0, p10=0.6)
     with pytest.raises(ValueError, match="singular"):
         checked(calibration_from_counts,
-            *sample_calibration(noise, 2, 50_000, seeds=(0, 3)))
+            *sample_calibration(2, 0.0, 0.6, 50_000, seeds=(0, 3)))
 
 
 def test_assignment_calibration_validation():
@@ -71,10 +79,11 @@ def test_qrem_identity_calibration_is_noop():
 def test_qrem_reduces_total_variation():
     rng = np.random.default_rng(9)
     amps = rng.normal(size=16)
-    state = Statevector((amps / np.linalg.norm(amps)).astype(complex))
-    ideal = np.abs(state.amplitudes) ** 2
+    state = (amps / np.linalg.norm(amps)).astype(complex)
+    ideal = np.abs(state) ** 2
     noise = NoiseSpec.uniform_readout(4, p01=0.03, p10=0.06)
-    counts = sample(noisy_distribution(ideal[None], noise, [0])[0],
+    counts = sample(noisy_distribution(ideal[None], [0.0],
+                                       noise.readout_flip)[0],
                     1_000_000, seed=11)
     cal = checked(AssignmentCalibration.from_flip_rates, [0.03] * 4,
                   [0.06] * 4)
@@ -171,7 +180,7 @@ def exact_tables(plan, layout, state):
     circuits, tables = [], []
     for basis in plan.bases:
         mc = build_measurement_circuit(basis, layout)
-        probs = np.abs(run(mc.circuit, state).amplitudes) ** 2
+        probs = np.abs(run(mc.circuit, state)) ** 2
         circuits.append(mc)
         tables.append({bits_to_string(i, plan.n_modes): float(p)
                        for i, p in enumerate(probs) if p > 1e-15})
@@ -187,7 +196,7 @@ def random_sector_state(n_modes, n_electrons, seed, sz=None):
     for mask in sector_basis(n_modes, n_electrons,
                              sz=0.0 if sz is None else sz, spins=spins):
         amps[mask] = rng.normal()
-    return Statevector((amps / np.linalg.norm(amps)).astype(complex))
+    return (amps / np.linalg.norm(amps)).astype(complex)
 
 
 def test_assemble_rdm_matches_statevector_oracle():
@@ -204,7 +213,7 @@ def test_assemble_rdm_matches_statevector_oracle():
 def test_assemble_rdm_hartree_fock_pattern():
     spins = interleaved_spins(4)
     plan = build_plan(enumerate_elements(4, 2, spins), spins)
-    state = Statevector.basis_state(0b0011, 4)
+    state = basis_state(0b0011, 4)
     circuits, tables = exact_tables(plan, (0, 1, 2, 3), state)
     rdm = assemble_rdm(plan, circuits, tables, n_electrons=2)
     ref = rdm_from_determinant((0, 1), 4, 2)
@@ -223,7 +232,7 @@ def test_assemble_rdm_from_sampled_counts():
     for i, basis in enumerate(plan.bases):
         mc = build_measurement_circuit(basis, (0, 1, 2, 3))
         out = run(mc.circuit, state)
-        counts = sample(np.abs(out.amplitudes) ** 2, 100_000, seed=100 + i)
+        counts = sample(np.abs(out) ** 2, 100_000, seed=100 + i)
         circuits.append(mc)
         tables.append(bitstring_probabilities(counts, 4))
     rdm = assemble_rdm(plan, circuits, tables, n_electrons=2)

@@ -14,14 +14,14 @@ from qcmoments.qcm import (
     BootstrapResult, CumulantSet, EnergyEstimate, MomentSet, bootstrap,
     cumulants, hamiltonian_powers, lanczos_energy, moments_from_rdm,
 )
-from qcmoments.simulator import Statevector, exact_diagonalize, sector_basis
+from qcmoments.simulator import exact_diagonalize, sector_basis
 from qcmoments.trial import exact_trial_state
 
 from reference_qcm import (
     moments_from_statevector, per_resample_bootstrap, validate_moments,
 )
 from reference_rdm import rdm_from_determinant
-from reference_simulator import rdm_from_statevector
+from reference_simulator import basis_state, rdm_from_statevector
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ def test_hf_determinant_moments_match_statevector_oracle():
     powers = hamiltonian_powers(h)
     rdm = rdm_from_determinant((0, 1), 4, 2)
     m = moments_from_rdm(powers, rdm, 2)
-    oracle = moments_from_statevector(h, Statevector.basis_state(0b0011, 4))
+    oracle = moments_from_statevector(h, basis_state(0b0011, 4))
     assert m.as_tuple() == pytest.approx(oracle.as_tuple(), abs=1e-9)
 
 
@@ -234,10 +234,9 @@ def test_random_sector_state_moments_match_oracle():
         coef /= np.linalg.norm(coef)
         for mask, a in zip(basis, coef):
             amps[mask] = a
-        state = Statevector(amps, 4)
-        rdm = rdm_from_statevector(state, 2, 2)
+        rdm = rdm_from_statevector(amps, 2, 2)
         m = moments_from_rdm(powers, rdm, 2)
-        oracle = moments_from_statevector(h, state)
+        oracle = moments_from_statevector(h, amps)
         assert m.as_tuple() == pytest.approx(oracle.as_tuple(), abs=1e-9)
         validate_moments(m)
 

@@ -12,14 +12,14 @@ from qcmoments.integrals import (
     freeze_orbitals, load_fcidump, spin_orbital_hamiltonian,
 )
 from qcmoments.simulator import (
-    Circuit, CountsTable, NoiseSpec, Statevector, _parity, apply_terms,
+    Circuit, CountsTable, NoiseSpec, _parity, apply_terms,
     exact_diagonalize, noisy_distribution, operator_matrix_in_sector, run,
     sample, sector_basis,
 )
 from qcmoments.trial import Ansatz, Excitation
 
-from reference_simulator import apply_term_to_mask, expectation, \
-    operator_matrix
+from reference_simulator import apply_term_to_mask, basis_state, \
+    expectation, operator_matrix
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 S = np.diag([1, 1j])
@@ -87,8 +87,8 @@ def test_run_matches_dense_unitary():
         circ = random_circuit(4, np.random.default_rng(seed))
         u = dense_unitary(circ)
         for bits in range(16):
-            out = run(circ, Statevector.basis_state(bits, 4))
-            assert np.allclose(out.amplitudes, u[:, bits], atol=1e-10)
+            out = run(circ, basis_state(bits, 4))
+            assert np.allclose(out, u[:, bits], atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -104,25 +104,25 @@ def test_stacked_run_matches_single_runs_bit_for_bit(n):
     out = run(circ, stack)
     assert out.shape == stack.shape
     for row, amps in zip(stack, out):
-        assert np.array_equal(amps, run(circ, Statevector(row, n)).amplitudes)
+        assert np.array_equal(amps, run(circ, row))
     assert np.allclose(out, stack @ dense_unitary(circ).T, atol=1e-10)
 
 
 def test_cnot_orientation_and_fswap_sign():
     circ = Circuit(2)
     circ.cnot(0, 1)  # control = qubit 0 (low bit)
-    out = run(circ, Statevector.basis_state(0b01, 2))
-    assert abs(out.amplitudes[0b11] - 1) < 1e-12
+    out = run(circ, basis_state(0b01, 2))
+    assert abs(out[0b11] - 1) < 1e-12
     circ = Circuit(2)
     circ.cnot(1, 0)
-    out = run(circ, Statevector.basis_state(0b10, 2))
-    assert abs(out.amplitudes[0b11] - 1) < 1e-12
+    out = run(circ, basis_state(0b10, 2))
+    assert abs(out[0b11] - 1) < 1e-12
     circ = Circuit(2)
     circ.fswap(0, 1)
-    out = run(circ, Statevector.basis_state(0b11, 2))
-    assert abs(out.amplitudes[0b11] + 1) < 1e-12
-    out = run(circ, Statevector.basis_state(0b01, 2))
-    assert abs(out.amplitudes[0b10] - 1) < 1e-12
+    out = run(circ, basis_state(0b11, 2))
+    assert abs(out[0b11] + 1) < 1e-12
+    out = run(circ, basis_state(0b01, 2))
+    assert abs(out[0b10] - 1) < 1e-12
 
 
 def test_adjacency_enforced():
@@ -145,7 +145,7 @@ def test_expectation_matches_dense():
     rng = np.random.default_rng(3)
     vec = rng.normal(size=8) + 1j * rng.normal(size=8)
     vec /= np.linalg.norm(vec)
-    state = Statevector(vec, 3)
+    state = vec
     op = PauliOperator(3, {("X", "I", "Z"): 0.7, ("Y", "Y", "I"): -0.3,
                            ("Z", "Z", "Z"): 1.1, ("I", "I", "I"): 0.25})
     m = op.to_matrix()
@@ -155,10 +155,10 @@ def test_expectation_matches_dense():
 
 def test_noisy_distribution_depolarizing_and_readout():
     zero, one = np.eye(2)
-    noise = NoiseSpec(global_depolarizing_q=0.2)
-    assert np.allclose(noisy_distribution([zero], noise, [0]), [[0.9, 0.1]])
+    assert np.allclose(noisy_distribution([zero], [0.2], np.eye(2)[None]),
+                       [[0.9, 0.1]])
     noise = NoiseSpec.uniform_readout(1, p01=0.1, p10=0.3)
-    p = noisy_distribution([zero, one], noise, [0, 0])
+    p = noisy_distribution([zero, one], [0.0, 0.0], noise.readout_flip)
     assert np.allclose(p, [[0.9, 0.1], [0.3, 0.7]])
     # per-CNOT folding: q_eff = 1 - (1-q)(1-qc)^k
     noise = NoiseSpec(global_depolarizing_q=0.1, gate_depolarizing_cnot=0.01)
@@ -172,12 +172,12 @@ def test_noisy_rows_match_single_rows_bit_for_bit():
     noise = NoiseSpec(global_depolarizing_q=0.1, gate_depolarizing_cnot=0.01,
                       readout_flip=NoiseSpec.uniform_readout(
                           4, 0.03, 0.05).readout_flip)
-    n_cnots = [0, 3, 7, 12, 0, 40]
-    rows = noisy_distribution(probs, noise, n_cnots)
+    rates = [noise.effective_q(c) for c in (0, 3, 7, 12, 0, 40)]
+    rows = noisy_distribution(probs, rates, noise.readout_flip)
     flip = reduce(np.kron, [noise.readout_flip[0]] * 4)
-    for p, c, row in zip(probs, n_cnots, rows):
-        assert np.array_equal(row, noisy_distribution([p], noise, [c])[0])
-        q = noise.effective_q(c)
+    for p, q, row in zip(probs, rates, rows):
+        assert np.array_equal(
+            row, noisy_distribution([p], [q], noise.readout_flip)[0])
         assert np.allclose(row, flip @ ((1 - q) * p + q / 16), atol=1e-14)
 
 
@@ -191,9 +191,9 @@ def test_readout_matrix_validation():
 def test_sampling_deterministic_and_calibrated():
     circ = Circuit(2)
     circ.h(0)
-    state = run(circ, Statevector.basis_state(0, 2))
-    t1 = sample(np.abs(state.amplitudes) ** 2, 4000, seed=5)
-    t2 = sample(np.abs(state.amplitudes) ** 2, 4000, seed=5)
+    state = run(circ, basis_state(0, 2))
+    t1 = sample(np.abs(state) ** 2, 4000, seed=5)
+    t2 = sample(np.abs(state) ** 2, 4000, seed=5)
     assert np.array_equal(t1.outcomes, t2.outcomes)
     assert np.array_equal(t1.counts, t2.counts)
     assert t1.shots == 4000
@@ -239,7 +239,7 @@ def test_exact_diagonalize_matches_dense():
     ref = np.linalg.eigvalsh(sub)[0]
     energy, state = exact_diagonalize(op, ne)
     assert energy == pytest.approx(ref, abs=1e-10)
-    assert float(np.real(state.amplitudes.conj() @ mat @ state.amplitudes)) == \
+    assert float(np.real(state.conj() @ mat @ state)) == \
         pytest.approx(ref, abs=1e-10)
 
 

@@ -9,6 +9,8 @@ import pathlib
 import subprocess
 import sys
 
+from qcmoments.cli import main
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -38,6 +40,31 @@ def test_tracer_targets_resolve():
     with tracer.Tracer():
         for name in tracer.TARGETS:
             assert hasattr(_resolve(name), "__wrapped__"), name
+
+
+def test_traced_pipeline_feeds_the_benchmark_hooks(tmp_path):
+    # the counter hooks read what `run` and `sample` return, so a changed
+    # return type fails here rather than only in the benchmark's self-test
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "schema": 1,
+        "integrals": str(ROOT / "tests" / "data" / "h2_stretched.fcidump"),
+        "order": 2,
+        "excitations": [{"creations": [2, 3], "annihilations": [0, 1]}],
+        "shots": 2000,
+        "noise": {"global_q": 0.1, "p01": 0.03, "p10": 0.05},
+        "bootstrap": {"enabled": True, "resamples": 2},
+        "spsa": {"iterations": 0, "seeds": 1},
+        "output_dir": str(tmp_path / "out"),
+        "master_seed": 3,
+    }))
+    with _load_tracer().Tracer() as tracer:
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+    stats = tracer.per_span()
+    for name, counter in (("simulator.run", "gates"),
+                          ("simulator.sample", "shots")):
+        assert stats[name]["calls"] > 0, name
+        assert tracer.counters[name, counter] > 0, name
 
 
 PRINT_SCIPY_MODULES = ("print(sorted(m for m in sys.modules "
