@@ -23,7 +23,10 @@ an analysis needs:
   white-noise fit, and D itself for the representability check.
 
 A stack of count matrices (one, or bootstrap resamples) is mitigated and
-assembled in array passes; the moments and E_L run per matrix. The
+assembled in array passes; the moments and E_L run per matrix.
+:meth:`Analyzer.report` alone lays out ``report.json``: the main analysis
+with its diagnostics, the ablation over :data:`ABLATION_STACKS`, the
+bootstrap and the errors against FCI. The
 dict-path functions (``mitigation.apply_qrem``, ``clip_to_physical``,
 ``symmetry_postselect``, ``assemble_rdm``, ``rescale_rdm``,
 ``mixed_state_value``, ``qcm.moments_from_rdm``,
@@ -50,10 +53,11 @@ from .mitigation import (
     reference_calibrate,
 )
 from .planner import MeasurementPlan
-from .qcm import CumulantSet, MomentSet, cumulants, lanczos_energy
+from .qcm import CumulantSet, MomentSet, bootstrap, cumulants, \
+    lanczos_energy
 from .simulator import (
-    NoiseSpec, apply_terms, check_norm, locate, noisy_distribution,
-    operator_matrix_in_sector, run, sample, sector_basis,
+    apply_terms, assignment_matrices, check_norm, locate, noisy_distribution,
+    operator_matrix_in_sector, run, sample, sector_basis, white_noise_rate,
 )
 
 ABLATION_STACKS = [
@@ -85,9 +89,9 @@ def sample_counts(cfg: PipelineConfig, prepared, circuits) -> np.ndarray:
     drawn in order, each from its own seed."""
     n = prepared[0].n_qubits
     n_bases, dim = len(circuits), 1 << n
-    noise = NoiseSpec.uniform_readout(
-        n, cfg.noise["p01"], cfg.noise["p10"], q=cfg.noise["global_q"],
-        cnot_q=cfg.noise["cnot_q"])
+    noise = cfg.noise
+    flips = assignment_matrices(np.full(n, noise["p01"]),
+                                np.full(n, noise["p10"]))
     zero = np.eye(1, dim)[0]
     states = np.array([run(circuit, zero) for circuit in prepared])
     for amps in states:
@@ -97,14 +101,15 @@ def sample_counts(cfg: PipelineConfig, prepared, circuits) -> np.ndarray:
     for i, mc in enumerate(circuits):
         ideal[2 + i::n_bases] = np.abs(run(mc.circuit, states)) ** 2
     q = [0.0, 0.0] + [
-        noise.effective_q(c.cnot_count() + mc.circuit.cnot_count())
+        white_noise_rate(noise["global_q"], noise["cnot_q"],
+                         c.cnot_count() + mc.circuit.cnot_count())
         for c in prepared for mc in circuits]
     seeds = [derive_seed(cfg.master_seed, tag, i) for tag, count in (
         ("calibration", 2), ("sample-trial", n_bases),
         ("sample-reference", n_bases)) for i in range(count)]
     counts = np.empty(ideal.shape, dtype=np.int64)
     for row, (p, seed) in enumerate(zip(
-            noisy_distribution(ideal, q, noise.readout_flip), seeds)):
+            noisy_distribution(ideal, q, flips), seeds)):
         counts[row] = sample(p, cfg.shots, seed=seed).vector(n)
     return counts
 
@@ -522,3 +527,49 @@ class Analyzer:
             representability=check_representability(density, 1.0),
             diagnostics=diag)
         return result
+
+    def report(self, counts) -> dict:
+        """The whole ``report.json`` of one count matrix: the main analysis
+        with its diagnostics, one ablation row per :data:`ABLATION_STACKS`
+        entry (``{"technique", "failed"}`` where the stack fails), the
+        bootstrap over :meth:`analyze_stack` when the config enables it, the
+        errors against FCI and the config."""
+        cfg, e_fci = self.cfg, self.e_fci
+        main = self.analyze(counts, diagnostics=True)
+        ablation = []
+        for name, stack in ABLATION_STACKS:
+            try:
+                res = self.analyze(counts, mitigation=stack)
+            except (ValueError, ArithmeticError) as exc:
+                ablation.append({"technique": name, "failed": str(exc)})
+                continue
+            ablation.append({"technique": name, "h": res["h"],
+                             "e_l": res["e_l"], "h_error": res["h"] - e_fci,
+                             "e_l_error": res["e_l"] - e_fci})
+        boot = None
+        if cfg.bootstrap["enabled"]:
+            boot = bootstrap(counts, self.analyze_stack,
+                             resamples=int(cfg.bootstrap["resamples"]),
+                             seed=derive_seed(cfg.master_seed, "bootstrap"))
+        stds = boot.stds if boot else {"h": 0.0, "e_l": 0.0}
+        return {
+            "schema": 1,
+            "estimate": {
+                "h_expect": main["h"], "e_l": main["e_l"],
+                "std_h": stds["h"], "std_el": stds["e_l"],
+                "q_hat": main["q_hat"],
+                "metadata": {
+                    "mitigation": sorted(k for k, v in cfg.mitigation.items()
+                                         if v),
+                    "acceptance": main["acceptance"],
+                    "resamples": boot.resamples if boot else 0,
+                }},
+            "fci": e_fci,
+            "h_error": main["h"] - e_fci,
+            "e_l_error": main["e_l"] - e_fci,
+            "representability": main["representability"],
+            "diagnostics": main["diagnostics"],
+            "ablation": ablation,
+            "bootstrap": boot.to_json() if boot else None,
+            "config": cfg.to_json(),
+        }

@@ -2,10 +2,13 @@
 
 Subcommands cover the full experiment life cycle: ``plan`` (measurement
 bases), ``optimize`` (trial amplitudes), ``run`` (noisy sampling into a
-counts archive), ``analyze`` (mitigation, moments, energies, bootstrap),
-``fci`` (exact reference), and ``pipeline`` (all of the above). Every
-random choice derives from the config's master seed, so a repeated run is
-bit-identical.
+counts archive), ``analyze`` (``report.json``, as
+``analysis.Analyzer.report`` builds it, and the ablation CSV), ``fci``
+(exact reference), and ``pipeline`` (all of the above). The commands read
+and check their inputs, call into the library and write its results; the
+output files of ``plan``, ``optimize``, ``analyze`` and ``fci`` are written
+all or none. Every random choice derives from the config's master seed, so
+a repeated run is bit-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import os
 import sys
@@ -21,8 +25,8 @@ import sys
 import numpy as np
 
 from .analysis import (
-    ABLATION_STACKS, Analyzer, check_archive_config, load_archive,
-    parse_plan, read_bytes, sample_counts, write_archive,
+    Analyzer, check_archive_config, load_archive, parse_plan, read_bytes,
+    sample_counts, write_archive,
 )
 from .config import ConfigError, PipelineConfig, _typed, derive_seed, \
     load_config
@@ -32,7 +36,6 @@ from .integrals import (
 )
 from .planner import build_measurement_circuit, build_plan, \
     enumerate_elements
-from .qcm import EnergyEstimate, bootstrap
 from .simulator import exact_diagonalize
 from .trial import Ansatz, Excitation, build_uccd, energy_objective, \
     spsa_minimize
@@ -78,10 +81,29 @@ def _writing(path):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_json(path, obj):
-    with _writing(path), open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write_outputs(texts: dict):
+    """Write each output path's text in `texts`, all or none: every text
+    goes to a temporary file beside its path, and only once all are written
+    are they renamed into place. An OSError is a ConfigError naming the
+    output; the temporary files are then removed."""
+    staged = []
+    try:
+        for path, text in texts.items():
+            with _writing(path), open(f"{path}.tmp", "w", newline="") as fh:
+                staged.append(path)
+                fh.write(text)
+        for path in staged:
+            with _writing(path):
+                os.replace(f"{path}.tmp", path)
+    except BaseException:
+        for path in staged:
+            with contextlib.suppress(OSError):
+                os.remove(f"{path}.tmp")
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +157,7 @@ def _plan_for(cfg_or_args) -> tuple:
 def cmd_plan(args) -> int:
     source = load_config(args.config) if args.config else args
     plan, summary = _plan_for(source)
-    with _writing(args.output), open(args.output, "w") as fh:
-        fh.write(plan.dumps())
+    _write_outputs({args.output: plan.dumps()})
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -160,11 +181,11 @@ def cmd_optimize(args) -> int:
                  for i in range(n_seeds)]
         best, traces = spsa_minimize(objective, theta0, seeds, iters)
     energy = objective(best)
-    _write_json(args.output, {
+    _write_outputs({args.output: _json_text({
         "thetas": [float(t) for t in best],
         "energy": energy,
         "traces": [[float(v) for v in tr] for tr in traces],
-    })
+    })})
     print(f"optimized energy {energy:.10f}")
     return 0
 
@@ -258,65 +279,19 @@ def cmd_analyze(args) -> int:
     check_archive_config(manifest, cfg, ints.n_electrons)
     circuits = _measurement_circuits(plan, tuple(manifest["layout"]),
                                      f"archive plan in {args.archive}")
-    analyzer = Analyzer(cfg, plan, circuits, ints.n_electrons, h)
-
-    e_fci = analyzer.e_fci
-    main = analyzer.analyze(counts, diagnostics=True)
-
-    ablation = []
-    for name, stack in ABLATION_STACKS:
-        try:
-            res = analyzer.analyze(counts, mitigation=stack)
-            ablation.append({
-                "technique": name,
-                "h": res["h"], "e_l": res["e_l"],
-                "h_error": res["h"] - e_fci,
-                "e_l_error": res["e_l"] - e_fci,
-            })
-        except (ValueError, ArithmeticError) as exc:
-            ablation.append({"technique": name, "failed": str(exc)})
-
-    std_h = std_el = 0.0
-    boot = None
-    if cfg.bootstrap["enabled"]:
-        boot = bootstrap(
-            counts, analyzer.analyze_stack,
-            resamples=int(cfg.bootstrap["resamples"]),
-            seed=derive_seed(cfg.master_seed, "bootstrap"))
-        std_h, std_el = boot.stds["h"], boot.stds["e_l"]
-
-    estimate = EnergyEstimate(
-        h_expect=main["h"], e_l=main["e_l"], std_h=std_h, std_el=std_el,
-        q_hat=main["q_hat"],
-        metadata={
-            "mitigation": sorted(k for k, v in cfg.mitigation.items() if v),
-            "acceptance": main["acceptance"],
-            "resamples": int(cfg.bootstrap["resamples"])
-            if cfg.bootstrap["enabled"] else 0,
-        })
-    report = {
-        "schema": 1,
-        "estimate": estimate.to_json(),
-        "fci": e_fci,
-        "h_error": main["h"] - e_fci,
-        "e_l_error": main["e_l"] - e_fci,
-        "representability": main["representability"],
-        "diagnostics": main["diagnostics"],
-        "ablation": ablation,
-        "bootstrap": boot.to_json() if boot else None,
-        "config": cfg.to_json(),
-    }
-    _write_json(args.output, report)
+    report = Analyzer(cfg, plan, circuits, ints.n_electrons, h).report(counts)
+    texts = {args.output: _json_text(report)}
     if args.csv:
-        with _writing(args.csv), open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["technique", "h", "e_l", "h_error",
-                                "e_l_error", "failed"])
-            writer.writeheader()
-            for row in ablation:
-                writer.writerow(row)
-    print(f"<H> = {main['h']:.6f}  E_L = {main['e_l']:.6f}  "
-          f"FCI = {e_fci:.6f}")
+        table = io.StringIO()
+        writer = csv.DictWriter(table, fieldnames=[
+            "technique", "h", "e_l", "h_error", "e_l_error", "failed"])
+        writer.writeheader()
+        writer.writerows(report["ablation"])
+        texts[args.csv] = table.getvalue()
+    _write_outputs(texts)
+    estimate = report["estimate"]
+    print(f"<H> = {estimate['h_expect']:.6f}  E_L = {estimate['e_l']:.6f}  "
+          f"FCI = {report['fci']:.6f}")
     return 0
 
 
@@ -332,9 +307,8 @@ def cmd_fci(args) -> int:
     energy, _ = exact_diagonalize(h, ints.n_electrons, sz=sz)
     print(f"{energy:.12f}")
     if args.output:
-        _write_json(args.output, {"fci": energy,
-                                  "n_electrons": ints.n_electrons,
-                                  "s_z": sz})
+        _write_outputs({args.output: _json_text({
+            "fci": energy, "n_electrons": ints.n_electrons, "s_z": sz})})
     return 0
 
 

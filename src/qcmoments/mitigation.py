@@ -112,36 +112,30 @@ def qrem_rows(probs: np.ndarray, cal: AssignmentCalibration) -> np.ndarray:
     return probs
 
 
-def _flip_bit(bits: str, q: int) -> str:
-    i = len(bits) - 1 - q
-    return bits[:i] + ("0" if bits[i] == "1" else "1") + bits[i + 1:]
-
-
 def apply_qrem(counts: CountsTable, cal: AssignmentCalibration) -> dict:
-    """Per-qubit inverse applied tensor-wise on the observed sparse support.
+    """Per-qubit inverse applied tensor-wise on the observed sparse support,
+    over integer outcomes.
 
-    Returns a bitstring -> quasi-probability dict (entries may be negative),
-    its strings printed most-significant qubit first. Reference for
-    :func:`qrem_rows`.
+    Returns a bitstring -> quasi-probability dict (entries may be negative)
+    in increasing outcome order, its strings printed most-significant qubit
+    first. Reference for :func:`qrem_rows`.
     """
     n = cal.n_qubits
     if counts.outcomes[-1] >> n:
         raise ValueError("calibration does not cover all qubits")
-    probs = {format(o, f"0{n}b"): c / counts.shots
+    probs = {o: c / counts.shots
              for o, c in zip(counts.outcomes.tolist(), counts.counts.tolist())}
     for q in range(n):
-        inv = cal.inverses[q]
+        inv, bit = cal.inverses[q].tolist(), 1 << q
         out: dict = {}
-        for bits in set(probs) | {_flip_bit(b, q) for b in probs}:
-            b = int(bits[-1 - q])
-            v = inv[b, 0] * probs.get(bits if b == 0 else _flip_bit(bits, q),
-                                      0.0) \
-                + inv[b, 1] * probs.get(bits if b == 1 else _flip_bit(bits, q),
-                                        0.0)
+        for o in set(probs) | {o ^ bit for o in probs}:
+            row = inv[o >> q & 1]
+            v = row[0] * probs.get(o & ~bit, 0.0) \
+                + row[1] * probs.get(o | bit, 0.0)
             if v != 0.0:
-                out[bits] = v
+                out[o] = v
         probs = out
-    return probs
+    return {format(o, f"0{n}b"): probs[o] for o in sorted(probs)}
 
 
 #: largest deviation from 1 allowed of a quasi-distribution's total

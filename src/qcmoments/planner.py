@@ -32,14 +32,13 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import prod
 
 import numpy as np
 
 from .fermion import FermionOperator
 from .routing import Schedule, route_pairs
-from .simulator import Circuit, operator_matrix_in_sector
+from .simulator import Circuit
 
 # ---------------------------------------------------------------------------
 # elements
@@ -464,7 +463,8 @@ def build_plan(elements, spins, max_depth: int = 8,
 # rotation mapping the ±1/2 eigenvectors (|01⟩ ± |10⟩)/√2 onto the
 # computational states; conserves the pair occupation number. The Im
 # diagonalizer is the same circuit preceded by S on the low qubit
-# (S Im S† = Re on the odd-occupation block).
+# (S Im S† = Re on the odd-occupation block). The planner tests check both
+# against the hopping operator's matrix and MeasurementCircuit.pair_value.
 
 
 def _re_diagonalizer(circ: Circuit, lo: int):
@@ -477,32 +477,6 @@ def _im_diagonalizer(circ: Circuit, lo: int):
     _re_diagonalizer(circ, lo)
 
 
-#: computational outcome (bit_lo, bit_hi) -> eigenvalue of Re/Im (±1/2)
-PAIR_EIGENVALUE = {(0, 0): 0.0, (1, 0): -0.5, (0, 1): 0.5, (1, 1): 0.0}
-
-
-@lru_cache(maxsize=1)
-def _verify_diagonalizers():
-    """Build-time matrix check: diagonalization + number conservation."""
-    from .simulator import run
-
-    number = np.diag([0.0, 1.0, 1.0, 2.0]).astype(complex)
-    hop = operator_matrix_in_sector(RdmElement((0,), (1,)).operator(2),
-                                    range(4))
-    for build, op in ((_re_diagonalizer, (hop + hop.conj().T) / 2),
-                      (_im_diagonalizer, (hop - hop.conj().T) / 2j)):
-        circ = Circuit(2)
-        build(circ, 0)
-        u = run(circ, np.eye(4)).T   # row b of the stack evolves |b>
-        assert np.max(np.abs(u @ number - number @ u)) < 1e-10
-        d = u @ op @ u.conj().T
-        assert np.max(np.abs(d - np.diag(np.diag(d)))) < 1e-10
-        for (b_lo, b_hi), ev in PAIR_EIGENVALUE.items():
-            assert abs(d[b_lo + 2 * b_hi, b_lo + 2 * b_hi].real - ev) < 1e-10
-            assert 0.5 * (b_hi - b_lo) == ev     # MeasurementCircuit.pair_value
-    return True
-
-
 @dataclass
 class MeasurementCircuit:
     """Routed and diagonalized circuit plus outcome-decoding metadata."""
@@ -512,13 +486,12 @@ class MeasurementCircuit:
     mode_positions: dict
     #: site (q1, q2) -> (final lo position, final hi position, mode at lo)
     site_positions: dict
-    assignments: dict
 
     # The decoders take an outcome index or an integer array of them.
 
     def pair_value(self, site, bits):
-        """Re/Im eigenvalue of a pair site decoded from an outcome:
-        PAIR_EIGENVALUE written as (bit_hi - bit_lo) / 2."""
+        """Re/Im eigenvalue (±1/2, or 0 on an even pair occupation) of a
+        pair site decoded from an outcome as (bit_hi - bit_lo) / 2."""
         lo, hi, _ = self.site_positions[tuple(site)]
         return 0.5 * ((bits >> hi & 1) - (bits >> lo & 1))
 
@@ -571,7 +544,6 @@ def build_measurement_circuit(basis: PairingBasis, layout) -> \
     for; a mismatch between the schedule's recorded start positions and the
     pair positions under this layout is an error.
     """
-    _verify_diagonalizers()
     if basis.assignments is None:
         raise ValueError("basis has no level-2 assignments")
     layout = tuple(layout)
@@ -616,5 +588,4 @@ def build_measurement_circuit(basis: PairingBasis, layout) -> \
         site = pair_sites[pair_id]
         site_positions[tuple(site)] = (ends["lo"][0], ends["hi"][0],
                                        ends["lo"][1])
-    return MeasurementCircuit(circ, mode_positions, site_positions,
-                              dict(basis.assignments))
+    return MeasurementCircuit(circ, mode_positions, site_positions)

@@ -9,7 +9,9 @@ connected-moment recursion, and the analytic second-order Lanczos expansion
 gives an energy below <H> = c1 that is exact for eigenstates and for any
 state over a two-eigenvalue Hamiltonian. Moments come from an assembled
 reduced density matrix. Bootstrap resampling of the per-basis count tables
-propagates shot noise through the full analysis pipeline, in stacks.
+propagates shot noise through the full analysis pipeline, in stacks; its
+standard deviations are the error bars that ``analysis.Analyzer.report``
+puts on both energies.
 """
 from __future__ import annotations
 
@@ -49,32 +51,6 @@ class CumulantSet:
 
     def as_tuple(self) -> tuple:
         return (self.c1, self.c2, self.c3, self.c4)
-
-
-@dataclass
-class EnergyEstimate:
-    """Both energy estimators with bootstrap uncertainties and provenance."""
-
-    h_expect: float
-    e_l: float
-    std_h: float = 0.0
-    std_el: float = 0.0
-    q_hat: float = 0.0
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.std_h < 0.0 or self.std_el < 0.0:
-            raise ValueError("standard deviations must be nonnegative")
-
-    def to_json(self) -> dict:
-        return {
-            "h_expect": float(self.h_expect),
-            "e_l": float(self.e_l),
-            "std_h": float(self.std_h),
-            "std_el": float(self.std_el),
-            "q_hat": float(self.q_hat),
-            "metadata": self.metadata,
-        }
 
 
 # ---------------------------------------------------------------------------

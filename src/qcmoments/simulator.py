@@ -4,8 +4,9 @@ qubit j): circuits, noise channels, sampling, sector diagonalization.
 Two-qubit gates are restricted to adjacent qubits of a linear array; gate
 kernels act on the last axis, so :func:`run` evolves one state or a stack
 of states alike. Noise is applied at sampling time, to a matrix of
-distributions at once: a global white-noise mixture at each row's own rate,
-then per-qubit readout flips.
+distributions at once: a global white-noise mixture at each row's own rate
+(:func:`white_noise_rate` of its circuit's CNOTs), then per-qubit readout
+flips (:func:`assignment_matrices`).
 """
 from __future__ import annotations
 
@@ -131,43 +132,14 @@ def assignment_matrices(p01, p10) -> np.ndarray:
                     axis=-1).reshape(p01.shape + (2, 2))
 
 
-@dataclass
-class NoiseSpec:
-    """Global white-noise rate, per-qubit readout assignment matrices, and an
-    optional per-CNOT depolarizing rate."""
-
-    global_depolarizing_q: float = 0.0
-    readout_flip: np.ndarray | None = None  # shape (n, 2, 2), columns sum to 1
-    gate_depolarizing_cnot: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.global_depolarizing_q <= 1.0:
-            raise ValueError("global depolarizing rate outside [0, 1]")
-        if not 0.0 <= (self.gate_depolarizing_cnot or 0.0) <= 1.0:
-            raise ValueError("CNOT depolarizing rate outside [0, 1]")
-        if self.readout_flip is not None:
-            self.readout_flip = np.asarray(self.readout_flip, dtype=float)
-            if np.any(self.readout_flip < -1e-12) or np.any(self.readout_flip > 1 + 1e-12):
-                raise ValueError("readout probabilities outside [0, 1]")
-            cols = self.readout_flip.sum(axis=1)
-            if not np.allclose(cols, 1.0, atol=1e-12):
-                raise ValueError("assignment matrix columns must sum to 1")
-
-    @classmethod
-    def uniform_readout(cls, n_qubits: int, p01: float, p10: float,
-                        q: float = 0.0,
-                        cnot_q: float | None = None) -> "NoiseSpec":
-        """Same flip rates on every qubit: p01 = p(0->1), p10 = p(1->0)."""
-        return cls(global_depolarizing_q=q,
-                   readout_flip=assignment_matrices(np.full(n_qubits, p01),
-                                                    np.full(n_qubits, p10)),
-                   gate_depolarizing_cnot=cnot_q)
-
-    def effective_q(self, n_cnots: int) -> float:
-        q = self.global_depolarizing_q
-        if self.gate_depolarizing_cnot and n_cnots:
-            q = 1.0 - (1.0 - q) * (1.0 - self.gate_depolarizing_cnot) ** n_cnots
-        return q
+def white_noise_rate(global_q, cnot_q, n_cnots) -> float:
+    """White-noise rate of a circuit of `n_cnots` CNOTs: the global rate
+    compounded with a depolarizing rate `cnot_q` per CNOT,
+    1 - (1 - global_q)(1 - cnot_q)^n_cnots; `global_q` alone when `cnot_q`
+    is None or 0 or the circuit has no CNOT."""
+    if cnot_q and n_cnots:
+        return 1.0 - (1.0 - global_q) * (1.0 - cnot_q) ** n_cnots
+    return global_q
 
 
 @dataclass

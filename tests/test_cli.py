@@ -109,6 +109,9 @@ VALUE_FAULTS = {
     "null routing_max_depth": {"routing_max_depth": None},
     "null bootstrap resamples": {"bootstrap": {"resamples": None}},
     "string global_q": {"noise": {"global_q": "x"}},
+    "global_q above 1": {"noise": {"global_q": 1.5}},
+    "negative cnot_q": {"noise": {"cnot_q": -0.1}},
+    "cnot_q above 1": {"noise": {"cnot_q": 2}},
     "string excitation index": {"excitations": [
         {"creations": ["a", 3], "annihilations": [0, 1]}]},
     "string shots": {"shots": "abc"},
@@ -585,10 +588,15 @@ def test_unwritable_output_exits_2(run_inputs, run_archive, tmp_path, target,
     paths = dict(bad=bad, cfg=cfg, plan=plan, thetas=thetas,
                  archive=run_archive, report=tmp_path / "report.json",
                  pipeline_cfg=write_config(tmp_path, output_dir=bad))
+    before = sorted(tmp_path.iterdir())
     assert main([a.format(**paths) for a in WRITE_TARGETS[target]]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: cannot write {bad}: ")
     assert "Traceback" not in err
+    # a command writes all of its outputs or none, and leaves no temporary
+    # file behind: analyze --csv leaves no report.json
+    assert not (tmp_path / "report.json").exists()
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_measurement_circuit_on_prepared_state_is_exact(tmp_path):

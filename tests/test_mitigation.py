@@ -13,7 +13,7 @@ from qcmoments.planner import build_measurement_circuit, build_plan, \
     enumerate_elements
 from qcmoments.rdm import RDM
 from qcmoments.simulator import (
-    CountsTable, NoiseSpec, noisy_distribution,
+    CountsTable, assignment_matrices, noisy_distribution,
     operator_matrix_in_sector, run, sample, sector_basis,
 )
 
@@ -33,7 +33,8 @@ def sample_calibration(n_qubits, p01, p10, shots, seeds):
     readout flips alone, drawn with ``seeds[0]`` and ``seeds[1]``."""
     ideal = np.zeros((2, 1 << n_qubits))
     ideal[0, 0] = ideal[1, -1] = 1.0
-    flips = NoiseSpec.uniform_readout(n_qubits, p01, p10).readout_flip
+    flips = assignment_matrices(np.full(n_qubits, p01),
+                                np.full(n_qubits, p10))
     rows = noisy_distribution(ideal, [0.0, 0.0], flips)
     return [sample(p, shots, seed=seed).vector(n_qubits)
             for p, seed in zip(rows, seeds)]
@@ -81,9 +82,8 @@ def test_qrem_reduces_total_variation():
     amps = rng.normal(size=16)
     state = (amps / np.linalg.norm(amps)).astype(complex)
     ideal = np.abs(state) ** 2
-    noise = NoiseSpec.uniform_readout(4, p01=0.03, p10=0.06)
-    counts = sample(noisy_distribution(ideal[None], [0.0],
-                                       noise.readout_flip)[0],
+    flips = assignment_matrices(np.full(4, 0.03), np.full(4, 0.06))
+    counts = sample(noisy_distribution(ideal[None], [0.0], flips)[0],
                     1_000_000, seed=11)
     cal = checked(AssignmentCalibration.from_flip_rates, [0.03] * 4,
                   [0.06] * 4)

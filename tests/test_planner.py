@@ -9,11 +9,12 @@ import pytest
 from qcmoments.conventions import interleaved_spins
 from qcmoments.fermion import jordan_wigner
 from qcmoments.planner import (
-    MeasurementPlan, RdmElement, _cross_matchings, _split_element,
+    MeasurementCircuit, MeasurementPlan, RdmElement, _cross_matchings,
+    _im_diagonalizer, _re_diagonalizer, _split_element,
     build_measurement_circuit, build_plan, decompose_element,
     enumerate_elements, group_level1, group_level2, product_value,
 )
-from qcmoments.simulator import run
+from qcmoments.simulator import Circuit, operator_matrix_in_sector, run
 
 from reference_planner import (
     element_count_formula, factor_operator, group_level1_scan,
@@ -366,6 +367,32 @@ def test_pair_expectations_on_bell_like_state():
     p = np.abs(run(mc.circuit, amps)) ** 2
     im_val = sum(p[b] * mc.pair_value((0, 1), b) for b in range(4))
     assert im_val == pytest.approx(0.0, abs=1e-12)
+
+
+#: computational outcome (bit_lo, bit_hi) -> eigenvalue of Re/Im (±1/2)
+PAIR_EIGENVALUE = {(0, 0): 0.0, (1, 0): -0.5, (0, 1): 0.5, (1, 1): 0.0}
+
+
+def test_pair_diagonalizers_give_the_decoded_eigenvalues():
+    # each diagonalizer conserves the pair's occupation number and takes
+    # Re / Im of a†_0 a_1 to a diagonal whose entries pair_value decodes
+    number = np.diag([0.0, 1.0, 1.0, 2.0]).astype(complex)
+    hop = operator_matrix_in_sector(RdmElement((0,), (1,)).operator(2),
+                                    range(4))
+    for build, op in ((_re_diagonalizer, (hop + hop.conj().T) / 2),
+                      (_im_diagonalizer, (hop - hop.conj().T) / 2j)):
+        circ = Circuit(2)
+        build(circ, 0)
+        u = run(circ, np.eye(4)).T   # row b of the stack evolves |b>
+        assert np.max(np.abs(u @ number - number @ u)) < 1e-10
+        d = u @ op @ u.conj().T
+        assert np.max(np.abs(d - np.diag(np.diag(d)))) < 1e-10
+        mc = MeasurementCircuit(circ, {}, {(0, 1): (0, 1, 0)})
+        for (b_lo, b_hi), ev in PAIR_EIGENVALUE.items():
+            outcome = b_lo + 2 * b_hi
+            assert abs(d[outcome, outcome].real - ev) < 1e-10
+            assert 0.5 * (b_hi - b_lo) == ev
+            assert mc.pair_value((0, 1), outcome) == ev
 
 
 def test_measurement_circuits_conserve_number_and_sz():

@@ -11,8 +11,8 @@ from fixtures_util import (
 from qcmoments import qcm
 from qcmoments.fermion import FermionOperator
 from qcmoments.qcm import (
-    BootstrapResult, CumulantSet, EnergyEstimate, MomentSet, bootstrap,
-    cumulants, hamiltonian_powers, lanczos_energy, moments_from_rdm,
+    BootstrapResult, CumulantSet, MomentSet, bootstrap, cumulants,
+    hamiltonian_powers, lanczos_energy, moments_from_rdm,
 )
 from qcmoments.simulator import exact_diagonalize, sector_basis
 from qcmoments.trial import exact_trial_state
@@ -374,12 +374,3 @@ def test_bootstrap_requires_two_resamples():
     table = np.array([[10, 0]])
     with pytest.raises(ValueError, match="resamples"):
         bootstrap(table, _mean_z, resamples=1, seed=0)
-
-
-# ---------------------------------------------------------------------------
-# energy-estimate container
-
-
-def test_energy_estimate_rejects_negative_std():
-    with pytest.raises(ValueError, match="nonnegative"):
-        EnergyEstimate(-1.0, -1.0, std_h=-0.1)

@@ -12,9 +12,9 @@ from qcmoments.integrals import (
     freeze_orbitals, load_fcidump, spin_orbital_hamiltonian,
 )
 from qcmoments.simulator import (
-    Circuit, CountsTable, NoiseSpec, _parity, apply_terms,
+    Circuit, CountsTable, _parity, apply_terms, assignment_matrices,
     exact_diagonalize, noisy_distribution, operator_matrix_in_sector, run,
-    sample, sector_basis,
+    sample, sector_basis, white_noise_rate,
 )
 from qcmoments.trial import Ansatz, Excitation
 
@@ -157,35 +157,29 @@ def test_noisy_distribution_depolarizing_and_readout():
     zero, one = np.eye(2)
     assert np.allclose(noisy_distribution([zero], [0.2], np.eye(2)[None]),
                        [[0.9, 0.1]])
-    noise = NoiseSpec.uniform_readout(1, p01=0.1, p10=0.3)
-    p = noisy_distribution([zero, one], [0.0, 0.0], noise.readout_flip)
+    flips = assignment_matrices([0.1], [0.3])
+    p = noisy_distribution([zero, one], [0.0, 0.0], flips)
     assert np.allclose(p, [[0.9, 0.1], [0.3, 0.7]])
     # per-CNOT folding: q_eff = 1 - (1-q)(1-qc)^k
-    noise = NoiseSpec(global_depolarizing_q=0.1, gate_depolarizing_cnot=0.01)
-    assert noise.effective_q(10) == pytest.approx(1 - 0.9 * 0.99 ** 10)
+    assert white_noise_rate(0.1, 0.01, 10) == pytest.approx(
+        1 - 0.9 * 0.99 ** 10)
+    assert white_noise_rate(0.1, 0.01, 1) == pytest.approx(1 - 0.9 * 0.99)
+    # no per-CNOT rate, or no CNOT: the global rate alone
+    assert white_noise_rate(0.1, None, 10) == 0.1
+    assert white_noise_rate(0.1, 0.01, 0) == 0.1
 
 
 def test_noisy_rows_match_single_rows_bit_for_bit():
     rng = np.random.default_rng(8)
     probs = rng.random((6, 16))
     probs /= probs.sum(axis=1, keepdims=True)
-    noise = NoiseSpec(global_depolarizing_q=0.1, gate_depolarizing_cnot=0.01,
-                      readout_flip=NoiseSpec.uniform_readout(
-                          4, 0.03, 0.05).readout_flip)
-    rates = [noise.effective_q(c) for c in (0, 3, 7, 12, 0, 40)]
-    rows = noisy_distribution(probs, rates, noise.readout_flip)
-    flip = reduce(np.kron, [noise.readout_flip[0]] * 4)
+    flips = assignment_matrices(np.full(4, 0.03), np.full(4, 0.05))
+    rates = [white_noise_rate(0.1, 0.01, c) for c in (0, 3, 7, 12, 0, 40)]
+    rows = noisy_distribution(probs, rates, flips)
+    flip = reduce(np.kron, [flips[0]] * 4)
     for p, q, row in zip(probs, rates, rows):
-        assert np.array_equal(
-            row, noisy_distribution([p], [q], noise.readout_flip)[0])
+        assert np.array_equal(row, noisy_distribution([p], [q], flips)[0])
         assert np.allclose(row, flip @ ((1 - q) * p + q / 16), atol=1e-14)
-
-
-def test_readout_matrix_validation():
-    with pytest.raises(ValueError):
-        NoiseSpec(readout_flip=np.array([[[0.9, 0.2], [0.2, 0.8]]]))
-    with pytest.raises(ValueError):
-        NoiseSpec(global_depolarizing_q=1.5)
 
 
 def test_sampling_deterministic_and_calibrated():

@@ -62,7 +62,8 @@ def test_traced_pipeline_feeds_the_benchmark_hooks(tmp_path):
         assert main(["pipeline", "--config", str(cfg)]) == 0
     stats = tracer.per_span()
     for name, counter in (("simulator.run", "gates"),
-                          ("simulator.sample", "shots")):
+                          ("simulator.sample", "shots"),
+                          ("qcm.bootstrap", "resamples")):
         assert stats[name]["calls"] > 0, name
         assert tracer.counters[name, counter] > 0, name
 
