@@ -140,8 +140,7 @@ def _plan_for(cfg_or_args) -> tuple:
         max_depth = cfg_or_args.ilp_max_depth
     elements = enumerate_elements(n, order, spins=spins)
     plan = build_plan(elements, spins, max_depth=max_depth, layout=layout)
-    max_sched = max((b.schedule.depth for b in plan.level1 if b.schedule),
-                    default=0)
+    max_sched = max((b.schedule.depth for b in plan.level1), default=0)
     summary = {
         "n_modes": n,
         "order": order,

@@ -25,13 +25,18 @@ only number information is measurable in any concrete basis because all
 diagonalization circuits conserve the pair occupation number.
 
 Pair interactions are scheduled on the line by the exact router in
-:mod:`qcmoments.routing`.
+:mod:`qcmoments.routing`, once per level-1 basis: a concrete basis is its
+level-1 parent plus one Re/Im choice per pair site, and it shares the
+parent's schedule, in memory and in the plan file (schema 2, see
+:class:`MeasurementPlan`). :func:`build_measurement_circuit` checks that a
+schedule brings each site's two modes together under the layout it is
+given, which is what the outcome decoding relies on.
 """
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -57,9 +62,8 @@ class RdmElement:
         object.__setattr__(self, "annihilations", a)
         if len(c) != len(a):
             raise ValueError("creation/annihilation lists differ in length")
-        for lst in (c, a):
-            if any(lst[i] >= lst[i + 1] for i in range(len(lst) - 1)):
-                raise ValueError("index lists must be strictly increasing")
+        if sorted(set(c)) != list(c) or sorted(set(a)) != list(a):
+            raise ValueError("index lists must be strictly increasing")
 
     @property
     def order(self) -> int:
@@ -190,52 +194,23 @@ def _permutation_parity(before, after):
 
 @dataclass
 class PairingBasis:
-    """Disjoint equal-spin interactions; (q, q) is a number measurement."""
+    """Disjoint equal-spin interactions; (q, q) is a number measurement.
+    :func:`build_plan` attaches the schedule that routes its pair sites."""
 
     interactions: list
-    assignments: dict | None = None   # site -> "Number" | "Re" | "Im"
     schedule: Schedule | None = None
-    schedule_pairs: list = field(default_factory=list)  # routed position pairs
-    parent: int | None = None         # level-1 index for concrete bases
 
     def pair_sites(self):
         return [tuple(s) for s in self.interactions if s[0] != s[1]]
 
-    def to_json(self) -> dict:
-        return {
-            "interactions": [list(s) for s in self.interactions],
-            "assignments": None if self.assignments is None else
-            {f"[{a}, {b}]": v for (a, b), v in self.assignments.items()},
-            "schedule": None if self.schedule is None
-            else self.schedule.to_json(),
-            "schedule_pairs": [list(p) for p in self.schedule_pairs],
-            "parent": self.parent,
-        }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "PairingBasis":
-        assignments = obj["assignments"]
-        if assignments is not None:
-            assignments = {_site_key(k): v for k, v in assignments.items()}
-        schedule = obj["schedule"]
-        if schedule is not None:
-            schedule = Schedule.from_json(schedule)
-        return cls([tuple(s) for s in obj["interactions"]], assignments,
-                   schedule, [tuple(p) for p in obj["schedule_pairs"]],
-                   obj["parent"])
+@dataclass(frozen=True)
+class ConcreteBasis:
+    """A pairing basis with "Re" or "Im" measured at each of its pair sites,
+    in ``pair_sites()`` order; it shares its parent's schedule."""
 
-
-def _site_key(key: str) -> tuple:
-    """(a, b) from an assignment key written as "[a, b]"; ValueError if
-    the key is written any other way."""
-    a, _, b = key[1:-1].partition(", ")
-    try:
-        site = (int(a), int(b))
-    except ValueError:
-        site = None
-    if site is None or key != f"[{site[0]}, {site[1]}]":
-        raise ValueError(f"malformed assignment key {key!r}")
-    return site
+    parent: PairingBasis
+    kinds: tuple
 
 
 def _number_covers(numbers, spins):
@@ -327,104 +302,124 @@ def group_level1(elements, spins):
 # level-2 grouping into concrete bases
 
 
-def component_labels(factors, sites):
-    """Site-wise label string: Re -> X, Im -> Y, number/absent -> I."""
-    labels = []
-    for site in sites:
-        kind = "I"
-        for k, idx in factors:
-            if k in ("Re", "Im") and tuple(idx) == tuple(site):
-                kind = "X" if k == "Re" else "Y"
-        labels.append(kind)
-    return tuple(labels)
-
-
 def group_level2(basis: PairingBasis, element_products):
     """Split a pairing basis so every product component is measurable.
 
     element_products: list of (element, products) with products as returned
     by decompose_element. Returns (concrete bases, placements) where
     placements[i] = list of (concrete index, sign, factors) per element.
+    Each product goes to the first concrete basis whose kinds agree with its
+    Re/Im factors, or opens one; a site no product fixes is measured as Re.
     """
     sites = basis.pair_sites()
-    concrete: list[dict] = []   # site -> "X"/"Y" (partial)
+    concrete: list[dict] = []   # site -> "Re"/"Im" (partial)
     placements = []
     for element, products in element_products:
         placed = []
         for sign, factors in products:
-            labels = component_labels(factors, sites)
-            idx = None
-            for c_idx, assign in enumerate(concrete):
-                if all(lab == "I" or assign.get(site, lab) == lab
-                       for site, lab in zip(sites, labels)):
-                    idx = c_idx
-                    break
-            if idx is None:
+            wanted = {tuple(idx): k for k, idx in factors if k != "N"}
+            idx = next((c_idx for c_idx, chosen in enumerate(concrete)
+                        if all(chosen.get(site, k) == k
+                               for site, k in wanted.items())), len(concrete))
+            if idx == len(concrete):
                 concrete.append({})
-                idx = len(concrete) - 1
-            for site, lab in zip(sites, labels):
-                if lab != "I":
-                    concrete[idx][site] = lab
+            concrete[idx].update(wanted)
             placed.append((idx, sign, factors))
         placements.append(placed)
     if not concrete:
         concrete.append({})
-    out = []
-    for assign in concrete:
-        assignments = {}
-        for site in basis.interactions:
-            if site[0] == site[1]:
-                assignments[tuple(site)] = "Number"
-            else:
-                assignments[tuple(site)] = \
-                    "Re" if assign.get(tuple(site), "X") == "X" else "Im"
-        out.append(PairingBasis(list(basis.interactions), assignments,
-                                basis.schedule, list(basis.schedule_pairs)))
-    return out, placements
+    return [ConcreteBasis(basis, tuple(chosen.get(site, "Re")
+                                       for site in sites))
+            for chosen in concrete], placements
 
 
 # ---------------------------------------------------------------------------
 # full plan
 
 
+#: version of the plan layout that ``dumps`` writes and ``loads`` reads
+PLAN_SCHEMA = 2
+
+
 @dataclass
 class MeasurementPlan:
+    """The level-1 pairing bases, each routed once, the concrete bases that
+    refer to them, and the signed products that measure each element.
+
+    ``dumps`` writes, on one line, ``{"schema": 2, "n_modes", "spins",
+    "level1", "bases", "coverage"}``: ``level1`` holds each pairing basis's
+    ``interactions`` and ``schedule``, ``bases`` holds each concrete basis
+    as ``[parent, kinds]`` (a level-1 index and one "Re"/"Im" per pair site
+    of the parent), and ``coverage`` holds ``[element, products]`` pairs,
+    each product ``[basis, sign, factors]``.
+    """
+
     n_modes: int
     spins: tuple
-    level1: list          # PairingBasis (schedules attached)
-    bases: list           # concrete PairingBasis (parent set)
+    level1: list          # PairingBasis, each with its routing schedule
+    bases: list           # ConcreteBasis, each sharing its parent's schedule
     coverage: dict        # RdmElement -> list of (basis idx, sign, factors)
 
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
+    def dumps(self) -> str:
+        parent = {id(b): i for i, b in enumerate(self.level1)}
+        return json.dumps({
+            "schema": PLAN_SCHEMA,
             "n_modes": self.n_modes,
             "spins": "".join(self.spins),
-            "level1": [b.to_json() for b in self.level1],
-            "bases": [b.to_json() for b in self.bases],
+            "level1": [{"interactions": [list(s) for s in b.interactions],
+                        "schedule": b.schedule.to_json()}
+                       for b in self.level1],
+            "bases": [[parent[id(c.parent)], list(c.kinds)]
+                      for c in self.bases],
             # json writes each (index, sign, factors) tuple as a list
             "coverage": [
                 [e.to_json(), prods] for e, prods in self.coverage.items()],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MeasurementPlan":
-        coverage = {}
-        for e_json, prods in obj["coverage"]:
-            coverage[RdmElement.from_json(e_json)] = [
-                (idx, sign, tuple((k, tuple(i)) for k, i in factors))
-                for idx, sign, factors in prods]
-        return cls(obj["n_modes"], tuple(obj["spins"]),
-                   [PairingBasis.from_json(b) for b in obj["level1"]],
-                   [PairingBasis.from_json(b) for b in obj["bases"]],
-                   coverage)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
+        })
 
     @classmethod
     def loads(cls, text: str) -> "MeasurementPlan":
-        return cls.from_json(json.loads(text))
+        """The plan `text` holds; ValueError if it is of another schema, or
+        if a concrete basis or a coverage product does not fit the plan."""
+        obj = json.loads(text)
+        if obj["schema"] != PLAN_SCHEMA:
+            raise ValueError(
+                f"plan schema {obj['schema']!r}: this version reads schema "
+                f"{PLAN_SCHEMA} only; re-run `plan` to rewrite it")
+        level1 = [PairingBasis([tuple(s) for s in b["interactions"]],
+                               Schedule.from_json(b["schedule"]))
+                  for b in obj["level1"]]
+        bases = []
+        for parent, kinds in obj["bases"]:
+            if not (isinstance(parent, int) and 0 <= parent < len(level1)
+                    and len(kinds) == len(level1[parent].pair_sites())
+                    and set(kinds) <= {"Re", "Im"}):
+                raise ValueError(f"concrete basis {[parent, kinds]} is not "
+                                 "a level-1 basis with Re or Im at each of "
+                                 "its pair sites")
+            bases.append(ConcreteBasis(level1[parent], tuple(kinds)))
+        coverage = {
+            RdmElement.from_json(e_json): [
+                (idx, sign, tuple([(k, tuple(i)) for k, i in factors]))
+                for idx, sign, factors in prods]
+            for e_json, prods in obj["coverage"]}
+        # a product is decoded from its basis's outcomes: each Re/Im factor
+        # must be a site that basis measures in that kind, each N factor a mode
+        measured = [dict(zip(b.parent.pair_sites(), b.kinds)) for b in bases]
+        numbers = {(m,) for m in range(obj["n_modes"])}
+        for e, prods in coverage.items():
+            for idx, sign, factors in prods:
+                if not (isinstance(idx, int) and 0 <= idx < len(bases)
+                        and sign in (1, -1)
+                        and all(i in numbers if k == "N"
+                                else measured[idx].get(i) == k
+                                for k, i in factors)):
+                    raise ValueError(
+                        f"coverage product {[idx, sign, factors]} of {e} "
+                        f"needs a basis in 0..{len(bases) - 1}, a sign of "
+                        "±1, and factors N of a mode or Re/Im of a site "
+                        "that the basis measures so")
+        return cls(obj["n_modes"], tuple(obj["spins"]), level1, bases,
+                   coverage)
 
 
 def build_plan(elements, spins, max_depth: int = 8,
@@ -437,7 +432,6 @@ def build_plan(elements, spins, max_depth: int = 8,
     for basis in level1:
         pairs = [tuple(sorted((position[a], position[b])))
                  for a, b in basis.pair_sites()]
-        basis.schedule_pairs = pairs
         basis.schedule = route_pairs(pairs, n_modes, max_depth=max_depth)
     per_basis = {i: [] for i in range(len(level1))}
     for e, (b_idx, matching, _req) in zip(elements, assignments):
@@ -447,8 +441,6 @@ def build_plan(elements, spins, max_depth: int = 8,
     for b_idx, basis in enumerate(level1):
         concrete, placements = group_level2(basis, per_basis[b_idx])
         offset = len(bases)
-        for c in concrete:
-            c.parent = b_idx
         bases.extend(concrete)
         for (e, _products), placed in zip(per_basis[b_idx], placements):
             coverage[e] = [(offset + idx, sign, factors)
@@ -536,48 +528,46 @@ def product_value(mc: MeasurementCircuit, factors, bits):
     return val
 
 
-def build_measurement_circuit(basis: PairingBasis, layout) -> \
+def build_measurement_circuit(basis: ConcreteBasis, layout) -> \
         MeasurementCircuit:
     """Emit fswap routing plus per-pair diagonalization for a concrete basis.
 
-    `layout` is the position -> mode map the routing schedule was computed
-    for; a mismatch between the schedule's recorded start positions and the
-    pair positions under this layout is an error.
+    `layout` is the position -> mode map the state is measured in. The
+    parent's schedule must fit it, as the decoding assumes: each routed
+    interaction acts on adjacent positions (i, i + 1) that hold exactly its
+    site's two modes, and every pair site interacts once. Otherwise
+    ValueError.
     """
-    if basis.assignments is None:
-        raise ValueError("basis has no level-2 assignments")
     layout = tuple(layout)
-    n_qubits = len(layout)
-    position = {m: i for i, m in enumerate(layout)}
-    pair_sites = basis.pair_sites()
-    schedule = basis.schedule or Schedule(n_qubits, [])
-    expected = [tuple(sorted((position[a], position[b])))
-                for a, b in pair_sites]
-    if list(basis.schedule_pairs) != expected:
-        raise ValueError("routing schedule does not match the layout")
-    if pair_sites and not schedule.steps:
-        raise ValueError("pair interactions present but schedule is empty")
-
-    circ = Circuit(n_qubits)
+    pair_sites = basis.parent.pair_sites()
+    circ = Circuit(len(layout))
     occupant = list(layout)  # position -> mode label or ("site", idx, "lo/hi")
-    site_positions = {}
-    for step in schedule.steps:
+    interacted = 0
+    for step in basis.parent.schedule.steps:
         for (i, j) in step.swaps:
             circ.fswap(i, j)
             occupant[i], occupant[j] = occupant[j], occupant[i]
         for pair_id, (i, j) in step.interactions:
             site = pair_sites[pair_id]
-            kind = basis.assignments[tuple(site)]
+            # an interacted position holds a label, never a mode, so a site
+            # cannot pass this check twice
+            if j != i + 1 or {occupant[i], occupant[j]} != set(site):
+                raise ValueError(
+                    f"routed interaction of site {site} at positions "
+                    f"({i}, {j}) does not meet its modes under layout "
+                    f"{list(layout)}")
+            interacted += 1
             mode_lo = occupant[i]
-            if kind == "Re":
+            if basis.kinds[pair_id] == "Re":
                 _re_diagonalizer(circ, i)
-            elif kind == "Im":
-                _im_diagonalizer(circ, i)
             else:
-                raise ValueError(f"pair site {site} lacks Re/Im assignment")
+                _im_diagonalizer(circ, i)
             occupant[i] = ("site", pair_id, "lo", mode_lo)
             occupant[j] = ("site", pair_id, "hi", mode_lo)
-    mode_positions, lo_hi = {}, {}
+    if interacted != len(pair_sites):
+        raise ValueError(f"the schedule interacts {interacted} of the "
+                         f"{len(pair_sites)} pair sites {pair_sites}")
+    mode_positions, lo_hi, site_positions = {}, {}, {}
     for pos, label in enumerate(occupant):
         if isinstance(label, tuple):
             _, pair_id, end, mode_lo = label

@@ -98,15 +98,13 @@ def test_criterion_02_grouping_golden():
         products = [(e, decompose_element(e, SPINS4, matching=a[1]))
                     for e, a in zip(TWELVE, assignments) if a[0] == i]
         concrete, _ = group_level2(b, products)
-        outcomes.append([c.assignments for c in concrete])
-    assert outcomes[0] == [{(0, 1): "Re", (2, 2): "Number",
-                            (3, 3): "Number"}]
-    assert outcomes[1] == [{(0, 0): "Number", (1, 1): "Number",
-                            (2, 2): "Number", (3, 3): "Number"}]
-    assert outcomes[2] == [{(0, 0): "Number", (1, 1): "Number",
-                            (2, 3): "Re"}]
-    assert outcomes[3] == [{(0, 1): "Re", (2, 3): "Re"},
-                           {(0, 1): "Im", (2, 3): "Im"}]
+        assert all(c.parent is b for c in concrete)
+        outcomes.append([c.kinds for c in concrete])
+    # one Re/Im per pair site of the parent, in pair_sites() order
+    assert outcomes[0] == [("Re",)]         # (0, 1)
+    assert outcomes[1] == [()]              # numbers only
+    assert outcomes[2] == [("Re",)]         # (2, 3)
+    assert outcomes[3] == [("Re", "Re"), ("Im", "Im")]
     _pass(2, "grouping golden", "4 level-1 bases, 5 concrete")
 
 

@@ -37,7 +37,7 @@ from qcmoments.planner import build_measurement_circuit, build_plan, \
     enumerate_elements
 from qcmoments import analysis, qcm
 from qcmoments.qcm import (
-    MomentSet, bootstrap, hamiltonian_powers, moments_from_rdm,
+    MomentSet, bootstrap, moments_from_rdm,
 )
 from qcmoments.simulator import exact_diagonalize, sector_basis
 
@@ -189,10 +189,9 @@ def test_moment_map_matches_contraction_on_untraced_values(fixture,
     # ablation stacks: the constants c0^k must stay c0^k, not scale with
     # the trace
     _, _, (compiled, reference, _) = request.getfixturevalue(fixture)
-    h = reference.h_powers[0]
+    powers = reference.h_powers
     if fixture == "h4_frozen":
-        assert abs(h.constant()) > 0.1
-    powers = hamiltonian_powers(h)
+        assert abs(powers[0].constant()) > 0.1
     rng = np.random.default_rng(3)
     for _ in range(3):
         values = rng.normal(size=len(compiled.elements))
@@ -531,6 +530,28 @@ def _rehash_counts(archive):
         archive)
 
 
+def _edit_plan(edit):
+    """Corrupt the archive's plan and record its new SHA-256, so that the
+    plan passes the hash check and reaches its own check."""
+    def corrupt(archive):
+        plan = json.loads((archive / "plan.json").read_text())
+        edit(plan)
+        (archive / "plan.json").write_text(json.dumps(plan))
+        digest = hashlib.sha256(
+            (archive / "plan.json").read_bytes()).hexdigest()
+        _edit_manifest(lambda m: m["sha256"].update({"plan.json": digest}))(
+            archive)
+    return corrupt
+
+
+def _re_factor_on_site_0_1(plan):
+    # (0, 1) pairs opposite spins, so no basis measures it
+    factor = next(f for _, products in plan["coverage"]
+                  for _, _, factors in products for f in factors
+                  if f[0] == "Re")
+    factor[1] = [0, 1]
+
+
 def _edit_counts(edit):
     def corrupt(archive):
         np.save(archive / "counts.npy", edit(np.load(archive / "counts.npy")))
@@ -589,6 +610,13 @@ ARCHIVE_FAULTS = {
     "stale hash": (_stale_hash, "does not match the SHA-256"),
     "schema-1 archive": (_edit_manifest(
         lambda m: m.__setitem__("schema", 1)), "has schema 1"),
+    "schema-1 plan": (_edit_plan(lambda p: p.update(schema=1)),
+                      "re-run `plan` to rewrite it"),
+    "coverage product on basis 99": (_edit_plan(
+        lambda p: p["coverage"][0][1][0].__setitem__(0, 99)),
+        "needs a basis in 0..4"),
+    "coverage factor on a site its basis lacks": (
+        _edit_plan(_re_factor_on_site_0_1), "that the basis measures so"),
     # a valid permutation of the modes that the plan was not routed for
     "layout the routing does not fit": (_edit_manifest(
         lambda m: m.__setitem__("layout", m["layout"][::-1])),

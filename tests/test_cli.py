@@ -18,7 +18,8 @@ from qcmoments import analysis, simulator
 from qcmoments.analysis import Analyzer, write_archive
 from qcmoments.cli import _load_system, main
 from qcmoments.config import derive_seed, load_config
-from qcmoments.planner import MeasurementPlan, build_measurement_circuit
+from qcmoments.planner import MeasurementPlan, build_measurement_circuit, \
+    build_plan, enumerate_elements
 from qcmoments.simulator import Circuit, run
 from qcmoments.trial import build_uccd
 
@@ -477,12 +478,46 @@ def _edit_json(edit):
     return corrupt
 
 
-def _edit_pair_basis(edit):
+def _edit_plan(edit):
+    """Corruption that edits the plan's JSON object in place."""
     def apply(plan):
-        basis = next(b for b in plan["bases"] if b["schedule_pairs"])
-        edit(basis)
+        edit(plan)
         return plan
     return _edit_json(apply)
+
+
+def _two_site_step(plan):
+    """The first routing step of the plan that interacts two sites."""
+    return next(step for basis in plan["level1"]
+                for step in basis["schedule"]["steps"]
+                if len(step["interactions"]) > 1)
+
+
+def _swap_pair_ids(plan):
+    interactions = _two_site_step(plan)["interactions"]
+    (a, at_a), (b, at_b) = interactions[:2]
+    interactions[:2] = [[b, at_a], [a, at_b]]
+
+
+def _set_first_product(position, value):
+    """Edit of one entry of the first coverage product:
+    [basis, sign, factors]."""
+    def edit(plan):
+        plan["coverage"][0][1][0][position] = value
+    return _edit_plan(edit)
+
+
+def _re_factor_as_im(plan):
+    factor = next(f for _, products in plan["coverage"]
+                  for _, _, factors in products for f in factors
+                  if f[0] == "Re")
+    factor[0] = "Im"
+
+
+def _routed_for_reversed_layout(plan):
+    spins = tuple(plan["spins"])
+    return json.loads(build_plan(enumerate_elements(4, 2, spins), spins,
+                                 layout=(3, 2, 1, 0)).dumps())
 
 
 def _truncate(path):
@@ -501,13 +536,34 @@ RUN_FAULTS = {
         "is malformed: KeyError('bases')"),
     "plan is a list": ("plan", _edit_json(lambda p: []), "is malformed"),
     "truncated plan": ("plan", _truncate, "is malformed"),
-    "malformed assignment key": ("plan", _edit_pair_basis(
-        lambda b: b.update(assignments={
-            k.replace(", ", ","): v for k, v in b["assignments"].items()})),
-        "malformed assignment key"),
-    "plan routed for another layout": ("plan", _edit_pair_basis(
-        lambda b: b.update(schedule_pairs=[[0, 3]])),
+    "schema-1 plan": ("plan", _edit_plan(
+        lambda p: p.update(schema=1)), "re-run `plan` to rewrite it"),
+    "basis kind other than Re or Im": ("plan", _edit_plan(
+        lambda p: p["bases"][-1].__setitem__(1, ["X", "Im"])),
+        "is not a level-1 basis with Re or Im"),
+    "basis without a kind per pair site": ("plan", _edit_plan(
+        lambda p: p["bases"][-1].__setitem__(1, ["Im"])),
+        "is not a level-1 basis with Re or Im"),
+    "coverage product on basis 99": ("plan", _set_first_product(0, 99),
+                                     "needs a basis in 0..4"),
+    "coverage product on basis -1": ("plan", _set_first_product(0, -1),
+                                     "needs a basis in 0..4"),
+    "coverage product with sign 2": ("plan", _set_first_product(1, 2),
+                                     "a sign of ±1"),
+    "coverage factor of kind X": ("plan", _set_first_product(
+        2, [["X", [0]], ["N", [1]]]), "factors N of a mode or Re/Im"),
+    "coverage factor N of no mode": ("plan", _set_first_product(
+        2, [["N", [4]], ["N", [1]]]), "factors N of a mode or Re/Im"),
+    "coverage factor Im where its basis measures Re": (
+        "plan", _edit_plan(_re_factor_as_im), "that the basis measures so"),
+    "plan routed for another layout": (
+        "plan", _edit_json(_routed_for_reversed_layout),
         "does not fit its layout"),
+    "swapped pair ids in a routing step": ("plan", _edit_plan(
+        _swap_pair_ids), "does not fit its layout"),
+    "non-adjacent routed interaction": ("plan", _edit_plan(
+        lambda p: _two_site_step(p)["interactions"][0].__setitem__(
+            1, [0, 2])), "does not fit its layout"),
     "thetas without the key": ("thetas", _edit_json(
         lambda t: {"energy": t["energy"]}),
         "is malformed: KeyError('thetas')"),

@@ -9,8 +9,8 @@ import pytest
 from qcmoments.conventions import interleaved_spins
 from qcmoments.fermion import jordan_wigner
 from qcmoments.planner import (
-    MeasurementCircuit, MeasurementPlan, RdmElement, _cross_matchings,
-    _im_diagonalizer, _re_diagonalizer, _split_element,
+    ConcreteBasis, MeasurementCircuit, MeasurementPlan, RdmElement,
+    _cross_matchings, _im_diagonalizer, _re_diagonalizer, _split_element,
     build_measurement_circuit, build_plan, decompose_element,
     enumerate_elements, group_level1, group_level2, product_value,
 )
@@ -242,8 +242,8 @@ def test_group_level2_xx_yy_split():
         for e, a in zip(elements, assignments)]
     concrete, placements = group_level2(bases[0], element_products)
     assert len(concrete) == 2
-    assert concrete[0].assignments == {(0, 1): "Re", (2, 3): "Re"}
-    assert concrete[1].assignments == {(0, 1): "Im", (2, 3): "Im"}
+    assert [c.kinds for c in concrete] == [("Re", "Re"), ("Im", "Im")]
+    assert all(c.parent is bases[0] for c in concrete)
     for placed in placements:
         assert {idx for idx, _, _ in placed} == {0, 1}
 
@@ -255,7 +255,8 @@ def test_group_level2_all_number_basis():
         bases[0], [(e, decompose_element(e, ("u", "d"),
                                          matching=assignments[0][1]))])
     assert len(concrete) == 1
-    assert all(v == "Number" for v in concrete[0].assignments.values())
+    assert bases[0].interactions == [(0, 0), (1, 1)]
+    assert concrete[0].kinds == ()
 
 
 def test_group_level2_single_site():
@@ -265,7 +266,7 @@ def test_group_level2_single_site():
         bases[0], [(e, decompose_element(e, ("u", "u"),
                                          matching=assignments[0][1]))])
     assert len(concrete) == 1
-    assert concrete[0].assignments == {(0, 1): "Re"}
+    assert concrete[0].kinds == ("Re",)
 
 
 def test_full_plan_basis_count_for_940_elements():
@@ -361,8 +362,7 @@ def test_pair_expectations_on_bell_like_state():
     values = plan_element_values(plan, (0, 1), amps)
     assert values[e] == pytest.approx(0.5, abs=1e-12)
 
-    im_basis = plan.bases[0]
-    im_basis.assignments = {(0, 1): "Im"}
+    im_basis = ConcreteBasis(plan.bases[0].parent, ("Im",))
     mc = build_measurement_circuit(im_basis, (0, 1))
     p = np.abs(run(mc.circuit, amps)) ** 2
     im_val = sum(p[b] * mc.pair_value((0, 1), b) for b in range(4))
@@ -414,7 +414,7 @@ def test_measurement_circuits_conserve_number_and_sz():
 def test_plan_json_roundtrip():
     plan = build_plan(TWELVE, SPINS4)
     back = MeasurementPlan.loads(plan.dumps())
-    assert back.to_json() == plan.to_json()
+    assert back.dumps() == plan.dumps()
     assert back.coverage == plan.coverage
 
 
@@ -435,17 +435,18 @@ def test_group_level1_matches_first_fit_scan(n_modes, order, pattern):
     assert assignments == ref_assignments
 
 
-# SHA-256 of plan.dumps() as the planner wrote it before the bit-set
-# grouping, the routing failure memo and the direct key formatting
+# SHA-256 of plan.dumps() in plan schema 2; each plan holds the level-1
+# interactions and schedules, the Re/Im per site of each concrete basis and
+# the coverage that the schema-1 plans of the earlier planner held
 PLAN_DIGESTS = {
     (8, 4, "interleaved", False):
-        "9ff386fe28731c888cc63013474b5aa8f97bbc18807ad91e0c5db6a172d682f4",
+        "6343e492813b99d02d43a2861ef22675aab8b19c3d82e2e55fd12a4709dd5e89",
     (8, 4, "interleaved", True):
-        "3a1b871d649e94867265a4dde458f589a7b32569975923d249ffdc3b1d369d72",
+        "646773dad0873511b773a7e360690f0171e18fa7ffac628823fb7e5412cde2a9",
     (9, 4, "interleaved", False):
-        "56cb26a6d4a4ed1eb85a5387374deee0cb42bf0204238e78e8af436378498395",
+        "f576b7182350a758499bfc1eff2a0ab645839c173654aa2817dcacb898ce9dd6",
     (9, 4, "uuuuudddd", False):
-        "38b256520fa1d957a79c4b163be882ba9b4001f82237a0c0811c7d9d689ac238",
+        "cfc0e759aeb54bf564b9b7be5a9ff5e5fa91e118ba496ca5648bc85745b801c1",
 }
 
 
@@ -461,17 +462,40 @@ def test_plan_bytes_are_pinned(n_modes, order, pattern, reversed_layout):
     assert digest == PLAN_DIGESTS[n_modes, order, pattern, reversed_layout]
 
 
-def test_malformed_assignment_key_is_rejected():
-    obj = build_plan(TWELVE, SPINS4).to_json()
-    basis = next(b for b in obj["bases"] if len(b["assignments"]) > 1)
-    for key in ("[0,1]", "[0, 1, 2]", "[0, x]", "0, 1", "[ 0, 1]", "[]"):
-        basis["assignments"] = {key: "Re"}
-        with pytest.raises(ValueError, match="assignment key"):
-            MeasurementPlan.from_json(obj)
-
-
 def test_layout_mismatch_is_an_error():
     plan = build_plan(TWELVE, SPINS4)
-    basis = next(b for b in plan.bases if b.pair_sites())
+    basis = next(b for b in plan.bases if b.kinds)
     with pytest.raises(ValueError, match="layout"):
         build_measurement_circuit(basis, (3, 2, 1, 0))
+
+
+def _swap_first_two(interactions):
+    (a, at_a), (b, at_b) = interactions[:2]
+    interactions[:2] = [(b, at_a), (a, at_b)]
+
+
+# edits of a routing step that interacts two sites: name -> (edit, message)
+SCHEDULE_FAULTS = {
+    "site left out": (list.pop, "interacts 1 of the 2 pair sites"),
+    "site interacted twice": (lambda inter: inter.append(inter[0]),
+                              "does not meet its modes"),
+    # each site still interacts once, but at the other's positions, so the
+    # decoding would read one site off the other's modes
+    "pair ids swapped": (_swap_first_two, "does not meet its modes"),
+}
+
+
+@pytest.mark.parametrize("fault", SCHEDULE_FAULTS)
+def test_schedule_faults_do_not_fit_the_layout(fault):
+    spins = interleaved_spins(4)
+    plan = build_plan(enumerate_elements(4, 2, spins), spins)
+    basis = next(b for b in plan.bases
+                 if any(len(st.interactions) == 2
+                        for st in b.parent.schedule.steps))
+    build_measurement_circuit(basis, range(4))
+    step = next(st for st in basis.parent.schedule.steps
+                if len(st.interactions) == 2)
+    edit, message = SCHEDULE_FAULTS[fault]
+    edit(step.interactions)
+    with pytest.raises(ValueError, match=message):
+        build_measurement_circuit(basis, range(4))

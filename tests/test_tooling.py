@@ -14,12 +14,16 @@ from qcmoments.cli import main
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _load_tracer():
+def _load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracer():
+    return _load_perfbench("tracer")
 
 
 def _resolve(name):
@@ -66,6 +70,22 @@ def test_traced_pipeline_feeds_the_benchmark_hooks(tmp_path):
                           ("qcm.bootstrap", "resamples")):
         assert stats[name]["calls"] > 0, name
         assert tracer.counters[name, counter] > 0, name
+
+
+def test_benchmark_workloads_pass_their_checks(tmp_path):
+    # each workload's output checks (plan coverage, plan figures, FCI,
+    # report) at its tiny size, so that a change to an output format fails
+    # here rather than only in the benchmark's self-test
+    workloads = _load_perfbench("workloads")
+    names = [w["name"] for w in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert names
+    for name in names:
+        workload = workloads.Workload(name, 3, str(ROOT / "tests" / "data"),
+                                      str(tmp_path / name), tiny=True)
+        workload.write_config()
+        figures = workload.run_once(main)
+        assert figures["measurement_bases"] > 0, name
 
 
 PRINT_SCIPY_MODULES = ("print(sorted(m for m in sys.modules "
