@@ -46,7 +46,7 @@ import numpy as np
 
 from .config import ConfigError, PipelineConfig, derive_seed
 from .conventions import sz_of
-from .fermion import FermionOperator
+from .fermion import FermionOperator, reversal_sign
 from .mitigation import (
     calibration_from_counts, check_representability, clip_rows, fail,
     fit_white_noise_rate, postselect_mask, postselect_rows, qrem_rows,
@@ -269,7 +269,7 @@ def _assembly_map(plan, circuits, elements, order):
         (bits[:, None] * bits[None]).reshape(n * n, -1)])
     # measured elements use ascending annihilation order; canonical RDM
     # storage applies annihilations in descending order
-    reversal = -1.0 if (order * (order - 1) // 2) % 2 else 1.0
+    reversal = float(reversal_sign(order))
     products, rows = [], []     # (element, basis, coefficient), table rows
     for k, e in enumerate(elements):
         for b_idx, sign, factors in plan.coverage[e]:
@@ -310,15 +310,12 @@ def _sector_map(elements, basis):
     (annihilations applied in descending order, as RDM entries are stored)
     takes occupation A to ±C, so its value v sits at D[rows, cols] =
     D[cols, rows] = signs * v."""
-    # RDM storage applies annihilations in descending order
-    order = elements[0].order
-    reversal = -1 if (order * (order - 1) // 2) % 2 else 1
     masks = np.array([sum(1 << m for m in e.annihilations)
                       for e in elements])
     new, signs, _ = apply_terms([(e.creations, e.annihilations)
                                  for e in elements], masks[:, None])
     return (locate(basis, new[:, 0])[0], locate(basis, masks)[0],
-            reversal * signs[:, 0])
+            reversal_sign(elements[0].order) * signs[:, 0])
 
 
 def _moment_map(h_n, c0, rows, cols, signs):

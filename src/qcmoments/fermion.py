@@ -2,108 +2,89 @@
 
 Operators are stored as weighted sums of normal-ordered strings: all creation
 operators to the left of all annihilation operators, mode indices strictly
-increasing within each block. Products are normal-ordered with Wick's theorem
-using {a_j, a^dag_k} = delta_jk.
+increasing within each block. Term keys are ``(daggers, anns)`` tuples of
+sorted mode indices, so accumulation is deterministic regardless of input
+order.
 
-Term keys are ``(daggers, anns)`` tuples of sorted mode indices, so
-accumulation is deterministic regardless of input order.
+One rule normal-orders everything: a normal-ordered string times one ladder
+operator. An annihilation a_m joins the annihilations, with the sign of
+sorting it into place, and the product vanishes if a_m is there already. A
+creation a^dag_m passes every annihilation. Where a_m is among them it leaves
+the contraction a_m a^dag_m = 1 - a^dag_m a_m, signed by the annihilations
+to the right of a_m; it then joins the creations, signed by all the
+annihilations and the creations above m. ``add_string`` and ``multiply``
+fold this rule one operator at a time.
+
+:func:`sort_sign` and :func:`reversal_sign` are the package's one home for
+reordering signs: the sign of sorting a sequence of distinct items, and the
+sign (-1)^(q(q-1)/2) of reversing q of them (ascending to descending
+annihilations, as RDM entries are stored).
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable
 
 DROP_TOL = 1e-12
 
 # ---------------------------------------------------------------------------
-# low-level normal ordering
+# reordering signs and normal ordering
 
 
-def _merge_signed(a: tuple, b: tuple):
-    """Merge two strictly increasing tuples of fermionic ops of the same kind.
-
-    Returns (merged, sign) where sign is the parity of the interleaving
-    permutation, or (None, 0) if the tuples share an index (string vanishes).
-    """
-    if not a:
-        return b, 1
-    if not b:
-        return a, 1
-    out = []
-    i = j = 0
+def sort_sign(items):
+    """(sorted tuple, sign of the sorting permutation) of distinct items,
+    or (None, 0) if an item repeats."""
+    out = list(items)
     sign = 1
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
+    for i in range(1, len(out)):
+        x, j = out[i], i
+        while j and out[j - 1] > x:
+            out[j] = out[j - 1]
+            j -= 1
+        if j and out[j - 1] == x:
             return None, 0
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining len(a)-i elements of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
+        if (i - j) % 2:
+            sign = -sign
+        out[j] = x
     return tuple(out), sign
 
 
-_WICK_CACHE: dict = {}
+def reversal_sign(q: int) -> int:
+    """Sign of reversing the order of q anticommuting operators."""
+    return -1 if (q * (q - 1) // 2) % 2 else 1
 
 
-def _wick(anns: tuple, dags: tuple):
-    """Normal order the block product a_{u1}..a_{up} a^dag_{d1}..a^dag_{dq}.
-
-    Both inputs sorted increasing. Returns dict {(anns_rem, dags_rem): sign}
-    where each key stands for a^dag_{dags_rem} a_{anns_rem}.
-    """
-    key = (anns, dags)
-    hit = _WICK_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if not anns or not dags:
-        out = {(anns, dags): 1}
-        _WICK_CACHE[key] = out
-        return out
-    d = dags[0]
-    rest = dags[1:]
-    p = len(anns)
-    out: dict = {}
-    # move a^dag_d left through all annihilations
-    for i, u in enumerate(anns):
-        if u == d:
-            sub = _wick(anns[:i] + anns[i + 1:], rest)
-            s = -1 if (p - 1 - i) % 2 else 1
-            for k, c in sub.items():
-                out[k] = out.get(k, 0) + s * c
-            break  # indices distinct within a block: at most one match
-    s0 = -1 if p % 2 else 1
-    for (u_rem, d_rem), c in _wick(anns, rest).items():
-        k = (u_rem, (d,) + d_rem)
-        out[k] = out.get(k, 0) + s0 * c
-    out = {k: c for k, c in out.items() if c}
-    _WICK_CACHE[key] = out
-    return out
+def _fold(strings: dict, ops) -> dict:
+    """Normal-ordered {key: coefficient} times the (mode, dagger) ladder
+    operators `ops`, left to right, each by the rule in the module
+    docstring."""
+    for m, dag in ops:
+        nxt: dict = {}
+        for (dags, anns), c in strings.items():
+            n = len(anns)
+            j = bisect_left(anns, m)
+            hit = j < n and anns[j] == m
+            if not dag:
+                if not hit:     # a_m joins the annihilations
+                    k = (dags, anns[:j] + (m,) + anns[j:])
+                    nxt[k] = nxt.get(k, 0) + c * (-1 if (n - j) % 2 else 1)
+                continue
+            if hit:             # the contraction a_m a^dag_m -> 1
+                k = (dags, anns[:j] + anns[j + 1:])
+                nxt[k] = nxt.get(k, 0) + c * (-1 if (n - j - 1) % 2 else 1)
+            i = bisect_left(dags, m)
+            if i == len(dags) or dags[i] != m:  # a^dag_m joins the creations
+                k = (dags[:i] + (m,) + dags[i:], anns)
+                s = n + len(dags) - i
+                nxt[k] = nxt.get(k, 0) + c * (-1 if s % 2 else 1)
+        strings = nxt
+    return strings
 
 
-def _string_product(key1: tuple, key2: tuple):
-    """Normal-ordered product of two normal-ordered strings.
-
-    Each key is (daggers, anns). Returns dict {key: integer sign}.
-    """
-    d1, u1 = key1
-    d2, u2 = key2
-    out: dict = {}
-    for (u_rem, d_rem), s in _wick(u1, d2).items():
-        dags, s1 = _merge_signed(d1, d_rem)
-        if dags is None:
-            continue
-        anns, s2 = _merge_signed(u_rem, u2)
-        if anns is None:
-            continue
-        k = (dags, anns)
-        out[k] = out.get(k, 0) + s * s1 * s2
-    return out
+def _ladder(key: tuple) -> list:
+    """The (mode, dagger) operators of the string `key`, left to right."""
+    dags, anns = key
+    return [(m, True) for m in dags] + [(m, False) for m in anns]
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +121,11 @@ class FermionOperator:
 
     def add_string(self, ops: Iterable[tuple[int, bool]], coeff: complex = 1.0):
         """Accumulate one operator string (any order), normal ordering on the fly."""
-        acc = {((), ()): coeff}
-        for mode, dag in ops:
+        ops = list(ops)
+        for mode, _ in ops:
             if mode < 0 or mode >= self.n_modes:
                 raise ValueError(f"mode {mode} out of range for {self.n_modes} modes")
-            fac = ((mode,), ()) if dag else ((), (mode,))
-            nxt: dict = {}
-            for k, c in acc.items():
-                for k2, s in _string_product(k, fac).items():
-                    nxt[k2] = nxt.get(k2, 0) + c * s
-            acc = nxt
-        for k, c in acc.items():
+        for k, c in _fold({((), ()): coeff}, ops).items():
             self._add_raw(k, c)
 
     def _add_raw(self, key, coeff):
@@ -187,8 +162,7 @@ class FermionOperator:
     def dagger(self) -> "FermionOperator":
         out = FermionOperator(self.n_modes)
         for (dags, anns), c in self.terms.items():
-            q, r = len(dags), len(anns)
-            sign = -1 if ((q * (q - 1) // 2) + (r * (r - 1) // 2)) % 2 else 1
+            sign = reversal_sign(len(dags)) * reversal_sign(len(anns))
             out._add_raw((anns, dags), sign * c.conjugate())
         return out.compress()
 
@@ -204,10 +178,11 @@ def multiply(a: FermionOperator, b: FermionOperator) -> FermionOperator:
     if a.n_modes != b.n_modes:
         raise ValueError("mode-count mismatch")
     acc: dict = {}
+    b_terms = [(_ladder(k2), c2) for k2, c2 in b.terms.items()]
     for k1, c1 in a.terms.items():
-        for k2, c2 in b.terms.items():
+        for ops, c2 in b_terms:
             c = c1 * c2
-            for k, s in _string_product(k1, k2).items():
+            for k, s in _fold({k1: 1}, ops).items():
                 acc[k] = acc.get(k, 0) + c * s
     out = FermionOperator(a.n_modes)
     out.terms = acc
@@ -289,10 +264,9 @@ def jordan_wigner(op: FermionOperator) -> PauliOperator:
     out = PauliOperator(n)
     ident = PauliOperator(n, {("I",) * n: 1.0})
     cache: dict = {}
-    for (dags, anns), coeff in op.terms.items():
-        ops = [(m, True) for m in dags] + [(m, False) for m in anns]
+    for key, coeff in op.terms.items():
         acc = ident
-        for mode, dag in ops:
+        for mode, dag in _ladder(key):
             fac = cache.get((mode, dag))
             if fac is None:
                 sx = ["I"] * n
@@ -343,8 +317,7 @@ def expectation_from_rdm(op: FermionOperator, rdm, n_electrons: int) -> float:
             continue
         # normal-ordered string has annihilations ascending; RDM storage uses
         # descending annihilation order (positive-semidefinite convention)
-        sign = -1 if (q * (q - 1) // 2) % 2 else 1
-        total += c * sign * ladder[q].get(dags, anns)
+        total += c * reversal_sign(q) * ladder[q].get(dags, anns)
     if abs(total.imag) > 1e-8 * max(1.0, abs(total.real)):
         raise ValueError(f"non-negligible imaginary expectation {total}")
     return float(total.real)

@@ -28,7 +28,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .fermion import FermionOperator
+from .fermion import FermionOperator, reversal_sign
 from .planner import MeasurementPlan, product_value
 from .rdm import RDM
 from .simulator import (
@@ -265,7 +265,7 @@ def assemble_rdm(plan: MeasurementPlan, circuits, tables,
     order = next(iter(plan.coverage)).order if plan.coverage else 0
     # measured elements use ascending annihilation order; canonical RDM
     # storage applies annihilations in descending order
-    reversal = -1.0 if (order * (order - 1) // 2) % 2 else 1.0
+    reversal = reversal_sign(order)
     # each table as (outcome indices, probabilities), decoded an array at once
     arrays = [None if t is None else
               (np.fromiter((int(bits, 2) for bits in t), np.int64, len(t)),

@@ -41,7 +41,7 @@ from math import prod
 
 import numpy as np
 
-from .fermion import FermionOperator
+from .fermion import FermionOperator, sort_sign
 from .routing import Schedule, route_pairs
 from .simulator import Circuit
 
@@ -148,10 +148,11 @@ def decompose_element(e: RdmElement, spins, matching=None):
     (Helgaker, Jørgensen and Olsen, *Molecular Electronic-Structure
     Theory*, ch. 1). Reordering the element into pair form
     σ · Π n_i · Π a†_c a_a, over its number modes i and the matching's
-    pairs (c, a), never moves a†_x past a_x, so it only picks up the parity
-    σ of the permutation. With a†_c a_a = Re + i·s·Im, where s = +1 if
-    c < a and -1 otherwise, the commuting Hermitian factors leave the
-    product with m Im factors the sign σ · (-1)^(m/2) · Π s over its Im
+    pairs (c, a), never moves a†_x past a_x, so it only picks up the sign
+    σ of the permutation: ``fermion.sort_sign`` of the element's operator
+    positions, listed in pair form. With a†_c a_a = Re + i·s·Im, where
+    s = +1 if c < a and -1 otherwise, the commuting Hermitian factors leave
+    the product with m Im factors the sign σ · (-1)^(m/2) · Π s over its Im
     factors in the Hermitian part, and nothing when m is odd.
     """
     numbers, cres, anns = _split_element(e)
@@ -161,10 +162,11 @@ def decompose_element(e: RdmElement, spins, matching=None):
             raise ValueError(f"no same-spin pairing for {e} "
                              "(spin-nonconserving element reached planning)")
         matching = options[0]
-    sigma = _permutation_parity(
-        [(True, m) for m in e.creations] + [(False, m) for m in e.annihilations],
-        [op for i in numbers for op in ((True, i), (False, i))]
-        + [op for c, a in matching for op in ((True, c), (False, a))])
+    ops = [(True, m) for m in e.creations] \
+        + [(False, m) for m in e.annihilations]
+    pair_form = [(i, i) for i in numbers] + list(matching)
+    sigma = sort_sign([ops.index(op) for c, a in pair_form
+                       for op in ((True, c), (False, a))])[1]
     num_factors = tuple(("N", (i,)) for i in numbers)
     sites = [tuple(sorted(p)) for p in matching]
     orient = [1 if c < a else -1 for c, a in matching]
@@ -176,16 +178,6 @@ def decompose_element(e: RdmElement, spins, matching=None):
         sign = sigma * (-1) ** (len(ims) // 2) * prod(ims)
         products.append((sign, num_factors + tuple(zip(kinds, sites))))
     return products
-
-
-def _permutation_parity(before, after):
-    """+1 or -1: the parity of the permutation taking the sequence
-    `before` to `after` (the same distinct items)."""
-    position = {item: i for i, item in enumerate(before)}
-    order = [position[item] for item in after]
-    inversions = sum(1 for i in range(len(order))
-                     for j in range(i + 1, len(order)) if order[i] > order[j])
-    return -1 if inversions % 2 else 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,29 +9,15 @@ with sub = (s1 < .. < sp) the creation indices and sup = (t1 < .. < tp) the
 annihilation indices, annihilations applied in descending order. In this
 convention the matricized RDM is a Gram matrix: Hermitian, positive
 semidefinite, with trace C(N_e, p). Antisymmetry under index permutation is
-handled by the accessors.
+handled by the accessors: they sort each index tuple with
+``fermion.sort_sign`` and apply its sign.
 """
 from __future__ import annotations
 
 from itertools import combinations
 from math import comb
 
-
-def _sort_signed(indices):
-    """Sort an index tuple, returning (sorted_tuple, parity_sign) or (None, 0)
-    if it contains duplicates."""
-    idx = list(indices)
-    if len(set(idx)) != len(idx):
-        return None, 0
-    sign = 1
-    # insertion sort; index lists have length <= 4
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(idx), sign
+from .fermion import sort_sign
 
 
 class RDM:
@@ -47,8 +33,8 @@ class RDM:
 
     def set(self, sub, sup, value):
         """Store V(sub, sup) and its Hermitian mirror; inputs may be unsorted."""
-        sub_s, s1 = _sort_signed(sub)
-        sup_s, s2 = _sort_signed(sup)
+        sub_s, s1 = sort_sign(sub)
+        sup_s, s2 = sort_sign(sup)
         if sub_s is None or sup_s is None:
             raise ValueError("repeated index in RDM element")
         v = complex(value) * s1 * s2
@@ -58,8 +44,8 @@ class RDM:
 
     def get(self, sub, sup) -> complex:
         """V for index tuples in any order; 0 for repeated or unmeasured indices."""
-        sub_s, s1 = _sort_signed(sub)
-        sup_s, s2 = _sort_signed(sup)
+        sub_s, s1 = sort_sign(sub)
+        sup_s, s2 = sort_sign(sup)
         if sub_s is None or sup_s is None:
             return 0.0
         v = self.data.get((sub_s, sup_s))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conventions import interleaved_spins
-from .fermion import FermionOperator, jordan_wigner
+from .fermion import FermionOperator, jordan_wigner, sort_sign
 from .simulator import (
     Circuit, apply_terms, check_norm, operator_matrix_in_sector, run,
     sector_basis,
@@ -390,10 +390,7 @@ def build_uccd(ansatz: Ansatz, simplify: bool = True) -> BuiltTrial:
                      if ansatz.initial_occupation >> mode & 1]
     circ = hartree_fock_circuit(n, sum(1 << pos for pos in occ_positions))
     occ_modes = [layout[pos] for pos in occ_positions]
-    inversions = sum(1 for i in range(len(occ_modes))
-                     for j in range(i + 1, len(occ_modes))
-                     if occ_modes[i] > occ_modes[j])
-    if inversions % 2:
+    if sort_sign(occ_modes)[1] < 0:
         circ.s(occ_positions[0]).s(occ_positions[0])  # Z on an occupied qubit
     support = {ansatz.initial_occupation}  # masks in logical mode space
     kinds = []

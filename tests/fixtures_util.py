@@ -2,7 +2,8 @@
 
 Loads the committed FCIDUMP files (see scripts/make_fixtures.py), builds
 their spin-orbital Hamiltonians and reference ansatz definitions, and
-caches classically optimized trial parameters.
+caches classically optimized trial parameters and normal-ordered
+Hamiltonian powers.
 """
 import functools
 import pathlib
@@ -11,6 +12,7 @@ import numpy as np
 import scipy.optimize
 
 from qcmoments.integrals import load_fcidump, spin_orbital_hamiltonian
+from qcmoments.qcm import hamiltonian_powers
 from qcmoments.simulator import operator_matrix_in_sector
 from qcmoments.trial import Ansatz, Excitation, exact_trial_state
 
@@ -43,6 +45,20 @@ def h4_system():
     ]
     ansatz = Ansatz(8, 0b00001111, excitations)
     return ints, h, ansatz
+
+
+_POWERS: dict = {}
+
+
+def shared_powers(h) -> list:
+    """``qcm.hamiltonian_powers(h)``, built once per session for each
+    distinct operator (its mode count and its terms, in order). The H4
+    powers take seconds, and several tests read them; none may mutate
+    them."""
+    key = (h.n_modes, tuple(h.terms.items()))
+    if key not in _POWERS:
+        _POWERS[key] = hamiltonian_powers(h)
+    return _POWERS[key]
 
 
 @functools.lru_cache(maxsize=None)

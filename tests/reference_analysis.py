@@ -21,12 +21,13 @@ from qcmoments.mitigation import (
 )
 from qcmoments.planner import product_value
 from qcmoments.qcm import (
-    CumulantSet, cumulants, hamiltonian_powers, lanczos_energy,
+    CumulantSet, cumulants, lanczos_energy,
     moments_from_rdm,
 )
 from qcmoments.rdm import RDM
 from qcmoments.simulator import CountsTable
 
+from fixtures_util import shared_powers
 from reference_rdm import rdm_from_determinant, rdm_representability
 
 
@@ -95,9 +96,9 @@ class DictAnalyzer:
     """Counts -> energies through the dict-path reference functions.
 
     It takes the same arguments as the compiled Analyzer, builds the
-    normal-ordered powers of ``h`` with ``qcm.hamiltonian_powers`` and
-    contracts them against the RDM; ``analyze`` takes the same count
-    matrix.
+    normal-ordered powers of ``h`` with ``qcm.hamiltonian_powers`` (once per
+    session, through ``fixtures_util.shared_powers``) and contracts them
+    against the RDM; ``analyze`` takes the same count matrix.
     """
 
     def __init__(self, cfg, plan, circuits, n_electrons, h):
@@ -105,7 +106,7 @@ class DictAnalyzer:
         self.plan = plan
         self.circuits = circuits
         self.n_electrons = n_electrons
-        self.h_powers = hamiltonian_powers(h)
+        self.h_powers = shared_powers(h)
         self.n_qubits = plan.n_modes
         self.spins = plan.spins
         occ = tuple(range(n_electrons))

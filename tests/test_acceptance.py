@@ -12,6 +12,7 @@ import pytest
 
 from fixtures_util import (
     H2_PATH, dense_fock_matrix, h2_system, h4_system, optimized_thetas,
+    shared_powers,
 )
 from reference_qcm import moments_from_statevector
 from reference_rdm import rdm_representability
@@ -34,7 +35,7 @@ from qcmoments.planner import (
     enumerate_elements, group_level1, group_level2,
 )
 from qcmoments.qcm import (
-    MomentSet, cumulants, hamiltonian_powers, lanczos_energy,
+    MomentSet, cumulants, lanczos_energy,
     moments_from_rdm,
 )
 from qcmoments.routing import route_pairs
@@ -176,7 +177,7 @@ def test_criterion_05_rdm_moment_equivalence():
     layout = tuple(range(8))
     circuits = [build_measurement_circuit(b, layout) for b in plan.bases]
     _, h, _ = h4_system()
-    h_powers = hamiltonian_powers(h)
+    h_powers = shared_powers(h)
     rng = np.random.default_rng(17)
     for _ in range(5):
         amps = np.zeros(256)

@@ -1,13 +1,20 @@
-"""Algebra checks against dense qubit-space matrix oracles."""
+"""Algebra checks against dense qubit-space matrix oracles, the reordering
+signs, and a bit pin on the normal-ordered products."""
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
 from qcmoments.fermion import (
-    FermionOperator, PauliOperator, jordan_wigner, multiply,
+    FermionOperator, PauliOperator, jordan_wigner, multiply, reversal_sign,
+    sort_sign,
 )
 from qcmoments.qcm import hamiltonian_powers
 from qcmoments.simulator import operator_matrix_in_sector
+from qcmoments.trial import Excitation
 
+from fixtures_util import h4_system, shared_powers
 from reference_fermion import (
     freeze_operator, is_hermitian, number_operator, pauli_is_hermitian,
 )
@@ -73,6 +80,73 @@ def test_multiply_matches_matrix_product():
         a = random_operator(n, rng)
         b = random_operator(n, rng)
         assert np.allclose(dense(multiply(a, b)), dense(a) @ dense(b), atol=1e-9)
+
+
+def test_one_operator_rule_on_every_string_of_three_modes():
+    # every normal-ordered string on 3 modes (64 keys) times each of the 6
+    # ladder operators, against the product of their dense matrices
+    n = 3
+    blocks = [c for r in range(n + 1)
+              for c in itertools.combinations(range(n), r)]
+    for key in itertools.product(blocks, blocks):
+        string = FermionOperator(n, {key: 1.0})
+        for mode, dag in itertools.product(range(n), (True, False)):
+            ladder = FermionOperator(
+                n, {(((mode,), ()) if dag else ((), (mode,))): 1.0})
+            assert np.allclose(dense(multiply(string, ladder)),
+                               dense(string) @ ladder_matrix(mode, dag, n),
+                               atol=1e-12)
+
+
+def test_sort_sign_is_the_permutation_determinant():
+    assert sort_sign((2, 0, 1)) == ((0, 1, 2), 1)
+    assert sort_sign((1, 0)) == ((0, 1), -1)
+    assert sort_sign((0, 1, 1)) == (None, 0)
+    for n in range(6):
+        for perm in itertools.permutations(range(n)):
+            det = round(np.linalg.det(np.eye(n)[list(perm)]))
+            items = tuple(3 * p - 2 for p in perm)
+            assert sort_sign(items) == (tuple(sorted(items)), det)
+        for items in itertools.product(range(n), repeat=n):
+            if len(set(items)) < n:
+                assert sort_sign(items) == (None, 0)
+
+
+def test_reversal_sign_is_the_sign_of_reversing():
+    for q in range(9):
+        assert reversal_sign(q) == sort_sign(range(q)[::-1])[1]
+
+
+# SHA-256 over the terms of the H4 chain's normal-ordered [H, H^2, H^3, H^4]
+# and of three excitation generators: each key in order, with the type of
+# its coefficient and float.hex of the real and imaginary parts. A change in
+# the order in which multiply sums its terms shows here as changed bits.
+GENERATORS = [((4, 5), (2, 3)), ((7, 2), (1, 6)), ((0, 3), (5, 4))]
+ALGEBRA_PINS = {
+    "h4_powers":
+        "77ebe89912a6f3c1412f27f2c0dd29b9c35196f600e79585ae250e0cf1b26a39",
+    "generators":
+        "2c52da220e0289c7d610951f8cd023a42cce4fa86fd2670ba515351d37a712ee",
+}
+
+
+def algebra_digest(ops) -> str:
+    digest = hashlib.sha256()
+    for op in ops:
+        digest.update(b"|")
+        for key, c in op.terms.items():
+            z = complex(c)
+            digest.update(f"{key}:{type(c).__name__}:{z.real.hex()}:"
+                          f"{z.imag.hex()};".encode())
+    return digest.hexdigest()
+
+
+def test_algebra_bits_are_pinned():
+    _, h, _ = h4_system()
+    gens = [Excitation(c, a).generator(8) for c, a in GENERATORS]
+    assert [len(p) for p in shared_powers(h)] == [136, 1240, 2192, 2391]
+    assert algebra_digest(shared_powers(h)) == ALGEBRA_PINS["h4_powers"]
+    assert algebra_digest(gens) == ALGEBRA_PINS["generators"]
 
 
 def test_hamiltonian_powers_match_matrix_power():

@@ -9,7 +9,7 @@ import pytest
 from qcmoments.fermion import (
     FermionOperator, expectation_from_rdm, jordan_wigner,
 )
-from qcmoments.rdm import RDM, _sort_signed
+from qcmoments.rdm import RDM
 from qcmoments.simulator import sector_basis
 
 from reference_rdm import matricize, rdm_from_determinant
@@ -25,12 +25,6 @@ def random_sector_state(n_modes, n_electrons, seed, sz=None):
     for mask, a in zip(basis, vec):
         amps[mask] = a
     return amps
-
-
-def test_sort_signed():
-    assert _sort_signed((2, 0, 1)) == ((0, 1, 2), 1)
-    assert _sort_signed((1, 0)) == ((0, 1), -1)
-    assert _sort_signed((0, 1, 1)) == (None, 0)
 
 
 def test_antisymmetry_of_accessors():
