@@ -69,10 +69,6 @@ class RdmElement:
     def order(self) -> int:
         return len(self.creations)
 
-    def is_spin_conserving(self, spins) -> bool:
-        return sorted(spins[m] for m in self.creations) == \
-            sorted(spins[m] for m in self.annihilations)
-
     def operator(self, n_modes: int) -> FermionOperator:
         ops = [(m, True) for m in self.creations] + \
             [(m, False) for m in self.annihilations]
@@ -87,19 +83,21 @@ class RdmElement:
 
 
 def enumerate_elements(n_modes: int, p: int, spins=None):
-    """Canonical spin-conserving representatives, lexicographic order."""
+    """Canonical spin-conserving representatives a†_c a_a with c ≥ a, in
+    (annihilations, creations) lexicographic order.
+
+    An element conserves spin when its creations and annihilations carry
+    the same multiset of spins, so each index combination's sorted spin
+    tuple is computed once and only matching pairs become elements.
+    """
     if p > n_modes:
         raise ValueError("p exceeds the number of modes")
-    out = []
-    for anns in itertools.combinations(range(n_modes), p):
-        for cres in itertools.combinations(range(n_modes), p):
-            if anns > cres:
-                continue  # conjugate representative
-            e = RdmElement(cres, anns)
-            if spins is None or e.is_spin_conserving(spins):
-                out.append(e)
-    out.sort(key=lambda e: (e.annihilations, e.creations))
-    return out
+    combos = list(itertools.combinations(range(n_modes), p))
+    keys = [None if spins is None else tuple(sorted(spins[m] for m in c))
+            for c in combos]
+    return [RdmElement(cres, anns)
+            for i, anns in enumerate(combos)
+            for cres, key in zip(combos[i:], keys[i:]) if key == keys[i]]
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +160,11 @@ def decompose_element(e: RdmElement, spins, matching=None):
             raise ValueError(f"no same-spin pairing for {e} "
                              "(spin-nonconserving element reached planning)")
         matching = options[0]
-    ops = [(True, m) for m in e.creations] \
-        + [(False, m) for m in e.annihilations]
+    cre_at = {m: i for i, m in enumerate(e.creations)}
+    ann_at = {m: i for i, m in enumerate(e.annihilations, e.order)}
     pair_form = [(i, i) for i in numbers] + list(matching)
-    sigma = sort_sign([ops.index(op) for c, a in pair_form
-                       for op in ((True, c), (False, a))])[1]
+    sigma = sort_sign([at for c, a in pair_form
+                       for at in (cre_at[c], ann_at[a])])[1]
     num_factors = tuple(("N", (i,)) for i in numbers)
     sites = [tuple(sorted(p)) for p in matching]
     orient = [1 if c < a else -1 for c, a in matching]
@@ -227,10 +225,11 @@ def _requirement_options(e: RdmElement, spins):
     matchings = _cross_matchings(cres, anns, spins)
     if not matchings:
         raise ValueError(f"no same-spin pairing for {e}")
+    covers = list(_number_covers(numbers, spins))
     options = []
     for matching in matchings:
         cross = frozenset(tuple(sorted(p)) for p in matching)
-        for cover in _number_covers(numbers, spins):
+        for cover in covers:
             options.append((matching, cross | cover))
     options.sort(key=lambda mo: (len(mo[1]), sorted(mo[1]), mo[0]))
     return options
@@ -309,11 +308,15 @@ def group_level2(basis: PairingBasis, element_products):
     for element, products in element_products:
         placed = []
         for sign, factors in products:
-            wanted = {tuple(idx): k for k, idx in factors if k != "N"}
-            idx = next((c_idx for c_idx, chosen in enumerate(concrete)
-                        if all(chosen.get(site, k) == k
-                               for site, k in wanted.items())), len(concrete))
-            if idx == len(concrete):
+            wanted = [(site, k) for k, site in factors if k != "N"]
+            for idx, chosen in enumerate(concrete):
+                for site, k in wanted:
+                    if chosen.get(site, k) != k:
+                        break
+                else:
+                    break
+            else:
+                idx = len(concrete)
                 concrete.append({})
             concrete[idx].update(wanted)
             placed.append((idx, sign, factors))
@@ -371,7 +374,8 @@ class MeasurementPlan:
     @classmethod
     def loads(cls, text: str) -> "MeasurementPlan":
         """The plan `text` holds; ValueError if it is of another schema, or
-        if a concrete basis or a coverage product does not fit the plan."""
+        if a level-1 schedule, a concrete basis or a coverage product does
+        not fit the plan."""
         obj = json.loads(text)
         if obj["schema"] != PLAN_SCHEMA:
             raise ValueError(
@@ -380,6 +384,14 @@ class MeasurementPlan:
         level1 = [PairingBasis([tuple(s) for s in b["interactions"]],
                                Schedule.from_json(b["schedule"]))
                   for b in obj["level1"]]
+        for i, b in enumerate(level1):
+            if b.schedule.n_qubits != obj["n_modes"] \
+                    or not isinstance(b.schedule.certified, bool):
+                raise ValueError(
+                    f"level-1 schedule {i} has n_qubits "
+                    f"{b.schedule.n_qubits!r} and certified "
+                    f"{b.schedule.certified!r}; it needs n_qubits equal to "
+                    f"n_modes {obj['n_modes']} and a boolean certified")
         bases = []
         for parent, kinds in obj["bases"]:
             if not (isinstance(parent, int) and 0 <= parent < len(level1)

@@ -12,10 +12,13 @@ underlying binary program (movement variables x, interaction variables y,
 flow/capacity/swap-consistency/once constraints). One failure memo serves
 every depth of a call: it maps the sorted positions of the pairs still to
 interact, without their labels, to the most remaining steps known not to
-suffice. A greedy sequential router is used above a size threshold and
-flagged as non-certified. The check of a schedule against the binary
-program's constraints, and a brute-force optimal depth, are test oracles
-in ``tests/reference_routing.py``.
+suffice. Each child state is built in one pass from the timestep's position
+permutation and dropped at its first pair whose lower bound exceeds the
+steps left, so no call is spent on a child that cannot finish. A greedy
+sequential router is used above a size threshold and flagged as
+non-certified. The check of a schedule against the binary program's
+constraints, and a brute-force optimal depth, are test oracles in
+``tests/reference_routing.py``.
 """
 from __future__ import annotations
 
@@ -67,10 +70,9 @@ def _validate_pairs(pairs, n_qubits):
 
 
 def _pair_lower_bound(a, b):
-    gap = abs(a - b)
     # both qubits can move toward each other, closing the gap by 2 per step,
     # plus one step for the interaction itself
-    return 1 if gap == 1 else (gap - 1 + 1) // 2 + 1
+    return abs(a - b) // 2 + 1
 
 
 #: largest pair count routed by the exact search; more pairs go greedy
@@ -114,6 +116,7 @@ def _search(pairs, n_qubits, depth, failed):
     one the search without it finds.
     """
     start = tuple(tuple(sorted(p)) for p in pairs)
+    identity = list(range(n_qubits))
 
     def candidates(state):
         """Disjoint action sets for one timestep: every act may be left out
@@ -135,44 +138,43 @@ def _search(pairs, n_qubits, depth, failed):
                      if not used & mask]
         return sets
 
-    def apply(state, chosen):
-        moved, done = {}, set()
-        for kind, c, (i, j) in chosen:
-            if kind == "y":
-                done.add(c)
-            else:
-                moved[i], moved[j] = j, i
-        new = []
-        for c, pos in enumerate(state):
-            if pos is None or c in done:
-                new.append(None)
-            else:
-                a, b = moved.get(pos[0], pos[0]), moved.get(pos[1], pos[1])
-                new.append((a, b) if a < b else (b, a))
-        return tuple(new)
-
     def dfs(state, remaining):
         live = sorted(pos for pos in state if pos is not None)
         if not live:
             return []
-        if remaining == 0:
-            return None
-        for pos in live:
-            if _pair_lower_bound(*pos) > remaining:
-                return None
         key = tuple(live)
         if failed.get(key, 0) >= remaining:
             return None
         # the first set is the empty one, and a step must do something
         for chosen, _ in candidates(state)[1:]:
-            nxt = apply(state, chosen)
-            rest = dfs(nxt, remaining - 1)
-            if rest is not None:
-                step = Step(
-                    swaps=[pq for kind, _, pq in chosen if kind == "x"],
-                    interactions=[(c, pq) for kind, c, pq in chosen
-                                  if kind == "y"])
-                return [step] + rest
+            # the child in one pass over a position permutation, dropped at
+            # the first live pair that cannot interact in the steps left
+            moved = identity[:]
+            done = 0
+            for kind, c, (i, j) in chosen:
+                if kind == "y":
+                    done |= 1 << c
+                else:
+                    moved[i], moved[j] = j, i
+            nxt = []
+            for c, pos in enumerate(state):
+                if pos is None or done >> c & 1:
+                    nxt.append(None)
+                    continue
+                a, b = moved[pos[0]], moved[pos[1]]
+                if a > b:
+                    a, b = b, a
+                if _pair_lower_bound(a, b) > remaining - 1:
+                    break
+                nxt.append((a, b))
+            else:
+                rest = dfs(tuple(nxt), remaining - 1)
+                if rest is not None:
+                    step = Step(
+                        swaps=[pq for kind, _, pq in chosen if kind == "x"],
+                        interactions=[(c, pq) for kind, c, pq in chosen
+                                      if kind == "y"])
+                    return [step] + rest
         failed[key] = remaining
         return None
 

@@ -1,5 +1,5 @@
-"""Planner oracles: direct sign solves, the first-fit scan and the element
-count.
+"""Planner oracles: direct sign solves, the first-fit scan, the element
+count and the build-filter-sort enumeration.
 
 The closed-form signs of :func:`qcmoments.planner.decompose_element` are
 checked against direct solves: each candidate product of Re/Im/number
@@ -10,6 +10,12 @@ the element, as the planner did before the sign rule replaced it.
 The bit-set grouping of :func:`qcmoments.planner.group_level1` is checked
 against ``group_level1_scan``, which tries every earlier basis in order
 against every option of the element.
+
+:func:`qcmoments.planner.enumerate_elements` is checked against
+``enumerate_elements_by_filter``, which builds every canonical element,
+keeps the spin-conserving ones and sorts them, as the planner did before
+it built only the elements whose creations and annihilations carry equal
+spins.
 """
 import itertools
 from math import comb
@@ -17,7 +23,7 @@ from math import comb
 import numpy as np
 
 from qcmoments.fermion import FermionOperator, multiply
-from qcmoments.planner import PairingBasis, _requirement_options
+from qcmoments.planner import PairingBasis, RdmElement, _requirement_options
 
 
 def factor_operator(factor, n_modes: int) -> FermionOperator:
@@ -130,3 +136,19 @@ def element_count_formula(n_modes: int, p: int) -> int:
     """Spin-agnostic p-RDM element count up to conjugation: C(C(n, p) + 1, 2)."""
     c = comb(n_modes, p)
     return (c * c + c) // 2
+
+
+def enumerate_elements_by_filter(n_modes: int, p: int, spins=None):
+    """Canonical spin-conserving elements a†_c a_a (c ≥ a) in
+    (annihilations, creations) order, by building all and filtering."""
+    out = []
+    for anns in itertools.combinations(range(n_modes), p):
+        for cres in itertools.combinations(range(n_modes), p):
+            if anns > cres:
+                continue  # conjugate representative
+            e = RdmElement(cres, anns)
+            if spins is None or sorted(spins[m] for m in cres) == \
+                    sorted(spins[m] for m in anns):
+                out.append(e)
+    out.sort(key=lambda e: (e.annihilations, e.creations))
+    return out

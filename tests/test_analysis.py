@@ -544,6 +544,14 @@ def _edit_plan(edit):
     return corrupt
 
 
+def _set_schedules(key, value):
+    """Corruption that sets `key` of every level-1 schedule to `value`."""
+    def edit(plan):
+        for basis in plan["level1"]:
+            basis["schedule"][key] = value
+    return _edit_plan(edit)
+
+
 def _re_factor_on_site_0_1(plan):
     # (0, 1) pairs opposite spins, so no basis measures it
     factor = next(f for _, products in plan["coverage"]
@@ -617,6 +625,10 @@ ARCHIVE_FAULTS = {
         "needs a basis in 0..4"),
     "coverage factor on a site its basis lacks": (
         _edit_plan(_re_factor_on_site_0_1), "that the basis measures so"),
+    "schedule on 99 qubits": (_set_schedules("n_qubits", 99),
+                              "needs n_qubits equal to n_modes 4"),
+    "schedule certified as a string": (_set_schedules("certified", "no"),
+                                       "a boolean certified"),
     # a valid permutation of the modes that the plan was not routed for
     "layout the routing does not fit": (_edit_manifest(
         lambda m: m.__setitem__("layout", m["layout"][::-1])),

@@ -520,6 +520,14 @@ def _routed_for_reversed_layout(plan):
                                  layout=(3, 2, 1, 0)).dumps())
 
 
+def _set_schedules(key, value):
+    """Edit that sets `key` of every level-1 schedule to `value`."""
+    def edit(plan):
+        for basis in plan["level1"]:
+            basis["schedule"][key] = value
+    return _edit_plan(edit)
+
+
 def _truncate(path):
     text = path.read_text()
     path.write_text(text[:len(text) // 2])
@@ -556,6 +564,10 @@ RUN_FAULTS = {
         2, [["N", [4]], ["N", [1]]]), "factors N of a mode or Re/Im"),
     "coverage factor Im where its basis measures Re": (
         "plan", _edit_plan(_re_factor_as_im), "that the basis measures so"),
+    "schedule on 99 qubits": ("plan", _set_schedules("n_qubits", 99),
+                              "needs n_qubits equal to n_modes 4"),
+    "schedule certified as a string": (
+        "plan", _set_schedules("certified", "no"), "a boolean certified"),
     "plan routed for another layout": (
         "plan", _edit_json(_routed_for_reversed_layout),
         "does not fit its layout"),

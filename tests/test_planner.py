@@ -17,8 +17,8 @@ from qcmoments.planner import (
 from qcmoments.simulator import Circuit, operator_matrix_in_sector, run
 
 from reference_planner import (
-    element_count_formula, factor_operator, group_level1_scan,
-    solved_products,
+    element_count_formula, enumerate_elements_by_filter, factor_operator,
+    group_level1_scan, solved_products,
 )
 from reference_simulator import basis_state
 
@@ -64,6 +64,17 @@ def test_enumeration_count_formula_exhaustive():
     for n in range(1, 9):
         for p in range(1, min(n, 4) + 1):
             assert len(enumerate_elements(n, p)) == element_count_formula(n, p)
+
+
+@pytest.mark.parametrize("pattern", [None, "interleaved", "blocked"])
+def test_enumeration_matches_build_filter_sort(pattern):
+    for n in range(1, 10):
+        spins = {None: None, "interleaved": interleaved_spins(n),
+                 "blocked": tuple("u" * ((n + 1) // 2) + "d" * (n // 2))
+                 }[pattern]
+        for p in range(1, min(n, 4) + 1):
+            assert enumerate_elements(n, p, spins) == \
+                enumerate_elements_by_filter(n, p, spins), (n, p)
 
 
 def test_enumeration_rejects_large_order():

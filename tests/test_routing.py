@@ -3,6 +3,8 @@ import itertools
 
 import pytest
 
+from qcmoments.conventions import interleaved_spins
+from qcmoments.planner import enumerate_elements, group_level1
 from qcmoments.routing import Schedule, route_pairs
 
 from reference_routing import (
@@ -67,9 +69,11 @@ def test_nested_pairs_on_six_qubits():
     ([(2, 3)], 4),
 ])
 def test_solver_matches_exhaustive_optimum(pairs, n):
-    sched = route_pairs(pairs, n)
+    # a max_depth of exactly the optimum must still be reached
+    optimum = exhaustive_min_depth(pairs, n, 8)
+    sched = route_pairs(pairs, n, max_depth=optimum)
     assert sched.certified
-    assert sched.depth == exhaustive_min_depth(pairs, n, 8)
+    assert sched.depth == optimum
     assert_valid(sched, pairs, n)
 
 
@@ -123,3 +127,15 @@ def test_memo_search_matches_memo_free_search():
     for pairs in sets:
         assert route_pairs(pairs, 8).to_json() == \
             route_pairs_without_memo(pairs, 8).to_json(), pairs
+
+
+@pytest.mark.parametrize("pattern", ["interleaved", "uuuuudddd"])
+def test_memo_search_matches_memo_free_search_on_9_mode_plans(pattern):
+    spins = interleaved_spins(9) if pattern == "interleaved" \
+        else tuple(pattern)
+    bases, _ = group_level1(enumerate_elements(9, 4, spins), spins)
+    assert len(bases) == {"interleaved": 141, "uuuuudddd": 163}[pattern]
+    for basis in bases:
+        pairs = basis.pair_sites()
+        assert route_pairs(pairs, 9).to_json() == \
+            route_pairs_without_memo(pairs, 9).to_json(), pairs
