@@ -12,8 +12,9 @@ an analysis needs:
 
 - post-selection: one boolean outcome mask per basis;
 - RDM assembly: (element, flat outcome index, eigenvalue) triplets decoded
-  from one outcome-feature table, so one ``np.bincount`` assembles every
-  element of a group of bases;
+  from one outcome-feature table, at rows read off the plan's coverage
+  arrays, so one ``np.bincount`` assembles every element of a group of
+  bases;
 - the sector map: the RDM order must equal N_e, so each element is one
   entry of the density matrix D over the N_e-electron occupations, at a
   (row, column, sign). Read off it are each <H^k> as the constant c0^k plus
@@ -52,7 +53,7 @@ from .mitigation import (
     fit_white_noise_rate, postselect_mask, postselect_rows, qrem_rows,
     reference_calibrate,
 )
-from .planner import MeasurementPlan
+from .planner import KINDS, MeasurementPlan
 from .qcm import CumulantSet, MomentSet, bootstrap, cumulants, \
     lanczos_energy
 from .simulator import (
@@ -251,49 +252,64 @@ def position_spins(mc, spins, n_qubits):
 _CHUNK = 128
 
 
-def _assembly_map(plan, circuits, elements, order):
+def _assembly_map(plan, circuits, rank):
     """(element, flat outcome index, weight) triplets in element, product,
-    outcome order: element k's value is the sum of weight * probs.flat[index]
-    over its triplets, for the (bases x 2^n) mitigated distributions probs.
+    outcome order, element k being the plan's element rank[k]: element k's
+    value is the sum of weight * probs.flat[index] over its triplets, for
+    the (bases x 2^n) mitigated distributions probs.
 
     Each coverage product is decoded as ``planner.product_value`` does: a
     coefficient times rows of one table over the outcomes, which holds all
     ones (padding), each bit q (row 1 + q), and for positions lo, hi the
     pair value (bit_hi - bit_lo) / 2 (row 1 + n + lo n + hi) and, n^2 rows
-    further on, the joint occupation."""
+    further on, the joint occupation. The row of every factor is read at
+    once from per-basis arrays of the circuits' final positions."""
     n = plan.n_modes
     bits = (np.arange(1 << n) >> np.arange(n)[:, None] & 1).astype(float)
     table = np.concatenate([
         np.ones((1, 1 << n)), bits,
         (0.5 * (bits[None] - bits[:, None])).reshape(n * n, -1),
         (bits[:, None] * bits[None]).reshape(n * n, -1)])
-    # measured elements use ascending annihilation order; canonical RDM
-    # storage applies annihilations in descending order
-    reversal = float(reversal_sign(order))
-    products, rows = [], []     # (element, basis, coefficient), table rows
-    for k, e in enumerate(elements):
-        for b_idx, sign, factors in plan.coverage[e]:
-            mc, coef, r, handled = circuits[b_idx], reversal * sign, [], set()
-            for kind, idx in factors:
-                if kind != "N":
-                    lo, hi, mode_lo = mc.site_positions[tuple(idx)]
-                    r.append(1 + n + lo * n + hi)
-                    if kind == "Im" and mode_lo != idx[0]:
-                        coef = -coef    # the lower mode sat on the high qubit
-                elif idx[0] in mc.mode_positions:
-                    r.append(1 + mc.mode_positions[idx[0]])
-                elif idx[0] not in handled:     # joint occupation of a site
-                    site = next(s for s in mc.site_positions if idx[0] in s)
-                    lo, hi, _ = mc.site_positions[site]
-                    r.append(1 + n + n * n + lo * n + hi)
-                    handled.update(site)
-            products.append((k, b_idx, coef))
-            rows.append(r)
-    width = max(map(len, rows))
-    index = np.array([r + [0] * (width - len(r)) for r in rows])
-    elem, basis, coef = (np.array(c) for c in zip(*products))
+    # per basis: the row of N of each mode (its bit, or the joint occupation
+    # of the site that absorbed it), the row of Re/Im at each site, and
+    # whether the site's lower mode sat on the high qubit, which flips an Im
+    # factor's sign
+    number_row = np.zeros((len(circuits), n), dtype=np.int64)
+    pair_row = np.zeros((len(circuits), n, n), dtype=np.int64)
+    flipped = np.zeros((len(circuits), n, n), dtype=bool)
+    for b, mc in enumerate(circuits):
+        for mode, pos in mc.mode_positions.items():
+            number_row[b, mode] = 1 + pos
+        for (i, j), (lo, hi, mode_lo) in mc.site_positions.items():
+            pair_row[b, i, j] = 1 + n + lo * n + hi
+            number_row[b, [i, j]] = 1 + n + n * n + lo * n + hi
+            flipped[b, i, j] = mode_lo != i
+    kind, i, j = plan.factors.T
+    n_factors = np.diff(plan.factor_offsets)
+    product = np.repeat(np.arange(len(n_factors)), n_factors)
+    basis = plan.product_basis[product]
+    # a joint occupation is 0 or 1, so reading it for each of its site's
+    # modes that a product holds gives the value that product_value gives
+    rows = np.where(kind == KINDS.index("N"), number_row[basis, i],
+                    pair_row[basis, i, j])
+    # each Im factor whose site's lower mode sat on the high qubit flips the
+    # sign; measured elements use ascending annihilation order, and
+    # canonical RDM storage applies annihilations in descending order
+    flips = np.bincount(product, minlength=len(n_factors),
+                        weights=(kind == KINDS.index("Im"))
+                        & flipped[basis, i, j])
+    coef = reversal_sign(plan.order) * plan.product_sign * (-1.0) ** flips
+    index = np.zeros((len(n_factors), max(n_factors.max(initial=0), 1)),
+                     dtype=np.int64)
+    index[product, np.arange(len(product)) - plan.factor_offsets[product]] \
+        = rows
+    # the products of element 0, element 1, ... in plan order
+    elem = np.repeat(np.argsort(rank), np.diff(plan.product_offsets))
+    order = np.argsort(elem, kind="stable")
+    elem, basis = elem[order], plan.product_basis[order]
+    coef, index = coef[order], index[order]
     triplets = []
-    for start in range(0, len(rows), _CHUNK):
+    for start in range(0, len(index), _CHUNK):
         part = slice(start, start + _CHUNK)
         values = coef[part, None] * table[index[part, 0]]
         for column in index[part, 1:].T:
@@ -307,15 +323,15 @@ def _assembly_map(plan, circuits, elements, order):
 def _sector_map(elements, basis):
     """(rows, cols, signs) of each element in the density matrix D over the
     N_e-electron occupations `basis`: at order N_e, element a†_C a_A
-    (annihilations applied in descending order, as RDM entries are stored)
-    takes occupation A to ±C, so its value v sits at D[rows, cols] =
-    D[cols, rows] = signs * v."""
-    masks = np.array([sum(1 << m for m in e.annihilations)
-                      for e in elements])
-    new, signs, _ = apply_terms([(e.creations, e.annihilations)
-                                 for e in elements], masks[:, None])
+    (annihilations applied in descending order, as RDM entries are stored;
+    a row C + A of `elements`) takes occupation A to ±C, so its value v
+    sits at D[rows, cols] = D[cols, rows] = signs * v."""
+    p = elements.shape[1] // 2
+    masks = (1 << elements[:, p:]).sum(axis=1)
+    new, signs, _ = apply_terms([(e[:p], e[p:]) for e in elements.tolist()],
+                                masks[:, None])
     return (locate(basis, new[:, 0])[0], locate(basis, masks)[0],
-            reversal_sign(elements[0].order) * signs[:, 0])
+            reversal_sign(p) * signs[:, 0])
 
 
 def _moment_map(h_n, c0, rows, cols, signs):
@@ -357,8 +373,10 @@ class Analyzer:
         self.spins = plan.spins
         occ = tuple(range(n_electrons))
         self.sz = sz_of(occ, self.spins)
-        self.elements = sorted(plan.coverage)
-        self.order = self.elements[0].order
+        # the elements as rows C + A in (C, A) order
+        rank = np.lexsort(plan.elements.T[::-1])
+        self.elements = plan.elements[rank]
+        self.order = plan.order
         if self.order != n_electrons:
             raise ValueError(f"exact moments need an order-{n_electrons} "
                              f"RDM, not order {self.order}")
@@ -367,7 +385,7 @@ class Analyzer:
                             position_spins(mc, self.spins, n))
             for mc in circuits])
         self._elem, self._flat, self._weight = _assembly_map(
-            plan, circuits, self.elements, self.order)
+            plan, circuits, rank)
         # every quantity below is read off one map of the elements into the
         # density matrix D over the N_e-electron occupations
         basis = np.array(sector_basis(n, n_electrons))

@@ -195,14 +195,25 @@ def cmd_optimize(args) -> int:
 
 def _check_plan(plan, cfg: PipelineConfig, n: int, source: str):
     """ConfigError naming `source` unless `plan` measures the config's RDM
-    order over the interleaved spins of its n modes."""
-    orders = sorted({e.order for e in plan.coverage})
-    if (plan.n_modes, orders, plan.spins) != \
-            (n, [cfg.order], interleaved_spins(n)):
+    order over the interleaved spins of its n modes, and covers exactly the
+    spin-conserving elements of that order (as enumerate_elements gives
+    them)."""
+    spins = interleaved_spins(n)
+    if (plan.n_modes, plan.order, plan.spins) != (n, cfg.order, spins):
         raise ConfigError(
-            f"{source} measures order {orders} over {plan.n_modes} modes "
-            f"with spins {''.join(plan.spins)!r}, but the config needs order "
-            f"{cfg.order} over {n} interleaved modes")
+            f"{source} measures order {plan.order} over {plan.n_modes} "
+            f"modes with spins {''.join(plan.spins)!r}, but the config needs "
+            f"order {cfg.order} over {n} interleaved modes")
+    # loads refuses a repeated element, so equal sets mean equal coverage
+    want = {e.creations + e.annihilations
+            for e in enumerate_elements(n, cfg.order, spins)}
+    have = set(map(tuple, plan.elements.tolist()))
+    if have != want:
+        raise ConfigError(
+            f"{source} does not cover exactly the {len(want)} "
+            f"spin-conserving order-{cfg.order} elements of {n} modes: it "
+            f"lacks {len(want - have)} of them and adds {len(have - want)} "
+            "others")
 
 
 def _measurement_circuits(plan, layout, source: str) -> list:

@@ -262,18 +262,18 @@ def assemble_rdm(plan: MeasurementPlan, circuits, tables,
     """
     if len(circuits) != len(plan.bases) or len(tables) != len(plan.bases):
         raise ValueError("per-basis circuits/tables do not match the plan")
-    order = next(iter(plan.coverage)).order if plan.coverage else 0
+    coverage = plan.coverage()
     # measured elements use ascending annihilation order; canonical RDM
     # storage applies annihilations in descending order
-    reversal = reversal_sign(order)
+    reversal = reversal_sign(plan.order)
     # each table as (outcome indices, probabilities), decoded an array at once
     arrays = [None if t is None else
               (np.fromiter((int(bits, 2) for bits in t), np.int64, len(t)),
                np.fromiter(t.values(), float, len(t))) for t in tables]
-    rdm = RDM(order, plan.n_modes, n_electrons)
-    for e in sorted(plan.coverage):
+    rdm = RDM(plan.order, plan.n_modes, n_electrons)
+    for e in sorted(coverage):
         value = 0.0
-        for b_idx, sign, factors in plan.coverage[e]:
+        for b_idx, sign, factors in coverage[e]:
             mc, table = circuits[b_idx], arrays[b_idx]
             if mc is None or table is None:
                 raise ValueError(f"basis {b_idx} covering {e} is unavailable")

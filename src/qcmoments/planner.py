@@ -27,7 +27,7 @@ diagonalization circuits conserve the pair occupation number.
 Pair interactions are scheduled on the line by the exact router in
 :mod:`qcmoments.routing`, once per level-1 basis: a concrete basis is its
 level-1 parent plus one Re/Im choice per pair site, and it shares the
-parent's schedule, in memory and in the plan file (schema 2, see
+parent's schedule, in memory and in the plan file (schema 3, see
 :class:`MeasurementPlan`). :func:`build_measurement_circuit` checks that a
 schedule brings each site's two modes together under the layout it is
 given, which is what the outcome decoding relies on.
@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -73,13 +72,6 @@ class RdmElement:
         ops = [(m, True) for m in self.creations] + \
             [(m, False) for m in self.annihilations]
         return FermionOperator.from_ops(n_modes, ops)
-
-    def to_json(self):
-        return [list(self.creations), list(self.annihilations)]
-
-    @classmethod
-    def from_json(cls, obj) -> "RdmElement":
-        return cls(tuple(obj[0]), tuple(obj[1]))
 
 
 def enumerate_elements(n_modes: int, p: int, spins=None):
@@ -165,17 +157,23 @@ def decompose_element(e: RdmElement, spins, matching=None):
     pair_form = [(i, i) for i in numbers] + list(matching)
     sigma = sort_sign([at for c, a in pair_form
                        for at in (cre_at[c], ann_at[a])])[1]
-    num_factors = tuple(("N", (i,)) for i in numbers)
-    sites = [tuple(sorted(p)) for p in matching]
-    orient = [1 if c < a else -1 for c, a in matching]
-    products = []
-    for kinds in itertools.product(("Re", "Im"), repeat=len(sites)):
-        ims = [s for k, s in zip(kinds, orient) if k == "Im"]
-        if len(ims) % 2:
-            continue
-        sign = sigma * (-1) ** (len(ims) // 2) * prod(ims)
-        products.append((sign, num_factors + tuple(zip(kinds, sites))))
-    return products
+    # the even-Im kind tuples in itertools.product order (Re before Im):
+    # every kind at the sites but the last, and there the kind that makes
+    # the Im count even. An Im factor of orientation s contributes s, and
+    # every second one also -1, which gives (-1)^(m/2)
+    partial = [(sigma, tuple(("N", (i,)) for i in numbers), False)]
+    for k, (c, a) in enumerate(matching, 1):
+        site, s = ((c, a), 1) if c < a else ((a, c), -1)
+        re_f, im_f = ("Re", site), ("Im", site)
+        if k < len(matching):
+            partial = [q for sign, f, odd in partial for q in (
+                (sign, f + (re_f,), odd),
+                (-sign * s if odd else sign * s, f + (im_f,), not odd))]
+        else:
+            partial = [(-sign * s, f + (im_f,), False) if odd
+                       else (sign, f + (re_f,), False)
+                       for sign, f, odd in partial]
+    return [(sign, f) for sign, f, _ in partial]
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +331,10 @@ def group_level2(basis: PairingBasis, element_products):
 
 
 #: version of the plan layout that ``dumps`` writes and ``loads`` reads
-PLAN_SCHEMA = 2
+PLAN_SCHEMA = 3
+
+#: factor kinds by their code in the coverage arrays and records
+KINDS = ("N", "Re", "Im")
 
 
 @dataclass
@@ -341,22 +342,62 @@ class MeasurementPlan:
     """The level-1 pairing bases, each routed once, the concrete bases that
     refer to them, and the signed products that measure each element.
 
-    ``dumps`` writes, on one line, ``{"schema": 2, "n_modes", "spins",
+    The coverage is held in flat int64 arrays. Row k of ``elements`` holds
+    element k's p creations, then its p annihilations, and its products are
+    ``product_offsets[k]:product_offsets[k + 1]``. Product q is measured in
+    concrete basis ``product_basis[q]`` with sign ``product_sign[q]``, and
+    its factors are the rows ``factor_offsets[q]:factor_offsets[q + 1]`` of
+    ``factors``: (kind, i, j) with the kind's index in :data:`KINDS`, for N
+    of mode i = j, or Re or Im of the site (i, j).
+
+    ``dumps`` writes, on one line, ``{"schema": 3, "n_modes", "spins",
     "level1", "bases", "coverage"}``: ``level1`` holds each pairing basis's
     ``interactions`` and ``schedule``, ``bases`` holds each concrete basis
     as ``[parent, kinds]`` (a level-1 index and one "Re"/"Im" per pair site
-    of the parent), and ``coverage`` holds ``[element, products]`` pairs,
-    each product ``[basis, sign, factors]``.
+    of the parent), and ``coverage`` holds ``[element, products]`` pairs:
+    ``[creations, annihilations]`` and one flat list of the element's
+    product records, each ``basis, sign, n_factors`` and then ``kind, i, j``
+    per factor.
     """
 
     n_modes: int
     spins: tuple
     level1: list          # PairingBasis, each with its routing schedule
     bases: list           # ConcreteBasis, each sharing its parent's schedule
-    coverage: dict        # RdmElement -> list of (basis idx, sign, factors)
+    elements: np.ndarray          # (E, 2p)
+    product_offsets: np.ndarray   # (E + 1,)
+    product_basis: np.ndarray     # (P,)
+    product_sign: np.ndarray      # (P,)
+    factor_offsets: np.ndarray    # (P + 1,)
+    factors: np.ndarray           # (F, 3)
+
+    @property
+    def order(self) -> int:
+        return self.elements.shape[1] // 2
+
+    def coverage(self) -> dict:
+        """RdmElement -> its products (basis, sign, factors) in plan order,
+        the factors as decompose_element gives them."""
+        p, fo, po = self.order, self.factor_offsets, self.product_offsets
+        factors = [(KINDS[k], (i,) if k == 0 else (i, j))
+                   for k, i, j in self.factors.tolist()]
+        products = [(b, s, tuple(factors[fo[q]:fo[q + 1]])) for q, (b, s) in
+                    enumerate(zip(self.product_basis.tolist(),
+                                  self.product_sign.tolist()))]
+        return {RdmElement(tuple(e[:p]), tuple(e[p:])):
+                products[po[k]:po[k + 1]]
+                for k, e in enumerate(self.elements.tolist())}
 
     def dumps(self) -> str:
         parent = {id(b): i for i, b in enumerate(self.level1)}
+        records = np.insert(  # each product's header before its factors
+            self.factors.ravel(), np.repeat(3 * self.factor_offsets[:-1], 3),
+            np.stack([self.product_basis, self.product_sign,
+                      np.diff(self.factor_offsets)], axis=1).ravel()).tolist()
+        # an element's records end where its next product's record starts
+        cuts = (3 * (self.product_offsets
+                     + self.factor_offsets[self.product_offsets])).tolist()
+        elements = self.elements.reshape(len(self.elements), 2, -1).tolist()
         return json.dumps({
             "schema": PLAN_SCHEMA,
             "n_modes": self.n_modes,
@@ -366,69 +407,121 @@ class MeasurementPlan:
                        for b in self.level1],
             "bases": [[parent[id(c.parent)], list(c.kinds)]
                       for c in self.bases],
-            # json writes each (index, sign, factors) tuple as a list
-            "coverage": [
-                [e.to_json(), prods] for e, prods in self.coverage.items()],
+            "coverage": [[e, records[lo:hi]] for e, lo, hi in
+                         zip(elements, cuts, cuts[1:])],
         })
 
     @classmethod
     def loads(cls, text: str) -> "MeasurementPlan":
         """The plan `text` holds; ValueError if it is of another schema, or
-        if a level-1 schedule, a concrete basis or a coverage product does
-        not fit the plan."""
+        if a level-1 schedule, a concrete basis, a coverage element or a
+        coverage product does not fit the plan. The elements must be pairs
+        of strictly increasing mode lists of one length, each listed once
+        and with products, and each element's list whole records."""
         obj = json.loads(text)
         if obj["schema"] != PLAN_SCHEMA:
             raise ValueError(
                 f"plan schema {obj['schema']!r}: this version reads schema "
                 f"{PLAN_SCHEMA} only; re-run `plan` to rewrite it")
+        n_modes = obj["n_modes"]
         level1 = [PairingBasis([tuple(s) for s in b["interactions"]],
                                Schedule.from_json(b["schedule"]))
                   for b in obj["level1"]]
         for i, b in enumerate(level1):
-            if b.schedule.n_qubits != obj["n_modes"] \
+            if b.schedule.n_qubits != n_modes \
                     or not isinstance(b.schedule.certified, bool):
                 raise ValueError(
                     f"level-1 schedule {i} has n_qubits "
                     f"{b.schedule.n_qubits!r} and certified "
                     f"{b.schedule.certified!r}; it needs n_qubits equal to "
-                    f"n_modes {obj['n_modes']} and a boolean certified")
+                    f"n_modes {n_modes} and a boolean certified")
+        sites = [b.pair_sites() for b in level1]
         bases = []
         for parent, kinds in obj["bases"]:
             if not (isinstance(parent, int) and 0 <= parent < len(level1)
-                    and len(kinds) == len(level1[parent].pair_sites())
+                    and len(kinds) == len(sites[parent])
                     and set(kinds) <= {"Re", "Im"}):
                 raise ValueError(f"concrete basis {[parent, kinds]} is not "
                                  "a level-1 basis with Re or Im at each of "
                                  "its pair sites")
             bases.append(ConcreteBasis(level1[parent], tuple(kinds)))
-        coverage = {
-            RdmElement.from_json(e_json): [
-                (idx, sign, tuple([(k, tuple(i)) for k, i in factors]))
-                for idx, sign, factors in prods]
-            for e_json, prods in obj["coverage"]}
-        # a product is decoded from its basis's outcomes: each Re/Im factor
-        # must be a site that basis measures in that kind, each N factor a mode
-        measured = [dict(zip(b.parent.pair_sites(), b.kinds)) for b in bases]
-        numbers = {(m,) for m in range(obj["n_modes"])}
-        for e, prods in coverage.items():
-            for idx, sign, factors in prods:
-                if not (isinstance(idx, int) and 0 <= idx < len(bases)
-                        and sign in (1, -1)
-                        and all(i in numbers if k == "N"
-                                else measured[idx].get(i) == k
-                                for k, i in factors)):
-                    raise ValueError(
-                        f"coverage product {[idx, sign, factors]} of {e} "
-                        f"needs a basis in 0..{len(bases) - 1}, a sign of "
-                        "±1, and factors N of a mode or Re/Im of a site "
-                        "that the basis measures so")
-        return cls(obj["n_modes"], tuple(obj["spins"]), level1, bases,
-                   coverage)
+        coverage = obj["coverage"]
+        elements = np.array([e for e, _ in coverage])
+        if elements.dtype != np.int64 or elements.ndim != 3 \
+                or elements.shape[1] != 2 or (np.diff(elements) <= 0).any() \
+                or elements.min() < 0 or elements.max() >= n_modes:
+            raise ValueError("coverage elements must be [creations, "
+                             "annihilations] of one length, each strictly "
+                             f"increasing in 0..{n_modes - 1}")
+        elements = elements.reshape(len(coverage), -1)
+        ranked = elements[np.lexsort(elements.T)]
+        twice = ranked[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]
+        if len(twice):
+            element = twice[0].reshape(2, -1).tolist()
+            raise ValueError(f"coverage element {element} appears twice")
+        # walk each element's records: basis, sign, n_factors, then
+        # n_factors (kind, i, j)
+        records = list(itertools.chain.from_iterable(p for _, p in coverage))
+        starts, product_offsets, end = [], [0], 0
+        for e, products in coverage:
+            pos, end = end, end + len(products)
+            while pos < end:
+                starts.append(pos)
+                n_factors = records[pos + 2] if pos + 3 <= end else 0
+                if n_factors < 0:
+                    raise ValueError(f"coverage record {records[pos:pos + 3]}"
+                                     f" of {e} has a negative factor count")
+                pos += 3 + 3 * n_factors
+            if pos != end or not products:
+                raise ValueError(f"the product records of {e} are empty or "
+                                 "run past their list")
+            product_offsets.append(len(starts))
+        records, starts = np.array(records), np.array(starts)
+        if records.dtype != np.int64:
+            raise ValueError("coverage records must hold integers only")
+        product_basis, product_sign = records[starts], records[starts + 1]
+        factor_offsets = np.append(0, np.cumsum(records[starts + 2]))
+        factors = np.delete(records, starts[:, None] + np.arange(3)).reshape(
+            -1, 3)
+        # a product is decoded from its basis's outcomes: each factor must be
+        # N of a mode or Re/Im of a site the basis measures so, as
+        # measured[basis, i, j] holds
+        n_bases = len(bases)
+        measured = np.full((n_bases, n_modes, n_modes), -1)
+        measured[:, range(n_modes), range(n_modes)] = KINDS.index("N")
+        b, i, j, kind = np.array([
+            (b, i, j, KINDS.index(kind))
+            for b, (parent, kinds) in enumerate(obj["bases"])
+            for (i, j), kind in zip(sites[parent], kinds)],
+            dtype=np.int64).reshape(-1, 4).T
+        measured[b, i, j] = kind
+        product = np.repeat(np.arange(len(starts)), np.diff(factor_offsets))
+        kind, i, j = factors.T
+        fits = (product_basis >= 0) & (product_basis < n_bases) \
+            & (np.abs(product_sign) == 1)
+        inside = fits[product] & (kind >= 0) & (np.minimum(i, j) >= 0) \
+            & (np.maximum(i, j) < n_modes)
+        at = np.where(inside, [product_basis[product], i, j], 0)
+        fits[product[~inside | (measured[tuple(at)] != kind)]] = False
+        if not fits.all():
+            q = np.argmin(fits)
+            k = np.searchsorted(product_offsets, q, "right") - 1
+            record = records[starts[q]:starts[q] + 3 + 3 * (
+                factor_offsets[q + 1] - factor_offsets[q])].tolist()
+            raise ValueError(
+                f"coverage product {record} of {coverage[k][0]} needs a "
+                f"basis in 0..{n_bases - 1}, a sign of ±1, and "
+                "factors N of a mode (kind 0, i = j) or Re/Im (kind 1/2) of "
+                "a site that the basis measures so")
+        return cls(n_modes, tuple(obj["spins"]), level1, bases, elements,
+                   np.array(product_offsets), product_basis, product_sign,
+                   factor_offsets, factors)
 
 
 def build_plan(elements, spins, max_depth: int = 8,
                layout=None) -> MeasurementPlan:
-    """Decompose, group (both levels), and route a set of RDM elements."""
+    """Decompose, group (both levels), and route a set of RDM elements of
+    one order."""
     n_modes = len(spins)
     layout = tuple(layout) if layout is not None else tuple(range(n_modes))
     level1, assignments = group_level1(elements, spins)
@@ -441,15 +534,24 @@ def build_plan(elements, spins, max_depth: int = 8,
     for e, (b_idx, matching, _req) in zip(elements, assignments):
         products = decompose_element(e, spins, matching=matching)
         per_basis[b_idx].append((e, products))
-    bases, coverage = [], {}
+    bases, rows, n_products, headers, factors = [], [], [], [], []
     for b_idx, basis in enumerate(level1):
         concrete, placements = group_level2(basis, per_basis[b_idx])
         offset = len(bases)
         bases.extend(concrete)
         for (e, _products), placed in zip(per_basis[b_idx], placements):
-            coverage[e] = [(offset + idx, sign, factors)
-                           for idx, sign, factors in placed]
-    return MeasurementPlan(n_modes, tuple(spins), level1, bases, coverage)
+            rows.append(e.creations + e.annihilations)
+            n_products.append(len(placed))
+            for idx, sign, product in placed:
+                headers += (offset + idx, sign, len(product))
+                for kind, site in product:
+                    factors += (KINDS.index(kind), site[0], site[-1])
+    headers = np.array(headers, dtype=np.int64).reshape(-1, 3)
+    return MeasurementPlan(
+        n_modes, tuple(spins), level1, bases, np.array(rows, dtype=np.int64),
+        np.append(0, np.cumsum(n_products)), headers[:, 0], headers[:, 1],
+        np.append(0, np.cumsum(headers[:, 2])),
+        np.array(factors, dtype=np.int64).reshape(-1, 3))
 
 
 # ---------------------------------------------------------------------------

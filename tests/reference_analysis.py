@@ -19,7 +19,7 @@ from qcmoments.mitigation import (
     clip_to_physical, fit_white_noise_rate, mixed_state_value,
     reference_calibrate, rescale_rdm, symmetry_postselect,
 )
-from qcmoments.planner import product_value
+from qcmoments.planner import RdmElement, product_value
 from qcmoments.qcm import (
     CumulantSet, cumulants, lanczos_energy,
     moments_from_rdm,
@@ -31,15 +31,24 @@ from fixtures_util import shared_powers
 from reference_rdm import rdm_from_determinant, rdm_representability
 
 
-def product_assembly_map(plan, circuits, elements, order):
+def analyzer_elements(analyzer):
+    """An Analyzer's element rows as RdmElements, in its order."""
+    p = analyzer.order
+    return [RdmElement(tuple(e[:p]), tuple(e[p:]))
+            for e in analyzer.elements.tolist()]
+
+
+def product_assembly_map(plan, circuits):
     """The (element, flat outcome index, weight) triplets of
-    ``analysis._assembly_map``, decoded one coverage product at a time by
-    ``planner.product_value``."""
+    ``analysis._assembly_map`` over the plan's elements in sorted order,
+    decoded one coverage product at a time by ``planner.product_value``."""
     outcomes = np.arange(1 << plan.n_modes)
+    order = plan.order
     reversal = -1.0 if (order * (order - 1) // 2) % 2 else 1.0
+    coverage = plan.coverage()
     elem, flat, weight = [], [], []
-    for k, e in enumerate(elements):
-        for b_idx, sign, factors in plan.coverage[e]:
+    for k, e in enumerate(sorted(coverage)):
+        for b_idx, sign, factors in coverage[e]:
             values = product_value(circuits[b_idx], factors, outcomes)
             nonzero = np.flatnonzero(values)
             elem.append(np.full(nonzero.size, k))
@@ -87,7 +96,7 @@ def element_rdm(analyzer, values) -> RDM:
     """The dict RDM that holds element values given in the order of an
     Analyzer's ``elements``."""
     out = RDM(analyzer.order, analyzer.n_qubits, analyzer.n_electrons)
-    for e, v in zip(analyzer.elements, values):
+    for e, v in zip(analyzer_elements(analyzer), values):
         out.set(e.creations, e.annihilations, v)
     return out
 
@@ -111,10 +120,9 @@ class DictAnalyzer:
         self.spins = plan.spins
         occ = tuple(range(n_electrons))
         self.sz = sz_of(occ, self.spins)
-        order = next(iter(plan.coverage)).order
-        self.ideal_ref = rdm_from_determinant(occ, self.n_qubits, order)
+        self.ideal_ref = rdm_from_determinant(occ, self.n_qubits, plan.order)
         mixed = {}
-        for e in plan.coverage:
+        for e in plan.coverage():
             ops = [(s, True) for s in e.creations] + \
                 [(t, False) for t in reversed(e.annihilations)]
             op = FermionOperator.from_ops(self.n_qubits, ops)
@@ -172,7 +180,7 @@ class DictAnalyzer:
         q_hat = 0.0
         rdm = rdms["trial"]
         if mit.get("calibrate"):
-            elements = list(self.plan.coverage)
+            elements = list(self.mixed)
 
             def values(r):
                 return np.array([r.get(e.creations, e.annihilations).real

@@ -5,7 +5,11 @@ The closed-form signs of :func:`qcmoments.planner.decompose_element` are
 checked against direct solves: each candidate product of Re/Im/number
 factors is normal-ordered with ``fermion.multiply``, and a least-squares
 solve finds the coefficients that rebuild the Hermitian part (e + e†)/2 of
-the element, as the planner did before the sign rule replaced it.
+the element, as the planner did before the sign rule replaced it. The
+sign rule's even-Im products are checked against
+``decompose_element_by_filter``, which builds all 2^k Re/Im kind tuples
+and drops the odd-Im half, as the planner did before it generated only the
+even ones.
 
 The bit-set grouping of :func:`qcmoments.planner.group_level1` is checked
 against ``group_level1_scan``, which tries every earlier basis in order
@@ -16,14 +20,18 @@ against every option of the element.
 keeps the spin-conserving ones and sorts them, as the planner did before
 it built only the elements whose creations and annihilations carry equal
 spins.
+
+``factor_entries`` walks the flat coverage records of a plan file's JSON
+object (schema 3), for the tests that corrupt a factor.
 """
 import itertools
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
-from qcmoments.fermion import FermionOperator, multiply
-from qcmoments.planner import PairingBasis, RdmElement, _requirement_options
+from qcmoments.fermion import FermionOperator, multiply, sort_sign
+from qcmoments.planner import PairingBasis, RdmElement, \
+    _requirement_options, _split_element
 
 
 def factor_operator(factor, n_modes: int) -> FermionOperator:
@@ -152,3 +160,38 @@ def enumerate_elements_by_filter(n_modes: int, p: int, spins=None):
                 out.append(e)
     out.sort(key=lambda e: (e.annihilations, e.creations))
     return out
+
+
+def decompose_element_by_filter(e, matching):
+    """``planner.decompose_element`` of `e` with `matching`, with every
+    Re/Im kind tuple over the matching's sites built in itertools.product
+    order and the odd-Im ones dropped."""
+    numbers, _, _ = _split_element(e)
+    cre_at = {m: i for i, m in enumerate(e.creations)}
+    ann_at = {m: i for i, m in enumerate(e.annihilations, e.order)}
+    pair_form = [(i, i) for i in numbers] + list(matching)
+    sigma = sort_sign([at for c, a in pair_form
+                       for at in (cre_at[c], ann_at[a])])[1]
+    num_factors = tuple(("N", (i,)) for i in numbers)
+    sites = [tuple(sorted(p)) for p in matching]
+    orient = [1 if c < a else -1 for c, a in matching]
+    products = []
+    for kinds in itertools.product(("Re", "Im"), repeat=len(sites)):
+        ims = [s for k, s in zip(kinds, orient) if k == "Im"]
+        if len(ims) % 2:
+            continue
+        sign = sigma * (-1) ** (len(ims) // 2) * prod(ims)
+        products.append((sign, num_factors + tuple(zip(kinds, sites))))
+    return products
+
+
+def factor_entries(plan):
+    """(records, index) of the kind entry of every coverage factor of a
+    plan file's JSON object: each element's records are basis, sign,
+    n_factors and then (kind, i, j) per factor."""
+    for _, records in plan["coverage"]:
+        pos = 0
+        while pos < len(records):
+            for f in range(records[pos + 2]):
+                yield records, pos + 3 + 3 * f
+            pos += 3 + 3 * records[pos + 2]

@@ -119,7 +119,7 @@ def test_criterion_03_basis_count_interval():
     plan = build_plan(enumerate_elements(8, 4, spins), spins)
     elapsed = time.perf_counter() - start
     assert 190 <= len(plan.bases) <= 215
-    assert len(plan.coverage) == 940
+    assert len(plan.elements) == 940
     assert elapsed < 30.0
     _pass(3, "basis-count interval",
           f"{len(plan.bases)} bases in {elapsed:.1f}s")

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fixtures_util import H2_PATH, H4_PATH
-from reference_analysis import DictAnalyzer, checked, element_rdm, \
-    product_assembly_map
+from reference_analysis import DictAnalyzer, analyzer_elements, checked, \
+    element_rdm, product_assembly_map
+from reference_planner import factor_entries
 from reference_qcm import per_resample_bootstrap
 
 from qcmoments.analysis import (
@@ -33,8 +34,8 @@ from qcmoments.mitigation import (
 )
 from qcmoments.conventions import interleaved_spins
 from qcmoments.fermion import jordan_wigner
-from qcmoments.planner import build_measurement_circuit, build_plan, \
-    enumerate_elements
+from qcmoments.planner import KINDS, build_measurement_circuit, \
+    build_plan, enumerate_elements
 from qcmoments import analysis, qcm
 from qcmoments.qcm import (
     MomentSet, bootstrap, moments_from_rdm,
@@ -137,7 +138,7 @@ def _assert_paths_agree(compiled, reference, counts):
         rdm = want["rdm"]
         assert values == pytest.approx(
             [rdm.get(e.creations, e.annihilations).real
-             for e in compiled.elements], abs=TOL)
+             for e in analyzer_elements(compiled)], abs=TOL)
         for key, value in got["representability"].items():
             assert value == pytest.approx(want["representability"][key],
                                           abs=TOL)
@@ -160,9 +161,8 @@ def test_table_decode_matches_product_value(which, request):
                     for b in plan.bases]
     else:
         plan, circuits = _plan_9x4()
-    elements = sorted(plan.coverage)
-    got = _assembly_map(plan, circuits, elements, 4)
-    want = product_assembly_map(plan, circuits, elements, 4)
+    got = _assembly_map(plan, circuits, np.lexsort(plan.elements.T[::-1]))
+    want = product_assembly_map(plan, circuits)
     assert got[0].size > 0
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -208,7 +208,7 @@ def test_mixed_values_match_per_element_traces(fixture, request):
     # mitigation.mixed_state_value run on each element's own operator (the
     # reference analyzer's values)
     _, _, (compiled, reference, _) = request.getfixturevalue(fixture)
-    want = [reference.mixed[e] for e in compiled.elements]
+    want = [reference.mixed[e] for e in analyzer_elements(compiled)]
     assert any(want) and not all(want)
     np.testing.assert_allclose(compiled.mixed, want, rtol=0,
                                atol=1e-15)
@@ -554,10 +554,9 @@ def _set_schedules(key, value):
 
 def _re_factor_on_site_0_1(plan):
     # (0, 1) pairs opposite spins, so no basis measures it
-    factor = next(f for _, products in plan["coverage"]
-                  for _, _, factors in products for f in factors
-                  if f[0] == "Re")
-    factor[1] = [0, 1]
+    records, at = next((r, at) for r, at in factor_entries(plan)
+                       if r[at] == KINDS.index("Re"))
+    records[at + 1:at + 3] = [0, 1]
 
 
 def _edit_counts(edit):
@@ -620,11 +619,23 @@ ARCHIVE_FAULTS = {
         lambda m: m.__setitem__("schema", 1)), "has schema 1"),
     "schema-1 plan": (_edit_plan(lambda p: p.update(schema=1)),
                       "re-run `plan` to rewrite it"),
+    "schema-2 plan": (_edit_plan(lambda p: p.update(schema=2)),
+                      "re-run `plan` to rewrite it"),
     "coverage product on basis 99": (_edit_plan(
-        lambda p: p["coverage"][0][1][0].__setitem__(0, 99)),
+        lambda p: p["coverage"][0][1].__setitem__(0, 99)),
         "needs a basis in 0..4"),
     "coverage factor on a site its basis lacks": (
         _edit_plan(_re_factor_on_site_0_1), "that the basis measures so"),
+    "coverage record past its list": (_edit_plan(
+        lambda p: p["coverage"][-1][1].append(0)), "run past their list"),
+    "coverage record with a negative factor count": (_edit_plan(
+        lambda p: p["coverage"][0][1].__setitem__(2, -1)),
+        "has a negative factor count"),
+    "duplicate coverage element": (_edit_plan(
+        lambda p: p["coverage"].append(p["coverage"][-1])), "appears twice"),
+    "missing coverage element": (_edit_plan(
+        lambda p: p["coverage"].pop()),
+        "does not cover exactly the 12 spin-conserving order-2 elements"),
     "schedule on 99 qubits": (_set_schedules("n_qubits", 99),
                               "needs n_qubits equal to n_modes 4"),
     "schedule certified as a string": (_set_schedules("certified", "no"),
@@ -652,6 +663,37 @@ def test_archive_faults_exit_2(h2, tmp_path, fault, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and message in err
     assert "Traceback" not in err
+
+
+def _drop_element(element):
+    def edit(coverage):
+        coverage.remove(next(c for c in coverage if c[0] == element))
+    return edit
+
+
+# edits of the H4 archive's coverage that analyze once accepted (exit 0, an
+# unchanged report after the first drop) or failed on numerically (exit 3)
+H4_COVERAGE_FAULTS = {
+    "first element repeated": (lambda coverage: coverage.append(coverage[0]),
+                               "appears twice"),
+    "element [[1, 2, 6, 7], [0, 3, 4, 7]] dropped": (
+        _drop_element([[1, 2, 6, 7], [0, 3, 4, 7]]), "it lacks 1 of them"),
+    "element [[0, 1, 2, 3], [0, 1, 2, 3]] dropped": (
+        _drop_element([[0, 1, 2, 3], [0, 1, 2, 3]]), "it lacks 1 of them"),
+}
+
+
+@pytest.mark.parametrize("fault", H4_COVERAGE_FAULTS)
+def test_h4_coverage_faults_exit_2(h4, tmp_path, fault, capsys):
+    config, archive, _ = h4
+    broken = tmp_path / "counts"
+    shutil.copytree(archive, broken)
+    edit, message = H4_COVERAGE_FAULTS[fault]
+    _edit_plan(lambda plan: edit(plan["coverage"]))(broken)
+    assert _analyze(config, broken, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: archive plan in ")
+    assert message in err and "Traceback" not in err
 
 
 # each edit makes the config disagree with the archive in one field

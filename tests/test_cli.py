@@ -18,12 +18,13 @@ from qcmoments import analysis, simulator
 from qcmoments.analysis import Analyzer, write_archive
 from qcmoments.cli import _load_system, main
 from qcmoments.config import derive_seed, load_config
-from qcmoments.planner import MeasurementPlan, build_measurement_circuit, \
-    build_plan, enumerate_elements
+from qcmoments.planner import KINDS, MeasurementPlan, \
+    build_measurement_circuit, build_plan, enumerate_elements
 from qcmoments.simulator import Circuit, run
 from qcmoments.trial import build_uccd
 
 from fixtures_util import H2_PATH, H4_PATH
+from reference_planner import factor_entries
 from reference_simulator import basis_state
 
 # sector FCI / Hartree-Fock energies of the stretched-H2 fixture,
@@ -406,8 +407,8 @@ def test_run_archive_manifest(tmp_path):
 
 # plans for the H2 fixture's 4 modes that do not fit its order-2 config
 MISMATCHED_PLANS = {
-    "order 1": (["--order", "1"], "measures order [1] over 4 modes"),
-    "order 3": (["--order", "3"], "measures order [3] over 4 modes"),
+    "order 1": (["--order", "1"], "measures order 1 over 4 modes"),
+    "order 3": (["--order", "3"], "measures order 3 over 4 modes"),
     "spin pattern uudd": (["--order", "2", "--spin-pattern", "uudd"],
                           "with spins 'uudd'"),
 }
@@ -499,19 +500,18 @@ def _swap_pair_ids(plan):
     interactions[:2] = [[b, at_a], [a, at_b]]
 
 
-def _set_first_product(position, value):
-    """Edit of one entry of the first coverage product:
-    [basis, sign, factors]."""
+def _set_first_product(position, *values):
+    """Edit of the entries from `position` on of the first coverage record:
+    basis, sign, n_factors, then (kind, i, j) per factor."""
     def edit(plan):
-        plan["coverage"][0][1][0][position] = value
+        plan["coverage"][0][1][position:position + len(values)] = values
     return _edit_plan(edit)
 
 
 def _re_factor_as_im(plan):
-    factor = next(f for _, products in plan["coverage"]
-                  for _, _, factors in products for f in factors
-                  if f[0] == "Re")
-    factor[0] = "Im"
+    records, at = next((r, at) for r, at in factor_entries(plan)
+                       if r[at] == KINDS.index("Re"))
+    records[at] = KINDS.index("Im")
 
 
 def _routed_for_reversed_layout(plan):
@@ -546,6 +546,8 @@ RUN_FAULTS = {
     "truncated plan": ("plan", _truncate, "is malformed"),
     "schema-1 plan": ("plan", _edit_plan(
         lambda p: p.update(schema=1)), "re-run `plan` to rewrite it"),
+    "schema-2 plan": ("plan", _edit_plan(
+        lambda p: p.update(schema=2)), "re-run `plan` to rewrite it"),
     "basis kind other than Re or Im": ("plan", _edit_plan(
         lambda p: p["bases"][-1].__setitem__(1, ["X", "Im"])),
         "is not a level-1 basis with Re or Im"),
@@ -558,12 +560,25 @@ RUN_FAULTS = {
                                      "needs a basis in 0..4"),
     "coverage product with sign 2": ("plan", _set_first_product(1, 2),
                                      "a sign of ±1"),
-    "coverage factor of kind X": ("plan", _set_first_product(
-        2, [["X", [0]], ["N", [1]]]), "factors N of a mode or Re/Im"),
-    "coverage factor N of no mode": ("plan", _set_first_product(
-        2, [["N", [4]], ["N", [1]]]), "factors N of a mode or Re/Im"),
+    "coverage factor of kind X": ("plan", _set_first_product(3, 3),
+                                  "factors N of a mode"),
+    "coverage factor N of no mode": ("plan", _set_first_product(3, 0, 4, 4),
+                                     "factors N of a mode"),
     "coverage factor Im where its basis measures Re": (
         "plan", _edit_plan(_re_factor_as_im), "that the basis measures so"),
+    "coverage record past its list": ("plan", _edit_plan(
+        lambda p: p["coverage"][0][1].pop()), "run past their list"),
+    "coverage record with a negative factor count": (
+        "plan", _set_first_product(2, -1), "has a negative factor count"),
+    "coverage element without products": ("plan", _edit_plan(
+        lambda p: p["coverage"][0].__setitem__(1, [])),
+        "are empty or run past their list"),
+    "duplicate coverage element": ("plan", _edit_plan(
+        lambda p: p["coverage"].append(p["coverage"][0])), "appears twice"),
+    "missing coverage element": ("plan", _edit_plan(
+        lambda p: p["coverage"].pop(0)),
+        "does not cover exactly the 12 spin-conserving order-2 elements of 4 "
+        "modes: it lacks 1 of them and adds 0 others"),
     "schedule on 99 qubits": ("plan", _set_schedules("n_qubits", 99),
                               "needs n_qubits equal to n_modes 4"),
     "schedule certified as a string": (

@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from qcmoments import planner
 from qcmoments.conventions import interleaved_spins
 from qcmoments.fermion import jordan_wigner
 from qcmoments.planner import (
@@ -17,8 +18,9 @@ from qcmoments.planner import (
 from qcmoments.simulator import Circuit, operator_matrix_in_sector, run
 
 from reference_planner import (
-    element_count_formula, enumerate_elements_by_filter, factor_operator,
-    group_level1_scan, solved_products,
+    decompose_element_by_filter, element_count_formula,
+    enumerate_elements_by_filter, factor_operator, group_level1_scan,
+    solved_products,
 )
 from reference_simulator import basis_state
 
@@ -156,8 +158,9 @@ def test_plan_signs_match_direct_solves_for_940_elements():
     elements = enumerate_elements(8, 4, spins)
     plan = build_plan(elements, spins)
     _, assignments = group_level1(elements, spins)
+    coverage = plan.coverage()
     for e, (_, matching, _) in zip(elements, assignments):
-        got = [(sign, factors) for _, sign, factors in plan.coverage[e]]
+        got = [(sign, factors) for _, sign, factors in coverage[e]]
         assert got == solved_products(e, len(spins), matching)
 
 
@@ -284,7 +287,7 @@ def test_full_plan_basis_count_for_940_elements():
     spins = interleaved_spins(8)
     plan = build_plan(enumerate_elements(8, 4, spins), spins)
     assert 190 <= len(plan.bases) <= 215
-    assert len(plan.coverage) == 940
+    assert len(plan.elements) == 940
 
 
 # -- measurement circuits
@@ -320,7 +323,7 @@ def plan_element_values(plan, layout, mode_state):
         mcircs.append(mc)
         probs.append(np.abs(run(mc.circuit, phys)) ** 2)
     values = {}
-    for e, prods in plan.coverage.items():
+    for e, prods in plan.coverage().items():
         total = 0.0
         for b_idx, sign, factors in prods:
             p = probs[b_idx]
@@ -422,11 +425,23 @@ def test_measurement_circuits_conserve_number_and_sz():
         assert np.max(np.abs(u @ sz_mat - sz_mat @ u)) < 1e-10
 
 
+COVERAGE_ARRAYS = ("elements", "product_offsets", "product_basis",
+                   "product_sign", "factor_offsets", "factors")
+
+
+def assert_same_coverage(got, want):
+    for name in COVERAGE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.int64, name
+        assert np.array_equal(a, b), name
+
+
 def test_plan_json_roundtrip():
     plan = build_plan(TWELVE, SPINS4)
     back = MeasurementPlan.loads(plan.dumps())
     assert back.dumps() == plan.dumps()
-    assert back.coverage == plan.coverage
+    assert_same_coverage(back, plan)
+    assert back.coverage() == plan.coverage()
 
 
 # -- the bit-set grouping against the first-fit scan, and pinned plan bytes
@@ -446,18 +461,18 @@ def test_group_level1_matches_first_fit_scan(n_modes, order, pattern):
     assert assignments == ref_assignments
 
 
-# SHA-256 of plan.dumps() in plan schema 2; each plan holds the level-1
+# SHA-256 of plan.dumps() in plan schema 3; each plan holds the level-1
 # interactions and schedules, the Re/Im per site of each concrete basis and
-# the coverage that the schema-1 plans of the earlier planner held
+# the coverage, as flat records, that the schema-2 plans held as nested lists
 PLAN_DIGESTS = {
     (8, 4, "interleaved", False):
-        "6343e492813b99d02d43a2861ef22675aab8b19c3d82e2e55fd12a4709dd5e89",
+        "40a9571a26fc57b576fbbbbf0383d6ffa62e7000bcb2c22d73116a8da67bcb72",
     (8, 4, "interleaved", True):
-        "646773dad0873511b773a7e360690f0171e18fa7ffac628823fb7e5412cde2a9",
+        "1bf7defb703decfd890b6a26f34e783ac43f10e4c99093438671778d5c24d688",
     (9, 4, "interleaved", False):
-        "f576b7182350a758499bfc1eff2a0ab645839c173654aa2817dcacb898ce9dd6",
+        "29a0f16ca4279d07a7ae8d42b0d2785e3ae4fdc44e6d5ebf70ece6c2213887d9",
     (9, 4, "uuuuudddd", False):
-        "cfc0e759aeb54bf564b9b7be5a9ff5e5fa91e118ba496ca5648bc85745b801c1",
+        "b8f84b87e7c1cfb5076b9b897bff5bc285b39c5c06763d09b8343800d00891e3",
 }
 
 
@@ -471,6 +486,75 @@ def test_plan_bytes_are_pinned(n_modes, order, pattern, reversed_layout):
                       layout=layout)
     digest = hashlib.sha256(plan.dumps().encode()).hexdigest()
     assert digest == PLAN_DIGESTS[n_modes, order, pattern, reversed_layout]
+
+
+def _pinned_elements_and_spins(n_modes, order, pattern):
+    spins = interleaved_spins(n_modes) if pattern == "interleaved" \
+        else tuple(pattern)
+    return enumerate_elements(n_modes, order, spins), spins
+
+
+def expected_coverage(elements, spins):
+    """{element: [(basis, sign, factors)]} in build order, from
+    decompose_element and group_level2 as build_plan chains them."""
+    level1, assignments = group_level1(elements, spins)
+    per_basis = [[] for _ in level1]
+    for e, (b_idx, matching, _) in zip(elements, assignments):
+        per_basis[b_idx].append((e, decompose_element(e, spins, matching)))
+    coverage, offset = {}, 0
+    for basis, element_products in zip(level1, per_basis):
+        concrete, placements = group_level2(basis, element_products)
+        for (e, products), placed in zip(element_products, placements):
+            assert [(s, f) for _, s, f in placed] == products
+            coverage[e] = [(offset + idx, s, f) for idx, s, f in placed]
+        offset += len(concrete)
+    return coverage
+
+
+@pytest.mark.parametrize("case", [*PLAN_DIGESTS, "twelve"], ids=lambda c: (
+    c if isinstance(c, str) else "-".join(map(str, c))))
+def test_plan_roundtrip_keeps_the_arrays_and_decodes_the_products(case):
+    # loads(dumps(plan)) holds equal arrays, and decoding each element's
+    # products gives the (sign, factors) lists of decompose_element as
+    # group_level2 placed them
+    if case == "twelve":
+        elements, spins, layout = TWELVE, SPINS4, range(4)
+    else:
+        n_modes, order, pattern, reversed_layout = case
+        elements, spins = _pinned_elements_and_spins(n_modes, order, pattern)
+        layout = range(n_modes)[::-1] if reversed_layout else range(n_modes)
+    plan = build_plan(elements, spins, layout=layout)
+    back = MeasurementPlan.loads(plan.dumps())
+    assert_same_coverage(back, plan)
+    same_text = back.dumps() == plan.dumps()    # no diff of 0.5 MB texts
+    assert same_text
+    want = expected_coverage(elements, spins)
+    for got in (plan.coverage(), back.coverage()):
+        assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("n_modes, order", [(6, 3), (9, 4)])
+def test_even_im_products_match_the_filtered_expansion(n_modes, order):
+    # every element with every same-spin matching
+    spins = interleaved_spins(n_modes)
+    for e in enumerate_elements(n_modes, order, spins):
+        _, cres, anns = _split_element(e)
+        for matching in _cross_matchings(cres, anns, spins):
+            assert decompose_element(e, spins, matching) == \
+                decompose_element_by_filter(e, matching)
+
+
+def test_plan_bytes_do_not_depend_on_the_even_im_generation(monkeypatch):
+    # digests, so that a failure does not diff two 0.5 MB texts
+    elements, spins = _pinned_elements_and_spins(9, 4, "interleaved")
+    digests = [hashlib.sha256(build_plan(elements, spins).dumps().encode())
+               .hexdigest()]
+    monkeypatch.setattr(
+        planner, "decompose_element",
+        lambda e, spins, matching: decompose_element_by_filter(e, matching))
+    digests.append(hashlib.sha256(build_plan(elements, spins).dumps()
+                                  .encode()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_layout_mismatch_is_an_error():
