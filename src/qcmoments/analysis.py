@@ -4,8 +4,9 @@ assembly, moments and energies as array maps over integer outcomes.
 An archive holds one (tables x 2^n) integer count matrix with rows
 [calibration zeros, calibration ones, trial basis 0..B-1, reference basis
 0..B-1]; column i counts the outcome whose bit q is qubit q's reading.
-This module alone knows that row layout: :func:`sample_counts` draws every
-row of it in one noisy pass, :func:`write_archive` and
+This module alone knows that row layout: :func:`sample_counts` simulates
+each routed parent's circuit once for all its concrete bases and draws
+every row in one noisy pass, :func:`write_archive` and
 :func:`load_archive` store and check it, and :class:`Analyzer` reads it.
 :class:`Analyzer` compiles, once per plan and Hamiltonian, every map that
 an analysis needs:
@@ -24,9 +25,10 @@ an analysis needs:
   white-noise fit, and D itself for the representability check.
 
 A stack of count matrices (one, or bootstrap resamples) is mitigated and
-assembled in array passes; the moments and E_L run per matrix.
-:meth:`Analyzer.report` alone lays out ``report.json``: the main analysis
-with its diagnostics, the ablation over :data:`ABLATION_STACKS`, the
+assembled in array passes, each step once for all the mitigation stacks
+that share it; the moments and E_L run per matrix. :meth:`Analyzer.report`
+alone lays out ``report.json``: the main analysis with its diagnostics and
+the ablation over :data:`ABLATION_STACKS` from one table stage, the
 bootstrap and the errors against FCI. The
 dict-path functions (``mitigation.apply_qrem``, ``clip_to_physical``,
 ``symmetry_postselect``, ``assemble_rdm``, ``rescale_rdm``,
@@ -36,6 +38,7 @@ dict-path functions (``mitigation.apply_qrem``, ``clip_to_physical``,
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -85,9 +88,12 @@ def sample_counts(cfg: PipelineConfig, prepared, circuits) -> np.ndarray:
     preparation circuits `prepared` (trial, reference) and the B measurement
     `circuits`. The calibration rows are |0...0> and |1...1> under readout
     flips alone; a basis row gets white noise at the rate of its CNOTs.
-    Each state is prepared once (norm checked) and each measurement circuit
-    runs on the stack of both; one pass adds all noise, then the rows are
-    drawn in order, each from its own seed."""
+    Each state is prepared once (norm checked). The circuits that share a
+    ``routed`` circuit, as one parent's bases do, run it once, on the stack
+    of both states times each one's phase vector (i per bit that a leading
+    S acts on): that product is exact, so each basis gets its whole
+    circuit's probabilities bit for bit. One pass adds all noise, then the
+    rows are drawn in order, each from its own seed."""
     n = prepared[0].n_qubits
     n_bases, dim = len(circuits), 1 << n
     noise = cfg.noise
@@ -99,11 +105,20 @@ def sample_counts(cfg: PipelineConfig, prepared, circuits) -> np.ndarray:
         check_norm(amps)
     ideal = np.zeros((2 * n_bases + 2, dim))
     ideal[0, 0] = ideal[1, -1] = 1.0
-    for i, mc in enumerate(circuits):
-        ideal[2 + i::n_bases] = np.abs(run(mc.circuit, states)) ** 2
+    parents = {}
+    for b, mc in enumerate(circuits):
+        parents.setdefault(id(mc.routed), []).append(b)
+    bits = np.arange(dim)[:, None] >> np.arange(n) & 1
+    for rows in parents.values():
+        phases = [np.array([1, 1j, -1, -1j])[bits[:, circuits[b].phased].sum(
+            axis=1) % 4] for b in rows]
+        stack = (np.array(phases)[:, None] * states).reshape(-1, dim)
+        probs = np.abs(run(circuits[rows[0]].routed, stack)) ** 2
+        ideal[2 + np.array(rows)] = probs[0::2]
+        ideal[2 + n_bases + np.array(rows)] = probs[1::2]
     q = [0.0, 0.0] + [
         white_noise_rate(noise["global_q"], noise["cnot_q"],
-                         c.cnot_count() + mc.circuit.cnot_count())
+                         c.cnot_count() + mc.routed.cnot_count())
         for c in prepared for mc in circuits]
     seeds = [derive_seed(cfg.master_seed, tag, i) for tag, count in (
         ("calibration", 2), ("sample-trial", n_bases),
@@ -380,10 +395,11 @@ class Analyzer:
         if self.order != n_electrons:
             raise ValueError(f"exact moments need an order-{n_electrons} "
                              f"RDM, not order {self.order}")
-        self.masks = np.array([
-            postselect_mask(n_electrons, self.sz,
-                            position_spins(mc, self.spins, n))
-            for mc in circuits])
+        # one mask per distinct spin pattern, as one parent's bases share
+        patterns, index = np.unique([position_spins(mc, self.spins, n)
+                                     for mc in circuits], axis=0,
+                                    return_inverse=True)
+        self.masks = postselect_mask(n_electrons, self.sz, patterns)[index]
         self._elem, self._flat, self._weight = _assembly_map(
             plan, circuits, rank)
         # every quantity below is read off one map of the elements into the
@@ -438,48 +454,95 @@ class Analyzer:
                                  f"{total}")
         return MomentSet(*(float(t.real) for t in totals))
 
-    def element_values(self, stack, mitigation=None):
-        """The table stage, one array pass over a stack (R x tables x 2^n):
-        trial element values (R x elements), q̂ (R,), each matrix's failure
-        (its message alone, or None), and the per-basis acceptance and
-        clipped mass (R x bases) with the fitted q̂ (None uncalibrated)."""
-        mit = dict(self.cfg.mitigation if mitigation is None else mitigation)
-        failures = [None] * len(stack)
-        n_bases, shape = self.n_bases, (len(stack), self.n_bases)
-        values, acceptance, clipped = {}, {}, {}
+    def element_values(self, stack, mitigations):
+        """The table stage of a stack (R x tables x 2^n) under each
+        mitigation dict of `mitigations` (None: the config's): trial element
+        values (R x elements), q̂ (R,), each matrix's failure (its message
+        alone, or None), and the per-basis acceptance and clipped mass
+        (R x bases) with the fitted q̂ (None uncalibrated).
+
+        A table step runs once, in one array pass, for all the dicts that
+        apply it after the same steps, and the trial block's tables go
+        before the reference block's are made; the white-noise fit runs per
+        dict. A step changes no input and records its failures in a list of
+        its own; a dict's failure is the first of its steps', as when it
+        runs alone. Nothing warns here."""
+        mits = [self.cfg.mitigation if m is None else m for m in mitigations]
+        recorded = [[] for _ in mits]  # each dict's failure lists, in order
+        done = {}   # the results that another dict may share
+
+        def once(d, key, step):
+            # step(failures) on the first use of `key`, for dict d
+            if key in done:
+                result, failures = done[key]
+            else:
+                result = step(failures := [None] * len(stack))
+                if len(mits) > 1:
+                    done[key] = result, failures
+            recorded[d].append(failures)
+            return result
+
         # a failed matrix runs on unread
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cal = calibration_from_counts(stack[:, 0], stack[:, 1], failures) \
-                if mit.get("qrem") else None
-            for which, start in (("trial", 2), ("reference", 2 + n_bases)):
-                block = stack[:, start:start + n_bases]
-                probs = block / block.sum(axis=-1, keepdims=True)
-                clipped[which] = np.zeros(shape)
-                if cal is not None:
-                    probs = qrem_rows(probs, cal)
-                    if mit.get("clip"):
-                        probs, clipped[which] = clip_rows(probs, failures)
-                acceptance[which] = np.ones(shape)
-                if mit.get("postselect"):
-                    probs, acceptance[which] = postselect_rows(
-                        probs, self.masks, failures)
-                values[which] = self.assemble(probs)
-                if mit.get("rescale"):
-                    values[which] = self.rescale(values[which], failures)
-            v = values["trial"]
-            q_hat, q_fit = np.zeros(len(stack)), None
-            if mit.get("calibrate"):
-                q_fit = fit_white_noise_rate(values["reference"],
-                                             self.ideal_ref, self.mixed,
-                                             failures)
-                q_fit[[f is not None for f in failures]] = np.nan
-                q_hat, corrected = reference_calibrate(v, q_fit, self.mixed)
-                # where q̂ = 0, corrected is v, already rescaled
-                if mit.get("rescale"):
-                    corrected = self.rescale(corrected, failures)
-                v = np.where((q_hat > 0.0)[:, None], corrected, v)
-        return v, q_hat, failures, dict(
-            acceptance=acceptance, clipped_mass=clipped, q_hat_fit=q_fit)
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cal = [once(d, "calibration", lambda f: calibration_from_counts(
+                stack[:, 0], stack[:, 1], f)) if mit.get("qrem") else None
+                for d, mit in enumerate(mits)]
+            blocks = []
+            for start in (2, 2 + self.n_bases):
+                done.clear()
+                blocks.append([self._block(
+                    stack[:, start:start + self.n_bases], mit, cal[d],
+                    functools.partial(once, d)) for d, mit in enumerate(mits)])
+            results = []
+            for d, (mit, trial, ref) in enumerate(zip(mits, *blocks)):
+                v, q_hat, q_fit = trial[0], np.zeros(len(stack)), None
+                if mit.get("calibrate"):
+                    recorded[d].append(failures := [None] * len(stack))
+                    q_fit = fit_white_noise_rate(ref[0], self.ideal_ref,
+                                                 self.mixed, failures)
+                    q_hat, corrected = reference_calibrate(v, q_fit,
+                                                           self.mixed)
+                    # where q̂ = 0, corrected is v, already rescaled
+                    if mit.get("rescale"):
+                        corrected = self.rescale(corrected, failures)
+                    v = np.where((q_hat > 0.0)[:, None], corrected, v)
+                first = [next((f for f in fs if f is not None), None)
+                         for fs in zip(*recorded[d])]
+                results.append((v, q_hat, first, dict(
+                    acceptance=dict(trial=trial[2], reference=ref[2]),
+                    clipped_mass=dict(trial=trial[1], reference=ref[1]),
+                    q_hat_fit=q_fit)))
+        return results
+
+    def _block(self, block, mit, cal, once):
+        """(element values, clipped mass, acceptance) of a block of tables
+        (R x bases x 2^n) under `mit`, with the readout calibration `cal`;
+        once(key, step) runs each step."""
+        key, shape = (), block.shape[:2]
+        clipped, acceptance = np.zeros(shape), np.ones(shape)
+
+        def inverted(failures):
+            # the raw probabilities are not kept past the inversion
+            probs = qrem_rows(block / block.sum(axis=-1, keepdims=True), cal)
+            return clip_rows(probs, failures) if mit.get("clip") else \
+                (probs, clipped)
+
+        if cal is None:
+            probs = block / block.sum(axis=-1, keepdims=True)
+        else:
+            key = ("qrem", bool(mit.get("clip")))
+            probs, clipped = once(key, inverted)
+        if mit.get("postselect"):
+            key += ("postselect",)
+            probs, acceptance = once(key, lambda f: postselect_rows(
+                probs, self.masks, f))
+        values = once(key + ("assemble",), lambda f: self.assemble(probs))
+        if mit.get("rescale"):
+            key += ("rescale",)
+            values = once(key, lambda f: self.rescale(values, f))
+        return values, clipped, acceptance
 
     def energies(self, values):
         """(<H>, E_L), the unclamped c2 and its clamp, from element values."""
@@ -497,9 +560,7 @@ class Analyzer:
         """<H> and E_L of each count matrix of a stack, or the error it
         raises alone; only :meth:`energies` runs per matrix. A clamped q̂
         does not warn."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            values, _, failures, _ = self.element_values(stack, mitigation)
+        (values, _, failures, _), = self.element_values(stack, [mitigation])
         results = []
         for v, failure in zip(values, failures):
             try:
@@ -514,23 +575,27 @@ class Analyzer:
         """<H> and E_L of one count matrix, a stack of one; raises its failure.
         ``diagnostics`` (the main analysis) warns of a clamped q̂ and adds
         q̂, acceptance, representability and the per-basis diagnostics."""
-        with warnings.catch_warnings():
-            if not diagnostics:
-                warnings.simplefilter("ignore")
-            (v,), (q_hat,), (failure,), per_basis = self.element_values(
-                np.asarray(counts)[None], mitigation)
+        table, = self.element_values(np.asarray(counts)[None], [mitigation])
+        return self._result(table, diagnostics)
+
+    def _result(self, table, diagnostics=False):
+        """:meth:`analyze` of the table stage `table` of a stack of one."""
+        (v,), (q_hat,), (failure,), per_basis = table
         if failure is not None:
             raise ValueError(failure)
+        q_fit = per_basis.pop("q_hat_fit")
+        q_clamped = q_fit is not None and bool(q_fit[0] != q_hat)
+        if q_clamped and diagnostics:
+            warnings.warn(f"estimated white-noise rate {q_fit[0]} clamped "
+                          "to 0")
         result, c2, c2_clamped = self.energies(v)
         if not diagnostics:
             return result
-        q_fit = per_basis.pop("q_hat_fit")
         diag = {key: {k: r[0].tolist() for k, r in rows.items()}
                 for key, rows in per_basis.items()}
         diag.update(
             q_hat_fit=None if q_fit is None else float(q_fit[0]),
-            q_hat_clamped=q_fit is not None and bool(q_fit[0] != q_hat),
-            c2=c2, c2_clamped=c2_clamped)
+            q_hat_clamped=q_clamped, c2=c2, c2_clamped=c2_clamped)
         # D over the N_e-electron occupations has trace 1
         density = np.zeros((self._dim, self._dim))
         density[self._rows, self._cols] = density[self._cols, self._rows] = \
@@ -548,13 +613,16 @@ class Analyzer:
         with its diagnostics, one ablation row per :data:`ABLATION_STACKS`
         entry (``{"technique", "failed"}`` where the stack fails), the
         bootstrap over :meth:`analyze_stack` when the config enables it, the
-        errors against FCI and the config."""
+        errors against FCI and the config. The main analysis and the
+        ablation rows share one table-stage call."""
         cfg, e_fci = self.cfg, self.e_fci
-        main = self.analyze(counts, diagnostics=True)
+        main, *rows = self.element_values(np.asarray(counts)[None], [None] + [
+            stack for _, stack in ABLATION_STACKS])
+        main = self._result(main, diagnostics=True)
         ablation = []
-        for name, stack in ABLATION_STACKS:
+        for (name, _), row in zip(ABLATION_STACKS, rows):
             try:
-                res = self.analyze(counts, mitigation=stack)
+                res = self._result(row)
             except (ValueError, ArithmeticError) as exc:
                 ablation.append({"technique": name, "failed": str(exc)})
                 continue

@@ -21,6 +21,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .conventions import interleaved_spins, sz_of
 from .integrals import (
     freeze_orbitals, load_fcidump, spin_orbital_hamiltonian,
 )
-from .planner import build_measurement_circuit, build_plan, \
+from .planner import ConcreteBasis, build_measurement_circuit, build_plan, \
     enumerate_elements
 from .simulator import exact_diagonalize
 from .trial import Ansatz, Excitation, build_uccd, energy_objective, \
@@ -217,13 +218,17 @@ def _check_plan(plan, cfg: PipelineConfig, n: int, source: str):
 
 
 def _measurement_circuits(plan, layout, source: str) -> list:
-    """One measurement circuit per concrete basis of the plan; ConfigError
-    naming `source` if the plan's routing does not fit `layout`."""
+    """One measurement circuit per concrete basis of the plan: its parent's,
+    built once (the kinds only choose the leading S gates), with the
+    basis's kinds. ConfigError naming `source` if the plan's routing does
+    not fit `layout`."""
     try:
-        return [build_measurement_circuit(b, layout) for b in plan.bases]
+        built = {id(p): build_measurement_circuit(ConcreteBasis(p, ()), layout)
+                 for p in plan.level1}
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise ConfigError(f"{source} does not fit its layout "
                           f"{list(layout)}: {exc!r}") from exc
+    return [replace(built[id(b.parent)], kinds=b.kinds) for b in plan.bases]
 
 
 def _read_thetas(path, n_excitations: int) -> list:

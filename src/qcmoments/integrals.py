@@ -189,29 +189,23 @@ def freeze_orbitals(ints: MolecularIntegrals, frozen_occ, frozen_virt
 
 
 def spin_orbital_hamiltonian(ints: MolecularIntegrals) -> FermionOperator:
-    """Second-quantized Hamiltonian over interleaved spin-orbitals."""
+    """Second-quantized Hamiltonian over interleaved spin-orbitals, each
+    term written in normal order directly: a†_P a†_Q a_S a_R (zero if P = Q
+    or R = S) with both pairs sorted, the sign flipped once per swap. Terms
+    accumulate in the order of the sum above; integrals below 1e-14 drop."""
     n = ints.n_spatial
     op = FermionOperator(2 * n)
     if ints.e_const:
-        op.add_string([], ints.e_const)
-    for p in range(n):
-        for q in range(n):
-            v = ints.h1[p, q]
-            if abs(v) < 1e-14:
-                continue
-            for sp in (0, 1):
-                op.add_string([(2 * p + sp, True), (2 * q + sp, False)], v)
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s in range(n):
-                    v = ints.h2[p, q, r, s]
-                    if abs(v) < 1e-14:
-                        continue
-                    for sp in (0, 1):
-                        for tp in (0, 1):
-                            op.add_string(
-                                [(2 * p + sp, True), (2 * q + tp, True),
-                                 (2 * s + tp, False), (2 * r + sp, False)],
-                                0.5 * v)
+        op._add_raw(((), ()), ints.e_const)
+    for p, q in np.argwhere(~(np.abs(ints.h1) < 1e-14)).tolist():
+        for sp in (0, 1):
+            op._add_raw(((2 * p + sp,), (2 * q + sp,)), ints.h1[p, q])
+    for p, q, r, s in np.argwhere(~(np.abs(ints.h2) < 1e-14)).tolist():
+        v = 0.5 * ints.h2[p, q, r, s]
+        for sp, tp in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            cre, ann = (2 * p + sp, 2 * q + tp), (2 * s + tp, 2 * r + sp)
+            if cre[0] != cre[1] and ann[0] != ann[1]:
+                swaps = (cre[0] > cre[1]) + (ann[0] > ann[1])
+                op._add_raw((tuple(sorted(cre)), tuple(sorted(ann))),
+                            -v if swaps == 1 else v)
     return op.compress()

@@ -231,10 +231,11 @@ def symmetry_postselect(probs: dict, n_electrons: int, s_z: float,
 
 def postselect_mask(n_electrons: int, s_z: float, spins) -> np.ndarray:
     """Outcomes (integer indices) with the right electron number and S_z;
-    `spins` labels each bit position as in :func:`symmetry_postselect`."""
-    bits = outcome_bits(len(spins))
+    `spins` labels each bit position as in :func:`symmetry_postselect`, and
+    a (k x n) array of labels gives the k masks of its rows."""
+    bits = outcome_bits(np.shape(spins)[-1])
     n_occ = bits.sum(axis=1)
-    up = bits @ np.array([s == "u" for s in spins], dtype=int)
+    up = (np.asarray(spins) == "u").astype(int) @ bits.T
     return (n_occ == n_electrons) & (np.abs(up - 0.5 * n_occ - s_z) <= 1e-12)
 
 

@@ -560,9 +560,9 @@ def build_plan(elements, spins, max_depth: int = 8,
 # Diagonalizer for Re(a†_j a_{j+1}) on adjacent qubits (lo, lo+1): a Givens
 # rotation mapping the ±1/2 eigenvectors (|01⟩ ± |10⟩)/√2 onto the
 # computational states; conserves the pair occupation number. The Im
-# diagonalizer is the same circuit preceded by S on the low qubit
-# (S Im S† = Re on the odd-occupation block). The planner tests check both
-# against the hopping operator's matrix and MeasurementCircuit.pair_value.
+# diagonalizer is that circuit preceded by S on the low qubit (S Im S† = Re
+# on the odd-occupation block), an S that MeasurementCircuit moves to the
+# front. Tests check both against the hopping operator and pair_value.
 
 
 def _re_diagonalizer(circ: Circuit, lo: int):
@@ -570,20 +570,38 @@ def _re_diagonalizer(circ: Circuit, lo: int):
     circ.ry(lo, -np.pi / 4).cnot(lo, lo + 1)
 
 
-def _im_diagonalizer(circ: Circuit, lo: int):
-    circ.s(lo)
-    _re_diagonalizer(circ, lo)
-
-
 @dataclass
 class MeasurementCircuit:
-    """Routed and diagonalized circuit plus outcome-decoding metadata."""
+    """Routed and diagonalized circuit plus outcome-decoding metadata.
 
-    circuit: Circuit
+    The circuit is S where each Im site's low-end mode starts, then
+    ``routed``: the parent's routing, every site diagonalized as Re. The Im
+    diagonalizer's S moves there exactly: S = i^n on its mode's qubit, an
+    FSWAP carries n along with the mode, gates on other qubits commute with
+    it, and until its site interacts no other gate meets that mode. So one
+    parent's concrete bases share all but ``kinds``."""
+
+    routed: Circuit
     #: mode -> final measured position (modes not absorbed into a pair)
     mode_positions: dict
     #: site (q1, q2) -> (final lo position, final hi position, mode at lo)
     site_positions: dict
+    #: "Re" or "Im" per pair site of the parent, and the start position of
+    #: the mode at each site's low end
+    kinds: tuple = ()
+    starts: tuple = ()
+
+    @property
+    def phased(self) -> list:
+        """Positions that S acts on before ``routed``."""
+        return [q for q, k in zip(self.starts, self.kinds) if k == "Im"]
+
+    @property
+    def circuit(self) -> Circuit:
+        circ = Circuit(self.routed.n_qubits)
+        for q in self.phased:
+            circ.s(q)
+        return circ.extend(self.routed)
 
     # The decoders take an outcome index or an integer array of them.
 
@@ -648,6 +666,7 @@ def build_measurement_circuit(basis: ConcreteBasis, layout) -> \
     pair_sites = basis.parent.pair_sites()
     circ = Circuit(len(layout))
     occupant = list(layout)  # position -> mode label or ("site", idx, "lo/hi")
+    starts = [None] * len(pair_sites)
     interacted = 0
     for step in basis.parent.schedule.steps:
         for (i, j) in step.swaps:
@@ -664,10 +683,8 @@ def build_measurement_circuit(basis: ConcreteBasis, layout) -> \
                     f"{list(layout)}")
             interacted += 1
             mode_lo = occupant[i]
-            if basis.kinds[pair_id] == "Re":
-                _re_diagonalizer(circ, i)
-            else:
-                _im_diagonalizer(circ, i)
+            starts[pair_id] = layout.index(mode_lo)
+            _re_diagonalizer(circ, i)
             occupant[i] = ("site", pair_id, "lo", mode_lo)
             occupant[j] = ("site", pair_id, "hi", mode_lo)
     if interacted != len(pair_sites):
@@ -684,4 +701,5 @@ def build_measurement_circuit(basis: ConcreteBasis, layout) -> \
         site = pair_sites[pair_id]
         site_positions[tuple(site)] = (ends["lo"][0], ends["hi"][0],
                                        ends["lo"][1])
-    return MeasurementCircuit(circ, mode_positions, site_positions)
+    return MeasurementCircuit(circ, mode_positions, site_positions,
+                              tuple(basis.kinds), tuple(starts))

@@ -5,13 +5,16 @@ It chains the bitstring-dict mitigation functions, ``assemble_rdm`` and
 ``moments_from_rdm`` table by table, as the command line did before the
 analysis was compiled into array maps. ``product_assembly_map`` builds the
 assembly triplets one product at a time, as before they were decoded from
-an outcome-feature table.
+an outcome-feature table. ``sample_counts_per_basis`` draws an archive's
+count matrix with one simulation per measurement circuit, as before the
+concrete bases of one parent shared theirs.
 """
 import warnings
 
 import numpy as np
 
 from qcmoments.analysis import position_spins
+from qcmoments.config import derive_seed
 from qcmoments.conventions import sz_of
 from qcmoments.fermion import FermionOperator
 from qcmoments.mitigation import (
@@ -25,7 +28,10 @@ from qcmoments.qcm import (
     moments_from_rdm,
 )
 from qcmoments.rdm import RDM
-from qcmoments.simulator import CountsTable
+from qcmoments.simulator import (
+    CountsTable, assignment_matrices, noisy_distribution, run, sample,
+    white_noise_rate,
+)
 
 from fixtures_util import shared_powers
 from reference_rdm import rdm_from_determinant, rdm_representability
@@ -55,6 +61,32 @@ def product_assembly_map(plan, circuits):
             flat.append(b_idx * outcomes.size + nonzero)
             weight.append(reversal * sign * values[nonzero])
     return np.concatenate(elem), np.concatenate(flat), np.concatenate(weight)
+
+
+def sample_counts_per_basis(cfg, prepared, circuits):
+    """``analysis.sample_counts`` of the preparation circuits `prepared`
+    and the whole measurement circuits `circuits`: each circuit runs on
+    the stack of both prepared states, one circuit at a time."""
+    n = prepared[0].n_qubits
+    n_bases, dim = len(circuits), 1 << n
+    noise = cfg.noise
+    zero = np.eye(1, dim)[0]
+    states = np.array([run(circuit, zero) for circuit in prepared])
+    ideal = np.zeros((2 * n_bases + 2, dim))
+    ideal[0, 0] = ideal[1, -1] = 1.0
+    for i, circuit in enumerate(circuits):
+        ideal[2 + i::n_bases] = np.abs(run(circuit, states)) ** 2
+    q = [0.0, 0.0] + [
+        white_noise_rate(noise["global_q"], noise["cnot_q"],
+                         c.cnot_count() + circuit.cnot_count())
+        for c in prepared for circuit in circuits]
+    seeds = [derive_seed(cfg.master_seed, tag, i) for tag, count in (
+        ("calibration", 2), ("sample-trial", n_bases),
+        ("sample-reference", n_bases)) for i in range(count)]
+    flips = assignment_matrices(np.full(n, noise["p01"]),
+                                np.full(n, noise["p10"]))
+    return np.array([sample(p, cfg.shots, seed=seed).vector(n) for p, seed
+                     in zip(noisy_distribution(ideal, q, flips), seeds)])
 
 
 def bits_to_string(bits: int, n_qubits: int) -> str:

@@ -23,6 +23,10 @@ spins.
 
 ``factor_entries`` walks the flat coverage records of a plan file's JSON
 object (schema 3), for the tests that corrupt a factor.
+
+``circuit_with_s_in_place`` builds a concrete basis's measurement circuit
+with each Im site's S right before its Re diagonalizer, as the planner did
+before it moved every S to the front of the parent's routed circuit.
 """
 import itertools
 from math import comb, prod
@@ -31,7 +35,8 @@ import numpy as np
 
 from qcmoments.fermion import FermionOperator, multiply, sort_sign
 from qcmoments.planner import PairingBasis, RdmElement, \
-    _requirement_options, _split_element
+    _re_diagonalizer, _requirement_options, _split_element
+from qcmoments.simulator import Circuit
 
 
 def factor_operator(factor, n_modes: int) -> FermionOperator:
@@ -195,3 +200,31 @@ def factor_entries(plan):
             for f in range(records[pos + 2]):
                 yield records, pos + 3 + 3 * f
             pos += 3 + 3 * records[pos + 2]
+
+
+def _im_diagonalizer(circ: Circuit, lo: int):
+    """Diagonalizer of Im(a†_j a_{j+1}) on qubits (lo, lo + 1): S on the low
+    qubit, then the Re diagonalizer."""
+    circ.s(lo)
+    _re_diagonalizer(circ, lo)
+
+
+def circuit_with_s_in_place(basis, layout) -> Circuit:
+    """The measurement circuit of the concrete basis `basis` under
+    `layout`: the parent's FSWAP routing, with each pair site diagonalized
+    by its kind's diagonalizer where the site interacts."""
+    pair_sites = basis.parent.pair_sites()
+    circ = Circuit(len(layout))
+    occupant = list(layout)
+    for step in basis.parent.schedule.steps:
+        for (i, j) in step.swaps:
+            circ.fswap(i, j)
+            occupant[i], occupant[j] = occupant[j], occupant[i]
+        for pair_id, (i, j) in step.interactions:
+            assert {occupant[i], occupant[j]} == set(pair_sites[pair_id])
+            if basis.kinds[pair_id] == "Re":
+                _re_diagonalizer(circ, i)
+            else:
+                _im_diagonalizer(circ, i)
+            occupant[i] = occupant[j] = None
+    return circ

@@ -134,7 +134,7 @@ def _assert_paths_agree(compiled, reference, counts):
         for which in ("trial", "reference"):
             assert got["diagnostics"]["acceptance"][which] == \
                 pytest.approx(want["acceptance"][which], abs=TOL)
-        values = compiled.element_values(counts[None], stack)[0][0]
+        values = compiled.element_values(counts[None], [stack])[0][0][0]
         rdm = want["rdm"]
         assert values == pytest.approx(
             [rdm.get(e.creations, e.annihilations).real
@@ -290,13 +290,14 @@ def test_stacked_analysis_equals_each_matrix_alone(fixture, request):
     _, _, (compiled, _, counts) = request.getfixturevalue(fixture)
     stack = np.concatenate([counts[None], _redraws(counts, 3, seed=4)])
     for _, mitigation in [(None, None)] + ABLATION_STACKS:
-        values, q_hat, failures, _ = compiled.element_values(stack,
-                                                             mitigation)
+        (values, q_hat, failures, _), = compiled.element_values(
+            stack, [mitigation])
         assert failures == [None] * len(stack)
         for r, matrix in enumerate(stack):
-            one = compiled.element_values(matrix[None], mitigation)
-            assert values[r].tobytes() == one[0][0].tobytes()
-            assert q_hat[r].tobytes() == one[1][0].tobytes()
+            (one, one_q, _, _), = compiled.element_values(matrix[None],
+                                                          [mitigation])
+            assert values[r].tobytes() == one[0].tobytes()
+            assert q_hat[r].tobytes() == one_q[0].tobytes()
         got = compiled.analyze_stack(stack, mitigation)
         assert [_stacked(g) for g in got] == \
             [_alone(compiled, m, mitigation) for m in stack]
@@ -402,6 +403,102 @@ def test_only_the_main_analysis_warns_of_a_clamped_rate(h2, monkeypatch):
         warnings.simplefilter("error")
         compiled.analyze(counts)
         compiled.analyze_stack(np.stack([counts, counts]))
+
+
+@pytest.mark.filterwarnings("ignore:estimated white-noise rate")
+@pytest.mark.parametrize("fixture", ["h2", "h4"])
+def test_report_rows_equal_each_stack_alone(fixture, request):
+    # the main analysis and the ablation rows come from one table-stage
+    # call, and each equals its own analysis, bit for bit
+    _, _, (compiled, _, counts) = request.getfixturevalue(fixture)
+    report = compiled.report(counts)
+    main = compiled.analyze(counts, diagnostics=True)
+    assert (report["estimate"]["h_expect"], report["estimate"]["e_l"],
+            report["estimate"]["q_hat"], report["representability"],
+            report["diagnostics"]) == (main["h"], main["e_l"], main["q_hat"],
+                                       main["representability"],
+                                       main["diagnostics"])
+    for (name, stack), row in zip(ABLATION_STACKS, report["ablation"]):
+        alone = compiled.analyze(counts, stack)
+        assert row == {"technique": name, "h": alone["h"],
+                       "e_l": alone["e_l"],
+                       "h_error": alone["h"] - compiled.e_fci,
+                       "e_l_error": alone["e_l"] - compiled.e_fci}
+
+
+def _table_bytes(table):
+    """A table-stage result as bytes and messages, to compare exactly."""
+    values, q_hat, failures, per_basis = table
+    return (values.tobytes(), q_hat.tobytes(), failures,
+            {key: {k: r.tobytes() for k, r in rows.items()}
+             for key, rows in per_basis.items() if key != "q_hat_fit"},
+            None if per_basis["q_hat_fit"] is None
+            else per_basis["q_hat_fit"].tobytes())
+
+
+def _row(analyzer, table):
+    """An ablation row's outcome from its table-stage result."""
+    try:
+        return analyzer._result(table)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("ignore:estimated white-noise rate")
+def test_shared_table_pass_equals_each_stack_alone(h2):
+    # matrices whose clip or post-selection fails in a step that several
+    # ablation stacks share, among random tables: every stack's table
+    # stage and outcome in the shared call, failures and their messages
+    # included, is the one it gives alone
+    _, _, (compiled, _, counts) = h2
+    n_bases, shots = compiled.n_bases, counts[0].sum()
+    rng = np.random.default_rng(12)
+    clip_fails = counts.copy()    # totals far off 1 after readout inversion
+    clip_fails[2, :2] = [2 ** 60, 1 - 2 ** 60]
+    clip_fails[2, 2:] = 0
+    post_fails = counts.copy()    # no trial outcome holds two electrons
+    post_fails[2:2 + n_bases] = np.eye(16, dtype=counts.dtype)[0] * shots
+    matrices = [counts, clip_fails, post_fails] + [
+        m + rng.integers(0, 60, size=m.shape)
+        for m in (counts, clip_fails, post_fails)]
+    # the report's stacks first, then some that share only part of a chain
+    mitigations = [None] + [stack for _, stack in ABLATION_STACKS] + [
+        {"qrem": True}, {"postselect": True}, {"rescale": True},
+        {"qrem": True, "postselect": True, "calibrate": True}]
+    failed = []   # the ablation rows' failures
+    for matrix in matrices:
+        shared = compiled.element_values(matrix[None], mitigations)
+        for mitigation, table in zip(mitigations, shared):
+            (alone,) = compiled.element_values(matrix[None], [mitigation])
+            assert _table_bytes(table) == _table_bytes(alone)
+            assert _row(compiled, table) == \
+                _alone(compiled, matrix, mitigation)
+        failed.append([table[2][0] for table in shared[1:6]])
+    assert failed[0] == failed[3] == [None] * 5
+    for rows in failed[1], failed[4]:
+        assert rows[0] is None
+        assert all(f.startswith("quasi-probabilities sum to")
+                   for f in rows[1:])
+    for rows in failed[2], failed[5]:
+        assert rows[:2] == [None, None]
+        assert all(f == "post-selection removed all probability mass"
+                   for f in rows[2:])
+
+
+def test_report_warns_once_of_a_clamped_rate(h2, monkeypatch):
+    # the main analysis and the calibrated row share the clamped fit; only
+    # the main analysis warns, once
+    _, _, (compiled, _, counts) = h2
+    fit = analysis.fit_white_noise_rate
+    monkeypatch.setattr(analysis, "fit_white_noise_rate",
+                        lambda *args: fit(*args) - 1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = compiled.report(counts)
+    assert [str(w.message) for w in caught] == [
+        f"estimated white-noise rate {report['diagnostics']['q_hat_fit']} "
+        "clamped to 0"]
+    assert report["diagnostics"]["q_hat_clamped"]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 
 from qcmoments import analysis, simulator
 from qcmoments.analysis import Analyzer, write_archive
-from qcmoments.cli import _load_system, main
+from qcmoments.cli import _load_system, _measurement_circuits, main
 from qcmoments.config import derive_seed, load_config
 from qcmoments.planner import KINDS, MeasurementPlan, \
     build_measurement_circuit, build_plan, enumerate_elements
@@ -24,7 +24,8 @@ from qcmoments.simulator import Circuit, run
 from qcmoments.trial import build_uccd
 
 from fixtures_util import H2_PATH, H4_PATH
-from reference_planner import factor_entries
+from reference_analysis import sample_counts_per_basis
+from reference_planner import circuit_with_s_in_place, factor_entries
 from reference_simulator import basis_state
 
 # sector FCI / Hartree-Fock energies of the stretched-H2 fixture,
@@ -704,6 +705,71 @@ def test_measurement_circuit_on_prepared_state_is_exact(tmp_path):
                 built.circuit.cnot_count() + mc.cnot_count()
 
 
+@pytest.mark.parametrize("system, reversed_layout", [
+    ("h2", False), ("h4", False), ("h4", True)])
+def test_sample_counts_equals_one_run_per_basis(tmp_path, system,
+                                                reversed_layout):
+    # one simulation per routed parent, on the states times each basis's
+    # phase vector, draws the count matrix that running every basis's
+    # S-in-place circuit on both states draws, bit for bit; also for a plan
+    # routed under the reversed layout, with per-CNOT noise
+    noise = dict(PINNED_NOISE, cnot_q=0.002 if reversed_layout else None)
+    cfg = write_config(tmp_path, **PINNED_PIPELINES[system][0], noise=noise,
+                       master_seed=7)
+    config = load_config(cfg)
+    plan, thetas = _plan_and_thetas(tmp_path, cfg)
+    plan = MeasurementPlan.loads(plan.read_text())
+    thetas = json.loads(thetas.read_text())["thetas"]
+    _, _, ansatz = _load_system(config)
+    built = [build_uccd(ansatz.with_thetas(t))
+             for t in (thetas, [0.0] * len(thetas))]
+    prepared, layout = [b.circuit for b in built], built[0].layout
+    if reversed_layout:
+        n = ansatz.n_qubits
+        layout = tuple(range(n)[::-1])
+        plan = build_plan(enumerate_elements(n, config.order, plan.spins),
+                          plan.spins, layout=layout)
+        # complex amplitudes, which tell S from its inverse
+        prepared = [Circuit(n).extend(c).h(0).s(0).h(3) for c in prepared]
+    circuits = _measurement_circuits(plan, layout, "plan")
+    assert len({id(mc.routed) for mc in circuits}) == len(plan.level1) \
+        < len(plan.bases)
+    counts = analysis.sample_counts(config, prepared, circuits)
+    want = sample_counts_per_basis(
+        config, prepared,
+        [circuit_with_s_in_place(b, layout) for b in plan.bases])
+    assert counts.dtype == want.dtype and np.array_equal(counts, want)
+
+
+def test_run_simulates_once_per_routed_parent(tmp_path, monkeypatch):
+    # on the 8 qubits, the two preparations and one measurement run per
+    # level-1 basis of the H4 plan (64 parents of 200 concrete bases); the
+    # other runs check the trial's 4-qubit templates
+    cfg = write_config(tmp_path, **PINNED_PIPELINES["h4"][0],
+                       noise=PINNED_NOISE, master_seed=7)
+    plan, thetas = _plan_and_thetas(tmp_path, cfg)
+    calls = []
+    original = simulator.run
+
+    def counting(circuit, initial):
+        calls.append(np.shape(initial))
+        return original(circuit, initial)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qcmoments") and \
+                getattr(module, "run", None) is original:
+            monkeypatch.setattr(module, "run", counting)
+    assert main(["run", "--config", str(cfg), "--plan", str(plan),
+                 "--thetas", str(thetas), "--output-dir",
+                 str(tmp_path / "counts")]) == 0
+    loaded = MeasurementPlan.loads(plan.read_text())
+    assert (len(loaded.level1), len(loaded.bases)) == (64, 200)
+    calls = [shape for shape in calls if shape[-1] == 1 << 8]
+    assert len(calls) == 2 + len(loaded.level1)
+    # each parent's run carries both states of each of its bases
+    assert sum(shape[0] for shape in calls[2:]) == 2 * len(loaded.bases)
+
+
 def test_run_noise_reaches_every_row(tmp_path, monkeypatch):
     # the distribution handed to `sample` for each archive row, rebuilt
     # from the whole circuit with the readout flips as one dense matrix:
@@ -876,8 +942,8 @@ def test_pipeline_outputs_are_pinned(tmp_path, system):
 
 
 def test_analyze_runs_one_table_pass_per_stack(tmp_path, monkeypatch):
-    # the main analysis and the five ablation stacks are stacks of one; the
-    # bootstrap's 100 resamples share one pass
+    # the main analysis and the five ablation rows share one table-stage
+    # call on a stack of one; the bootstrap's 100 resamples share another
     overrides = PINNED_PIPELINES["h2"][0]
     cfg = write_config(tmp_path, **overrides, noise=PINNED_NOISE,
                        master_seed=7, output_dir=str(tmp_path / "out"))
@@ -890,4 +956,4 @@ def test_analyze_runs_one_table_pass_per_stack(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Analyzer, "element_values", counting)
     assert main(["pipeline", "--config", str(cfg)]) == 0
-    assert sorted(sizes) == [1] * 6 + [100]
+    assert sorted(sizes) == [1, 100]

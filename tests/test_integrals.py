@@ -2,6 +2,7 @@
 fixture generator."""
 import importlib.util
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from qcmoments.simulator import run
 from qcmoments.trial import hartree_fock_circuit
 
 from reference_fermion import freeze_operator
-from reference_integrals import determinant_energy
+from fixtures_util import H2_PATH, H4_PATH
+from reference_integrals import determinant_energy, \
+    spin_orbital_hamiltonian_by_strings
 from reference_simulator import basis_state, expectation
 
 
@@ -39,6 +42,34 @@ def random_integrals(n, seed, nelec=None):
     h2 = np.transpose(chem, (0, 2, 1, 3)).copy()
     return MolecularIntegrals(n, nelec if nelec is not None else n,
                               0.5, h1, h2)
+
+
+def _unsymmetric_integrals(n, seed, values=None):
+    """Integrals without any permutational symmetry, drawn from `values`
+    if given (so that terms cancel exactly), else normal."""
+    rng = np.random.default_rng(seed)
+    draw = (lambda size: rng.normal(size=size)) if values is None else \
+        (lambda size: rng.choice(values, size=size))
+    return SimpleNamespace(n_spatial=n, e_const=float(draw(None)),
+                           h1=draw((n, n)), h2=draw((n, n, n, n)))
+
+
+@pytest.mark.parametrize("ints", [
+    lambda: load_fcidump(H2_PATH), lambda: load_fcidump(H4_PATH),
+    lambda: freeze_orbitals(load_fcidump(H4_PATH), [0], [3]),
+    lambda: _unsymmetric_integrals(3, 5),
+    lambda: _unsymmetric_integrals(3, 6, values=[-1.0, 0.0, 0.5, 1.0]),
+], ids=["h2", "h4", "h4_frozen", "random", "random_cancelling"])
+def test_direct_terms_match_the_add_string_build(ints):
+    # the same keys in the same dict order, with bit-identical coefficients
+    ints = ints()
+    got = spin_orbital_hamiltonian(ints).terms
+    want = spin_orbital_hamiltonian_by_strings(ints).terms
+    assert list(got) == list(want)
+    assert np.array(list(got.values())).tobytes() == \
+        np.array(list(want.values())).tobytes()
+    assert [type(c) for c in got.values()] == \
+        [type(c) for c in want.values()]
 
 
 def test_symmetry_validation():

@@ -11,16 +11,16 @@ from qcmoments.conventions import interleaved_spins
 from qcmoments.fermion import jordan_wigner
 from qcmoments.planner import (
     ConcreteBasis, MeasurementCircuit, MeasurementPlan, RdmElement,
-    _cross_matchings, _im_diagonalizer, _re_diagonalizer, _split_element,
+    _cross_matchings, _re_diagonalizer, _split_element,
     build_measurement_circuit, build_plan, decompose_element,
     enumerate_elements, group_level1, group_level2, product_value,
 )
 from qcmoments.simulator import Circuit, operator_matrix_in_sector, run
 
 from reference_planner import (
-    decompose_element_by_filter, element_count_formula,
-    enumerate_elements_by_filter, factor_operator, group_level1_scan,
-    solved_products,
+    _im_diagonalizer, circuit_with_s_in_place, decompose_element_by_filter,
+    element_count_formula, enumerate_elements_by_filter, factor_operator,
+    group_level1_scan, solved_products,
 )
 from reference_simulator import basis_state
 
@@ -423,6 +423,36 @@ def test_measurement_circuits_conserve_number_and_sz():
         assert np.max(np.abs(u @ n_mat - n_mat @ u)) < 1e-10
         # all interactions pair equal spins, so S_z is conserved as well
         assert np.max(np.abs(u @ sz_mat - sz_mat @ u)) < 1e-10
+
+
+@pytest.mark.parametrize("n_modes, order, reversed_layout", [
+    (4, 2, False), (4, 2, True), (8, 4, False), (8, 4, True)])
+def test_s_at_the_front_equals_the_s_in_place(n_modes, order,
+                                              reversed_layout):
+    # each concrete basis's circuit, S at the front and then the parent's
+    # all-Re routed circuit, takes random states to the amplitudes that the
+    # S-in-place circuit gives, bit for bit, with the same CNOT count (so
+    # the same white-noise rate); only its kinds set it apart from its
+    # parent's other bases
+    spins = interleaved_spins(n_modes)
+    layout = range(n_modes)[::-1] if reversed_layout else range(n_modes)
+    plan = build_plan(enumerate_elements(n_modes, order, spins), spins,
+                      layout=layout)
+    rng = np.random.default_rng(n_modes + reversed_layout)
+    states = rng.normal(size=(3, 1 << n_modes, 2)) @ [1, 1j]
+    im_bases = 0
+    for basis in plan.bases:
+        mc = build_measurement_circuit(basis, layout)
+        oracle = circuit_with_s_in_place(basis, layout)
+        assert np.array_equal(run(mc.circuit, states), run(oracle, states))
+        assert mc.circuit.cnot_count() == mc.routed.cnot_count() == \
+            oracle.cnot_count()
+        assert len(mc.phased) == basis.kinds.count("Im")
+        im_bases += "Im" in basis.kinds
+        re_only = ConcreteBasis(basis.parent, ("Re",) * len(basis.kinds))
+        assert build_measurement_circuit(re_only, layout).routed.gates == \
+            mc.routed.gates
+    assert im_bases > 0
 
 
 COVERAGE_ARRAYS = ("elements", "product_offsets", "product_basis",
