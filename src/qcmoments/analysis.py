@@ -80,7 +80,7 @@ ABLATION_STACKS = [
 
 #: version of the archive layout that ``write_archive`` writes and
 #: ``load_archive`` reads
-ARCHIVE_SCHEMA = 2
+ARCHIVE_SCHEMA = 3
 
 
 def sample_counts(cfg: PipelineConfig, prepared, circuits) -> np.ndarray:
@@ -237,12 +237,22 @@ def load_archive(archive_dir):
     return manifest, plan, counts
 
 
+def system_identity(cfg: PipelineConfig) -> dict:
+    """Manifest fields that tie an archive to its Hamiltonian: the SHA-256
+    of the integrals file's bytes and the frozen orbitals."""
+    data = read_bytes(cfg.integrals, "integrals file")
+    return {"integrals_sha256": hashlib.sha256(data).hexdigest(),
+            "frozen_occupied": cfg.frozen_occupied,
+            "frozen_virtual": cfg.frozen_virtual}
+
+
 def check_archive_config(manifest, cfg: PipelineConfig, n_electrons: int):
     """ConfigError naming the first manifest field that disagrees with
     the config analysing the archive."""
     for field, want in (("shots_per_basis", cfg.shots), ("noise", cfg.noise),
                         ("master_seed", cfg.master_seed),
-                        ("n_electrons", n_electrons)):
+                        ("n_electrons", n_electrons),
+                        *system_identity(cfg).items()):
         if manifest.get(field) != want:
             raise ConfigError(
                 f"archive {field} {manifest.get(field)!r} differs from the "

@@ -27,7 +27,7 @@ import numpy as np
 
 from .analysis import (
     Analyzer, check_archive_config, load_archive, parse_plan, read_bytes,
-    sample_counts, write_archive,
+    sample_counts, system_identity, write_archive,
 )
 from .config import ConfigError, PipelineConfig, _typed, derive_seed, \
     load_config
@@ -275,6 +275,7 @@ def cmd_run(args) -> int:
             "thetas": thetas,
             "noise": cfg.noise,
             "master_seed": cfg.master_seed,
+            **system_identity(cfg),
         })
     print(f"archived {total} shots over {counts.shape[0]} circuits "
           f"in {args.output_dir}")

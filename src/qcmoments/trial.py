@@ -9,7 +9,9 @@ the Jordan-Wigner image of the generator (eight mutually commuting weight-4
 X/Y strings) as a shared-ladder sequence of Pauli-phase gadgets. When the
 set of basis states reachable from the initial determinant allows it, the
 block is replaced by a cheaper template (a Givens-rotation ladder or a
-pair-compressed controlled rotation) verified numerically on that subspace.
+pair-compressed controlled rotation) chosen from a constant table of the
+patterns on which each template is exact; a tier-1 test recomputes the table
+by simulation.
 """
 from __future__ import annotations
 
@@ -20,8 +22,7 @@ import numpy as np
 from .conventions import interleaved_spins
 from .fermion import FermionOperator, jordan_wigner, sort_sign
 from .simulator import (
-    Circuit, apply_terms, check_norm, operator_matrix_in_sector, run,
-    sector_basis,
+    Circuit, apply_terms, check_norm, operator_matrix_in_sector, sector_basis,
 )
 
 
@@ -228,9 +229,8 @@ def _fswap_sort(layout, final_pos) -> tuple:
 _LADDER = ((3, 2), (2, 1), (1, 0))  # parity accumulates at qubit 0
 
 
-def _pauli_gadget_block(gen: FermionOperator, theta: float,
-                        offset: int = 0, n_qubits: int = 4) -> Circuit:
-    """Exact circuit for exp(theta * gen) on 4 adjacent qubits.
+def _pauli_gadget_block(gen: FermionOperator, theta: float) -> Circuit:
+    """Exact circuit for exp(theta * gen) on 4 qubits.
 
     gen must be an anti-Hermitian two-body excitation generator on 4 modes
     whose Jordan-Wigner image is eight mutually commuting weight-4 X/Y
@@ -257,47 +257,44 @@ def _pauli_gadget_block(gen: FermionOperator, theta: float,
         yset = yset ^ g
         order.append(yset)
 
-    circ = Circuit(n_qubits)
-
-    def q(j):
-        return offset + j
+    circ = Circuit(4)
 
     def basis_open(j, is_y):
         if is_y:
-            circ.sdg(q(j))
-        circ.h(q(j))
+            circ.sdg(j)
+        circ.h(j)
 
     def basis_close(j, is_y):
-        circ.h(q(j))
+        circ.h(j)
         if is_y:
-            circ.s(q(j))
+            circ.s(j)
 
     def junction(j, to_y):
         # net basis change on a changing qubit, pushed through the shared
         # CNOT ladders; only the CNOTs below qubit j survive cancellation
         for a, b in reversed(_LADDER[3 - j:]):
-            circ.cnot(q(a), q(b))
-        circ.h(q(j))
+            circ.cnot(a, b)
+        circ.h(j)
         if to_y:
-            circ.sdg(q(j))
+            circ.sdg(j)
         else:
-            circ.s(q(j))
-        circ.h(q(j))
+            circ.s(j)
+        circ.h(j)
         for a, b in _LADDER[3 - j:]:
-            circ.cnot(q(a), q(b))
+            circ.cnot(a, b)
 
     first, last = order[0], order[-1]
     for j in range(4):
         basis_open(j, j in first)
     for a, b in _LADDER:
-        circ.cnot(q(a), q(b))
-    circ.rz(q(0), -2.0 * theta * strings[first])
+        circ.cnot(a, b)
+    circ.rz(0, -2.0 * theta * strings[first])
     for prev, cur in zip(order, order[1:]):
         for j in sorted(prev ^ cur):
             junction(j, j in cur)
-        circ.rz(q(0), -2.0 * theta * strings[cur])
+        circ.rz(0, -2.0 * theta * strings[cur])
     for a, b in reversed(_LADDER):
-        circ.cnot(q(a), q(b))
+        circ.cnot(a, b)
     for j in range(4):
         basis_close(j, j in last)
     return circ
@@ -341,28 +338,31 @@ def _template_candidates(theta: float):
         yield paired_compress(sign)
 
 
-def _verify_on_support(circ: Circuit, target: np.ndarray, support) -> bool:
-    support = list(support)
-    states = run(circ, np.eye(16)[support])   # row i evolves |support[i]>
-    return bool(np.all(np.abs(states - target[:, support].T) <= 1e-9))
+#: 16-bit masks of the local patterns on which each non-identity template is
+#: exact at every theta, per (creation-position bitmask c, sign of
+#: ``sort_sign(creations + annihilations)``); (15 - c, -sign) reads (c, sign)
+TEMPLATE_MASKS = {
+    (3, -1): (0, 0x8, 0x1000, 0, 0xc3c3, 0xd3cb),
+    (3, 1): (0x8, 0, 0, 0x1000, 0xd3cb, 0xc3c3),
+    (5, -1): (0, 0, 0, 0, 0xc3c3, 0xc7e3),
+    (5, 1): (0, 0, 0, 0, 0xc7e3, 0xc3c3),
+    (6, -1): (0, 0, 0, 0, 0xc183, 0xc183),
+    (6, 1): (0, 0, 0, 0, 0xc183, 0xc183),
+}
 
 
-#: generic second angle every template must also match at: agreement at the
-#: requested angle alone can be accidental
-PROBE_THETA = 0.6180339887
-
-
-def simplified_block(gen: FermionOperator, theta: float,
-                     support) -> Circuit | None:
-    """Cheapest verified local block agreeing with exp(theta*gen) on the
-    reachable local basis states, or None if only the general block works."""
-    g = operator_matrix_in_sector(gen, range(16))
-    target = excitation_exponential(g, theta, np.eye(16, dtype=complex))
-    probe = excitation_exponential(g, PROBE_THETA, np.eye(16, dtype=complex))
-    for cand, cand_probe in zip(_template_candidates(theta),
-                                _template_candidates(PROBE_THETA)):
-        if (_verify_on_support(cand, target, support)
-                and _verify_on_support(cand_probe, probe, support)):
+def simplified_block(exc: Excitation, support) -> Circuit | None:
+    """Cheapest of ``_template_candidates`` agreeing with exp(theta*G) of the
+    local excitation ``exc`` on the reachable local patterns `support`, or
+    None if only the general block works. The identity fits every pattern
+    but the two that G connects, the others their ``TEMPLATE_MASKS``."""
+    c = sum(1 << m for m in exc.creations)
+    sign = sort_sign(exc.modes())[1]
+    key = (c, sign) if (c, sign) in TEMPLATE_MASKS else (15 - c, -sign)
+    masks = (0xffff & ~(1 << c | 1 << 15 - c),) + TEMPLATE_MASKS[key]
+    patterns = sum(1 << p for p in set(support))
+    for mask, cand in zip(masks, _template_candidates(exc.theta)):
+        if not patterns & ~mask:
             return cand
     return None
 
@@ -380,7 +380,7 @@ class BuiltTrial:
     block_kinds: list       # per excitation: "identity"/"template"/"general"
 
 
-def build_uccd(ansatz: Ansatz, simplify: bool = True) -> BuiltTrial:
+def build_uccd(ansatz: Ansatz) -> BuiltTrial:
     """Initial-determinant preparation followed by routed excitation blocks."""
     n = ansatz.n_qubits
     layout = tuple(ansatz.initial_layout)
@@ -399,9 +399,9 @@ def build_uccd(ansatz: Ansatz, simplify: bool = True) -> BuiltTrial:
         circ.extend(net)
         window_modes = layout[w:w + 4]
         local_of = {m: i for i, m in enumerate(window_modes)}
-        gen = Excitation(
-            tuple(local_of[m] for m in exc.creations),
-            tuple(local_of[m] for m in exc.annihilations)).generator(4)
+        local = Excitation(tuple(local_of[m] for m in exc.creations),
+                           tuple(local_of[m] for m in exc.annihilations),
+                           exc.theta)
         # reachable local patterns, then the support that T or T^dag reach
         local_patterns = {sum((mask >> m & 1) << local_of[m]
                               for m in window_modes) for mask in support}
@@ -409,16 +409,14 @@ def build_uccd(ansatz: Ansatz, simplify: bool = True) -> BuiltTrial:
                                     sorted(support))
         support = support | set(new[alive].tolist())
 
-        block = simplified_block(gen, exc.theta, local_patterns) \
-            if simplify else None
+        block = simplified_block(local, local_patterns)
         if block is None:
-            circ.extend(_pauli_gadget_block(gen, exc.theta, offset=w,
-                                            n_qubits=n))
+            block = _pauli_gadget_block(local.generator(4), exc.theta)
             kinds.append("general")
         else:
-            for name, qubits, param in block.gates:
-                circ.add(name, tuple(q + w for q in qubits), param)
             kinds.append("identity" if not block.gates else "template")
+        for name, qubits, param in block.gates:
+            circ.add(name, tuple(q + w for q in qubits), param)
     return BuiltTrial(circ, layout, circ.cnot_count(), circ.depth(), kinds)
 
 

@@ -1,10 +1,11 @@
 """Trial-circuit oracles: the general four-qubit excitation block on its
-own, and a built circuit's state in logical mode order."""
+own, the template verifier that ``trial.TEMPLATE_MASKS`` tabulates, and a
+built circuit's state in logical mode order."""
 import numpy as np
 
-from qcmoments.simulator import Circuit, run
+from qcmoments.simulator import Circuit, operator_matrix_in_sector, run
 from qcmoments.trial import BuiltTrial, Excitation, _fswap_sort, \
-    _pauli_gadget_block
+    _pauli_gadget_block, _template_candidates, excitation_exponential
 
 from reference_simulator import basis_state
 
@@ -28,3 +29,31 @@ def trial_state_in_mode_order(built: BuiltTrial,
     # by conjugating with an FSWAP network back to identity layout
     net, _ = _fswap_sort(perm, {m: m for m in range(n_qubits)})
     return run(net, state)
+
+
+def verify_on_support(circ: Circuit, target: np.ndarray, support) -> bool:
+    """Whether `circ` maps each basis state of `support` to its column of
+    the 16 x 16 `target` within 1e-9."""
+    support = list(support)
+    states = run(circ, np.eye(16)[support])   # row i evolves |support[i]>
+    return bool(np.all(np.abs(states - target[:, support].T) <= 1e-9))
+
+
+#: generic second angle every template must also match at: agreement at the
+#: requested angle alone can be accidental
+PROBE_THETA = 0.6180339887
+
+
+def simplified_block(gen, theta: float, support) -> Circuit | None:
+    """Cheapest template verified by simulation to agree with
+    exp(theta*gen) on the local basis states `support`, at theta and at
+    ``PROBE_THETA``, or None if only the general block works."""
+    g = operator_matrix_in_sector(gen, range(16))
+    target = excitation_exponential(g, theta, np.eye(16, dtype=complex))
+    probe = excitation_exponential(g, PROBE_THETA, np.eye(16, dtype=complex))
+    for cand, cand_probe in zip(_template_candidates(theta),
+                                _template_candidates(PROBE_THETA)):
+        if (verify_on_support(cand, target, support)
+                and verify_on_support(cand_probe, probe, support)):
+            return cand
+    return None

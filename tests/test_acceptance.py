@@ -388,7 +388,7 @@ def test_criterion_11_circuit_fidelity():
     def build_and_check(excitations):
         ansatz = Ansatz(8, 0b00001111, excitations,
                         initial_layout=PAIRED_LAYOUT)
-        built = build_uccd(ansatz, simplify=True)
+        built = build_uccd(ansatz)
         state = trial_state_in_mode_order(built, 8)
         ref = exact_trial_state(ansatz)
         assert np.max(np.abs(state - ref)) < 1e-9

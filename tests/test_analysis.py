@@ -818,3 +818,27 @@ def test_archive_config_mismatch_exits_2(h2, tmp_path, field, capsys):
     err = capsys.readouterr().err
     assert f"configuration error: archive {field} " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["integrals_sha256", "frozen_virtual"])
+def test_archive_of_another_hamiltonian_exits_2(request, tmp_path, field,
+                                               capsys):
+    # the config's Hamiltonian has the archive's modes and electrons, but
+    # one two-electron integral differs, or another orbital is frozen
+    if field == "integrals_sha256":
+        config, archive, _ = request.getfixturevalue("h2")
+        text = H2_PATH.read_text()
+        edited = text.replace("0.5548225086497546 1 1 1 1", "0.9 1 1 1 1")
+        assert edited != text
+        fcidump = tmp_path / "h2.fcidump"
+        fcidump.write_text(edited)
+        edit = {"integrals": str(fcidump)}
+    else:
+        config, archive, _ = request.getfixturevalue("h4_frozen")
+        edit = {"frozen_virtual": [2]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**json.loads(config.read_text()), **edit}))
+    assert _analyze(path, archive, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: archive {field} " in err
+    assert "Traceback" not in err

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcmoments import analysis, simulator
+from qcmoments import analysis, simulator, trial
 from qcmoments.analysis import Analyzer, write_archive
 from qcmoments.cli import _load_system, _measurement_circuits, main
 from qcmoments.config import derive_seed, load_config
@@ -392,7 +392,10 @@ def test_run_archive_manifest(tmp_path):
     assert main(["run", "--config", str(cfg), "--plan", str(plan),
                  "--thetas", str(thetas), "--output-dir", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["schema"] == 2
+    assert manifest["schema"] == 3
+    assert manifest["integrals_sha256"] == \
+        hashlib.sha256(H2_PATH.read_bytes()).hexdigest()
+    assert manifest["frozen_occupied"] == manifest["frozen_virtual"] == []
     assert "files" not in manifest
     assert sorted(manifest["sha256"]) == ["counts.npy", "plan.json"]
     for name, digest in manifest["sha256"].items():
@@ -939,6 +942,22 @@ def test_pipeline_outputs_are_pinned(tmp_path, system):
             digest, name
     boot = json.loads((out / "report.json").read_text())["bootstrap"]
     assert boot == PINNED_BOOTSTRAP[system]
+
+
+def test_build_uccd_runs_no_simulation(tmp_path, monkeypatch):
+    # the trial blocks come from a table: building the pinned H4 ansatz, at
+    # its amplitudes and at zero, simulates no circuit
+    cfg = write_config(tmp_path, **PINNED_PIPELINES["h4"][0])
+    ansatz = _load_system(load_config(cfg))[2]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_uccd ran a circuit")
+
+    monkeypatch.setattr(simulator, "run", refuse)
+    monkeypatch.setattr(trial, "run", refuse, raising=False)
+    for thetas in (ansatz.thetas, [0.0] * 4):
+        built = build_uccd(ansatz.with_thetas(thetas))
+        assert built.block_kinds == ["template"] * 4
 
 
 def test_analyze_runs_one_table_pass_per_stack(tmp_path, monkeypatch):

@@ -5,16 +5,18 @@ import scipy.linalg
 
 from fixtures_util import h2_system, h4_system, optimized_thetas, \
     trial_energy
-from qcmoments.fermion import FermionOperator, jordan_wigner
+from qcmoments.fermion import FermionOperator, jordan_wigner, sort_sign
 from qcmoments.simulator import (
     Circuit, operator_matrix_in_sector, run,
 )
 from qcmoments.trial import (
-    Ansatz, Excitation, build_uccd, energy_objective, exact_trial_state,
-    fswap_network, hartree_fock_circuit, simplified_block, spsa_minimize,
-    _pauli_gadget_block,
+    TEMPLATE_MASKS, Ansatz, Excitation, build_uccd, energy_objective,
+    exact_trial_state, excitation_exponential, fswap_network,
+    hartree_fock_circuit, simplified_block, spsa_minimize,
+    _pauli_gadget_block, _template_candidates,
 )
 
+import reference_trial
 from reference_simulator import basis_state, operator_matrix
 from reference_trial import local_double_excitation, trial_state_in_mode_order
 
@@ -192,22 +194,81 @@ def test_fswap_network_small_cases():
 
 
 def test_simplified_block_costs():
-    gen = Excitation((2, 3), (0, 1)).generator(4)
+    exc = Excitation((2, 3), (0, 1), 0.37)
     # only the lower pair reachable: single-branch ladder, 3 CNOTs
-    block = simplified_block(gen, 0.37, {0b0011})
+    block = simplified_block(exc, {0b0011})
     assert block is not None and block.cnot_count() == 3
     # paired patterns on both sides: compressed rotation, 8 CNOTs
-    block = simplified_block(gen, 0.37, {0b0011, 0b1100, 0b0000, 0b1111})
+    block = simplified_block(exc, {0b0011, 0b1100, 0b0000, 0b1111})
     assert block is not None and block.cnot_count() <= 8
     # excitation untouched by the reachable states: empty circuit
-    block = simplified_block(gen, 0.37, {0b0101, 0b1010})
+    block = simplified_block(exc, {0b0101, 0b1010})
     assert block is not None and not block.gates
     # a generic pattern set cannot be simplified
-    assert simplified_block(gen, 0.37, {0b0011, 0b0010}) is None
+    assert simplified_block(exc, {0b0011, 0b0010}) is None
 
 
-def assert_matches_oracle(ansatz, simplify):
-    built = build_uccd(ansatz, simplify=simplify)
+# the 24 local shapes: ordered creation and annihilation positions
+LOCAL_SHAPES = [((c1, c2), tuple(a)) for c1 in range(4) for c2 in range(4)
+                if c1 != c2 for a in [sorted({0, 1, 2, 3} - {c1, c2}),
+                                      sorted({0, 1, 2, 3} - {c1, c2})[::-1]]]
+
+
+def table_masks(exc):
+    """The pattern masks of ``_template_candidates`` for a local shape: the
+    identity's in closed form, the others from ``TEMPLATE_MASKS``."""
+    c, sign = sum(1 << m for m in exc.creations), sort_sign(exc.modes())[1]
+    key = (c, sign) if (c, sign) in TEMPLATE_MASKS else (15 - c, -sign)
+    return (0xffff & ~(1 << c | 1 << 15 - c),) + TEMPLATE_MASKS[key]
+
+
+def test_template_masks_match_simulation():
+    # every candidate's mask of exact patterns, recomputed by simulation at
+    # the oracle's probe angle and at random angles, is the table's entry
+    assert len(set(LOCAL_SHAPES)) == 24
+    rng = np.random.default_rng(2024)
+    angles = [reference_trial.PROBE_THETA, *rng.uniform(-np.pi, np.pi, 4)]
+    for creations, annihilations in LOCAL_SHAPES:
+        exc = Excitation(creations, annihilations)
+        g = operator_matrix_in_sector(exc.generator(4), range(16))
+        for theta in angles:
+            target = excitation_exponential(g, theta, np.eye(16))
+            masks = tuple(
+                sum(1 << p for p in range(16)
+                    if reference_trial.verify_on_support(cand, target, [p]))
+                for cand in _template_candidates(theta))
+            assert masks == table_masks(exc), (exc, theta)
+
+
+def test_simplified_block_matches_the_simulating_oracle():
+    rng = np.random.default_rng(77)
+    thetas = [0.0, *(k * np.pi / 2 for k in range(-4, 5) if k)]
+    picked = set()
+    for case in range(400):
+        creations, annihilations = LOCAL_SHAPES[rng.integers(24)]
+        theta = float(thetas[case % len(thetas)] if case % 2
+                      else rng.uniform(-4.0, 4.0))
+        exc = Excitation(creations, annihilations, theta)
+        # a few patterns from one candidate's mask, or from all 16, so that
+        # every template gets picked, plus a stray pattern now and then
+        mask = [*table_masks(exc), 0xffff][rng.integers(8)] or 0xffff
+        support = set(rng.choice([p for p in range(16) if mask >> p & 1],
+                                  size=rng.integers(1, 5)).tolist())
+        if rng.random() < 0.2:
+            support.add(int(rng.integers(16)))
+        block = simplified_block(exc, support)
+        want = reference_trial.simplified_block(
+            exc.generator(4), theta, support)
+        assert (block is None) == (want is None), (exc, support)
+        if block is not None:
+            assert block.gates == want.gates, (exc, support)
+            picked.add(next(i for i, cand in enumerate(
+                _template_candidates(theta)) if cand.gates == block.gates))
+    assert picked == set(range(7))
+
+
+def assert_matches_oracle(ansatz):
+    built = build_uccd(ansatz)
     state = trial_state_in_mode_order(built, ansatz.n_qubits)
     ref = exact_trial_state(ansatz)
     assert np.max(np.abs(state - ref)) < 1e-9
@@ -227,30 +288,25 @@ def paired_ansatz(thetas):
 
 def test_build_uccd_paired_four_excitations():
     ansatz = paired_ansatz([0.31, -0.52, 0.18, 0.07])
-    built = assert_matches_oracle(ansatz, simplify=True)
+    built = assert_matches_oracle(ansatz)
     assert built.cnot_count <= 28
     assert "general" not in built.block_kinds
 
 
-def test_build_uccd_without_simplification():
-    ansatz = paired_ansatz([0.31, -0.52, 0.18, 0.07])
-    built = assert_matches_oracle(ansatz, simplify=False)
-    assert all(k == "general" for k in built.block_kinds)
-
-
 def test_build_uccd_with_routing():
-    # a non-adjacent excitation exercises the FSWAP network inside the build
+    # a non-adjacent excitation exercises the FSWAP network inside the build,
+    # and its general block is placed at the routed window
     excs = [Excitation((4, 5), (0, 1), 0.45), Excitation((4, 5), (0, 3), -0.3)]
     ansatz = Ansatz(6, 0b001111, excs)
-    assert_matches_oracle(ansatz, simplify=True)
-    assert_matches_oracle(ansatz, simplify=False)
+    built = assert_matches_oracle(ansatz)
+    assert built.block_kinds == ["template", "general"]
 
 
 def test_build_uccd_odd_preparation_parity():
     # initial layout that reorders the occupied modes with odd parity
     ansatz = Ansatz(4, 0b0101, [Excitation((1, 3), (0, 2), 0.6)],
                     initial_layout=(2, 1, 0, 3), spins=("u",) * 4)
-    assert_matches_oracle(ansatz, simplify=True)
+    assert_matches_oracle(ansatz)
 
 
 def test_spsa_minimize_trigonometric():
