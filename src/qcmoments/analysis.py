@@ -20,9 +20,10 @@ an analysis needs:
   entry of the density matrix D over the N_e-electron occupations, at a
   (row, column, sign). Read off it are each <H^k> as the constant c0^k plus
   a weight vector over the element values (from the k-th power of H's
-  sector matrix, whose S_z block also gives FCI), the diagonal that the
-  trace sums, the Hartree-Fock and maximally mixed values of the
-  white-noise fit, and D itself for the representability check.
+  sector matrix), the diagonal that the trace sums, the Hartree-Fock and
+  maximally mixed values of the white-noise fit, and D itself for the
+  representability check. FCI is ``simulator.exact_diagonalize``'s, as the
+  ``fci`` command prints it.
 
 A stack of count matrices (one, or bootstrap resamples) is mitigated and
 assembled in array passes, each step once for all the mitigation stacks
@@ -60,8 +61,9 @@ from .planner import KINDS, MeasurementPlan
 from .qcm import CumulantSet, MomentSet, bootstrap, cumulants, \
     lanczos_energy
 from .simulator import (
-    apply_terms, assignment_matrices, check_norm, locate, noisy_distribution,
-    operator_matrix_in_sector, run, sample, sector_basis, white_noise_rate,
+    apply_terms, assignment_matrices, check_norm, exact_diagonalize, locate,
+    noisy_distribution, operator_matrix_in_sector, run, sample, sector_basis,
+    white_noise_rate,
 )
 
 ABLATION_STACKS = [
@@ -385,7 +387,7 @@ class Analyzer:
     """Counts -> energies, compiled once per plan and Hamiltonian and
     reusable for every mitigation stack and bootstrap resample.
 
-    ``analyze`` takes a count matrix with rows [calibration zeros,
+    :meth:`report` takes a count matrix with rows [calibration zeros,
     calibration ones, trial basis 0..B-1, reference basis 0..B-1].
     """
 
@@ -425,13 +427,11 @@ class Analyzer:
         hf = (1 << n_electrons) - 1
         self.ideal_ref = (self._diagonal
                           & (basis[self._rows] == hf)).astype(float)
-        # the post-selected sector's maximally mixed state, and FCI: the
-        # lowest eigenvalue of H's block there, as exact_diagonalize builds it
+        # the post-selected sector's maximally mixed state
         in_sector = postselect_mask(n_electrons, self.sz, self.spins)[basis]
         self.mixed = np.where(self._diagonal & in_sector[self._rows],
                               1 / np.count_nonzero(in_sector), 0.0)
-        block = np.ix_(in_sector, in_sector)
-        self.e_fci = float(np.linalg.eigh(h_n[block])[0][0])
+        self.e_fci = exact_diagonalize(h, n_electrons, sz=self.sz)[0]
         self._dim = len(basis)
 
     def assemble(self, probs: np.ndarray) -> np.ndarray:
@@ -581,15 +581,11 @@ class Analyzer:
                 results.append(exc)
         return results
 
-    def analyze(self, counts, mitigation=None, diagnostics=False):
-        """<H> and E_L of one count matrix, a stack of one; raises its failure.
-        ``diagnostics`` (the main analysis) warns of a clamped q̂ and adds
-        q̂, acceptance, representability and the per-basis diagnostics."""
-        table, = self.element_values(np.asarray(counts)[None], [mitigation])
-        return self._result(table, diagnostics)
-
     def _result(self, table, diagnostics=False):
-        """:meth:`analyze` of the table stage `table` of a stack of one."""
+        """<H> and E_L from the table stage `table` of a stack of one; raises
+        its failure. ``diagnostics`` (the main analysis) warns of a clamped
+        q̂ and adds q̂, acceptance, representability and the per-basis
+        diagnostics."""
         (v,), (q_hat,), (failure,), per_basis = table
         if failure is not None:
             raise ValueError(failure)

@@ -29,7 +29,7 @@ from .analysis import (
     Analyzer, check_archive_config, load_archive, parse_plan, read_bytes,
     sample_counts, system_identity, write_archive,
 )
-from .config import ConfigError, PipelineConfig, _typed, derive_seed, \
+from .config import ConfigError, PipelineConfig, _theta, derive_seed, \
     load_config
 from .conventions import interleaved_spins, sz_of
 from .integrals import (
@@ -232,8 +232,8 @@ def _measurement_circuits(plan, layout, source: str) -> list:
 
 
 def _read_thetas(path, n_excitations: int) -> list:
-    """The amplitudes of a thetas file, one finite JSON number per
-    excitation; ConfigError on any fault."""
+    """The amplitudes of a thetas file, one JSON number per excitation,
+    each with a finite rotation angle; ConfigError on any fault."""
     data = read_bytes(path, "thetas file")
     try:
         thetas = json.loads(data)["thetas"]
@@ -244,7 +244,7 @@ def _read_thetas(path, n_excitations: int) -> list:
         raise ConfigError(
             f"thetas file {path} must hold {n_excitations} finite thetas, "
             f"one per excitation, not {thetas}")
-    return [float(_typed(t, "number", f"thetas file {path} entry {i}"))
+    return [float(_theta(t, f"thetas file {path} entry {i}"))
             for i, t in enumerate(thetas)]
 
 

@@ -93,6 +93,15 @@ def _typed(value, kind: str, name: str, low=None):
     return value
 
 
+def _theta(value, name: str):
+    """`value` if it is a JSON number whose rotation angle 2*theta is
+    finite; else ConfigError."""
+    _require(abs(2.0 * _typed(value, "number", name)) <= sys.float_info.max,
+             f"{name} must have a finite rotation angle 2*theta, not "
+             f"{value!r}")
+    return value
+
+
 def validate_config(obj: dict, base_dir: str = ".") -> PipelineConfig:
     """Schema-check a parsed config document and resolve its file paths."""
     _require(isinstance(obj, dict), "config must be a JSON object")
@@ -119,7 +128,7 @@ def validate_config(obj: dict, base_dir: str = ".") -> PipelineConfig:
                  "annihilations")
         for m in exc["creations"] + exc["annihilations"]:
             _typed(m, "integer", f"excitation {i} mode index", 0)
-        _typed(exc.setdefault("theta", 0.0), "number", f"excitation {i} theta")
+        _theta(exc.setdefault("theta", 0.0), f"excitation {i} theta")
 
     def merged(key, kinds):
         sub = dict(_DEFAULTS[key])

@@ -12,8 +12,8 @@ sorting it into place, and the product vanishes if a_m is there already. A
 creation a^dag_m passes every annihilation. Where a_m is among them it leaves
 the contraction a_m a^dag_m = 1 - a^dag_m a_m, signed by the annihilations
 to the right of a_m; it then joins the creations, signed by all the
-annihilations and the creations above m. ``add_string`` and ``multiply``
-fold this rule one operator at a time.
+annihilations and the creations above m. ``multiply`` folds this rule one
+operator at a time.
 
 :func:`sort_sign` and :func:`reversal_sign` are the package's one home for
 reordering signs: the sign of sorting a sequence of distinct items, and the
@@ -23,7 +23,6 @@ annihilations, as RDM entries are stored).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable
 
 DROP_TOL = 1e-12
 
@@ -104,30 +103,6 @@ class FermionOperator:
                 self._add_raw(k, c)
             self.compress()
 
-    # -- construction helpers
-
-    @classmethod
-    def identity(cls, n_modes: int) -> "FermionOperator":
-        return cls(n_modes, {((), ()): 1.0})
-
-    @classmethod
-    def from_ops(cls, n_modes: int, ops: Iterable[tuple[int, bool]],
-                 coeff: complex = 1.0) -> "FermionOperator":
-        """Build from an arbitrary (mode, dagger) sequence, normal ordering it."""
-        op = cls(n_modes)
-        op.add_string(ops, coeff)
-        op.compress()
-        return op
-
-    def add_string(self, ops: Iterable[tuple[int, bool]], coeff: complex = 1.0):
-        """Accumulate one operator string (any order), normal ordering on the fly."""
-        ops = list(ops)
-        for mode, _ in ops:
-            if mode < 0 or mode >= self.n_modes:
-                raise ValueError(f"mode {mode} out of range for {self.n_modes} modes")
-        for k, c in _fold({((), ()): coeff}, ops).items():
-            self._add_raw(k, c)
-
     def _add_raw(self, key, coeff):
         c = self.terms.get(key, 0) + coeff
         if c:
@@ -139,32 +114,6 @@ class FermionOperator:
         self.terms = {k: c for k, c in self.terms.items()
                       if abs(c) > DROP_TOL}
         return self
-
-    # -- arithmetic
-
-    def __add__(self, other: "FermionOperator") -> "FermionOperator":
-        if self.n_modes != other.n_modes:
-            raise ValueError("mode-count mismatch")
-        out = FermionOperator(self.n_modes)
-        out.terms = dict(self.terms)
-        for k, c in other.terms.items():
-            out._add_raw(k, c)
-        return out.compress()
-
-    def __sub__(self, other: "FermionOperator") -> "FermionOperator":
-        return self + other.scale(-1.0)
-
-    def scale(self, factor: complex) -> "FermionOperator":
-        out = FermionOperator(self.n_modes)
-        out.terms = {k: c * factor for k, c in self.terms.items()}
-        return out
-
-    def dagger(self) -> "FermionOperator":
-        out = FermionOperator(self.n_modes)
-        for (dags, anns), c in self.terms.items():
-            sign = reversal_sign(len(dags)) * reversal_sign(len(anns))
-            out._add_raw((anns, dags), sign * c.conjugate())
-        return out.compress()
 
     def __len__(self):
         return len(self.terms)
@@ -223,12 +172,6 @@ class PauliOperator:
             self.terms[string] = c
         elif string in self.terms:
             del self.terms[string]
-
-    def __add__(self, other: "PauliOperator") -> "PauliOperator":
-        out = PauliOperator(self.n_qubits, self.terms)
-        for k, c in other.terms.items():
-            out._add(k, c)
-        return out.compress()
 
     def multiply(self, other: "PauliOperator") -> "PauliOperator":
         out = PauliOperator(self.n_qubits)

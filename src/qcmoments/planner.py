@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fermion import FermionOperator, sort_sign
+from .fermion import sort_sign
 from .routing import Schedule, route_pairs
 from .simulator import Circuit
 
@@ -67,11 +67,6 @@ class RdmElement:
     @property
     def order(self) -> int:
         return len(self.creations)
-
-    def operator(self, n_modes: int) -> FermionOperator:
-        ops = [(m, True) for m in self.creations] + \
-            [(m, False) for m in self.annihilations]
-        return FermionOperator.from_ops(n_modes, ops)
 
 
 def enumerate_elements(n_modes: int, p: int, spins=None):
@@ -574,8 +569,8 @@ def _re_diagonalizer(circ: Circuit, lo: int):
 class MeasurementCircuit:
     """Routed and diagonalized circuit plus outcome-decoding metadata.
 
-    The circuit is S where each Im site's low-end mode starts, then
-    ``routed``: the parent's routing, every site diagonalized as Re. The Im
+    The measured circuit is S on each position of ``phased`` (where an Im
+    site's low-end mode starts), then ``routed``: the parent's routing, every site diagonalized as Re. The Im
     diagonalizer's S moves there exactly: S = i^n on its mode's qubit, an
     FSWAP carries n along with the mode, gates on other qubits commute with
     it, and until its site interacts no other gate meets that mode. So one
@@ -595,13 +590,6 @@ class MeasurementCircuit:
     def phased(self) -> list:
         """Positions that S acts on before ``routed``."""
         return [q for q, k in zip(self.starts, self.kinds) if k == "Im"]
-
-    @property
-    def circuit(self) -> Circuit:
-        circ = Circuit(self.routed.n_qubits)
-        for q in self.phased:
-            circ.s(q)
-        return circ.extend(self.routed)
 
     # The decoders take an outcome index or an integer array of them.
 

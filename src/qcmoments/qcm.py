@@ -36,9 +36,6 @@ class MomentSet:
     m3: float
     m4: float
 
-    def as_tuple(self) -> tuple:
-        return (self.m1, self.m2, self.m3, self.m4)
-
 
 @dataclass
 class CumulantSet:
@@ -48,9 +45,6 @@ class CumulantSet:
     c2: float
     c3: float
     c4: float
-
-    def as_tuple(self) -> tuple:
-        return (self.c1, self.c2, self.c3, self.c4)
 
 
 # ---------------------------------------------------------------------------

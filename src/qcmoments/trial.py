@@ -68,11 +68,13 @@ class Excitation:
             raise ValueError(f"excitation {self} does not conserve spin")
 
     def generator(self, n_modes: int) -> FermionOperator:
-        """Anti-Hermitian generator T - T^dag (unit amplitude)."""
-        ops = ([(m, True) for m in self.creations]
-               + [(m, False) for m in self.annihilations])
-        t = FermionOperator.from_ops(n_modes, ops)
-        return t - t.dagger()
+        """Anti-Hermitian generator T - T^dag (unit amplitude), written as
+        keys: T normal-ordered is (C, A) with C and A sorted, signed by
+        both sorts, and T^dag is (A, C) with the same sign."""
+        (c, sc), (a, sa) = (sort_sign(self.creations),
+                            sort_sign(self.annihilations))
+        s = float(sc * sa)
+        return FermionOperator(n_modes, {(c, a): s, (a, c): -s})
 
 
 @dataclass

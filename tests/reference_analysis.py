@@ -7,7 +7,8 @@ analysis was compiled into array maps. ``product_assembly_map`` builds the
 assembly triplets one product at a time, as before they were decoded from
 an outcome-feature table. ``sample_counts_per_basis`` draws an archive's
 count matrix with one simulation per measurement circuit, as before the
-concrete bases of one parent shared theirs.
+concrete bases of one parent shared theirs. ``analyze`` is the compiled
+analysis of one count matrix alone.
 """
 import warnings
 
@@ -16,7 +17,6 @@ import numpy as np
 from qcmoments.analysis import position_spins
 from qcmoments.config import derive_seed
 from qcmoments.conventions import sz_of
-from qcmoments.fermion import FermionOperator
 from qcmoments.mitigation import (
     AssignmentCalibration, apply_qrem, assemble_rdm, calibration_from_counts,
     clip_to_physical, fit_white_noise_rate, mixed_state_value,
@@ -34,6 +34,7 @@ from qcmoments.simulator import (
 )
 
 from fixtures_util import shared_powers
+from reference_fermion import from_ops
 from reference_rdm import rdm_from_determinant, rdm_representability
 
 
@@ -87,6 +88,14 @@ def sample_counts_per_basis(cfg, prepared, circuits):
                                 np.full(n, noise["p10"]))
     return np.array([sample(p, cfg.shots, seed=seed).vector(n) for p, seed
                      in zip(noisy_distribution(ideal, q, flips), seeds)])
+
+
+def analyze(analyzer, counts, mitigation=None, diagnostics=False):
+    """<H> and E_L of one count matrix under ``Analyzer`` `analyzer`: the
+    table stage of a stack of one, then its result; raises its failure.
+    ``diagnostics`` adds what the main analysis of ``report.json`` holds."""
+    table, = analyzer.element_values(np.asarray(counts)[None], [mitigation])
+    return analyzer._result(table, diagnostics)
 
 
 def bits_to_string(bits: int, n_qubits: int) -> str:
@@ -157,7 +166,7 @@ class DictAnalyzer:
         for e in plan.coverage():
             ops = [(s, True) for s in e.creations] + \
                 [(t, False) for t in reversed(e.annihilations)]
-            op = FermionOperator.from_ops(self.n_qubits, ops)
+            op = from_ops(self.n_qubits, ops)
             mixed[e] = mixed_state_value(op, n_electrons, sz=self.sz,
                                          spins=self.spins)
         self.mixed = mixed

@@ -1,8 +1,60 @@
 """Fermion-algebra oracles: operator freezing, the number operator and
-Hermiticity checks of operators in both encodings."""
+Hermiticity checks of operators in both encodings; and the operator
+builders that only tests use. ``add_string`` normal-orders an arbitrary
+ladder-operator string through ``fermion._fold``, the rule that
+``fermion.multiply`` folds, so the tests still exercise it;
+``from_ops(...)`` minus its ``dagger`` is the oracle for
+``trial.Excitation.generator``, which writes its two keys directly."""
 import bisect
 
-from qcmoments.fermion import FermionOperator, PauliOperator
+from qcmoments.fermion import FermionOperator, PauliOperator, _fold, \
+    reversal_sign
+
+
+def add_string(op: FermionOperator, ops, coeff: complex = 1.0):
+    """Accumulate one (mode, dagger) string, in any order, into `op`."""
+    ops = list(ops)
+    for mode, _ in ops:
+        if mode < 0 or mode >= op.n_modes:
+            raise ValueError(f"mode {mode} out of range for {op.n_modes} "
+                             "modes")
+    for k, c in _fold({((), ()): coeff}, ops).items():
+        op._add_raw(k, c)
+
+
+def from_ops(n_modes: int, ops, coeff: complex = 1.0) -> FermionOperator:
+    """One (mode, dagger) string, normal-ordered."""
+    op = FermionOperator(n_modes)
+    add_string(op, ops, coeff)
+    return op.compress()
+
+
+def identity(n_modes: int) -> FermionOperator:
+    return FermionOperator(n_modes, {((), ()): 1.0})
+
+
+def plus(a: FermionOperator, b: FermionOperator) -> FermionOperator:
+    if a.n_modes != b.n_modes:
+        raise ValueError("mode-count mismatch")
+    out = FermionOperator(a.n_modes)
+    out.terms = dict(a.terms)
+    for k, c in b.terms.items():
+        out._add_raw(k, c)
+    return out.compress()
+
+
+def scaled(op: FermionOperator, factor: complex) -> FermionOperator:
+    out = FermionOperator(op.n_modes)
+    out.terms = {k: c * factor for k, c in op.terms.items()}
+    return out
+
+
+def dagger(op: FermionOperator) -> FermionOperator:
+    out = FermionOperator(op.n_modes)
+    for (dags, anns), c in op.terms.items():
+        sign = reversal_sign(len(dags)) * reversal_sign(len(anns))
+        out._add_raw((anns, dags), sign * c.conjugate())
+    return out.compress()
 
 
 def number_operator(n_modes: int) -> FermionOperator:
@@ -11,7 +63,7 @@ def number_operator(n_modes: int) -> FermionOperator:
 
 
 def is_hermitian(op: FermionOperator, tol: float = 1e-10) -> bool:
-    dag = op.dagger()
+    dag = dagger(op)
     keys = set(op.terms) | set(dag.terms)
     return all(abs(op.terms.get(k, 0) - dag.terms.get(k, 0)) <= tol
                for k in keys)

@@ -1,10 +1,12 @@
 """Determinant energies straight from the integrals, an oracle for the
 second-quantized Hamiltonian and for orbital freezing; and the Hamiltonian
-built one operator string at a time by ``FermionOperator.add_string``, as
+built one operator string at a time by ``reference_fermion.add_string``, as
 ``integrals.spin_orbital_hamiltonian`` built it before it wrote each
 term's normal-ordered key and sign directly."""
 from qcmoments.fermion import FermionOperator
 from qcmoments.integrals import MolecularIntegrals
+
+from reference_fermion import add_string
 
 
 def determinant_energy(ints: MolecularIntegrals,
@@ -30,14 +32,14 @@ def spin_orbital_hamiltonian_by_strings(ints) -> FermionOperator:
     n = ints.n_spatial
     op = FermionOperator(2 * n)
     if ints.e_const:
-        op.add_string([], ints.e_const)
+        add_string(op, [], ints.e_const)
     for p in range(n):
         for q in range(n):
             v = ints.h1[p, q]
             if abs(v) < 1e-14:
                 continue
             for sp in (0, 1):
-                op.add_string([(2 * p + sp, True), (2 * q + sp, False)], v)
+                add_string(op, [(2 * p + sp, True), (2 * q + sp, False)], v)
     for p in range(n):
         for q in range(n):
             for r in range(n):
@@ -47,8 +49,8 @@ def spin_orbital_hamiltonian_by_strings(ints) -> FermionOperator:
                         continue
                     for sp in (0, 1):
                         for tp in (0, 1):
-                            op.add_string(
-                                [(2 * p + sp, True), (2 * q + tp, True),
-                                 (2 * s + tp, False), (2 * r + sp, False)],
+                            add_string(
+                                op, [(2 * p + sp, True), (2 * q + tp, True),
+                                     (2 * s + tp, False), (2 * r + sp, False)],
                                 0.5 * v)
     return op.compress()

@@ -24,6 +24,10 @@ spins.
 ``factor_entries`` walks the flat coverage records of a plan file's JSON
 object (schema 3), for the tests that corrupt a factor.
 
+``element_operator`` is an RDM element as a normal-ordered operator, and
+``measured_circuit`` is a measurement circuit as it runs: S on each of its
+``phased`` positions, then its ``routed`` circuit.
+
 ``circuit_with_s_in_place`` builds a concrete basis's measurement circuit
 with each Im site's S right before its Re diagonalizer, as the planner did
 before it moved every S to the front of the parent's routed circuit.
@@ -38,6 +42,24 @@ from qcmoments.planner import PairingBasis, RdmElement, \
     _re_diagonalizer, _requirement_options, _split_element
 from qcmoments.simulator import Circuit
 
+from reference_fermion import add_string, dagger, from_ops, identity, plus, \
+    scaled
+
+
+def element_operator(e: RdmElement, n_modes: int) -> FermionOperator:
+    """a†_{creations} a_{annihilations}, normal-ordered."""
+    return from_ops(n_modes, [(m, True) for m in e.creations]
+                    + [(m, False) for m in e.annihilations])
+
+
+def measured_circuit(mc) -> Circuit:
+    """The whole circuit of a MeasurementCircuit: S on each position of
+    ``mc.phased``, then ``mc.routed``."""
+    circ = Circuit(mc.routed.n_qubits)
+    for q in mc.phased:
+        circ.s(q)
+    return circ.extend(mc.routed)
+
 
 def factor_operator(factor, n_modes: int) -> FermionOperator:
     """("N", (i,)), ("Re", (j, k)) or ("Im", (j, k)) with j < k as an
@@ -45,15 +67,15 @@ def factor_operator(factor, n_modes: int) -> FermionOperator:
     kind, idx = factor
     op = FermionOperator(n_modes)
     if kind == "N":
-        op.add_string([(idx[0], True), (idx[0], False)], 1.0)
+        add_string(op, [(idx[0], True), (idx[0], False)], 1.0)
     elif kind == "Re":
         j, k = idx
-        op.add_string([(j, True), (k, False)], 0.5)
-        op.add_string([(k, True), (j, False)], 0.5)
+        add_string(op, [(j, True), (k, False)], 0.5)
+        add_string(op, [(k, True), (j, False)], 0.5)
     elif kind == "Im":
         j, k = idx
-        op.add_string([(j, True), (k, False)], -0.5j)
-        op.add_string([(k, True), (j, False)], 0.5j)
+        add_string(op, [(j, True), (k, False)], -0.5j)
+        add_string(op, [(k, True), (j, False)], 0.5j)
     else:
         raise ValueError(f"unknown factor kind {kind!r}")
     return op
@@ -65,7 +87,7 @@ def solve_signs(candidates, target: FermionOperator, n_modes: int):
     prods = []
     keys = set(target.terms)
     for factors in candidates:
-        op = FermionOperator.identity(n_modes)
+        op = identity(n_modes)
         for f in factors:
             op = multiply(op, factor_operator(f, n_modes))
         prods.append(op)
@@ -97,7 +119,8 @@ def solved_products(e, n_modes: int, matching):
         tuple(("N", (i,)) for i in numbers) + tuple(zip(kinds, sites))
         for kinds in itertools.product(("Re", "Im"), repeat=len(sites))
         if kinds.count("Im") % 2 == 0]
-    target = (e.operator(n_modes) + e.operator(n_modes).dagger()).scale(0.5)
+    op = element_operator(e, n_modes)
+    target = scaled(plus(op, dagger(op)), 0.5)
     return list(zip(solve_signs(candidates, target, n_modes), candidates))
 
 

@@ -6,6 +6,7 @@ pass/fail line per criterion.
 """
 import json
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fixtures_util import (
     H2_PATH, dense_fock_matrix, h2_system, h4_system, optimized_thetas,
     shared_powers,
 )
+from reference_planner import measured_circuit
 from reference_qcm import moments_from_statevector
 from reference_rdm import rdm_representability
 from reference_routing import check_constraints, exhaustive_min_depth
@@ -136,9 +138,9 @@ def test_criterion_04_cumulant_energy_oracle():
         v, hmat = random_state_and_hamiltonian(rng)
         m = matrix_moments(v, hmat)
         c = cumulants(m)
-        ref_c = cumulants_recursive(m.as_tuple())
+        ref_c = cumulants_recursive(astuple(m))
         scale = max(1.0, max(abs(x) for x in ref_c))
-        assert max(abs(a - b) for a, b in zip(c.as_tuple(), ref_c)) \
+        assert max(abs(a - b) for a, b in zip(astuple(c), ref_c)) \
             < 1e-9 * scale
         if 3.0 * ref_c[2] ** 2 - 2.0 * ref_c[1] * ref_c[3] < 0.0:
             continue  # estimate undefined for this state; not an oracle case
@@ -186,14 +188,14 @@ def test_criterion_05_rdm_moment_equivalence():
         state = (amps / np.linalg.norm(amps)).astype(complex)
         tables = []
         for mc in circuits:
-            probs = np.abs(run(mc.circuit, state)) ** 2
+            probs = np.abs(run(measured_circuit(mc), state)) ** 2
             tables.append({format(i, "08b"): float(p)
                            for i, p in enumerate(probs) if p > 1e-15})
         rdm = assemble_rdm(plan, circuits, tables, n_electrons=4)
         m = moments_from_rdm(h_powers, rdm, 4)
         ref = moments_from_statevector(h, state)
-        scale = max(1.0, max(abs(x) for x in ref.as_tuple()))
-        assert max(abs(a - b) for a, b in zip(m.as_tuple(), ref.as_tuple())) \
+        scale = max(1.0, max(abs(x) for x in astuple(ref)))
+        assert max(abs(a - b) for a, b in zip(astuple(m), astuple(ref))) \
             < 1e-8 * scale
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
@@ -216,7 +218,7 @@ def test_criterion_06_noise_robustness(which):
     e_l0 = lanczos_energy(cumulants(m0))
     for q in (0.05, 0.1, 0.2, 0.3):
         mq = MomentSet(*[(1 - q) * v + q * t
-                         for v, t in zip(m0.as_tuple(), traces)])
+                         for v, t in zip(astuple(m0), traces)])
         e_lq = lanczos_energy(cumulants(mq))
         assert abs(e_lq - e_l0) <= abs(mq.m1 - m0.m1)
     _pass(6, f"noise robustness [{which}]", "q in {0.05,0.1,0.2,0.3}")
@@ -345,7 +347,7 @@ def test_criterion_10_rdm_conditions():
     state = (amps / np.linalg.norm(amps)).astype(complex)
     tables = []
     for mc in circuits:
-        probs = np.abs(run(mc.circuit, state)) ** 2
+        probs = np.abs(run(measured_circuit(mc), state)) ** 2
         tables.append({format(i, "04b"): float(p)
                        for i, p in enumerate(probs) if p > 1e-15})
     rdm = assemble_rdm(plan, circuits, tables, n_electrons=2)

@@ -10,7 +10,8 @@ import json
 import re
 import shutil
 import warnings
-from functools import reduce
+from dataclasses import astuple
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fixtures_util import H2_PATH, H4_PATH
-from reference_analysis import DictAnalyzer, analyzer_elements, checked, \
-    element_rdm, product_assembly_map
+from reference_analysis import DictAnalyzer, analyze, analyzer_elements, \
+    checked, element_rdm, product_assembly_map
 from reference_planner import factor_entries
 from reference_qcm import per_resample_bootstrap
 
@@ -112,10 +113,11 @@ def h4_frozen(tmp_path_factory):
     return path, archive, _analyzers(path, archive)
 
 
-def _outcome(analyzer, counts, mitigation, diagnostics):
-    """The analysis result, or the failure with its numbers masked."""
+def _outcome(analyze_one, counts, mitigation, diagnostics):
+    """The result of ``analyze_one(counts, mitigation, diagnostics)``, or
+    the failure with its numbers masked."""
     try:
-        return analyzer.analyze(counts, mitigation, diagnostics)
+        return analyze_one(counts, mitigation, diagnostics)
     except (ValueError, ArithmeticError) as exc:
         return re.sub(r"[-+]?\d[\d.e+-]*", "#", str(exc))
 
@@ -123,8 +125,8 @@ def _outcome(analyzer, counts, mitigation, diagnostics):
 def _assert_paths_agree(compiled, reference, counts):
     stacks = [(None, None)] + ABLATION_STACKS
     for _, stack in stacks:
-        got = _outcome(compiled, counts, stack, True)
-        want = _outcome(reference, counts, stack, True)
+        got = _outcome(partial(analyze, compiled), counts, stack, True)
+        want = _outcome(reference.analyze, counts, stack, True)
         if isinstance(want, str):
             assert got == want
             continue
@@ -196,9 +198,9 @@ def test_moment_map_matches_contraction_on_untraced_values(fixture,
     for _ in range(3):
         values = rng.normal(size=len(compiled.elements))
         assert abs(values[compiled._diagonal].sum() - 1.0) > 1e-3
-        got = compiled.moments(values).as_tuple()
-        want = moments_from_rdm(powers, element_rdm(compiled, values),
-                                compiled.n_electrons).as_tuple()
+        got = astuple(compiled.moments(values))
+        want = astuple(moments_from_rdm(
+            powers, element_rdm(compiled, values), compiled.n_electrons))
         assert got == pytest.approx(want, rel=TOL, abs=TOL)
 
 
@@ -272,7 +274,7 @@ def _redraws(counts, size, seed):
 def _alone(analyzer, counts, mitigation):
     """One matrix's analysis, or its failure as (type, message)."""
     try:
-        return analyzer.analyze(counts, mitigation)
+        return analyze(analyzer, counts, mitigation)
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
 
@@ -377,7 +379,7 @@ def test_stacked_failures_are_each_matrix_own(h2, h2_foreign_rows):
         assert got == [_alone(compiled, m, mitigation) for m in stack]
         assert isinstance(got[0], dict) and isinstance(got[-1], dict)
         for g, matrix in zip(got, stack):
-            want = _outcome(reference, matrix, mitigation, False)
+            want = _outcome(reference.analyze, matrix, mitigation, False)
             if isinstance(want, str):
                 assert re.sub(r"[-+]?\d[\d.e+-]*", "#", g[1]) == want
                 seen.update(c for c in FAILURE_CHECKS if want.startswith(c))
@@ -397,11 +399,11 @@ def test_only_the_main_analysis_warns_of_a_clamped_rate(h2, monkeypatch):
     monkeypatch.setattr(analysis, "fit_white_noise_rate",
                         lambda *args: fit(*args) - 1.0)
     with pytest.warns(UserWarning, match="clamped to 0"):
-        result = compiled.analyze(counts, diagnostics=True)
+        result = analyze(compiled, counts, diagnostics=True)
     assert result["q_hat"] == 0.0 and result["diagnostics"]["q_hat_clamped"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        compiled.analyze(counts)
+        analyze(compiled, counts)
         compiled.analyze_stack(np.stack([counts, counts]))
 
 
@@ -412,14 +414,14 @@ def test_report_rows_equal_each_stack_alone(fixture, request):
     # call, and each equals its own analysis, bit for bit
     _, _, (compiled, _, counts) = request.getfixturevalue(fixture)
     report = compiled.report(counts)
-    main = compiled.analyze(counts, diagnostics=True)
+    main = analyze(compiled, counts, diagnostics=True)
     assert (report["estimate"]["h_expect"], report["estimate"]["e_l"],
             report["estimate"]["q_hat"], report["representability"],
             report["diagnostics"]) == (main["h"], main["e_l"], main["q_hat"],
                                        main["representability"],
                                        main["diagnostics"])
     for (name, stack), row in zip(ABLATION_STACKS, report["ablation"]):
-        alone = compiled.analyze(counts, stack)
+        alone = analyze(compiled, counts, stack)
         assert row == {"technique": name, "h": alone["h"],
                        "e_l": alone["e_l"],
                        "h_error": alone["h"] - compiled.e_fci,

@@ -25,7 +25,8 @@ from qcmoments.trial import build_uccd
 
 from fixtures_util import H2_PATH, H4_PATH
 from reference_analysis import sample_counts_per_basis
-from reference_planner import circuit_with_s_in_place, factor_entries
+from reference_planner import circuit_with_s_in_place, factor_entries, \
+    measured_circuit
 from reference_simulator import basis_state
 
 # sector FCI / Hartree-Fock energies of the stretched-H2 fixture,
@@ -139,6 +140,32 @@ def test_config_value_faults_exit_2(tmp_path, fault, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["plan", "pipeline"])
+def test_theta_with_an_infinite_rotation_angle_exits_2(tmp_path, command,
+                                                       capsys):
+    # 1e308 is a finite JSON number, but the block's rotation angle
+    # 2 * theta is not
+    cfg = write_config(tmp_path, excitations=[
+        {"creations": [2, 3], "annihilations": [0, 1], "theta": 1e308}],
+        output_dir=str(tmp_path / "out"))
+    output = ["--output", str(tmp_path / "plan.json")] \
+        if command == "plan" else []
+    assert main([command, "--config", str(cfg)] + output) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: excitation 0 theta must "
+                          "have a finite rotation angle")
+    assert "Traceback" not in err
+    assert not (tmp_path / "plan.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_theta_with_a_finite_rotation_angle_is_accepted(tmp_path):
+    # 2 * 8e307 is still below the largest float
+    cfg = write_config(tmp_path, excitations=[
+        {"creations": [2, 3], "annihilations": [0, 1], "theta": 8e307}])
+    assert load_config(cfg).excitations[0]["theta"] == 8e307
 
 
 H2_TEXT = H2_PATH.read_text()
@@ -609,6 +636,9 @@ RUN_FAULTS = {
     "theta as a boolean": ("thetas", _edit_json(
         lambda t: {"thetas": [True]}),
         "entry 0 must be a JSON number, not True"),
+    "theta with an infinite rotation angle": ("thetas", _edit_json(
+        lambda t: {"thetas": [1e308]}),
+        "entry 0 must have a finite rotation angle 2*theta, not 1e+308"),
 }
 
 
@@ -701,7 +731,8 @@ def test_measurement_circuit_on_prepared_state_is_exact(tmp_path):
         prepared = run(built.circuit, zero)
         assert plan.bases
         for basis in plan.bases:
-            mc = build_measurement_circuit(basis, built.layout).circuit
+            mc = measured_circuit(
+                build_measurement_circuit(basis, built.layout))
             whole = Circuit(n).extend(built.circuit).extend(mc)
             assert np.array_equal(run(mc, prepared), run(whole, zero))
             assert whole.cnot_count() == \
@@ -809,8 +840,8 @@ def test_run_noise_reaches_every_row(tmp_path, monkeypatch):
     for tag, theta in (("sample-trial", 0.3), ("sample-reference", 0.0)):
         built = build_uccd(ansatz.with_thetas([theta]))
         for i, basis in enumerate(bases):
-            whole = Circuit(n).extend(built.circuit).extend(
-                build_measurement_circuit(basis, built.layout).circuit)
+            whole = Circuit(n).extend(built.circuit).extend(measured_circuit(
+                build_measurement_circuit(basis, built.layout)))
             assert whole.cnot_count() > 0
             q = 1 - (1 - noise["global_q"]) * \
                 (1 - noise["cnot_q"]) ** whole.cnot_count()
@@ -942,6 +973,27 @@ def test_pipeline_outputs_are_pinned(tmp_path, system):
             digest, name
     boot = json.loads((out / "report.json").read_text())["bootstrap"]
     assert boot == PINNED_BOOTSTRAP[system]
+
+
+@pytest.mark.parametrize("overrides", [
+    PINNED_PIPELINES["h2"][0], PINNED_PIPELINES["h4"][0],
+    {"integrals": str(H4_PATH), "frozen_occupied": [0],
+     "frozen_virtual": [3]}], ids=["h2", "h4", "h4_frozen"])
+def test_report_fci_is_the_fci_command_energy(tmp_path, capsys, overrides):
+    # the report's errors are taken against the energy that `fci` prints;
+    # FCI depends on neither the shots nor the optimizer nor the bootstrap
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, **dict(
+        overrides, shots=1000, spsa={"iterations": 0, "seeds": 1},
+        bootstrap={"enabled": False}), noise=PINNED_NOISE, master_seed=7,
+        output_dir=str(out))
+    fci = tmp_path / "fci.json"
+    assert main(["fci", "--config", str(cfg), "--output", str(fci)]) == 0
+    printed = capsys.readouterr().out
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    energy = json.loads((out / "report.json").read_text())["fci"]
+    assert energy == json.loads(fci.read_text())["fci"]
+    assert printed == f"{energy:.12f}\n"
 
 
 def test_build_uccd_runs_no_simulation(tmp_path, monkeypatch):

@@ -16,7 +16,8 @@ from qcmoments.trial import Excitation
 
 from fixtures_util import h4_system, shared_powers
 from reference_fermion import (
-    freeze_operator, is_hermitian, number_operator, pauli_is_hermitian,
+    add_string, dagger, freeze_operator, from_ops, is_hermitian,
+    number_operator, pauli_is_hermitian, plus,
 )
 
 
@@ -39,10 +40,10 @@ def random_operator(n_modes, rng, n_strings=6, max_len=3, hermitian=False):
         ops = [(int(rng.integers(0, n_modes)), bool(rng.integers(0, 2)))
                for _ in range(length)]
         coeff = complex(rng.normal(), rng.normal())
-        op.add_string(ops, coeff)
+        add_string(op, ops, coeff)
     op.compress()
     if hermitian:
-        op = op + op.dagger()
+        op = plus(op, dagger(op))
     return op
 
 
@@ -66,7 +67,7 @@ def test_normal_ordering_preserves_matrix():
         length = rng.integers(1, 6)
         ops = [(int(rng.integers(0, n)), bool(rng.integers(0, 2)))
                for _ in range(length)]
-        op = FermionOperator.from_ops(n, ops, coeff=1.25 - 0.5j)
+        op = from_ops(n, ops, coeff=1.25 - 0.5j)
         ref = np.eye(16, dtype=complex) * (1.25 - 0.5j)
         for mode, dag in ops:
             ref = ref @ ladder_matrix(mode, dag, n)
@@ -177,8 +178,8 @@ def test_dagger_and_hermiticity():
     rng = np.random.default_rng(5)
     n = 4
     a = random_operator(n, rng)
-    assert np.allclose(dense(a.dagger()), dense(a).conj().T, atol=1e-10)
-    h = a + a.dagger()
+    assert np.allclose(dense(dagger(a)), dense(a).conj().T, atol=1e-10)
+    h = plus(a, dagger(a))
     assert is_hermitian(h)
     assert not is_hermitian(a)
     assert pauli_is_hermitian(jordan_wigner(h))
@@ -209,7 +210,7 @@ def embedding_sign(active_mapped, frozen_occ):
 
 def test_freeze_operator_number_pair():
     # a^dag_1 a^dag_2 a_2 a_1 = n_1 n_2 -> freezing {1,2} occupied gives +1
-    op = FermionOperator.from_ops(4, [(1, True), (2, True), (2, False), (1, False)])
+    op = from_ops(4, [(1, True), (2, True), (2, False), (1, False)])
     frozen = freeze_operator(op, frozen_occ={1, 2}, frozen_virt=set())
     assert frozen.n_modes == 2
     assert frozen.terms == {((), ()): 1.0}
@@ -245,9 +246,9 @@ def test_freeze_operator_matches_embedded_matrix_elements():
 
 def test_freeze_operator_drops_virtual_and_nonconserving_terms():
     op = FermionOperator(3)
-    op.add_string([(2, True), (0, False)], 1.0)   # touches frozen virtual
-    op.add_string([(1, True), (0, False)], 2.0)   # changes frozen occupation
-    op.add_string([(1, True), (1, False)], 3.0)   # survives as identity
+    add_string(op, [(2, True), (0, False)], 1.0)   # touches frozen virtual
+    add_string(op, [(1, True), (0, False)], 2.0)   # changes frozen occupation
+    add_string(op, [(1, True), (1, False)], 3.0)   # survives as identity
     frozen = freeze_operator(op, frozen_occ={1}, frozen_virt={2})
     assert frozen.terms == {((), ()): 3.0}
 

@@ -15,7 +15,7 @@ from qcmoments.integrals import (
 from qcmoments.simulator import run
 from qcmoments.trial import hartree_fock_circuit
 
-from reference_fermion import freeze_operator
+from reference_fermion import freeze_operator, plus, scaled
 from fixtures_util import H2_PATH, H4_PATH
 from reference_integrals import determinant_energy, \
     spin_orbital_hamiltonian_by_strings
@@ -160,7 +160,7 @@ def test_freeze_matches_operator_level_freezing():
                              frozen_virt={2 * p for p in frozen_virt}
                              | {2 * p + 1 for p in frozen_virt})
     h_red = spin_orbital_hamiltonian(reduced)
-    diff = h_red - h_proj
+    diff = plus(h_red, scaled(h_proj, -1.0))
     assert all(abs(c) < 1e-9 for c in diff.terms.values())
 
 

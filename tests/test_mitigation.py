@@ -20,7 +20,8 @@ from qcmoments.simulator import (
 from reference_analysis import (
     bits_to_string, bitstring_probabilities, checked, identity_calibration,
 )
-from reference_fermion import number_operator
+from reference_fermion import add_string, identity, number_operator
+from reference_planner import measured_circuit
 from reference_rdm import matricize, rdm_from_determinant, \
     rdm_representability
 from reference_simulator import basis_state, rdm_from_statevector
@@ -180,7 +181,7 @@ def exact_tables(plan, layout, state):
     circuits, tables = [], []
     for basis in plan.bases:
         mc = build_measurement_circuit(basis, layout)
-        probs = np.abs(run(mc.circuit, state)) ** 2
+        probs = np.abs(run(measured_circuit(mc), state)) ** 2
         circuits.append(mc)
         tables.append({bits_to_string(i, plan.n_modes): float(p)
                        for i, p in enumerate(probs) if p > 1e-15})
@@ -231,7 +232,7 @@ def test_assemble_rdm_from_sampled_counts():
     circuits, tables = [], []
     for i, basis in enumerate(plan.bases):
         mc = build_measurement_circuit(basis, (0, 1, 2, 3))
-        out = run(mc.circuit, state)
+        out = run(measured_circuit(mc), state)
         counts = sample(np.abs(out) ** 2, 100_000, seed=100 + i)
         circuits.append(mc)
         tables.append(bitstring_probabilities(counts, 4))
@@ -370,7 +371,7 @@ def test_mixed_state_number_operator():
 
 
 def test_mixed_state_identity():
-    op = FermionOperator.identity(6)
+    op = identity(6)
     assert mixed_state_value(op, 3) == pytest.approx(1.0)
 
 
@@ -378,10 +379,10 @@ def test_mixed_state_matches_dense_sector_average():
     from qcmoments.fermion import jordan_wigner
     rng = np.random.default_rng(31)
     op = FermionOperator(6)
-    op.add_string([(0, True), (1, False)], 0.7)
-    op.add_string([(1, True), (0, False)], 0.7)
-    op.add_string([(2, True), (2, False)], -1.3)
-    op.add_string([(0, True), (3, True), (3, False), (0, False)], 0.4)
+    add_string(op, [(0, True), (1, False)], 0.7)
+    add_string(op, [(1, True), (0, False)], 0.7)
+    add_string(op, [(2, True), (2, False)], -1.3)
+    add_string(op, [(0, True), (3, True), (3, False), (0, False)], 0.4)
     spins = interleaved_spins(6)
     masks = sector_basis(6, 3, sz=0.5, spins=spins)
     dense = jordan_wigner(op).to_matrix()
@@ -397,8 +398,8 @@ def test_mixed_state_matches_sector_matrix_trace():
         q = int(rng.integers(1, 3))
         dags = rng.choice(6, q, replace=False)
         anns = dags if rng.random() < 0.4 else rng.choice(6, q, replace=False)
-        op.add_string([(int(m), True) for m in dags]
-                      + [(int(m), False) for m in anns], rng.normal())
+        add_string(op, [(int(m), True) for m in dags]
+                       + [(int(m), False) for m in anns], rng.normal())
     spins = interleaved_spins(6)
     basis = sector_basis(6, 3, sz=-0.5, spins=spins)
     assert any(set(d) != set(a) for d, a in op.terms)  # off-diagonal terms

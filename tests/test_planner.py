@@ -17,10 +17,11 @@ from qcmoments.planner import (
 )
 from qcmoments.simulator import Circuit, operator_matrix_in_sector, run
 
+from reference_fermion import dagger, plus, scaled
 from reference_planner import (
     _im_diagonalizer, circuit_with_s_in_place, decompose_element_by_filter,
-    element_count_formula, enumerate_elements_by_filter, factor_operator,
-    group_level1_scan, solved_products,
+    element_count_formula, element_operator, enumerate_elements_by_filter,
+    factor_operator, group_level1_scan, measured_circuit, solved_products,
 )
 from reference_simulator import basis_state
 
@@ -91,8 +92,8 @@ def dense_factor(factor, n_modes):
 
 
 def dense_hermitian_part(e, n_modes):
-    op = (e.operator(n_modes) + e.operator(n_modes).dagger()).scale(0.5)
-    return jordan_wigner(op).to_matrix()
+    op = element_operator(e, n_modes)
+    return jordan_wigner(scaled(plus(op, dagger(op)), 0.5)).to_matrix()
 
 
 def assert_decomposition_exact(e, spins):
@@ -321,7 +322,7 @@ def plan_element_values(plan, layout, mode_state):
     for b in plan.bases:
         mc = build_measurement_circuit(b, layout)
         mcircs.append(mc)
-        probs.append(np.abs(run(mc.circuit, phys)) ** 2)
+        probs.append(np.abs(run(measured_circuit(mc), phys)) ** 2)
     values = {}
     for e, prods in plan.coverage().items():
         total = 0.0
@@ -378,7 +379,7 @@ def test_pair_expectations_on_bell_like_state():
 
     im_basis = ConcreteBasis(plan.bases[0].parent, ("Im",))
     mc = build_measurement_circuit(im_basis, (0, 1))
-    p = np.abs(run(mc.circuit, amps)) ** 2
+    p = np.abs(run(measured_circuit(mc), amps)) ** 2
     im_val = sum(p[b] * mc.pair_value((0, 1), b) for b in range(4))
     assert im_val == pytest.approx(0.0, abs=1e-12)
 
@@ -391,8 +392,8 @@ def test_pair_diagonalizers_give_the_decoded_eigenvalues():
     # each diagonalizer conserves the pair's occupation number and takes
     # Re / Im of a†_0 a_1 to a diagonal whose entries pair_value decodes
     number = np.diag([0.0, 1.0, 1.0, 2.0]).astype(complex)
-    hop = operator_matrix_in_sector(RdmElement((0,), (1,)).operator(2),
-                                    range(4))
+    hop = operator_matrix_in_sector(
+        element_operator(RdmElement((0,), (1,)), 2), range(4))
     for build, op in ((_re_diagonalizer, (hop + hop.conj().T) / 2),
                       (_im_diagonalizer, (hop - hop.conj().T) / 2j)):
         circ = Circuit(2)
@@ -419,7 +420,8 @@ def test_measurement_circuits_conserve_number_and_sz():
         sz[mask] = 0.5 * sum(1 if SPINS4[m] == "u" else -1 for m in occ)
     n_mat, sz_mat = np.diag(number), np.diag(sz)
     for basis in plan.bases:
-        u = circuit_unitary(build_measurement_circuit(basis, (0, 1, 2, 3)).circuit)
+        u = circuit_unitary(measured_circuit(
+            build_measurement_circuit(basis, (0, 1, 2, 3))))
         assert np.max(np.abs(u @ n_mat - n_mat @ u)) < 1e-10
         # all interactions pair equal spins, so S_z is conserved as well
         assert np.max(np.abs(u @ sz_mat - sz_mat @ u)) < 1e-10
@@ -444,8 +446,9 @@ def test_s_at_the_front_equals_the_s_in_place(n_modes, order,
     for basis in plan.bases:
         mc = build_measurement_circuit(basis, layout)
         oracle = circuit_with_s_in_place(basis, layout)
-        assert np.array_equal(run(mc.circuit, states), run(oracle, states))
-        assert mc.circuit.cnot_count() == mc.routed.cnot_count() == \
+        whole = measured_circuit(mc)
+        assert np.array_equal(run(whole, states), run(oracle, states))
+        assert whole.cnot_count() == mc.routed.cnot_count() == \
             oracle.cnot_count()
         assert len(mc.phased) == basis.kinds.count("Im")
         im_bases += "Im" in basis.kinds

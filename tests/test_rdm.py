@@ -12,6 +12,7 @@ from qcmoments.fermion import (
 from qcmoments.rdm import RDM
 from qcmoments.simulator import sector_basis
 
+from reference_fermion import add_string, dagger, plus
 from reference_rdm import matricize, rdm_from_determinant
 from reference_simulator import rdm_from_statevector
 
@@ -83,14 +84,14 @@ def test_expectation_from_rdm_matches_dense():
     for _ in range(8):
         j, k = rng.integers(0, n, size=2)
         c = complex(rng.normal(), rng.normal())
-        op.add_string([(int(j), True), (int(k), False)], c)
+        add_string(op, [(int(j), True), (int(k), False)], c)
     for _ in range(8):
         j, k, l, m = rng.integers(0, n, size=4)
         c = complex(rng.normal(), rng.normal())
-        op.add_string([(int(j), True), (int(k), True),
-                       (int(l), False), (int(m), False)], c)
+        add_string(op, [(int(j), True), (int(k), True),
+                        (int(l), False), (int(m), False)], c)
     op.compress()
-    op = op + op.dagger()
+    op = plus(op, dagger(op))
     state = random_sector_state(n, ne, seed=13)
     mat = jordan_wigner(op).to_matrix()
     ref = float(np.real(state.conj() @ mat @ state))
@@ -100,15 +101,15 @@ def test_expectation_from_rdm_matches_dense():
 
 def test_expectation_from_rdm_rejects_insufficient_order():
     op = FermionOperator(4)
-    op.add_string([(0, True), (1, True), (1, False), (0, False)], 1.0)
+    add_string(op, [(0, True), (1, True), (1, False), (0, False)], 1.0)
     state = random_sector_state(4, 2, seed=1)
     r1 = rdm_from_statevector(state, 1, 2)
     with pytest.raises(ValueError):
         expectation_from_rdm(op, r1, 2)
     # terms annihilating more electrons than present contribute zero
     op3 = FermionOperator(4)
-    op3.add_string([(0, True), (1, True), (2, True),
-                    (2, False), (1, False), (0, False)], 1.0)
+    add_string(op3, [(0, True), (1, True), (2, True),
+                     (2, False), (1, False), (0, False)], 1.0)
     assert expectation_from_rdm(op3, rdm_from_statevector(state, 2, 2), 2) == 0.0
 
 

@@ -18,6 +18,7 @@ from qcmoments.simulator import (
 )
 from qcmoments.trial import Ansatz, Excitation
 
+from reference_fermion import add_string, dagger, plus
 from reference_simulator import apply_term_to_mask, basis_state, \
     expectation, operator_matrix
 
@@ -223,10 +224,10 @@ def test_exact_diagonalize_matches_dense():
     op = FermionOperator(n)
     for _ in range(6):
         j, k = rng.integers(0, n, size=2)
-        op.add_string([(int(j), True), (int(k), False)],
-                      complex(rng.normal(), rng.normal()))
+        add_string(op, [(int(j), True), (int(k), False)],
+                   complex(rng.normal(), rng.normal()))
     op.compress()
-    op = op + op.dagger()
+    op = plus(op, dagger(op))
     mat = jordan_wigner(op).to_matrix()
     masks = [m for m in range(16) if bin(m).count("1") == ne]
     sub = mat[np.ix_(masks, masks)]

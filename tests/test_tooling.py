@@ -1,6 +1,7 @@
 """Checks on what the benchmark harness and the test runner rely on: the
-names the tracer wraps, an import and a pipeline free of scipy, and a test
-path that holds src/."""
+names the tracer wraps, an import and a pipeline free of scipy, a test
+path that holds src/, and modules that import only what they use."""
+import ast
 import importlib
 import importlib.util
 import json
@@ -129,6 +130,42 @@ def test_pipeline_with_spsa_loads_no_scipy(tmp_path):
         "rc = main(['pipeline', '--config', sys.argv[1]]); print(rc); "
         + PRINT_SCIPY_MODULES, str(cfg))
     assert out.splitlines()[-2:] == ["0", "[]"]
+
+
+def _unused_imports(source):
+    """Names that `source` imports at any depth but never references as a
+    name or as the root of an attribute; ``__future__`` imports aside."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_unused_import_scan_sees_names_and_attribute_roots():
+    assert _unused_imports(
+        "from __future__ import annotations\nimport os.path\n"
+        "import numpy as np\nfrom typing import Iterable\n"
+        "from .a import b, c\ndef f():\n    import json\n"
+        "    return np.zeros(b)\n") == [
+            (2, "os"), (4, "Iterable"), (5, "c"), (7, "json")]
+
+
+def test_src_modules_use_every_name_they_import():
+    # __init__.py re-exports, so only the other modules are scanned
+    paths = sorted((ROOT / "src" / "qcmoments").glob("*.py"))
+    assert len(paths) > 1
+    unused = {path.name: _unused_imports(path.read_text())
+              for path in paths if path.name != "__init__.py"}
+    assert {k: v for k, v in unused.items() if v} == {}
 
 
 def test_bare_pytest_finds_the_package():

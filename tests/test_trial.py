@@ -1,4 +1,6 @@
 """Trial circuits: excitation blocks, routing, full builds, and SPSA."""
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,6 +20,7 @@ from qcmoments.trial import (
 
 import reference_trial
 from reference_simulator import basis_state, operator_matrix
+from reference_fermion import add_string, dagger, from_ops, plus, scaled
 from reference_trial import local_double_excitation, trial_state_in_mode_order
 
 
@@ -46,6 +49,23 @@ def expm_trial_state(ansatz):
     for exc in ansatz.excitations:
         amps = exact_block(exc, ansatz.n_qubits) @ amps
     return amps
+
+
+def test_generator_keys_equal_the_normal_ordered_oracle():
+    # T - T^dag with T normal-ordered from its four ladder operators: same
+    # keys in the same order, same values of the same type, for every
+    # ordered choice of 4 distinct modes out of 6
+    choices = list(itertools.permutations(range(6), 4))
+    assert len(choices) == 360
+    for modes in choices:
+        creations, annihilations = modes[:2], modes[2:]
+        t = from_ops(6, [(m, True) for m in creations]
+                     + [(m, False) for m in annihilations])
+        want = plus(t, scaled(dagger(t), -1.0)).terms
+        got = Excitation(creations, annihilations).generator(6).terms
+        assert list(got.items()) == list(want.items())
+        assert [type(c) for c in got.values()] == [float, float]
+        assert [type(c) for c in want.values()] == [float, float]
 
 
 @pytest.mark.parametrize("n_modes, excitations", [
@@ -80,11 +100,11 @@ def _random_hamiltonian(n_modes, seed):
     op = FermionOperator(n_modes)
     for size in (1, 2) * 12:
         modes = rng.choice(n_modes, 2 * size, replace=False)
-        op.add_string([(int(m), True) for m in modes[:size]]
-                      + [(int(m), False) for m in modes[size:]],
-                      complex(rng.normal(), rng.normal()))
+        add_string(op, [(int(m), True) for m in modes[:size]]
+                   + [(int(m), False) for m in modes[size:]],
+                   complex(rng.normal(), rng.normal()))
     op.compress()
-    return op + op.dagger()
+    return plus(op, dagger(op))
 
 
 @pytest.mark.parametrize("which", ["h2", "h4", "non-adjacent"])
