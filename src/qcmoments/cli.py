@@ -117,30 +117,18 @@ def _plan_for(cfg_or_args) -> tuple:
         cfg = cfg_or_args
         ints, _, ansatz = _load_system(cfg)
         n, order = ints.n_spin_orbitals, cfg.order
-        spins = interleaved_spins(n)
         layout = build_uccd(ansatz).layout
-        max_depth = cfg.routing_max_depth
     else:
         n, order = cfg_or_args.modes, cfg_or_args.order
-        if n < 1 or not 1 <= order <= min(4, n) or \
-                cfg_or_args.ilp_max_depth < 1:
+        order = 2 if order is None else order
+        if n < 1 or not 1 <= order <= min(4, n):
             raise ConfigError(
-                f"plan needs --modes >= 1, --order in 1..min(4, modes) and "
-                f"--ilp-max-depth >= 1, not {n}, {order} and "
-                f"{cfg_or_args.ilp_max_depth}")
-        pattern = cfg_or_args.spin_pattern
-        if pattern == "interleaved":
-            spins = interleaved_spins(n)
-        else:
-            if len(pattern) != n or set(pattern) - {"u", "d"}:
-                raise ConfigError(
-                    f"spin pattern must be 'interleaved' or a length-{n} "
-                    "string over u/d")
-            spins = tuple(pattern)
+                f"plan needs --modes >= 1 and --order in 1..min(4, modes), "
+                f"not {n} and {order}")
         layout = tuple(range(n))
-        max_depth = cfg_or_args.ilp_max_depth
+    spins = interleaved_spins(n)
     elements = enumerate_elements(n, order, spins=spins)
-    plan = build_plan(elements, spins, max_depth=max_depth, layout=layout)
+    plan = build_plan(elements, spins, layout=layout)
     max_sched = max((b.schedule.depth for b in plan.level1), default=0)
     summary = {
         "n_modes": n,
@@ -359,9 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="build and route measurement bases")
     p.add_argument("--config", default=None)
     p.add_argument("--modes", type=int, default=None)
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--spin-pattern", default="interleaved")
-    p.add_argument("--ilp-max-depth", type=int, default=8)
+    p.add_argument("--order", type=int, default=None)  # 2 with --modes
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_plan)
 
@@ -398,9 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "plan" and (args.config is None) == \
-                (args.modes is None):
-            raise ConfigError("plan needs exactly one of --config/--modes")
+        if args.command == "plan":
+            if (args.config is None) == (args.modes is None):
+                raise ConfigError("plan needs exactly one of --config/--modes")
+            if args.config is not None and args.order is not None:
+                raise ConfigError("plan takes --order only with --modes; a "
+                                  "config gives its own order")
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -52,7 +52,6 @@ class PipelineConfig:
     mitigation: dict
     bootstrap: dict
     spsa: dict
-    routing_max_depth: int
     output_dir: str
     master_seed: int
 
@@ -61,6 +60,7 @@ class PipelineConfig:
 
 
 _TOP_KEYS = {f.name for f in fields(PipelineConfig)} | {"schema"}
+_EXCITATION_KEYS = {"creations", "annihilations", "theta"}
 # defaults of the nested config objects; their keys are the allowed keys
 _DEFAULTS = {
     "noise": {"global_q": 0.0, "p01": 0.0, "p10": 0.0, "cnot_q": None},
@@ -121,7 +121,7 @@ def validate_config(obj: dict, base_dir: str = ".") -> PipelineConfig:
     _require(isinstance(excitations, list), "'excitations' must be a list")
     for i, exc in enumerate(excitations):
         _require(isinstance(exc, dict)
-                 and set(exc) <= {"creations", "annihilations", "theta"}
+                 and set(exc) <= _EXCITATION_KEYS
                  and all(isinstance(exc.get(k), list) and len(exc[k]) == 2
                          for k in ("creations", "annihilations")),
                  f"excitation {i} must give two creations and two "
@@ -180,8 +180,6 @@ def validate_config(obj: dict, base_dir: str = ".") -> PipelineConfig:
         mitigation=mitigation,
         bootstrap=bootstrap,
         spsa=spsa,
-        routing_max_depth=_typed(obj.get("routing_max_depth", 8), "integer",
-                                 "routing_max_depth", 1),
         output_dir=os.path.join(base_dir, output_dir),
         master_seed=_typed(obj.get("master_seed", 0), "integer",
                            "master_seed", 0),

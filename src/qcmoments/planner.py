@@ -513,8 +513,7 @@ class MeasurementPlan:
                    factor_offsets, factors)
 
 
-def build_plan(elements, spins, max_depth: int = 8,
-               layout=None) -> MeasurementPlan:
+def build_plan(elements, spins, layout=None) -> MeasurementPlan:
     """Decompose, group (both levels), and route a set of RDM elements of
     one order."""
     n_modes = len(spins)
@@ -524,7 +523,7 @@ def build_plan(elements, spins, max_depth: int = 8,
     for basis in level1:
         pairs = [tuple(sorted((position[a], position[b])))
                  for a, b in basis.pair_sites()]
-        basis.schedule = route_pairs(pairs, n_modes, max_depth=max_depth)
+        basis.schedule = route_pairs(pairs, n_modes)
     per_basis = {i: [] for i in range(len(level1))}
     for e, (b_idx, matching, _req) in zip(elements, assignments):
         products = decompose_element(e, spins, matching=matching)

@@ -79,12 +79,14 @@ def _pair_lower_bound(a, b):
 EXHAUSTIVE_LIMIT = 4
 
 
-def route_pairs(pairs, n_qubits: int, max_depth: int = 8) -> Schedule:
+def route_pairs(pairs, n_qubits: int) -> Schedule:
     """Minimum-depth swap/interaction schedule for disjoint position pairs.
 
-    Raises ValueError if no schedule exists within max_depth. Instances with
-    more than ``EXHAUSTIVE_LIMIT`` pairs fall back to greedy sequential
-    routing (``certified=False``).
+    The search deepens from the pairs' lower bound with no upper limit. It
+    stops, at or below the depth of ``_greedy_route``'s schedule, because
+    that schedule exists for every set of disjoint pairs. Instances with
+    more than ``EXHAUSTIVE_LIMIT`` pairs take the greedy schedule itself
+    (``certified=False``).
     """
     pairs = [tuple(p) for p in pairs]
     _validate_pairs(pairs, n_qubits)
@@ -93,14 +95,11 @@ def route_pairs(pairs, n_qubits: int, max_depth: int = 8) -> Schedule:
     if len(pairs) > EXHAUSTIVE_LIMIT:
         return _greedy_route(pairs, n_qubits)
 
-    lb = max(_pair_lower_bound(a, b) for a, b in pairs)
+    depth = max(_pair_lower_bound(a, b) for a, b in pairs)
     failed = {}
-    for depth in range(lb, max_depth + 1):
-        steps = _search(pairs, n_qubits, depth, failed)
-        if steps is not None:
-            return Schedule(n_qubits, steps)
-    raise ValueError(f"routing infeasible within max_depth={max_depth} "
-                     f"(lower bound {lb})")
+    while (steps := _search(pairs, n_qubits, depth, failed)) is None:
+        depth += 1
+    return Schedule(n_qubits, steps)
 
 
 def _search(pairs, n_qubits, depth, failed):

@@ -14,18 +14,16 @@ from qcmoments.routing import (
 )
 
 
-def route_pairs_without_memo(pairs, n_qubits: int, max_depth: int = 8):
+def route_pairs_without_memo(pairs, n_qubits: int):
     """Minimum-depth schedule for at most four disjoint position pairs."""
     pairs = [tuple(p) for p in pairs]
     _validate_pairs(pairs, n_qubits)
     if not pairs:
         return Schedule(n_qubits, [])
-    lb = max(_pair_lower_bound(a, b) for a, b in pairs)
-    for depth in range(lb, max_depth + 1):
-        steps = _search(pairs, n_qubits, depth)
-        if steps is not None:
-            return Schedule(n_qubits, steps)
-    raise ValueError(f"routing infeasible within max_depth={max_depth}")
+    depth = max(_pair_lower_bound(a, b) for a, b in pairs)
+    while (steps := _search(pairs, n_qubits, depth)) is None:
+        depth += 1
+    return Schedule(n_qubits, steps)
 
 
 def _search(pairs, n_qubits, depth):

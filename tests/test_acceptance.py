@@ -307,7 +307,7 @@ def test_criterion_08_routing_optimality():
         for pairs in _matchings(range(n)):
             if not pairs:
                 continue
-            schedule = route_pairs(pairs, n, max_depth=8)
+            schedule = route_pairs(pairs, n)
             assert schedule.certified
             assert schedule.depth == exhaustive_min_depth(pairs, n, 8)
             assert check_constraints(schedule, pairs, n)

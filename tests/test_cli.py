@@ -236,11 +236,11 @@ def test_plan_requires_exactly_one_source(tmp_path):
 
 
 def test_plan_from_flags(tmp_path, capsys):
+    # --order is 2 unless given
     out = tmp_path / "plan.json"
-    assert main(["plan", "--modes", "4", "--order", "2",
-                 "--output", str(out)]) == 0
+    assert main(["plan", "--modes", "4", "--output", str(out)]) == 0
     summary = json.loads(capsys.readouterr().out)
-    assert summary["n_modes"] == 4
+    assert summary["n_modes"] == 4 and summary["order"] == 2
     assert summary["elements"] == 12
     assert summary["level1_bases"] == 4
     plan = MeasurementPlan.loads(out.read_text())
@@ -248,27 +248,33 @@ def test_plan_from_flags(tmp_path, capsys):
     assert len(plan.bases) == summary["concrete_bases"]
 
 
-def test_plan_explicit_spin_pattern(tmp_path, capsys):
-    out = str(tmp_path / "plan.json")
-    assert main(["plan", "--modes", "4", "--order", "2",
-                 "--spin-pattern", "uudd", "--output", out]) == 0
-    # same u/d multiplicities as the interleaved labeling, so the same
-    # number of spin-allowed elements
-    assert json.loads(capsys.readouterr().out)["elements"] == 12
+def test_plan_refuses_order_with_config(tmp_path, capsys):
+    # the config gives the order, so a flag that would be ignored is refused
+    cfg = write_config(tmp_path)
+    out = tmp_path / "plan.json"
+    assert main(["plan", "--config", str(cfg), "--order", "4",
+                 "--output", str(out)]) == 2
+    assert "--order" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_plan_bad_spin_pattern(tmp_path):
-    out = str(tmp_path / "plan.json")
-    assert main(["plan", "--modes", "4", "--spin-pattern", "uxdd",
-                 "--output", out]) == 2
+def test_plan_routes_beyond_any_fixed_depth(tmp_path, capsys):
+    # the basis of sites (0, 16) and (1, 17) needs 9 steps; the search
+    # deepens until a schedule fits. Bases of more pairs go greedy.
+    out = tmp_path / "plan.json"
+    assert main(["plan", "--modes", "18", "--order", "1",
+                 "--output", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["max_schedule_depth"] == 64
+    plan = MeasurementPlan.loads(out.read_text())
+    assert max(b.schedule.depth for b in plan.level1
+               if b.schedule.certified) == 9
 
 
 @pytest.mark.parametrize("flags", [
     ["--modes", "3", "--order", "4"],
     ["--modes", "0"],
     ["--modes", "4", "--order", "0"],
-    ["--modes", "4", "--ilp-max-depth", "0"],
-], ids=["order above modes", "no modes", "order 0", "depth 0"])
+], ids=["order above modes", "no modes", "order 0"])
 def test_plan_bad_arguments_exit_2(tmp_path, flags, capsys):
     out = tmp_path / "plan.json"
     assert main(["plan", *flags, "--output", str(out)]) == 2
@@ -436,19 +442,24 @@ def test_run_archive_manifest(tmp_path):
     assert manifest["total_shots"] == counts.sum() == 1000 * (2 * n_bases + 2)
 
 
-# plans for the H2 fixture's 4 modes that do not fit its order-2 config
+# plans for the H2 fixture's 4 modes that do not fit its order-2 config:
+# case -> (order, spins written into the plan, message)
 MISMATCHED_PLANS = {
-    "order 1": (["--order", "1"], "measures order 1 over 4 modes"),
-    "order 3": (["--order", "3"], "measures order 3 over 4 modes"),
-    "spin pattern uudd": (["--order", "2", "--spin-pattern", "uudd"],
-                          "with spins 'uudd'"),
+    "order 1": (1, None, "measures order 1 over 4 modes"),
+    "order 3": (3, None, "measures order 3 over 4 modes"),
+    "spin pattern uudd": (2, "uudd", "with spins 'uudd'"),
 }
 
 
 def _mismatched_plan(tmp_path, case):
+    order, spins, _ = MISMATCHED_PLANS[case]
     plan = tmp_path / "other_plan.json"
-    assert main(["plan", "--modes", "4", *MISMATCHED_PLANS[case][0],
+    assert main(["plan", "--modes", "4", "--order", str(order),
                  "--output", str(plan)]) == 0
+    if spins is not None:
+        obj = json.loads(plan.read_text())
+        obj["spins"] = spins
+        plan.write_text(json.dumps(obj))
     return plan
 
 
@@ -463,7 +474,7 @@ def test_run_plan_mismatch_exits_2(tmp_path, case, capsys):
                  "--thetas", str(thetas), "--output-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: plan file ")
-    assert MISMATCHED_PLANS[case][1] in err and "Traceback" not in err
+    assert MISMATCHED_PLANS[case][2] in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -491,7 +502,7 @@ def test_analyze_plan_mismatch_exits_2(tmp_path, case, capsys):
                  "--output", str(report)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: archive plan in ")
-    assert MISMATCHED_PLANS[case][1] in err and "Traceback" not in err
+    assert MISMATCHED_PLANS[case][2] in err and "Traceback" not in err
     assert not report.exists()
 
 

@@ -1,11 +1,13 @@
 """Exact pair routing on a line and its binary-program constraints."""
 import itertools
+import random
 
 import pytest
 
 from qcmoments.conventions import interleaved_spins
 from qcmoments.planner import enumerate_elements, group_level1
-from qcmoments.routing import Schedule, route_pairs
+from qcmoments.routing import EXHAUSTIVE_LIMIT, Schedule, _greedy_route, \
+    route_pairs
 
 from reference_routing import (
     check_constraints, exhaustive_min_depth, route_pairs_without_memo,
@@ -69,17 +71,35 @@ def test_nested_pairs_on_six_qubits():
     ([(2, 3)], 4),
 ])
 def test_solver_matches_exhaustive_optimum(pairs, n):
-    # a max_depth of exactly the optimum must still be reached
     optimum = exhaustive_min_depth(pairs, n, 8)
-    sched = route_pairs(pairs, n, max_depth=optimum)
+    sched = route_pairs(pairs, n)
     assert sched.certified
     assert sched.depth == optimum
     assert_valid(sched, pairs, n)
 
 
-def test_infeasible_at_max_depth():
-    with pytest.raises(ValueError, match="max_depth"):
-        route_pairs([(0, 7)], 8, max_depth=2)
+def test_distant_pair_is_routed_at_its_lower_bound():
+    # the two ends close the gap of 17 in 8 steps of two swaps each and
+    # interact in the ninth
+    sched = route_pairs([(0, 17)], 18)
+    assert sched.certified and sched.depth == 9
+    assert_valid(sched, [(0, 17)], 18)
+
+
+def test_search_stops_at_or_below_the_greedy_depth():
+    # the deepening has no upper limit; it stops because the greedy
+    # schedule, which exists for every set of disjoint pairs, is one the
+    # search can find at its own depth
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randint(4, 16)
+        k = rng.randint(1, min(EXHAUSTIVE_LIMIT, n // 2))
+        qubits = rng.sample(range(n), 2 * k)
+        pairs = list(zip(qubits[::2], qubits[1::2]))
+        greedy = _greedy_route(pairs, n)
+        assert check_constraints(greedy, pairs, n), pairs
+        sched = route_pairs(pairs, n)
+        assert sched.certified and sched.depth <= greedy.depth, pairs
 
 
 def test_validation():

@@ -1,6 +1,8 @@
 """Checks on what the benchmark harness and the test runner rely on: the
 names the tracer wraps, an import and a pipeline free of scipy, a test
-path that holds src/, and modules that import only what they use."""
+path that holds src/, modules that import only what they use, and the
+pinned set of values a user can set."""
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -10,6 +12,7 @@ import pathlib
 import subprocess
 import sys
 
+from qcmoments import cli, config
 from qcmoments.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -130,6 +133,43 @@ def test_pipeline_with_spsa_loads_no_scipy(tmp_path):
         "rc = main(['pipeline', '--config', sys.argv[1]]); print(rc); "
         + PRINT_SCIPY_MODULES, str(cfg))
     assert out.splitlines()[-2:] == ["0", "[]"]
+
+
+# every value a user can set: each subcommand's flags, and the config keys
+# (top level, nested objects, excitations). Adding or removing an option
+# changes this pin in the same change.
+SETTABLE_VALUES = {
+    "plan": {"--config", "--modes", "--order", "--output"},
+    "optimize": {"--config", "--output"},
+    "run": {"--config", "--plan", "--thetas", "--output-dir"},
+    "analyze": {"--config", "--archive", "--output", "--csv"},
+    "fci": {"--config", "--output"},
+    "pipeline": {"--config"},
+    "config": {"schema", "integrals", "excitations", "shots", "order",
+               "frozen_occupied", "frozen_virtual", "noise", "mitigation",
+               "bootstrap", "spsa", "output_dir", "master_seed"},
+    "config noise": {"global_q", "p01", "p10", "cnot_q"},
+    "config mitigation": {"qrem", "clip", "postselect", "rescale",
+                          "calibrate"},
+    "config bootstrap": {"enabled", "resamples"},
+    "config spsa": {"iterations", "seeds"},
+    "config excitations": {"creations", "annihilations", "theta"},
+}
+
+
+def test_settable_values_are_pinned():
+    subcommands = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    found = {name: {flag for action in parser._actions
+                    if not isinstance(action, argparse._HelpAction)
+                    for flag in action.option_strings}
+             for name, parser in subcommands.choices.items()}
+    found["config"] = set(config._TOP_KEYS)
+    found.update((f"config {key}", set(defaults))
+                 for key, defaults in config._DEFAULTS.items())
+    found["config excitations"] = set(config._EXCITATION_KEYS)
+    assert found == SETTABLE_VALUES
+    assert sum(map(len, found.values())) == 46
 
 
 def _unused_imports(source):
