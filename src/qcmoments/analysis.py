@@ -26,20 +26,19 @@ an analysis needs:
   ``fci`` command prints it.
 
 A stack of count matrices (one, or bootstrap resamples) is mitigated and
-assembled in array passes, each step once for all the mitigation stacks
-that share it; the moments and E_L run per matrix. :meth:`Analyzer.report`
-alone lays out ``report.json``: the main analysis with its diagnostics and
-the ablation over :data:`ABLATION_STACKS` from one table stage, the
-bootstrap and the errors against FCI. The
-dict-path functions (``mitigation.apply_qrem``, ``clip_to_physical``,
-``symmetry_postselect``, ``assemble_rdm``, ``rescale_rdm``,
-``mixed_state_value``, ``qcm.moments_from_rdm``,
-``fermion.expectation_from_rdm``, ``RDM.contract``) and, for the decode,
-``planner.product_value`` are the references the tests check it against.
+assembled in array passes; the moments and E_L run per matrix. The rows of
+:data:`ABLATION_STACKS` form one chain, and one walk down it reads each row
+where its steps end. :meth:`Analyzer.report` alone lays out
+``report.json``: the main analysis with its diagnostics, the ablation, the
+bootstrap and the errors against FCI. The dict-path functions
+(``mitigation.apply_qrem``, ``clip_to_physical``, ``symmetry_postselect``,
+``assemble_rdm``, ``rescale_rdm``, ``mixed_state_value``,
+``qcm.moments_from_rdm``, ``fermion.expectation_from_rdm``,
+``RDM.contract``) and, for the decode, ``planner.product_value`` are the
+references the tests check it against.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import io
 import json
@@ -54,8 +53,8 @@ from .conventions import sz_of
 from .fermion import FermionOperator, reversal_sign
 from .mitigation import (
     calibration_from_counts, check_representability, clip_rows, fail,
-    fit_white_noise_rate, postselect_mask, postselect_rows, qrem_rows,
-    reference_calibrate,
+    fit_white_noise_rate, outcome_bits, postselect_mask, postselect_rows,
+    qrem_rows, reference_calibrate,
 )
 from .planner import KINDS, MeasurementPlan
 from .qcm import CumulantSet, MomentSet, bootstrap, cumulants, \
@@ -110,7 +109,7 @@ def sample_counts(cfg: PipelineConfig, prepared, circuits) -> np.ndarray:
     parents = {}
     for b, mc in enumerate(circuits):
         parents.setdefault(id(mc.routed), []).append(b)
-    bits = np.arange(dim)[:, None] >> np.arange(n) & 1
+    bits = outcome_bits(n)
     for rows in parents.values():
         phases = [np.array([1, 1j, -1, -1j])[bits[:, circuits[b].phased].sum(
             axis=1) % 4] for b in rows]
@@ -292,7 +291,7 @@ def _assembly_map(plan, circuits, rank):
     further on, the joint occupation. The row of every factor is read at
     once from per-basis arrays of the circuits' final positions."""
     n = plan.n_modes
-    bits = (np.arange(1 << n) >> np.arange(n)[:, None] & 1).astype(float)
+    bits = outcome_bits(n).T.astype(float)
     table = np.concatenate([
         np.ones((1, 1 << n)), bits,
         (0.5 * (bits[None] - bits[:, None])).reshape(n * n, -1),
@@ -464,95 +463,78 @@ class Analyzer:
                                  f"{total}")
         return MomentSet(*(float(t.real) for t in totals))
 
-    def element_values(self, stack, mitigations):
-        """The table stage of a stack (R x tables x 2^n) under each
-        mitigation dict of `mitigations` (None: the config's): trial element
-        values (R x elements), q̂ (R,), each matrix's failure (its message
-        alone, or None), and the per-basis acceptance and clipped mass
-        (R x bases) with the fitted q̂ (None uncalibrated).
+    def element_values(self, stack, mitigation=None, chain=False):
+        """The table stage of a stack (R x tables x 2^n) under `mitigation`
+        (None: the config's): trial element values (R x elements), q̂ (R,),
+        each matrix's failure (its message alone, or None), and the
+        per-basis acceptance and clipped mass (R x bases) with the fitted q̂
+        (None uncalibrated). With `chain`, one walk with every step on gives
+        that for each :data:`ABLATION_STACKS` row, in order: a row reads the
+        tables where its last table step ends, and each table read is
+        assembled once, before the next block's tables are made. Each step
+        fails matrices in a list of its own; a row fails with the first
+        failure among its steps', as alone. Nothing warns here."""
+        rows = [m for _, m in ABLATION_STACKS] if chain else [
+            self.cfg.mitigation if mitigation is None else mitigation]
+        mit, size, shape = rows[-1], len(stack), (len(stack), self.n_bases)
+        steps = []  # (first row that takes it, failures) of each step run
 
-        A table step runs once, in one array pass, for all the dicts that
-        apply it after the same steps, and the trial block's tables go
-        before the reference block's are made; the white-noise fit runs per
-        dict. A step changes no input and records its failures in a list of
-        its own; a dict's failure is the first of its steps', as when it
-        runs alone. Nothing warns here."""
-        mits = [self.cfg.mitigation if m is None else m for m in mitigations]
-        recorded = [[] for _ in mits]  # each dict's failure lists, in order
-        done = {}   # the results that another dict may share
-
-        def once(d, key, step):
-            # step(failures) on the first use of `key`, for dict d
-            if key in done:
-                result, failures = done[key]
-            else:
-                result = step(failures := [None] * len(stack))
-                if len(mits) > 1:
-                    done[key] = result, failures
-            recorded[d].append(failures)
-            return result
+        def failures(step):
+            first = next(r for r, m in enumerate(rows) if m.get(step))
+            steps.append((first, out := [None] * size))
+            return out
 
         # a failed matrix runs on unread
         with np.errstate(divide="ignore", invalid="ignore"), \
                 warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cal = [once(d, "calibration", lambda f: calibration_from_counts(
-                stack[:, 0], stack[:, 1], f)) if mit.get("qrem") else None
-                for d, mit in enumerate(mits)]
+            cal = mit.get("qrem") and calibration_from_counts(
+                stack[:, 0], stack[:, 1], failures("qrem"))
             blocks = []
             for start in (2, 2 + self.n_bases):
-                done.clear()
-                blocks.append([self._block(
-                    stack[:, start:start + self.n_bases], mit, cal[d],
-                    functools.partial(once, d)) for d, mit in enumerate(mits)])
+                block = stack[:, start:start + self.n_bases]
+                probs = block / block.sum(axis=-1, keepdims=True)
+                clipped, acceptance = np.zeros(shape), np.ones(shape)
+                tables = [probs] if chain else []
+                if cal:
+                    probs = qrem_rows(probs, cal)
+                    if mit.get("clip"):
+                        probs, clipped = clip_rows(probs, failures("clip"))
+                    tables += [probs] if chain else []
+                if mit.get("postselect"):
+                    probs, acceptance = postselect_rows(
+                        probs, self.masks, failures("postselect"))
+                tables.append(probs)
+                values = [self.assemble(table) for table in tables]
+                del probs, tables
+                if mit.get("rescale"):
+                    rescaled = self.rescale(values[-1], failures("rescale"))
+                blocks.append([(rescaled if m.get("rescale") else values[
+                    min(r, len(values) - 1)],  # table r, or the last
+                    clipped if m.get("clip") else np.zeros(shape),
+                    acceptance if m.get("postselect") else np.ones(shape))
+                    for r, m in enumerate(rows)])
             results = []
-            for d, (mit, trial, ref) in enumerate(zip(mits, *blocks)):
-                v, q_hat, q_fit = trial[0], np.zeros(len(stack)), None
-                if mit.get("calibrate"):
-                    recorded[d].append(failures := [None] * len(stack))
+            for r, (m, trial, ref) in enumerate(zip(rows, *blocks)):
+                v, q_hat, q_fit = trial[0], np.zeros(size), None
+                if m.get("calibrate"):
+                    fit = failures("calibrate")
                     q_fit = fit_white_noise_rate(ref[0], self.ideal_ref,
-                                                 self.mixed, failures)
+                                                 self.mixed, fit)
                     q_hat, corrected = reference_calibrate(v, q_fit,
                                                            self.mixed)
                     # where q̂ = 0, corrected is v, already rescaled
-                    if mit.get("rescale"):
-                        corrected = self.rescale(corrected, failures)
+                    if m.get("rescale"):
+                        corrected = self.rescale(corrected, fit)
                     v = np.where((q_hat > 0.0)[:, None], corrected, v)
-                first = [next((f for f in fs if f is not None), None)
-                         for fs in zip(*recorded[d])]
+                # each matrix's first failure in the row's steps, or None
+                first = [next(filter(None, fs), None) for fs in zip(
+                    [None] * size, *(out for row, out in steps if row <= r))]
                 results.append((v, q_hat, first, dict(
                     acceptance=dict(trial=trial[2], reference=ref[2]),
                     clipped_mass=dict(trial=trial[1], reference=ref[1]),
                     q_hat_fit=q_fit)))
-        return results
-
-    def _block(self, block, mit, cal, once):
-        """(element values, clipped mass, acceptance) of a block of tables
-        (R x bases x 2^n) under `mit`, with the readout calibration `cal`;
-        once(key, step) runs each step."""
-        key, shape = (), block.shape[:2]
-        clipped, acceptance = np.zeros(shape), np.ones(shape)
-
-        def inverted(failures):
-            # the raw probabilities are not kept past the inversion
-            probs = qrem_rows(block / block.sum(axis=-1, keepdims=True), cal)
-            return clip_rows(probs, failures) if mit.get("clip") else \
-                (probs, clipped)
-
-        if cal is None:
-            probs = block / block.sum(axis=-1, keepdims=True)
-        else:
-            key = ("qrem", bool(mit.get("clip")))
-            probs, clipped = once(key, inverted)
-        if mit.get("postselect"):
-            key += ("postselect",)
-            probs, acceptance = once(key, lambda f: postselect_rows(
-                probs, self.masks, f))
-        values = once(key + ("assemble",), lambda f: self.assemble(probs))
-        if mit.get("rescale"):
-            key += ("rescale",)
-            values = once(key, lambda f: self.rescale(values, f))
-        return values, clipped, acceptance
+        return results if chain else results[0]
 
     def energies(self, values):
         """(<H>, E_L), the unclamped c2 and its clamp, from element values."""
@@ -570,7 +552,7 @@ class Analyzer:
         """<H> and E_L of each count matrix of a stack, or the error it
         raises alone; only :meth:`energies` runs per matrix. A clamped q̂
         does not warn."""
-        (values, _, failures, _), = self.element_values(stack, [mitigation])
+        values, _, failures, _ = self.element_values(stack, mitigation)
         results = []
         for v, failure in zip(values, failures):
             try:
@@ -589,7 +571,7 @@ class Analyzer:
         (v,), (q_hat,), (failure,), per_basis = table
         if failure is not None:
             raise ValueError(failure)
-        q_fit = per_basis.pop("q_hat_fit")
+        q_fit = per_basis["q_hat_fit"]
         q_clamped = q_fit is not None and bool(q_fit[0] != q_hat)
         if q_clamped and diagnostics:
             warnings.warn(f"estimated white-noise rate {q_fit[0]} clamped "
@@ -597,8 +579,8 @@ class Analyzer:
         result, c2, c2_clamped = self.energies(v)
         if not diagnostics:
             return result
-        diag = {key: {k: r[0].tolist() for k, r in rows.items()}
-                for key, rows in per_basis.items()}
+        diag = {key: {k: r[0].tolist() for k, r in per_basis[key].items()}
+                for key in ("acceptance", "clipped_mass")}
         diag.update(
             q_hat_fit=None if q_fit is None else float(q_fit[0]),
             q_hat_clamped=q_clamped, c2=c2, c2_clamped=c2_clamped)
@@ -619,11 +601,15 @@ class Analyzer:
         with its diagnostics, one ablation row per :data:`ABLATION_STACKS`
         entry (``{"technique", "failed"}`` where the stack fails), the
         bootstrap over :meth:`analyze_stack` when the config enables it, the
-        errors against FCI and the config. The main analysis and the
-        ablation rows share one table-stage call."""
+        errors against FCI and the config. The ablation rows come from one
+        walk down the chain; the main analysis is the row whose steps are
+        the config's, or one more walk if no row's are."""
         cfg, e_fci = self.cfg, self.e_fci
-        main, *rows = self.element_values(np.asarray(counts)[None], [None] + [
-            stack for _, stack in ABLATION_STACKS])
+        stack = np.asarray(counts)[None]
+        rows = self.element_values(stack, chain=True)
+        on = {k for k, v in cfg.mitigation.items() if v}
+        main = next((row for (_, m), row in zip(ABLATION_STACKS, rows)
+                     if set(m) == on), None) or self.element_values(stack)
         main = self._result(main, diagnostics=True)
         ablation = []
         for (name, _), row in zip(ABLATION_STACKS, rows):

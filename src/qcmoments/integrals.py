@@ -98,6 +98,8 @@ def load_fcidump(path) -> MolecularIntegrals:
             i, j, k, l = (int(t) for t in toks[1:])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
+        if not np.isfinite(val):
+            raise ValueError(f"line {lineno}: value {toks[0]} is not finite")
         for idx in (i, j, k, l):
             if idx < 0 or idx > norb:
                 raise ValueError(f"line {lineno}: index {idx} out of range "

@@ -377,8 +377,6 @@ def simplified_block(exc: Excitation, support) -> Circuit | None:
 class BuiltTrial:
     circuit: Circuit
     layout: tuple           # logical mode held by each physical qubit at end
-    cnot_count: int
-    depth: int
     block_kinds: list       # per excitation: "identity"/"template"/"general"
 
 
@@ -419,7 +417,7 @@ def build_uccd(ansatz: Ansatz) -> BuiltTrial:
             kinds.append("identity" if not block.gates else "template")
         for name, qubits, param in block.gates:
             circ.add(name, tuple(q + w for q in qubits), param)
-    return BuiltTrial(circ, layout, circ.cnot_count(), circ.depth(), kinds)
+    return BuiltTrial(circ, layout, kinds)
 
 
 # ---------------------------------------------------------------------------

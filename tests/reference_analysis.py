@@ -94,7 +94,7 @@ def analyze(analyzer, counts, mitigation=None, diagnostics=False):
     """<H> and E_L of one count matrix under ``Analyzer`` `analyzer`: the
     table stage of a stack of one, then its result; raises its failure.
     ``diagnostics`` adds what the main analysis of ``report.json`` holds."""
-    table, = analyzer.element_values(np.asarray(counts)[None], [mitigation])
+    table = analyzer.element_values(np.asarray(counts)[None], mitigation)
     return analyzer._result(table, diagnostics)
 
 

@@ -394,7 +394,7 @@ def test_criterion_11_circuit_fidelity():
         state = trial_state_in_mode_order(built, 8)
         ref = exact_trial_state(ansatz)
         assert np.max(np.abs(state - ref)) < 1e-9
-        return built.cnot_count
+        return built.circuit.cnot_count()
 
     four = build_and_check([
         Excitation((4, 5), (0, 1), 0.31), Excitation((4, 5), (2, 3), -0.52),

@@ -136,7 +136,7 @@ def _assert_paths_agree(compiled, reference, counts):
         for which in ("trial", "reference"):
             assert got["diagnostics"]["acceptance"][which] == \
                 pytest.approx(want["acceptance"][which], abs=TOL)
-        values = compiled.element_values(counts[None], [stack])[0][0][0]
+        values = compiled.element_values(counts[None], stack)[0][0]
         rdm = want["rdm"]
         assert values == pytest.approx(
             [rdm.get(e.creations, e.annihilations).real
@@ -292,12 +292,12 @@ def test_stacked_analysis_equals_each_matrix_alone(fixture, request):
     _, _, (compiled, _, counts) = request.getfixturevalue(fixture)
     stack = np.concatenate([counts[None], _redraws(counts, 3, seed=4)])
     for _, mitigation in [(None, None)] + ABLATION_STACKS:
-        (values, q_hat, failures, _), = compiled.element_values(
-            stack, [mitigation])
+        values, q_hat, failures, _ = compiled.element_values(stack,
+                                                             mitigation)
         assert failures == [None] * len(stack)
         for r, matrix in enumerate(stack):
-            (one, one_q, _, _), = compiled.element_values(matrix[None],
-                                                          [mitigation])
+            one, one_q, _, _ = compiled.element_values(matrix[None],
+                                                       mitigation)
             assert values[r].tobytes() == one[0].tobytes()
             assert q_hat[r].tobytes() == one_q[0].tobytes()
         got = compiled.analyze_stack(stack, mitigation)
@@ -334,10 +334,12 @@ def h2_foreign_rows(tmp_path_factory):
     return rows
 
 
-# mitigation stacks of the failure test: the command's own and two that
-# reach the post-selection and trace checks without readout inversion
+# mitigation stacks of the failure test: the command's own, two that
+# reach the post-selection and trace checks without readout inversion, and
+# two that part from the ablation chain
 FAILURE_STACKS = [None] + [stack for _, stack in ABLATION_STACKS] + [
-    {"postselect": True}, {"rescale": True}]
+    {"postselect": True}, {"rescale": True}, {"qrem": True},
+    {"qrem": True, "postselect": True, "calibrate": True}]
 # the start of each check's message, in pipeline order
 FAILURE_CHECKS = ("assignment matrix singular", "post-selection removed all",
                   "RDM trace", "estimated white-noise rate",
@@ -449,9 +451,9 @@ def _row(analyzer, table):
 @pytest.mark.filterwarnings("ignore:estimated white-noise rate")
 def test_shared_table_pass_equals_each_stack_alone(h2):
     # matrices whose clip or post-selection fails in a step that several
-    # ablation stacks share, among random tables: every stack's table
-    # stage and outcome in the shared call, failures and their messages
-    # included, is the one it gives alone
+    # ablation rows share, among random tables: the report's main analysis
+    # and every row of its one walk down the chain, failures and their
+    # messages included, is the one each stack gives alone
     _, _, (compiled, _, counts) = h2
     n_bases, shots = compiled.n_bases, counts[0].sum()
     rng = np.random.default_rng(12)
@@ -463,19 +465,19 @@ def test_shared_table_pass_equals_each_stack_alone(h2):
     matrices = [counts, clip_fails, post_fails] + [
         m + rng.integers(0, 60, size=m.shape)
         for m in (counts, clip_fails, post_fails)]
-    # the report's stacks first, then some that share only part of a chain
-    mitigations = [None] + [stack for _, stack in ABLATION_STACKS] + [
-        {"qrem": True}, {"postselect": True}, {"rescale": True},
-        {"qrem": True, "postselect": True, "calibrate": True}]
+    # the config's mitigation is the calibrated row's, so the report reads
+    # its main analysis off that row
+    assert all(compiled.cfg.mitigation.values())
+    mitigations = [None] + [stack for _, stack in ABLATION_STACKS]
     failed = []   # the ablation rows' failures
     for matrix in matrices:
-        shared = compiled.element_values(matrix[None], mitigations)
-        for mitigation, table in zip(mitigations, shared):
-            (alone,) = compiled.element_values(matrix[None], [mitigation])
+        chain = compiled.element_values(matrix[None], chain=True)
+        for mitigation, table in zip(mitigations, chain[-1:] + chain):
+            alone = compiled.element_values(matrix[None], mitigation)
             assert _table_bytes(table) == _table_bytes(alone)
             assert _row(compiled, table) == \
                 _alone(compiled, matrix, mitigation)
-        failed.append([table[2][0] for table in shared[1:6]])
+        failed.append([table[2][0] for table in chain])
     assert failed[0] == failed[3] == [None] * 5
     for rows in failed[1], failed[4]:
         assert rows[0] is None
@@ -485,6 +487,16 @@ def test_shared_table_pass_equals_each_stack_alone(h2):
         assert rows[:2] == [None, None]
         assert all(f == "post-selection removed all probability mass"
                    for f in rows[2:])
+
+
+def test_result_leaves_its_table_as_it_was(h2):
+    # the main analysis can be the same table as an ablation row, so a
+    # table read twice gives the same result twice
+    _, _, (compiled, _, counts) = h2
+    table = compiled.element_values(counts[None])
+    for diagnostics in (True, False, True):
+        assert compiled._result(table, diagnostics) == \
+            compiled._result(table, diagnostics)
 
 
 def test_report_warns_once_of_a_clamped_rate(h2, monkeypatch):

@@ -24,7 +24,7 @@ from qcmoments.simulator import Circuit, run
 from qcmoments.trial import build_uccd
 
 from fixtures_util import H2_PATH, H4_PATH
-from reference_analysis import sample_counts_per_basis
+from reference_analysis import analyze, sample_counts_per_basis
 from reference_planner import circuit_with_s_in_place, factor_entries, \
     measured_circuit
 from reference_simulator import basis_state
@@ -197,16 +197,23 @@ INTEGRALS_FAULTS = {
     "more electrons than spin-orbitals": lambda tmp: integrals_file(
         tmp, H2_TEXT.replace("NELEC=2", "NELEC=5")),
     "integrals naming a directory": lambda tmp: {"integrals": str(tmp)},
+    # a NaN integral once gave a finite FCI energy, an infinite one NaN
+    "integral that is NaN": lambda tmp: integrals_file(
+        tmp, H2_TEXT.replace("0.5548225086497546 1 1 1 1", "nan 1 1 1 1")),
+    "integral that is infinite": lambda tmp: integrals_file(
+        tmp, H2_TEXT.replace("0.5548225086497546 1 1 1 1", "inf 1 1 1 1")),
 }
 
 
 @pytest.mark.parametrize("fault", INTEGRALS_FAULTS)
 def test_integrals_faults_exit_2(tmp_path, fault, capsys):
-    cfg = write_config(tmp_path, **INTEGRALS_FAULTS[fault](tmp_path))
-    assert main(["fci", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: ")
-    assert "Traceback" not in err
+    cfg = write_config(tmp_path, output_dir=str(tmp_path / "out"),
+                       **INTEGRALS_FAULTS[fault](tmp_path))
+    for command in ("fci", "pipeline"):
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert "Traceback" not in err
 
 
 def test_fci_ignores_orbital_energy_lines(tmp_path):
@@ -1039,3 +1046,34 @@ def test_analyze_runs_one_table_pass_per_stack(tmp_path, monkeypatch):
     monkeypatch.setattr(Analyzer, "element_values", counting)
     assert main(["pipeline", "--config", str(cfg)]) == 0
     assert sorted(sizes) == [1, 100]
+
+
+def test_unchained_mitigation_takes_one_more_table_pass(tmp_path,
+                                                       monkeypatch):
+    # readout inversion without clipping is no ablation row's mitigation,
+    # so the main analysis takes a table pass of its own, and it equals
+    # the analysis of the archive alone
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, **PINNED_PIPELINES["h2"][0],
+                       noise=PINNED_NOISE, master_seed=7,
+                       mitigation={"clip": False}, output_dir=str(out))
+    sizes, analyzers = [], []
+    table_pass = Analyzer.element_values
+
+    def counting(self, stack, *args, **kwargs):
+        sizes.append(len(stack))
+        analyzers.append(self)
+        return table_pass(self, stack, *args, **kwargs)
+
+    monkeypatch.setattr(Analyzer, "element_values", counting)
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    assert sorted(sizes) == [1, 1, 100]
+    report = json.loads((out / "report.json").read_text())
+    alone = analyze(analyzers[0], np.load(out / "counts" / "counts.npy"),
+                    diagnostics=True)
+    assert (report["estimate"]["h_expect"], report["estimate"]["e_l"],
+            report["estimate"]["q_hat"], report["representability"],
+            report["diagnostics"]) == (alone["h"], alone["e_l"],
+                                       alone["q_hat"],
+                                       alone["representability"],
+                                       alone["diagnostics"])

@@ -113,6 +113,13 @@ def test_fcidump_errors(tmp_path):
     path.write_text("&FCI NORB=2,NELEC=2,\n/\nnot-a-number 1 1 0 0\n")
     with pytest.raises(ValueError, match="line 3"):
         load_fcidump(path)
+    # float() reads these, but no integral may be NaN or infinite
+    for value in ("nan", "inf", "-inf"):
+        path.write_text(f"&FCI NORB=2,NELEC=2,\n/\n1.0 1 1 0 0\n"
+                        f"{value} 1 1 1 1\n")
+        with pytest.raises(ValueError, match=f"line 4: value {value} is "
+                           "not finite"):
+            load_fcidump(path)
 
 
 

@@ -309,7 +309,7 @@ def paired_ansatz(thetas):
 def test_build_uccd_paired_four_excitations():
     ansatz = paired_ansatz([0.31, -0.52, 0.18, 0.07])
     built = assert_matches_oracle(ansatz)
-    assert built.cnot_count <= 28
+    assert built.circuit.cnot_count() <= 28
     assert "general" not in built.block_kinds
 
 
