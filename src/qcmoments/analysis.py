@@ -5,13 +5,14 @@ An archive holds one (tables x 2^n) integer count matrix with rows
 [calibration zeros, calibration ones, trial basis 0..B-1, reference basis
 0..B-1]; column i counts the outcome whose bit q is qubit q's reading.
 This module alone knows that row layout: :func:`sample_counts` simulates
-each routed parent's circuit once for all its concrete bases and draws
-every row in one noisy pass, :func:`write_archive` and
-:func:`load_archive` store and check it, and :class:`Analyzer` reads it.
+each parent's circuit once for all its concrete bases and draws every row
+in one noisy pass, :func:`write_archive` and :func:`load_archive` store and
+check it, and :class:`Analyzer` reads it. The measurement circuits come one
+per level-1 basis: concrete basis ``b`` is measured by ``circuits[b.parent]``.
 :class:`Analyzer` compiles, once per plan and Hamiltonian, every map that
 an analysis needs:
 
-- post-selection: one boolean outcome mask per basis;
+- post-selection: one boolean outcome mask per basis, its parent's;
 - RDM assembly: (element, flat outcome index, eigenvalue) triplets decoded
   from one outcome-feature table, at rows read off the plan's coverage
   arrays, so one ``np.bincount`` assembles every element of a group of
@@ -56,7 +57,7 @@ from .mitigation import (
     fit_white_noise_rate, outcome_bits, postselect_mask, postselect_rows,
     qrem_rows, reference_calibrate,
 )
-from .planner import KINDS, MeasurementPlan
+from .planner import IM, N, MeasurementPlan
 from .qcm import CumulantSet, MomentSet, bootstrap, cumulants, \
     lanczos_energy
 from .simulator import (
@@ -84,19 +85,20 @@ ABLATION_STACKS = [
 ARCHIVE_SCHEMA = 3
 
 
-def sample_counts(cfg: PipelineConfig, prepared, circuits) -> np.ndarray:
+def sample_counts(cfg: PipelineConfig, prepared, bases,
+                  circuits) -> np.ndarray:
     """The archive's count matrix of ``cfg.shots`` draws per row, for the
-    preparation circuits `prepared` (trial, reference) and the B measurement
-    `circuits`. The calibration rows are |0...0> and |1...1> under readout
-    flips alone; a basis row gets white noise at the rate of its CNOTs.
-    Each state is prepared once (norm checked). The circuits that share a
-    ``routed`` circuit, as one parent's bases do, run it once, on the stack
-    of both states times each one's phase vector (i per bit that a leading
-    S acts on): that product is exact, so each basis gets its whole
+    preparation circuits `prepared` (trial, reference), the B concrete
+    `bases` and their parents' measurement `circuits`. The calibration rows
+    are |0...0> and |1...1> under readout flips alone; a basis row gets
+    white noise at the rate of its CNOTs. Each state is prepared once (norm
+    checked). Each parent's ``routed`` circuit runs once, on the stack of
+    both states times each of its bases' phase vectors (i per bit that a
+    leading S acts on): that product is exact, so each basis gets its whole
     circuit's probabilities bit for bit. One pass adds all noise, then the
     rows are drawn in order, each from its own seed."""
     n = prepared[0].n_qubits
-    n_bases, dim = len(circuits), 1 << n
+    n_bases, dim = len(bases), 1 << n
     noise = cfg.noise
     flips = assignment_matrices(np.full(n, noise["p01"]),
                                 np.full(n, noise["p10"]))
@@ -107,20 +109,21 @@ def sample_counts(cfg: PipelineConfig, prepared, circuits) -> np.ndarray:
     ideal = np.zeros((2 * n_bases + 2, dim))
     ideal[0, 0] = ideal[1, -1] = 1.0
     parents = {}
-    for b, mc in enumerate(circuits):
-        parents.setdefault(id(mc.routed), []).append(b)
+    for b, basis in enumerate(bases):
+        parents.setdefault(basis.parent, []).append(b)
     bits = outcome_bits(n)
-    for rows in parents.values():
-        phases = [np.array([1, 1j, -1, -1j])[bits[:, circuits[b].phased].sum(
-            axis=1) % 4] for b in rows]
+    for parent, rows in parents.items():
+        mc = circuits[parent]
+        phases = [np.array([1, 1j, -1, -1j])[bits[:, mc.phased(
+            bases[b].kinds)].sum(axis=1) % 4] for b in rows]
         stack = (np.array(phases)[:, None] * states).reshape(-1, dim)
-        probs = np.abs(run(circuits[rows[0]].routed, stack)) ** 2
+        probs = np.abs(run(mc.routed, stack)) ** 2
         ideal[2 + np.array(rows)] = probs[0::2]
         ideal[2 + n_bases + np.array(rows)] = probs[1::2]
     q = [0.0, 0.0] + [
-        white_noise_rate(noise["global_q"], noise["cnot_q"],
-                         c.cnot_count() + mc.routed.cnot_count())
-        for c in prepared for mc in circuits]
+        white_noise_rate(noise["global_q"], noise["cnot_q"], c.cnot_count()
+                         + circuits[b.parent].routed.cnot_count())
+        for c in prepared for b in bases]
     seeds = [derive_seed(cfg.master_seed, tag, i) for tag, count in (
         ("calibration", 2), ("sample-trial", n_bases),
         ("sample-reference", n_bases)) for i in range(count)]
@@ -282,48 +285,48 @@ def _assembly_map(plan, circuits, rank):
     """(element, flat outcome index, weight) triplets in element, product,
     outcome order, element k being the plan's element rank[k]: element k's
     value is the sum of weight * probs.flat[index] over its triplets, for
-    the (bases x 2^n) mitigated distributions probs.
+    the (bases x 2^n) mitigated distributions probs and the measurement
+    `circuits` of the plan's level-1 bases.
 
     Each coverage product is decoded as ``planner.product_value`` does: a
     coefficient times rows of one table over the outcomes, which holds all
     ones (padding), each bit q (row 1 + q), and for positions lo, hi the
     pair value (bit_hi - bit_lo) / 2 (row 1 + n + lo n + hi) and, n^2 rows
     further on, the joint occupation. The row of every factor is read at
-    once from per-basis arrays of the circuits' final positions."""
+    once from per-parent arrays of the circuits' final positions."""
     n = plan.n_modes
     bits = outcome_bits(n).T.astype(float)
     table = np.concatenate([
         np.ones((1, 1 << n)), bits,
         (0.5 * (bits[None] - bits[:, None])).reshape(n * n, -1),
         (bits[:, None] * bits[None]).reshape(n * n, -1)])
-    # per basis: the row of N of each mode (its bit, or the joint occupation
-    # of the site that absorbed it), the row of Re/Im at each site, and
-    # whether the site's lower mode sat on the high qubit, which flips an Im
-    # factor's sign
+    # per parent: the row of N of each mode (its bit, or the joint
+    # occupation of the site that absorbed it), the row of Re/Im at each
+    # site, and whether the site's lower mode sat on the high qubit, which
+    # flips an Im factor's sign
     number_row = np.zeros((len(circuits), n), dtype=np.int64)
     pair_row = np.zeros((len(circuits), n, n), dtype=np.int64)
     flipped = np.zeros((len(circuits), n, n), dtype=bool)
-    for b, mc in enumerate(circuits):
+    for p, mc in enumerate(circuits):
         for mode, pos in mc.mode_positions.items():
-            number_row[b, mode] = 1 + pos
+            number_row[p, mode] = 1 + pos
         for (i, j), (lo, hi, mode_lo) in mc.site_positions.items():
-            pair_row[b, i, j] = 1 + n + lo * n + hi
-            number_row[b, [i, j]] = 1 + n + n * n + lo * n + hi
-            flipped[b, i, j] = mode_lo != i
+            pair_row[p, i, j] = 1 + n + lo * n + hi
+            number_row[p, [i, j]] = 1 + n + n * n + lo * n + hi
+            flipped[p, i, j] = mode_lo != i
     kind, i, j = plan.factors.T
     n_factors = np.diff(plan.factor_offsets)
     product = np.repeat(np.arange(len(n_factors)), n_factors)
-    basis = plan.product_basis[product]
+    parent = np.array([b.parent for b in plan.bases], dtype=np.int64)[
+        plan.product_basis[product]]
     # a joint occupation is 0 or 1, so reading it for each of its site's
     # modes that a product holds gives the value that product_value gives
-    rows = np.where(kind == KINDS.index("N"), number_row[basis, i],
-                    pair_row[basis, i, j])
+    rows = np.where(kind == N, number_row[parent, i], pair_row[parent, i, j])
     # each Im factor whose site's lower mode sat on the high qubit flips the
     # sign; measured elements use ascending annihilation order, and
     # canonical RDM storage applies annihilations in descending order
     flips = np.bincount(product, minlength=len(n_factors),
-                        weights=(kind == KINDS.index("Im"))
-                        & flipped[basis, i, j])
+                        weights=(kind == IM) & flipped[parent, i, j])
     coef = reversal_sign(plan.order) * plan.product_sign * (-1.0) ** flips
     index = np.zeros((len(n_factors), max(n_factors.max(initial=0), 1)),
                      dtype=np.int64)
@@ -406,11 +409,10 @@ class Analyzer:
         if self.order != n_electrons:
             raise ValueError(f"exact moments need an order-{n_electrons} "
                              f"RDM, not order {self.order}")
-        # one mask per distinct spin pattern, as one parent's bases share
-        patterns, index = np.unique([position_spins(mc, self.spins, n)
-                                     for mc in circuits], axis=0,
-                                    return_inverse=True)
-        self.masks = postselect_mask(n_electrons, self.sz, patterns)[index]
+        # one mask per parent, which all its bases share
+        self.masks = postselect_mask(n_electrons, self.sz, [
+            position_spins(mc, self.spins, n) for mc in circuits])[
+            [b.parent for b in plan.bases]]
         self._elem, self._flat, self._weight = _assembly_map(
             plan, circuits, rank)
         # every quantity below is read off one map of the elements into the
@@ -438,7 +440,8 @@ class Analyzer:
         mitigated distributions; each bin sums in triplet order."""
         size = len(self.elements)
         bins = (np.arange(len(probs))[:, None] * size + self._elem).ravel()
-        weights = probs.reshape(len(probs), -1)[:, self._flat] * self._weight
+        weights = probs.reshape(len(probs), -1).take(self._flat, axis=1) \
+            * self._weight
         return np.bincount(bins, weights=weights.ravel(),
                            minlength=len(probs) * size).reshape(-1, size)
 

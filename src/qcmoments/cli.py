@@ -21,7 +21,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -35,8 +34,7 @@ from .conventions import interleaved_spins, sz_of
 from .integrals import (
     freeze_orbitals, load_fcidump, spin_orbital_hamiltonian,
 )
-from .planner import ConcreteBasis, build_measurement_circuit, build_plan, \
-    enumerate_elements
+from .planner import build_measurement_circuit, build_plan, enumerate_elements
 from .simulator import exact_diagonalize
 from .trial import Ansatz, Excitation, build_uccd, energy_objective, \
     spsa_minimize
@@ -206,17 +204,14 @@ def _check_plan(plan, cfg: PipelineConfig, n: int, source: str):
 
 
 def _measurement_circuits(plan, layout, source: str) -> list:
-    """One measurement circuit per concrete basis of the plan: its parent's,
-    built once (the kinds only choose the leading S gates), with the
-    basis's kinds. ConfigError naming `source` if the plan's routing does
-    not fit `layout`."""
+    """One measurement circuit per level-1 basis of the plan, which serves
+    each concrete basis ``b`` as ``circuits[b.parent]``. ConfigError naming
+    `source` if the plan's routing does not fit `layout`."""
     try:
-        built = {id(p): build_measurement_circuit(ConcreteBasis(p, ()), layout)
-                 for p in plan.level1}
+        return [build_measurement_circuit(p, layout) for p in plan.level1]
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise ConfigError(f"{source} does not fit its layout "
                           f"{list(layout)}: {exc!r}") from exc
-    return [replace(built[id(b.parent)], kinds=b.kinds) for b in plan.bases]
 
 
 def _read_thetas(path, n_excitations: int) -> list:
@@ -250,7 +245,8 @@ def cmd_run(args) -> int:
     # trial layout and share the measurement circuits
     circuits = _measurement_circuits(plan, built[0].layout,
                                      f"plan file {args.plan}")
-    counts = sample_counts(cfg, [b.circuit for b in built], circuits)
+    counts = sample_counts(cfg, [b.circuit for b in built], plan.bases,
+                           circuits)
     total = int(counts.sum())
     with _writing(args.output_dir):
         write_archive(args.output_dir, plan_bytes, counts, {

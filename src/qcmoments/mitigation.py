@@ -257,12 +257,13 @@ def assemble_rdm(plan: MeasurementPlan, circuits, tables,
                  n_electrons: int) -> RDM:
     """Average decoded eigenvalue products into the canonical RDM storage.
 
-    `circuits[i]` is the MeasurementCircuit and `tables[i]` the (possibly
-    mitigated) bitstring -> probability dict for plan basis i. Reference for
+    `circuits[p]` is the MeasurementCircuit of level-1 basis p, and
+    `tables[i]` the (possibly mitigated) bitstring -> probability dict for
+    plan basis i, which is decoded by its parent's circuit. Reference for
     the assembly map of :class:`qcmoments.analysis.Analyzer`.
     """
-    if len(circuits) != len(plan.bases) or len(tables) != len(plan.bases):
-        raise ValueError("per-basis circuits/tables do not match the plan")
+    if len(circuits) != len(plan.level1) or len(tables) != len(plan.bases):
+        raise ValueError("circuits/tables do not match the plan")
     coverage = plan.coverage()
     # measured elements use ascending annihilation order; canonical RDM
     # storage applies annihilations in descending order
@@ -275,7 +276,8 @@ def assemble_rdm(plan: MeasurementPlan, circuits, tables,
     for e in sorted(coverage):
         value = 0.0
         for b_idx, sign, factors in coverage[e]:
-            mc, table = circuits[b_idx], arrays[b_idx]
+            mc = circuits[plan.bases[b_idx].parent]
+            table = arrays[b_idx]
             if mc is None or table is None:
                 raise ValueError(f"basis {b_idx} covering {e} is unavailable")
             outcomes, probs = table

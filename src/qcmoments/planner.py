@@ -14,7 +14,9 @@ wavefunctions; the surviving even-Im products reconstruct the Hermitian
 part (e + e†)/2 exactly. Their signs follow in closed form from the
 anticommutation relations: the parity of the permutation that brings the
 element into pair form, times (-1)^(m/2) for m Im factors, times the
-orientation of each Im pair (see :func:`decompose_element`).
+orientation of each Im pair (see :func:`decompose_element`). A factor is
+the code row (kind, i, j) that the plan file stores, the kind's index in
+:data:`KINDS`: N of mode i = j, or Re or Im of the site (i, j).
 
 Grouping is greedy and two-level. Level 1 packs elements into pairing
 bases: disjoint interactions (q1, q2) between equal-spin modes, with
@@ -25,12 +27,12 @@ only number information is measurable in any concrete basis because all
 diagonalization circuits conserve the pair occupation number.
 
 Pair interactions are scheduled on the line by the exact router in
-:mod:`qcmoments.routing`, once per level-1 basis: a concrete basis is its
-level-1 parent plus one Re/Im choice per pair site, and it shares the
-parent's schedule, in memory and in the plan file (schema 3, see
-:class:`MeasurementPlan`). :func:`build_measurement_circuit` checks that a
-schedule brings each site's two modes together under the layout it is
-given, which is what the outcome decoding relies on.
+:mod:`qcmoments.routing`, once per level-1 basis. A concrete basis is, in
+memory as in the plan file (schema 3, see :class:`MeasurementPlan`), its
+parent's level-1 index plus one Re/Im kind per pair site, and the parent's
+one :class:`MeasurementCircuit` serves it. :func:`build_measurement_circuit`
+checks that a schedule brings each site's two modes together under the
+layout it is given, which is what the outcome decoding relies on.
 """
 from __future__ import annotations
 
@@ -90,7 +92,9 @@ def enumerate_elements(n_modes: int, p: int, spins=None):
 # ---------------------------------------------------------------------------
 # decomposition into Re/Im/number products
 
-# a factor is ("N", (i,)), ("Re", (j, k)) or ("Im", (j, k)) with j < k
+#: factor kinds by their code in factor rows (kind, i, j) and plan records
+KINDS = ("N", "Re", "Im")
+N, RE, IM = range(len(KINDS))
 
 
 def _split_element(e: RdmElement):
@@ -125,9 +129,10 @@ def _cross_matchings(cres, anns, spins):
 def decompose_element(e: RdmElement, spins, matching=None):
     """Signed even-Im products reconstructing (e + e†)/2 exactly.
 
-    Returns a list of (sign, factors) with sign ∈ {+1, -1}; the sum of
-    sign · Π(factors) equals the Hermitian part of the element as an
-    operator identity. Raises ValueError if no same-spin pairing exists.
+    Returns a list of (sign, factors) with sign ∈ {+1, -1} and the factors
+    as code rows; the sum of sign · Π(factors) equals the Hermitian part of
+    the element as an operator identity. Raises ValueError if no same-spin
+    pairing exists.
 
     The signs follow in closed form from the anticommutation relations
     (Helgaker, Jørgensen and Olsen, *Molecular Electronic-Structure
@@ -156,10 +161,10 @@ def decompose_element(e: RdmElement, spins, matching=None):
     # every kind at the sites but the last, and there the kind that makes
     # the Im count even. An Im factor of orientation s contributes s, and
     # every second one also -1, which gives (-1)^(m/2)
-    partial = [(sigma, tuple(("N", (i,)) for i in numbers), False)]
+    partial = [(sigma, tuple((N, i, i) for i in numbers), False)]
     for k, (c, a) in enumerate(matching, 1):
-        site, s = ((c, a), 1) if c < a else ((a, c), -1)
-        re_f, im_f = ("Re", site), ("Im", site)
+        (i, j), s = ((c, a), 1) if c < a else ((a, c), -1)
+        re_f, im_f = (RE, i, j), (IM, i, j)
         if k < len(matching):
             partial = [q for sign, f, odd in partial for q in (
                 (sign, f + (re_f,), odd),
@@ -189,10 +194,11 @@ class PairingBasis:
 
 @dataclass(frozen=True)
 class ConcreteBasis:
-    """A pairing basis with "Re" or "Im" measured at each of its pair sites,
-    in ``pair_sites()`` order; it shares its parent's schedule."""
+    """The level-1 basis of index `parent` with the kind code RE or IM
+    measured at each of its pair sites, in ``pair_sites()`` order; it shares
+    its parent's schedule and measurement circuit."""
 
-    parent: PairingBasis
+    parent: int
     kinds: tuple
 
 
@@ -286,8 +292,9 @@ def group_level1(elements, spins):
 # level-2 grouping into concrete bases
 
 
-def group_level2(basis: PairingBasis, element_products):
-    """Split a pairing basis so every product component is measurable.
+def group_level2(level1, parent: int, element_products):
+    """Split the pairing basis ``level1[parent]`` so every product component
+    is measurable.
 
     element_products: list of (element, products) with products as returned
     by decompose_element. Returns (concrete bases, placements) where
@@ -295,13 +302,13 @@ def group_level2(basis: PairingBasis, element_products):
     Each product goes to the first concrete basis whose kinds agree with its
     Re/Im factors, or opens one; a site no product fixes is measured as Re.
     """
-    sites = basis.pair_sites()
-    concrete: list[dict] = []   # site -> "Re"/"Im" (partial)
+    sites = level1[parent].pair_sites()
+    concrete: list[dict] = []   # site -> RE/IM (partial)
     placements = []
     for element, products in element_products:
         placed = []
         for sign, factors in products:
-            wanted = [(site, k) for k, site in factors if k != "N"]
+            wanted = [((i, j), k) for k, i, j in factors if k != N]
             for idx, chosen in enumerate(concrete):
                 for site, k in wanted:
                     if chosen.get(site, k) != k:
@@ -316,8 +323,8 @@ def group_level2(basis: PairingBasis, element_products):
         placements.append(placed)
     if not concrete:
         concrete.append({})
-    return [ConcreteBasis(basis, tuple(chosen.get(site, "Re")
-                                       for site in sites))
+    return [ConcreteBasis(parent, tuple(chosen.get(site, RE)
+                                        for site in sites))
             for chosen in concrete], placements
 
 
@@ -327,9 +334,6 @@ def group_level2(basis: PairingBasis, element_products):
 
 #: version of the plan layout that ``dumps`` writes and ``loads`` reads
 PLAN_SCHEMA = 3
-
-#: factor kinds by their code in the coverage arrays and records
-KINDS = ("N", "Re", "Im")
 
 
 @dataclass
@@ -342,23 +346,23 @@ class MeasurementPlan:
     ``product_offsets[k]:product_offsets[k + 1]``. Product q is measured in
     concrete basis ``product_basis[q]`` with sign ``product_sign[q]``, and
     its factors are the rows ``factor_offsets[q]:factor_offsets[q + 1]`` of
-    ``factors``: (kind, i, j) with the kind's index in :data:`KINDS`, for N
-    of mode i = j, or Re or Im of the site (i, j).
+    ``factors``, the code rows of :func:`decompose_element`.
 
     ``dumps`` writes, on one line, ``{"schema": 3, "n_modes", "spins",
     "level1", "bases", "coverage"}``: ``level1`` holds each pairing basis's
     ``interactions`` and ``schedule``, ``bases`` holds each concrete basis
-    as ``[parent, kinds]`` (a level-1 index and one "Re"/"Im" per pair site
-    of the parent), and ``coverage`` holds ``[element, products]`` pairs:
-    ``[creations, annihilations]`` and one flat list of the element's
-    product records, each ``basis, sign, n_factors`` and then ``kind, i, j``
-    per factor.
+    as ``[parent, kinds]`` (a level-1 index and the name of one kind, Re or
+    Im, per pair site of the parent), and ``coverage`` holds ``[element,
+    products]`` pairs: ``[creations, annihilations]`` and one flat list of
+    the element's product records, each ``basis, sign, n_factors`` and then
+    ``kind, i, j`` per factor. In memory a concrete basis holds the same
+    index and its kinds as codes.
     """
 
     n_modes: int
     spins: tuple
     level1: list          # PairingBasis, each with its routing schedule
-    bases: list           # ConcreteBasis, each sharing its parent's schedule
+    bases: list           # ConcreteBasis, each a level1 index and kinds
     elements: np.ndarray          # (E, 2p)
     product_offsets: np.ndarray   # (E + 1,)
     product_basis: np.ndarray     # (P,)
@@ -374,8 +378,7 @@ class MeasurementPlan:
         """RdmElement -> its products (basis, sign, factors) in plan order,
         the factors as decompose_element gives them."""
         p, fo, po = self.order, self.factor_offsets, self.product_offsets
-        factors = [(KINDS[k], (i,) if k == 0 else (i, j))
-                   for k, i, j in self.factors.tolist()]
+        factors = list(map(tuple, self.factors.tolist()))
         products = [(b, s, tuple(factors[fo[q]:fo[q + 1]])) for q, (b, s) in
                     enumerate(zip(self.product_basis.tolist(),
                                   self.product_sign.tolist()))]
@@ -384,7 +387,6 @@ class MeasurementPlan:
                 for k, e in enumerate(self.elements.tolist())}
 
     def dumps(self) -> str:
-        parent = {id(b): i for i, b in enumerate(self.level1)}
         records = np.insert(  # each product's header before its factors
             self.factors.ravel(), np.repeat(3 * self.factor_offsets[:-1], 3),
             np.stack([self.product_basis, self.product_sign,
@@ -400,7 +402,7 @@ class MeasurementPlan:
             "level1": [{"interactions": [list(s) for s in b.interactions],
                         "schedule": b.schedule.to_json()}
                        for b in self.level1],
-            "bases": [[parent[id(c.parent)], list(c.kinds)]
+            "bases": [[c.parent, [KINDS[k] for k in c.kinds]]
                       for c in self.bases],
             "coverage": [[e, records[lo:hi]] for e, lo, hi in
                          zip(elements, cuts, cuts[1:])],
@@ -439,7 +441,8 @@ class MeasurementPlan:
                 raise ValueError(f"concrete basis {[parent, kinds]} is not "
                                  "a level-1 basis with Re or Im at each of "
                                  "its pair sites")
-            bases.append(ConcreteBasis(level1[parent], tuple(kinds)))
+            bases.append(ConcreteBasis(parent, tuple(map(KINDS.index,
+                                                         kinds))))
         coverage = obj["coverage"]
         elements = np.array([e for e, _ in coverage])
         if elements.dtype != np.int64 or elements.ndim != 3 \
@@ -483,11 +486,10 @@ class MeasurementPlan:
         # measured[basis, i, j] holds
         n_bases = len(bases)
         measured = np.full((n_bases, n_modes, n_modes), -1)
-        measured[:, range(n_modes), range(n_modes)] = KINDS.index("N")
+        measured[:, range(n_modes), range(n_modes)] = N
         b, i, j, kind = np.array([
-            (b, i, j, KINDS.index(kind))
-            for b, (parent, kinds) in enumerate(obj["bases"])
-            for (i, j), kind in zip(sites[parent], kinds)],
+            (b, i, j, kind) for b, c in enumerate(bases)
+            for (i, j), kind in zip(sites[c.parent], c.kinds)],
             dtype=np.int64).reshape(-1, 4).T
         measured[b, i, j] = kind
         product = np.repeat(np.arange(len(starts)), np.diff(factor_offsets))
@@ -529,8 +531,8 @@ def build_plan(elements, spins, layout=None) -> MeasurementPlan:
         products = decompose_element(e, spins, matching=matching)
         per_basis[b_idx].append((e, products))
     bases, rows, n_products, headers, factors = [], [], [], [], []
-    for b_idx, basis in enumerate(level1):
-        concrete, placements = group_level2(basis, per_basis[b_idx])
+    for b_idx in range(len(level1)):
+        concrete, placements = group_level2(level1, b_idx, per_basis[b_idx])
         offset = len(bases)
         bases.extend(concrete)
         for (e, _products), placed in zip(per_basis[b_idx], placements):
@@ -538,8 +540,7 @@ def build_plan(elements, spins, layout=None) -> MeasurementPlan:
             n_products.append(len(placed))
             for idx, sign, product in placed:
                 headers += (offset + idx, sign, len(product))
-                for kind, site in product:
-                    factors += (KINDS.index(kind), site[0], site[-1])
+                factors += product
     headers = np.array(headers, dtype=np.int64).reshape(-1, 3)
     return MeasurementPlan(
         n_modes, tuple(spins), level1, bases, np.array(rows, dtype=np.int64),
@@ -555,8 +556,8 @@ def build_plan(elements, spins, layout=None) -> MeasurementPlan:
 # rotation mapping the ±1/2 eigenvectors (|01⟩ ± |10⟩)/√2 onto the
 # computational states; conserves the pair occupation number. The Im
 # diagonalizer is that circuit preceded by S on the low qubit (S Im S† = Re
-# on the odd-occupation block), an S that MeasurementCircuit moves to the
-# front. Tests check both against the hopping operator and pair_value.
+# on the odd-occupation block), an S that MeasurementCircuit.phased moves to
+# the front. Tests check both against the hopping operator and pair_value.
 
 
 def _re_diagonalizer(circ: Circuit, lo: int):
@@ -566,29 +567,28 @@ def _re_diagonalizer(circ: Circuit, lo: int):
 
 @dataclass
 class MeasurementCircuit:
-    """Routed and diagonalized circuit plus outcome-decoding metadata.
+    """A level-1 basis's routed and diagonalized circuit plus
+    outcome-decoding metadata, shared by all its concrete bases.
 
-    The measured circuit is S on each position of ``phased`` (where an Im
-    site's low-end mode starts), then ``routed``: the parent's routing, every site diagonalized as Re. The Im
+    A concrete basis with `kinds` is measured by S on each position of
+    ``phased(kinds)`` (where an Im site's low-end mode starts), then
+    ``routed``: the parent's routing, every site diagonalized as Re. The Im
     diagonalizer's S moves there exactly: S = i^n on its mode's qubit, an
     FSWAP carries n along with the mode, gates on other qubits commute with
-    it, and until its site interacts no other gate meets that mode. So one
-    parent's concrete bases share all but ``kinds``."""
+    it, and until its site interacts no other gate meets that mode."""
 
     routed: Circuit
     #: mode -> final measured position (modes not absorbed into a pair)
     mode_positions: dict
     #: site (q1, q2) -> (final lo position, final hi position, mode at lo)
     site_positions: dict
-    #: "Re" or "Im" per pair site of the parent, and the start position of
-    #: the mode at each site's low end
-    kinds: tuple = ()
-    starts: tuple = ()
+    #: the start position of the mode at each pair site's low end
+    starts: tuple
 
-    @property
-    def phased(self) -> list:
-        """Positions that S acts on before ``routed``."""
-        return [q for q, k in zip(self.starts, self.kinds) if k == "Im"]
+    def phased(self, kinds) -> list:
+        """Positions that S acts on before ``routed`` for the kind codes
+        `kinds`, one per pair site."""
+        return [q for q, k in zip(self.starts, kinds) if k == IM]
 
     # The decoders take an outcome index or an integer array of them.
 
@@ -618,9 +618,8 @@ def product_value(mc: MeasurementCircuit, factors, bits):
     """
     val = 1.0
     handled = set()
-    for kind, idx in factors:
-        if kind == "N":
-            i = idx[0]
+    for kind, i, j in factors:
+        if kind == N:
             if i in handled:
                 continue
             if i in mc.mode_positions:
@@ -630,18 +629,18 @@ def product_value(mc: MeasurementCircuit, factors, bits):
                 site = next(s for s in mc.site_positions if i in s)
                 val *= mc.pair_occupation(site, bits)
                 handled.update(site)
-        elif kind == "Re":
-            val *= mc.pair_value(idx, bits)
+        elif kind == RE:
+            val *= mc.pair_value((i, j), bits)
         else:
-            orient = 1.0 if mc.site_positions[tuple(idx)][2] == idx[0] \
-                else -1.0
-            val *= orient * mc.pair_value(idx, bits)
+            orient = 1.0 if mc.site_positions[i, j][2] == i else -1.0
+            val *= orient * mc.pair_value((i, j), bits)
     return val
 
 
-def build_measurement_circuit(basis: ConcreteBasis, layout) -> \
+def build_measurement_circuit(parent: PairingBasis, layout) -> \
         MeasurementCircuit:
-    """Emit fswap routing plus per-pair diagonalization for a concrete basis.
+    """Emit fswap routing plus per-pair Re diagonalization for a level-1
+    basis.
 
     `layout` is the position -> mode map the state is measured in. The
     parent's schedule must fit it, as the decoding assumes: each routed
@@ -650,12 +649,12 @@ def build_measurement_circuit(basis: ConcreteBasis, layout) -> \
     ValueError.
     """
     layout = tuple(layout)
-    pair_sites = basis.parent.pair_sites()
+    pair_sites = parent.pair_sites()
     circ = Circuit(len(layout))
     occupant = list(layout)  # position -> mode label or ("site", idx, "lo/hi")
     starts = [None] * len(pair_sites)
     interacted = 0
-    for step in basis.parent.schedule.steps:
+    for step in parent.schedule.steps:
         for (i, j) in step.swaps:
             circ.fswap(i, j)
             occupant[i], occupant[j] = occupant[j], occupant[i]
@@ -689,4 +688,4 @@ def build_measurement_circuit(basis: ConcreteBasis, layout) -> \
         site_positions[tuple(site)] = (ends["lo"][0], ends["hi"][0],
                                        ends["lo"][1])
     return MeasurementCircuit(circ, mode_positions, site_positions,
-                              tuple(basis.kinds), tuple(starts))
+                              tuple(starts))

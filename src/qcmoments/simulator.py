@@ -105,16 +105,6 @@ class Circuit:
         return sum(3 if name == "FSWAP" else 1
                    for name, _, _ in self.gates if name in TWO_QUBIT_GATES)
 
-    def depth(self) -> int:
-        """Minimal dependency layering after decomposing FSWAP into 3 CNOTs."""
-        avail = [0] * self.n_qubits
-        for name, qubits, _ in self.gates:
-            slots = 3 if name == "FSWAP" else 1
-            start = max(avail[q] for q in qubits)
-            for q in qubits:
-                avail[q] = start + slots
-        return max(avail) if avail else 0
-
 
 def check_norm(amplitudes: np.ndarray):
     """Raise ValueError unless the amplitudes have norm 1 within 1e-10."""

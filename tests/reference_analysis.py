@@ -56,7 +56,8 @@ def product_assembly_map(plan, circuits):
     elem, flat, weight = [], [], []
     for k, e in enumerate(sorted(coverage)):
         for b_idx, sign, factors in coverage[e]:
-            values = product_value(circuits[b_idx], factors, outcomes)
+            values = product_value(circuits[plan.bases[b_idx].parent],
+                                   factors, outcomes)
             nonzero = np.flatnonzero(values)
             elem.append(np.full(nonzero.size, k))
             flat.append(b_idx * outcomes.size + nonzero)
@@ -208,8 +209,9 @@ class DictAnalyzer:
         for which, offset in (("trial", 2), ("reference", 2 + n_bases)):
             prob_tables, acc = [], []
             for i in range(n_bases):
-                probs, rate = self._table(tables[offset + i],
-                                          self.circuits[i], mit, cal)
+                probs, rate = self._table(
+                    tables[offset + i],
+                    self.circuits[self.plan.bases[i].parent], mit, cal)
                 prob_tables.append(probs)
                 acc.append(rate)
             rdm = assemble_rdm(self.plan, self.circuits, prob_tables,

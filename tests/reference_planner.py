@@ -25,12 +25,14 @@ spins.
 object (schema 3), for the tests that corrupt a factor.
 
 ``element_operator`` is an RDM element as a normal-ordered operator, and
-``measured_circuit`` is a measurement circuit as it runs: S on each of its
-``phased`` positions, then its ``routed`` circuit.
+``measured_circuit`` is a concrete basis's measurement circuit as it runs:
+S on each position that its parent's circuit phases for its kinds, then
+that circuit's ``routed`` gates.
 
-``circuit_with_s_in_place`` builds a concrete basis's measurement circuit
-with each Im site's S right before its Re diagonalizer, as the planner did
-before it moved every S to the front of the parent's routed circuit.
+``circuit_with_s_in_place`` builds a concrete basis's measurement circuit,
+from its parent and its kinds, with each Im site's S right before its Re
+diagonalizer, as the planner did before it moved every S to the front of
+the parent's routed circuit.
 """
 import itertools
 from math import comb, prod
@@ -38,7 +40,7 @@ from math import comb, prod
 import numpy as np
 
 from qcmoments.fermion import FermionOperator, multiply, sort_sign
-from qcmoments.planner import PairingBasis, RdmElement, \
+from qcmoments.planner import IM, N, RE, PairingBasis, RdmElement, \
     _re_diagonalizer, _requirement_options, _split_element
 from qcmoments.simulator import Circuit
 
@@ -52,28 +54,27 @@ def element_operator(e: RdmElement, n_modes: int) -> FermionOperator:
                     + [(m, False) for m in e.annihilations])
 
 
-def measured_circuit(mc) -> Circuit:
-    """The whole circuit of a MeasurementCircuit: S on each position of
-    ``mc.phased``, then ``mc.routed``."""
+def measured_circuit(mc, kinds) -> Circuit:
+    """The whole circuit of the concrete basis with `kinds` whose parent's
+    MeasurementCircuit is `mc`: S on each position of ``mc.phased(kinds)``,
+    then ``mc.routed``."""
     circ = Circuit(mc.routed.n_qubits)
-    for q in mc.phased:
+    for q in mc.phased(kinds):
         circ.s(q)
     return circ.extend(mc.routed)
 
 
 def factor_operator(factor, n_modes: int) -> FermionOperator:
-    """("N", (i,)), ("Re", (j, k)) or ("Im", (j, k)) with j < k as an
-    operator on n_modes modes."""
-    kind, idx = factor
+    """The factor code row (N, i, i), (RE, j, k) or (IM, j, k) with j < k
+    as an operator on n_modes modes."""
+    kind, j, k = factor
     op = FermionOperator(n_modes)
-    if kind == "N":
-        add_string(op, [(idx[0], True), (idx[0], False)], 1.0)
-    elif kind == "Re":
-        j, k = idx
+    if kind == N:
+        add_string(op, [(j, True), (j, False)], 1.0)
+    elif kind == RE:
         add_string(op, [(j, True), (k, False)], 0.5)
         add_string(op, [(k, True), (j, False)], 0.5)
-    elif kind == "Im":
-        j, k = idx
+    elif kind == IM:
         add_string(op, [(j, True), (k, False)], -0.5j)
         add_string(op, [(k, True), (j, False)], 0.5j)
     else:
@@ -116,9 +117,10 @@ def solved_products(e, n_modes: int, matching):
     numbers = sorted(set(e.creations) & set(e.annihilations))
     sites = [tuple(sorted(p)) for p in matching]
     candidates = [
-        tuple(("N", (i,)) for i in numbers) + tuple(zip(kinds, sites))
-        for kinds in itertools.product(("Re", "Im"), repeat=len(sites))
-        if kinds.count("Im") % 2 == 0]
+        tuple((N, i, i) for i in numbers)
+        + tuple((k, i, j) for k, (i, j) in zip(kinds, sites))
+        for kinds in itertools.product((RE, IM), repeat=len(sites))
+        if kinds.count(IM) % 2 == 0]
     op = element_operator(e, n_modes)
     target = scaled(plus(op, dagger(op)), 0.5)
     return list(zip(solve_signs(candidates, target, n_modes), candidates))
@@ -200,16 +202,17 @@ def decompose_element_by_filter(e, matching):
     pair_form = [(i, i) for i in numbers] + list(matching)
     sigma = sort_sign([at for c, a in pair_form
                        for at in (cre_at[c], ann_at[a])])[1]
-    num_factors = tuple(("N", (i,)) for i in numbers)
+    num_factors = tuple((N, i, i) for i in numbers)
     sites = [tuple(sorted(p)) for p in matching]
     orient = [1 if c < a else -1 for c, a in matching]
     products = []
-    for kinds in itertools.product(("Re", "Im"), repeat=len(sites)):
-        ims = [s for k, s in zip(kinds, orient) if k == "Im"]
+    for kinds in itertools.product((RE, IM), repeat=len(sites)):
+        ims = [s for k, s in zip(kinds, orient) if k == IM]
         if len(ims) % 2:
             continue
         sign = sigma * (-1) ** (len(ims) // 2) * prod(ims)
-        products.append((sign, num_factors + tuple(zip(kinds, sites))))
+        products.append((sign, num_factors + tuple(
+            (k, i, j) for k, (i, j) in zip(kinds, sites))))
     return products
 
 
@@ -232,20 +235,21 @@ def _im_diagonalizer(circ: Circuit, lo: int):
     _re_diagonalizer(circ, lo)
 
 
-def circuit_with_s_in_place(basis, layout) -> Circuit:
-    """The measurement circuit of the concrete basis `basis` under
-    `layout`: the parent's FSWAP routing, with each pair site diagonalized
-    by its kind's diagonalizer where the site interacts."""
-    pair_sites = basis.parent.pair_sites()
+def circuit_with_s_in_place(parent, kinds, layout) -> Circuit:
+    """The measurement circuit under `layout` of the concrete basis with
+    `kinds` of the level-1 basis `parent`: the parent's FSWAP routing, with
+    each pair site diagonalized by its kind's diagonalizer where the site
+    interacts."""
+    pair_sites = parent.pair_sites()
     circ = Circuit(len(layout))
     occupant = list(layout)
-    for step in basis.parent.schedule.steps:
+    for step in parent.schedule.steps:
         for (i, j) in step.swaps:
             circ.fswap(i, j)
             occupant[i], occupant[j] = occupant[j], occupant[i]
         for pair_id, (i, j) in step.interactions:
             assert {occupant[i], occupant[j]} == set(pair_sites[pair_id])
-            if basis.kinds[pair_id] == "Re":
+            if kinds[pair_id] == RE:
                 _re_diagonalizer(circ, i)
             else:
                 _im_diagonalizer(circ, i)

@@ -6,6 +6,8 @@ measurement plan, so they check the sampled and assembled estimates
 independently. ``apply_term_to_mask`` and ``operator_matrix`` are the
 per-term, per-state loops that ``simulator.apply_terms`` and
 ``simulator.operator_matrix_in_sector`` replace, kept as their oracle.
+``circuit_depth`` is a circuit's layer count, which the tests read and the
+pipeline does not.
 """
 from itertools import combinations
 
@@ -20,6 +22,18 @@ def basis_state(bits: int, n_qubits: int) -> np.ndarray:
     amps = np.zeros(1 << n_qubits, dtype=complex)
     amps[bits] = 1.0
     return amps
+
+
+def circuit_depth(circ) -> int:
+    """Minimal dependency layering of a Circuit after decomposing FSWAP into
+    3 CNOTs."""
+    avail = [0] * circ.n_qubits
+    for name, qubits, _ in circ.gates:
+        slots = 3 if name == "FSWAP" else 1
+        start = max(avail[q] for q in qubits)
+        for q in qubits:
+            avail[q] = start + slots
+    return max(avail) if avail else 0
 
 
 def expectation(amps: np.ndarray, op: PauliOperator) -> float:

@@ -33,8 +33,8 @@ from qcmoments.mitigation import (
     assemble_rdm, rescale_rdm, symmetry_postselect,
 )
 from qcmoments.planner import (
-    RdmElement, build_measurement_circuit, build_plan, decompose_element,
-    enumerate_elements, group_level1, group_level2,
+    IM, RE, RdmElement, build_measurement_circuit, build_plan,
+    decompose_element, enumerate_elements, group_level1, group_level2,
 )
 from qcmoments.qcm import (
     MomentSet, cumulants, lanczos_energy,
@@ -100,14 +100,14 @@ def test_criterion_02_grouping_golden():
     for i, b in enumerate(bases):
         products = [(e, decompose_element(e, SPINS4, matching=a[1]))
                     for e, a in zip(TWELVE, assignments) if a[0] == i]
-        concrete, _ = group_level2(b, products)
-        assert all(c.parent is b for c in concrete)
+        concrete, _ = group_level2(bases, i, products)
+        assert all(c.parent == i for c in concrete)
         outcomes.append([c.kinds for c in concrete])
     # one Re/Im per pair site of the parent, in pair_sites() order
-    assert outcomes[0] == [("Re",)]         # (0, 1)
+    assert outcomes[0] == [(RE,)]           # (0, 1)
     assert outcomes[1] == [()]              # numbers only
-    assert outcomes[2] == [("Re",)]         # (2, 3)
-    assert outcomes[3] == [("Re", "Re"), ("Im", "Im")]
+    assert outcomes[2] == [(RE,)]           # (2, 3)
+    assert outcomes[3] == [(RE, RE), (IM, IM)]
     _pass(2, "grouping golden", "4 level-1 bases, 5 concrete")
 
 
@@ -177,7 +177,7 @@ def test_criterion_05_rdm_moment_equivalence():
     spins = interleaved_spins(8)
     plan = build_plan(enumerate_elements(8, 4, spins), spins)
     layout = tuple(range(8))
-    circuits = [build_measurement_circuit(b, layout) for b in plan.bases]
+    circuits = [build_measurement_circuit(p, layout) for p in plan.level1]
     _, h, _ = h4_system()
     h_powers = shared_powers(h)
     rng = np.random.default_rng(17)
@@ -187,8 +187,9 @@ def test_criterion_05_rdm_moment_equivalence():
             amps[mask] = rng.normal()
         state = (amps / np.linalg.norm(amps)).astype(complex)
         tables = []
-        for mc in circuits:
-            probs = np.abs(run(measured_circuit(mc), state)) ** 2
+        for b in plan.bases:
+            probs = np.abs(run(measured_circuit(circuits[b.parent], b.kinds),
+                               state)) ** 2
             tables.append({format(i, "08b"): float(p)
                            for i, p in enumerate(probs) if p > 1e-15})
         rdm = assemble_rdm(plan, circuits, tables, n_electrons=4)
@@ -339,15 +340,16 @@ def test_criterion_10_rdm_conditions():
     spins = interleaved_spins(4)
     plan = build_plan(enumerate_elements(4, 2, spins), spins)
     layout = (0, 1, 2, 3)
-    circuits = [build_measurement_circuit(b, layout) for b in plan.bases]
+    circuits = [build_measurement_circuit(p, layout) for p in plan.level1]
     rng = np.random.default_rng(29)
     amps = np.zeros(16)
     for mask in sector_basis(4, 2, sz=0.0, spins=spins):
         amps[mask] = rng.normal()
     state = (amps / np.linalg.norm(amps)).astype(complex)
     tables = []
-    for mc in circuits:
-        probs = np.abs(run(measured_circuit(mc), state)) ** 2
+    for b in plan.bases:
+        probs = np.abs(run(measured_circuit(circuits[b.parent], b.kinds),
+                           state)) ** 2
         tables.append({format(i, "04b"): float(p)
                        for i, p in enumerate(probs) if p > 1e-15})
     rdm = assemble_rdm(plan, circuits, tables, n_electrons=2)

@@ -73,8 +73,8 @@ def _analyzers(config_path, archive):
     cfg = load_config(config_path)
     ints, h, _ = _load_system(cfg)
     manifest, plan, counts = load_archive(archive)
-    circuits = [build_measurement_circuit(b, manifest["layout"])
-                for b in plan.bases]
+    circuits = [build_measurement_circuit(p, manifest["layout"])
+                for p in plan.level1]
     args = (cfg, plan, circuits, ints.n_electrons, h)
     return Analyzer(*args), DictAnalyzer(*args), counts
 
@@ -149,7 +149,7 @@ def _assert_paths_agree(compiled, reference, counts):
 def _plan_9x4():
     spins = interleaved_spins(9)
     plan = build_plan(enumerate_elements(9, 4, spins), spins)
-    return plan, [build_measurement_circuit(b, range(9)) for b in plan.bases]
+    return plan, [build_measurement_circuit(p, range(9)) for p in plan.level1]
 
 
 @pytest.mark.parametrize("which", ["h4", "plan-9x4"])
@@ -159,8 +159,8 @@ def test_table_decode_matches_product_value(which, request):
     if which == "h4":
         _, archive, _ = request.getfixturevalue("h4")
         manifest, plan, _ = load_archive(archive)
-        circuits = [build_measurement_circuit(b, manifest["layout"])
-                    for b in plan.bases]
+        circuits = [build_measurement_circuit(p, manifest["layout"])
+                    for p in plan.level1]
     else:
         plan, circuits = _plan_9x4()
     got = _assembly_map(plan, circuits, np.lexsort(plan.elements.T[::-1]))
@@ -241,8 +241,8 @@ def test_analyzer_rejects_order_other_than_electron_count(h2):
     cfg = load_config(path)
     _, h, _ = _load_system(cfg)
     manifest, plan, _ = load_archive(archive)
-    circuits = [build_measurement_circuit(b, manifest["layout"])
-                for b in plan.bases]
+    circuits = [build_measurement_circuit(p, manifest["layout"])
+                for p in plan.level1]
     with pytest.raises(ValueError, match="order-3 RDM"):
         Analyzer(cfg, plan, circuits, 3, h)
 

@@ -188,6 +188,12 @@ INTEGRALS_FAULTS = {
                                              "frozen_virtual": [0]},
     "more frozen electrons than the molecule has": lambda tmp: {
         "frozen_occupied": [0, 1]},
+    # each would freeze orbital 0 or 3 once and run at order 2
+    "frozen_occupied repeating an orbital": lambda tmp: {
+        "integrals": str(H4_PATH), "frozen_occupied": [0, 0]},
+    "frozen_virtual repeating an orbital": lambda tmp: {
+        "integrals": str(H4_PATH), "frozen_occupied": [0],
+        "frozen_virtual": [3, 3]},
     "header without its end": lambda tmp: integrals_file(
         tmp, H2_TEXT.replace("/", "")),
     "line of six tokens": lambda tmp: integrals_file(
@@ -214,6 +220,15 @@ def test_integrals_faults_exit_2(tmp_path, fault, capsys):
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["frozen_occupied", "frozen_virtual"])
+def test_repeated_frozen_orbital_names_its_key(tmp_path, key, capsys):
+    cfg = write_config(tmp_path, **INTEGRALS_FAULTS[
+        f"{key} repeating an orbital"](tmp_path))
+    assert main(["fci", "--config", str(cfg)]) == 2
+    assert f"'{key}' lists an orbital more than once" in \
+        capsys.readouterr().err
 
 
 def test_fci_ignores_orbital_energy_lines(tmp_path):
@@ -749,8 +764,8 @@ def test_measurement_circuit_on_prepared_state_is_exact(tmp_path):
         prepared = run(built.circuit, zero)
         assert plan.bases
         for basis in plan.bases:
-            mc = measured_circuit(
-                build_measurement_circuit(basis, built.layout))
+            mc = measured_circuit(build_measurement_circuit(
+                plan.level1[basis.parent], built.layout), basis.kinds)
             whole = Circuit(n).extend(built.circuit).extend(mc)
             assert np.array_equal(run(mc, prepared), run(whole, zero))
             assert whole.cnot_count() == \
@@ -784,12 +799,13 @@ def test_sample_counts_equals_one_run_per_basis(tmp_path, system,
         # complex amplitudes, which tell S from its inverse
         prepared = [Circuit(n).extend(c).h(0).s(0).h(3) for c in prepared]
     circuits = _measurement_circuits(plan, layout, "plan")
-    assert len({id(mc.routed) for mc in circuits}) == len(plan.level1) \
-        < len(plan.bases)
-    counts = analysis.sample_counts(config, prepared, circuits)
-    want = sample_counts_per_basis(
-        config, prepared,
-        [circuit_with_s_in_place(b, layout) for b in plan.bases])
+    # one circuit per parent, and every parent has bases, some several
+    assert len(circuits) == len(plan.level1) < len(plan.bases)
+    assert {b.parent for b in plan.bases} == set(range(len(circuits)))
+    counts = analysis.sample_counts(config, prepared, plan.bases, circuits)
+    want = sample_counts_per_basis(config, prepared, [
+        circuit_with_s_in_place(plan.level1[b.parent], b.kinds, layout)
+        for b in plan.bases])
     assert counts.dtype == want.dtype and np.array_equal(counts, want)
 
 
@@ -852,14 +868,16 @@ def test_run_noise_reaches_every_row(tmp_path, monkeypatch):
     flip = np.array([[1 - noise["p01"], noise["p10"]],
                      [noise["p01"], 1 - noise["p10"]]])
     readout = functools.reduce(np.kron, [flip] * n)
-    bases = MeasurementPlan.loads(plan.read_text()).bases
+    loaded = MeasurementPlan.loads(plan.read_text())
+    bases = loaded.bases
     expected = [(readout[:, 0], ("calibration", 0)),
                 (readout[:, -1], ("calibration", 1))]
     for tag, theta in (("sample-trial", 0.3), ("sample-reference", 0.0)):
         built = build_uccd(ansatz.with_thetas([theta]))
         for i, basis in enumerate(bases):
             whole = Circuit(n).extend(built.circuit).extend(measured_circuit(
-                build_measurement_circuit(basis, built.layout)))
+                build_measurement_circuit(loaded.level1[basis.parent],
+                                          built.layout), basis.kinds))
             assert whole.cnot_count() > 0
             q = 1 - (1 - noise["global_q"]) * \
                 (1 - noise["cnot_q"]) ** whole.cnot_count()

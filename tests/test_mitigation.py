@@ -178,11 +178,11 @@ def test_postselect_zero_mass_is_an_error():
 # -- RDM assembly
 
 def exact_tables(plan, layout, state):
-    circuits, tables = [], []
+    circuits = [build_measurement_circuit(p, layout) for p in plan.level1]
+    tables = []
     for basis in plan.bases:
-        mc = build_measurement_circuit(basis, layout)
-        probs = np.abs(run(measured_circuit(mc), state)) ** 2
-        circuits.append(mc)
+        probs = np.abs(run(measured_circuit(circuits[basis.parent],
+                                            basis.kinds), state)) ** 2
         tables.append({bits_to_string(i, plan.n_modes): float(p)
                        for i, p in enumerate(probs) if p > 1e-15})
     return circuits, tables
@@ -229,12 +229,13 @@ def test_assemble_rdm_from_sampled_counts():
     plan = build_plan(enumerate_elements(4, 2, spins), spins)
     state = random_sector_state(4, 2, seed=13)
     oracle = rdm_from_statevector(state, 2, n_electrons=2)
-    circuits, tables = [], []
+    circuits = [build_measurement_circuit(p, (0, 1, 2, 3))
+                for p in plan.level1]
+    tables = []
     for i, basis in enumerate(plan.bases):
-        mc = build_measurement_circuit(basis, (0, 1, 2, 3))
-        out = run(measured_circuit(mc), state)
+        out = run(measured_circuit(circuits[basis.parent], basis.kinds),
+                  state)
         counts = sample(np.abs(out) ** 2, 100_000, seed=100 + i)
-        circuits.append(mc)
         tables.append(bitstring_probabilities(counts, 4))
     rdm = assemble_rdm(plan, circuits, tables, n_electrons=2)
     # 5-sigma-style bound: each product mean carries at most ~2/sqrt(shots)

@@ -10,7 +10,7 @@ from qcmoments import planner
 from qcmoments.conventions import interleaved_spins
 from qcmoments.fermion import jordan_wigner
 from qcmoments.planner import (
-    ConcreteBasis, MeasurementCircuit, MeasurementPlan, RdmElement,
+    IM, RE, N, MeasurementCircuit, MeasurementPlan, RdmElement,
     _cross_matchings, _re_diagonalizer, _split_element,
     build_measurement_circuit, build_plan, decompose_element,
     enumerate_elements, group_level1, group_level2, product_value,
@@ -110,21 +110,21 @@ def assert_decomposition_exact(e, spins):
 
 def test_decompose_two_body_cross():
     products = decompose_element(RdmElement((1, 2), (0, 3)), SPINS4)
-    assert products == [(-1, (("Re", (0, 1)), ("Re", (2, 3)))),
-                        (-1, (("Im", (0, 1)), ("Im", (2, 3))))]
+    assert products == [(-1, ((RE, 0, 1), (RE, 2, 3))),
+                        (-1, ((IM, 0, 1), (IM, 2, 3)))]
     assert_decomposition_exact(RdmElement((1, 2), (0, 3)), SPINS4)
 
 
 def test_decompose_pure_number():
     products = decompose_element(RdmElement((0, 1), (0, 1)), SPINS4)
-    assert products == [(-1, (("N", (0,)), ("N", (1,))))]
+    assert products == [(-1, ((N, 0, 0), (N, 1, 1)))]
 
 
 def test_decompose_mixed_number_and_cross():
     products = decompose_element(RdmElement((0, 2), (1, 2)), SPINS4)
     assert len(products) == 1
     sign, factors = products[0]
-    assert set(factors) == {("N", (2,)), ("Re", (0, 1))}
+    assert set(factors) == {(N, 2, 2), (RE, 0, 1)}
     assert_decomposition_exact(RdmElement((0, 2), (1, 2)), SPINS4)
 
 
@@ -134,7 +134,7 @@ def test_decompose_order_four_all_distinct():
     products = decompose_element(e, spins)
     # four cross pairs: the even-Im half of the 2^4 expansion survives
     assert len(products) == 8
-    assert all(sum(1 for k, _ in f if k == "Im") % 2 == 0
+    assert all(sum(1 for k, _, _ in f if k == IM) % 2 == 0
                for _, f in products)
     assert_decomposition_exact(e, spins)
 
@@ -186,8 +186,8 @@ def test_sign_rule_matches_direct_solves_on_every_matching(n_modes, order):
             if key not in oracle:
                 oracle[key] = solved_products(ranked, len(modes),
                                               ranked_matching)
-            got = [(sign, tuple((k, tuple(rank[m] for m in idx))
-                                for k, idx in factors))
+            got = [(sign, tuple((k, rank[i], rank[j])
+                                for k, i, j in factors))
                    for sign, factors in decompose_element(e, spins, matching)]
             assert got == oracle[key]
             checked += 1
@@ -255,10 +255,10 @@ def test_group_level2_xx_yy_split():
     element_products = [
         (e, decompose_element(e, SPINS4, matching=a[1]))
         for e, a in zip(elements, assignments)]
-    concrete, placements = group_level2(bases[0], element_products)
+    concrete, placements = group_level2(bases, 0, element_products)
     assert len(concrete) == 2
-    assert [c.kinds for c in concrete] == [("Re", "Re"), ("Im", "Im")]
-    assert all(c.parent is bases[0] for c in concrete)
+    assert [c.kinds for c in concrete] == [(RE, RE), (IM, IM)]
+    assert all(c.parent == 0 for c in concrete)
     for placed in placements:
         assert {idx for idx, _, _ in placed} == {0, 1}
 
@@ -267,7 +267,7 @@ def test_group_level2_all_number_basis():
     e = RdmElement((0, 1), (0, 1))
     bases, assignments = group_level1([e], ("u", "d"))
     concrete, _ = group_level2(
-        bases[0], [(e, decompose_element(e, ("u", "d"),
+        bases, 0, [(e, decompose_element(e, ("u", "d"),
                                          matching=assignments[0][1]))])
     assert len(concrete) == 1
     assert bases[0].interactions == [(0, 0), (1, 1)]
@@ -278,10 +278,10 @@ def test_group_level2_single_site():
     e = RdmElement((0,), (1,))
     bases, assignments = group_level1([e], ("u", "u"))
     concrete, _ = group_level2(
-        bases[0], [(e, decompose_element(e, ("u", "u"),
+        bases, 0, [(e, decompose_element(e, ("u", "u"),
                                          matching=assignments[0][1]))])
     assert len(concrete) == 1
-    assert concrete[0].kinds == ("Re",)
+    assert concrete[0].kinds == (RE,)
 
 
 def test_full_plan_basis_count_for_940_elements():
@@ -318,17 +318,15 @@ def layout_unitary(layout, n):
 def plan_element_values(plan, layout, mode_state):
     """Estimate every covered element from exact outcome distributions."""
     phys = layout_unitary(layout, plan.n_modes) @ mode_state
-    mcircs, probs = [], []
-    for b in plan.bases:
-        mc = build_measurement_circuit(b, layout)
-        mcircs.append(mc)
-        probs.append(np.abs(run(measured_circuit(mc), phys)) ** 2)
+    mcircs = [build_measurement_circuit(p, layout) for p in plan.level1]
+    probs = [np.abs(run(measured_circuit(mcircs[b.parent], b.kinds),
+                        phys)) ** 2 for b in plan.bases]
     values = {}
     for e, prods in plan.coverage().items():
         total = 0.0
         for b_idx, sign, factors in prods:
-            p = probs[b_idx]
-            exp = sum(p[bits] * product_value(mcircs[b_idx], factors, bits)
+            p, mc = probs[b_idx], mcircs[plan.bases[b_idx].parent]
+            exp = sum(p[bits] * product_value(mc, factors, bits)
                       for bits in np.nonzero(p > 1e-14)[0])
             total += sign * exp
         values[e] = total
@@ -377,9 +375,9 @@ def test_pair_expectations_on_bell_like_state():
     values = plan_element_values(plan, (0, 1), amps)
     assert values[e] == pytest.approx(0.5, abs=1e-12)
 
-    im_basis = ConcreteBasis(plan.bases[0].parent, ("Im",))
-    mc = build_measurement_circuit(im_basis, (0, 1))
-    p = np.abs(run(measured_circuit(mc), amps)) ** 2
+    mc = build_measurement_circuit(plan.level1[plan.bases[0].parent],
+                                   (0, 1))
+    p = np.abs(run(measured_circuit(mc, (IM,)), amps)) ** 2
     im_val = sum(p[b] * mc.pair_value((0, 1), b) for b in range(4))
     assert im_val == pytest.approx(0.0, abs=1e-12)
 
@@ -402,7 +400,7 @@ def test_pair_diagonalizers_give_the_decoded_eigenvalues():
         assert np.max(np.abs(u @ number - number @ u)) < 1e-10
         d = u @ op @ u.conj().T
         assert np.max(np.abs(d - np.diag(np.diag(d)))) < 1e-10
-        mc = MeasurementCircuit(circ, {}, {(0, 1): (0, 1, 0)})
+        mc = MeasurementCircuit(circ, {}, {(0, 1): (0, 1, 0)}, (0,))
         for (b_lo, b_hi), ev in PAIR_EIGENVALUE.items():
             outcome = b_lo + 2 * b_hi
             assert abs(d[outcome, outcome].real - ev) < 1e-10
@@ -420,8 +418,8 @@ def test_measurement_circuits_conserve_number_and_sz():
         sz[mask] = 0.5 * sum(1 if SPINS4[m] == "u" else -1 for m in occ)
     n_mat, sz_mat = np.diag(number), np.diag(sz)
     for basis in plan.bases:
-        u = circuit_unitary(measured_circuit(
-            build_measurement_circuit(basis, (0, 1, 2, 3))))
+        u = circuit_unitary(measured_circuit(build_measurement_circuit(
+            plan.level1[basis.parent], (0, 1, 2, 3)), basis.kinds))
         assert np.max(np.abs(u @ n_mat - n_mat @ u)) < 1e-10
         # all interactions pair equal spins, so S_z is conserved as well
         assert np.max(np.abs(u @ sz_mat - sz_mat @ u)) < 1e-10
@@ -434,27 +432,27 @@ def test_s_at_the_front_equals_the_s_in_place(n_modes, order,
     # each concrete basis's circuit, S at the front and then the parent's
     # all-Re routed circuit, takes random states to the amplitudes that the
     # S-in-place circuit gives, bit for bit, with the same CNOT count (so
-    # the same white-noise rate); only its kinds set it apart from its
-    # parent's other bases
+    # the same white-noise rate); only the S gates of its kinds set it apart
+    # from its parent's other bases
     spins = interleaved_spins(n_modes)
     layout = range(n_modes)[::-1] if reversed_layout else range(n_modes)
     plan = build_plan(enumerate_elements(n_modes, order, spins), spins,
                       layout=layout)
     rng = np.random.default_rng(n_modes + reversed_layout)
     states = rng.normal(size=(3, 1 << n_modes, 2)) @ [1, 1j]
+    circuits = [build_measurement_circuit(p, layout) for p in plan.level1]
     im_bases = 0
     for basis in plan.bases:
-        mc = build_measurement_circuit(basis, layout)
-        oracle = circuit_with_s_in_place(basis, layout)
-        whole = measured_circuit(mc)
+        mc = circuits[basis.parent]
+        oracle = circuit_with_s_in_place(plan.level1[basis.parent],
+                                         basis.kinds, layout)
+        whole = measured_circuit(mc, basis.kinds)
         assert np.array_equal(run(whole, states), run(oracle, states))
         assert whole.cnot_count() == mc.routed.cnot_count() == \
             oracle.cnot_count()
-        assert len(mc.phased) == basis.kinds.count("Im")
-        im_bases += "Im" in basis.kinds
-        re_only = ConcreteBasis(basis.parent, ("Re",) * len(basis.kinds))
-        assert build_measurement_circuit(re_only, layout).routed.gates == \
-            mc.routed.gates
+        assert len(mc.phased(basis.kinds)) == basis.kinds.count(IM)
+        im_bases += IM in basis.kinds
+        assert mc.phased((RE,) * len(basis.kinds)) == []
     assert im_bases > 0
 
 
@@ -475,6 +473,10 @@ def test_plan_json_roundtrip():
     assert back.dumps() == plan.dumps()
     assert_same_coverage(back, plan)
     assert back.coverage() == plan.coverage()
+    # the concrete bases compare by value: a parent index and kind codes
+    assert back.bases == plan.bases
+    assert {type(k) for b in back.bases for k in (b.parent, *b.kinds)} == \
+        {int}
 
 
 # -- the bit-set grouping against the first-fit scan, and pinned plan bytes
@@ -535,8 +537,8 @@ def expected_coverage(elements, spins):
     for e, (b_idx, matching, _) in zip(elements, assignments):
         per_basis[b_idx].append((e, decompose_element(e, spins, matching)))
     coverage, offset = {}, 0
-    for basis, element_products in zip(level1, per_basis):
-        concrete, placements = group_level2(basis, element_products)
+    for b_idx, element_products in enumerate(per_basis):
+        concrete, placements = group_level2(level1, b_idx, element_products)
         for (e, products), placed in zip(element_products, placements):
             assert [(s, f) for _, s, f in placed] == products
             coverage[e] = [(offset + idx, s, f) for idx, s, f in placed]
@@ -566,6 +568,22 @@ def test_plan_roundtrip_keeps_the_arrays_and_decodes_the_products(case):
         assert list(got.items()) == list(want.items())
 
 
+def test_plan_factors_are_the_decomposed_rows_in_placement_order():
+    # build_plan stores decompose_element's code rows unconverted: the
+    # factors array is their concatenation in the order that group_level2
+    # placed the products, basis by basis
+    elements, spins = _pinned_elements_and_spins(8, 4, "interleaved")
+    plan = build_plan(elements, spins)
+    level1, assignments = group_level1(elements, spins)
+    per_basis = [[] for _ in level1]
+    for e, (b_idx, matching, _) in zip(elements, assignments):
+        per_basis[b_idx].append((e, decompose_element(e, spins, matching)))
+    rows = [list(row) for b_idx, element_products in enumerate(per_basis)
+            for placed in group_level2(level1, b_idx, element_products)[1]
+            for _, _, factors in placed for row in factors]
+    assert plan.factors.tolist() == rows
+
+
 @pytest.mark.parametrize("n_modes, order", [(6, 3), (9, 4)])
 def test_even_im_products_match_the_filtered_expansion(n_modes, order):
     # every element with every same-spin matching
@@ -592,7 +610,7 @@ def test_plan_bytes_do_not_depend_on_the_even_im_generation(monkeypatch):
 
 def test_layout_mismatch_is_an_error():
     plan = build_plan(TWELVE, SPINS4)
-    basis = next(b for b in plan.bases if b.kinds)
+    basis = next(b for b in plan.level1 if b.pair_sites())
     with pytest.raises(ValueError, match="layout"):
         build_measurement_circuit(basis, (3, 2, 1, 0))
 
@@ -617,11 +635,11 @@ SCHEDULE_FAULTS = {
 def test_schedule_faults_do_not_fit_the_layout(fault):
     spins = interleaved_spins(4)
     plan = build_plan(enumerate_elements(4, 2, spins), spins)
-    basis = next(b for b in plan.bases
+    basis = next(b for b in plan.level1
                  if any(len(st.interactions) == 2
-                        for st in b.parent.schedule.steps))
+                        for st in b.schedule.steps))
     build_measurement_circuit(basis, range(4))
-    step = next(st for st in basis.parent.schedule.steps
+    step = next(st for st in basis.schedule.steps
                 if len(st.interactions) == 2)
     edit, message = SCHEDULE_FAULTS[fault]
     edit(step.interactions)

@@ -20,7 +20,7 @@ from qcmoments.trial import Ansatz, Excitation
 
 from reference_fermion import add_string, dagger, plus
 from reference_simulator import apply_term_to_mask, basis_state, \
-    expectation, operator_matrix
+    circuit_depth, expectation, operator_matrix
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 S = np.diag([1, 1j])
@@ -139,7 +139,7 @@ def test_circuit_metrics():
     circ.h(0).cnot(0, 1).fswap(1, 2).ry(2, 0.3)
     assert circ.cnot_count() == 4
     # layers: H(0) | CNOT(0,1) | FSWAP(1,2) x3 | RY(2)
-    assert circ.depth() == 6
+    assert circuit_depth(circ) == 6
 
 
 def test_expectation_matches_dense():

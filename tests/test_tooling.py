@@ -217,3 +217,64 @@ def test_bare_pytest_finds_the_package():
          "-p", "no:cacheprovider", "tests/test_simulator.py"],
         cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _orphans(sources, kept=()):
+    """(module, qualified name) of each function, class or method that the
+    modules in `sources` (module name -> source) define and whose name no
+    code in `sources` references, as a name, an attribute or an import;
+    a dunder method and a qualified name in `kept` aside. Only modules
+    whose name starts with ``qcmoments.`` are checked for definitions."""
+    defs, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        scopes = [(tree, "")]
+        while scopes:
+            node, prefix = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                    defs.append((module, prefix + child.name, child.name))
+                    if isinstance(child, ast.ClassDef):
+                        scopes.append((child, f"{prefix}{child.name}."))
+                        continue
+                scopes.append((child, prefix))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name)
+    return sorted((module, qualname) for module, qualname, name in defs
+                  if module.startswith("qcmoments.") and name not in used
+                  and not name.startswith("__")
+                  and f"{module.removeprefix('qcmoments.')}.{qualname}"
+                  not in kept)
+
+
+def test_orphan_scan_sees_calls_attributes_and_imports():
+    sources = {
+        "qcmoments.a": "def f():\n    return g()\ndef g():\n    pass\n"
+                       "class C:\n    def m(self):\n        pass\n"
+                       "    def n(self):\n        pass\n"
+                       "    def __len__(self):\n        return 0\n"
+                       "def h():\n    pass\ndef k():\n    pass\n",
+        "qcmoments.b": "from .a import h\nC().m()\n",
+        "make": "import qcmoments.a\nqcmoments.a.f()\n",
+    }
+    assert _orphans(sources, kept={"a.k"}) == [("qcmoments.a", "C.n")]
+
+
+def test_src_defines_nothing_that_nothing_names():
+    # a function, class or method of src/ must be named elsewhere in src/
+    # or scripts/, or be a benchmark tracer target (those run in tests and
+    # traced runs only). The scan matches names, not bindings, so it misses
+    # a definition whose name another one shares and uses (as a method
+    # `depth` would be kept alive by `Schedule.depth`), and a function that
+    # only calls itself
+    paths = sorted((ROOT / "src" / "qcmoments").glob("*.py")) + \
+        sorted((ROOT / "scripts").glob("*.py"))
+    sources = {(f"qcmoments.{p.stem}" if p.parent.name == "qcmoments"
+                else p.stem): p.read_text() for p in paths}
+    assert _orphans(sources, kept=_load_tracer().TARGETS) == []
