@@ -289,16 +289,15 @@ def _assembly_map(plan, circuits, rank):
     `circuits` of the plan's level-1 bases.
 
     Each coverage product is decoded as ``planner.product_value`` does: a
-    coefficient times rows of one table over the outcomes, which holds all
-    ones (padding), each bit q (row 1 + q), and for positions lo, hi the
-    pair value (bit_hi - bit_lo) / 2 (row 1 + n + lo n + hi) and, n^2 rows
-    further on, the joint occupation. The row of every factor is read at
-    once from per-parent arrays of the circuits' final positions."""
+    coefficient times p rows of one table over the outcomes, which holds
+    each bit q (row q), and for positions lo, hi the pair value
+    (bit_hi - bit_lo) / 2 (row n + lo n + hi) and, n^2 rows further on, the
+    joint occupation. The (products, p) table rows of the plan's factors
+    are read at once from per-parent arrays of the circuits' positions."""
     n = plan.n_modes
     bits = outcome_bits(n).T.astype(float)
     table = np.concatenate([
-        np.ones((1, 1 << n)), bits,
-        (0.5 * (bits[None] - bits[:, None])).reshape(n * n, -1),
+        bits, (0.5 * (bits[None] - bits[:, None])).reshape(n * n, -1),
         (bits[:, None] * bits[None]).reshape(n * n, -1)])
     # per parent: the row of N of each mode (its bit, or the joint
     # occupation of the site that absorbed it), the row of Re/Im at each
@@ -309,29 +308,22 @@ def _assembly_map(plan, circuits, rank):
     flipped = np.zeros((len(circuits), n, n), dtype=bool)
     for p, mc in enumerate(circuits):
         for mode, pos in mc.mode_positions.items():
-            number_row[p, mode] = 1 + pos
+            number_row[p, mode] = pos
         for (i, j), (lo, hi, mode_lo) in mc.site_positions.items():
-            pair_row[p, i, j] = 1 + n + lo * n + hi
-            number_row[p, [i, j]] = 1 + n + n * n + lo * n + hi
+            pair_row[p, i, j] = n + lo * n + hi
+            number_row[p, [i, j]] = n + n * n + lo * n + hi
             flipped[p, i, j] = mode_lo != i
-    kind, i, j = plan.factors.T
-    n_factors = np.diff(plan.factor_offsets)
-    product = np.repeat(np.arange(len(n_factors)), n_factors)
+    kind, i, j = plan.factors.transpose(2, 0, 1)
     parent = np.array([b.parent for b in plan.bases], dtype=np.int64)[
-        plan.product_basis[product]]
+        plan.product_basis][:, None]
     # a joint occupation is 0 or 1, so reading it for each of its site's
     # modes that a product holds gives the value that product_value gives
-    rows = np.where(kind == N, number_row[parent, i], pair_row[parent, i, j])
+    index = np.where(kind == N, number_row[parent, i], pair_row[parent, i, j])
     # each Im factor whose site's lower mode sat on the high qubit flips the
     # sign; measured elements use ascending annihilation order, and
     # canonical RDM storage applies annihilations in descending order
-    flips = np.bincount(product, minlength=len(n_factors),
-                        weights=(kind == IM) & flipped[parent, i, j])
+    flips = ((kind == IM) & flipped[parent, i, j]).sum(axis=1)
     coef = reversal_sign(plan.order) * plan.product_sign * (-1.0) ** flips
-    index = np.zeros((len(n_factors), max(n_factors.max(initial=0), 1)),
-                     dtype=np.int64)
-    index[product, np.arange(len(product)) - plan.factor_offsets[product]] \
-        = rows
     # the products of element 0, element 1, ... in plan order
     elem = np.repeat(np.argsort(rank), np.diff(plan.product_offsets))
     order = np.argsort(elem, kind="stable")

@@ -167,8 +167,8 @@ def validate_config(obj: dict, base_dir: str = ".") -> PipelineConfig:
     for key in ("frozen_occupied", "frozen_virtual"):
         orbitals = obj.get(key, [])
         _require(isinstance(orbitals, list), f"'{key}' must be a list")
-        frozen[key] = [_typed(p, "integer", f"{key} entry", 0)
-                       for p in orbitals]
+        frozen[key] = sorted(_typed(p, "integer", f"{key} entry", 0)
+                             for p in orbitals)
         _require(len(set(frozen[key])) == len(orbitals),
                  f"'{key}' lists an orbital more than once: {orbitals}")
     output_dir = _typed(obj.get("output_dir", "out"), "string", "output_dir")

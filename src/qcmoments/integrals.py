@@ -163,6 +163,9 @@ def freeze_orbitals(ints: MolecularIntegrals, frozen_occ, frozen_virt
     for p in frozen_occ | frozen_virt:
         if not 0 <= p < n:
             raise ValueError(f"frozen orbital {p} out of range")
+    if len(frozen_occ | frozen_virt) == n:
+        raise ValueError(f"frozen_occupied and frozen_virtual freeze all {n} "
+                         "orbitals, which leaves no active space")
     if 2 * len(frozen_occ) > ints.n_electrons:
         raise ValueError("freezing more electrons than available")
     if not frozen_occ and not frozen_virt:

@@ -341,12 +341,12 @@ class MeasurementPlan:
     """The level-1 pairing bases, each routed once, the concrete bases that
     refer to them, and the signed products that measure each element.
 
-    The coverage is held in flat int64 arrays. Row k of ``elements`` holds
+    The coverage is held in int64 arrays. Row k of ``elements`` holds
     element k's p creations, then its p annihilations, and its products are
     ``product_offsets[k]:product_offsets[k + 1]``. Product q is measured in
     concrete basis ``product_basis[q]`` with sign ``product_sign[q]``, and
-    its factors are the rows ``factor_offsets[q]:factor_offsets[q + 1]`` of
-    ``factors``, the code rows of :func:`decompose_element`.
+    ``factors[q]`` holds its p factors, the code rows of
+    :func:`decompose_element`: N per number mode, Re or Im per cross pair.
 
     ``dumps`` writes, on one line, ``{"schema": 3, "n_modes", "spins",
     "level1", "bases", "coverage"}``: ``level1`` holds each pairing basis's
@@ -354,9 +354,9 @@ class MeasurementPlan:
     as ``[parent, kinds]`` (a level-1 index and the name of one kind, Re or
     Im, per pair site of the parent), and ``coverage`` holds ``[element,
     products]`` pairs: ``[creations, annihilations]`` and one flat list of
-    the element's product records, each ``basis, sign, n_factors`` and then
-    ``kind, i, j`` per factor. In memory a concrete basis holds the same
-    index and its kinds as codes.
+    the element's product records, each ``basis, sign, p`` and then
+    ``kind, i, j`` per factor, so 3 + 3p values. In memory a concrete basis
+    holds the same index and its kinds as codes.
     """
 
     n_modes: int
@@ -367,8 +367,7 @@ class MeasurementPlan:
     product_offsets: np.ndarray   # (E + 1,)
     product_basis: np.ndarray     # (P,)
     product_sign: np.ndarray      # (P,)
-    factor_offsets: np.ndarray    # (P + 1,)
-    factors: np.ndarray           # (F, 3)
+    factors: np.ndarray           # (P, p, 3)
 
     @property
     def order(self) -> int:
@@ -377,23 +376,20 @@ class MeasurementPlan:
     def coverage(self) -> dict:
         """RdmElement -> its products (basis, sign, factors) in plan order,
         the factors as decompose_element gives them."""
-        p, fo, po = self.order, self.factor_offsets, self.product_offsets
-        factors = list(map(tuple, self.factors.tolist()))
-        products = [(b, s, tuple(factors[fo[q]:fo[q + 1]])) for q, (b, s) in
-                    enumerate(zip(self.product_basis.tolist(),
-                                  self.product_sign.tolist()))]
+        p, po = self.order, self.product_offsets
+        products = [(b, s, tuple(map(tuple, f))) for b, s, f in zip(
+            self.product_basis.tolist(), self.product_sign.tolist(),
+            self.factors.tolist())]
         return {RdmElement(tuple(e[:p]), tuple(e[p:])):
                 products[po[k]:po[k + 1]]
                 for k, e in enumerate(self.elements.tolist())}
 
     def dumps(self) -> str:
-        records = np.insert(  # each product's header before its factors
-            self.factors.ravel(), np.repeat(3 * self.factor_offsets[:-1], 3),
-            np.stack([self.product_basis, self.product_sign,
-                      np.diff(self.factor_offsets)], axis=1).ravel()).tolist()
-        # an element's records end where its next product's record starts
-        cuts = (3 * (self.product_offsets
-                     + self.factor_offsets[self.product_offsets])).tolist()
+        records = np.column_stack([
+            self.product_basis, self.product_sign,
+            np.full_like(self.product_sign, self.order),
+            self.factors.reshape(len(self.factors), -1)]).ravel().tolist()
+        cuts = ((3 + 3 * self.order) * self.product_offsets).tolist()
         elements = self.elements.reshape(len(self.elements), 2, -1).tolist()
         return json.dumps({
             "schema": PLAN_SCHEMA,
@@ -411,16 +407,19 @@ class MeasurementPlan:
     @classmethod
     def loads(cls, text: str) -> "MeasurementPlan":
         """The plan `text` holds; ValueError if it is of another schema, or
-        if a level-1 schedule, a concrete basis, a coverage element or a
-        coverage product does not fit the plan. The elements must be pairs
-        of strictly increasing mode lists of one length, each listed once
-        and with products, and each element's list whole records."""
+        if its spins, a level-1 schedule, a concrete basis, a coverage
+        element or a coverage product does not fit the plan. The elements
+        are listed once each, with products of p factors at order p."""
         obj = json.loads(text)
         if obj["schema"] != PLAN_SCHEMA:
             raise ValueError(
                 f"plan schema {obj['schema']!r}: this version reads schema "
                 f"{PLAN_SCHEMA} only; re-run `plan` to rewrite it")
-        n_modes = obj["n_modes"]
+        n_modes, spins = obj["n_modes"], obj["spins"]
+        if not (isinstance(spins, str) and len(spins) == n_modes
+                and set(spins) <= {"u", "d"}):
+            raise ValueError(f"plan spins {spins!r} must be a string of one "
+                             f"'u' or 'd' per mode of its {n_modes}")
         level1 = [PairingBasis([tuple(s) for s in b["interactions"]],
                                Schedule.from_json(b["schedule"]))
                   for b in obj["level1"]]
@@ -457,30 +456,37 @@ class MeasurementPlan:
         if len(twice):
             element = twice[0].reshape(2, -1).tolist()
             raise ValueError(f"coverage element {element} appears twice")
-        # walk each element's records: basis, sign, n_factors, then
-        # n_factors (kind, i, j)
-        records = list(itertools.chain.from_iterable(p for _, p in coverage))
-        starts, product_offsets, end = [], [0], 0
-        for e, products in coverage:
-            pos, end = end, end + len(products)
-            while pos < end:
-                starts.append(pos)
-                n_factors = records[pos + 2] if pos + 3 <= end else 0
-                if n_factors < 0:
-                    raise ValueError(f"coverage record {records[pos:pos + 3]}"
-                                     f" of {e} has a negative factor count")
-                pos += 3 + 3 * n_factors
-            if pos != end or not products:
-                raise ValueError(f"the product records of {e} are empty or "
-                                 "run past their list")
-            product_offsets.append(len(starts))
-        records, starts = np.array(records), np.array(starts)
+        # each element's list is 2^max(m - 1, 0) records for its m cross
+        # pairs, each basis, sign, p and then p factor rows (kind, i, j)
+        p = elements.shape[1] // 2
+        n_products, rest = np.divmod([len(r) for _, r in coverage], 3 + 3 * p)
+        broken = (n_products == 0) | (rest != 0)
+        if broken.any():
+            raise ValueError(f"the product records of "
+                             f"{coverage[np.argmax(broken)][0]} are empty or "
+                             "run past their list")
+        records = np.array(list(itertools.chain.from_iterable(
+            r for _, r in coverage)))
         if records.dtype != np.int64:
             raise ValueError("coverage records must hold integers only")
-        product_basis, product_sign = records[starts], records[starts + 1]
-        factor_offsets = np.append(0, np.cumsum(records[starts + 2]))
-        factors = np.delete(records, starts[:, None] + np.arange(3)).reshape(
-            -1, 3)
+        records = records.reshape(-1, 3 + 3 * p)
+        owner = np.repeat(np.arange(len(coverage)), n_products)
+        if (wrong := records[:, 2] != p).any():
+            q = np.argmax(wrong)
+            raise ValueError(
+                f"coverage record {records[q, :3].tolist()} of "
+                f"{coverage[owner[q]][0]} has {records[q, 2]} factors, not "
+                f"the plan's order {p}")
+        m = p - (elements[:, :p, None] == elements[:, None, p:]).sum((1, 2))
+        want = 1 << np.maximum(m - 1, 0)
+        if (short := n_products != want).any():
+            k = np.argmax(short)
+            raise ValueError(
+                f"coverage element {coverage[k][0]} needs 2^max(m - 1, 0) = "
+                f"{want[k]} products for its m = {m[k]} cross pairs, not "
+                f"{n_products[k]}")
+        product_basis, product_sign = records[:, 0], records[:, 1]
+        factors = records[:, 3:].reshape(-1, p, 3)
         # a product is decoded from its basis's outcomes: each factor must be
         # N of a mode or Re/Im of a site the basis measures so, as
         # measured[basis, i, j] holds
@@ -492,27 +498,24 @@ class MeasurementPlan:
             for (i, j), kind in zip(sites[c.parent], c.kinds)],
             dtype=np.int64).reshape(-1, 4).T
         measured[b, i, j] = kind
-        product = np.repeat(np.arange(len(starts)), np.diff(factor_offsets))
-        kind, i, j = factors.T
+        kind, i, j = factors.transpose(2, 0, 1)
         fits = (product_basis >= 0) & (product_basis < n_bases) \
             & (np.abs(product_sign) == 1)
-        inside = fits[product] & (kind >= 0) & (np.minimum(i, j) >= 0) \
+        inside = fits[:, None] & (kind >= 0) & (np.minimum(i, j) >= 0) \
             & (np.maximum(i, j) < n_modes)
-        at = np.where(inside, [product_basis[product], i, j], 0)
-        fits[product[~inside | (measured[tuple(at)] != kind)]] = False
+        at = np.where(inside, [np.broadcast_to(product_basis[:, None],
+                                               kind.shape), i, j], 0)
+        fits &= (inside & (measured[tuple(at)] == kind)).all(axis=1)
         if not fits.all():
             q = np.argmin(fits)
-            k = np.searchsorted(product_offsets, q, "right") - 1
-            record = records[starts[q]:starts[q] + 3 + 3 * (
-                factor_offsets[q + 1] - factor_offsets[q])].tolist()
             raise ValueError(
-                f"coverage product {record} of {coverage[k][0]} needs a "
-                f"basis in 0..{n_bases - 1}, a sign of ±1, and "
-                "factors N of a mode (kind 0, i = j) or Re/Im (kind 1/2) of "
-                "a site that the basis measures so")
-        return cls(n_modes, tuple(obj["spins"]), level1, bases, elements,
-                   np.array(product_offsets), product_basis, product_sign,
-                   factor_offsets, factors)
+                f"coverage product {records[q].tolist()} of "
+                f"{coverage[owner[q]][0]} needs a basis in 0..{n_bases - 1}, "
+                "a sign of ±1, and factors N of a mode (kind 0, i = j) or "
+                "Re/Im (kind 1/2) of a site that the basis measures so")
+        return cls(n_modes, tuple(spins), level1, bases, elements,
+                   np.append(0, np.cumsum(n_products)), product_basis,
+                   product_sign, factors)
 
 
 def build_plan(elements, spins, layout=None) -> MeasurementPlan:
@@ -539,14 +542,13 @@ def build_plan(elements, spins, layout=None) -> MeasurementPlan:
             rows.append(e.creations + e.annihilations)
             n_products.append(len(placed))
             for idx, sign, product in placed:
-                headers += (offset + idx, sign, len(product))
-                factors += product
-    headers = np.array(headers, dtype=np.int64).reshape(-1, 3)
+                headers.append((offset + idx, sign))
+                factors.append(product)
+    headers = np.array(headers, dtype=np.int64)
     return MeasurementPlan(
         n_modes, tuple(spins), level1, bases, np.array(rows, dtype=np.int64),
         np.append(0, np.cumsum(n_products)), headers[:, 0], headers[:, 1],
-        np.append(0, np.cumsum(headers[:, 2])),
-        np.array(factors, dtype=np.int64).reshape(-1, 3))
+        np.array(factors, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,14 @@ def factor_entries(plan):
             pos += 3 + 3 * records[pos + 2]
 
 
+def drop_last_product(plan):
+    """Drop the last product record of the first element in a plan file's
+    JSON object that has two: each record is 3 + 3p values."""
+    width = 3 + 3 * len(plan["coverage"][0][0][0])
+    records = next(r for _, r in plan["coverage"] if len(r) == 2 * width)
+    del records[-width:]
+
+
 def _im_diagonalizer(circ: Circuit, lo: int):
     """Diagonalizer of Im(a†_j a_{j+1}) on qubits (lo, lo + 1): S on the low
     qubit, then the Re diagonalizer."""

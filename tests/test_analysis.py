@@ -22,7 +22,7 @@ from hypothesis.extra.numpy import arrays
 from fixtures_util import H2_PATH, H4_PATH
 from reference_analysis import DictAnalyzer, analyze, analyzer_elements, \
     checked, element_rdm, product_assembly_map
-from reference_planner import factor_entries
+from reference_planner import drop_last_product, factor_entries
 from reference_qcm import per_resample_bootstrap
 
 from qcmoments.analysis import (
@@ -741,7 +741,13 @@ ARCHIVE_FAULTS = {
         lambda p: p["coverage"][-1][1].append(0)), "run past their list"),
     "coverage record with a negative factor count": (_edit_plan(
         lambda p: p["coverage"][0][1].__setitem__(2, -1)),
-        "has a negative factor count"),
+        "has -1 factors, not the plan's order 2"),
+    "record with a factor count other than the order": (_edit_plan(
+        lambda p: p["coverage"][0][1].__setitem__(2, 3)),
+        "has 3 factors, not the plan's order 2"),
+    "element missing one of its products": (_edit_plan(drop_last_product),
+                                            "= 2 products for its m = 2 "
+                                            "cross pairs, not 1"),
     "duplicate coverage element": (_edit_plan(
         lambda p: p["coverage"].append(p["coverage"][-1])), "appears twice"),
     "missing coverage element": (_edit_plan(
@@ -832,6 +838,34 @@ def test_archive_config_mismatch_exits_2(h2, tmp_path, field, capsys):
     err = capsys.readouterr().err
     assert f"configuration error: archive {field} " in err
     assert "Traceback" not in err
+
+
+def test_frozen_orbitals_compare_as_sets(tmp_path):
+    # an archive made with frozen_virtual [3, 2] is the system of [2, 3]:
+    # one active orbital holding both electrons, so there is no excitation
+    # to optimize, and the trial state is the reference, which leaves the
+    # calibration's white-noise rate unresolvable
+    configs = []
+    for name, virtual in (("given", [3, 2]), ("sorted", [2, 3])):
+        configs.append(tmp_path / f"{name}.json")
+        configs[-1].write_text(json.dumps({
+            "schema": 1, "integrals": str(H4_PATH), "order": 2,
+            "excitations": [], "shots": 1000, "noise": NOISE,
+            "mitigation": {"calibrate": False}, "master_seed": 5,
+            "frozen_occupied": [0], "frozen_virtual": virtual}))
+    plan, thetas = tmp_path / "plan.json", tmp_path / "thetas.json"
+    archive = tmp_path / "counts"
+    thetas.write_text(json.dumps({"thetas": []}))
+    assert main(["plan", "--config", str(configs[0]), "--output",
+                 str(plan)]) == 0
+    assert main(["run", "--config", str(configs[0]), "--plan", str(plan),
+                 "--thetas", str(thetas), "--output-dir", str(archive)]) == 0
+    estimates = []
+    for path in configs:
+        assert _analyze(path, archive, tmp_path) == 0
+        estimates.append(json.loads(
+            (tmp_path / "r.json").read_text())["estimate"])
+    assert estimates[0] == estimates[1]
 
 
 @pytest.mark.parametrize("field", ["integrals_sha256", "frozen_virtual"])

@@ -25,8 +25,8 @@ from qcmoments.trial import build_uccd
 
 from fixtures_util import H2_PATH, H4_PATH
 from reference_analysis import analyze, sample_counts_per_basis
-from reference_planner import circuit_with_s_in_place, factor_entries, \
-    measured_circuit
+from reference_planner import circuit_with_s_in_place, drop_last_product, \
+    factor_entries, measured_circuit
 from reference_simulator import basis_state
 
 # sector FCI / Hartree-Fock energies of the stretched-H2 fixture,
@@ -194,6 +194,10 @@ INTEGRALS_FAULTS = {
     "frozen_virtual repeating an orbital": lambda tmp: {
         "integrals": str(H4_PATH), "frozen_occupied": [0],
         "frozen_virtual": [3, 3]},
+    # H2 has two orbitals
+    "every orbital frozen, one each way": lambda tmp: {
+        "frozen_occupied": [0], "frozen_virtual": [1]},
+    "every orbital frozen virtual": lambda tmp: {"frozen_virtual": [1, 0]},
     "header without its end": lambda tmp: integrals_file(
         tmp, H2_TEXT.replace("/", "")),
     "line of six tokens": lambda tmp: integrals_file(
@@ -228,6 +232,15 @@ def test_repeated_frozen_orbital_names_its_key(tmp_path, key, capsys):
         f"{key} repeating an orbital"](tmp_path))
     assert main(["fci", "--config", str(cfg)]) == 2
     assert f"'{key}' lists an orbital more than once" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["every orbital frozen, one each way",
+                                   "every orbital frozen virtual"])
+def test_empty_active_space_names_both_keys(tmp_path, fault, capsys):
+    cfg = write_config(tmp_path, **INTEGRALS_FAULTS[fault](tmp_path))
+    assert main(["fci", "--config", str(cfg)]) == 2
+    assert "frozen_occupied and frozen_virtual freeze all 2 orbitals" in \
         capsys.readouterr().err
 
 
@@ -566,7 +579,7 @@ def _swap_pair_ids(plan):
 
 def _set_first_product(position, *values):
     """Edit of the entries from `position` on of the first coverage record:
-    basis, sign, n_factors, then (kind, i, j) per factor."""
+    basis, sign, p, then (kind, i, j) per factor."""
     def edit(plan):
         plan["coverage"][0][1][position:position + len(values)] = values
     return _edit_plan(edit)
@@ -633,7 +646,18 @@ RUN_FAULTS = {
     "coverage record past its list": ("plan", _edit_plan(
         lambda p: p["coverage"][0][1].pop()), "run past their list"),
     "coverage record with a negative factor count": (
-        "plan", _set_first_product(2, -1), "has a negative factor count"),
+        "plan", _set_first_product(2, -1),
+        "has -1 factors, not the plan's order 2"),
+    "record with a factor count other than the order": (
+        "plan", _set_first_product(2, 3),
+        "has 3 factors, not the plan's order 2"),
+    "element missing one of its products": (
+        "plan", _edit_plan(drop_last_product),
+        "= 2 products for its m = 2 cross pairs, not 1"),
+    "plan spins as a list": ("plan", _edit_plan(
+        lambda p: p.__setitem__("spins", [0, 0, 0, 0])),
+        "plan spins [0, 0, 0, 0] must be a string of one 'u' or 'd' per "
+        "mode of its 4"),
     "coverage element without products": ("plan", _edit_plan(
         lambda p: p["coverage"][0].__setitem__(1, [])),
         "are empty or run past their list"),

@@ -457,7 +457,7 @@ def test_s_at_the_front_equals_the_s_in_place(n_modes, order,
 
 
 COVERAGE_ARRAYS = ("elements", "product_offsets", "product_basis",
-                   "product_sign", "factor_offsets", "factors")
+                   "product_sign", "factors")
 
 
 def assert_same_coverage(got, want):
@@ -581,7 +581,26 @@ def test_plan_factors_are_the_decomposed_rows_in_placement_order():
     rows = [list(row) for b_idx, element_products in enumerate(per_basis)
             for placed in group_level2(level1, b_idx, element_products)[1]
             for _, _, factors in placed for row in factors]
-    assert plan.factors.tolist() == rows
+    assert plan.factors.reshape(-1, 3).tolist() == rows
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+@pytest.mark.parametrize("n_modes, order",
+                         [(4, 1), (6, 2), (6, 3), (8, 4), (10, 3)])
+def test_every_product_has_order_factors_and_each_element_its_count(
+        n_modes, order, blocked):
+    # the fixed shape that the plan holds and loads checks: p factors per
+    # product, and 2^max(m - 1, 0) products for an element of m cross pairs
+    spins = tuple("u" * (n_modes // 2) + "d" * (n_modes - n_modes // 2)) \
+        if blocked else interleaved_spins(n_modes)
+    elements = enumerate_elements(n_modes, order, spins)
+    plan = build_plan(elements, spins)
+    assert plan.factors.shape[1:] == (order, 3)
+    counts = dict(zip(map(tuple, plan.elements.tolist()),
+                      np.diff(plan.product_offsets).tolist()))
+    for e in elements:
+        m = len(_split_element(e)[1])
+        assert counts[e.creations + e.annihilations] == 2 ** max(m - 1, 0)
 
 
 @pytest.mark.parametrize("n_modes, order", [(6, 3), (9, 4)])
