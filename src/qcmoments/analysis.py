@@ -7,8 +7,9 @@ An archive holds one (tables x 2^n) integer count matrix with rows
 This module alone knows that row layout: :func:`sample_counts` simulates
 each parent's circuit once for all its concrete bases and draws every row
 in one noisy pass, :func:`write_archive` and :func:`load_archive` store and
-check it, and :class:`Analyzer` reads it. The measurement circuits come one
-per level-1 basis: concrete basis ``b`` is measured by ``circuits[b.parent]``.
+check it, and :class:`Analyzer` reads it. :func:`measurement_circuits`
+checks a plan against its config and gives one circuit per level-1 basis:
+concrete basis ``b`` is measured by ``circuits[b.parent]``.
 :class:`Analyzer` compiles, once per plan and Hamiltonian, every map that
 an analysis needs:
 
@@ -49,15 +50,16 @@ from math import comb
 
 import numpy as np
 
-from .config import ConfigError, PipelineConfig, derive_seed
-from .conventions import sz_of
+from .config import ConfigError, PipelineConfig, derive_seed, typed, typed_at
+from .conventions import interleaved_spins, sz_of
 from .fermion import FermionOperator, reversal_sign
 from .mitigation import (
     calibration_from_counts, check_representability, clip_rows, fail,
     fit_white_noise_rate, outcome_bits, postselect_mask, postselect_rows,
     qrem_rows, reference_calibrate,
 )
-from .planner import IM, N, MeasurementPlan
+from .planner import IM, N, MeasurementPlan, build_measurement_circuit, \
+    enumerate_elements
 from .qcm import CumulantSet, MomentSet, bootstrap, cumulants, \
     lanczos_energy
 from .simulator import (
@@ -164,10 +166,10 @@ def read_bytes(path, what: str = "archive file") -> bytes:
 
 def parse_plan(data: bytes, source: str) -> MeasurementPlan:
     """The plan held in `data`; ConfigError naming `source` if it is not
-    a well-formed plan."""
+    a well-formed plan, its integers following the config's rule."""
     try:
         return MeasurementPlan.loads(data.decode())
-    except (ValueError, KeyError, IndexError, TypeError,
+    except (ConfigError, ValueError, KeyError, IndexError, TypeError,
             AttributeError) as exc:
         raise ConfigError(f"{source} is malformed: {exc!r}") from exc
 
@@ -178,9 +180,9 @@ def load_archive(archive_dir):
     The archive holds ``manifest.json``, ``plan.json`` and ``counts.npy``;
     the manifest records the SHA-256 of the other two. Every fault (a
     missing file or manifest key, another schema, a hash mismatch, bad
-    JSON, a count matrix of another dtype or shape, a negative count, a
-    row that does not sum to ``shots_per_basis``, a plan that disagrees
-    with the manifest) raises ConfigError.
+    JSON or integers, a count matrix of another dtype or shape, a negative
+    count, a row that does not sum to ``shots_per_basis``, a plan that
+    disagrees with the manifest) raises ConfigError.
     """
     path = os.path.join(archive_dir, "manifest.json")
     try:
@@ -195,10 +197,12 @@ def load_archive(archive_dir):
             f"reads schema {ARCHIVE_SCHEMA} only; re-run `run` to rewrite it")
     try:
         digests = dict(manifest["sha256"])
-        n_bases = manifest["n_bases"]
-        shots = manifest["shots_per_basis"]
-        n_qubits = manifest["n_qubits"]
-        layout = list(manifest["layout"])
+        n_bases = typed(manifest["n_bases"], "integer", "archive n_bases")
+        n_qubits = typed(manifest["n_qubits"], "integer", "archive n_qubits")
+        shots = typed(manifest["shots_per_basis"], "integer",
+                      "archive shots_per_basis", 1)
+        layout = typed_at(manifest, "layout[*]", 0, n_qubits - 1,
+                          root="archive ")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"archive manifest lacks {exc}") from exc
     blobs = {}
@@ -214,13 +218,9 @@ def load_archive(archive_dir):
             f"archive manifest ({n_bases} bases, {n_qubits} qubits) "
             f"disagrees with its plan ({len(plan.bases)} bases, "
             f"{plan.n_modes} modes)")
-    if not all(isinstance(m, int) for m in layout) or \
-            sorted(layout) != list(range(plan.n_modes)):
+    if sorted(layout) != list(range(plan.n_modes)):
         raise ConfigError(f"archive layout {layout} is not a permutation "
                           f"of the {plan.n_modes} modes")
-    if not isinstance(shots, int) or shots < 1:
-        raise ConfigError(f"archive shots_per_basis {shots!r} is not a "
-                          "positive integer")
     path = os.path.join(archive_dir, "counts.npy")
     try:
         counts = np.load(io.BytesIO(blobs["counts.npy"]), allow_pickle=False)
@@ -252,7 +252,7 @@ def system_identity(cfg: PipelineConfig) -> dict:
 
 def check_archive_config(manifest, cfg: PipelineConfig, n_electrons: int):
     """ConfigError naming the first manifest field that disagrees with
-    the config analysing the archive."""
+    the config analysing the archive; a bool equal to 1 or 0 disagrees."""
     for field, want in (("shots_per_basis", cfg.shots), ("noise", cfg.noise),
                         ("master_seed", cfg.master_seed),
                         ("n_electrons", n_electrons),
@@ -261,6 +261,35 @@ def check_archive_config(manifest, cfg: PipelineConfig, n_electrons: int):
             raise ConfigError(
                 f"archive {field} {manifest.get(field)!r} differs from the "
                 f"config's {want!r}")
+    for path in ("master_seed", "n_electrons", "frozen_occupied[*]",
+                 "frozen_virtual[*]"):
+        typed_at(manifest, path, root="archive ")
+
+
+def measurement_circuits(plan, n_modes, order, layout, source) -> list:
+    """One measurement circuit per level-1 basis of `plan`, serving each
+    concrete basis ``b`` as ``circuits[b.parent]``; ConfigError naming
+    `source` unless the plan measures `order` over the interleaved spins of
+    `n_modes` modes, covers each spin-conserving element of that order once
+    (as enumerate_elements gives them) and is routed for `layout`."""
+    spins = interleaved_spins(n_modes)
+    want = {e.creations + e.annihilations
+            for e in enumerate_elements(n_modes, order, spins)}
+    have = set(map(tuple, plan.elements.tolist()))
+    if (plan.n_modes, plan.order, plan.spins, len(plan.elements), have) != (
+            n_modes, order, spins, len(want), want):
+        raise ConfigError(
+            f"{source} measures order {plan.order} over {plan.n_modes} "
+            f"modes with spins {''.join(plan.spins)!r}, but the config needs "
+            f"each of the {len(want)} spin-conserving order-{order} elements "
+            f"of {n_modes} interleaved modes once: it lacks "
+            f"{len(want - have)} of them and adds {len(have - want)} others, "
+            f"and repeats {len(plan.elements) - len(have)}")
+    try:
+        return [build_measurement_circuit(p, layout) for p in plan.level1]
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        raise ConfigError(f"{source} does not fit its layout "
+                          f"{list(layout)}: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ bases), ``optimize`` (trial amplitudes), ``run`` (noisy sampling into a
 counts archive), ``analyze`` (``report.json``, as
 ``analysis.Analyzer.report`` builds it, and the ablation CSV), ``fci``
 (exact reference), and ``pipeline`` (all of the above). The commands read
-and check their inputs, call into the library and write its results; the
-output files of ``plan``, ``optimize``, ``analyze`` and ``fci`` are written
-all or none. Every random choice derives from the config's master seed, so
-a repeated run is bit-identical.
+their inputs, call into the library and write its results, all or none for
+``plan``, ``optimize``, ``analyze`` and ``fci``. ``config.typed`` checks
+every JSON integer, and ``analysis.measurement_circuits`` the plan of both
+``run`` and ``analyze``. Every random choice derives from the config's
+master seed, so a repeated run is bit-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -25,16 +26,16 @@ import sys
 import numpy as np
 
 from .analysis import (
-    Analyzer, check_archive_config, load_archive, parse_plan, read_bytes,
-    sample_counts, system_identity, write_archive,
+    Analyzer, check_archive_config, load_archive, measurement_circuits,
+    parse_plan, read_bytes, sample_counts, system_identity, write_archive,
 )
 from .config import ConfigError, PipelineConfig, _theta, derive_seed, \
-    load_config
+    load_config, typed
 from .conventions import interleaved_spins, sz_of
 from .integrals import (
     freeze_orbitals, load_fcidump, spin_orbital_hamiltonian,
 )
-from .planner import build_measurement_circuit, build_plan, enumerate_elements
+from .planner import build_plan, enumerate_elements
 from .simulator import exact_diagonalize
 from .trial import Ansatz, Excitation, build_uccd, energy_objective, \
     spsa_minimize
@@ -109,42 +110,32 @@ def _write_outputs(texts: dict):
 # plan
 
 
-def _plan_for(cfg_or_args) -> tuple:
-    """Build a MeasurementPlan plus its summary dict."""
-    if isinstance(cfg_or_args, PipelineConfig):
-        cfg = cfg_or_args
+def cmd_plan(args) -> int:
+    if (args.config is None) == (args.modes is None):
+        raise ConfigError("plan needs exactly one of --config/--modes")
+    if args.config is not None:
+        if args.order is not None:
+            raise ConfigError("plan takes --order only with --modes; a "
+                              "config gives its own order")
+        cfg = load_config(args.config)
         ints, _, ansatz = _load_system(cfg)
         n, order = ints.n_spin_orbitals, cfg.order
         layout = build_uccd(ansatz).layout
     else:
-        n, order = cfg_or_args.modes, cfg_or_args.order
-        order = 2 if order is None else order
-        if n < 1 or not 1 <= order <= min(4, n):
-            raise ConfigError(
-                f"plan needs --modes >= 1 and --order in 1..min(4, modes), "
-                f"not {n} and {order}")
+        n = typed(args.modes, "integer", "plan --modes", 1)
+        order = typed(2 if args.order is None else args.order, "integer",
+                      "plan --order", 1, min(4, n))
         layout = tuple(range(n))
     spins = interleaved_spins(n)
     elements = enumerate_elements(n, order, spins=spins)
     plan = build_plan(elements, spins, layout=layout)
-    max_sched = max((b.schedule.depth for b in plan.level1), default=0)
-    summary = {
-        "n_modes": n,
-        "order": order,
-        "elements": len(elements),
-        "level1_bases": len(plan.level1),
-        "concrete_bases": len(plan.bases),
-        "max_schedule_depth": max_sched,
-        "layout": list(layout),
-    }
-    return plan, summary
-
-
-def cmd_plan(args) -> int:
-    source = load_config(args.config) if args.config else args
-    plan, summary = _plan_for(source)
     _write_outputs({args.output: plan.dumps()})
-    print(json.dumps(summary, sort_keys=True))
+    print(json.dumps({
+        "n_modes": n, "order": order, "elements": len(elements),
+        "level1_bases": len(plan.level1), "concrete_bases": len(plan.bases),
+        "max_schedule_depth": max((b.schedule.depth for b in plan.level1),
+                                  default=0),
+        "layout": list(layout)}, sort_keys=True))
     return 0
 
 
@@ -154,9 +145,9 @@ def cmd_plan(args) -> int:
 
 def cmd_optimize(args) -> int:
     cfg = load_config(args.config)
-    _, h, ansatz = _load_system(cfg)
-    if not ansatz.excitations:
+    if not cfg.excitations:
         raise ConfigError("optimize requires at least one excitation")
+    _, h, ansatz = _load_system(cfg)
     objective = energy_objective(ansatz, h)
     theta0 = ansatz.thetas
     n_seeds, iters = cfg.spsa["seeds"], cfg.spsa["iterations"]
@@ -178,40 +169,6 @@ def cmd_optimize(args) -> int:
 
 # ---------------------------------------------------------------------------
 # run
-
-
-def _check_plan(plan, cfg: PipelineConfig, n: int, source: str):
-    """ConfigError naming `source` unless `plan` measures the config's RDM
-    order over the interleaved spins of its n modes, and covers exactly the
-    spin-conserving elements of that order (as enumerate_elements gives
-    them)."""
-    spins = interleaved_spins(n)
-    if (plan.n_modes, plan.order, plan.spins) != (n, cfg.order, spins):
-        raise ConfigError(
-            f"{source} measures order {plan.order} over {plan.n_modes} "
-            f"modes with spins {''.join(plan.spins)!r}, but the config needs "
-            f"order {cfg.order} over {n} interleaved modes")
-    # loads refuses a repeated element, so equal sets mean equal coverage
-    want = {e.creations + e.annihilations
-            for e in enumerate_elements(n, cfg.order, spins)}
-    have = set(map(tuple, plan.elements.tolist()))
-    if have != want:
-        raise ConfigError(
-            f"{source} does not cover exactly the {len(want)} "
-            f"spin-conserving order-{cfg.order} elements of {n} modes: it "
-            f"lacks {len(want - have)} of them and adds {len(have - want)} "
-            "others")
-
-
-def _measurement_circuits(plan, layout, source: str) -> list:
-    """One measurement circuit per level-1 basis of the plan, which serves
-    each concrete basis ``b`` as ``circuits[b.parent]``. ConfigError naming
-    `source` if the plan's routing does not fit `layout`."""
-    try:
-        return [build_measurement_circuit(p, layout) for p in plan.level1]
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise ConfigError(f"{source} does not fit its layout "
-                          f"{list(layout)}: {exc!r}") from exc
 
 
 def _read_thetas(path, n_excitations: int) -> list:
@@ -237,14 +194,13 @@ def cmd_run(args) -> int:
     n, ne = ints.n_spin_orbitals, ints.n_electrons
     plan_bytes = read_bytes(args.plan, "plan file")
     plan = parse_plan(plan_bytes, f"plan file {args.plan}")
-    _check_plan(plan, cfg, n, f"plan file {args.plan}")
     thetas = _read_thetas(args.thetas, len(ansatz.excitations))
     built = [build_uccd(ansatz.with_thetas(thetas)),
              build_uccd(ansatz.with_thetas([0.0] * len(thetas)))]
     # the amplitudes do not move the qubits, so both states end in the
     # trial layout and share the measurement circuits
-    circuits = _measurement_circuits(plan, built[0].layout,
-                                     f"plan file {args.plan}")
+    circuits = measurement_circuits(plan, n, cfg.order, built[0].layout,
+                                    f"plan file {args.plan}")
     counts = sample_counts(cfg, [b.circuit for b in built], plan.bases,
                            circuits)
     total = int(counts.sum())
@@ -274,11 +230,10 @@ def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     ints, h, _ = _load_system(cfg)
     manifest, plan, counts = load_archive(args.archive)
-    _check_plan(plan, cfg, ints.n_spin_orbitals,
-                f"archive plan in {args.archive}")
+    circuits = measurement_circuits(
+        plan, ints.n_spin_orbitals, cfg.order, manifest["layout"],
+        f"archive plan in {args.archive}")
     check_archive_config(manifest, cfg, ints.n_electrons)
-    circuits = _measurement_circuits(plan, tuple(manifest["layout"]),
-                                     f"archive plan in {args.archive}")
     report = Analyzer(cfg, plan, circuits, ints.n_electrons, h).report(counts)
     texts = {args.output: _json_text(report)}
     if args.csv:
@@ -314,11 +269,14 @@ def cmd_fci(args) -> int:
 
 def cmd_pipeline(args) -> int:
     cfg = load_config(args.config)
+    if not cfg.excitations:  # refused as optimize would, but before writing
+        raise ConfigError("optimize requires at least one excitation")
     out = cfg.output_dir
     with _writing(out):
         os.makedirs(out, exist_ok=True)
     ns = argparse.Namespace
-    cmd_plan(ns(config=args.config, output=os.path.join(out, "plan.json")))
+    cmd_plan(ns(config=args.config, modes=None, order=None,
+                output=os.path.join(out, "plan.json")))
     cmd_optimize(ns(config=args.config,
                     output=os.path.join(out, "thetas.json")))
     cmd_run(ns(config=args.config, plan=os.path.join(out, "plan.json"),
@@ -380,12 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "plan":
-            if (args.config is None) == (args.modes is None):
-                raise ConfigError("plan needs exactly one of --config/--modes")
-            if args.config is not None and args.order is not None:
-                raise ConfigError("plan takes --order only with --modes; a "
-                                  "config gives its own order")
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -7,8 +7,10 @@ are statistically independent.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -74,7 +76,8 @@ _DEFAULTS = {
 # JSON kinds of config values -> the Python types json.load gives them; a
 # bool is an int to Python, so it is refused apart for the other kinds
 _KINDS = {"integer": int, "number": (int, float), "boolean": bool,
-          "string": str}
+          "string": str, "array": list, "object": dict}
+INT64_MAX = 2 ** 63 - 1  # the most counts numpy's int64 sampling can hold
 
 
 def _require(cond, message):
@@ -82,21 +85,52 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
-def _typed(value, kind: str, name: str, low=None):
-    """`value` if it is a JSON `kind` and at least `low`; else ConfigError.
-    JSON has no NaN or infinity, so a number must be a finite float."""
-    _require(isinstance(value, _KINDS[kind])
-             and (kind == "boolean") == isinstance(value, bool)
-             and (kind != "number" or abs(value) <= sys.float_info.max),
-             f"{name} must be a JSON {kind}, not {value!r}")
-    _require(low is None or value >= low, f"{name} must be >= {low}")
+def typed(value, kind: str, name: str, low=None, high=None):
+    """`value` if it is a JSON `kind` in [low, high] (None: unbounded),
+    else ConfigError naming `name`: the one rule for the integers of config,
+    plan and manifest. A bool is no integer, and a number is finite."""
+    if not (isinstance(value, _KINDS[kind])
+            and (kind == "boolean") == isinstance(value, bool)
+            and (kind != "number" or abs(value) <= sys.float_info.max)):
+        raise ConfigError(f"{name} must be a JSON {kind}, not {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{name} must be >= {low}, not {value!r}")
+    if high is not None and value > high:
+        raise ConfigError(f"{name} must be <= {high}, not {value!r}")
     return value
+
+
+def typed_at(doc, path, low=None, high=None, kind="integer", root=""):
+    """The values at `path` in the JSON `doc` (keys, entries ``[i]`` and
+    ``[*]`` for all, as in ``level1[*].schedule.n_qubits``), as :func:`typed`
+    checks them in one pass; only if it fails are they named, `root` + path."""
+    steps = [(m[0], m[1] or (None if m[2] == "*" else int(m[2])))
+             for m in re.finditer(r"\.?(\w+)|\[(\*|\d+)\]", path)]
+    values = [doc]
+    for _, step in steps:
+        if step is not None:
+            values = [v[step] for v in values]
+        elif set(map(type, values)) <= {list}:
+            values = list(itertools.chain.from_iterable(values))
+        else:
+            break
+    else:
+        if set(map(type, values)) <= {_KINDS[kind]} and (not values or (
+                (low is None or min(values) >= low)
+                and (high is None or max(values) <= high))):
+            return values
+    named = [(root, doc)]
+    for text, step in steps:
+        named = [(f"{name}[{i}]", x) for name, v in named
+                 for i, x in enumerate(typed(v, "array", name))] \
+            if step is None else [(name + text, v[step]) for name, v in named]
+    return [typed(v, kind, name, low, high) for name, v in named]
 
 
 def _theta(value, name: str):
     """`value` if it is a JSON number whose rotation angle 2*theta is
     finite; else ConfigError."""
-    _require(abs(2.0 * _typed(value, "number", name)) <= sys.float_info.max,
+    _require(abs(2.0 * typed(value, "number", name)) <= sys.float_info.max,
              f"{name} must have a finite rotation angle 2*theta, not "
              f"{value!r}")
     return value
@@ -104,21 +138,20 @@ def _theta(value, name: str):
 
 def validate_config(obj: dict, base_dir: str = ".") -> PipelineConfig:
     """Schema-check a parsed config document and resolve its file paths."""
-    _require(isinstance(obj, dict), "config must be a JSON object")
+    typed(obj, "object", "config")
     unknown = set(obj) - _TOP_KEYS
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-    schema = obj.get("schema")
-    _require(type(schema) is int and schema == SCHEMA_VERSION,
+    schema = typed(obj.get("schema"), "integer", "config schema")
+    _require(schema == SCHEMA_VERSION,
              f"config schema must be {SCHEMA_VERSION}, got {schema!r}")
     _require("integrals" in obj, "config requires an 'integrals' path")
-    integrals = _typed(obj["integrals"], "string", "integrals")
+    integrals = typed(obj["integrals"], "string", "integrals")
     if not os.path.isabs(integrals):
         integrals = os.path.join(base_dir, integrals)
     _require(os.path.exists(integrals),
              f"integrals file does not exist: {integrals}")
 
-    excitations = obj.get("excitations", [])
-    _require(isinstance(excitations, list), "'excitations' must be a list")
+    excitations = typed(obj.get("excitations", []), "array", "excitations")
     for i, exc in enumerate(excitations):
         _require(isinstance(exc, dict)
                  and set(exc) <= _EXCITATION_KEYS
@@ -127,51 +160,47 @@ def validate_config(obj: dict, base_dir: str = ".") -> PipelineConfig:
                  f"excitation {i} must give two creations and two "
                  "annihilations")
         for m in exc["creations"] + exc["annihilations"]:
-            _typed(m, "integer", f"excitation {i} mode index", 0)
+            typed(m, "integer", f"excitation {i} mode index", 0)
         _theta(exc.setdefault("theta", 0.0), f"excitation {i} theta")
 
     def merged(key, kinds):
         sub = dict(_DEFAULTS[key])
-        given = obj.get(key, {})
-        _require(isinstance(given, dict), f"'{key}' must be an object")
+        given = typed(obj.get(key, {}), "object", key)
         bad = set(given) - set(sub)
         _require(not bad, f"unknown keys in '{key}': {sorted(bad)}")
         sub.update(given)
-        for k, (kind, low) in kinds.items():
-            _typed(sub[k], kind, f"{key} {k}", low)
+        for k, (kind, *bounds) in kinds.items():
+            typed(sub[k], kind, f"{key} {k}", *bounds)
         return sub
 
-    # (JSON kind, lower bound) of the checked keys of each nested object
-    number, flag = ("number", None), ("boolean", None)
+    # (JSON kind, bounds) of the checked keys of each nested object
+    number, flag = ("number",), ("boolean",)
     noise = merged("noise", dict.fromkeys(("global_q", "p01", "p10"), number))
     _require(0.0 <= noise["global_q"] <= 1.0, "global_q outside [0, 1]")
     _require(0.0 <= noise["p01"] < 0.5 and 0.0 <= noise["p10"] < 0.5,
              "readout flip rates must lie in [0, 0.5)")
-    _require(noise["cnot_q"] is None or 0.0 <= _typed(
-        noise["cnot_q"], "number", "noise cnot_q") <= 1.0,
-        "cnot_q outside [0, 1]")
+    if noise["cnot_q"] is not None:
+        typed(noise["cnot_q"], "number", "noise cnot_q", 0.0, 1.0)
     mitigation = merged("mitigation",
                         dict.fromkeys(_DEFAULTS["mitigation"], flag))
     _require(not (mitigation["calibrate"] and not mitigation["postselect"]),
              "reference calibration requires symmetry post-selection (the "
              "white-noise model is fitted within the post-selected sector)")
     bootstrap = merged("bootstrap",
-                       {"enabled": flag, "resamples": ("integer", 2)})
+                       {"enabled": flag,
+                        "resamples": ("integer", 2, INT64_MAX)})
     spsa = merged("spsa",
                   {"iterations": ("integer", 0), "seeds": ("integer", 1)})
 
-    shots = _typed(obj.get("shots", 100_000), "integer", "shots", 1)
-    order = _typed(obj.get("order", 2), "integer", "order")
-    _require(order in (1, 2, 3, 4), "order must be 1..4")
+    shots = typed(obj.get("shots", 100_000), "integer", "shots", 1, INT64_MAX)
+    order = typed(obj.get("order", 2), "integer", "order", 1, 4)
     frozen = {}
     for key in ("frozen_occupied", "frozen_virtual"):
-        orbitals = obj.get(key, [])
-        _require(isinstance(orbitals, list), f"'{key}' must be a list")
-        frozen[key] = sorted(_typed(p, "integer", f"{key} entry", 0)
-                             for p in orbitals)
-        _require(len(set(frozen[key])) == len(orbitals),
-                 f"'{key}' lists an orbital more than once: {orbitals}")
-    output_dir = _typed(obj.get("output_dir", "out"), "string", "output_dir")
+        frozen[key] = sorted(typed_at(obj.setdefault(key, []), "[*]", 0,
+                                      root=key))
+        _require(len(set(frozen[key])) == len(frozen[key]),
+                 f"'{key}' lists an orbital more than once: {obj[key]}")
+    output_dir = typed(obj.get("output_dir", "out"), "string", "output_dir")
 
     return PipelineConfig(
         integrals=integrals,
@@ -183,8 +212,8 @@ def validate_config(obj: dict, base_dir: str = ".") -> PipelineConfig:
         bootstrap=bootstrap,
         spsa=spsa,
         output_dir=os.path.join(base_dir, output_dir),
-        master_seed=_typed(obj.get("master_seed", 0), "integer",
-                           "master_seed", 0),
+        master_seed=typed(obj.get("master_seed", 0), "integer",
+                          "master_seed", 0),
         **frozen,
     )
 

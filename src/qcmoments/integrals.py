@@ -168,9 +168,6 @@ def freeze_orbitals(ints: MolecularIntegrals, frozen_occ, frozen_virt
                          "orbitals, which leaves no active space")
     if 2 * len(frozen_occ) > ints.n_electrons:
         raise ValueError("freezing more electrons than available")
-    if not frozen_occ and not frozen_virt:
-        return MolecularIntegrals(n, ints.n_electrons, ints.e_const,
-                                  ints.h1.copy(), ints.h2.copy())
 
     occ = sorted(frozen_occ)
     h2 = ints.h2
@@ -185,12 +182,10 @@ def freeze_orbitals(ints: MolecularIntegrals, frozen_occ, frozen_virt
         h1_eff += 2.0 * h2[:, i, :, i] - h2[:, i, i, :].reshape(n, n)
 
     active = [p for p in range(n) if p not in frozen_occ and p not in frozen_virt]
-    idx = np.asarray(active)
-    h1_act = h1_eff[np.ix_(idx, idx)]
-    h2_act = h2[np.ix_(idx, idx, idx, idx)]
-    return MolecularIntegrals(len(active),
-                              ints.n_electrons - 2 * len(frozen_occ),
-                              ints.e_const + e_core, h1_act, h2_act)
+    return MolecularIntegrals(
+        len(active), ints.n_electrons - 2 * len(frozen_occ),
+        ints.e_const + e_core, h1_eff[np.ix_(active, active)],
+        h2[np.ix_(active, active, active, active)])
 
 
 def spin_orbital_hamiltonian(ints: MolecularIntegrals) -> FermionOperator:

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import typed, typed_at
 from .fermion import sort_sign
 from .routing import Schedule, route_pairs
 from .simulator import Circuit
@@ -406,37 +407,40 @@ class MeasurementPlan:
 
     @classmethod
     def loads(cls, text: str) -> "MeasurementPlan":
-        """The plan `text` holds; ValueError if it is of another schema, or
-        if its spins, a level-1 schedule, a concrete basis, a coverage
-        element or a coverage product does not fit the plan. The elements
-        are listed once each, with products of p factors at order p."""
+        """The plan `text` holds. ConfigError names an integer that breaks
+        the config's rule (:func:`config.typed`), such as a bool or a mode
+        outside 0..n_modes - 1; ValueError if the schema, the spins, a
+        concrete basis, the (E, 2, p) int64 elements or a product record do
+        not fit. :func:`analysis.measurement_circuits` checks the elements."""
         obj = json.loads(text)
         if obj["schema"] != PLAN_SCHEMA:
             raise ValueError(
                 f"plan schema {obj['schema']!r}: this version reads schema "
                 f"{PLAN_SCHEMA} only; re-run `plan` to rewrite it")
-        n_modes, spins = obj["n_modes"], obj["spins"]
+        n_modes = typed(obj["n_modes"], "integer", "n_modes", 1)
+        spins = obj["spins"]
         if not (isinstance(spins, str) and len(spins) == n_modes
                 and set(spins) <= {"u", "d"}):
             raise ValueError(f"plan spins {spins!r} must be a string of one "
                              f"'u' or 'd' per mode of its {n_modes}")
+        modes = 0, n_modes - 1
+        typed_at(obj, "level1[*].interactions[*][*]", *modes)
+        typed_at(obj, "level1[*].schedule.n_qubits", n_modes, n_modes)
+        typed_at(obj, "level1[*].schedule.certified", kind="boolean")
+        typed_at(obj, "level1[*].schedule.steps[*].swaps[*][*]", *modes)
+        typed_at(obj, "level1[*].schedule.steps[*].interactions[*][0]", 0)
+        typed_at(obj, "level1[*].schedule.steps[*].interactions[*][1][*]",
+                 *modes)
+        typed_at(obj, "bases[*][0]", 0, len(obj["level1"]) - 1)
+        typed_at(obj, "coverage[*][0][*][*]")
+        records = typed_at(obj, "coverage[*][1][*]")
         level1 = [PairingBasis([tuple(s) for s in b["interactions"]],
                                Schedule.from_json(b["schedule"]))
                   for b in obj["level1"]]
-        for i, b in enumerate(level1):
-            if b.schedule.n_qubits != n_modes \
-                    or not isinstance(b.schedule.certified, bool):
-                raise ValueError(
-                    f"level-1 schedule {i} has n_qubits "
-                    f"{b.schedule.n_qubits!r} and certified "
-                    f"{b.schedule.certified!r}; it needs n_qubits equal to "
-                    f"n_modes {n_modes} and a boolean certified")
         sites = [b.pair_sites() for b in level1]
         bases = []
         for parent, kinds in obj["bases"]:
-            if not (isinstance(parent, int) and 0 <= parent < len(level1)
-                    and len(kinds) == len(sites[parent])
-                    and set(kinds) <= {"Re", "Im"}):
+            if len(kinds) != len(sites[parent]) or set(kinds) - {"Re", "Im"}:
                 raise ValueError(f"concrete basis {[parent, kinds]} is not "
                                  "a level-1 basis with Re or Im at each of "
                                  "its pair sites")
@@ -445,17 +449,10 @@ class MeasurementPlan:
         coverage = obj["coverage"]
         elements = np.array([e for e, _ in coverage])
         if elements.dtype != np.int64 or elements.ndim != 3 \
-                or elements.shape[1] != 2 or (np.diff(elements) <= 0).any() \
-                or elements.min() < 0 or elements.max() >= n_modes:
+                or elements.shape[1] != 2:
             raise ValueError("coverage elements must be [creations, "
-                             "annihilations] of one length, each strictly "
-                             f"increasing in 0..{n_modes - 1}")
+                             "annihilations] of one length in int64")
         elements = elements.reshape(len(coverage), -1)
-        ranked = elements[np.lexsort(elements.T)]
-        twice = ranked[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]
-        if len(twice):
-            element = twice[0].reshape(2, -1).tolist()
-            raise ValueError(f"coverage element {element} appears twice")
         # each element's list is 2^max(m - 1, 0) records for its m cross
         # pairs, each basis, sign, p and then p factor rows (kind, i, j)
         p = elements.shape[1] // 2
@@ -465,10 +462,9 @@ class MeasurementPlan:
             raise ValueError(f"the product records of "
                              f"{coverage[np.argmax(broken)][0]} are empty or "
                              "run past their list")
-        records = np.array(list(itertools.chain.from_iterable(
-            r for _, r in coverage)))
+        records = np.array(records)
         if records.dtype != np.int64:
-            raise ValueError("coverage records must hold integers only")
+            raise ValueError("coverage records must hold int64 integers")
         records = records.reshape(-1, 3 + 3 * p)
         owner = np.repeat(np.arange(len(coverage)), n_products)
         if (wrong := records[:, 2] != p).any():
@@ -489,23 +485,21 @@ class MeasurementPlan:
         factors = records[:, 3:].reshape(-1, p, 3)
         # a product is decoded from its basis's outcomes: each factor must be
         # N of a mode or Re/Im of a site the basis measures so, as
-        # measured[basis, i, j] holds
+        # measured[basis, i, j] holds; an index outside the plan is clipped
+        # to the last slot of its axis, where nothing is measured
         n_bases = len(bases)
-        measured = np.full((n_bases, n_modes, n_modes), -1)
-        measured[:, range(n_modes), range(n_modes)] = N
+        measured = np.full((n_bases + 1, n_modes + 1, n_modes + 1), -1)
+        measured[:-1, range(n_modes), range(n_modes)] = N
         b, i, j, kind = np.array([
             (b, i, j, kind) for b, c in enumerate(bases)
             for (i, j), kind in zip(sites[c.parent], c.kinds)],
             dtype=np.int64).reshape(-1, 4).T
         measured[b, i, j] = kind
         kind, i, j = factors.transpose(2, 0, 1)
-        fits = (product_basis >= 0) & (product_basis < n_bases) \
-            & (np.abs(product_sign) == 1)
-        inside = fits[:, None] & (kind >= 0) & (np.minimum(i, j) >= 0) \
-            & (np.maximum(i, j) < n_modes)
-        at = np.where(inside, [np.broadcast_to(product_basis[:, None],
-                                               kind.shape), i, j], 0)
-        fits &= (inside & (measured[tuple(at)] == kind)).all(axis=1)
+        at = np.clip([np.broadcast_to(product_basis[:, None], kind.shape), i,
+                      j], -1, np.array(measured.shape)[:, None, None] - 1)
+        fits = (np.abs(product_sign) == 1) \
+            & ((kind >= 0) & (measured[tuple(at)] == kind)).all(axis=1)
         if not fits.all():
             q = np.argmin(fits)
             raise ValueError(

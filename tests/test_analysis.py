@@ -749,14 +749,16 @@ ARCHIVE_FAULTS = {
                                             "= 2 products for its m = 2 "
                                             "cross pairs, not 1"),
     "duplicate coverage element": (_edit_plan(
-        lambda p: p["coverage"].append(p["coverage"][-1])), "appears twice"),
+        lambda p: p["coverage"].append(p["coverage"][-1])), "and repeats 1"),
     "missing coverage element": (_edit_plan(
         lambda p: p["coverage"].pop()),
-        "does not cover exactly the 12 spin-conserving order-2 elements"),
+        "needs each of the 12 spin-conserving order-2 elements"),
     "schedule on 99 qubits": (_set_schedules("n_qubits", 99),
-                              "needs n_qubits equal to n_modes 4"),
-    "schedule certified as a string": (_set_schedules("certified", "no"),
-                                       "a boolean certified"),
+                              "level1[0].schedule.n_qubits must be <= 4, "
+                              "not 99"),
+    "schedule certified as a string": (
+        _set_schedules("certified", "no"),
+        "level1[0].schedule.certified must be a JSON boolean, not 'no'"),
     # a valid permutation of the modes that the plan was not routed for
     "layout the routing does not fit": (_edit_manifest(
         lambda m: m.__setitem__("layout", m["layout"][::-1])),
@@ -782,6 +784,105 @@ def test_archive_faults_exit_2(h2, tmp_path, fault, capsys):
     assert "Traceback" not in err
 
 
+def _int_leaves(doc, path=""):
+    """(path, value) of each JSON integer in `doc`, bools aside, in document
+    order; a path reads as ``level1[3].interactions[1][0]``."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _int_leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _int_leaves(value, f"{path}[{i}]")
+    elif type(doc) is int:
+        yield path, doc
+
+
+def _set_leaf(path, value):
+    """Edit of a JSON document that sets the leaf at `path` to `value`."""
+    *steps, last = [key or int(index) for key, index in
+                    re.findall(r"(\w+)|\[(\d+)\]", path)]
+
+    def edit(doc):
+        reduce(lambda node, step: node[step], steps, doc)[last] = value
+    return edit
+
+
+# the path patterns (list indexes as *) of the integers in the H2 archive's
+# plan and manifest; each file's sweep sets the first integer of each
+# pattern to true
+BOOL_SWEEP = {
+    "plan.json": {
+        "schema", "n_modes", "level1[*].interactions[*][*]",
+        "level1[*].schedule.n_qubits",
+        "level1[*].schedule.steps[*].swaps[*][*]",
+        "level1[*].schedule.steps[*].interactions[*][*]",
+        "level1[*].schedule.steps[*].interactions[*][*][*]",
+        "bases[*][*]", "coverage[*][*][*][*]", "coverage[*][*][*]"},
+    "manifest.json": {
+        "schema", "n_bases", "n_qubits", "n_electrons", "shots_per_basis",
+        "total_shots", "master_seed", "layout[*]"},
+}
+#: the manifest integer that analyze does not read
+UNREAD = {"total_shots"}
+
+
+def test_a_bool_in_place_of_any_integer_exits_2(h2, tmp_path, capsys):
+    # Python holds True equal to 1, so only the integer rule tells a JSON
+    # true from a 1; run reads every integer of the plan, and analyze
+    # every integer of the plan and the manifest but total_shots
+    config, archive, _ = h2
+    assert _analyze(config, archive, tmp_path) == 0
+    estimate = json.loads((tmp_path / "r.json").read_text())["estimate"]
+    thetas = config.parent / "thetas.json"
+
+    unrefused = []
+
+    def check(command, code, path):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if not (code == 2 and err.startswith("configuration error: ")
+                and path in err):
+            unrefused.append((command, path, code))
+
+    for name, edit in (("plan.json", _edit_plan),
+                       ("manifest.json", _edit_manifest)):
+        first = {}
+        for path, _ in _int_leaves(json.loads((archive / name).read_text())):
+            first.setdefault(re.sub(r"\[\d+\]", "[*]", path), path)
+        assert set(first) == BOOL_SWEEP[name]
+        for path in first.values():
+            work = tmp_path / name / path
+            broken = work / "counts"
+            shutil.copytree(archive, broken)
+            edit(_set_leaf(path, True))(broken)
+            if name == "plan.json":
+                check("run", main([
+                    "run", "--config", str(config), "--plan",
+                    str(broken / "plan.json"), "--thetas", str(thetas),
+                    "--output-dir", str(work / "run")]), path)
+            code = _analyze(config, broken, work)
+            if path in UNREAD:
+                assert code == 0 and json.loads(
+                    (work / "r.json").read_text())["estimate"] == estimate
+            else:
+                check("analyze", code, path)
+    assert unrefused == []
+
+
+def test_a_bool_equal_to_a_frozen_orbital_exits_2(h4_frozen, tmp_path,
+                                                  capsys):
+    # the archive's [false] equals the config's frozen_occupied [0] to
+    # Python, so only the integer rule refuses it
+    config, archive, _ = h4_frozen
+    broken = tmp_path / "counts"
+    shutil.copytree(archive, broken)
+    _edit_manifest(lambda m: m.update(frozen_occupied=[False]))(broken)
+    assert _analyze(config, broken, tmp_path) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: archive frozen_occupied[0] must be a JSON "
+        "integer, not False\n")
+
+
 def _drop_element(element):
     def edit(coverage):
         coverage.remove(next(c for c in coverage if c[0] == element))
@@ -792,7 +893,7 @@ def _drop_element(element):
 # unchanged report after the first drop) or failed on numerically (exit 3)
 H4_COVERAGE_FAULTS = {
     "first element repeated": (lambda coverage: coverage.append(coverage[0]),
-                               "appears twice"),
+                               "and repeats 1"),
     "element [[1, 2, 6, 7], [0, 3, 4, 7]] dropped": (
         _drop_element([[1, 2, 6, 7], [0, 3, 4, 7]]), "it lacks 1 of them"),
     "element [[0, 1, 2, 3], [0, 1, 2, 3]] dropped": (

@@ -16,8 +16,9 @@ import pytest
 
 from qcmoments import analysis, simulator, trial
 from qcmoments.analysis import Analyzer, write_archive
-from qcmoments.cli import _load_system, _measurement_circuits, main
-from qcmoments.config import derive_seed, load_config
+from qcmoments.cli import _load_system, main
+from qcmoments.config import ConfigError, derive_seed, load_config, \
+    typed_at
 from qcmoments.planner import KINDS, MeasurementPlan, \
     build_measurement_circuit, build_plan, enumerate_elements
 from qcmoments.simulator import Circuit, run
@@ -130,6 +131,9 @@ VALUE_FAULTS = {
         {"creations": [2, 3], "annihilations": [0, 1], "theta": float("nan")}]},
     "theta beyond the float range": {"excitations": [
         {"creations": [2, 3], "annihilations": [0, 1], "theta": 10 ** 400}]},
+    # counts that numpy's int64 cannot hold
+    "shots beyond int64": {"shots": 10 ** 30},
+    "bootstrap resamples beyond int64": {"bootstrap": {"resamples": 10 ** 30}},
 }
 
 
@@ -140,6 +144,21 @@ def test_config_value_faults_exit_2(tmp_path, fault, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert "Traceback" not in err
+
+
+def test_typed_at_checks_every_value_and_names_a_faulty_one():
+    doc = {"a": [{"b": [0, 1]}, {"b": [2, 3]}], "c": [[4], 5], "d": [6, True]}
+    assert typed_at(doc, "a[*].b[*]", 0, 3) == [0, 1, 2, 3]
+    assert typed_at(doc, "a[1].b[0]") == [2]
+    for path, bounds, root, message in [
+            ("a[*].b[*]", (0, 2), "", "a[1].b[1] must be <= 2, not 3"),
+            ("a[*].b[*]", (1,), "", "a[0].b[0] must be >= 1, not 0"),
+            ("c[*][*]", (), "", "c[1] must be a JSON array, not 5"),
+            ("d[*]", (), "archive ",
+             "archive d[1] must be a JSON integer, not True")]:
+        with pytest.raises(ConfigError) as caught:
+            typed_at(doc, path, *bounds, root=root)
+        assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("command", ["plan", "pipeline"])
@@ -158,6 +177,19 @@ def test_theta_with_an_infinite_rotation_angle_exits_2(tmp_path, command,
                           "have a finite rotation angle")
     assert "Traceback" not in err
     assert not (tmp_path / "plan.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_without_an_excitation_writes_nothing(tmp_path, capsys):
+    # one active orbital holds both electrons, so there is no excitation for
+    # optimize to move, though plan alone accepts the config
+    cfg = write_config(tmp_path, integrals=str(H4_PATH), excitations=[],
+                       frozen_occupied=[0], frozen_virtual=[3, 2],
+                       output_dir=str(tmp_path / "out"))
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("configuration error: optimize requires at least one "
+                   "excitation\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -662,15 +694,17 @@ RUN_FAULTS = {
         lambda p: p["coverage"][0].__setitem__(1, [])),
         "are empty or run past their list"),
     "duplicate coverage element": ("plan", _edit_plan(
-        lambda p: p["coverage"].append(p["coverage"][0])), "appears twice"),
+        lambda p: p["coverage"].append(p["coverage"][0])), "and repeats 1"),
     "missing coverage element": ("plan", _edit_plan(
         lambda p: p["coverage"].pop(0)),
-        "does not cover exactly the 12 spin-conserving order-2 elements of 4 "
-        "modes: it lacks 1 of them and adds 0 others"),
+        "needs each of the 12 spin-conserving order-2 elements of 4 "
+        "interleaved modes once: it lacks 1 of them and adds 0 others"),
     "schedule on 99 qubits": ("plan", _set_schedules("n_qubits", 99),
-                              "needs n_qubits equal to n_modes 4"),
+                              "level1[0].schedule.n_qubits must be <= 4, "
+                              "not 99"),
     "schedule certified as a string": (
-        "plan", _set_schedules("certified", "no"), "a boolean certified"),
+        "plan", _set_schedules("certified", "no"),
+        "level1[0].schedule.certified must be a JSON boolean, not 'no'"),
     "plan routed for another layout": (
         "plan", _edit_json(_routed_for_reversed_layout),
         "does not fit its layout"),
@@ -822,7 +856,8 @@ def test_sample_counts_equals_one_run_per_basis(tmp_path, system,
                           plan.spins, layout=layout)
         # complex amplitudes, which tell S from its inverse
         prepared = [Circuit(n).extend(c).h(0).s(0).h(3) for c in prepared]
-    circuits = _measurement_circuits(plan, layout, "plan")
+    circuits = analysis.measurement_circuits(plan, ansatz.n_qubits,
+                                             config.order, layout, "plan")
     # one circuit per parent, and every parent has bases, some several
     assert len(circuits) == len(plan.level1) < len(plan.bases)
     assert {b.parent for b in plan.bases} == set(range(len(circuits)))
