@@ -269,8 +269,10 @@ def cmd_fci(args) -> int:
 
 def cmd_pipeline(args) -> int:
     cfg = load_config(args.config)
-    if not cfg.excitations:  # refused as optimize would, but before writing
+    # refused as the stages would refuse them, but before writing anything
+    if not cfg.excitations:
         raise ConfigError("optimize requires at least one excitation")
+    _load_system(cfg)
     out = cfg.output_dir
     with _writing(out):
         os.makedirs(out, exist_ok=True)

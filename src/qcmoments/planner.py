@@ -127,13 +127,14 @@ def _cross_matchings(cres, anns, spins):
     return sorted(set(matchings))
 
 
-def decompose_element(e: RdmElement, spins, matching=None):
-    """Signed even-Im products reconstructing (e + e†)/2 exactly.
+def decompose_element(e: RdmElement, matching):
+    """Signed even-Im products reconstructing (e + e†)/2 exactly, with the
+    element's residual creations paired to its annihilations by `matching`
+    (one of ``_cross_matchings``, as :func:`group_level1` chose it).
 
     Returns a list of (sign, factors) with sign ∈ {+1, -1} and the factors
     as code rows; the sum of sign · Π(factors) equals the Hermitian part of
-    the element as an operator identity. Raises ValueError if no same-spin
-    pairing exists.
+    the element as an operator identity.
 
     The signs follow in closed form from the anticommutation relations
     (Helgaker, Jørgensen and Olsen, *Molecular Electronic-Structure
@@ -146,13 +147,7 @@ def decompose_element(e: RdmElement, spins, matching=None):
     the product with m Im factors the sign σ · (-1)^(m/2) · Π s over its Im
     factors in the Hermitian part, and nothing when m is odd.
     """
-    numbers, cres, anns = _split_element(e)
-    if matching is None:
-        options = _cross_matchings(cres, anns, spins)
-        if not options:
-            raise ValueError(f"no same-spin pairing for {e} "
-                             "(spin-nonconserving element reached planning)")
-        matching = options[0]
+    numbers = _split_element(e)[0]
     cre_at = {m: i for i, m in enumerate(e.creations)}
     ann_at = {m: i for i, m in enumerate(e.annihilations, e.order)}
     pair_form = [(i, i) for i in numbers] + list(matching)
@@ -486,27 +481,39 @@ class MeasurementPlan:
         # a product is decoded from its basis's outcomes: each factor must be
         # N of a mode or Re/Im of a site the basis measures so, as
         # measured[basis, i, j] holds; an index outside the plan is clipped
-        # to the last slot of its axis, where nothing is measured
+        # to the last slot of its axis, where nothing is measured. A mode
+        # that the basis routes into a pair site is read as the site's
+        # joint occupation, so its N needs its partner's N in the product
+        # too, as ``_number_covers`` shares sites; partner[basis, i] is that
+        # partner, or i for a mode the basis leaves alone
         n_bases = len(bases)
         measured = np.full((n_bases + 1, n_modes + 1, n_modes + 1), -1)
         measured[:-1, range(n_modes), range(n_modes)] = N
+        partner = np.tile(np.arange(n_modes + 1), (n_bases + 1, 1))
         b, i, j, kind = np.array([
             (b, i, j, kind) for b, c in enumerate(bases)
             for (i, j), kind in zip(sites[c.parent], c.kinds)],
             dtype=np.int64).reshape(-1, 4).T
         measured[b, i, j] = kind
+        partner[b, i], partner[b, j] = j, i
         kind, i, j = factors.transpose(2, 0, 1)
         at = np.clip([np.broadcast_to(product_basis[:, None], kind.shape), i,
                       j], -1, np.array(measured.shape)[:, None, None] - 1)
-        fits = (np.abs(product_sign) == 1) \
-            & ((kind >= 0) & (measured[tuple(at)] == kind)).all(axis=1)
+        mate = partner[tuple(at[:2])]
+        number = kind == N
+        paired = (mate == at[1]) | (number[:, None, :] & (
+            at[1][:, None, :] == mate[:, :, None])).any(axis=2)
+        fits = (np.abs(product_sign) == 1) & ((kind >= 0) & (
+            measured[tuple(at)] == kind) & (paired | ~number)).all(axis=1)
         if not fits.all():
             q = np.argmin(fits)
             raise ValueError(
                 f"coverage product {records[q].tolist()} of "
                 f"{coverage[owner[q]][0]} needs a basis in 0..{n_bases - 1}, "
                 "a sign of ±1, and factors N of a mode (kind 0, i = j) or "
-                "Re/Im (kind 1/2) of a site that the basis measures so")
+                "Re/Im (kind 1/2) of a site that the basis measures so, and "
+                "N of a mode that the basis pairs only together with its "
+                "partner's N")
         return cls(n_modes, tuple(spins), level1, bases, elements,
                    np.append(0, np.cumsum(n_products)), product_basis,
                    product_sign, factors)
@@ -525,7 +532,7 @@ def build_plan(elements, spins, layout=None) -> MeasurementPlan:
         basis.schedule = route_pairs(pairs, n_modes)
     per_basis = {i: [] for i in range(len(level1))}
     for e, (b_idx, matching, _req) in zip(elements, assignments):
-        products = decompose_element(e, spins, matching=matching)
+        products = decompose_element(e, matching)
         per_basis[b_idx].append((e, products))
     bases, rows, n_products, headers, factors = [], [], [], [], []
     for b_idx in range(len(level1)):

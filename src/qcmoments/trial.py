@@ -3,15 +3,14 @@ routing, double-excitation blocks, Trotterized double-excitation products,
 and SPSA optimization with an exact coordinate polish.
 
 A double excitation G(theta) = exp(theta (a+_j a+_k a_l a_m - h.c.)) is
-implemented by routing the four modes to adjacent qubits with FSWAPs and
-applying a local 4-qubit block. The local block is synthesized exactly from
-the Jordan-Wigner image of the generator (eight mutually commuting weight-4
-X/Y strings) as a shared-ladder sequence of Pauli-phase gadgets. When the
-set of basis states reachable from the initial determinant allows it, the
-block is replaced by a cheaper template (a Givens-rotation ladder or a
-pair-compressed controlled rotation) chosen from a constant table of the
-patterns on which each template is exact; a tier-1 test recomputes the table
-by simulation.
+implemented by routing the four modes with FSWAPs into the window of adjacent
+qubits that needs the fewest and applying a local 4-qubit block: one
+Pauli-phase gadget on a shared CNOT ladder per X/Y string of the generator's
+Jordan-Wigner image. The window and the gadget angles both have closed forms.
+When the basis states reachable from the initial determinant allow it, a
+cheaper template (a Givens-rotation ladder or a pair-compressed controlled
+rotation) replaces the block, chosen from a constant table of the patterns on
+which each template is exact; a tier-1 test recomputes it by simulation.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conventions import interleaved_spins
-from .fermion import FermionOperator, jordan_wigner, sort_sign
+from .fermion import FermionOperator, sort_sign
 from .simulator import (
     Circuit, apply_terms, check_norm, operator_matrix_in_sector, sector_basis,
 )
@@ -174,35 +173,23 @@ def energy_objective(ansatz: Ansatz, h: FermionOperator):
 # fermionic swap routing
 
 
-def fswap_network(targets, n_qubits: int, layout=None):
+def fswap_network(targets, layout):
     """FSWAP sequence bringing the target logical modes to adjacent qubits.
 
-    Returns (circuit, new_layout, window_start). The targets end up occupying
-    a contiguous window in their current relative order; all other modes keep
-    their relative order. The window is chosen to minimize the swap count
-    (adjacent-transposition inversion count, which is optimal).
+    Returns (circuit, new_layout, window_start). The targets end up in a
+    contiguous window in their current relative order, the other modes keep
+    theirs. A window at s makes target r (in layout order) pass |q_r - s|
+    other modes, q_r its position minus r, so the swap count, which is
+    optimal, is the sum; its first minimizer is the lower median of q.
     """
-    if layout is None:
-        layout = tuple(range(n_qubits))
     targets = set(targets)
     if len(targets) < 1 or not targets <= set(layout):
         raise ValueError("invalid routing targets")
-    k = len(targets)
-    pos = {m: i for i, m in enumerate(layout)}
-    ordered_targets = [m for m in layout if m in targets]
+    positions = [i for i, m in enumerate(layout) if m in targets]
+    q = [i - r for r, i in enumerate(positions)]
+    start = q[(len(q) - 1) // 2]
     others = [m for m in layout if m not in targets]
-
-    best = None
-    for start in range(n_qubits - k + 1):
-        final = list(others[:start]) + ordered_targets + list(others[start:])
-        # inversion count between current and final orders
-        final_pos = {m: i for i, m in enumerate(final)}
-        seq = [final_pos[m] for m in layout]
-        inv = sum(1 for i in range(n_qubits) for j in range(i + 1, n_qubits)
-                  if seq[i] > seq[j])
-        if best is None or inv < best[0]:
-            best = (inv, start, final)
-    _, start, final = best
+    final = others[:start] + [layout[i] for i in positions] + others[start:]
     circ, new_layout = _fswap_sort(layout, {m: i for i, m in enumerate(final)})
     return circ, new_layout, start
 
@@ -231,24 +218,22 @@ def _fswap_sort(layout, final_pos) -> tuple:
 _LADDER = ((3, 2), (2, 1), (1, 0))  # parity accumulates at qubit 0
 
 
-def _pauli_gadget_block(gen: FermionOperator, theta: float) -> Circuit:
-    """Exact circuit for exp(theta * gen) on 4 qubits.
+def _pauli_gadget_block(exc: Excitation, theta: float) -> Circuit:
+    """Exact circuit for exp(theta * G) on 4 qubits, G the generator of the
+    local excitation `exc` with creations C and annihilations A.
 
-    gen must be an anti-Hermitian two-body excitation generator on 4 modes
-    whose Jordan-Wigner image is eight mutually commuting weight-4 X/Y
-    strings (one per odd-size Y-position subset).
+    Jordan-Wigner maps T to ``sort_sign(C + A)`` times the product over the
+    modes of (X_j -+ iY_j) / 2 (minus for a creation), with a Z left on
+    qubits 0 and 2 that flips an annihilation's sign there. So G = T - T^dag
+    sums, over the odd-size sets Y, i sigma / 8 * (+1 if |Y| = 1, else -1)
+    * (-1)^|Y & C| times the X/Y string with Y on Y, where
+    sigma = ``sort_sign(C + A)`` * (-1)^|A & {0, 2}|.
     """
-    pauli = jordan_wigner(gen)
-    strings = {}
-    for s, c in pauli.terms.items():
-        if abs(c.real) > 1e-12 or any(p == "Z" or p == "I" for p in s):
-            raise ValueError("generator is not a clean two-body excitation")
-        yset = frozenset(j for j, p in enumerate(s) if p == "Y")
-        if len(yset) % 2 == 0:
-            raise ValueError("unexpected even-Y string in excitation image")
-        strings[yset] = c.imag
-    if len(strings) != 8:
-        raise ValueError("expected eight Pauli strings in excitation image")
+    cre, ann = set(exc.creations), set(exc.annihilations)
+    sigma = sort_sign(exc.modes())[1] * (-1) ** len(ann & {0, 2}) / 8
+
+    def coeff(yset):  # of the string with Y on yset, divided by i
+        return sigma * (1 if len(yset) == 1 else -1) * (-1) ** len(yset & cre)
 
     # Gray-code order over Y-position sets; transitions costing fewer CNOTs
     # (changes on low qubits) are used most often
@@ -290,11 +275,11 @@ def _pauli_gadget_block(gen: FermionOperator, theta: float) -> Circuit:
         basis_open(j, j in first)
     for a, b in _LADDER:
         circ.cnot(a, b)
-    circ.rz(0, -2.0 * theta * strings[first])
+    circ.rz(0, -2.0 * theta * coeff(first))
     for prev, cur in zip(order, order[1:]):
         for j in sorted(prev ^ cur):
             junction(j, j in cur)
-        circ.rz(0, -2.0 * theta * strings[cur])
+        circ.rz(0, -2.0 * theta * coeff(cur))
     for a, b in reversed(_LADDER):
         circ.cnot(a, b)
     for j in range(4):
@@ -395,7 +380,7 @@ def build_uccd(ansatz: Ansatz) -> BuiltTrial:
     support = {ansatz.initial_occupation}  # masks in logical mode space
     kinds = []
     for exc in ansatz.excitations:
-        net, layout, w = fswap_network(exc.modes(), n, layout)
+        net, layout, w = fswap_network(exc.modes(), layout)
         circ.extend(net)
         window_modes = layout[w:w + 4]
         local_of = {m: i for i, m in enumerate(window_modes)}
@@ -411,7 +396,7 @@ def build_uccd(ansatz: Ansatz) -> BuiltTrial:
 
         block = simplified_block(local, local_patterns)
         if block is None:
-            block = _pauli_gadget_block(local.generator(4), exc.theta)
+            block = _pauli_gadget_block(local, exc.theta)
             kinds.append("general")
         else:
             kinds.append("identity" if not block.gates else "template")

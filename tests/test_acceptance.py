@@ -98,7 +98,7 @@ def test_criterion_02_grouping_golden():
     # level-2 outcomes: computational basis, single-X sites, {XX, YY} split
     outcomes = []
     for i, b in enumerate(bases):
-        products = [(e, decompose_element(e, SPINS4, matching=a[1]))
+        products = [(e, decompose_element(e, a[1]))
                     for e, a in zip(TWELVE, assignments) if a[0] == i]
         concrete, _ = group_level2(bases, i, products)
         assert all(c.parent == i for c in concrete)

@@ -735,6 +735,13 @@ ARCHIVE_FAULTS = {
     "coverage product on basis 99": (_edit_plan(
         lambda p: p["coverage"][0][1].__setitem__(0, 99)),
         "needs a basis in 0..4"),
+    # N0 N1 moved to a basis that pairs mode 1 with 3, or mode 0 with 2
+    "number product on basis 1": (_edit_plan(
+        lambda p: p["coverage"][0][1].__setitem__(0, 1)),
+        "pairs only together with its partner's N"),
+    "number product on basis 2": (_edit_plan(
+        lambda p: p["coverage"][0][1].__setitem__(0, 2)),
+        "pairs only together with its partner's N"),
     "coverage factor on a site its basis lacks": (
         _edit_plan(_re_factor_on_site_0_1), "that the basis measures so"),
     "coverage record past its list": (_edit_plan(

@@ -256,6 +256,7 @@ def test_integrals_faults_exit_2(tmp_path, fault, capsys):
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", ["frozen_occupied", "frozen_virtual"])
@@ -673,6 +674,11 @@ RUN_FAULTS = {
                                   "factors N of a mode"),
     "coverage factor N of no mode": ("plan", _set_first_product(3, 0, 4, 4),
                                      "factors N of a mode"),
+    # N0 N1 moved to a basis that pairs mode 1 with 3, or mode 0 with 2
+    "number product on basis 1": ("plan", _set_first_product(0, 1),
+                                  "pairs only together with its partner's N"),
+    "number product on basis 2": ("plan", _set_first_product(0, 2),
+                                  "pairs only together with its partner's N"),
     "coverage factor Im where its basis measures Re": (
         "plan", _edit_plan(_re_factor_as_im), "that the basis measures so"),
     "coverage record past its list": ("plan", _edit_plan(

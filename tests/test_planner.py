@@ -96,11 +96,17 @@ def dense_hermitian_part(e, n_modes):
     return jordan_wigner(scaled(plus(op, dagger(op)), 0.5)).to_matrix()
 
 
+def first_matching(e, spins):
+    """The first same-spin pairing of the element's cross indices."""
+    _, cres, anns = _split_element(e)
+    return _cross_matchings(cres, anns, spins)[0]
+
+
 def assert_decomposition_exact(e, spins):
     """Independent dense-matrix check of the operator identity."""
     n = len(spins)
     total = np.zeros((1 << n, 1 << n), dtype=complex)
-    for sign, factors in decompose_element(e, spins):
+    for sign, factors in decompose_element(e, first_matching(e, spins)):
         prod = np.eye(1 << n, dtype=complex)
         for f in factors:
             prod = prod @ dense_factor(f, n)
@@ -109,29 +115,32 @@ def assert_decomposition_exact(e, spins):
 
 
 def test_decompose_two_body_cross():
-    products = decompose_element(RdmElement((1, 2), (0, 3)), SPINS4)
+    e = RdmElement((1, 2), (0, 3))
+    products = decompose_element(e, first_matching(e, SPINS4))
     assert products == [(-1, ((RE, 0, 1), (RE, 2, 3))),
                         (-1, ((IM, 0, 1), (IM, 2, 3)))]
-    assert_decomposition_exact(RdmElement((1, 2), (0, 3)), SPINS4)
+    assert_decomposition_exact(e, SPINS4)
 
 
 def test_decompose_pure_number():
-    products = decompose_element(RdmElement((0, 1), (0, 1)), SPINS4)
+    e = RdmElement((0, 1), (0, 1))
+    products = decompose_element(e, first_matching(e, SPINS4))
     assert products == [(-1, ((N, 0, 0), (N, 1, 1)))]
 
 
 def test_decompose_mixed_number_and_cross():
-    products = decompose_element(RdmElement((0, 2), (1, 2)), SPINS4)
+    e = RdmElement((0, 2), (1, 2))
+    products = decompose_element(e, first_matching(e, SPINS4))
     assert len(products) == 1
     sign, factors = products[0]
     assert set(factors) == {(N, 2, 2), (RE, 0, 1)}
-    assert_decomposition_exact(RdmElement((0, 2), (1, 2)), SPINS4)
+    assert_decomposition_exact(e, SPINS4)
 
 
 def test_decompose_order_four_all_distinct():
     spins = interleaved_spins(8)
     e = RdmElement((1, 3, 4, 6), (0, 2, 5, 7))
-    products = decompose_element(e, spins)
+    products = decompose_element(e, first_matching(e, spins))
     # four cross pairs: the even-Im half of the 2^4 expansion survives
     assert len(products) == 8
     assert all(sum(1 for k, _, _ in f if k == IM) % 2 == 0
@@ -147,9 +156,9 @@ def test_decompose_random_elements_against_dense_oracle():
         assert_decomposition_exact(elements[i], spins)
 
 
-def test_decompose_rejects_spin_nonconserving():
-    with pytest.raises(ValueError, match="pairing"):
-        decompose_element(RdmElement((0, 1), (2, 3)), SPINS4)
+def test_planning_rejects_spin_nonconserving():
+    with pytest.raises(ValueError, match="no same-spin pairing"):
+        group_level1([RdmElement((0, 1), (2, 3))], SPINS4)
 
 
 # -- closed-form signs against direct solves
@@ -188,7 +197,7 @@ def test_sign_rule_matches_direct_solves_on_every_matching(n_modes, order):
                                               ranked_matching)
             got = [(sign, tuple((k, rank[i], rank[j])
                                 for k, i, j in factors))
-                   for sign, factors in decompose_element(e, spins, matching)]
+                   for sign, factors in decompose_element(e, matching)]
             assert got == oracle[key]
             checked += 1
     assert all(sign for products in oracle.values() for sign, _ in products)
@@ -205,7 +214,7 @@ def test_sign_rule_on_noncontiguous_modes():
         (RdmElement((0, 2), (4, 6)), ((0, 4), (2, 6))),
     ]
     for e, matching in cases:
-        assert decompose_element(e, spins, matching=matching) \
+        assert decompose_element(e, matching) \
             == solved_products(e, len(spins), matching)
     assert_decomposition_exact(cases[0][0], spins)
 
@@ -253,7 +262,7 @@ def test_group_level2_xx_yy_split():
     bases, assignments = group_level1(elements, SPINS4)
     assert len(bases) == 1 and bases[0].interactions == [(0, 1), (2, 3)]
     element_products = [
-        (e, decompose_element(e, SPINS4, matching=a[1]))
+        (e, decompose_element(e, a[1]))
         for e, a in zip(elements, assignments)]
     concrete, placements = group_level2(bases, 0, element_products)
     assert len(concrete) == 2
@@ -267,8 +276,7 @@ def test_group_level2_all_number_basis():
     e = RdmElement((0, 1), (0, 1))
     bases, assignments = group_level1([e], ("u", "d"))
     concrete, _ = group_level2(
-        bases, 0, [(e, decompose_element(e, ("u", "d"),
-                                         matching=assignments[0][1]))])
+        bases, 0, [(e, decompose_element(e, assignments[0][1]))])
     assert len(concrete) == 1
     assert bases[0].interactions == [(0, 0), (1, 1)]
     assert concrete[0].kinds == ()
@@ -278,8 +286,7 @@ def test_group_level2_single_site():
     e = RdmElement((0,), (1,))
     bases, assignments = group_level1([e], ("u", "u"))
     concrete, _ = group_level2(
-        bases, 0, [(e, decompose_element(e, ("u", "u"),
-                                         matching=assignments[0][1]))])
+        bases, 0, [(e, decompose_element(e, assignments[0][1]))])
     assert len(concrete) == 1
     assert concrete[0].kinds == (RE,)
 
@@ -535,7 +542,7 @@ def expected_coverage(elements, spins):
     level1, assignments = group_level1(elements, spins)
     per_basis = [[] for _ in level1]
     for e, (b_idx, matching, _) in zip(elements, assignments):
-        per_basis[b_idx].append((e, decompose_element(e, spins, matching)))
+        per_basis[b_idx].append((e, decompose_element(e, matching)))
     coverage, offset = {}, 0
     for b_idx, element_products in enumerate(per_basis):
         concrete, placements = group_level2(level1, b_idx, element_products)
@@ -577,7 +584,7 @@ def test_plan_factors_are_the_decomposed_rows_in_placement_order():
     level1, assignments = group_level1(elements, spins)
     per_basis = [[] for _ in level1]
     for e, (b_idx, matching, _) in zip(elements, assignments):
-        per_basis[b_idx].append((e, decompose_element(e, spins, matching)))
+        per_basis[b_idx].append((e, decompose_element(e, matching)))
     rows = [list(row) for b_idx, element_products in enumerate(per_basis)
             for placed in group_level2(level1, b_idx, element_products)[1]
             for _, _, factors in placed for row in factors]
@@ -610,7 +617,7 @@ def test_even_im_products_match_the_filtered_expansion(n_modes, order):
     for e in enumerate_elements(n_modes, order, spins):
         _, cres, anns = _split_element(e)
         for matching in _cross_matchings(cres, anns, spins):
-            assert decompose_element(e, spins, matching) == \
+            assert decompose_element(e, matching) == \
                 decompose_element_by_filter(e, matching)
 
 
@@ -619,9 +626,8 @@ def test_plan_bytes_do_not_depend_on_the_even_im_generation(monkeypatch):
     elements, spins = _pinned_elements_and_spins(9, 4, "interleaved")
     digests = [hashlib.sha256(build_plan(elements, spins).dumps().encode())
                .hexdigest()]
-    monkeypatch.setattr(
-        planner, "decompose_element",
-        lambda e, spins, matching: decompose_element_by_filter(e, matching))
+    monkeypatch.setattr(planner, "decompose_element",
+                        decompose_element_by_filter)
     digests.append(hashlib.sha256(build_plan(elements, spins).dumps()
                                   .encode()).hexdigest())
     assert digests[0] == digests[1]

@@ -7,7 +7,8 @@ import scipy.linalg
 
 from fixtures_util import h2_system, h4_system, optimized_thetas, \
     trial_energy
-from qcmoments.fermion import FermionOperator, jordan_wigner, sort_sign
+from qcmoments.fermion import FermionOperator, PauliOperator, jordan_wigner, \
+    sort_sign
 from qcmoments.simulator import (
     Circuit, operator_matrix_in_sector, run,
 )
@@ -21,7 +22,9 @@ from qcmoments.trial import (
 import reference_trial
 from reference_simulator import basis_state, operator_matrix
 from reference_fermion import add_string, dagger, from_ops, plus, scaled
-from reference_trial import local_double_excitation, trial_state_in_mode_order
+from reference_trial import block_from_jordan_wigner_image, \
+    fswap_window_by_search, jordan_wigner_strings, local_double_excitation, \
+    trial_state_in_mode_order
 
 
 # non-adjacent excitations on an interleaved 6-mode determinant
@@ -166,9 +169,49 @@ def test_gadget_block_other_index_orders():
     for creations, annihilations in [((0, 3), (1, 2)), ((1, 2), (0, 3)),
                                      ((0, 2), (1, 3))]:
         exc = Excitation(creations, annihilations, 0.7)
-        circ = _pauli_gadget_block(exc.generator(4), 0.7)
+        circ = _pauli_gadget_block(exc, 0.7)
         assert np.max(np.abs(circuit_unitary(circ) - exact_block(exc, 4))) \
             < 1e-9
+
+
+#: every ordered choice of creations and annihilations on four local modes
+LOCAL_EXCITATIONS = [Excitation(m[:2], m[2:])
+                     for m in itertools.permutations(range(4))]
+
+
+def test_gadget_rotations_carry_the_jordan_wigner_coefficients():
+    # with the gates before each RZ(phi) on qubit 0 the Clifford P, that
+    # rotation is exp(-i phi/2 M) for M = P^dag Z_0 P; at theta = -1/2 the
+    # term i c S of G that it applies, with M = +-S, has c = +-phi. The
+    # gates without the RZs must cancel to the identity
+    z0 = PauliOperator(4, {("Z", "I", "I", "I"): 1.0}).to_matrix()
+    strings = {s: PauliOperator(4, {s: 1.0}).to_matrix()
+               for s in itertools.product("XY", repeat=4)}
+    assert len(LOCAL_EXCITATIONS) == 24
+    for exc in LOCAL_EXCITATIONS:
+        gates = _pauli_gadget_block(exc, -0.5).gates
+        frame = Circuit(4)
+        coefficients = {}
+        for name, qubits, phi in gates:
+            if name != "RZ":
+                frame.add(name, qubits, phi)
+                continue
+            p = run(frame, np.eye(16)).T
+            m = p.conj().T @ z0 @ p
+            (s, sign), = [(s, sign) for s, mat in strings.items()
+                          for sign in (1.0, -1.0)
+                          if np.allclose(m, sign * mat, atol=1e-12)]
+            coefficients[frozenset(j for j, q in enumerate(s) if q == "Y")] \
+                = sign * phi
+        assert np.allclose(run(frame, np.eye(16)), np.eye(16), atol=1e-12)
+        assert coefficients == jordan_wigner_strings(exc.generator(4))
+
+
+def test_gadget_block_equals_the_block_from_the_jordan_wigner_image():
+    for exc in LOCAL_EXCITATIONS:
+        for theta in (0.7, -1.3, 2.9):
+            assert _pauli_gadget_block(exc, theta).gates == \
+                block_from_jordan_wigner_image(exc.generator(4), theta).gates
 
 
 def test_gadget_block_cnot_count():
@@ -193,8 +236,22 @@ def fswap_oracle(layout, n):
     return u
 
 
+def test_fswap_window_is_the_searched_window():
+    # the lower median of the targets' offsets is the first start of least
+    # swap count, on random layouts and target sets
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        n = int(rng.integers(1, 11))
+        layout = tuple(int(m) for m in rng.permutation(n))
+        targets = {int(m) for m in
+                   rng.choice(n, int(rng.integers(1, n + 1)), replace=False)}
+        circ, new_layout, start = fswap_network(targets, layout)
+        assert start == fswap_window_by_search(targets, layout)
+        assert set(new_layout[start:start + len(targets)]) == targets
+
+
 def test_fswap_network_routing_and_signs():
-    circ, layout, start = fswap_network({0, 1, 2, 7}, 8)
+    circ, layout, start = fswap_network({0, 1, 2, 7}, tuple(range(8)))
     assert sum(1 for g in circ.gates if g[0] == "FSWAP") <= 4
     window = set(layout[start:start + 4])
     assert window == {0, 1, 2, 7}
@@ -203,14 +260,14 @@ def test_fswap_network_routing_and_signs():
 
 
 def test_fswap_network_small_cases():
-    circ, layout, start = fswap_network({2, 3}, 4)
+    circ, layout, start = fswap_network({2, 3}, (0, 1, 2, 3))
     assert layout == (0, 1, 2, 3) and not circ.gates
-    circ, layout, start = fswap_network({0, 3}, 4)
+    circ, layout, start = fswap_network({0, 3}, (0, 1, 2, 3))
     assert set(layout[start:start + 2]) == {0, 3}
     assert np.max(np.abs(circuit_unitary(circ) - fswap_oracle(layout, 4))) \
         < 1e-12
     with pytest.raises(ValueError):
-        fswap_network({9}, 4)
+        fswap_network({9}, (0, 1, 2, 3))
 
 
 def test_simplified_block_costs():
