@@ -122,10 +122,11 @@ def sample_counts(cfg: PipelineConfig, prepared, bases,
         probs = np.abs(run(mc.routed, stack)) ** 2
         ideal[2 + np.array(rows)] = probs[0::2]
         ideal[2 + n_bases + np.array(rows)] = probs[1::2]
+    cnots = {p: circuits[p].routed.cnot_count() for p in parents}
     q = [0.0, 0.0] + [
-        white_noise_rate(noise["global_q"], noise["cnot_q"], c.cnot_count()
-                         + circuits[b.parent].routed.cnot_count())
-        for c in prepared for b in bases]
+        white_noise_rate(noise["global_q"], noise["cnot_q"],
+                         n + cnots[b.parent])
+        for n in [c.cnot_count() for c in prepared] for b in bases]
     seeds = [derive_seed(cfg.master_seed, tag, i) for tag, count in (
         ("calibration", 2), ("sample-trial", n_bases),
         ("sample-reference", n_bases)) for i in range(count)]

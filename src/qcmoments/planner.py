@@ -24,7 +24,10 @@ q1 = q2 denoting a plain number measurement. Level 2 splits each pairing
 basis into concrete tensor-product bases by assigning Re or Im to every
 pair site so that each product component is measurable; a product needing
 only number information is measurable in any concrete basis because all
-diagonalization circuits conserve the pair occupation number.
+diagonalization circuits conserve the pair occupation number. Both levels
+find the first fit with int bit masks, and one :func:`build_plan` call
+builds the cross matchings of each residual index set and the number
+covers of each number set once.
 
 Pair interactions are scheduled on the line by the exact router in
 :mod:`qcmoments.routing`, once per level-1 basis. A concrete basis is, in
@@ -99,11 +102,11 @@ N, RE, IM = range(len(KINDS))
 
 
 def _split_element(e: RdmElement):
-    """Repeated indices (number factors) and the residual cross indices."""
-    numbers = sorted(set(e.creations) & set(e.annihilations))
-    cres = [m for m in e.creations if m not in numbers]
-    anns = [m for m in e.annihilations if m not in numbers]
-    return numbers, cres, anns
+    """Number modes and the residual cross indices, as increasing tuples."""
+    anns = set(e.annihilations)
+    numbers = tuple([m for m in e.creations if m in anns])
+    return (numbers, tuple([m for m in e.creations if m not in anns]),
+            tuple([m for m in e.annihilations if m not in numbers]))
 
 
 def _cross_matchings(cres, anns, spins):
@@ -147,9 +150,9 @@ def decompose_element(e: RdmElement, matching):
     the product with m Im factors the sign σ · (-1)^(m/2) · Π s over its Im
     factors in the Hermitian part, and nothing when m is odd.
     """
-    numbers = _split_element(e)[0]
     cre_at = {m: i for i, m in enumerate(e.creations)}
     ann_at = {m: i for i, m in enumerate(e.annihilations, e.order)}
+    numbers = [m for m in e.creations if m in ann_at]
     pair_form = [(i, i) for i in numbers] + list(matching)
     sigma = sort_sign([at for c, a in pair_form
                        for at in (cre_at[c], ann_at[a])])[1]
@@ -214,19 +217,23 @@ def _number_covers(numbers, spins):
                 yield cov | {(i, j)}
 
 
-def _requirement_options(e: RdmElement, spins):
-    """(matching, interaction set) alternatives, smallest sets first."""
+def _requirement_options(e: RdmElement, spins, crosses, covers):
+    """(matching, interaction set) alternatives, smallest sets first, from
+    the caller's memos: `crosses` maps residual (creations, annihilations)
+    to cross matchings with their sites, `covers` number modes to covers."""
     numbers, cres, anns = _split_element(e)
-    matchings = _cross_matchings(cres, anns, spins)
-    if not matchings:
+    if (cross := crosses.get((cres, anns))) is None:
+        cross = crosses[cres, anns] = [
+            (matching, frozenset(tuple(sorted(p)) for p in matching))
+            for matching in _cross_matchings(cres, anns, spins)]
+    if not cross:
         raise ValueError(f"no same-spin pairing for {e}")
-    covers = list(_number_covers(numbers, spins))
-    options = []
-    for matching in matchings:
-        cross = frozenset(tuple(sorted(p)) for p in matching)
-        for cover in covers:
-            options.append((matching, cross | cover))
-    options.sort(key=lambda mo: (len(mo[1]), sorted(mo[1]), mo[0]))
+    if (cover := covers.get(numbers)) is None:
+        cover = covers[numbers] = list(_number_covers(numbers, spins))
+    options = [(matching, sites | c) for matching, sites in cross
+               for c in cover]
+    if len(options) > 1:
+        options.sort(key=lambda mo: (len(mo[1]), sorted(mo[1]), mo[0]))
     return options
 
 
@@ -246,12 +253,14 @@ def group_level1(elements, spins):
     ``holds[site] | ~(busy[q1] | busy[q2])`` is every basis the option fits,
     and the lowest set bit over all options is the first-fit basis. The
     sites of one option are pairwise disjoint, so they cannot clash with
-    each other.
+    each other. Options are built from two memos that live for this call:
+    cross matchings by residual (creations, annihilations), and number
+    covers by number modes.
     """
     holds, busy = {}, [0] * len(spins)
-    haves, assignments = [], []
+    haves, assignments, crosses, covers = [], [], {}, {}
     for e in elements:
-        options = _requirement_options(e, spins)
+        options = _requirement_options(e, spins, crosses, covers)
         fits = []
         for _, required in options:
             fit = (1 << len(haves)) - 1
@@ -297,31 +306,35 @@ def group_level2(level1, parent: int, element_products):
     placements[i] = list of (concrete index, sign, factors) per element.
     Each product goes to the first concrete basis whose kinds agree with its
     Re/Im factors, or opens one; a site no product fixes is measured as Re.
+    A concrete basis is two bit masks, its pair sites fixed to Re and to
+    Im; a product fits unless one of its sites is fixed to the other kind.
     """
-    sites = level1[parent].pair_sites()
-    concrete: list[dict] = []   # site -> RE/IM (partial)
+    bit = {site: 1 << k for k, site in enumerate(level1[parent].pair_sites())}
+    re_sites, im_sites = [], []
     placements = []
     for element, products in element_products:
         placed = []
         for sign, factors in products:
-            wanted = [((i, j), k) for k, i, j in factors if k != N]
-            for idx, chosen in enumerate(concrete):
-                for site, k in wanted:
-                    if chosen.get(site, k) != k:
-                        break
-                else:
+            re = im = 0
+            for k, i, j in factors:
+                if k == RE:
+                    re |= bit[i, j]
+                elif k == IM:
+                    im |= bit[i, j]
+            for idx, (has_re, has_im) in enumerate(zip(re_sites, im_sites)):
+                if not (re & has_im or im & has_re):
                     break
             else:
-                idx = len(concrete)
-                concrete.append({})
-            concrete[idx].update(wanted)
+                idx = len(re_sites)
+                re_sites.append(0)
+                im_sites.append(0)
+            re_sites[idx] |= re
+            im_sites[idx] |= im
             placed.append((idx, sign, factors))
         placements.append(placed)
-    if not concrete:
-        concrete.append({})
-    return [ConcreteBasis(parent, tuple(chosen.get(site, RE)
-                                        for site in sites))
-            for chosen in concrete], placements
+    return [ConcreteBasis(parent, tuple(IM if has_im >> k & 1 else RE
+                                        for k in range(len(bit))))
+            for has_im in im_sites or [0]], placements
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +557,12 @@ def build_plan(elements, spins, layout=None) -> MeasurementPlan:
             n_products.append(len(placed))
             for idx, sign, product in placed:
                 headers.append((offset + idx, sign))
-                factors.append(product)
+                factors.extend(itertools.chain.from_iterable(product))
     headers = np.array(headers, dtype=np.int64)
     return MeasurementPlan(
         n_modes, tuple(spins), level1, bases, np.array(rows, dtype=np.int64),
         np.append(0, np.cumsum(n_products)), headers[:, 0], headers[:, 1],
-        np.array(factors, dtype=np.int64))
+        np.array(factors, dtype=np.int64).reshape(-1, elements[0].order, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Planner oracles: direct sign solves, the first-fit scan, the element
-count and the build-filter-sort enumeration.
+"""Planner oracles: direct sign solves, the first-fit scans of both
+levels, the element count and the build-filter-sort enumeration.
 
 The closed-form signs of :func:`qcmoments.planner.decompose_element` are
 checked against direct solves: each candidate product of Re/Im/number
@@ -13,7 +13,14 @@ even ones.
 
 The bit-set grouping of :func:`qcmoments.planner.group_level1` is checked
 against ``group_level1_scan``, which tries every earlier basis in order
-against every option of the element.
+against every option of the element. The scan builds each element's
+options with fresh memos, so that the options ``group_level1`` builds from
+memos it shares across elements are checked against options built from
+scratch.
+
+The bit-mask first fit of :func:`qcmoments.planner.group_level2` is checked
+against ``group_level2_by_dict``, which holds each concrete basis as a dict
+from site to kind, as the planner did before it held two bit masks.
 
 :func:`qcmoments.planner.enumerate_elements` is checked against
 ``enumerate_elements_by_filter``, which builds every canonical element,
@@ -40,8 +47,8 @@ from math import comb, prod
 import numpy as np
 
 from qcmoments.fermion import FermionOperator, multiply, sort_sign
-from qcmoments.planner import IM, N, RE, PairingBasis, RdmElement, \
-    _re_diagonalizer, _requirement_options, _split_element
+from qcmoments.planner import IM, N, RE, ConcreteBasis, PairingBasis, \
+    RdmElement, _re_diagonalizer, _requirement_options, _split_element
 from qcmoments.simulator import Circuit
 
 from reference_fermion import add_string, dagger, from_ops, identity, plus, \
@@ -148,7 +155,8 @@ def group_level1_scan(elements, spins):
     assignments = []
     for e in elements:
         options = [(matching, required, sorted(required))
-                   for matching, required in _requirement_options(e, spins)]
+                   for matching, required in _requirement_options(
+                       e, spins, {}, {})]
         for b_idx, (have, used) in enumerate(zip(haves, useds)):
             best = None
             for matching, required, ordered in options:
@@ -168,6 +176,35 @@ def group_level1_scan(elements, spins):
             useds.append({q for site in required for q in site})
             assignments.append((len(haves) - 1, matching, required))
     return [PairingBasis(sorted(have)) for have in haves], assignments
+
+
+def group_level2_by_dict(level1, parent: int, element_products):
+    """``planner.group_level2`` with each concrete basis held as a dict from
+    pair site to kind code, filled as products are placed."""
+    sites = level1[parent].pair_sites()
+    concrete = []
+    placements = []
+    for element, products in element_products:
+        placed = []
+        for sign, factors in products:
+            wanted = [((i, j), k) for k, i, j in factors if k != N]
+            for idx, chosen in enumerate(concrete):
+                for site, k in wanted:
+                    if chosen.get(site, k) != k:
+                        break
+                else:
+                    break
+            else:
+                idx = len(concrete)
+                concrete.append({})
+            concrete[idx].update(wanted)
+            placed.append((idx, sign, factors))
+        placements.append(placed)
+    if not concrete:
+        concrete.append({})
+    return [ConcreteBasis(parent, tuple(chosen.get(site, RE)
+                                        for site in sites))
+            for chosen in concrete], placements
 
 
 def element_count_formula(n_modes: int, p: int) -> int:

@@ -21,7 +21,8 @@ from reference_fermion import dagger, plus, scaled
 from reference_planner import (
     _im_diagonalizer, circuit_with_s_in_place, decompose_element_by_filter,
     element_count_formula, element_operator, enumerate_elements_by_filter,
-    factor_operator, group_level1_scan, measured_circuit, solved_products,
+    factor_operator, group_level1_scan, group_level2_by_dict,
+    measured_circuit, solved_products,
 )
 from reference_simulator import basis_state
 
@@ -491,8 +492,12 @@ def test_plan_json_roundtrip():
 @pytest.mark.parametrize("n_modes, order, pattern", [
     (9, 4, "interleaved"), (9, 4, "uuuuudddd"),
     (8, 3, "interleaved"), (8, 3, "uuuudddd"),
+    (10, 3, "interleaved"), (7, 3, "ududdud"),
 ])
 def test_group_level1_matches_first_fit_scan(n_modes, order, pattern):
+    # the scan builds every element's options with fresh memos; in these
+    # plans many elements share a residual (creations, annihilations) with
+    # another number set, or number modes with another residual
     spins = interleaved_spins(n_modes) if pattern == "interleaved" \
         else tuple(pattern)
     elements = enumerate_elements(n_modes, order, spins)
@@ -515,6 +520,8 @@ PLAN_DIGESTS = {
         "29a0f16ca4279d07a7ae8d42b0d2785e3ae4fdc44e6d5ebf70ece6c2213887d9",
     (9, 4, "uuuuudddd", False):
         "b8f84b87e7c1cfb5076b9b897bff5bc285b39c5c06763d09b8343800d00891e3",
+    (10, 3, "interleaved", False):
+        "fc254d8f300e32599e6bb28c9eb9f239b463470fbc2e5dc738580d3c879b1c4c",
 }
 
 
@@ -536,13 +543,21 @@ def _pinned_elements_and_spins(n_modes, order, pattern):
     return enumerate_elements(n_modes, order, spins), spins
 
 
-def expected_coverage(elements, spins):
-    """{element: [(basis, sign, factors)]} in build order, from
-    decompose_element and group_level2 as build_plan chains them."""
+def products_per_parent(elements, spins):
+    """The level-1 bases and, per basis, its (element, products) in element
+    order, from group_level1 and decompose_element as build_plan chains
+    them."""
     level1, assignments = group_level1(elements, spins)
     per_basis = [[] for _ in level1]
     for e, (b_idx, matching, _) in zip(elements, assignments):
         per_basis[b_idx].append((e, decompose_element(e, matching)))
+    return level1, per_basis
+
+
+def expected_coverage(elements, spins):
+    """{element: [(basis, sign, factors)]} in build order, from
+    decompose_element and group_level2 as build_plan chains them."""
+    level1, per_basis = products_per_parent(elements, spins)
     coverage, offset = {}, 0
     for b_idx, element_products in enumerate(per_basis):
         concrete, placements = group_level2(level1, b_idx, element_products)
@@ -551,6 +566,16 @@ def expected_coverage(elements, spins):
             coverage[e] = [(offset + idx, s, f) for idx, s, f in placed]
         offset += len(concrete)
     return coverage
+
+
+@pytest.mark.parametrize("n_modes, order", [(9, 4), (10, 3)])
+def test_group_level2_matches_the_dict_first_fit(n_modes, order):
+    # every parent of the plan, split by the bit masks and by site dicts
+    level1, per_basis = products_per_parent(*_pinned_elements_and_spins(
+        n_modes, order, "interleaved"))
+    for b_idx, element_products in enumerate(per_basis):
+        assert group_level2(level1, b_idx, element_products) == \
+            group_level2_by_dict(level1, b_idx, element_products)
 
 
 @pytest.mark.parametrize("case", [*PLAN_DIGESTS, "twelve"], ids=lambda c: (
@@ -581,10 +606,7 @@ def test_plan_factors_are_the_decomposed_rows_in_placement_order():
     # placed the products, basis by basis
     elements, spins = _pinned_elements_and_spins(8, 4, "interleaved")
     plan = build_plan(elements, spins)
-    level1, assignments = group_level1(elements, spins)
-    per_basis = [[] for _ in level1]
-    for e, (b_idx, matching, _) in zip(elements, assignments):
-        per_basis[b_idx].append((e, decompose_element(e, matching)))
+    level1, per_basis = products_per_parent(elements, spins)
     rows = [list(row) for b_idx, element_products in enumerate(per_basis)
             for placed in group_level2(level1, b_idx, element_products)[1]
             for _, _, factors in placed for row in factors]
