@@ -112,7 +112,9 @@ def _search(pairs, n_qubits, depth, failed):
     pairs sit, and more remaining steps never hurt, so one memo serves
     every depth of the iterative deepening and every labelling. It only
     cuts subtrees that hold no schedule, so the first schedule found is the
-    one the search without it finds.
+    one the search without it finds. ``dfs`` calls itself through its
+    closure cell; the cell is cleared on return, so the closure is freed by
+    reference counting and leaves no cycle for the garbage collector.
     """
     start = tuple(tuple(sorted(p)) for p in pairs)
     identity = list(range(n_qubits))
@@ -177,7 +179,10 @@ def _search(pairs, n_qubits, depth, failed):
         failed[key] = remaining
         return None
 
-    return dfs(start, depth)
+    try:
+        return dfs(start, depth)
+    finally:
+        del dfs
 
 
 def _greedy_route(pairs, n_qubits) -> Schedule:

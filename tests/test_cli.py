@@ -5,6 +5,7 @@ and checks exit codes, file artifacts, and numerical results against the
 exact-diagonalization values of the committed fixtures.
 """
 import functools
+import gc
 import hashlib
 import json
 import pathlib
@@ -14,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcmoments import analysis, simulator, trial
+from qcmoments import analysis, cli, simulator, trial
 from qcmoments.analysis import Analyzer, write_archive
 from qcmoments.cli import _load_system, main
 from qcmoments.config import ConfigError, derive_seed, load_config, \
@@ -739,19 +740,26 @@ RUN_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", RUN_FAULTS)
-def test_run_input_faults_exit_2(run_inputs, tmp_path, fault, capsys):
+def _faulty_run(run_inputs, tmp_path, fault):
+    """`run` arguments on copies of the run inputs with the RUN_FAULTS
+    corruption `fault`, and the output directory they name."""
     cfg, plan, thetas = run_inputs
     inputs = {"plan": tmp_path / "plan.json",
               "thetas": tmp_path / "thetas.json"}
     shutil.copy(plan, inputs["plan"])
     shutil.copy(thetas, inputs["thetas"])
-    which, corrupt, message = RUN_FAULTS[fault]
+    which, corrupt, _ = RUN_FAULTS[fault]
     corrupt(inputs[which])
     out = tmp_path / "counts"
-    assert main(["run", "--config", str(cfg), "--plan", str(inputs["plan"]),
-                 "--thetas", str(inputs["thetas"]),
-                 "--output-dir", str(out)]) == 2
+    return ["run", "--config", str(cfg), "--plan", str(inputs["plan"]),
+            "--thetas", str(inputs["thetas"]), "--output-dir", str(out)], out
+
+
+@pytest.mark.parametrize("fault", RUN_FAULTS)
+def test_run_input_faults_exit_2(run_inputs, tmp_path, fault, capsys):
+    argv, out = _faulty_run(run_inputs, tmp_path, fault)
+    message = RUN_FAULTS[fault][2]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and message in err
     assert "Traceback" not in err
@@ -993,13 +1001,17 @@ def test_noisy_pipeline_mitigates_to_fci(tmp_path):
     assert "failed" in partial or full < abs(partial["e_l_error"])
 
 
-def test_unmitigated_noisy_analysis_fails_cleanly(tmp_path):
-    cfg = write_config(
+def _unmitigated_noisy_config(tmp_path):
+    return write_config(
         tmp_path, output_dir=str(tmp_path / "out"),
         noise={"global_q": 0.3, "p01": 0.05, "p10": 0.05},
         mitigation={"qrem": False, "clip": False, "postselect": False,
                     "rescale": False, "calibrate": False},
         bootstrap={"enabled": False})
+
+
+def test_unmitigated_noisy_analysis_fails_cleanly(tmp_path):
+    cfg = _unmitigated_noisy_config(tmp_path)
     # heavy unmitigated noise yields unphysical cumulants: a clean numerical
     # failure (exit 3), never a silent wrong answer
     assert main(["pipeline", "--config", str(cfg)]) == 3
@@ -1074,6 +1086,80 @@ def test_pipeline_outputs_are_pinned(tmp_path, system):
             digest, name
     boot = json.loads((out / "report.json").read_text())["bootstrap"]
     assert boot == PINNED_BOOTSTRAP[system]
+
+
+# ---------------------------------------------------------------------------
+# the cyclic garbage collector, paused for each command
+
+
+@pytest.mark.parametrize("collecting", [True, False],
+                         ids=["enabled", "disabled"])
+@pytest.mark.parametrize("outcome", ["exit 0", "exit 2", "exit 3", "usage"])
+def test_main_leaves_the_collector_as_it_found_it(
+        run_inputs, tmp_path, monkeypatch, capsys, outcome, collecting):
+    if outcome == "exit 2":
+        argv = _faulty_run(run_inputs, tmp_path, "missing plan file")[0]
+    elif outcome == "exit 3":
+        argv = ["pipeline", "--config",
+                str(_unmitigated_noisy_config(tmp_path))]
+    else:
+        # without --output, argparse exits through SystemExit
+        argv = ["plan", "--modes", "4"] + (
+            ["--output", str(tmp_path / "plan.json")]
+            if outcome == "exit 0" else [])
+    paused = []
+    build_parser = cli.build_parser
+
+    def recording():
+        paused.append(not gc.isenabled())
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    if not collecting:
+        gc.disable()
+    try:
+        if outcome == "usage":
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == int(outcome[-1])
+        assert gc.isenabled() == collecting
+    finally:
+        gc.enable()
+    assert paused == [True]
+
+
+def _cycles_left(argv):
+    """Objects in reference cycles that one `main` call leaves behind,
+    counted with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_plan_cycles_do_not_grow_with_the_plan(tmp_path, capsys):
+    # what is left is argparse's own, so the 9-mode order-4 plan, with its
+    # 141 routed bases, leaves what the 4-mode order-2 plan leaves
+    out = str(tmp_path / "plan.json")
+    assert _cycles_left(["plan", "--modes", "4", "--order", "2",
+                         "--output", out]) == \
+        _cycles_left(["plan", "--modes", "9", "--order", "4",
+                      "--output", out])
+
+
+def test_pipeline_cycles_do_not_grow_with_the_system(tmp_path, capsys):
+    left = []
+    for system, (overrides, _, _) in PINNED_PIPELINES.items():
+        (tmp_path / system).mkdir()
+        cfg = write_config(tmp_path / system, **overrides,
+                           noise=PINNED_NOISE, master_seed=7,
+                           output_dir=str(tmp_path / system / "out"))
+        left.append(_cycles_left(["pipeline", "--config", str(cfg)]))
+    assert left[0] == left[1]
 
 
 @pytest.mark.parametrize("overrides", [

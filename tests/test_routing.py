@@ -1,4 +1,5 @@
 """Exact pair routing on a line and its binary-program constraints."""
+import gc
 import itertools
 import random
 
@@ -159,3 +160,16 @@ def test_memo_search_matches_memo_free_search_on_9_mode_plans(pattern):
         pairs = basis.pair_sites()
         assert route_pairs(pairs, 9).to_json() == \
             route_pairs_without_memo(pairs, 9).to_json(), pairs
+
+
+def test_search_leaves_no_reference_cycle():
+    # the search's recursive closure is released by reference counting, so
+    # with the collector off nothing of a call is left for it to find
+    gc.collect()
+    gc.disable()
+    try:
+        sched = route_pairs([(0, 7), (1, 6), (2, 5), (3, 4)], 8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert sched.certified
