@@ -6,10 +6,11 @@ An archive holds one (tables x 2^n) integer count matrix with rows
 0..B-1]; column i counts the outcome whose bit q is qubit q's reading.
 This module alone knows that row layout: :func:`sample_counts` simulates
 each parent's circuit once for all its concrete bases and draws every row
-in one noisy pass, :func:`write_archive` and :func:`load_archive` store and
-check it, and :class:`Analyzer` reads it. :func:`measurement_circuits`
-checks a plan against its config and gives one circuit per level-1 basis:
-concrete basis ``b`` is measured by ``circuits[b.parent]``.
+in one noisy pass, :func:`write_archive` gives the archive's files as
+bytes, :func:`load_archive` checks them, and :class:`Analyzer` reads it.
+:func:`measurement_circuits` checks a plan against its config and gives
+one circuit per level-1 basis: concrete basis ``b`` is measured by
+``circuits[b.parent]``.
 :class:`Analyzer` compiles, once per plan and Hamiltonian, every map that
 an analysis needs:
 
@@ -56,16 +57,16 @@ from .fermion import FermionOperator, reversal_sign
 from .mitigation import (
     calibration_from_counts, check_representability, clip_rows, fail,
     fit_white_noise_rate, outcome_bits, postselect_mask, postselect_rows,
-    qrem_rows, reference_calibrate,
+    reference_calibrate,
 )
 from .planner import IM, N, MeasurementPlan, build_measurement_circuit, \
     enumerate_elements
 from .qcm import CumulantSet, MomentSet, bootstrap, cumulants, \
     lanczos_energy
 from .simulator import (
-    apply_terms, assignment_matrices, check_norm, exact_diagonalize, locate,
-    noisy_distribution, operator_matrix_in_sector, run, sample, sector_basis,
-    white_noise_rate,
+    apply_per_qubit, apply_terms, assignment_matrices, check_norm,
+    exact_diagonalize, locate, noisy_distribution, operator_matrix_in_sector,
+    run, sample, sector_basis, white_noise_rate,
 )
 
 ABLATION_STACKS = [
@@ -137,23 +138,20 @@ def sample_counts(cfg: PipelineConfig, prepared, bases,
     return counts
 
 
-def write_archive(archive_dir, plan_bytes: bytes, counts, manifest: dict):
-    """Write ``plan.json`` (the plan bytes as given, not re-serialized),
-    ``counts.npy`` (the count matrix as little-endian int64) and
-    ``manifest.json``: the given fields plus the schema and the SHA-256 of
-    the other two files. Same inputs give byte-identical files."""
+def write_archive(plan_bytes: bytes, counts, manifest: dict) -> dict:
+    """The archive's files by name, as bytes: ``plan.json`` (the plan bytes
+    as given, not re-serialized), ``counts.npy`` (the count matrix as
+    little-endian int64) and, last, ``manifest.json``: the given fields
+    plus the schema and the SHA-256 of the other two files. Same inputs
+    give byte-identical files."""
     buffer = io.BytesIO()
     np.save(buffer, np.asarray(counts, dtype="<i8"), allow_pickle=False)
     blobs = {"plan.json": plan_bytes, "counts.npy": buffer.getvalue()}
-    os.makedirs(archive_dir, exist_ok=True)
-    for name, data in blobs.items():
-        with open(os.path.join(archive_dir, name), "wb") as fh:
-            fh.write(data)
     manifest = {**manifest, "schema": ARCHIVE_SCHEMA,
                 "sha256": {name: hashlib.sha256(data).hexdigest()
                            for name, data in blobs.items()}}
-    with open(os.path.join(archive_dir, "manifest.json"), "w") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return {**blobs, "manifest.json": json.dumps(
+        manifest, indent=2, sort_keys=True).encode() + b"\n"}
 
 
 def read_bytes(path, what: str = "archive file") -> bytes:
@@ -510,19 +508,18 @@ class Analyzer:
             return out
 
         # a failed matrix runs on unread
-        with np.errstate(divide="ignore", invalid="ignore"), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cal = mit.get("qrem") and calibration_from_counts(
-                stack[:, 0], stack[:, 1], failures("qrem"))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inverses = calibration_from_counts(
+                stack[:, 0], stack[:, 1], failures("qrem")) \
+                if mit.get("qrem") else None
             blocks = []
             for start in (2, 2 + self.n_bases):
                 block = stack[:, start:start + self.n_bases]
                 probs = block / block.sum(axis=-1, keepdims=True)
                 clipped, acceptance = np.zeros(shape), np.ones(shape)
                 tables = [probs] if chain else []
-                if cal:
-                    probs = qrem_rows(probs, cal)
+                if inverses is not None:
+                    probs = apply_per_qubit(probs, inverses)
                     if mit.get("clip"):
                         probs, clipped = clip_rows(probs, failures("clip"))
                     tables += [probs] if chain else []

@@ -5,10 +5,10 @@ bases), ``optimize`` (trial amplitudes), ``run`` (noisy sampling into a
 counts archive), ``analyze`` (``report.json``, as
 ``analysis.Analyzer.report`` builds it, and the ablation CSV), ``fci``
 (exact reference), and ``pipeline`` (all of the above). The commands read
-their inputs, call into the library and write its results, all or none for
-``plan``, ``optimize``, ``analyze`` and ``fci``. ``config.typed`` checks
-every JSON integer, and ``analysis.measurement_circuits`` the plan of both
-``run`` and ``analyze``. Every random choice derives from the config's
+their inputs, call into the library and write its results, all or none,
+through one staged writer. ``config.typed`` checks every JSON integer, and
+``analysis.measurement_circuits`` the plan of both ``run`` and
+``analyze``. Every random choice derives from the config's
 master seed, so a repeated run is bit-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
@@ -82,21 +82,21 @@ def _writing(path):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
-def _write_outputs(texts: dict):
-    """Write each output path's text in `texts`, all or none: every text
+def _write_outputs(blobs: dict):
+    """Write each output path's bytes in `blobs`, all or none: every file
     goes to a temporary file beside its path, and only once all are written
-    are they renamed into place. An OSError is a ConfigError naming the
-    output; the temporary files are then removed."""
+    are they renamed into place, in the order given. An OSError is a
+    ConfigError naming the output; the temporary files are then removed."""
     staged = []
     try:
-        for path, text in texts.items():
-            with _writing(path), open(f"{path}.tmp", "w", newline="") as fh:
+        for path, data in blobs.items():
+            with _writing(path), open(f"{path}.tmp", "wb") as fh:
                 staged.append(path)
-                fh.write(text)
+                fh.write(data)
         for path in staged:
             with _writing(path):
                 os.replace(f"{path}.tmp", path)
@@ -130,7 +130,7 @@ def cmd_plan(args) -> int:
     spins = interleaved_spins(n)
     elements = enumerate_elements(n, order, spins=spins)
     plan = build_plan(elements, spins, layout=layout)
-    _write_outputs({args.output: plan.dumps()})
+    _write_outputs({args.output: plan.dumps().encode()})
     print(json.dumps({
         "n_modes": n, "order": order, "elements": len(elements),
         "level1_bases": len(plan.level1), "concrete_bases": len(plan.bases),
@@ -159,7 +159,7 @@ def cmd_optimize(args) -> int:
                  for i in range(n_seeds)]
         best, traces = spsa_minimize(objective, theta0, seeds, iters)
     energy = objective(best)
-    _write_outputs({args.output: _json_text({
+    _write_outputs({args.output: _json_bytes({
         "thetas": [float(t) for t in best],
         "energy": energy,
         "traces": [[float(v) for v in tr] for tr in traces],
@@ -205,19 +205,23 @@ def cmd_run(args) -> int:
     counts = sample_counts(cfg, [b.circuit for b in built], plan.bases,
                            circuits)
     total = int(counts.sum())
+    files = write_archive(plan_bytes, counts, {
+        "n_qubits": n,
+        "n_electrons": ne,
+        "n_bases": len(plan.bases),
+        "shots_per_basis": cfg.shots,
+        "total_shots": total,
+        "layout": list(built[0].layout),
+        "thetas": thetas,
+        "noise": cfg.noise,
+        "master_seed": cfg.master_seed,
+        **system_identity(cfg),
+    })
     with _writing(args.output_dir):
-        write_archive(args.output_dir, plan_bytes, counts, {
-            "n_qubits": n,
-            "n_electrons": ne,
-            "n_bases": len(plan.bases),
-            "shots_per_basis": cfg.shots,
-            "total_shots": total,
-            "layout": list(built[0].layout),
-            "thetas": thetas,
-            "noise": cfg.noise,
-            "master_seed": cfg.master_seed,
-            **system_identity(cfg),
-        })
+        os.makedirs(args.output_dir, exist_ok=True)
+    # manifest.json comes last, so it is renamed into place last
+    _write_outputs({os.path.join(args.output_dir, name): data
+                    for name, data in files.items()})
     print(f"archived {total} shots over {counts.shape[0]} circuits "
           f"in {args.output_dir}")
     return 0
@@ -236,15 +240,15 @@ def cmd_analyze(args) -> int:
         f"archive plan in {args.archive}")
     check_archive_config(manifest, cfg, ints.n_electrons)
     report = Analyzer(cfg, plan, circuits, ints.n_electrons, h).report(counts)
-    texts = {args.output: _json_text(report)}
+    blobs = {args.output: _json_bytes(report)}
     if args.csv:
         table = io.StringIO()
         writer = csv.DictWriter(table, fieldnames=[
             "technique", "h", "e_l", "h_error", "e_l_error", "failed"])
         writer.writeheader()
         writer.writerows(report["ablation"])
-        texts[args.csv] = table.getvalue()
-    _write_outputs(texts)
+        blobs[args.csv] = table.getvalue().encode()
+    _write_outputs(blobs)
     estimate = report["estimate"]
     print(f"<H> = {estimate['h_expect']:.6f}  E_L = {estimate['e_l']:.6f}  "
           f"FCI = {report['fci']:.6f}")
@@ -263,7 +267,7 @@ def cmd_fci(args) -> int:
     energy, _ = exact_diagonalize(h, ints.n_electrons, sz=sz)
     print(f"{energy:.12f}")
     if args.output:
-        _write_outputs({args.output: _json_text({
+        _write_outputs({args.output: _json_bytes({
             "fci": energy, "n_electrons": ints.n_electrons, "s_z": sz})})
     return 0
 

@@ -1,30 +1,27 @@
 """Counts post-processing and error mitigation.
 
-Pipeline order: readout-error inversion (per-qubit assignment-matrix
-inverses, from ``simulator.assignment_matrices`` of the flip rates on the
-all-zeros and all-ones rows that ``analysis.sample_counts`` draws with the
-basis tables), clipping of negative quasi-probabilities, symmetry
-post-selection on electron number and S_z, RDM assembly from the
-measurement plan, trace rescaling, N-representability reporting on a
-density matrix, and a global white-noise calibration against a reference
-state.
+Pipeline order: readout-error inversion, clipping of negative
+quasi-probabilities, symmetry post-selection on electron number and S_z,
+RDM assembly from the measurement plan, trace rescaling,
+N-representability reporting on a density matrix, and a global white-noise
+calibration against a reference state. The readout calibration is its
+per-qubit inverse matrices (:func:`calibration_from_counts`), which
+``simulator.apply_per_qubit``, the kernel of the simulated readout flips,
+applies to the tables.
 
-Each table step exists twice. The ``*_rows`` functions act on tables over
-integer outcomes, one per row, and make up the compiled analysis
-(:mod:`qcmoments.analysis`). They, ``calibration_from_counts`` and
+Each table step exists twice. That kernel and the ``*_rows`` functions act
+on tables over integer outcomes, one per row, and make up the compiled
+analysis (:mod:`qcmoments.analysis`). They, ``calibration_from_counts`` and
 ``fit_white_noise_rate`` take leading stack axes: the bootstrap's resamples,
-in stacks of ``qcm.STACK_ENTRIES`` counts, with each entry's own QREM
-inverses broadcast. A failed check records its message in the entry's slot
-of a ``failures`` list (:func:`fail`); only the scalar tail (moments,
-cumulants, E_L) runs per matrix. The bitstring-dict functions (``apply_qrem``,
-``clip_to_physical``, ``symmetry_postselect``, ``assemble_rdm``,
-``rescale_rdm``) and ``mixed_state_value`` are the references that the
-tests check the compiled path against.
+in stacks of ``qcm.STACK_ENTRIES`` counts, with each entry's own inverses
+broadcast. A failed check records its message in the entry's slot of a
+``failures`` list (:func:`fail`); only the scalar tail (moments, cumulants,
+E_L) runs per matrix. Nothing here warns. The bitstring-dict functions
+(``apply_qrem``, ``clip_to_physical``, ``symmetry_postselect``,
+``assemble_rdm``, ``rescale_rdm``) and ``mixed_state_value`` are the
+references that the tests check the compiled path against.
 """
 from __future__ import annotations
-
-import warnings
-from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -32,7 +29,7 @@ from .fermion import FermionOperator, reversal_sign
 from .planner import MeasurementPlan, product_value
 from .rdm import RDM
 from .simulator import (
-    CountsTable, apply_1q, apply_terms, assignment_matrices, sector_basis,
+    CountsTable, apply_terms, assignment_matrices, sector_basis,
 )
 
 # ---------------------------------------------------------------------------
@@ -49,40 +46,23 @@ def fail(bad, message, failures):
         failures[i] = failures[i] or message(k)
 
 
-@dataclass
-class AssignmentCalibration:
-    """Per-qubit 2x2 readout assignment matrices and their inverses."""
-
-    matrices: np.ndarray   # (..., n, 2, 2); column y holds p(read x | true y)
-    inverses: np.ndarray
-    failures: InitVar[list]
-
-    def __post_init__(self, failures):
-        self.matrices = np.asarray(self.matrices, dtype=float)
-        self.inverses = np.asarray(self.inverses, dtype=float)
-        fail(~np.isclose(self.matrices.sum(axis=-2), 1.0,
-                         atol=1e-10).all(axis=-1),
-             lambda k: "assignment matrix columns must sum to 1", failures)
-        eye = np.einsum("...ij,...jk->...ik", self.inverses, self.matrices)
-        fail(~np.isclose(eye, np.eye(2), atol=1e-10).all(axis=(-2, -1)),
-             lambda k: "inverses do not match the assignment matrices",
-             failures)
-
-    @property
-    def n_qubits(self) -> int:
-        return self.matrices.shape[-3]
-
-    @classmethod
-    def from_flip_rates(cls, p01, p10, failures):
-        """From flip rates (..., n); a singular qubit fails its entry."""
-        p01, p10 = (np.atleast_1d(p).astype(float) for p in (p01, p10))
-        singular = (1.0 - p01 - p10 <= 1e-9) | (p01 >= 0.5) | (p10 >= 0.5)
-        fail(singular, lambda k: "assignment matrix singular on qubit "
-             f"{k % p01.shape[-1]}: flip rates {p01.flat[k]:.3f}/"
-             f"{p10.flat[k]:.3f}", failures)
-        mats = assignment_matrices(p01, p10)
-        mats[singular] = np.eye(2)     # a recorded failure; inv stays finite
-        return cls(mats, np.linalg.inv(mats), failures)
+def readout_inverses(p01, p10, failures) -> np.ndarray:
+    """Per-qubit inverses (..., n, 2, 2) of the assignment matrices of flip
+    rates (..., n). A singular qubit fails its entry (and gets the identity,
+    so every inverse stays finite), and so does an inverse that does not
+    invert its matrix to 1e-10, as one of a near-singular matrix can."""
+    p01, p10 = (np.atleast_1d(p).astype(float) for p in (p01, p10))
+    singular = (1.0 - p01 - p10 <= 1e-9) | (p01 >= 0.5) | (p10 >= 0.5)
+    fail(singular, lambda k: "assignment matrix singular on qubit "
+         f"{k % p01.shape[-1]}: flip rates {p01.flat[k]:.3f}/"
+         f"{p10.flat[k]:.3f}", failures)
+    mats = assignment_matrices(p01, p10)
+    mats[singular] = np.eye(2)
+    inverses = np.linalg.inv(mats)
+    eye = np.einsum("...ij,...jk->...ik", inverses, mats)
+    fail(~np.isclose(eye, np.eye(2), atol=1e-10).all(axis=(-2, -1)),
+         lambda k: "inverses do not match the assignment matrices", failures)
+    return inverses
 
 
 def outcome_bits(n_qubits: int) -> np.ndarray:
@@ -90,43 +70,34 @@ def outcome_bits(n_qubits: int) -> np.ndarray:
     return np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits) & 1
 
 
-def calibration_from_counts(zeros, ones, failures):
-    """Per-qubit flip rates from the count vectors (over integer outcomes,
-    with optional stack axes) of an all-zeros and an all-ones preparation."""
+def calibration_from_counts(zeros, ones, failures) -> np.ndarray:
+    """The readout calibration of the count vectors (over integer outcomes,
+    with optional stack axes) of an all-zeros and an all-ones preparation:
+    the :func:`readout_inverses` (..., n, 2, 2) of their per-qubit flip
+    rates, which ``simulator.apply_per_qubit`` applies to the tables."""
     zeros, ones = np.asarray(zeros), np.asarray(ones)
     bits = outcome_bits(zeros.shape[-1].bit_length() - 1)
     p01 = zeros @ bits / zeros.sum(axis=-1, keepdims=True)
     p10 = ones @ (1 - bits) / ones.sum(axis=-1, keepdims=True)
-    return AssignmentCalibration.from_flip_rates(p01, p10, failures)
+    return readout_inverses(p01, p10, failures)
 
 
-def qrem_rows(probs: np.ndarray, cal: AssignmentCalibration) -> np.ndarray:
-    """Readout inversion of each row (a distribution over integer outcomes)
-    by the tensor product of the per-qubit inverses, one qubit at a time.
-    Each stack entry of `probs` (..., rows, 2^n) gets its own inverses from
-    `cal`."""
-    if probs.shape[-1] != 1 << cal.n_qubits:
-        raise ValueError("calibration does not cover all qubits")
-    for q in range(cal.n_qubits):
-        probs = apply_1q(probs, cal.inverses[..., q, :, :], q)
-    return probs
-
-
-def apply_qrem(counts: CountsTable, cal: AssignmentCalibration) -> dict:
-    """Per-qubit inverse applied tensor-wise on the observed sparse support,
-    over integer outcomes.
+def apply_qrem(counts: CountsTable, inverses) -> dict:
+    """The per-qubit readout `inverses` (n, 2, 2) applied tensor-wise on the
+    observed sparse support, over integer outcomes.
 
     Returns a bitstring -> quasi-probability dict (entries may be negative)
     in increasing outcome order, its strings printed most-significant qubit
-    first. Reference for :func:`qrem_rows`.
+    first. Reference for ``simulator.apply_per_qubit`` with the inverses of
+    :func:`calibration_from_counts`.
     """
-    n = cal.n_qubits
+    n = len(inverses)
     if counts.outcomes[-1] >> n:
         raise ValueError("calibration does not cover all qubits")
     probs = {o: c / counts.shots
              for o, c in zip(counts.outcomes.tolist(), counts.counts.tolist())}
     for q in range(n):
-        inv, bit = cal.inverses[q].tolist(), 1 << q
+        inv, bit = inverses[q].tolist(), 1 << q
         out: dict = {}
         for o in set(probs) | {o ^ bit for o in probs}:
             row = inv[o >> q & 1]
@@ -343,13 +314,13 @@ def fit_white_noise_rate(noisy_ref, ideal_ref, mixed_value, failures):
 def reference_calibrate(noisy_trial, q_fit, mixed_value):
     """Invert a white-noise rate fitted on a reference state.
 
-    q̂ is `q_fit` (from :func:`fit_white_noise_rate`), clamped to 0 with a
-    warning when negative; corrected = (noisy_trial − q̂·mixed_value)/(1 − q̂),
+    q̂ is `q_fit` (from :func:`fit_white_noise_rate`), clamped to 0 when
+    negative; corrected = (noisy_trial − q̂·mixed_value)/(1 − q̂),
     elementwise for arrays, by row for stacked q_fit. Returns (q̂, corrected).
+    Nothing warns here: a clamp shows as q̂ ≠ q_fit, and the main analysis
+    (``analysis.Analyzer._result``) alone warns of it.
     """
     q_fit = np.asarray(q_fit, dtype=float)
-    for q in q_fit[q_fit < 0.0]:
-        warnings.warn(f"estimated white-noise rate {q} clamped to 0")
     q_hat = np.where(q_fit < 0.0, 0.0, q_fit)
     scale = q_hat[..., None] if q_hat.ndim else q_hat
     return q_hat, (noisy_trial - scale * mixed_value) / (1.0 - scale)

@@ -6,7 +6,8 @@ kernels act on the last axis, so :func:`run` evolves one state or a stack
 of states alike. Noise is applied at sampling time, to a matrix of
 distributions at once: a global white-noise mixture at each row's own rate
 (:func:`white_noise_rate` of its circuit's CNOTs), then per-qubit readout
-flips (:func:`assignment_matrices`).
+flips (:func:`assignment_matrices`), which :func:`apply_per_qubit` applies
+as the readout correction applies their inverses.
 """
 from __future__ import annotations
 
@@ -203,19 +204,29 @@ def run(circuit: Circuit, initial) -> np.ndarray:
     return amps
 
 
+def apply_per_qubit(rows: np.ndarray, mats) -> np.ndarray:
+    """The per-qubit 2x2 maps `mats` (..., n, 2, 2), qubit q's at index q,
+    applied to each row (last axis, over the 2^n integer outcomes) of
+    `rows`, one qubit at a time: readout flips and their inverses alike.
+    Leading axes of `mats` pair with the leading axes of `rows`."""
+    mats = np.asarray(mats)
+    n = mats.shape[-3]
+    if np.shape(rows)[-1] != 1 << n:
+        raise ValueError("readout maps do not cover all qubits")
+    for q in range(n):
+        rows = apply_1q(rows, mats[..., q, :, :], q)
+    return rows
+
+
 def noisy_distribution(probs, q, readout_flip) -> np.ndarray:
     """Each row of the (rows x 2^n) ideal distributions `probs` mixed with
     white noise at its own rate ``q[row]``, then read through the per-qubit
     assignment matrices `readout_flip` (n x 2 x 2)."""
     dim = np.shape(probs)[1]
-    if 1 << len(readout_flip) != dim:
-        raise ValueError("readout calibration does not cover all qubits")
     q = np.asarray(q, dtype=float)[:, None]
     p = (1.0 - q) * probs
     p += q / dim
-    for qubit, flip in enumerate(readout_flip):
-        p = apply_1q(p, flip, qubit)
-    return p
+    return apply_per_qubit(p, readout_flip)
 
 
 def sample(distribution: np.ndarray, shots: int, *, seed: int) -> CountsTable:

@@ -7,20 +7,19 @@ analysis was compiled into array maps. ``product_assembly_map`` builds the
 assembly triplets one product at a time, as before they were decoded from
 an outcome-feature table. ``sample_counts_per_basis`` draws an archive's
 count matrix with one simulation per measurement circuit, as before the
-concrete bases of one parent shared theirs. ``analyze`` is the compiled
+concrete bases of one parent shared theirs, from the exact noisy tables
+that ``noisy_tables_per_basis`` gives. ``analyze`` is the compiled
 analysis of one count matrix alone.
 """
-import warnings
-
 import numpy as np
 
 from qcmoments.analysis import position_spins
 from qcmoments.config import derive_seed
 from qcmoments.conventions import sz_of
 from qcmoments.mitigation import (
-    AssignmentCalibration, apply_qrem, assemble_rdm, calibration_from_counts,
-    clip_to_physical, fit_white_noise_rate, mixed_state_value,
-    reference_calibrate, rescale_rdm, symmetry_postselect,
+    apply_qrem, assemble_rdm, calibration_from_counts, clip_to_physical,
+    fit_white_noise_rate, mixed_state_value, reference_calibrate,
+    rescale_rdm, symmetry_postselect,
 )
 from qcmoments.planner import RdmElement, product_value
 from qcmoments.qcm import (
@@ -65,10 +64,11 @@ def product_assembly_map(plan, circuits):
     return np.concatenate(elem), np.concatenate(flat), np.concatenate(weight)
 
 
-def sample_counts_per_basis(cfg, prepared, circuits):
-    """``analysis.sample_counts`` of the preparation circuits `prepared`
-    and the whole measurement circuits `circuits`: each circuit runs on
-    the stack of both prepared states, one circuit at a time."""
+def noisy_tables_per_basis(cfg, prepared, circuits):
+    """The exact noisy distributions of the rows that
+    ``sample_counts_per_basis`` draws, one row per table: each circuit of
+    `circuits` runs on the stack of both states that the preparation
+    circuits `prepared` make, one circuit at a time."""
     n = prepared[0].n_qubits
     n_bases, dim = len(circuits), 1 << n
     noise = cfg.noise
@@ -82,13 +82,23 @@ def sample_counts_per_basis(cfg, prepared, circuits):
         white_noise_rate(noise["global_q"], noise["cnot_q"],
                          c.cnot_count() + circuit.cnot_count())
         for c in prepared for circuit in circuits]
+    flips = assignment_matrices(np.full(n, noise["p01"]),
+                                np.full(n, noise["p10"]))
+    return noisy_distribution(ideal, q, flips)
+
+
+def sample_counts_per_basis(cfg, prepared, circuits):
+    """``analysis.sample_counts`` of the preparation circuits `prepared`
+    and the whole measurement circuits `circuits`: each row of
+    :func:`noisy_tables_per_basis` drawn from its own seed."""
+    n_bases = len(circuits)
     seeds = [derive_seed(cfg.master_seed, tag, i) for tag, count in (
         ("calibration", 2), ("sample-trial", n_bases),
         ("sample-reference", n_bases)) for i in range(count)]
-    flips = assignment_matrices(np.full(n, noise["p01"]),
-                                np.full(n, noise["p10"]))
-    return np.array([sample(p, cfg.shots, seed=seed).vector(n) for p, seed
-                     in zip(noisy_distribution(ideal, q, flips), seeds)])
+    return np.array([
+        sample(p, cfg.shots, seed=seed).vector(prepared[0].n_qubits)
+        for p, seed in zip(noisy_tables_per_basis(cfg, prepared, circuits),
+                           seeds)])
 
 
 def analyze(analyzer, counts, mitigation=None, diagnostics=False):
@@ -122,10 +132,10 @@ def checked(function, *args):
     return result
 
 
-def identity_calibration(n_qubits: int) -> AssignmentCalibration:
-    """Readout calibration of a register without readout errors."""
-    eye = np.broadcast_to(np.eye(2), (n_qubits, 2, 2)).copy()
-    return checked(AssignmentCalibration, eye, eye.copy())
+def identity_calibration(n_qubits: int) -> np.ndarray:
+    """Readout calibration (per-qubit inverses) of a register without
+    readout errors."""
+    return np.broadcast_to(np.eye(2), (n_qubits, 2, 2)).copy()
 
 
 def counts_tables(counts):
@@ -173,21 +183,21 @@ class DictAnalyzer:
         self.mixed = mixed
         self._memo, self._memo_counts = {}, None
 
-    def _mitigated(self, table, cal, clip):
+    def _mitigated(self, table, inverses, clip):
         """QREM, then clipping if `clip`, memoised by the table's and the
-        calibration's bytes and the flag: the mitigation stacks that share
-        them share the result, which no later step mutates. The memo holds
-        one count matrix's tables."""
+        readout inverses' bytes and the flag: the mitigation stacks that
+        share them share the result, which no later step mutates. The memo
+        holds one count matrix's tables."""
         key = (table.outcomes.tobytes(), table.counts.tobytes(), table.shots,
-               cal.inverses.tobytes(), bool(clip))
+               inverses.tobytes(), bool(clip))
         if key not in self._memo:
-            probs = apply_qrem(table, cal)
+            probs = apply_qrem(table, inverses)
             self._memo[key] = clip_to_physical(probs) if clip else probs
         return self._memo[key]
 
-    def _table(self, table, mc, mit, cal):
+    def _table(self, table, mc, mit, inverses):
         if mit.get("qrem"):
-            probs = self._mitigated(table, cal, mit.get("clip"))
+            probs = self._mitigated(table, inverses, mit.get("clip"))
         else:
             probs = bitstring_probabilities(table, self.n_qubits)
         rate = 1.0
@@ -202,7 +212,7 @@ class DictAnalyzer:
         if self._memo_counts != counts.tobytes():
             self._memo, self._memo_counts = {}, counts.tobytes()
         tables = counts_tables(counts)
-        cal = checked(calibration_from_counts, counts[0], counts[1]) \
+        inverses = checked(calibration_from_counts, counts[0], counts[1]) \
             if mit.get("qrem") else None
         n_bases = len(self.plan.bases)
         rdms, rates = {}, {}
@@ -211,7 +221,7 @@ class DictAnalyzer:
             for i in range(n_bases):
                 probs, rate = self._table(
                     tables[offset + i],
-                    self.circuits[self.plan.bases[i].parent], mit, cal)
+                    self.circuits[self.plan.bases[i].parent], mit, inverses)
                 prob_tables.append(probs)
                 acc.append(rate)
             rdm = assemble_rdm(self.plan, self.circuits, prob_tables,
@@ -232,10 +242,7 @@ class DictAnalyzer:
             mixed = np.array([self.mixed[e] for e in elements])
             q_fit = checked(fit_white_noise_rate, values(rdms["reference"]),
                             values(self.ideal_ref), mixed)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                q_hat, corrected = reference_calibrate(values(rdm), q_fit,
-                                                       mixed)
+            q_hat, corrected = reference_calibrate(values(rdm), q_fit, mixed)
             if q_hat > 0.0:
                 # the trial RDM was assembled for this call alone
                 for e, v in zip(elements, corrected):

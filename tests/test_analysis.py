@@ -31,7 +31,7 @@ from qcmoments.analysis import (
 from qcmoments.cli import _load_system, main
 from qcmoments.config import load_config
 from qcmoments.mitigation import (
-    AssignmentCalibration, clip_rows, clip_to_physical, qrem_rows,
+    clip_rows, clip_to_physical, readout_inverses,
 )
 from qcmoments.conventions import interleaved_spins
 from qcmoments.fermion import jordan_wigner
@@ -41,7 +41,8 @@ from qcmoments import analysis, qcm
 from qcmoments.qcm import (
     MomentSet, bootstrap, moments_from_rdm,
 )
-from qcmoments.simulator import exact_diagonalize, sector_basis
+from qcmoments.simulator import apply_per_qubit, exact_diagonalize, \
+    sector_basis
 
 TOL = 1e-10
 NOISE = {"global_q": 0.1, "p01": 0.03, "p10": 0.05}
@@ -527,7 +528,7 @@ def _readout_channel(p01, p10):
 
 @PROPERTY
 @given(data=st.data(), n=st.integers(1, 4))
-def test_qrem_rows_inverts_the_tensored_readout_channel(data, n):
+def test_readout_inverses_invert_the_tensored_readout_channel(data, n):
     rates = st.floats(0.0, 0.3)
     p01 = data.draw(st.lists(rates, min_size=n, max_size=n))
     p10 = data.draw(st.lists(rates, min_size=n, max_size=n))
@@ -535,8 +536,8 @@ def test_qrem_rows_inverts_the_tensored_readout_channel(data, n):
                                elements=st.floats(0.0, 1.0)))
     ideal = (weights + 1e-3) / (weights + 1e-3).sum(axis=1, keepdims=True)
     noisy = ideal @ _readout_channel(p01, p10).T
-    cal = checked(AssignmentCalibration.from_flip_rates, p01, p10)
-    assert qrem_rows(noisy, cal) == pytest.approx(ideal, abs=1e-12)
+    inverses = checked(readout_inverses, p01, p10)
+    assert apply_per_qubit(noisy, inverses) == pytest.approx(ideal, abs=1e-12)
 
 
 @PROPERTY

@@ -22,13 +22,16 @@ from qcmoments.config import ConfigError, derive_seed, load_config, \
     typed_at
 from qcmoments.planner import KINDS, MeasurementPlan, \
     build_measurement_circuit, build_plan, enumerate_elements
+from qcmoments.qcm import cumulants, lanczos_energy
 from qcmoments.simulator import Circuit, run
 from qcmoments.trial import build_uccd
 
 from fixtures_util import H2_PATH, H4_PATH
-from reference_analysis import analyze, sample_counts_per_basis
+from reference_analysis import analyze, noisy_tables_per_basis, \
+    sample_counts_per_basis
 from reference_planner import circuit_with_s_in_place, drop_last_product, \
     factor_entries, measured_circuit
+from reference_qcm import moments_from_statevector
 from reference_simulator import basis_state
 
 # sector FCI / Hartree-Fock energies of the stretched-H2 fixture,
@@ -560,11 +563,13 @@ def test_analyze_plan_mismatch_exits_2(tmp_path, case, capsys):
     counts[1, [0, 15]] = 0, 500
     config = load_config(cfg)
     archive = tmp_path / "counts"
-    write_archive(archive, plan_bytes, counts, {
-        "n_qubits": 4, "n_electrons": 2, "n_bases": n_bases,
-        "shots_per_basis": 500, "total_shots": int(counts.sum()),
-        "layout": [0, 1, 2, 3], "thetas": [0.0], "noise": config.noise,
-        "master_seed": config.master_seed})
+    archive.mkdir()
+    for name, data in write_archive(plan_bytes, counts, {
+            "n_qubits": 4, "n_electrons": 2, "n_bases": n_bases,
+            "shots_per_basis": 500, "total_shots": int(counts.sum()),
+            "layout": [0, 1, 2, 3], "thetas": [0.0], "noise": config.noise,
+            "master_seed": config.master_seed}).items():
+        (archive / name).write_bytes(data)
     capsys.readouterr()
     report = tmp_path / "report.json"
     assert main(["analyze", "--config", str(cfg), "--archive", str(archive),
@@ -880,6 +885,42 @@ def test_sample_counts_equals_one_run_per_basis(tmp_path, system,
         circuit_with_s_in_place(plan.level1[b.parent], b.kinds, layout)
         for b in plan.bases])
     assert counts.dtype == want.dtype and np.array_equal(counts, want)
+
+
+#: largest deviation (Ha) of the calibrated analysis of the exact noisy
+#: tables from the noiseless trial state's <H> and E_L
+EXACT_TABLE_TOL = 1e-9
+
+
+@pytest.mark.parametrize("system", ["h2", "h4"])
+def test_calibrated_analysis_of_exact_tables_is_exact(tmp_path, system):
+    # under the model that the mitigation assumes (one white-noise rate on
+    # every basis row, per-qubit readout flips), the calibrated main
+    # analysis of the exact noisy tables, with no shot drawn, gives the
+    # noiseless trial state's <H> and E_L
+    cfg = write_config(tmp_path, **PINNED_PIPELINES[system][0],
+                       noise=PINNED_NOISE, master_seed=7)
+    config = load_config(cfg)
+    assert config.mitigation == analysis.ABLATION_STACKS[-1][1]
+    plan, thetas = _plan_and_thetas(tmp_path, cfg)
+    plan = MeasurementPlan.loads(plan.read_text())
+    thetas = json.loads(thetas.read_text())["thetas"]
+    ints, h, ansatz = _load_system(config)
+    built = [build_uccd(ansatz.with_thetas(t))
+             for t in (thetas, [0.0] * len(thetas))]
+    layout = built[0].layout
+    circuits = analysis.measurement_circuits(plan, ansatz.n_qubits,
+                                             config.order, layout, "plan")
+    tables = noisy_tables_per_basis(config, [b.circuit for b in built], [
+        circuit_with_s_in_place(plan.level1[b.parent], b.kinds, layout)
+        for b in plan.bases])
+    got = analyze(Analyzer(config, plan, circuits, ints.n_electrons, h),
+                  tables, diagnostics=True)
+    m = moments_from_statevector(
+        h, trial.exact_trial_state(ansatz.with_thetas(thetas)))
+    assert got["q_hat"] > 0.0
+    assert abs(got["h"] - m.m1) <= EXACT_TABLE_TOL
+    assert abs(got["e_l"] - lanczos_energy(cumulants(m))) <= EXACT_TABLE_TOL
 
 
 def test_run_simulates_once_per_routed_parent(tmp_path, monkeypatch):

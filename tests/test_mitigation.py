@@ -1,13 +1,15 @@
 """Readout inversion, clipping, post-selection, RDM assembly, calibration."""
+import warnings
+
 import numpy as np
 import pytest
 
 from qcmoments.conventions import interleaved_spins
 from qcmoments.fermion import FermionOperator
 from qcmoments.mitigation import (
-    AssignmentCalibration, apply_qrem, assemble_rdm, calibration_from_counts,
-    check_representability, clip_to_physical, fit_white_noise_rate,
-    mixed_state_value, reference_calibrate, rescale_rdm, symmetry_postselect,
+    apply_qrem, assemble_rdm, calibration_from_counts, check_representability,
+    clip_to_physical, fit_white_noise_rate, mixed_state_value,
+    readout_inverses, reference_calibrate, rescale_rdm, symmetry_postselect,
 )
 from qcmoments.planner import build_measurement_circuit, build_plan, \
     enumerate_elements
@@ -42,19 +44,21 @@ def sample_calibration(n_qubits, p01, p10, shots, seeds):
 
 
 def test_calibrate_zero_noise_is_identity():
-    cal = checked(calibration_from_counts,
+    inverses = checked(calibration_from_counts,
         *sample_calibration(3, 0.0, 0.0, 100, seeds=(0, 7)))
-    assert np.allclose(cal.matrices, np.broadcast_to(np.eye(2), (3, 2, 2)))
+    assert np.allclose(inverses, np.broadcast_to(np.eye(2), (3, 2, 2)))
 
 
 def test_calibrate_estimates_flip_rates():
-    cal = checked(calibration_from_counts,
-        *sample_calibration(4, 0.02, 0.05, 100_000, seeds=(5, 20)))
+    # the calibration is the inverses; their inverses are the estimated
+    # assignment matrices
+    matrices = np.linalg.inv(checked(calibration_from_counts,
+        *sample_calibration(4, 0.02, 0.05, 100_000, seeds=(5, 20))))
     sigma01 = np.sqrt(0.02 * 0.98 / 100_000)
     sigma10 = np.sqrt(0.05 * 0.95 / 100_000)
     for q in range(4):
-        assert abs(cal.matrices[q][1, 0] - 0.02) < 3 * sigma01 + 1e-12
-        assert abs(cal.matrices[q][0, 1] - 0.05) < 3 * sigma10 + 1e-12
+        assert abs(matrices[q][1, 0] - 0.02) < 3 * sigma01 + 1e-12
+        assert abs(matrices[q][0, 1] - 0.05) < 3 * sigma10 + 1e-12
 
 
 def test_calibrate_singular_matrix_is_an_error():
@@ -64,9 +68,12 @@ def test_calibrate_singular_matrix_is_an_error():
 
 
 def test_assignment_calibration_validation():
-    bad = np.broadcast_to(np.array([[0.9, 0.2], [0.2, 0.8]]), (1, 2, 2))
-    with pytest.raises(ValueError, match="sum to 1"):
-        checked(AssignmentCalibration, bad.copy(), bad.copy())
+    # flip rates just inside the singular check (1 - p01 - p10 = 4e-9): the
+    # matrix is invertible, but its float inverse times it misses the
+    # identity by 7.5e-9
+    rate = 0.5 - 2e-9
+    with pytest.raises(ValueError, match="do not match"):
+        checked(readout_inverses, [0.01, rate], [0.02, rate])
 
 
 # -- QREM
@@ -86,9 +93,8 @@ def test_qrem_reduces_total_variation():
     flips = assignment_matrices(np.full(4, 0.03), np.full(4, 0.06))
     counts = sample(noisy_distribution(ideal[None], [0.0], flips)[0],
                     1_000_000, seed=11)
-    cal = checked(AssignmentCalibration.from_flip_rates, [0.03] * 4,
-                  [0.06] * 4)
-    quasi = apply_qrem(counts, cal)
+    inverses = checked(readout_inverses, [0.03] * 4, [0.06] * 4)
+    quasi = apply_qrem(counts, inverses)
 
     def tv(dist):
         return 0.5 * sum(abs(dist.get(bits_to_string(i, 4), 0.0) - ideal[i])
@@ -99,9 +105,8 @@ def test_qrem_reduces_total_variation():
 
 def test_qrem_produces_negative_entries():
     counts = CountsTable(np.array([0]), np.array([100]), shots=100)
-    cal = checked(AssignmentCalibration.from_flip_rates, [0.2, 0.2],
-                  [0.1, 0.1])
-    quasi = apply_qrem(counts, cal)
+    inverses = checked(readout_inverses, [0.2, 0.2], [0.1, 0.1])
+    quasi = apply_qrem(counts, inverses)
     assert min(quasi.values()) < 0.0
     assert sum(quasi.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -347,7 +352,9 @@ def test_reference_calibrate_fits_arrays_by_least_squares():
     d = mixed - ideal_ref
     assert q_hat == pytest.approx(
         np.dot(perturbed - ideal_ref, d) / np.dot(d, d), abs=1e-12)
-    with pytest.warns(UserWarning, match="clamped"):
+    # a negative rate is clamped to 0, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         q_hat, corrected = calibrate(
             noisy_trial, ideal_ref - 0.1 * (mixed - ideal_ref), ideal_ref,
             mixed)
@@ -359,7 +366,8 @@ def test_reference_calibrate_errors_and_clamp():
         calibrate(0.0, 0.1, 0.5, 0.5)
     with pytest.raises(ValueError, match=">= 1"):
         calibrate(0.0, 2.0, 0.0, 1.0)
-    with pytest.warns(UserWarning, match="clamped"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         q, corrected = calibrate(-1.0, -0.1, 0.0, 1.0)
     assert q == 0.0 and corrected == -1.0
 

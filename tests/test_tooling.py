@@ -1,7 +1,7 @@
 """Checks on what the benchmark harness and the test runner rely on: the
 names the tracer wraps, an import and a pipeline free of scipy, a test
-path that holds src/, modules that import only what they use, and the
-pinned set of values a user can set."""
+path that holds src/, modules that import only what they use and set no
+warnings filter, and the pinned set of values a user can set."""
 import argparse
 import ast
 import importlib
@@ -206,6 +206,42 @@ def test_src_modules_use_every_name_they_import():
     unused = {path.name: _unused_imports(path.read_text())
               for path in paths if path.name != "__init__.py"}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+#: the calls that set a warnings filter
+WARNINGS_FILTERS = {"catch_warnings", "simplefilter", "filterwarnings"}
+
+
+def _warnings_filters(source):
+    """(line, name) of each warnings filter that `source` names, as a
+    name, an attribute or an import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = [getattr(node, "id", None), getattr(node, "attr", None)]
+        if isinstance(node, ast.ImportFrom):
+            names += [alias.name for alias in node.names]
+        found += [(node.lineno, name) for name in names
+                  if name in WARNINGS_FILTERS]
+    return sorted(found)
+
+
+def test_warnings_filter_scan_sees_names_attributes_and_imports():
+    assert _warnings_filters(
+        "import warnings\nwith warnings.catch_warnings():\n"
+        "    warnings.simplefilter('ignore')\n"
+        "from warnings import filterwarnings\nwarnings.warn('x')\n") == [
+            (2, "catch_warnings"), (3, "simplefilter"),
+            (4, "filterwarnings")]
+
+
+def test_src_sets_no_warnings_filter():
+    # a filter in src/ can swallow a warning that `analyze` should print:
+    # the table stage's filter once hid every clamp warning but the one
+    # that the main analysis raises itself
+    paths = sorted((ROOT / "src" / "qcmoments").glob("*.py"))
+    assert len(paths) > 1
+    found = {path.name: _warnings_filters(path.read_text()) for path in paths}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_bare_pytest_finds_the_package():
