@@ -46,23 +46,26 @@ def fail(bad, message, failures):
         failures[i] = failures[i] or message(k)
 
 
+#: smallest determinant 1 - p01 - p10 of an assignment matrix. Below it the
+#: inverse amplifies shot noise over 1e4-fold per qubit, beyond any shot
+#: count the pipeline samples; above it the float64 inverse times the
+#: matrix misses the identity by about 1e-16/determinant, 1e-12 at most.
+MIN_DETERMINANT = 1e-4
+
+
 def readout_inverses(p01, p10, failures) -> np.ndarray:
     """Per-qubit inverses (..., n, 2, 2) of the assignment matrices of flip
-    rates (..., n). A singular qubit fails its entry (and gets the identity,
-    so every inverse stays finite), and so does an inverse that does not
-    invert its matrix to 1e-10, as one of a near-singular matrix can."""
+    rates (..., n). A qubit whose matrix has a determinant of at most
+    ``MIN_DETERMINANT``, or a flip rate of 0.5 or more, fails its entry as
+    singular (and gets the identity, so every inverse stays finite)."""
     p01, p10 = (np.atleast_1d(p).astype(float) for p in (p01, p10))
-    singular = (1.0 - p01 - p10 <= 1e-9) | (p01 >= 0.5) | (p10 >= 0.5)
+    singular = ~(1 - p01 - p10 > MIN_DETERMINANT) | (p01 >= .5) | (p10 >= .5)
     fail(singular, lambda k: "assignment matrix singular on qubit "
          f"{k % p01.shape[-1]}: flip rates {p01.flat[k]:.3f}/"
          f"{p10.flat[k]:.3f}", failures)
     mats = assignment_matrices(p01, p10)
     mats[singular] = np.eye(2)
-    inverses = np.linalg.inv(mats)
-    eye = np.einsum("...ij,...jk->...ik", inverses, mats)
-    fail(~np.isclose(eye, np.eye(2), atol=1e-10).all(axis=(-2, -1)),
-         lambda k: "inverses do not match the assignment matrices", failures)
-    return inverses
+    return np.linalg.inv(mats)
 
 
 def outcome_bits(n_qubits: int) -> np.ndarray:

@@ -12,13 +12,16 @@ underlying binary program (movement variables x, interaction variables y,
 flow/capacity/swap-consistency/once constraints). One failure memo serves
 every depth of a call: it maps the sorted positions of the pairs still to
 interact, without their labels, to the most remaining steps known not to
-suffice. Each child state is built in one pass from the timestep's position
-permutation and dropped at its first pair whose lower bound exceeds the
-steps left, so no call is spent on a child that cannot finish. A greedy
-sequential router is used above a size threshold and flagged as
-non-certified. The check of a schedule against the binary program's
-constraints, and a brute-force optimal depth, are test oracles in
-``tests/reference_routing.py``.
+suffice. A pair is tight when its lower bound equals the steps left; the
+timestep candidates hold only moves that close every tight pair's gap, so
+they lose only children that fail the pair check and the first schedule
+found stays the same. Each child state is built in one pass from the
+timestep's position permutation and dropped at its first pair whose lower
+bound exceeds the steps left, so no call is spent on a child that cannot
+finish. Bases above a size threshold take an odd-even transposition
+network of at most n_qubits + 1 steps instead, flagged as non-certified.
+The check of a schedule against the binary program's constraints, and a
+brute-force optimal depth, are test oracles in ``tests/reference_routing.py``.
 """
 from __future__ import annotations
 
@@ -75,7 +78,7 @@ def _pair_lower_bound(a, b):
     return abs(a - b) // 2 + 1
 
 
-#: largest pair count routed by the exact search; more pairs go greedy
+#: largest pair count routed by the exact search; more take the network
 EXHAUSTIVE_LIMIT = 4
 
 
@@ -83,9 +86,11 @@ def route_pairs(pairs, n_qubits: int) -> Schedule:
     """Minimum-depth swap/interaction schedule for disjoint position pairs.
 
     The search deepens from the pairs' lower bound with no upper limit. It
-    stops, at or below the depth of ``_greedy_route``'s schedule, because
-    that schedule exists for every set of disjoint pairs. Instances with
-    more than ``EXHAUSTIVE_LIMIT`` pairs take the greedy schedule itself
+    stops by depth n_qubits + 1 at the latest: ``_network_route`` gives a
+    schedule of at most that many steps for every set of disjoint pairs,
+    and dropping its swaps that move no live pair, and the steps this
+    empties, leaves a schedule in the search's space. Instances with more
+    than ``EXHAUSTIVE_LIMIT`` pairs take the network's own schedule
     (``certified=False``).
     """
     pairs = [tuple(p) for p in pairs]
@@ -93,7 +98,7 @@ def route_pairs(pairs, n_qubits: int) -> Schedule:
     if not pairs:
         return Schedule(n_qubits, [])
     if len(pairs) > EXHAUSTIVE_LIMIT:
-        return _greedy_route(pairs, n_qubits)
+        return _network_route(pairs, n_qubits)
 
     depth = max(_pair_lower_bound(a, b) for a, b in pairs)
     failed = {}
@@ -112,31 +117,50 @@ def _search(pairs, n_qubits, depth, failed):
     pairs sit, and more remaining steps never hurt, so one memo serves
     every depth of the iterative deepening and every labelling. It only
     cuts subtrees that hold no schedule, so the first schedule found is the
-    one the search without it finds. ``dfs`` calls itself through its
-    closure cell; the cell is cleared on return, so the closure is freed by
-    reference counting and leaves no cycle for the garbage collector.
+    one the search without it finds.
+
+    A live pair (a, b) is tight when its lower bound equals the remaining
+    steps, so the step must close its gap: it may not swap (a - 1, a) or
+    (b, b + 1), and it needs both inward swaps of an odd gap of 3 or more
+    and the interaction of an adjacent pair. The candidates leave out the
+    former and take the latter in every set. Each set cut is one whose
+    child fails the pair check, and the rest keep their order, so the
+    search descends the same children and finds the same schedule.
+
+    ``dfs`` calls itself through its closure cell; the cell is cleared on
+    return, so the closure is freed by reference counting and leaves no
+    cycle for the garbage collector.
     """
     start = tuple(tuple(sorted(p)) for p in pairs)
     identity = list(range(n_qubits))
 
-    def candidates(state):
+    def candidates(state, remaining):
         """Disjoint action sets for one timestep: every act may be left out
-        or taken, leaving out first, the earlier acts deciding first."""
-        tracked = 0
+        or taken, leaving out first, the earlier acts deciding first; but a
+        tight pair's outward swaps are never taken, its needed acts always."""
+        tracked = banned = forced = 0
         acts = []
         for c, pos in enumerate(state):
             if pos is not None:
-                tracked |= 1 << pos[0] | 1 << pos[1]
-                if pos[1] - pos[0] == 1:
-                    acts.append(("y", c, pos))
+                a, b = pos
+                tracked |= 1 << a | 1 << b
+                if b - a == 1:
+                    acts.append((remaining == 1, ("y", c, pos)))
+                elif _pair_lower_bound(a, b) == remaining:
+                    banned |= 1 << b | (a and 1 << a - 1)
+                    if (b - a) & 1:
+                        forced |= 1 << a | 1 << b - 1
+        if forced & banned:
+            return []
         for i in range(n_qubits - 1):
-            if tracked >> i & 3:
-                acts.append(("x", None, (i, i + 1)))
+            if tracked >> i & 3 and not banned >> i & 1:
+                acts.append((forced >> i & 1, ("x", None, (i, i + 1))))
         sets = [((), 0)]
-        for act in reversed(acts):
+        for needed, act in reversed(acts):
             mask = 3 << act[2][0]
-            sets += [((act,) + chosen, used | mask) for chosen, used in sets
+            taken = [((act,) + chosen, used | mask) for chosen, used in sets
                      if not used & mask]
+            sets = taken if needed else sets + taken
         return sets
 
     def dfs(state, remaining):
@@ -146,8 +170,9 @@ def _search(pairs, n_qubits, depth, failed):
         key = tuple(live)
         if failed.get(key, 0) >= remaining:
             return None
-        # the first set is the empty one, and a step must do something
-        for chosen, _ in candidates(state)[1:]:
+        for chosen, _ in candidates(state, remaining):
+            if not chosen:  # a step must do something
+                continue
             # the child in one pass over a position permutation, dropped at
             # the first live pair that cannot interact in the steps left
             moved = identity[:]
@@ -185,29 +210,30 @@ def _search(pairs, n_qubits, depth, failed):
         del dfs
 
 
-def _greedy_route(pairs, n_qubits) -> Schedule:
-    steps = []
-    pos = [list(sorted(p)) for p in pairs]
-
-    def swap_all(i, j):
-        for p in pos:
-            for t in (0, 1):
-                if p[t] == i:
-                    p[t] = j
-                elif p[t] == j:
-                    p[t] = i
-
-    for c in range(len(pairs)):
-        while pos[c][1] - pos[c][0] > 1:
-            a, b = pos[c]
-            step = Step()
-            if b - a > 2:
-                step.swaps = [(a, a + 1), (b - 1, b)]
-                swap_all(a, a + 1)
-                swap_all(b - 1, b)
-            else:
-                step.swaps = [(a, a + 1)]
-                swap_all(a, a + 1)
+def _network_route(pairs, n_qubits) -> Schedule:
+    """Odd-even transposition schedule: a qubit of pair (a, b) is keyed by
+    (a + b, pair id) and any other at position p by (2p, -1). Step t swaps
+    the out-of-order neighbours (i, i + 1) with i of t's parity, and each
+    live pair that is adjacent and not moved interacts. n such layers sort
+    the keys (Knuth, TAOCP vol. 3, 5.3.4) and leave every pair adjacent; one
+    more step interacts the rest. Empty steps are dropped: depth <= n + 1."""
+    key = [(2 * p, -1) for p in range(n_qubits)]
+    for c, (a, b) in enumerate(pairs):
+        key[a] = key[b] = (a + b, c)
+    live = set(range(len(pairs)))
+    steps, parity = [], 0
+    while live:
+        swaps = [(i, i + 1) for i in range(parity, n_qubits - 1, 2)
+                 if key[i] > key[i + 1]]
+        moving = {q for swap in swaps for q in swap}
+        step = Step(swaps, [(key[i][1], (i, i + 1))
+                            for i in range(n_qubits - 1)
+                            if key[i] == key[i + 1] and key[i][1] in live
+                            and not moving & {i, i + 1}])
+        live.difference_update(c for c, _ in step.interactions)
+        for i, j in swaps:
+            key[i], key[j] = key[j], key[i]
+        if swaps or step.interactions:
             steps.append(step)
-        steps.append(Step(interactions=[(c, tuple(pos[c]))]))
+        parity ^= 1
     return Schedule(n_qubits, steps, certified=False)

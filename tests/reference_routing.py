@@ -2,12 +2,14 @@
 
 ``route_pairs_without_memo`` is the iterative-deepening search of
 :func:`qcmoments.routing.route_pairs` as it was before the shared failure
-memo and the bit-mask candidates: a fresh visited set per depth, candidates
-from recursive generators and a scan of every pair per swap. The routed
-schedules are checked to be the same. ``exhaustive_min_depth`` finds the
-optimal depth by plain breadth-first search, and ``check_constraints``
-verifies a schedule against the constraint families of the binary program
-that the search solves exactly.
+memo, the bit-mask candidates and the tight-pair rules: a fresh visited set
+per depth, candidates from recursive generators and a scan of every pair
+per swap. The routed schedules are checked to be the same.
+``greedy_route`` is the sequential router that wide bases took before the
+odd-even transposition network. ``exhaustive_min_depth`` finds the optimal
+depth by plain breadth-first search, and ``check_constraints`` verifies a
+schedule against the constraint families of the binary program that the
+search solves exactly.
 """
 from qcmoments.routing import (
     Schedule, Step, _pair_lower_bound, _validate_pairs,
@@ -102,6 +104,37 @@ def _search(pairs, n_qubits, depth):
         return None
 
     return dfs(start, depth)
+
+
+def greedy_route(pairs, n_qubits) -> Schedule:
+    """One pair at a time: close its gap from both ends, then interact it,
+    so the depth is the sum over the pairs. Wide bases took this schedule
+    before the odd-even transposition network; kept as a comparison."""
+    steps = []
+    pos = [list(sorted(p)) for p in pairs]
+
+    def swap_all(i, j):
+        for p in pos:
+            for t in (0, 1):
+                if p[t] == i:
+                    p[t] = j
+                elif p[t] == j:
+                    p[t] = i
+
+    for c in range(len(pairs)):
+        while pos[c][1] - pos[c][0] > 1:
+            a, b = pos[c]
+            step = Step()
+            if b - a > 2:
+                step.swaps = [(a, a + 1), (b - 1, b)]
+                swap_all(a, a + 1)
+                swap_all(b - 1, b)
+            else:
+                step.swaps = [(a, a + 1)]
+                swap_all(a, a + 1)
+            steps.append(step)
+        steps.append(Step(interactions=[(c, tuple(pos[c]))]))
+    return Schedule(n_qubits, steps, certified=False)
 
 
 def exhaustive_min_depth(pairs, n_qubits: int, max_depth: int) -> int:

@@ -68,12 +68,18 @@ def test_calibrate_singular_matrix_is_an_error():
 
 
 def test_assignment_calibration_validation():
-    # flip rates just inside the singular check (1 - p01 - p10 = 4e-9): the
-    # matrix is invertible, but its float inverse times it misses the
-    # identity by 7.5e-9
-    rate = 0.5 - 2e-9
-    with pytest.raises(ValueError, match="do not match"):
-        checked(readout_inverses, [0.01, rate], [0.02, rate])
+    # near-singular flip rates fail by their determinant, whatever the
+    # rounding of their inverse: their float inverse times the matrix hits
+    # the identity exactly for some k and misses it by up to 1.5e-8 for
+    # others
+    for k in np.arange(1.0, 10.5, 0.5):
+        rate = 0.5 - k * 1e-9
+        with pytest.raises(ValueError) as info:
+            checked(readout_inverses, [0.01, rate], [0.02, rate])
+        assert str(info.value) == \
+            "assignment matrix singular on qubit 1: flip rates 0.500/0.500"
+    assert np.isfinite(checked(readout_inverses, [0.01, 0.5 - 1e-4],
+                               [0.02, 0.5 - 1e-4])).all()
 
 
 # -- QREM

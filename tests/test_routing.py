@@ -7,11 +7,11 @@ import pytest
 
 from qcmoments.conventions import interleaved_spins
 from qcmoments.planner import enumerate_elements, group_level1
-from qcmoments.routing import EXHAUSTIVE_LIMIT, Schedule, _greedy_route, \
-    route_pairs
+from qcmoments.routing import EXHAUSTIVE_LIMIT, Schedule, route_pairs
 
 from reference_routing import (
-    check_constraints, exhaustive_min_depth, route_pairs_without_memo,
+    check_constraints, exhaustive_min_depth, greedy_route,
+    route_pairs_without_memo,
 )
 
 
@@ -87,20 +87,38 @@ def test_distant_pair_is_routed_at_its_lower_bound():
     assert_valid(sched, [(0, 17)], 18)
 
 
+def random_pairs(rng, n_qubits, n_pairs):
+    qubits = rng.sample(range(n_qubits), 2 * n_pairs)
+    return list(zip(qubits[::2], qubits[1::2]))
+
+
 def test_search_stops_at_or_below_the_greedy_depth():
-    # the deepening has no upper limit; it stops because the greedy
-    # schedule, which exists for every set of disjoint pairs, is one the
-    # search can find at its own depth
+    # the deepening has no upper limit; it stops by depth n + 1 because the
+    # transposition network's schedule, which exists for every set of
+    # disjoint pairs, is one the search can find at its own depth
     rng = random.Random(23)
     for _ in range(200):
         n = rng.randint(4, 16)
-        k = rng.randint(1, min(EXHAUSTIVE_LIMIT, n // 2))
-        qubits = rng.sample(range(n), 2 * k)
-        pairs = list(zip(qubits[::2], qubits[1::2]))
-        greedy = _greedy_route(pairs, n)
+        pairs = random_pairs(rng, n, rng.randint(1, min(EXHAUSTIVE_LIMIT,
+                                                        n // 2)))
+        greedy = greedy_route(pairs, n)
         assert check_constraints(greedy, pairs, n), pairs
         sched = route_pairs(pairs, n)
-        assert sched.certified and sched.depth <= greedy.depth, pairs
+        assert sched.certified and sched.depth <= min(greedy.depth, n + 1)
+
+
+def test_wide_bases_take_the_transposition_network():
+    # odd-even transposition sorts n keys in n steps, and one more step
+    # interacts the pairs it has left adjacent
+    rng = random.Random(41)
+    for _ in range(40):
+        n = rng.randint(10, 24)
+        pairs = random_pairs(rng, n, rng.randint(EXHAUSTIVE_LIMIT + 1,
+                                                 min(12, n // 2)))
+        sched = route_pairs(pairs, n)
+        assert not sched.certified
+        assert_valid(sched, pairs, n)
+        assert sched.depth <= min(n + 1, greedy_route(pairs, n).depth), pairs
 
 
 def test_validation():
@@ -148,6 +166,15 @@ def test_memo_search_matches_memo_free_search():
     for pairs in sets:
         assert route_pairs(pairs, 8).to_json() == \
             route_pairs_without_memo(pairs, 8).to_json(), pairs
+
+
+def test_pruned_search_matches_memo_free_search_on_longer_lines():
+    rng = random.Random(7)
+    for _ in range(250):
+        n = rng.randint(10, 14)
+        pairs = random_pairs(rng, n, rng.randint(1, EXHAUSTIVE_LIMIT))
+        assert route_pairs(pairs, n).to_json() == \
+            route_pairs_without_memo(pairs, n).to_json(), pairs
 
 
 @pytest.mark.parametrize("pattern", ["interleaved", "uuuuudddd"])
